@@ -8,9 +8,8 @@
 // reused EvalScratch) — the way every search driver now probes.  The
 // *Uncompiled twins keep the compile-per-call reference measurable, and
 // the SteadySolve pair isolates the model-build/solve/metrics stage whose
-// per-probe cost the compiled path eliminates (the full evaluation also
-// rolls 24 jittered epochs, whose ~240 bit-pinned RNG draws are a hard
-// floor no scenario compilation can remove).
+// per-probe cost the compiled path eliminates (the full evaluation adds
+// the sampled-epoch jitter rollout on the one-key counter stream).
 //
 // Beyond the google-benchmark registry, this binary has a perf-trajectory
 // mode:
@@ -68,7 +67,7 @@ Workload bulk_workload() {
 }
 
 // The solver stage alone: everything evaluate() does before the epoch
-// rollout (whose RNG draw sequence is pinned and irreducible).
+// rollout.
 sim::SimConfig steady_solve_config() {
   sim::SimConfig cfg;
   cfg.epochs = 0;

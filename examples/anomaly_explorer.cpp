@@ -44,7 +44,9 @@ int main(int argc, char** argv) {
   std::printf("root cause    : %s\n", a.root_cause.c_str());
   std::printf("workload      : %s\n\n", a.concrete.describe().c_str());
 
-  workload::Engine engine(sys);
+  workload::EngineOptions eopts;
+  eopts.sim.keep_epochs = true;  // the epoch table below
+  workload::Engine engine(sys, eopts);
   Rng rng(seed);
   const auto m = engine.run(a.concrete, rng);
   const core::AnomalyMonitor monitor;

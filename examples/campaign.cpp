@@ -2,107 +2,7 @@
 // guidance-mode x seed) grid with a shared MFS pool, then print the
 // aggregated report.
 //
-//   $ ./campaign                                # full catalog, Diag, 4 workers
-//   $ ./campaign --sys BF --modes diag,perf --workers 2 --hours 4
-//   $ ./campaign --sys F --seeds 3 --share subsystem --json
-//   $ ./campaign --sys F --fabric pair,hetero,fanin4   # fabric scenario sweep
-//   $ ./campaign --sys F --fabric fanin4 --cc off,dcqcn,mistuned  # CC sweep
-//   $ ./campaign --sys B --trace-csv            # fleet-wide Figure-6 trace
-//   $ ./campaign --sys BF --hours 8,2 --schedule lpt   # mixed budgets, LPT
-//   $ ./campaign --sys B --checkpoint today.json       # persist the pool
-//   $ ./campaign --sys B --warm-start today.json       # skip known regions
-//   $ ./campaign --sys BF --replay sched.json          # record, then replay
-//
-// Flags:
-//   --sys <ids>        subsystem letters, e.g. "BF" or "all" (default all)
-//   --fabric <list>    comma list of fabric scenarios (pair,hetero,fanin4)
-//                      or "all"; default pair, the paper's testbed
-//   --cc <list>        comma list of congestion-control scenarios
-//                      (off,dcqcn,mistuned) or "all"; default off, the
-//                      seed's PFC-only switch.  Armed scenarios open the
-//                      DCQCN knobs as search dimensions
-//   --modes <list>     comma list of diag,perf (default diag)
-//   --strategy <s>     sa | random (default sa)
-//   --workers <n>      fleet size (default 4)
-//   --seeds <n>        replicas per (subsystem, mode) cell (default 1)
-//   --hours <h[,h..]>  simulated testbed hours per cell (default 10, the
-//                      paper's Figure 4/5 budget).  A comma list cycles
-//                      over plan cells — a mixed-budget campaign; pair it
-//                      with --schedule lpt
-//   --schedule <p>     rr | lpt (default rr).  LPT packs mixed budgets onto
-//                      the least-loaded worker (virtual-time work stealing)
-//   --seed <s>         campaign seed; cells get split() streams (default 1)
-//   --share <scope>    subsystem | cell (default subsystem)
-//   --exec <mode>      threads | deterministic (default threads)
-//   --warm-start <f>   load a checkpoint: its pool scopes pre-seed MatchMFS
-//                      (zero probes inside already-explained regions) and
-//                      its completed cells are skipped outright
-//   --checkpoint <f>   write pool scopes + completed cells after the run
-//   --replay <f>       if <f> exists, execute exactly its recorded steal
-//                      schedule (bit-for-bit at any --workers count under
-//                      --share cell); otherwise run normally and record
-//                      this run's schedule to <f>
-//   --backend <b>      sim | record:FILE | trace:FILE (default sim).
-//                      record: runs on the simulator and writes every probe
-//                      to FILE as a collie-trace-v1 document (schema in
-//                      README.md); trace: replays FILE offline — zero
-//                      simulator evaluations, byte-identical report.
-//                      Record/replay needs deterministic cell trajectories
-//                      (--exec deterministic or --share cell)
-//   --functional       run the engine's functional verbs pass too (slower)
-//   --json             print the report as JSON instead of tables
-//   --trace-csv        print the merged fleet trace as CSV and exit
-//   --metrics-out <f>  enable telemetry and write a collie-metrics-v1 JSON
-//                      document to <f> (schema in README.md): periodic
-//                      snapshots, the final roll-up, and the campaign
-//                      report with metrics embedded.  --json stdout stays
-//                      metrics-free so replayed runs diff bit-for-bit
-//   --metrics-interval <sec>
-//                      rewrite <f> with a fresh snapshot every <sec>
-//                      seconds of wall time while the campaign runs
-//                      (default 0 = final snapshot only)
-//   --stats            print the human telemetry table (counters,
-//                      histogram quantiles, per-worker utilization) after
-//                      the report
-//   --fleet <n>        run as a loopback fleet: a coordinator plus <n>
-//                      worker threads speaking the fleet protocol
-//                      (src/fleet/) over an in-process transport.  Fault
-//                      free under --share cell this produces the report the
-//                      in-process campaign produces, byte for byte
-//   --heartbeat-ms <ms>       fleet worker heartbeat cadence (default 20)
-//   --heartbeat-timeout-ms <ms>
-//                      silence before the coordinator declares a worker
-//                      dead and re-queues its cell (default 250)
-//   --steal-after-ms <ms>     wall-clock busy time on one cell before an
-//                      idle worker may steal from the victim's queue
-//                      (default 1000)
-//   --kill-worker <k@cell>    fault injection: fleet worker k dies while
-//                      executing the cell with that label (e.g.
-//                      "--kill-worker 1@B/Diag#0"); the coordinator
-//                      re-queues the cell and the run still completes
-//   --slow-worker <k@us>      fault injection: worker k sleeps <us>
-//                      microseconds per probe, making it the steal victim
-//   --journal <f>      durable crash journal: stream begin/probe/mfs/
-//                      cell-done records to <f> as the campaign runs
-//                      (collie-journal-v1, schema in README.md).  Needs
-//                      deterministic cell trajectories (--exec
-//                      deterministic or --share cell), like trace record
-//   --resume           continue a crashed --journal campaign: completed
-//                      cells restore verbatim from their journaled
-//                      results, half-finished cells replay their journaled
-//                      probe prefix (zero probes re-spent) and splice onto
-//                      the live substrate — the final report is
-//                      byte-identical to the uninterrupted run's
-//   --journal-every <n>  probes between journal fsyncs and driver-state
-//                      records (default 64)
-//   --crash-after-probes <n>   deterministic crash injection: sync the
-//                      journal and _exit(137) after the <n>-th journaled
-//                      live probe
-//   --crash-at-journal-byte <b>  crash injection: _exit(137) the instant
-//                      the journal would grow past absolute byte <b>,
-//                      leaving a torn frame for recovery to quarantine
-//   --warm-start-lenient  on a corrupt/truncated --warm-start checkpoint,
-//                      load the longest valid prefix instead of failing
+// Run with --help for the flag reference (kUsage below).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -136,6 +36,112 @@ using namespace collie;
 using namespace collie::orchestrator;
 
 namespace {
+
+constexpr char kUsage[] = R"(usage: campaign [flags]
+
+  $ ./campaign                                # full catalog, Diag, 4 workers
+  $ ./campaign --sys BF --modes diag,perf --workers 2 --hours 4
+  $ ./campaign --sys F --seeds 3 --share subsystem --json
+  $ ./campaign --sys F --fabric pair,hetero,fanin4   # fabric scenario sweep
+  $ ./campaign --sys F --fabric fanin4 --cc off,dcqcn,mistuned  # CC sweep
+  $ ./campaign --sys B --trace-csv            # fleet-wide Figure-6 trace
+  $ ./campaign --sys BF --hours 8,2 --schedule lpt   # mixed budgets, LPT
+  $ ./campaign --sys B --checkpoint today.json       # persist the pool
+  $ ./campaign --sys B --warm-start today.json       # skip known regions
+  $ ./campaign --sys BF --replay sched.json          # record, then replay
+
+Flags:
+  --sys <ids>        subsystem letters, e.g. "BF" or "all" (default all)
+  --fabric <list>    comma list of fabric scenarios (pair,hetero,fanin4)
+                     or "all"; default pair, the paper's testbed
+  --cc <list>        comma list of congestion-control scenarios
+                     (off,dcqcn,mistuned) or "all"; default off, the
+                     seed's PFC-only switch.  Armed scenarios open the
+                     DCQCN knobs as search dimensions
+  --modes <list>     comma list of diag,perf (default diag)
+  --strategy <s>     sa | random (default sa)
+  --workers <n>      fleet size (default 4)
+  --seeds <n>        replicas per (subsystem, mode) cell (default 1)
+  --hours <h[,h..]>  simulated testbed hours per cell (default 10, the
+                     paper's Figure 4/5 budget).  A comma list cycles
+                     over plan cells — a mixed-budget campaign; pair it
+                     with --schedule lpt
+  --schedule <p>     rr | lpt (default rr).  LPT packs mixed budgets onto
+                     the least-loaded worker (virtual-time work stealing)
+  --seed <s>         campaign seed; cells get split() streams (default 1)
+  --share <scope>    subsystem | cell (default subsystem)
+  --exec <mode>      threads | deterministic (default threads)
+  --warm-start <f>   load a checkpoint: its pool scopes pre-seed MatchMFS
+                     (zero probes inside already-explained regions) and
+                     its completed cells are skipped outright
+  --checkpoint <f>   write pool scopes + completed cells after the run
+  --replay <f>       if <f> exists, execute exactly its recorded steal
+                     schedule (bit-for-bit at any --workers count under
+                     --share cell); otherwise run normally and record
+                     this run's schedule to <f>
+  --backend <b>      sim | record:FILE | trace:FILE (default sim).
+                     record: runs on the simulator and writes every probe
+                     to FILE as a collie-trace-v2 document (schema in
+                     README.md); trace: replays FILE offline — zero
+                     simulator evaluations, byte-identical report.
+                     Record/replay needs deterministic cell trajectories
+                     (--exec deterministic or --share cell)
+  --functional       run the engine's functional verbs pass too (slower)
+  --json             print the report as JSON instead of tables
+  --trace-csv        print the merged fleet trace as CSV and exit
+  --metrics-out <f>  enable telemetry and write a collie-metrics-v1 JSON
+                     document to <f> (schema in README.md): periodic
+                     snapshots, the final roll-up, and the campaign
+                     report with metrics embedded.  --json stdout stays
+                     metrics-free so replayed runs diff bit-for-bit
+  --metrics-interval <sec>
+                     rewrite <f> with a fresh snapshot every <sec>
+                     seconds of wall time while the campaign runs
+                     (default 0 = final snapshot only)
+  --stats            print the human telemetry table (counters,
+                     histogram quantiles, per-worker utilization) after
+                     the report
+  --fleet <n>        run as a loopback fleet: a coordinator plus <n>
+                     worker threads speaking the fleet protocol
+                     (src/fleet/) over an in-process transport.  Fault
+                     free under --share cell this produces the report the
+                     in-process campaign produces, byte for byte
+  --heartbeat-ms <ms>       fleet worker heartbeat cadence (default 20)
+  --heartbeat-timeout-ms <ms>
+                     silence before the coordinator declares a worker
+                     dead and re-queues its cell (default 250)
+  --steal-after-ms <ms>     wall-clock busy time on one cell before an
+                     idle worker may steal from the victim's queue
+                     (default 1000)
+  --kill-worker <k@cell>    fault injection: fleet worker k dies while
+                     executing the cell with that label (e.g.
+                     "--kill-worker 1@B/Diag#0"); the coordinator
+                     re-queues the cell and the run still completes
+  --slow-worker <k@us>      fault injection: worker k sleeps <us>
+                     microseconds per probe, making it the steal victim
+  --journal <f>      durable crash journal: stream begin/probe/mfs/
+                     cell-done records to <f> as the campaign runs
+                     (collie-journal-v2, schema in README.md).  Needs
+                     deterministic cell trajectories (--exec
+                     deterministic or --share cell), like trace record
+  --resume           continue a crashed --journal campaign: completed
+                     cells restore verbatim from their journaled
+                     results, half-finished cells replay their journaled
+                     probe prefix (zero probes re-spent) and splice onto
+                     the live substrate — the final report is
+                     byte-identical to the uninterrupted run's
+  --journal-every <n>  probes between journal fsyncs and driver-state
+                     records (default 64)
+  --crash-after-probes <n>   deterministic crash injection: sync the
+                     journal and _exit(137) after the <n>-th journaled
+                     live probe
+  --crash-at-journal-byte <b>  crash injection: _exit(137) the instant
+                     the journal would grow past absolute byte <b>,
+                     leaving a torn frame for recovery to quarantine
+  --warm-start-lenient  on a corrupt/truncated --warm-start checkpoint,
+                     load the longest valid prefix instead of failing
+  --help             print this reference and exit
+)";
 
 bool read_file(const std::string& path, std::string* out) {
   std::ifstream in(path, std::ios::binary);
@@ -204,7 +210,11 @@ bool parse_worker_at(const std::string& arg, int* worker, std::string* rest) {
 
 int run(int argc, char** argv) {
   CliArgs args(argc, argv, {"functional", "json", "trace-csv", "stats",
-                            "resume", "warm-start-lenient"});
+                            "resume", "warm-start-lenient", "help"});
+  if (args.has("help")) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
   args.reject_unknown({
       "sys",          "fabric",       "cc",
       "modes",        "strategy",     "workers",

@@ -5,23 +5,7 @@
 // covering MFS, the simulator's dominant bottleneck for its witness, and
 // the catalog's Table-2-style label.
 //
-//   kb_server --build corpus.json ck1.json ck2.json ...
-//       Merge + compact checkpoints into a collie-kb-v1 corpus.
-//   kb_server --corpus corpus.json
-//       Serve: one JSON query per stdin line, one JSON answer per stdout
-//       line.  Query:  {"scope": "B", "workload": {...}}
-//       Answer: {"covered": true, "scope": "B", "entry": 3,
-//                "anomaly_id": 7, "dominant": "...", "label": "...",
-//                "mfs": {...}}   (just {"covered": false} on a miss)
-//   kb_server --corpus corpus.json --queries q.jsonl
-//       Batch mode: answer every line of the file, then print a
-//       queries/sec summary to stderr.
-//   kb_server --corpus corpus.json --emit-queries q.jsonl
-//       Write a batch file exercising the corpus: every witness of a
-//       conditioned entry (guaranteed hits) plus unknown-scope probes
-//       (guaranteed clean misses) — the CI kb-smoke job round-trips this.
-//   kb_server --corpus corpus.json --self-check
-//       Every conditioned entry's witness must hit its own scope.
+// Run with --help for the modes (kUsage below).
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -43,6 +27,29 @@
 using namespace collie;
 
 namespace {
+
+constexpr char kUsage[] = R"(usage: kb_server MODE
+
+  kb_server --build corpus.json ck1.json ck2.json ...
+      Merge + compact checkpoints into a collie-kb-v1 corpus.
+  kb_server --corpus corpus.json
+      Serve: one JSON query per stdin line, one JSON answer per stdout
+      line.  Query:  {"scope": "B", "workload": {...}}
+      Answer: {"covered": true, "scope": "B", "entry": 3,
+               "anomaly_id": 7, "dominant": "...", "label": "...",
+               "mfs": {...}}   (just {"covered": false} on a miss)
+  kb_server --corpus corpus.json --queries q.jsonl
+      Batch mode: answer every line of the file, then print a
+      queries/sec summary to stderr.
+  kb_server --corpus corpus.json --emit-queries q.jsonl
+      Write a batch file exercising the corpus: every witness of a
+      conditioned entry (guaranteed hits) plus unknown-scope probes
+      (guaranteed clean misses) — the CI kb-smoke job round-trips this.
+  kb_server --corpus corpus.json --self-check
+      Every conditioned entry's witness must hit its own scope.
+  kb_server --help
+      Print this reference and exit.
+)";
 
 bool read_file(const std::string& path, std::string* out) {
   std::ifstream in(path, std::ios::binary);
@@ -135,7 +142,11 @@ int build_mode(const std::string& out_path,
 }  // namespace
 
 int run(int argc, char** argv) {
-  CliArgs args(argc, argv, {"self-check"});
+  CliArgs args(argc, argv, {"self-check", "help"});
+  if (args.has("help")) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
   args.reject_unknown({"build", "corpus", "self-check", "emit-queries",
                        "queries"});
 

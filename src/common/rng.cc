@@ -63,8 +63,6 @@ Rng Rng::split(u64 stream_index) const {
   sm += (stream_index + 1) * 0xd1342543de82ef95ULL;
   Rng child(0);
   for (auto& s : child.s_) s = splitmix64(sm);
-  child.has_spare_normal_ = false;
-  child.spare_normal_ = 0.0;
   return child;
 }
 

@@ -4,15 +4,13 @@
 // explicit Rng so experiments are reproducible from a single seed.  The
 // engine is xoshiro256**, seeded through SplitMix64 as its authors recommend.
 //
-// The draw functions on the measurement hot path (next_u64, uniform, normal)
-// are defined inline: one performance-model evaluation consumes ~240 normal
-// draws for its epoch jitter, and the out-of-line call chain
-// (normal -> normal -> uniform -> next_u64) was a measurable share of the
-// probe cost.  Inlining changes no arithmetic — the draw sequences stay
-// bit-for-bit identical (pinned by the perf-model golden tests).
+// The draw functions on the hot path (next_u64, uniform) are defined inline.
+// The performance model reads exactly one next_u64() per evaluation — the
+// key of its counter-based jitter stream (common/counter_stream.h) — and
+// the search draws its sampling and annealing decisions from the same
+// generator.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -20,15 +18,13 @@
 
 namespace collie {
 
-// Complete generator state: the xoshiro256** words plus the Box-Muller
-// spare.  Exists so an execution backend can record the state a substrate
-// left behind and a replay can restore it exactly — the same Rng feeds
+// Complete generator state: the four xoshiro256** words.  Exists so an
+// execution backend can record the state a substrate left behind and a
+// replay can restore it exactly — the same Rng feeds
 // measurement jitter *and* search decisions, so replaying measurements
 // without the state would silently diverge the trajectory.
 struct RngState {
   u64 s[4] = {0, 0, 0, 0};
-  bool has_spare_normal = false;
-  double spare_normal = 0.0;
 
   bool operator==(const RngState&) const = default;
 };
@@ -68,29 +64,6 @@ class Rng {
     return uniform() < p;
   }
 
-  // Standard normal via Box-Muller.
-  double normal() {
-    if (has_spare_normal_) {
-      has_spare_normal_ = false;
-      return spare_normal_;
-    }
-    double u1 = 0.0;
-    do {
-      u1 = uniform();
-    } while (u1 <= 1e-300);
-    const double u2 = uniform();
-    const double r = std::sqrt(-2.0 * std::log(u1));
-    const double theta = 2.0 * kPi * u2;
-    spare_normal_ = r * std::sin(theta);
-    has_spare_normal_ = true;
-    return r * std::cos(theta);
-  }
-
-  // Normal with given mean and stddev.
-  double normal(double mean, double stddev) {
-    return mean + stddev * normal();
-  }
-
   // Log-uniform integer in [lo, hi]; both must be >= 1.  Used for dimensions
   // like queue-pair counts where the interesting scale is multiplicative.
   i64 log_uniform_int(i64 lo, i64 hi);
@@ -114,25 +87,16 @@ class Rng {
   RngState state() const {
     RngState st;
     for (int i = 0; i < 4; ++i) st.s[i] = s_[i];
-    st.has_spare_normal = has_spare_normal_;
-    st.spare_normal = spare_normal_;
     return st;
   }
   void set_state(const RngState& st) {
     for (int i = 0; i < 4; ++i) s_[i] = st.s[i];
-    has_spare_normal_ = st.has_spare_normal;
-    spare_normal_ = st.spare_normal;
   }
 
  private:
-  // M_PI is POSIX, not ISO C++; this literal rounds to the same double.
-  static constexpr double kPi = 3.14159265358979323846;
-
   static u64 rotl(u64 x, int k) { return (x << k) | (x >> (64 - k)); }
 
   u64 s_[4];
-  bool has_spare_normal_ = false;
-  double spare_normal_ = 0.0;
 };
 
 }  // namespace collie

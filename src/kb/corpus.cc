@@ -245,7 +245,6 @@ Corpus CorpusBuilder::build(bool evaluate_mechanisms) const {
     // bottleneck; region labeling is the fallback, as in evaluation.
     workload::EngineOptions eopts;
     eopts.run_functional_pass = false;
-    eopts.keep_epochs = false;
     const workload::Engine engine(sys, eopts);
     for (std::size_t i = 0; i < shard.entries.size(); ++i) {
       CorpusEntry& e = shard.entries[i];

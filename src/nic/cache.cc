@@ -1,7 +1,8 @@
 #include "nic/cache.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "common/pmath.h"
 
 namespace collie::nic {
 
@@ -20,7 +21,7 @@ double CacheModel::miss_ratio(double working_set) const {
   // Ideal capacity miss ratio is 1 - capacity/working_set; sharpness > 1
   // softens the knee (prefetching hides part of the overflow at first).
   const double ideal = 1.0 - entries_ / working_set;
-  return std::clamp(std::pow(ideal, sharpness_), 0.002, 1.0);
+  return std::clamp(pmath::pow(ideal, sharpness_), 0.002, 1.0);
 }
 
 double CacheModel::burst_miss_ratio(double working_set, double burst,

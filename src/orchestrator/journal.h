@@ -3,10 +3,10 @@
 // A campaign's value is the anomaly corpus it accumulates, and the paper's
 // deployment runs searches for days — so losing a run to a crash anywhere
 // before the final checkpoint write is unacceptable.  The journal is an
-// append-only file ("collie-journal-v1") the campaign streams into as it
+// append-only file ("collie-journal-v2") the campaign streams into as it
 // runs:
 //
-//   [18-byte magic "collie-journal-v1\n"]
+//   [18-byte magic "collie-journal-v2\n"]
 //   frame*  where frame = [u32 payload_len LE][u32 crc32(payload) LE][payload]
 //
 // Payloads are strict-JSON documents in two vocabularies:
@@ -50,7 +50,7 @@
 
 namespace collie::orchestrator {
 
-inline constexpr char kJournalMagic[] = "collie-journal-v1\n";
+inline constexpr char kJournalMagic[] = "collie-journal-v2\n";
 inline constexpr std::size_t kJournalMagicSize = 18;
 
 // ---- Framed append-only writer --------------------------------------------
@@ -93,10 +93,15 @@ struct JournalRecovery {
   u64 total_bytes = 0;    // file size as found
   std::string torn_path;  // where the torn suffix was quarantined (repair)
   std::vector<std::string> payloads;  // valid frames, in order
-  std::string error;  // non-empty only on I/O failure (not on corruption)
+  // Non-empty on I/O failure or a journal of another format version
+  // (checked before any frame is read; the file is left untouched).  Never
+  // set for corruption.
+  std::string error;
 };
 
-// Truncation-scan `path`.  Corruption is never an error: a bad magic or a
+// Truncation-scan `path`.  A journal written under another format version
+// ("collie-journal-v1") is an error naming both versions.  Corruption is
+// never an error: a bad magic or a
 // torn frame yields torn=true with the longest valid prefix (valid_bytes=0
 // when even the magic is damaged).  With `repair`, the torn suffix is
 // written to <path>.torn and the journal is truncated to its valid prefix,

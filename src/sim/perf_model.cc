@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/counter_stream.h"
+#include "common/pmath.h"
 #include "net/fabric.h"
 #include "net/wire.h"
 #include "nic/dcqcn.h"
@@ -58,7 +60,19 @@ namespace {
 
 constexpr double clamp01(double v) { return std::clamp(v, 0.0, 1.0); }
 
-double log2_safe(double v) { return std::log2(std::max(v, 1.0)); }
+double log2_safe(double v) { return pmath::log2(std::max(v, 1.0)); }
+
+// Jitter slots within one epoch of the counter stream: the index of a
+// draw is epoch * kJitterSlots + slot.
+constexpr int kSenderSlot = 0;  // perf counters and stalled arrivals
+constexpr int kDiagSlot = 1;    // + DiagCounter index (9 slots)
+constexpr int kDrainSlot = 10;  // + receiving host (2 slots)
+constexpr int kBlipSlot = 12;   // warmup blip coin, then its size
+constexpr int kJitterSlots = 16;
+static_assert(kDiagSlot + kNumDiagCounters <= kDrainSlot);
+
+// Counter fetches per experiment (§6: four once-per-second fetches).
+constexpr int kCounterSamples = 4;
 
 // At most four flows exist (see build_model); rates and solver dirty flags
 // live in fixed arrays so the hot path never sizes anything dynamically.
@@ -458,6 +472,7 @@ void reset_result(SimResult& r) {
   r.wire_utilization = 0.0;
   r.pps_utilization = 0.0;
   r.counters = CounterSample{};
+  r.samples.clear();
   r.epochs.clear();
   r.dominant = Bottleneck::kNone;
   r.bottleneck_note.clear();
@@ -517,7 +532,6 @@ struct EvalScratch::Impl {
   RateArray offered_rate{};
   RateArray rate{};
   std::vector<double> demand;
-  std::vector<CounterSample> steady_samples;
   // Per-port pause bookkeeping (the accounting net::Fabric does, without
   // re-copying the FabricSpec per probe).
   std::vector<double> pause_s;
@@ -907,7 +921,6 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
   // Scenario fabrics lower the achievable bounds and add fabric-attributed
   // pause; the paper's identical pair keeps the seed behaviour bit-for-bit.
   const bool scenario_fabric = cs.scenario_fabric_;
-  const double fan_in = cs.fan_in_;
 
   // ---- Pause-accounting inputs ----
   // Receivers whose binding rx-stall resources reduced the admitted rate
@@ -1102,6 +1115,10 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
   // same dynamics explicitly; unit tests cross-check the two.)
   nic::PfcParams pfc_params;
   pfc_params.buffer_bytes = sys.nicm.rx_buffer_bytes;
+  bool any_stalled = false;
+  for (int h = 0; h < 2; ++h) {
+    if (rx_stalled[h] && arrival_bps[h] > 0.0) any_stalled = true;
+  }
   double pause_accum = 0.0;
   double pause_time = 0.0;
   // Per-port pause bookkeeping across the whole fabric.  The headline
@@ -1111,7 +1128,6 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
   const int num_ports = sys.fabric.num_ports();
   s.pause_s.assign(static_cast<std::size_t>(num_ports), 0.0);
   s.total_s.assign(static_cast<std::size_t>(num_ports), 0.0);
-  s.steady_samples.clear();
 
   // Pre-compute steady counter values (per second).
   CounterSample base;
@@ -1176,25 +1192,51 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
     base.set(DiagCounter::kAckProcessingLoad, ack_load);
   }
 
-  out.epochs.reserve(static_cast<std::size_t>(cfg.epochs));
-  for (int e = 0; e < cfg.epochs; ++e) {
+  // Every jitter is a pure function of (key, epoch, slot) on a counter
+  // stream keyed by ONE draw from the caller's Rng, so the rollout computes
+  // only what is read: the four sampled epochs' counters, the pause duty of
+  // post-warmup epochs in which a receiver is stalled, and — for
+  // keep_epochs callers only — the full series, whose sampled epochs carry
+  // exactly the values the samples carry.
+  const CounterStream jitter(rng.next_u64());
+  const auto normal_jitter = [&jitter](int epoch, int slot, double sigma) {
+    const u64 index = static_cast<u64>(epoch) * kJitterSlots +
+                      static_cast<u64>(slot);
+    return std::max(0.2, 1.0 + sigma * jitter.normal(index));
+  };
+  const auto uniform_draw = [&jitter](int epoch, int slot) {
+    return jitter.uniform(static_cast<u64>(epoch) * kJitterSlots +
+                          static_cast<u64>(slot));
+  };
+
+  // §6: four counter fetches at one-second spacing, i.e. evenly across the
+  // post-warmup epochs (4, 10, 16, 23 for the default 24-epoch run).
+  int sample_epoch[kCounterSamples];
+  const int span = cfg.epochs - cfg.warmup_epochs;
+  const int num_samples = span > 0 ? kCounterSamples : 0;
+  for (int k = 0; k < num_samples; ++k) {
+    sample_epoch[k] =
+        cfg.warmup_epochs + (span - 1) * k / (kCounterSamples - 1);
+  }
+  int next_sample = 0;
+  if (cfg.keep_epochs && cfg.epochs > 0) {
+    out.epochs.reserve(static_cast<std::size_t>(cfg.epochs));
+  }
+
+  const int first_epoch =
+      cfg.keep_epochs ? 0 : std::max(cfg.warmup_epochs, 0);
+  for (int e = first_epoch; e < cfg.epochs; ++e) {
     const bool warm = e < cfg.warmup_epochs;
+    const bool sampled =
+        next_sample < num_samples && sample_epoch[next_sample] == e;
+    const bool counters_read = sampled || cfg.keep_epochs;
     const double ramp =
         warm ? (e + 1.0) / (cfg.warmup_epochs + 1.0) : 1.0;
-    const double jit = std::max(0.2, rng.normal(1.0, cfg.jitter));
-
-    out.epochs.emplace_back();
-    EpochSample& es = out.epochs.back();
-    es.t = (e + 1) * cfg.epoch_dt;
-    for (int i = 0; i < kNumPerfCounters; ++i) {
-      es.counters.perf[static_cast<std::size_t>(i)] =
-          base.perf[static_cast<std::size_t>(i)] * ramp * jit;
-    }
-    for (int i = 0; i < kNumDiagCounters; ++i) {
-      es.counters.diag[static_cast<std::size_t>(i)] =
-          base.diag[static_cast<std::size_t>(i)] * ramp *
-          std::max(0.2, rng.normal(1.0, cfg.jitter * 2.0));
-    }
+    // The sender jitter scales the perf counters and the stalled arrivals
+    // alike; an epoch that reads neither never draws it.
+    const double jit = counters_read || any_stalled
+                           ? normal_jitter(e, kSenderSlot, cfg.jitter)
+                           : 1.0;
 
     double worst_pause = 0.0;
     double host_duty[2] = {0.0, 0.0};
@@ -1204,7 +1246,7 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
       const double arrive = arrival_bps[h] * ramp * jit;
       // Drain capacity does not scale with the sender's ramp.
       const double drain =
-          drain_bps[h] * std::max(0.2, rng.normal(1.0, cfg.jitter));
+          drain_bps[h] * normal_jitter(e, kDrainSlot + h, cfg.jitter);
       if (arrive <= drain) continue;
       const double duty = 1.0 - drain / arrive;
       host_duty[h] = duty;
@@ -1215,23 +1257,44 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
                          (pfc_params.xon_fraction + pfc_params.xoff_fraction) *
                          pfc_params.buffer_bytes);
     }
-    // Connection-setup blips: the paper notes a few pause frames can appear
-    // while connections are brought up.
-    if (warm && rng.bernoulli(0.3)) {
-      worst_pause = std::max(worst_pause, rng.uniform(0.0, 0.0004));
-    }
-    es.counters.set(DiagCounter::kRxBufferOccupancy, occupancy);
-    es.pause_fraction = worst_pause;
-    if (!warm) {
+    if (warm) {
+      // Connection-setup blips: the paper notes a few pause frames can
+      // appear while connections are brought up.  Warmup epochs feed no
+      // sample and no pause average, so only the full series draws them.
+      if (uniform_draw(e, kBlipSlot) < 0.3) {
+        worst_pause =
+            std::max(worst_pause, 0.0004 * uniform_draw(e, kBlipSlot + 1));
+      }
+    } else {
       pause_accum += worst_pause * cfg.epoch_dt;
       pause_time += cfg.epoch_dt;
-      s.steady_samples.push_back(es.counters);
       // Every fan-in sender mirrors host A's port by symmetry.
       for (int p = 0; p < num_ports; ++p) {
         s.pause_s[static_cast<std::size_t>(p)] +=
             cfg.epoch_dt * host_duty[p == 1 ? 1 : 0];
         s.total_s[static_cast<std::size_t>(p)] += cfg.epoch_dt;
       }
+    }
+    if (!counters_read) continue;
+
+    CounterSample c;
+    for (int i = 0; i < kNumPerfCounters; ++i) {
+      c.perf[static_cast<std::size_t>(i)] =
+          base.perf[static_cast<std::size_t>(i)] * ramp * jit;
+    }
+    for (int i = 0; i < kNumDiagCounters; ++i) {
+      if (i == static_cast<int>(DiagCounter::kRxBufferOccupancy)) continue;
+      c.diag[static_cast<std::size_t>(i)] =
+          base.diag[static_cast<std::size_t>(i)] * ramp *
+          normal_jitter(e, kDiagSlot + i, cfg.jitter * 2.0);
+    }
+    c.set(DiagCounter::kRxBufferOccupancy, occupancy);
+    for (; next_sample < num_samples && sample_epoch[next_sample] == e;
+         ++next_sample) {
+      out.samples.push_back(c);
+    }
+    if (cfg.keep_epochs) {
+      out.epochs.push_back(EpochSample{(e + 1) * cfg.epoch_dt, c, worst_pause});
     }
   }
 
@@ -1242,7 +1305,7 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
     out.port_pause_ratio[static_cast<std::size_t>(p)] =
         t > 0.0 ? s.pause_s[static_cast<std::size_t>(p)] / t : 0.0;
   }
-  out.counters = CounterSample::average(s.steady_samples);
+  out.counters = CounterSample::average(out.samples);
   return out;
 }
 

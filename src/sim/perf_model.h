@@ -2,8 +2,14 @@
 //
 // Given a subsystem and a workload, evaluate() solves a linear resource
 // model for the steady-state message rates, then rolls measurement epochs
-// with warmup ramp, multiplicative jitter and a PFC buffer integrator to
-// produce realistic counter time series.
+// with warmup ramp, multiplicative jitter and a PFC duty-cycle model to
+// produce the monitor's four counter samples (§6) and the pause ratio.
+//
+// Randomness: one evaluate() advances the caller's Rng by exactly one
+// next_u64() — the key of a counter-based jitter stream
+// (common/counter_stream.h).  Every jitter is a pure function of (key,
+// epoch, slot), so the model draws only what it reads, and every output is
+// a pure function of (scenario, workload, key, config).
 //
 // The model distinguishes three kinds of binding resources, which determine
 // the end-to-end *symptom* exactly as in the paper's Table 2:
@@ -54,7 +60,13 @@ struct SimConfig {
   double epoch_dt = 0.25;   // seconds
   int warmup_epochs = 4;
   double jitter = 0.015;    // multiplicative measurement noise (sigma)
+  // Build the full per-epoch series (SimResult::epochs).  The search reads
+  // only the four samples and the aggregates, so the campaign leaves this
+  // off; interactive tools (anomaly_explorer) turn it on.  The series'
+  // sampled epochs carry exactly the values in SimResult::samples.
+  bool keep_epochs = false;
 };
+
 
 struct EpochSample {
   double t = 0.0;
@@ -95,7 +107,12 @@ struct SimResult {
   double wire_utilization = 0.0;
   double pps_utilization = 0.0;
 
-  CounterSample counters;  // averaged over post-warmup epochs
+  // The four counter fetches, at post-warmup epochs spread evenly over the
+  // run (4, 10, 16, 23 by default), and their average.  Empty / zero when
+  // the config has no post-warmup epoch.
+  std::vector<CounterSample> samples;
+  CounterSample counters;
+  // Full series, only with SimConfig::keep_epochs.
   std::vector<EpochSample> epochs;
 
   Bottleneck dominant = Bottleneck::kNone;
@@ -113,11 +130,11 @@ struct SimResult {
 //     memory placement, ECN/DCQCN parameters — once per cell.  The object is
 //     immutable after construction and safe to share across threads.
 //   * EvalScratch owns every buffer a single evaluation needs (flow and
-//     resource tables, solver demand caches, epoch samples, the SimResult
-//     itself).  Reusing one scratch across probes makes the steady state
-//     allocation-free.  A scratch is single-owner state: never share one
-//     across threads, and the returned SimResult reference is valid only
-//     until the next evaluate() into the same scratch.
+//     resource tables, solver demand caches, pause accumulators, the
+//     SimResult itself).  Reusing one scratch across probes makes the
+//     steady state allocation-free.  A scratch is single-owner state:
+//     never share one across threads, and the returned SimResult reference
+//     is valid only until the next evaluate() into the same scratch.
 //
 // The compiled overload is bit-for-bit identical to the uncompiled
 // evaluate() below for every (subsystem, workload, rng, config) — the

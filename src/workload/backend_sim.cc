@@ -11,7 +11,6 @@ const std::string kSimSubstrate = "sim";
 SimBackend::SimBackend(const sim::Subsystem& sys, const EngineOptions& opts)
     : sys_(sys),
       use_compiled_(opts.use_compiled),
-      keep_epochs_(opts.keep_epochs),
       telemetry_(opts.telemetry),
       sim_(opts.sim),
       compiled_(sys_) {}
@@ -37,16 +36,10 @@ void SimBackend::measure(const Workload& w, Rng& rng,
       telemetry_.observe(telemetry_.engine_ids().eval_ns,
                          obs::now_ticks() - eval_start);
     }
-    // Four counter fetches at one-second spacing, i.e. evenly across the
-    // post-warmup epochs.
-    m.samples.clear();
-    const int first = sim_.warmup_epochs;
-    const int span = static_cast<int>(r.epochs.size()) - first;
-    for (int k = 0; k < 4 && span > 0; ++k) {
-      const int idx = first + (span - 1) * k / 3;
-      m.samples.push_back(r.epochs[static_cast<std::size_t>(idx)].counters);
-    }
-    m.average = sim::CounterSample::average(m.samples);
+    // The model already fetched the four §6 samples; copying into the
+    // caller's warm vectors reuses their capacity.
+    m.samples = r.samples;
+    m.average = r.counters;
     m.pause_duration_ratio = r.pause_duration_ratio;
     m.fabric_pause_ratio = r.fabric_pause_ratio;
     m.cc_suppressed_ratio = r.cc_suppressed_ratio;
@@ -55,7 +48,7 @@ void SimBackend::measure(const Workload& w, Rng& rng,
     m.rx_goodput_bps = r.rx_goodput_bps;
     m.dominant = r.dominant;
     m.bottleneck_note = r.bottleneck_note;
-    if (keep_epochs_) m.epochs = r.epochs;
+    m.epochs = r.epochs;  // empty unless the config keeps the series
 
     // Stability: coefficient of variation of delivered goodput across the
     // four samples.

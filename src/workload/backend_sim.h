@@ -2,10 +2,10 @@
 //
 // Owns the CompiledScenario (compiled once per backend, i.e. once per
 // engine/cell) and runs the measure loop the engine's performance pass used
-// to inline: evaluate, fetch four counter samples, stability check, one
-// re-measurement.  The loop is bit-exact against the pre-seam engine — the
-// golden-row and trajectory tests pin it — and allocation-free once the
-// caller's scratch and Measurement are warm.
+// to inline: evaluate (which fetches the four counter samples), stability
+// check, one re-measurement.  The golden-row and trajectory tests pin the
+// loop bit for bit, and it is allocation-free once the caller's scratch and
+// Measurement are warm.
 //
 // The class is final and measure() is final so the engine's stored
 // SimBackend* dispatches directly (no virtual call on the hot path); the
@@ -33,7 +33,6 @@ class SimBackend final : public Backend {
  private:
   sim::Subsystem sys_;
   bool use_compiled_;
-  bool keep_epochs_;
   obs::ProbeTelemetry telemetry_;
   sim::SimConfig sim_;
   sim::CompiledScenario compiled_;

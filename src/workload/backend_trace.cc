@@ -10,7 +10,7 @@
 namespace collie::workload {
 namespace {
 
-constexpr const char* kSchema = "collie-trace-v1";
+constexpr const char* kSchema = "collie-trace-v2";
 
 std::string hex_u64(u64 v) {
   char buf[17];
@@ -34,8 +34,6 @@ void rng_state_to_json(const RngState& st, core::JsonWriter* json) {
   json->begin_array("s");
   for (const u64 w : st.s) json->value(hex_u64(w));
   json->end_array();
-  json->field("has_spare", st.has_spare_normal);
-  json->field("spare", st.spare_normal);
   json->end_object();
 }
 
@@ -46,8 +44,6 @@ RngState rng_state_from_json(const core::JsonValue& v) {
   for (std::size_t i = 0; i < 4; ++i) {
     st.s[i] = u64_from_hex(words[i].as_string());
   }
-  st.has_spare_normal = v.at("has_spare").as_bool();
-  st.spare_normal = v.at("spare").as_double();
   return st;
 }
 
@@ -83,7 +79,10 @@ TraceFile TraceFile::from_json(const std::string& text) {
   const core::JsonValue doc = core::JsonValue::parse(text);
   const std::string& schema = doc.at("schema").as_string();
   if (schema != kSchema) {
-    throw core::JsonError("unknown trace schema \"" + schema + "\"");
+    // Checked before any probe is parsed: a trace from another model
+    // version must fail here, never as a divergence mid-replay.
+    throw core::JsonError("unsupported trace schema \"" + schema +
+                          "\" (this build reads " + kSchema + ")");
   }
   TraceFile file;
   file.substrate = doc.at("substrate").as_string();

@@ -1,5 +1,5 @@
 // Recorded-trace execution backend: record every probe a campaign runs to a
-// strict-JSON trace document ("collie-trace-v1"), then replay the trace
+// strict-JSON trace document ("collie-trace-v2"), then replay the trace
 // offline — audit, CI equivalence checks, and regression triage without a
 // single simulator evaluation on the replay leg.
 //
@@ -39,12 +39,12 @@ struct TraceProbe {
   RngState rng_after;
 };
 
-// Hex RngState <-> JSON, the exact encoding collie-trace-v1 uses.  Shared
+// Hex RngState <-> JSON, the exact encoding collie-trace-v2 uses.  Shared
 // with the campaign journal, whose probe records are trace probes.
 void rng_state_to_json(const RngState& st, core::JsonWriter* json);
 RngState rng_state_from_json(const core::JsonValue& v);
 
-// A parsed/buildable collie-trace-v1 document.
+// A parsed/buildable collie-trace-v2 document.
 struct TraceFile {
   std::string substrate = "sim";
   std::map<std::string, std::vector<TraceProbe>> contexts;

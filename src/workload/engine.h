@@ -83,14 +83,12 @@ struct EngineOptions {
   // hot path).  False forces the uncompiled per-call path — kept so the
   // trajectory-pinning tests can compare the two bit-for-bit.
   bool use_compiled = true;
-  // Copy the full epoch series into each Measurement.  Search drivers never
-  // read it (only the four counter samples and the aggregates), so the
-  // campaign turns this off to keep the probe loop copy-free; interactive
-  // tools (anomaly_explorer) keep the default.
-  bool keep_epochs = true;
   // Hot-path telemetry handle (worker-sharded).  Default-constructed =
   // metrics off; every instrumentation point is then one pointer test.
   obs::ProbeTelemetry telemetry;
+  // Model configuration.  sim.keep_epochs copies the full epoch series into
+  // each Measurement (off by default: search drivers read only the four
+  // counter samples and the aggregates; anomaly_explorer turns it on).
   sim::SimConfig sim;
   // Execution backend.  Null = the built-in simulator backend.  Not owned:
   // the factory must outlive every engine built from these options (the

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/cli.h"
+#include "common/counter_stream.h"
 #include "common/log.h"
+#include "common/pmath.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/strings.h"
@@ -68,12 +74,169 @@ TEST(Rng, LogUniformCoversDecades) {
   EXPECT_GT(high, 200);
 }
 
-TEST(Rng, NormalMoments) {
-  Rng rng(5);
-  RunningStat rs;
-  for (int i = 0; i < 20000; ++i) rs.add(rng.normal());
-  EXPECT_NEAR(rs.mean(), 0.0, 0.05);
-  EXPECT_NEAR(rs.stddev(), 1.0, 0.05);
+// ---- Counter-stream normal generator --------------------------------------
+
+// Over 10^6 draws the ziggurat matches N(0, 1): moments within about five
+// standard errors and a Kolmogorov-Smirnov distance below the 0.1%
+// critical value (1.95 / sqrt(n)).  The tail path (|x| beyond the base
+// layer's edge r) must fire at the Gaussian rate 2 (1 - Phi(r)).
+TEST(CounterStream, NormalMatchesStandardNormal) {
+  constexpr int kN = 1000000;
+  const CounterStream stream(0x5eedf00dcafe1234ULL);
+  std::vector<double> xs(kN);
+  double m1 = 0.0;
+  for (int i = 0; i < kN; ++i) {
+    xs[static_cast<std::size_t>(i)] = stream.normal(static_cast<u64>(i));
+    m1 += xs[static_cast<std::size_t>(i)];
+  }
+  m1 /= kN;
+  double m2 = 0.0;
+  double m3 = 0.0;
+  double m4 = 0.0;
+  int tail = 0;
+  for (const double x : xs) {
+    const double d = x - m1;
+    m2 += d * d;
+    m3 += d * d * d;
+    m4 += d * d * d * d;
+    if (std::fabs(x) > zig::kX[1]) ++tail;
+  }
+  m2 /= kN;
+  m3 /= kN;
+  m4 /= kN;
+  EXPECT_NEAR(m1, 0.0, 0.005);
+  EXPECT_NEAR(m2, 1.0, 0.007);
+  EXPECT_NEAR(m3 / std::pow(m2, 1.5), 0.0, 0.012);
+  EXPECT_NEAR(m4 / (m2 * m2), 3.0, 0.025);
+  const double tail_rate = std::erfc(zig::kX[1] / std::sqrt(2.0));
+  EXPECT_NEAR(tail, kN * tail_rate, 5.0 * std::sqrt(kN * tail_rate));
+
+  std::sort(xs.begin(), xs.end());
+  double ks = 0.0;
+  for (int i = 0; i < kN; ++i) {
+    const double phi =
+        0.5 * std::erfc(-xs[static_cast<std::size_t>(i)] / std::sqrt(2.0));
+    ks = std::max({ks, std::fabs(phi - static_cast<double>(i) / kN),
+                   std::fabs(static_cast<double>(i + 1) / kN - phi)});
+  }
+  EXPECT_LT(ks, 1.95 / std::sqrt(static_cast<double>(kN)));
+}
+
+// The first 16 outputs for a fixed key, plus one wedge and one tail draw
+// (both through pmath's exp/ln), pinned bit for bit: any host, compiler
+// or flag change that moves a bit of the jitter stream fails here first.
+TEST(CounterStream, PinnedOutputsForFixedKey) {
+  const CounterStream stream(0x0123456789abcdefULL);
+  const double kFirst16[] = {
+      0x1.ccc1fb37cf011p-4,  0x1.1583e19ef4473p-1,  -0x1.1ec7818f48149p+0,
+      0x1.58e442410dcadp+0,  -0x1.aca799fb22421p-1, 0x1.647173600397ep+0,
+      -0x1.360e3181a2c91p+0, -0x1.a0cf6da73a433p-3, 0x1.1be1a4c6bb53ep-2,
+      -0x1.0e92eb7f6affcp+0, -0x1.260975099acap-1,  0x1.8739f9b5b0902p-1,
+      -0x1.bd33a3ea8afeep-5, -0x1.2f83305203d3ep-2, -0x1.8009067be1p+0,
+      -0x1.7c75a9d6af2cfp-1,
+  };
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(stream.normal(static_cast<u64>(i)), kFirst16[i]) << "draw " << i;
+  }
+  EXPECT_EQ(stream.normal(49), 0x1.ff855c074afd4p-5);     // wedge
+  EXPECT_EQ(stream.normal(5400), -0x1.0f15c2e86ec49p+2);  // tail
+}
+
+TEST(CounterStream, DrawsArePureFunctionsOfKeyAndIndex) {
+  const CounterStream a(42);
+  const CounterStream b(42);
+  std::vector<double> forward;
+  for (u64 i = 0; i < 64; ++i) forward.push_back(a.normal(i));
+  for (u64 i = 64; i-- > 0;) EXPECT_EQ(b.normal(i), forward[i]);
+  const CounterStream other(43);
+  int equal = 0;
+  for (u64 i = 0; i < 64; ++i) {
+    if (other.normal(i) == forward[i]) ++equal;
+  }
+  EXPECT_EQ(equal, 0);
+  for (u64 i = 0; i < 1000; ++i) {
+    const double u = a.uniform(i);
+    EXPECT_GE(u, 0.0);
+    EXPECT_LT(u, 1.0);
+  }
+}
+
+// The committed hexfloat tables satisfy the ziggurat recurrence (the
+// generator script's construction), re-derived here with libm.
+TEST(CounterStream, ZigguratTablesSatisfyTheRecurrence) {
+  const auto f = [](double x) { return std::exp(-0.5 * x * x); };
+  const double r = zig::kX[1];
+  const double v = r * f(r) + std::sqrt(std::acos(-1.0) / 2.0) *
+                                  std::erfc(r / std::sqrt(2.0));
+  EXPECT_NEAR(zig::kX[0], v / f(r), 1e-13);
+  for (int i = 1; i < 255; ++i) {
+    // Every layer has area v.
+    EXPECT_NEAR(zig::kX[i] * (f(zig::kX[i + 1]) - f(zig::kX[i])), v, 1e-13)
+        << "layer " << i;
+    EXPECT_GT(zig::kX[i], zig::kX[i + 1]);
+  }
+  EXPECT_NEAR(zig::kX[255] * (1.0 - f(zig::kX[255])), v, 1e-13);
+  EXPECT_EQ(zig::kX[256], 0.0);
+  for (int i = 0; i < 256; ++i) {
+    EXPECT_NEAR(zig::kF[i], f(zig::kX[i]), 1e-15) << "layer " << i;
+  }
+  EXPECT_EQ(zig::kF[256], 1.0);
+}
+
+// ---- Portable math ----------------------------------------------------------
+
+TEST(Pmath, AgreesWithLibmToAFewUlps) {
+  Rng rng(17);
+  for (int i = 0; i < 20000; ++i) {
+    const double x = std::ldexp(1.0 + rng.uniform(),
+                                static_cast<int>(rng.uniform_int(-1070, 1020)));
+    EXPECT_NEAR(pmath::ln(x), std::log(x),
+                4e-16 * std::fabs(std::log(x)) + 1e-300)
+        << std::hexfloat << x;
+    EXPECT_NEAR(pmath::log2(x), std::log2(x),
+                4e-16 * std::fabs(std::log2(x)) + 1e-300)
+        << std::hexfloat << x;
+    const double y = rng.uniform(-700.0, 709.0);  // normal results
+    EXPECT_NEAR(pmath::exp(y), std::exp(y), 4e-16 * std::exp(y))
+        << std::hexfloat << y;
+    const double base = rng.uniform(1e-6, 1.0);
+    EXPECT_NEAR(pmath::pow(base, 1.2), std::pow(base, 1.2),
+                4e-15 * std::pow(base, 1.2))
+        << std::hexfloat << base;
+  }
+  // Subnormal inputs reduce into the normal range first.
+  EXPECT_NEAR(pmath::ln(0x1p-1070), std::log(0x1p-1070), 1e-12);
+}
+
+// Every output bit of ln/exp/pow over a fixed input grid, folded into one
+// pinned word.  A host, compiler or flag change that moves any of them
+// fails here: a build that lets the compiler fuse a*b+c into an FMA
+// (-ffp-contract=fast on an FMA target) changes this word.
+TEST(Pmath, OutputsArePinnedBitForBit) {
+  u64 h = 0;
+  for (int i = 1; i <= 10000; ++i) {
+    const double x = 0.005 * i;   // (0, 50]
+    const double y = 0.008 * i;   // (0, 80]
+    const double u = 0.0001 * i;  // (0, 1]
+    for (const double v : {pmath::ln(x), pmath::exp(y), pmath::exp(-y),
+                           pmath::log2(x), pmath::pow(u, 1.2)}) {
+      h = (h ^ std::bit_cast<u64>(v)) * 0x100000001b3ULL;
+    }
+  }
+  EXPECT_EQ(h, 0x71c1051b4e7150a9ULL) << std::hex << h;
+}
+
+TEST(Pmath, ExactWhereTheModelNeedsIt) {
+  for (int k = -1074; k <= 1023; ++k) {
+    EXPECT_EQ(pmath::log2(std::ldexp(1.0, k)), static_cast<double>(k)) << k;
+  }
+  EXPECT_EQ(pmath::ln(1.0), 0.0);
+  EXPECT_EQ(pmath::exp(0.0), 1.0);
+  for (const double x : {1e-9, 0.3, 0.999999, 1.0}) {
+    EXPECT_EQ(pmath::pow(x, 1.0), x);
+  }
+  EXPECT_EQ(pmath::exp(-800.0), 0.0);
+  EXPECT_TRUE(std::isinf(pmath::exp(710.0)));
 }
 
 TEST(Rng, BernoulliEdgeCases) {

@@ -189,11 +189,11 @@ TEST(HotPathAllocation, DriverProbeWithTelemetryOnAllocatesNothing) {
   // This also pins the scratch-owned Measurement — the in-place run()
   // overload may not reallocate samples or the note string once warm.
   // The functional pass builds a real verbs network (allocating by design),
-  // so it is off here, as in the campaign probe loop; keep_epochs likewise.
+  // so it is off here, as in the campaign probe loop; the epoch series
+  // stays off too (the SimConfig default).
   obs::Telemetry telemetry;
   workload::EngineOptions eopts;
   eopts.run_functional_pass = false;
-  eopts.keep_epochs = false;
   eopts.telemetry = obs::ProbeTelemetry(&telemetry, 0);
   const Subsystem sys = with_cc(
       with_fabric(subsystem('F'), net::fabric_scenario("fanin4")),
@@ -229,7 +229,8 @@ TEST(HotPathAllocation, DriverProbeWithTelemetryOnAllocatesNothing) {
 TEST(HotPathScratch, ReuseAcrossScenariosMatchesFreshEvaluationBitForBit) {
   // One scratch dragged across scenarios and workload shapes must never
   // leak state: every call equals an uncompiled fresh-scratch evaluation,
-  // field for field, and leaves the caller's RNG at the same position.
+  // field for field, and leaves the caller's RNG at the same position —
+  // with and without the full epoch series.
   const std::vector<Workload> ws = hot_workloads();
   EvalScratch reused;
   for (const char* fabric : {"fanin4", "pair", "hetero"}) {
@@ -239,39 +240,52 @@ TEST(HotPathScratch, ReuseAcrossScenariosMatchesFreshEvaluationBitForBit) {
           nic::cc_scenario("dcqcn"));
       const CompiledScenario compiled(sys);
       for (const Workload& w : ws) {
-        Rng fresh_rng(11);
-        Rng hot_rng(11);
-        const SimResult fresh = evaluate(sys, w, fresh_rng);
-        const SimResult& hot = evaluate(compiled, w, hot_rng, reused);
-        EXPECT_EQ(fresh.tx_goodput_bps, hot.tx_goodput_bps);
-        EXPECT_EQ(fresh.rx_goodput_bps, hot.rx_goodput_bps);
-        EXPECT_EQ(fresh.tx_wire_bps, hot.tx_wire_bps);
-        EXPECT_EQ(fresh.rx_wire_bps, hot.rx_wire_bps);
-        EXPECT_EQ(fresh.tx_pps, hot.tx_pps);
-        EXPECT_EQ(fresh.rx_pps, hot.rx_pps);
-        EXPECT_EQ(fresh.pause_duration_ratio, hot.pause_duration_ratio);
-        EXPECT_EQ(fresh.fabric_pause_ratio, hot.fabric_pause_ratio);
-        EXPECT_EQ(fresh.cc_suppressed_ratio, hot.cc_suppressed_ratio);
-        EXPECT_EQ(fresh.cc_mark_probability, hot.cc_mark_probability);
-        EXPECT_EQ(fresh.wire_utilization, hot.wire_utilization);
-        EXPECT_EQ(fresh.pps_utilization, hot.pps_utilization);
-        EXPECT_EQ(fresh.dominant, hot.dominant);
-        EXPECT_EQ(fresh.bottleneck_note, hot.bottleneck_note);
-        ASSERT_EQ(fresh.port_pause_ratio.size(), hot.port_pause_ratio.size());
-        for (std::size_t p = 0; p < fresh.port_pause_ratio.size(); ++p) {
-          EXPECT_EQ(fresh.port_pause_ratio[p], hot.port_pause_ratio[p]);
+        for (const bool keep : {false, true}) {
+          SimConfig cfg;
+          cfg.keep_epochs = keep;
+          Rng fresh_rng(11);
+          Rng hot_rng(11);
+          const SimResult fresh = evaluate(sys, w, fresh_rng, cfg);
+          const SimResult& hot = evaluate(compiled, w, hot_rng, reused, cfg);
+          EXPECT_EQ(fresh.tx_goodput_bps, hot.tx_goodput_bps);
+          EXPECT_EQ(fresh.rx_goodput_bps, hot.rx_goodput_bps);
+          EXPECT_EQ(fresh.tx_wire_bps, hot.tx_wire_bps);
+          EXPECT_EQ(fresh.rx_wire_bps, hot.rx_wire_bps);
+          EXPECT_EQ(fresh.tx_pps, hot.tx_pps);
+          EXPECT_EQ(fresh.rx_pps, hot.rx_pps);
+          EXPECT_EQ(fresh.pause_duration_ratio, hot.pause_duration_ratio);
+          EXPECT_EQ(fresh.fabric_pause_ratio, hot.fabric_pause_ratio);
+          EXPECT_EQ(fresh.cc_suppressed_ratio, hot.cc_suppressed_ratio);
+          EXPECT_EQ(fresh.cc_mark_probability, hot.cc_mark_probability);
+          EXPECT_EQ(fresh.wire_utilization, hot.wire_utilization);
+          EXPECT_EQ(fresh.pps_utilization, hot.pps_utilization);
+          EXPECT_EQ(fresh.dominant, hot.dominant);
+          EXPECT_EQ(fresh.bottleneck_note, hot.bottleneck_note);
+          ASSERT_EQ(fresh.port_pause_ratio.size(),
+                    hot.port_pause_ratio.size());
+          for (std::size_t p = 0; p < fresh.port_pause_ratio.size(); ++p) {
+            EXPECT_EQ(fresh.port_pause_ratio[p], hot.port_pause_ratio[p]);
+          }
+          ASSERT_EQ(fresh.samples.size(), hot.samples.size());
+          for (std::size_t k = 0; k < fresh.samples.size(); ++k) {
+            EXPECT_EQ(fresh.samples[k].perf, hot.samples[k].perf);
+            EXPECT_EQ(fresh.samples[k].diag, hot.samples[k].diag);
+          }
+          ASSERT_EQ(fresh.epochs.size(), keep ? 24u : 0u);
+          ASSERT_EQ(fresh.epochs.size(), hot.epochs.size());
+          for (std::size_t e = 0; e < fresh.epochs.size(); ++e) {
+            EXPECT_EQ(fresh.epochs[e].t, hot.epochs[e].t);
+            EXPECT_EQ(fresh.epochs[e].pause_fraction,
+                      hot.epochs[e].pause_fraction);
+            EXPECT_EQ(fresh.epochs[e].counters.perf,
+                      hot.epochs[e].counters.perf);
+            EXPECT_EQ(fresh.epochs[e].counters.diag,
+                      hot.epochs[e].counters.diag);
+          }
+          EXPECT_EQ(fresh.counters.perf, hot.counters.perf);
+          EXPECT_EQ(fresh.counters.diag, hot.counters.diag);
+          EXPECT_EQ(fresh_rng.next_u64(), hot_rng.next_u64());
         }
-        ASSERT_EQ(fresh.epochs.size(), hot.epochs.size());
-        for (std::size_t e = 0; e < fresh.epochs.size(); ++e) {
-          EXPECT_EQ(fresh.epochs[e].t, hot.epochs[e].t);
-          EXPECT_EQ(fresh.epochs[e].pause_fraction,
-                    hot.epochs[e].pause_fraction);
-          EXPECT_EQ(fresh.epochs[e].counters.perf, hot.epochs[e].counters.perf);
-          EXPECT_EQ(fresh.epochs[e].counters.diag, hot.epochs[e].counters.diag);
-        }
-        EXPECT_EQ(fresh.counters.perf, hot.counters.perf);
-        EXPECT_EQ(fresh.counters.diag, hot.counters.diag);
-        EXPECT_EQ(fresh_rng.next_u64(), hot_rng.next_u64());
       }
     }
   }

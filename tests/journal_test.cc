@@ -2,7 +2,7 @@
 // tests/persistence_test.cc):
 //   * crc32 matches the IEEE check value and chains incrementally;
 //   * atomic_write publishes whole documents or nothing;
-//   * the collie-journal-v1 frame format round-trips through recovery, and
+//   * the collie-journal-v2 frame format round-trips through recovery, and
 //     recovery is a truncation scan — EVERY byte prefix of a valid journal
 //     recovers without error to a frame prefix of the original (the
 //     structural invariant mid-cell resume is built on), targeted garbles
@@ -233,6 +233,38 @@ TEST(JournalFrames, TargetedGarblesQuarantineTheSuffix) {
   }
   std::remove(path.c_str());
   std::remove(cut_path.c_str());
+}
+
+// A journal written under the previous format version (collie-journal-v1,
+// whose probe records carry a Box-Muller spare in their RNG state) is
+// refused before any frame is read, with an error naming both versions —
+// never resumed into a mid-replay divergence, never quarantined as torn.
+TEST(JournalFrames, PreviousFormatVersionIsRejectedUpFront) {
+  const std::string path = tmp_path("v1.journal");
+  std::string bytes = build_journal(path);
+  ASSERT_EQ(bytes.substr(0, kJournalMagicSize), "collie-journal-v2\n");
+  bytes[16] = '1';
+  write_file(path, bytes);
+
+  const JournalRecovery r = recover_journal(path, /*repair=*/true);
+  EXPECT_TRUE(r.existed);
+  EXPECT_NE(r.error.find("collie-journal-v1"), std::string::npos) << r.error;
+  EXPECT_NE(r.error.find("collie-journal-v2"), std::string::npos) << r.error;
+  EXPECT_TRUE(r.payloads.empty());
+  EXPECT_FALSE(r.torn);
+  // Untouched: no truncation, no quarantine file.
+  EXPECT_EQ(read_file(path), bytes);
+  std::ifstream torn(path + ".torn");
+  EXPECT_FALSE(torn.good());
+
+  // A crash inside this build's own magic is still a torn journal.
+  for (std::size_t n = 1; n < kJournalMagicSize; ++n) {
+    write_file(path, std::string(kJournalMagic, n));
+    const JournalRecovery cut = recover_journal(path, /*repair=*/false);
+    EXPECT_TRUE(cut.error.empty()) << "cut at " << n << ": " << cut.error;
+    EXPECT_TRUE(cut.torn) << "cut at " << n;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(JournalFrames, RepairQuarantinesTornSuffixAndAcceptsAppends) {

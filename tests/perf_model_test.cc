@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <string>
 
 #include "sim/perf_model.h"
 #include "sim/subsystem.h"
+#include "workload/backend_sim.h"
+#include "workload/engine.h"
 
 namespace collie::sim {
 namespace {
@@ -56,6 +59,7 @@ TEST(PerfModel, DeterministicGivenSeed) {
 TEST(PerfModel, EpochsCarryWarmupRamp) {
   Rng rng(3);
   SimConfig cfg;
+  cfg.keep_epochs = true;
   const SimResult r = evaluate(subsystem('F'), clean_write(), rng, cfg);
   ASSERT_EQ(static_cast<int>(r.epochs.size()), cfg.epochs);
   const double early = r.epochs[0].counters.get(PerfCounter::kTxGoodputBps);
@@ -359,13 +363,18 @@ TEST(PerfModelFabric, TorFanInScalesExpectedPause) {
   EXPECT_LT(r2.fabric_pause_ratio, r.fabric_pause_ratio);
 }
 
-// ---- Pinned pre-CC golden outputs -----------------------------------------
+// ---- Pinned golden outputs -------------------------------------------------
 
-// The CC layer's compatibility contract: with congestion control disabled
-// (the default), every scenario's perf-model outputs are bit-for-bit
-// identical to the pre-CC model.  The table below was captured from the
-// model BEFORE the DCQCN/ECN layer landed (hexfloat, exact); the compares
-// are exact double equality, not ULP-tolerant.
+// Raw model outputs for every (subsystem x fabric x workload) row with
+// congestion control disabled, pinned bit for bit (hexfloat, exact double
+// equality, not ULP-tolerant).  The CC layer's compatibility contract is
+// that arming it without a DCQCN workload changes none of them.
+//
+// The steady-state columns (goodput, wire bps, utilizations, dominant)
+// predate the CC layer.  The pause columns depend on the jitter stream and
+// were regenerated once, when the model moved to the counter-based stream
+// (DESIGN.md, "Regenerating the golden rows"): a mismatch prints the
+// current row as a source line next to the pinned one.
 struct GoldenRow {
   char sys;
   const char* fabric;
@@ -396,52 +405,68 @@ Workload golden_workload(int index) {
   }
 }
 
+// One kGoldenRows entry as source text, doubles in exact hexfloat.
+std::string row_source(const GoldenRow& g) {
+  char buf[512];
+  std::snprintf(buf, sizeof buf,
+                "{'%c', \"%s\", %d, %a, %a, %a, %a, %a, %a, \"%s\"},", g.sys,
+                g.fabric, g.workload, g.rx_goodput_bps, g.tx_wire_bps,
+                g.pause_duration_ratio, g.fabric_pause_ratio,
+                g.wire_utilization, g.pps_utilization, g.dominant);
+  return buf;
+}
+
+GoldenRow current_row(const GoldenRow& key, const SimResult& r) {
+  return {key.sys,
+          key.fabric,
+          key.workload,
+          r.rx_goodput_bps,
+          r.tx_wire_bps,
+          r.pause_duration_ratio,
+          r.fabric_pause_ratio,
+          r.wire_utilization,
+          r.pps_utilization,
+          to_string(r.dominant)};
+}
+
 const GoldenRow kGoldenRows[] = {
     {'B', "pair", 0, 0x1.6d37b114771d8p+36, 0x1.74876e7ffffffp+36, 0x0p+0, 0x0p+0, 0x1.fffffffffffffp-1, 0x1.105370cf9f0d4p-5, "none"},
     {'B', "pair", 1, 0x1.89641a9641a97p+35, 0x1.c86522d8522d9p+35, 0x0p+0, 0x0p+0, 0x1.39a1de5aa0f82p-1, 0x1.255567aaabd01p-3, "mtt_cache_miss"},
     {'B', "pair", 2, 0x1.2728944f68d4fp+35, 0x1.c86522d8522d9p+35, 0x0p+0, 0x0p+0, 0x1.d6a1d7d5bb17ep-2, 0x1.b82c1a691544fp-4, "mtt_cache_miss"},
-    {'B', "hetero", 0, 0x1.6d37b114771d8p+35, 0x1.74876e7ffffffp+35, 0x1.0025e6316c861p-1, 0x1.ffffffffffffep-2, 0x1.fffffffffffffp-1, 0x1.105370cf9f0d4p-6, "fabric_congestion"},
-    {'B', "hetero", 1, 0x1.411a3b0b34944p+35, 0x1.74876e8p+35, 0x1.794d59fb3db99p-3, 0x1.7855df3eec2dp-3, 0x1p+0, 0x1.dedcd9fa71f82p-4, "fabric_congestion"},
-    {'B', "hetero", 2, 0x1.e1d781b2203f9p+34, 0x1.74876e8p+35, 0x1.794d59fb3db99p-3, 0x1.7855df3eec2dp-3, 0x1.802665709372ep-1, 0x1.67498cbfde48p-4, "fabric_congestion"},
-    {'B', "fanin4", 0, 0x1.6d37b114771d8p+34, 0x1.74876e7ffffffp+34, 0x1.8012f318b643p-1, 0x1.8p-1, 0x1.fffffffffffffp-1, 0x1.105370cf9f0d4p-5, "fabric_congestion"},
-    {'B', "fanin4", 1, 0x1.411a3b0b34944p+34, 0x1.74876e8p+34, 0x1.2f29ab3f67b73p-1, 0x1.2f0abbe7dd85ap-1, 0x1p+0, 0x1.dedcd9fa71f82p-3, "fabric_congestion"},
-    {'B', "fanin4", 2, 0x1.e1d781b2203f9p+33, 0x1.74876e8p+34, 0x1.2f29ab3f67b73p-1, 0x1.2f0abbe7dd85ap-1, 0x1.802665709372ep-1, 0x1.67498cbfde48p-3, "fabric_congestion"},
+    {'B', "hetero", 0, 0x1.6d37b114771d8p+35, 0x1.74876e7ffffffp+35, 0x1.fd0f1a42ec318p-2, 0x1.ffffffffffffep-2, 0x1.fffffffffffffp-1, 0x1.105370cf9f0d4p-6, "fabric_congestion"},
+    {'B', "hetero", 1, 0x1.411a3b0b34944p+35, 0x1.74876e8p+35, 0x1.6ebbaf47e3f94p-3, 0x1.7855df3eec2dp-3, 0x1p+0, 0x1.dedcd9fa71f82p-4, "fabric_congestion"},
+    {'B', "hetero", 2, 0x1.e1d781b2203f9p+34, 0x1.74876e8p+35, 0x1.6ebbaf47e3f94p-3, 0x1.7855df3eec2dp-3, 0x1.802665709372ep-1, 0x1.67498cbfde48p-4, "fabric_congestion"},
+    {'B', "fanin4", 0, 0x1.6d37b114771d8p+34, 0x1.74876e7ffffffp+34, 0x1.7f43c690bb0c4p-1, 0x1.8p-1, 0x1.fffffffffffffp-1, 0x1.105370cf9f0d4p-5, "fabric_congestion"},
+    {'B', "fanin4", 1, 0x1.411a3b0b34944p+34, 0x1.74876e8p+34, 0x1.2dd775e8fc7f3p-1, 0x1.2f0abbe7dd85ap-1, 0x1p+0, 0x1.dedcd9fa71f82p-3, "fabric_congestion"},
+    {'B', "fanin4", 2, 0x1.e1d781b2203f9p+33, 0x1.74876e8p+34, 0x1.2dd775e8fc7f3p-1, 0x1.2f0abbe7dd85ap-1, 0x1.802665709372ep-1, 0x1.67498cbfde48p-3, "fabric_congestion"},
     {'F', "pair", 0, 0x1.6d37b114771d8p+37, 0x1.74876e7ffffffp+37, 0x0p+0, 0x0p+0, 0x1.fffffffffffffp-1, 0x1.c7fcd4b4f2816p-6, "none"},
     {'F', "pair", 1, 0x1.5d1cfe1af473ep+35, 0x1.9506a2cd459a7p+35, 0x0p+0, 0x0p+0, 0x1.1654e9e609dd3p-2, 0x1.b3e17d0cc39dap-5, "mtt_cache_miss"},
     {'F', "pair", 2, 0x1.17f1f2553ad1fp+34, 0x1.9506a2cd459a7p+35, 0x0p+0, 0x0p+0, 0x1.be5fd3533d284p-4, 0x1.5d8596190c11p-6, "mtt_cache_miss"},
-    {'F', "hetero", 0, 0x1.6d37b114771d8p+36, 0x1.74876e7ffffffp+36, 0x1.0025e6316c861p-1, 0x1.ffffffffffffep-2, 0x1.fffffffffffffp-1, 0x1.c7fcd4b4f2816p-7, "fabric_congestion"},
+    {'F', "hetero", 0, 0x1.6d37b114771d8p+36, 0x1.74876e7ffffffp+36, 0x1.fd0f1a42ec318p-2, 0x1.ffffffffffffep-2, 0x1.fffffffffffffp-1, 0x1.c7fcd4b4f2816p-7, "fabric_congestion"},
     {'F', "hetero", 1, 0x1.5d1cfe1af473ep+35, 0x1.9506a2cd459a7p+35, 0x0p+0, 0x0p+0, 0x1.1654e9e609dd3p-1, 0x1.b3e17d0cc39dap-5, "mtt_cache_miss"},
     {'F', "hetero", 2, 0x1.17f1f2553ad1fp+34, 0x1.9506a2cd459a7p+35, 0x0p+0, 0x0p+0, 0x1.be5fd3533d284p-3, 0x1.5d8596190c11p-6, "mtt_cache_miss"},
-    {'F', "fanin4", 0, 0x1.6d37b114771d8p+35, 0x1.74876e7ffffffp+35, 0x1.8012f318b643p-1, 0x1.8p-1, 0x1.fffffffffffffp-1, 0x1.c7fcd4b4f2816p-6, "fabric_congestion"},
-    {'F', "fanin4", 1, 0x1.411a3b0b34944p+35, 0x1.74876e8p+35, 0x1.4ad14a29b94e8p-4, 0x1.48a38e38e38dp-4, 0x1p+0, 0x1.90e886dd94ff6p-3, "fabric_congestion"},
-    {'F', "fanin4", 2, 0x1.017be4c42c34fp+34, 0x1.74876e8p+35, 0x1.4ad14a29b94e8p-4, 0x1.48a38e38e38dp-4, 0x1.9a8f53f714534p-2, 0x1.417a6eb04527ep-4, "fabric_congestion"},
+    {'F', "fanin4", 0, 0x1.6d37b114771d8p+35, 0x1.74876e7ffffffp+35, 0x1.7f43c690bb0c4p-1, 0x1.8p-1, 0x1.fffffffffffffp-1, 0x1.c7fcd4b4f2816p-6, "fabric_congestion"},
+    {'F', "fanin4", 1, 0x1.411a3b0b34944p+35, 0x1.74876e8p+35, 0x1.32ffa3ffacda2p-4, 0x1.48a38e38e38dp-4, 0x1p+0, 0x1.90e886dd94ff6p-3, "fabric_congestion"},
+    {'F', "fanin4", 2, 0x1.017be4c42c34fp+34, 0x1.74876e8p+35, 0x1.32ffa3ffacda2p-4, 0x1.48a38e38e38dp-4, 0x1.9a8f53f714534p-2, 0x1.417a6eb04527ep-4, "fabric_congestion"},
     {'H', "pair", 0, 0x1.6d37b114771d8p+36, 0x1.74876e7ffffffp+36, 0x0p+0, 0x0p+0, 0x1.fffffffffffffp-1, 0x1.bd9fcfdf615b9p-6, "none"},
     {'H', "pair", 1, 0x1.52d8600b1a708p+34, 0x1.891d076ce1ac8p+34, 0x0p+0, 0x0p+0, 0x1.0e253d5f45cf3p-2, 0x1.9d721e2493e68p-5, "mtt_cache_miss"},
-    {'H', "pair", 2, 0x1.9101cfe424edcp+32, 0x1.d13b1a2faed7dp+32, 0x1.689b115f3ad7ap-1, 0x0p+0, 0x1.3fb447a6f0172p-4, 0x1.e94b134fe3435p-7, "rwqe_burst_miss"},
-    {'H', "hetero", 0, 0x1.6d37b114771d8p+35, 0x1.74876e7ffffffp+35, 0x1.0025e6316c861p-1, 0x1.ffffffffffffep-2, 0x1.fffffffffffffp-1, 0x1.bd9fcfdf615b9p-7, "fabric_congestion"},
+    {'H', "pair", 2, 0x1.9101cfe424edcp+32, 0x1.d13b1a2faed7dp+32, 0x1.67a5e32da73cap-1, 0x0p+0, 0x1.3fb447a6f0172p-4, 0x1.e94b134fe3435p-7, "rwqe_burst_miss"},
+    {'H', "hetero", 0, 0x1.6d37b114771d8p+35, 0x1.74876e7ffffffp+35, 0x1.fd0f1a42ec318p-2, 0x1.ffffffffffffep-2, 0x1.fffffffffffffp-1, 0x1.bd9fcfdf615b9p-7, "fabric_congestion"},
     {'H', "hetero", 1, 0x1.52d8600b1a708p+34, 0x1.891d076ce1ac8p+34, 0x0p+0, 0x0p+0, 0x1.0e253d5f45cf3p-1, 0x1.9d721e2493e68p-5, "mtt_cache_miss"},
-    {'H', "hetero", 2, 0x1.9101cfe424edcp+32, 0x1.d13b1a2faed7dp+32, 0x1.689b115f3ad7ap-1, 0x0p+0, 0x1.3fb447a6f0172p-3, 0x1.e94b134fe3435p-7, "rwqe_burst_miss"},
-    {'H', "fanin4", 0, 0x1.6d37b114771d8p+34, 0x1.74876e7ffffffp+34, 0x1.8012f318b643p-1, 0x1.8p-1, 0x1.fffffffffffffp-1, 0x1.bd9fcfdf615b9p-6, "fabric_congestion"},
-    {'H', "fanin4", 1, 0x1.411a3b0b34944p+34, 0x1.74876e8p+34, 0x1.b17133f8e2b1ap-5, 0x1.acf3eec2cd23p-5, 0x1p+0, 0x1.87cbf82a00282p-3, "fabric_congestion"},
-    {'H', "fanin4", 2, 0x1.9101cfe424edcp+30, 0x1.d13b1a2faed7dp+30, 0x1.da26c457ceb5ep-1, 0x1.acf3eec2cd23p-5, 0x1.3fb447a6f0172p-4, 0x1.e94b134fe3435p-7, "rwqe_burst_miss"},
+    {'H', "hetero", 2, 0x1.9101cfe424edcp+32, 0x1.d13b1a2faed7dp+32, 0x1.67a5e32da73cap-1, 0x0p+0, 0x1.3fb447a6f0172p-3, 0x1.e94b134fe3435p-7, "rwqe_burst_miss"},
+    {'H', "fanin4", 0, 0x1.6d37b114771d8p+34, 0x1.74876e7ffffffp+34, 0x1.7f43c690bb0c4p-1, 0x1.8p-1, 0x1.fffffffffffffp-1, 0x1.bd9fcfdf615b9p-6, "fabric_congestion"},
+    {'H', "fanin4", 1, 0x1.411a3b0b34944p+34, 0x1.74876e8p+34, 0x1.81d11ef65e152p-5, 0x1.acf3eec2cd23p-5, 0x1p+0, 0x1.87cbf82a00282p-3, "fabric_congestion"},
+    {'H', "fanin4", 2, 0x1.9101cfe424edcp+30, 0x1.d13b1a2faed7dp+30, 0x1.d9e978cb69cf2p-1, 0x1.acf3eec2cd23p-5, 0x1.3fb447a6f0172p-4, 0x1.e94b134fe3435p-7, "rwqe_burst_miss"},
 };
 
-TEST(PerfModelGolden, CcDisabledScenariosMatchPrePrOutputsBitForBit) {
+TEST(PerfModelGolden, CcDisabledScenariosMatchGoldenRowsBitForBit) {
   for (const GoldenRow& row : kGoldenRows) {
     const Subsystem sys = with_fabric(subsystem(row.sys),
                                       net::fabric_scenario(row.fabric));
     Rng rng(7);
     const SimResult r = evaluate(sys, golden_workload(row.workload), rng);
-    const std::string tag = std::string(1, row.sys) + "/" + row.fabric +
-                            "/w" + std::to_string(row.workload);
-    EXPECT_EQ(r.rx_goodput_bps, row.rx_goodput_bps) << tag;
-    EXPECT_EQ(r.tx_wire_bps, row.tx_wire_bps) << tag;
-    EXPECT_EQ(r.pause_duration_ratio, row.pause_duration_ratio) << tag;
-    EXPECT_EQ(r.fabric_pause_ratio, row.fabric_pause_ratio) << tag;
-    EXPECT_EQ(r.wire_utilization, row.wire_utilization) << tag;
-    EXPECT_EQ(r.pps_utilization, row.pps_utilization) << tag;
-    EXPECT_STREQ(to_string(r.dominant), row.dominant) << tag;
-    EXPECT_EQ(r.cc_suppressed_ratio, 0.0) << tag;
+    EXPECT_EQ(row_source(current_row(row, r)), row_source(row));
+    EXPECT_EQ(r.cc_suppressed_ratio, 0.0) << row_source(row);
   }
 }
 
@@ -475,14 +500,112 @@ TEST(PerfModelGolden, CompiledScenarioPathMatchesGoldenRowsBitForBit) {
     EXPECT_EQ(r.rx_pps, ref.rx_pps) << tag;
     EXPECT_EQ(r.tx_goodput_bps, ref.tx_goodput_bps) << tag;
     EXPECT_EQ(r.bottleneck_note, ref.bottleneck_note) << tag;
-    ASSERT_EQ(r.epochs.size(), ref.epochs.size()) << tag;
-    for (std::size_t e = 0; e < r.epochs.size(); ++e) {
-      EXPECT_EQ(r.epochs[e].counters.perf, ref.epochs[e].counters.perf);
-      EXPECT_EQ(r.epochs[e].counters.diag, ref.epochs[e].counters.diag);
-      EXPECT_EQ(r.epochs[e].pause_fraction, ref.epochs[e].pause_fraction);
+    ASSERT_EQ(r.samples.size(), ref.samples.size()) << tag;
+    for (std::size_t k = 0; k < r.samples.size(); ++k) {
+      EXPECT_EQ(r.samples[k].perf, ref.samples[k].perf) << tag;
+      EXPECT_EQ(r.samples[k].diag, ref.samples[k].diag) << tag;
     }
     EXPECT_EQ(r.counters.perf, ref.counters.perf) << tag;
+    EXPECT_EQ(r.counters.diag, ref.counters.diag) << tag;
     EXPECT_EQ(rng.next_u64(), ref_rng.next_u64()) << tag;
+  }
+}
+
+// ---- RNG work count ---------------------------------------------------------
+
+// One evaluate() reads exactly one next_u64() from the caller's Rng — the
+// key of its jitter stream — on every golden row, stalled or not, with or
+// without the full epoch series, on both evaluate paths.
+TEST(PerfModelWorkCount, EvaluateAdvancesTheRngByExactlyOneDraw) {
+  int stalled = 0;
+  int unstalled = 0;
+  EvalScratch scratch;
+  for (const GoldenRow& row : kGoldenRows) {
+    const Subsystem sys = with_fabric(subsystem(row.sys),
+                                      net::fabric_scenario(row.fabric));
+    const CompiledScenario compiled(sys);
+    const Workload w = golden_workload(row.workload);
+    for (const bool keep : {false, true}) {
+      SimConfig cfg;
+      cfg.keep_epochs = keep;
+      Rng one_draw(7);
+      (void)one_draw.next_u64();
+      Rng rng(7);
+      const SimResult r = evaluate(sys, w, rng, cfg);
+      EXPECT_EQ(rng.state(), one_draw.state()) << row_source(row);
+      Rng hot(7);
+      (void)evaluate(compiled, w, hot, scratch, cfg);
+      EXPECT_EQ(hot.state(), one_draw.state()) << row_source(row);
+      ++(r.pause_duration_ratio > 0.0 ? stalled : unstalled);
+    }
+  }
+  EXPECT_GT(stalled, 0);
+  EXPECT_GT(unstalled, 0);
+}
+
+// SimBackend::measure draws once per attempt: the first evaluation plus one
+// per re-measurement.  A noisier config makes some probes unstable so the
+// re-measurement path is exercised.
+TEST(PerfModelWorkCount, SimBackendMeasureDrawsOncePerAttempt) {
+  workload::EngineOptions opts;
+  opts.sim.jitter = 0.08;
+  int remeasured = 0;
+  int single = 0;
+  EvalScratch scratch;
+  workload::Measurement m;
+  for (const GoldenRow& row : kGoldenRows) {
+    const Subsystem sys = with_fabric(subsystem(row.sys),
+                                      net::fabric_scenario(row.fabric));
+    workload::SimBackend backend(sys, opts);
+    for (u64 seed = 1; seed <= 8; ++seed) {
+      Rng rng(seed);
+      Rng ref(seed);
+      m.remeasure_count = 0;
+      backend.measure(golden_workload(row.workload), rng, scratch, m);
+      for (int i = 0; i <= m.remeasure_count; ++i) (void)ref.next_u64();
+      EXPECT_EQ(rng.state(), ref.state())
+          << row_source(row) << " seed " << seed;
+      ++(m.remeasure_count > 0 ? remeasured : single);
+    }
+  }
+  EXPECT_GT(remeasured, 0);
+  EXPECT_GT(single, 0);
+}
+
+// The full series is the same rollout, not a second model: building it
+// changes no output, and its sampled epochs (4, 10, 16, 23) carry exactly
+// the four samples.
+TEST(PerfModelGolden, EpochSeriesCarriesTheSamplesAtSampledEpochs) {
+  for (const GoldenRow& row : kGoldenRows) {
+    const Subsystem sys = with_fabric(subsystem(row.sys),
+                                      net::fabric_scenario(row.fabric));
+    const Workload w = golden_workload(row.workload);
+    SimConfig full;
+    full.keep_epochs = true;
+    Rng rng_lean(7);
+    Rng rng_full(7);
+    const SimResult lean = evaluate(sys, w, rng_lean);
+    const SimResult r = evaluate(sys, w, rng_full, full);
+    EXPECT_EQ(row_source(current_row(row, r)), row_source(row));
+    EXPECT_EQ(r.port_pause_ratio, lean.port_pause_ratio) << row_source(row);
+    ASSERT_EQ(r.samples.size(), 4u);
+    ASSERT_EQ(lean.samples.size(), 4u);
+    ASSERT_EQ(r.epochs.size(), 24u);
+    const int sampled[] = {4, 10, 16, 23};
+    for (int k = 0; k < 4; ++k) {
+      const CounterSample& at = r.epochs[static_cast<std::size_t>(sampled[k])]
+                                    .counters;
+      EXPECT_EQ(at.perf, r.samples[static_cast<std::size_t>(k)].perf);
+      EXPECT_EQ(at.diag, r.samples[static_cast<std::size_t>(k)].diag);
+      EXPECT_EQ(lean.samples[static_cast<std::size_t>(k)].perf, at.perf);
+      EXPECT_EQ(lean.samples[static_cast<std::size_t>(k)].diag, at.diag);
+    }
+    // The headline pause ratio is the mean of the post-warmup epochs'.
+    double sum = 0.0;
+    for (int e = 4; e < 24; ++e) {
+      sum += r.epochs[static_cast<std::size_t>(e)].pause_fraction * 0.25;
+    }
+    EXPECT_EQ(sum / 5.0, r.pause_duration_ratio) << row_source(row);
   }
 }
 

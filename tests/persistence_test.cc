@@ -482,7 +482,7 @@ TEST(PersistenceRoundTrip, CampaignReportJsonIsByteIdentical) {
   }
 }
 
-// ---- execution traces (collie-trace-v1) ------------------------------------
+// ---- execution traces (collie-trace-v2) ------------------------------------
 
 // A real two-context trace recorded through the engine's record backend —
 // actual simulator measurements (epochs included), actual post-probe RNG
@@ -496,6 +496,7 @@ workload::TraceFile recorded_trace() {
     const sim::Subsystem& sys = sim::subsystem(sys_id);
     workload::EngineOptions opts;
     opts.run_functional_pass = false;
+    opts.sim.keep_epochs = true;
     opts.backend_factory = &factory;
     opts.backend_context = std::string(1, sys_id) + "/Diag#0";
     workload::Engine engine(sys, opts);
@@ -567,7 +568,7 @@ TEST(PersistenceRoundTrip, TraceRejectsTargetedGarbles) {
   // Unknown schema.
   {
     std::string g = doc;
-    g.replace(g.find("collie-trace-v1"), 15, "collie-trace-v9");
+    g.replace(g.find("collie-trace-v2"), 15, "collie-trace-v9");
     EXPECT_THROW(workload::TraceFile::from_json(g), JsonError);
   }
   // Duplicate context: splice the lone context object in twice.
@@ -590,7 +591,7 @@ TEST(PersistenceRoundTrip, TraceRejectsTargetedGarbles) {
     g.erase(pos + 19, 1);  // 15-char word
     EXPECT_THROW(workload::TraceFile::from_json(g), JsonError);
     g = doc;
-    g.replace(g.find("\"has_spare\""), 11, "\"has_spore\"");
+    g.replace(pos + 13, 3, "\"t\"");  // the "s" key renamed away
     EXPECT_THROW(workload::TraceFile::from_json(g), JsonError);
   }
   // Counter-sample arity mismatch: drop the first perf sample value.
@@ -609,6 +610,29 @@ TEST(PersistenceRoundTrip, TraceRejectsTargetedGarbles) {
     std::string g = doc;
     g[pos + 12] = 'Z';
     EXPECT_THROW(workload::TraceFile::from_json(g), JsonError);
+  }
+}
+
+// A trace recorded under the previous format (collie-trace-v1: RNG states
+// carry the Box-Muller spare, measurements come from the v1 model) is
+// rejected at the schema check, before any probe is parsed, and the error
+// names the schema.  Replaying it would diverge at the first probe.
+TEST(PersistenceRoundTrip, PreviousTraceSchemaIsRejectedUpFront) {
+  workload::TraceFile trace = recorded_trace();
+  std::string v1 = trace.to_json();
+  v1.replace(v1.find("collie-trace-v2"), 15, "collie-trace-v1");
+  for (std::size_t pos = v1.find("\"rng_after\":{\"s\":[");
+       pos != std::string::npos;
+       pos = v1.find("\"rng_after\":{\"s\":[", pos + 1)) {
+    v1.insert(v1.find(']', pos) + 1, ",\"has_spare\":false,\"spare\":0");
+  }
+  try {
+    (void)workload::TraceFile::from_json(v1);
+    ADD_FAILURE() << "a collie-trace-v1 document parsed";
+  } catch (const JsonError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("collie-trace-v1"), std::string::npos) << what;
+    EXPECT_NE(what.find("collie-trace-v2"), std::string::npos) << what;
   }
 }
 

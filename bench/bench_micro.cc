@@ -19,7 +19,7 @@
 //                                         section of BENCH_hotpath.json
 //   bench_micro --check-baseline <file>   also compare *_per_sec metrics
 //                                         against a committed baseline and
-//                                         exit non-zero on a >20% regression
+//                                         exit non-zero on a >35% regression
 //   bench_micro --check-metrics-overhead  also measure measure_and_judge
 //                                         with a live obs::Telemetry vs the
 //                                         null handle; exit non-zero when
@@ -570,7 +570,7 @@ int run_trajectory_mode(const CliArgs& args) {
 
   // Telemetry overhead (the obs layer's <2% contract).  The pair metrics
   // feed BENCH_hotpath.json for trajectory plots; they are deliberately NOT
-  // in the committed baseline (the 20% cross-machine regression gate skips
+  // in the committed baseline (the cross-machine regression gate skips
   // them) — --check-metrics-overhead is their gate, best-of-3 so a single
   // noisy attempt on a shared runner cannot fail the build.
   const bool check_overhead = args.has("check-metrics-overhead");
@@ -656,11 +656,16 @@ int run_trajectory_mode(const CliArgs& args) {
   if (!baseline_path.empty() && baseline_path != "true") {
     const benchjson::Document baseline =
         benchjson::load_document(baseline_path);
-    std::printf("\nchecking against %s (>20%% probes/sec regression "
+    // The committed "micro" values are medians of five Release runs.  On a
+    // shared 4-vCPU x86-64 VM, ten runs checked against those medians fell
+    // as low as 0.68x after speed normalization (the uncompiled speed probe
+    // alone varied 0.87-1.34x), so a 20% floor fails on noise.
+    constexpr double kMicroTolerance = 0.35;
+    std::printf("\nchecking against %s (>%.0f%% probes/sec regression "
                 "fails)\n",
-                baseline_path.c_str());
-    const int failures =
-        benchjson::check_against_baseline(baseline, "micro", micro);
+                baseline_path.c_str(), kMicroTolerance * 100.0);
+    const int failures = benchjson::check_against_baseline(
+        baseline, "micro", micro, kMicroTolerance);
     if (failures > 0) {
       std::printf("%d metric(s) regressed\n", failures);
       return 1;

@@ -128,27 +128,9 @@ void JournalWriter::sync() {
 
 namespace {
 
-// The complete magic line of a journal written under ANOTHER format version
-// ("collie-journal-v1"), or "" when `data` does not start with one.  A
-// prefix of this build's magic (a crash inside the header) is not foreign:
-// it has no newline yet.
-std::string foreign_journal_version(const std::string& data) {
-  static constexpr char kPrefix[] = "collie-journal-v";
-  constexpr std::size_t kPrefixSize = sizeof(kPrefix) - 1;
-  if (data.compare(0, kPrefixSize, kPrefix) != 0) return "";
-  const std::size_t nl = data.find('\n', kPrefixSize);
-  if (nl == std::string::npos || nl == kPrefixSize || nl > kPrefixSize + 8) {
-    return "";
-  }
-  for (std::size_t i = kPrefixSize; i < nl; ++i) {
-    if (data[i] < '0' || data[i] > '9') return "";
-  }
-  if (nl + 1 == kJournalMagicSize &&
-      std::memcmp(data.data(), kJournalMagic, kJournalMagicSize) == 0) {
-    return "";
-  }
-  return data.substr(0, nl);
-}
+// The magic of the previous format version, whose probe records carry a
+// Box-Muller spare in their RNG state.  Same size as kJournalMagic.
+constexpr char kJournalMagicV1[] = "collie-journal-v1\n";
 
 }  // namespace
 
@@ -170,14 +152,12 @@ JournalRecovery recover_journal(const std::string& path, bool repair) {
   }
   r.total_bytes = data.size();
 
-  // Another format version is rejected up front and left untouched:
-  // resuming it would diverge mid-replay (the probe records' RNG state
-  // encoding differs), and quarantining it would discard a valid journal.
-  const std::string foreign = foreign_journal_version(data);
-  if (!foreign.empty()) {
-    std::string ours(kJournalMagic, kJournalMagicSize - 1);
-    r.error = "written as " + foreign + ", this build reads " + ours +
-              "; start a fresh journal";
+  // A v1 journal is rejected up front and left untouched: resuming it would
+  // diverge mid-replay (the probe records' RNG state encoding differs), and
+  // quarantining it would discard a valid journal.
+  if (data.compare(0, kJournalMagicSize, kJournalMagicV1) == 0) {
+    r.error = "written as collie-journal-v1, this build reads "
+              "collie-journal-v2; start a fresh journal";
     return r;
   }
 

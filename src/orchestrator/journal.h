@@ -93,19 +93,19 @@ struct JournalRecovery {
   u64 total_bytes = 0;    // file size as found
   std::string torn_path;  // where the torn suffix was quarantined (repair)
   std::vector<std::string> payloads;  // valid frames, in order
-  // Non-empty on I/O failure or a journal of another format version
-  // (checked before any frame is read; the file is left untouched).  Never
-  // set for corruption.
+  // Non-empty on I/O failure or a collie-journal-v1 journal (checked before
+  // any frame is read; the file is left untouched).  Never set for
+  // corruption.
   std::string error;
 };
 
-// Truncation-scan `path`.  A journal written under another format version
-// ("collie-journal-v1") is an error naming both versions.  Corruption is
-// never an error: a bad magic or a
-// torn frame yields torn=true with the longest valid prefix (valid_bytes=0
-// when even the magic is damaged).  With `repair`, the torn suffix is
-// written to <path>.torn and the journal is truncated to its valid prefix,
-// ready for appending.
+// Truncation-scan `path`.  A journal written under the previous format
+// version ("collie-journal-v1") is an error naming both versions.
+// Corruption is never an error: a bad magic or a torn frame yields
+// torn=true with the longest valid prefix (valid_bytes=0 when even the
+// magic is damaged).  With `repair`, the torn suffix is written to
+// <path>.torn and the journal is truncated to its valid prefix, ready for
+// appending.
 JournalRecovery recover_journal(const std::string& path, bool repair);
 
 // ---- Campaign-level journal sink ------------------------------------------

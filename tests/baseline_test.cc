@@ -141,12 +141,19 @@ TEST(Bo, DivergesFromRandomAtShortBudgets) {
   }
 }
 
-// Figure 4's premise: MFS-enhanced BO is at parity with random input
-// generation on discoveries per budget.  Parity, not dominance: over 42
-// seeds the two totals sit within 6% of each other, and which one leads a
-// small seed group flips with the measurement-noise trajectory.  So the
-// check aggregates six seeds and allows a 15% shortfall, far below what a
-// BO that stopped finding anomalies would show.
+// Figure 4's premise, as the paper states it: MFS-enhanced BO barely
+// improves on random input generation (bo.h).  The check is parity, not
+// dominance, because dominance does not hold in expectation under either
+// jitter model.  Over seeds 1-400 at this budget, BO found 2.2% fewer MFS
+// regions than random under the Box-Muller model (-0.16 +/- 0.06 per seed)
+// and 3.9% fewer under the counter stream (-0.28 +/- 0.06).  On distinct
+// catalogued anomalies, Figure 4's own metric, both models give BO 9% fewer.
+// A strict bo >= random on three seeds held by seed luck alone.  So the
+// check sums the first 42 seeds and requires BO to reach 90% of random.
+// That floor sits 2.5 standard deviations of the 42-seed sum below the
+// expected shortfall, and well above what a BO that stopped finding
+// anomalies would show.  DivergesFromRandomAtShortBudgets pins that BO is
+// guided at all.
 TEST(Bo, ParityDiscoveriesPerBudget) {
   workload::EngineOptions opts;
   opts.run_functional_pass = false;
@@ -159,7 +166,7 @@ TEST(Bo, ParityDiscoveriesPerBudget) {
 
   std::size_t random_found = 0;
   std::size_t bo_found = 0;
-  for (u64 seed = 1; seed <= 6; ++seed) {
+  for (u64 seed = 1; seed <= 42; ++seed) {
     Rng rng_random(seed);
     random_found += driver.run_random(budget, rng_random).found.size();
     Rng rng_bo(seed);
@@ -168,7 +175,7 @@ TEST(Bo, ParityDiscoveriesPerBudget) {
                                           budget, rng_bo)
                     .found.size();
   }
-  EXPECT_GE(bo_found * 100, random_found * 85)
+  EXPECT_GE(bo_found * 100, random_found * 90)
       << "bo " << bo_found << " vs random " << random_found;
   EXPECT_GT(bo_found, 0u);
 }

@@ -10,6 +10,8 @@
 // the SteadySolve pair isolates the model-build/solve/metrics stage whose
 // per-probe cost the compiled path eliminates (the full evaluation adds
 // the sampled-epoch jitter rollout on the one-key counter stream).
+// BM_CcSteadyState isolates the DCQCN co-simulation, the layer that
+// dominates DCQCN-armed campaigns.
 //
 // Beyond the google-benchmark registry, this binary has a perf-trajectory
 // mode:
@@ -45,6 +47,7 @@
 #include "core/mfs.h"
 #include "core/mfs_store.h"
 #include "core/search.h"
+#include "nic/dcqcn.h"
 #include "obs/telemetry.h"
 #include "sim/perf_model.h"
 #include "sim/subsystem.h"
@@ -74,6 +77,51 @@ sim::SimConfig steady_solve_config() {
   cfg.warmup_epochs = 0;
   return cfg;
 }
+
+// One throttled co-simulation input: subsystem F on the fanin4 fabric
+// under the catalog "dcqcn" scenario, the sender offering its line rate
+// into its quarter share of the receiver port with the workload-default
+// R_AI and g.  The solver is called directly, without the EvalScratch
+// memo, so every call co-simulates.
+struct CcSolveInput {
+  double offered_bps;
+  double capacity_bps;
+  double line_rate_bps;
+  double flows;
+  net::EcnParams ecn;
+  nic::DcqcnParams params;
+  double pkt_bytes;
+
+  nic::CcSteadyState solve() const {
+    return nic::solve_cc_steady_state(offered_bps, capacity_bps,
+                                      line_rate_bps, flows, ecn, params,
+                                      pkt_bytes);
+  }
+};
+
+CcSolveInput fanin4_cc_input() {
+  const sim::Subsystem sys = sim::with_cc(
+      sim::with_fabric(sim::subsystem('F'), net::fabric_scenario("fanin4")),
+      nic::cc_scenario("dcqcn"));
+  const Workload w;  // for the default per-QP DCQCN knobs
+  nic::DcqcnParams params = sys.cc;
+  params.rate_ai_bps = mbps(w.dcqcn_rate_ai_mbps);
+  params.g = w.dcqcn_g;
+  return {sys.nicm.line_rate_bps, sys.fabric.receiver_share_bps(),
+          sys.nicm.line_rate_bps, 8.0, sys.fabric.ecn(1), params, 4178.0};
+}
+
+void BM_CcSteadyState(benchmark::State& state) {
+  const CcSolveInput in = fanin4_cc_input();
+  if (!in.solve().throttled) {
+    state.SkipWithError("fanin4 dcqcn input no longer throttles");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(in.solve());
+  }
+}
+BENCHMARK(BM_CcSteadyState);
 
 void BM_PerfModelEvaluateClean(benchmark::State& state) {
   const sim::Subsystem& sys = sim::subsystem('F');
@@ -455,6 +503,14 @@ benchjson::Section measure_micro_section() {
   }
   out["steady_solve_speedup_vs_uncompiled"] =
       out["steady_solves_per_sec"] / out["steady_solves_per_sec_uncompiled"];
+
+  // Informational layer row (a time, not a *_per_sec rate, so the baseline
+  // gate never reads it): one DCQCN co-simulation, no memo.
+  {
+    const CcSolveInput in = fanin4_cc_input();
+    out["cc_steady_state_us"] =
+        1e6 / ops_per_second([&] { benchmark::DoNotOptimize(in.solve()); });
+  }
 
   {
     core::SearchSpace space(sys);

@@ -70,6 +70,9 @@ Flags:
                      the least-loaded worker (virtual-time work stealing)
   --seed <s>         campaign seed; cells get split() streams (default 1)
   --share <scope>    subsystem | cell (default subsystem)
+  --keep-epochs <n>  superseded pool snapshots each scope retains before a
+                     write frees them (default 8; 0 is legal).  Memory
+                     only: the report is byte-identical for every <n>
   --exec <mode>      threads | deterministic (default threads)
   --warm-start <f>   load a checkpoint: its pool scopes pre-seed MatchMFS
                      (zero probes inside already-explained regions) and

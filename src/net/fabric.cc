@@ -5,25 +5,6 @@
 
 namespace collie::net {
 
-double EcnParams::mark_probability(double queue_bytes) const {
-  if (!enabled || pmax <= 0.0) return 0.0;
-  if (queue_bytes < kmin_bytes) return 0.0;
-  if (queue_bytes >= kmax_bytes) return 1.0;
-  const double span = std::max(kmax_bytes - kmin_bytes, 1.0);
-  return pmax * (queue_bytes - kmin_bytes) / span;
-}
-
-double EcnParams::cnps_per_second(double queue_bytes, double pkts_per_s,
-                                  double flows,
-                                  double cnp_interval_s) const {
-  const double p = mark_probability(queue_bytes);
-  if (p <= 0.0 || pkts_per_s <= 0.0) return 0.0;
-  const double pace_cap = cnp_interval_s > 0.0
-                              ? std::max(flows, 1.0) / cnp_interval_s
-                              : p * pkts_per_s;
-  return std::min(p * pkts_per_s, pace_cap);
-}
-
 void FabricSpec::set_ecn(const EcnParams& ecn) {
   port_ecn.assign(static_cast<std::size_t>(num_ports()), ecn);
 }

@@ -11,6 +11,7 @@
 // `Fabric` tracks per port.
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -37,13 +38,32 @@ struct EcnParams {
   // storms do the work ECN should have done.
   double xoff_bytes = 0.7 * 2.0 * MiB;
 
-  double mark_probability(double queue_bytes) const;
+  // Inline: the DCQCN co-simulation evaluates the curve once per step.
+  double mark_probability(double queue_bytes) const {
+    if (!enabled || pmax <= 0.0) return 0.0;
+    if (queue_bytes < kmin_bytes) return 0.0;
+    if (queue_bytes >= kmax_bytes) return 1.0;
+    const double span = std::max(kmax_bytes - kmin_bytes, 1.0);
+    return pmax * (queue_bytes - kmin_bytes) / span;
+  }
   // CNP generation from this queue: marking probability times the packet
-  // rate, paced to at most one CNP per flow per `cnp_interval_s` (the
-  // single definition of the notification-point formula — the fabric API
-  // and the DCQCN co-simulation both call it).
+  // rate, paced to at most one CNP per flow per `cnp_interval_s`.
   double cnps_per_second(double queue_bytes, double pkts_per_s, double flows,
-                         double cnp_interval_s) const;
+                         double cnp_interval_s) const {
+    return cnps_at_mark_probability(mark_probability(queue_bytes), pkts_per_s,
+                                    flows, cnp_interval_s);
+  }
+  // The single definition of the notification-point formula, for a caller
+  // that already holds the queue's marking probability `p` (the fabric API
+  // and the DCQCN co-simulation both end here).
+  static double cnps_at_mark_probability(double p, double pkts_per_s,
+                                         double flows, double cnp_interval_s) {
+    if (p <= 0.0 || pkts_per_s <= 0.0) return 0.0;
+    const double pace_cap = cnp_interval_s > 0.0
+                                ? std::max(flows, 1.0) / cnp_interval_s
+                                : p * pkts_per_s;
+    return std::min(p * pkts_per_s, pace_cap);
+  }
   // Highest occupancy the queue can actually reach under PFC.
   double occupancy_ceiling_bytes() const {
     return xoff_bytes > 0.0 && xoff_bytes < queue_cap_bytes ? xoff_bytes

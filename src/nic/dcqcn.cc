@@ -64,6 +64,12 @@ double DcqcnRateLimiter::step(double dt, double cnp_rate) {
   return rate_;
 }
 
+bool cc_passes_through(double offered_bps, double capacity_bps,
+                       const net::EcnParams& ecn, const DcqcnParams& params) {
+  return offered_bps <= 0.0 || !params.enabled || !ecn.can_mark() ||
+         offered_bps <= capacity_bps * 1.001;
+}
+
 CcSteadyState solve_cc_steady_state(double offered_bps, double capacity_bps,
                                     double line_rate_bps, double flows,
                                     const net::EcnParams& ecn,
@@ -71,13 +77,7 @@ CcSteadyState solve_cc_steady_state(double offered_bps, double capacity_bps,
                                     double pkt_bytes) {
   CcSteadyState out;
   out.rate_bps = std::max(offered_bps, 0.0);
-  // Pass-through regimes: nothing offered, CC disarmed, the path is not
-  // congested, or the marking thresholds sit at/above the queue cap (the
-  // mistuned configuration — PFC is the only signal left).
-  if (offered_bps <= 0.0 || !params.enabled || !ecn.can_mark() ||
-      offered_bps <= capacity_bps * 1.001) {
-    return out;
-  }
+  if (cc_passes_through(offered_bps, capacity_bps, ecn, params)) return out;
 
   pkt_bytes = std::max(pkt_bytes, 64.0);
   DcqcnRateLimiter limiter(params, line_rate_bps, offered_bps);
@@ -86,23 +86,51 @@ CcSteadyState solve_cc_steady_state(double offered_bps, double capacity_bps,
   const double dt = 10e-6;
   const int total_steps = 24000;           // 240ms of simulated time
   const int warmup_steps = total_steps / 2;
+  const double queue_ceiling = ecn.occupancy_ceiling_bytes();
+  // DcqcnRateLimiter::step's update-period slicing, fused into this loop so
+  // everything derived from the rate is recomputed only when a period ends
+  // and moves it.  tests/dcqcn_property_test.cc keeps the limiter-driven
+  // loop as the reference this one must match bit for bit.
+  const double interval = limiter.params().update_interval_s;
+  double period_acc = 0.0;  // time into the current update period
+  double cnp_acc = 0.0;     // fractional CNPs accumulated this period
+  double admitted = 0.0;    // min(rate, offer): what enters the queue
+  double queue_step = 0.0;  // queue growth per step at that rate
+  double pps = 0.0;         // packet rate the marking curve sees
+  const auto rate_changed = [&] {
+    admitted = std::min(limiter.rate_bps(), offered_bps);
+    queue_step = (admitted - capacity_bps) / 8.0 * dt;
+    pps = admitted / (8.0 * pkt_bytes);
+  };
+  rate_changed();
   double queue = 0.0;
   double sum_rate = 0.0;
   double sum_mark = 0.0;
   double sum_queue = 0.0;
   int samples = 0;
-  const double queue_ceiling = ecn.occupancy_ceiling_bytes();
   for (int i = 0; i < total_steps; ++i) {
-    const double admitted = std::min(limiter.rate_bps(), offered_bps);
-    queue += (admitted - capacity_bps) / 8.0 * dt;
-    queue = std::clamp(queue, 0.0, queue_ceiling);
-    const double pps = admitted / (8.0 * pkt_bytes);
+    queue = std::clamp(queue + queue_step, 0.0, queue_ceiling);
+    const double mark = ecn.mark_probability(queue);
     const double cnp_rate =
-        ecn.cnps_per_second(queue, pps, flows, params.cnp_interval_s);
-    limiter.step(dt, cnp_rate);
+        std::max(net::EcnParams::cnps_at_mark_probability(
+                     mark, pps, flows, params.cnp_interval_s),
+                 0.0);
+    double remaining = dt;
+    while (remaining > 0.0) {
+      const double slice = std::min(remaining, interval - period_acc);
+      period_acc += slice;
+      cnp_acc += cnp_rate * slice;
+      remaining -= slice;
+      if (period_acc >= interval - 1e-15) {
+        limiter.update_period(/*marked=*/cnp_acc >= 1.0);
+        period_acc = 0.0;
+        cnp_acc = 0.0;
+        rate_changed();
+      }
+    }
     if (i >= warmup_steps) {
-      sum_rate += std::min(limiter.rate_bps(), offered_bps);
-      sum_mark += ecn.mark_probability(queue);
+      sum_rate += admitted;
+      sum_mark += mark;
       sum_queue += queue;
       ++samples;
     }

@@ -70,15 +70,20 @@ class DcqcnRateLimiter {
   // Advance by `dt` seconds during which CNPs arrive at `cnp_rate` per
   // second.  Returns the admitted rate after the step.
   double step(double dt, double cnp_rate);
+  // The DCQCN update rule for one completed update period: a period that
+  // saw at least one CNP (`marked`) cuts the rate, a CNP-free one recovers
+  // it.  step() calls it at every period boundary; solve_cc_steady_state
+  // drives it directly from its own fused period clock.
+  void update_period(bool marked);
 
   double rate_bps() const { return rate_; }
   double target_bps() const { return target_; }
   double alpha() const { return alpha_; }
+  // The parameters as normalized by the constructor (g clamped to
+  // [1e-6, 1], a positive update interval, a non-negative R_AI).
   const DcqcnParams& params() const { return params_; }
 
  private:
-  void update_period(bool marked);
-
   DcqcnParams params_;
   double line_rate_;
   double rate_;
@@ -97,6 +102,13 @@ struct CcSteadyState {
   double queue_bytes = 0.0;       // time-averaged switch queue depth
   bool throttled = false;         // did CC withhold any offered demand?
 };
+
+// The regimes in which solve_cc_steady_state passes the offer through
+// untouched without co-simulating: nothing offered, the reaction point
+// disarmed, the path not congested, or marking thresholds at/above the
+// queue ceiling (the mistuned configuration: PFC is the only signal left).
+bool cc_passes_through(double offered_bps, double capacity_bps,
+                       const net::EcnParams& ecn, const DcqcnParams& params);
 
 // Co-simulate the reaction point against one switch egress queue: the queue
 // fills at the admitted rate and drains at `capacity_bps`; its depth drives

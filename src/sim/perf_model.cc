@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "common/counter_stream.h"
@@ -524,6 +526,85 @@ CompiledScenario::CompiledScenario(const Subsystem& sys) : sys_(sys) {
   }
 }
 
+// ---- DCQCN co-simulation memo ---------------------------------------------
+
+// Exact-input memo in front of nic::solve_cc_steady_state.  The solver is a
+// pure function of its arguments, so a solve whose every input matches an
+// earlier one bit for bit returns that solve's result, bit for bit.  The
+// key is the raw bits of every input, every net::EcnParams field and every
+// nic::DcqcnParams field included; nothing about the scenario is assumed,
+// which keeps one scratch correct across scenarios.
+//
+// Direct-mapped, fixed capacity: a colliding solve overwrites the slot.
+// Only solves that co-simulate are memoized; pass-through inputs cost less
+// than a lookup.  That also keeps the zero-filled fresh slots from ever
+// matching: a co-simulating input offers a positive rate, so its first key
+// word is never 0.  The table is allocated on the first co-simulating
+// solve, so scratches that never arm DCQCN never pay for it.
+namespace {
+
+class CcSolveMemo {
+ public:
+  // Out of line, so EvalCore::run keeps the code shape of the CC-off path
+  // (inlined, this body grows run() by ~1.4 KB of mostly cold code).
+  [[gnu::noinline]] nic::CcSteadyState solve(
+      double offered_bps, double capacity_bps, double line_rate_bps,
+      double flows, const net::EcnParams& ecn, const nic::DcqcnParams& prm,
+      double pkt_bytes) {
+    if (nic::cc_passes_through(offered_bps, capacity_bps, ecn, prm)) {
+      return nic::solve_cc_steady_state(offered_bps, capacity_bps,
+                                        line_rate_bps, flows, ecn, prm,
+                                        pkt_bytes);
+    }
+    const Key key{
+        std::bit_cast<u64>(offered_bps),
+        std::bit_cast<u64>(capacity_bps),
+        std::bit_cast<u64>(line_rate_bps),
+        std::bit_cast<u64>(flows),
+        std::bit_cast<u64>(pkt_bytes),
+        std::bit_cast<u64>(ecn.kmin_bytes),
+        std::bit_cast<u64>(ecn.kmax_bytes),
+        std::bit_cast<u64>(ecn.pmax),
+        std::bit_cast<u64>(ecn.queue_cap_bytes),
+        std::bit_cast<u64>(ecn.xoff_bytes),
+        std::bit_cast<u64>(prm.g),
+        std::bit_cast<u64>(prm.rate_ai_bps),
+        std::bit_cast<u64>(prm.update_interval_s),
+        std::bit_cast<u64>(prm.cnp_interval_s),
+        std::bit_cast<u64>(prm.min_rate_bps),
+        (static_cast<u64>(static_cast<u32>(prm.fast_recovery_rounds)) << 2) |
+            (static_cast<u64>(prm.enabled) << 1) |
+            static_cast<u64>(ecn.enabled),
+    };
+    u64 h = 0x9e3779b97f4a7c15ULL;
+    for (const u64 word : key) {
+      h = (h ^ word) * 0xbf58476d1ce4e5b9ULL;
+      h ^= h >> 31;
+    }
+    if (!slots_) slots_ = std::make_unique<Slot[]>(kSlots);
+    Slot& slot = slots_[static_cast<std::size_t>(h >> (64 - kSlotBits))];
+    if (slot.key != key) {
+      slot.value = nic::solve_cc_steady_state(offered_bps, capacity_bps,
+                                              line_rate_bps, flows, ecn, prm,
+                                              pkt_bytes);
+      slot.key = key;
+    }
+    return slot.value;
+  }
+
+ private:
+  static constexpr int kSlotBits = 10;  // 1024 slots
+  static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
+  using Key = std::array<u64, 16>;
+  struct Slot {
+    Key key{};
+    nic::CcSteadyState value;
+  };
+  std::unique_ptr<Slot[]> slots_;
+};
+
+}  // namespace
+
 // ---- EvalScratch ----------------------------------------------------------
 
 struct EvalScratch::Impl {
@@ -537,6 +618,7 @@ struct EvalScratch::Impl {
   std::vector<double> pause_s;
   std::vector<double> total_s;
   SimResult result;
+  CcSolveMemo cc_memo;
 };
 
 EvalScratch::EvalScratch() : impl_(std::make_unique<Impl>()) {}
@@ -973,7 +1055,7 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
         cc_flows += flows[i].qps;
       }
       const double pkt_bytes = pkts > 0.0 ? wire_bytes / pkts : 4096.0;
-      const nic::CcSteadyState ss = nic::solve_cc_steady_state(
+      const nic::CcSteadyState ss = s.cc_memo.solve(
           arrival_bps[h], ecn_drain, sys.nicm.line_rate_bps, cc_flows,
           sys.fabric.ecn(h), prm, pkt_bytes);
       if (!ss.throttled) continue;

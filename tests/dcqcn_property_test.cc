@@ -1,9 +1,12 @@
 // Property tests for the DCQCN rate limiter and the ECN co-simulation:
 // randomized parameter/threshold sweeps pinning the invariants the
-// performance model's CC fixed point relies on.
+// performance model's CC fixed point relies on, and a fuzz test holding the
+// fused co-simulation loop to the limiter-driven reference bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <vector>
 
 #include "common/rng.h"
@@ -197,6 +200,176 @@ TEST_P(DcqcnProperty, CrippledTuningUndershootsHealthyTuning) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DcqcnProperty,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+// ---- Fused loop vs the limiter-driven reference ----------------------------
+
+// The co-simulation as it was first written: every step recomputes the
+// admitted rate and packet rate, asks the fabric API for the CNP rate, and
+// advances a DcqcnRateLimiter through step().  solve_cc_steady_state fuses
+// this loop (period clock inlined, rate-derived values cached between
+// update periods, one marking-curve evaluation per step); this copy is the
+// oracle it must reproduce bit for bit.
+CcSteadyState reference_cc_steady_state(double offered_bps,
+                                        double capacity_bps,
+                                        double line_rate_bps, double flows,
+                                        const net::EcnParams& ecn,
+                                        const DcqcnParams& params,
+                                        double pkt_bytes) {
+  CcSteadyState out;
+  out.rate_bps = std::max(offered_bps, 0.0);
+  if (offered_bps <= 0.0 || !params.enabled || !ecn.can_mark() ||
+      offered_bps <= capacity_bps * 1.001) {
+    return out;
+  }
+  pkt_bytes = std::max(pkt_bytes, 64.0);
+  DcqcnRateLimiter limiter(params, line_rate_bps, offered_bps);
+  const double dt = 10e-6;
+  const int total_steps = 24000;
+  const int warmup_steps = total_steps / 2;
+  double queue = 0.0;
+  double sum_rate = 0.0;
+  double sum_mark = 0.0;
+  double sum_queue = 0.0;
+  int samples = 0;
+  const double queue_ceiling = ecn.occupancy_ceiling_bytes();
+  for (int i = 0; i < total_steps; ++i) {
+    const double admitted = std::min(limiter.rate_bps(), offered_bps);
+    queue += (admitted - capacity_bps) / 8.0 * dt;
+    queue = std::clamp(queue, 0.0, queue_ceiling);
+    const double pps = admitted / (8.0 * pkt_bytes);
+    const double cnp_rate =
+        ecn.cnps_per_second(queue, pps, flows, params.cnp_interval_s);
+    limiter.step(dt, cnp_rate);
+    if (i >= warmup_steps) {
+      sum_rate += std::min(limiter.rate_bps(), offered_bps);
+      sum_mark += ecn.mark_probability(queue);
+      sum_queue += queue;
+      ++samples;
+    }
+  }
+  out.rate_bps = samples > 0 ? sum_rate / samples : offered_bps;
+  out.rate_bps = std::min(out.rate_bps, offered_bps);
+  out.alpha = limiter.alpha();
+  out.mark_probability = samples > 0 ? sum_mark / samples : 0.0;
+  out.queue_bytes = samples > 0 ? sum_queue / samples : 0.0;
+  out.throttled = out.rate_bps < offered_bps * 0.999;
+  return out;
+}
+
+template <typename T>
+T pick(Rng& rng, const std::vector<T>& options) {
+  return options[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<i64>(options.size()) - 1))];
+}
+
+// One fuzzed solver input.  Most draws sit in the campaign's range (the
+// catalog thresholds, 8-4096 QPs' worth of flows, 1-2x oversubscription);
+// the rest cover the edges the fused loop must not special-case: no CNP
+// pacing, update periods shorter than, equal to and longer than the step,
+// g outside [1e-6, 1], no fast recovery, runt packets, fewer than one flow,
+// and marking curves that are mistuned, inverted or disarmed.
+struct SolverInput {
+  double offered = 0.0;
+  double capacity = 0.0;
+  double line = 0.0;
+  double flows = 0.0;
+  net::EcnParams ecn;
+  DcqcnParams prm;
+  double pkt_bytes = 0.0;
+};
+
+SolverInput random_solver_input(Rng& rng) {
+  SolverInput in;
+  in.line = gbps(pick<double>(rng, {25, 100, 200, 400}));
+  in.capacity = in.line * rng.uniform(0.02, 1.0);
+  in.offered = rng.bernoulli(0.9) ? in.capacity * rng.uniform(0.9, 6.0)
+                                  : pick<double>(rng, {0.0, -1.0, in.capacity});
+  in.flows = rng.bernoulli(0.85) ? std::floor(rng.uniform(1.0, 4096.0))
+                                 : pick<double>(rng, {0.0, 0.25, 0.999, -3.0});
+  in.pkt_bytes = rng.bernoulli(0.85)
+                     ? rng.uniform(64.0, 4178.0)
+                     : pick<double>(rng, {0.0, 1.0, 40.0, 63.9});
+
+  const double cap = pick<double>(rng, {512.0 * KiB, 2.0 * MiB, 16.0 * MiB});
+  in.ecn.enabled = rng.bernoulli(0.97);
+  in.ecn.queue_cap_bytes = cap;
+  in.ecn.xoff_bytes =
+      rng.bernoulli(0.9) ? 0.7 * cap : rng.uniform(0.0, 1.2) * cap;
+  switch (rng.uniform_int(0, 5)) {
+    case 0:  // mistuned: Kmin at/beyond the PFC ceiling, never marks
+      in.ecn.kmin_bytes = cap * rng.uniform(0.7, 1.0);
+      in.ecn.kmax_bytes = cap;
+      break;
+    case 1:  // inverted curve: Kmax below Kmin (span clamps to one byte)
+      in.ecn.kmin_bytes = cap * rng.uniform(0.05, 0.4);
+      in.ecn.kmax_bytes = in.ecn.kmin_bytes * rng.uniform(0.0, 1.0);
+      break;
+    default:  // the catalog shape around its 0.05/0.20 fractions
+      in.ecn.kmin_bytes = cap * rng.uniform(0.0, 0.5);
+      in.ecn.kmax_bytes = in.ecn.kmin_bytes + cap * rng.uniform(0.0, 0.5);
+      break;
+  }
+  in.ecn.pmax = rng.bernoulli(0.95) ? rng.uniform(0.001, 1.0)
+                                    : pick<double>(rng, {0.0, -0.5, 1.5});
+
+  in.prm.enabled = rng.bernoulli(0.97);
+  in.prm.g = rng.bernoulli(0.8)
+                 ? pick<double>(rng, {1.0 / 256.0, 1.0 / 64.0, 0.25, 1.0})
+                 : pick<double>(rng, {0.0, -0.1, 1e-9, 1.5, 4.0});
+  in.prm.rate_ai_bps = rng.bernoulli(0.9) ? mbps(rng.uniform(1.0, 5000.0))
+                                          : pick<double>(rng, {0.0, -1e6});
+  in.prm.update_interval_s =
+      rng.bernoulli(0.7)
+          ? 55e-6
+          : pick<double>(rng, {3e-6, 10e-6, 17.5e-6, 40e-6, 100e-6, 1e-3});
+  in.prm.cnp_interval_s = rng.bernoulli(0.8)
+                              ? pick<double>(rng, {50e-6, 4e-6, 1e-3})
+                              : pick<double>(rng, {0.0, -1e-6});
+  in.prm.fast_recovery_rounds =
+      static_cast<int>(rng.bernoulli(0.8) ? rng.uniform_int(1, 8)
+                                          : rng.uniform_int(-2, 0));
+  in.prm.min_rate_bps = rng.bernoulli(0.9) ? mbps(rng.uniform(1.0, 100.0))
+                                           : in.line * rng.uniform(0.5, 2.0);
+  return in;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<u64>(a) == std::bit_cast<u64>(b);
+}
+
+TEST(DcqcnProperty, FusedLoopMatchesReferenceBitForBit) {
+  Rng rng(0xdc9c);
+  constexpr int kInputs = 4096;
+  int mismatches = 0;
+  int throttled = 0;
+  for (int n = 0; n < kInputs; ++n) {
+    const SolverInput in = random_solver_input(rng);
+    const CcSteadyState ref = reference_cc_steady_state(
+        in.offered, in.capacity, in.line, in.flows, in.ecn, in.prm,
+        in.pkt_bytes);
+    const CcSteadyState got = solve_cc_steady_state(
+        in.offered, in.capacity, in.line, in.flows, in.ecn, in.prm,
+        in.pkt_bytes);
+    const bool same = same_bits(ref.rate_bps, got.rate_bps) &&
+                      same_bits(ref.alpha, got.alpha) &&
+                      same_bits(ref.mark_probability, got.mark_probability) &&
+                      same_bits(ref.queue_bytes, got.queue_bytes) &&
+                      ref.throttled == got.throttled;
+    if (!same) {
+      ++mismatches;
+      ADD_FAILURE() << "input " << n << ": rate " << ref.rate_bps << " vs "
+                    << got.rate_bps << ", alpha " << ref.alpha << " vs "
+                    << got.alpha << ", mark " << ref.mark_probability
+                    << " vs " << got.mark_probability << ", queue "
+                    << ref.queue_bytes << " vs " << got.queue_bytes;
+      if (mismatches >= 5) break;
+    }
+    if (ref.throttled) ++throttled;
+  }
+  EXPECT_EQ(mismatches, 0);
+  // The sweep is not vacuous: most inputs co-simulate and throttle.
+  EXPECT_GT(throttled, kInputs / 2);
+}
 
 // The catalog contract the campaign axis relies on.
 TEST(CcScenario, CatalogAndMaterialize) {

@@ -95,19 +95,27 @@ Workload clean_write() {
   return w;
 }
 
+Workload dcqcn_write(double rate_ai_mbps, double g) {
+  Workload w = clean_write();
+  w.dcqcn = true;
+  w.dcqcn_rate_ai_mbps = rate_ai_mbps;
+  w.dcqcn_g = g;
+  return w;
+}
+
 // Workload shapes covering every conditional resource in build_model:
 // healthy, ICM-miss-bound, READ small-MTU, loopback incast, bidirectional
-// ordering hazard, and a CC-armed DCQCN sender.
+// ordering hazard, and two CC-armed DCQCN senders whose co-simulation
+// inputs differ, so the second one's first solve on a warm scratch misses
+// the memo the first one filled.
 std::vector<Workload> hot_workloads() {
   std::vector<Workload> ws;
   ws.push_back(clean_write());
   ws.push_back(catalog::anomaly(1).concrete);
   ws.push_back(catalog::anomaly(9).concrete);
   ws.push_back(catalog::anomaly(13).concrete);
-  Workload cc = clean_write();
-  cc.dcqcn = true;
-  cc.dcqcn_rate_ai_mbps = 40.0;
-  ws.push_back(cc);
+  ws.push_back(dcqcn_write(40.0, 1.0 / 256.0));
+  ws.push_back(dcqcn_write(1000.0, 1.0 / 64.0));
   return ws;
 }
 
@@ -136,6 +144,18 @@ TEST(HotPathAllocation, SteadyStateEvaluateAllocatesNothing) {
         EXPECT_EQ(allocs, 0)
             << sys_id << "@" << fabric << " " << w.describe();
       }
+      // Memo misses on the warm scratch: every R_AI below is new to it, so
+      // each congested probe co-simulates and fills or overwrites a slot.
+      std::vector<Workload> unseen;
+      for (int i = 0; i < 20; ++i) {
+        unseen.push_back(dcqcn_write(2000.0 + i, 1.0 / 16.0));
+      }
+      const long miss_allocs = count_allocations([&] {
+        for (const Workload& w : unseen) {
+          (void)evaluate(compiled, w, rng, scratch);
+        }
+      });
+      EXPECT_EQ(miss_allocs, 0) << sys_id << "@" << fabric;
     }
   }
 }
@@ -231,7 +251,22 @@ TEST(HotPathScratch, ReuseAcrossScenariosMatchesFreshEvaluationBitForBit) {
   // leak state: every call equals an uncompiled fresh-scratch evaluation,
   // field for field, and leaves the caller's RNG at the same position —
   // with and without the full epoch series.
-  const std::vector<Workload> ws = hot_workloads();
+  //
+  // The scratch's DCQCN memo gets the same scrutiny.  A (R_AI, g) sweep,
+  // run twice per scenario, repeats exact co-simulation inputs (memo hits,
+  // also across the keep_epochs pair) and feeds the 1024-slot direct-mapped
+  // table ~220 distinct keys over the six congested scenarios: by the
+  // birthday bound, slots collide (P(no collision) < 1e-10), and some keys
+  // are evicted before their second round.  The fresh evaluation never
+  // hits a memo, so any stale or foreign slot shows up as a mismatch.
+  std::vector<Workload> ws = hot_workloads();
+  for (int round = 0; round < 2; ++round) {
+    for (const double ai : {1.0, 10.0, 40.0, 100.0, 400.0, 1000.0, 4000.0}) {
+      for (const double g : {1.0 / 256.0, 1.0 / 64.0, 1.0 / 16.0, 0.25, 1.0}) {
+        ws.push_back(dcqcn_write(ai, g));
+      }
+    }
+  }
   EvalScratch reused;
   for (const char* fabric : {"fanin4", "pair", "hetero"}) {
     for (const char sys_id : {'B', 'F', 'H'}) {

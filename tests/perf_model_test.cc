@@ -628,6 +628,91 @@ TEST(PerfModelGolden, CcArmedButWorkloadOffStillMatchesGoldens) {
   }
 }
 
+// The rows above all run with the reaction point off.  These pin the DCQCN
+// co-simulation itself: the golden workloads with w.dcqcn = true under the
+// catalog "dcqcn" scenario on the congested fabrics, bit for bit, plus the
+// two CC columns.  `crippled` runs the Noisy Neighbor tuning (R_AI = 1 Mbps,
+// g = 1).  The rows were captured from the limiter-driven reference loop
+// (tests/dcqcn_property_test.cc); the fused loop and the scratch memo must
+// reproduce them.
+struct CcGoldenRow {
+  GoldenRow row;
+  bool crippled;
+  double cc_suppressed_ratio;
+  double cc_mark_probability;
+};
+
+std::string cc_row_source(const CcGoldenRow& g) {
+  char buf[640];
+  std::snprintf(buf, sizeof buf, "{%s %s, %a, %a},",
+                row_source(g.row).c_str(), g.crippled ? "true" : "false",
+                g.cc_suppressed_ratio, g.cc_mark_probability);
+  return buf;
+}
+
+CcGoldenRow current_cc_row(const CcGoldenRow& key, const SimResult& r) {
+  return {current_row(key.row, r), key.crippled, r.cc_suppressed_ratio,
+          r.cc_mark_probability};
+}
+
+Workload cc_golden_workload(const CcGoldenRow& g) {
+  Workload w = golden_workload(g.row.workload);
+  w.dcqcn = true;
+  if (g.crippled) {
+    w.dcqcn_rate_ai_mbps = 1.0;
+    w.dcqcn_g = 1.0;
+  }
+  return w;
+}
+
+const CcGoldenRow kCcGoldenRows[] = {
+    {{'B', "hetero", 0, 0x1.6d358ff68dd33p+35, 0x1.748542785d6a1p+35, 0x0p+0, 0x0p+0, 0x1.fffd03cc65c81p-1, 0x1.1051da57aa60ep-6, "fabric_congestion"}, false, 0x1.00017e19cd1bfp-1, 0x1.a68a82346ebccp-8},
+    {{'B', "hetero", 1, 0x1.4002c41b17a98p+35, 0x1.734335836e73ap+35, 0x0p+0, 0x0p+0, 0x1.fe42645009e84p-1, 0x1.dd3c156a8f27fp-4, "none"}, false, 0x1.7e04c4ece7098p-3, 0x1.e1ff0d164b908p-13},
+    {{'B', "hetero", 2, 0x1.e034255f90697p+34, 0x1.734335836e73ap+35, 0x0p+0, 0x0p+0, 0x1.7ed80f41c3a13p-1, 0x1.6610da12cb14ap-4, "rwqe_steady_miss"}, false, 0x1.7e04c4ece7098p-3, 0x1.e1ff0d164b908p-13},
+    {{'B', "fanin4", 0, 0x1.6d36d528210ep+34, 0x1.74868e2c8eb76p+34, 0x0p+0, 0x0p+0, 0x1.fffecbb052f1dp-1, 0x1.1052ccd30c44dp-5, "fabric_congestion"}, false, 0x1.80004d13eb438p-1, 0x1.5a1a7d4f8dd6ep-6},
+    {{'B', "fanin4", 1, 0x1.3ffc71aa25731p+34, 0x1.733bdfde65728p+34, 0x0p+0, 0x0p+0, 0x1.fe384fb28d4e6p-1, 0x1.dd32a7d2617dbp-3, "none"}, false, 0x1.2fc4b5d1cc126p-1, 0x1.d798df257c1c3p-12},
+    {{'B', "fanin4", 2, 0x1.e02aa8c367059p+33, 0x1.733bdfde65728p+34, 0x0p+0, 0x0p+0, 0x1.7ed07f0a1f352p-1, 0x1.6609c72ba8585p-3, "rwqe_steady_miss"}, false, 0x1.2fc4b5d1cc126p-1, 0x1.d798df257c1c3p-12},
+    {{'F', "hetero", 0, 0x1.6cf3bd5d03fe4p+36, 0x1.74421e8780b2bp+36, 0x0p+0, 0x0p+0, 0x1.ffa0bcdf5406ap-1, 0x1.c7a7fd82cc228p-7, "fabric_congestion"}, false, 0x1.002fa19055fcap-1, 0x1.adf6e2e3d6f85p-10},
+    {{'F', "hetero", 1, 0x1.5d1cfe1af473ep+35, 0x1.9506a2cd459a7p+35, 0x0p+0, 0x0p+0, 0x1.1654e9e609dd3p-1, 0x1.b3e17d0cc39dap-5, "mtt_cache_miss"}, false, 0x0p+0, 0x0p+0},
+    {{'F', "hetero", 2, 0x1.17f1f2553ad1fp+34, 0x1.9506a2cd459a7p+35, 0x0p+0, 0x0p+0, 0x1.be5fd3533d284p-3, 0x1.5d8596190c11p-6, "mtt_cache_miss"}, false, 0x0p+0, 0x0p+0},
+    {{'F', "fanin4", 0, 0x1.6d15126a545ffp+35, 0x1.74641e68b5506p+35, 0x0p+0, 0x0p+0, 0x1.ffcf7764c0517p-1, 0x1.c7d19b5795492p-6, "fabric_congestion"}, false, 0x1.800c2226cfebap-1, 0x1.51301420ec228p-8},
+    {{'F', "fanin4", 1, 0x1.40523412a69cap+35, 0x1.739f5e69a34bbp+35, 0x0p+0, 0x0p+0, 0x1.fec10e257ec51p-1, 0x1.8feec91145b26p-3, "none"}, false, 0x1.51ce643a5b07p-4, 0x1.7553504e3bd3fp-13},
+    {{'F', "fanin4", 2, 0x1.00db7f3062716p+34, 0x1.739f5e69a34bbp+35, 0x0p+0, 0x0p+0, 0x1.998f93024030ap-2, 0x1.40b22bca324d7p-4, "rwqe_steady_miss"}, false, 0x1.51ce643a5b07p-4, 0x1.7553504e3bd3fp-13},
+    {{'H', "hetero", 0, 0x1.6cda79c6052f9p+35, 0x1.742859761c0a2p+35, 0x0p+0, 0x0p+0, 0x1.ff7d51ee6580fp-1, 0x1.bd2e12caf7b8ep-7, "fabric_congestion"}, false, 0x1.00415708cd3f8p-1, 0x1.7ffcca3f81b12p-9},
+    {{'H', "hetero", 1, 0x1.52d8600b1a708p+34, 0x1.891d076ce1ac8p+34, 0x0p+0, 0x0p+0, 0x1.0e253d5f45cf3p-1, 0x1.9d721e2493e68p-5, "mtt_cache_miss"}, false, 0x0p+0, 0x0p+0},
+    {{'H', "hetero", 2, 0x1.9101cfe424edcp+32, 0x1.d13b1a2faed7dp+32, 0x0p+0, 0x0p+0, 0x1.3fb447a6f0172p-3, 0x1.e94b134fe3435p-7, "rwqe_burst_miss"}, false, 0x1.68841a2aa2451p-1, 0x1.3fba7d4a55435p-7},
+    {{'H', "fanin4", 0, 0x1.6d36d674d77b7p+34, 0x1.74868f7fee4bdp+34, 0x0p+0, 0x0p+0, 0x1.fffecd82c1547p-1, 0x1.bd9ec51ddc0f2p-6, "fabric_congestion"}, false, 0x1.80004c9f4faaep-1, 0x1.4c7b15f130b35p-6},
+    {{'H', "fanin4", 1, 0x1.40c244e29881cp+34, 0x1.742161eae2ee8p+34, 0x0p+0, 0x0p+0, 0x1.ff73bea5b206ap-1, 0x1.8760a461a5252p-3, "none"}, false, 0x1.b54282f3c37p-5, 0x1.eb05783a87de1p-12},
+    {{'H', "fanin4", 2, 0x1.9101cfe424edcp+30, 0x1.d13b1a2faed7dp+30, 0x0p+0, 0x0p+0, 0x1.3fb447a6f0172p-4, 0x1.e94b134fe3435p-7, "rwqe_burst_miss"}, false, 0x1.da20deb97a7dep-1, 0x1.603f9e3806c84p-5},
+    {{'F', "fanin4", 0, 0x1.15de3e0b5b224p+33, 0x1.1b6e510955555p+33, 0x0p+0, 0x0p+0, 0x1.858b64136c8bp-3, 0x1.5aedbbdfe7779p-8, "cc_throttled"}, true, 0x1.e7a749bec9375p-1, 0x0p+0},
+};
+
+TEST(PerfModelGolden, DcqcnThrottledScenariosMatchGoldenRowsBitForBit) {
+  EvalScratch scratch;  // shared across rows, as a campaign cell shares one
+  int throttled = 0;
+  for (const CcGoldenRow& row : kCcGoldenRows) {
+    const Subsystem sys =
+        with_cc(with_fabric(subsystem(row.row.sys),
+                            net::fabric_scenario(row.row.fabric)),
+                nic::cc_scenario("dcqcn"));
+    const CompiledScenario compiled(sys);
+    const Workload w = cc_golden_workload(row);
+    Rng rng(7);
+    const SimResult r = evaluate(sys, w, rng);
+    EXPECT_EQ(cc_row_source(current_cc_row(row, r)), cc_row_source(row));
+    // The compiled path twice on the shared scratch: the second call
+    // repeats every co-simulation input exactly.
+    for (int pass = 0; pass < 2; ++pass) {
+      Rng hot_rng(7);
+      const SimResult& hot = evaluate(compiled, w, hot_rng, scratch);
+      EXPECT_EQ(cc_row_source(current_cc_row(row, hot)), cc_row_source(row))
+          << "compiled pass " << pass;
+    }
+    if (r.cc_suppressed_ratio > 0.0) ++throttled;
+  }
+  EXPECT_EQ(throttled, 16);
+}
+
 // ---- Fan-in demand aggregation edge cases ---------------------------------
 
 TEST(PerfModelFabric, SingleHotSenderBehindOversubscribedUplink) {

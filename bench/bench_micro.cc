@@ -38,6 +38,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 
 #include "baseline/bo.h"
 #include "baseline/gp.h"
@@ -49,6 +50,9 @@
 #include "core/search.h"
 #include "nic/dcqcn.h"
 #include "obs/telemetry.h"
+#include "orchestrator/campaign.h"
+#include "orchestrator/campaign_report.h"
+#include "orchestrator/mfs_pool.h"
 #include "sim/perf_model.h"
 #include "sim/subsystem.h"
 #include "verbs/verbs.h"
@@ -379,6 +383,56 @@ void BM_MfsCoversLinearScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MfsCoversLinearScan)->Arg(8)->Arg(64)->Arg(256);
+
+// One shared-pool insert into a scope that already holds range(0) entries:
+// argument copy, duplicate check, successor snapshot, index add, publish.
+// The scope is rebuilt (untimed) every 32 inserts so it stays near its
+// nominal size.  Informational; no baseline entry.
+void BM_PoolInsert(benchmark::State& state) {
+  core::SearchSpace space(sim::subsystem('F'));
+  const std::size_t base = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kBatch = 32;
+  Rng rng(1);
+  std::vector<core::Mfs> mfses;
+  for (std::size_t i = 0; i < base + kBatch; ++i) {
+    mfses.push_back(pool_shaped_mfs(space, rng));
+  }
+  std::unique_ptr<orchestrator::ConcurrentMfsPool> pool;
+  std::size_t next = kBatch;
+  for (auto _ : state) {
+    if (next == kBatch) {
+      state.PauseTiming();
+      pool = std::make_unique<orchestrator::ConcurrentMfsPool>();
+      for (std::size_t i = 0; i < base; ++i) {
+        pool->insert("F", space, mfses[i], 0);
+      }
+      next = 0;
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(
+        pool->insert("F", space, mfses[base + next++], 0));
+  }
+}
+BENCHMARK(BM_PoolInsert)->Arg(16)->Arg(256);
+
+// Rendering the default grid's campaign report (build_report's output) as
+// JSON: every anomaly's representative MFS, witness and double-valued
+// fields.  Deterministic execution, so every run renders the same report.
+// Informational; no baseline entry.
+void BM_ReportToJson(benchmark::State& state) {
+  orchestrator::CampaignConfig config;
+  config.modes = {core::GuidanceMode::kDiag, core::GuidanceMode::kPerf};
+  config.budget.seconds = 2 * 3600.0;
+  config.execution = orchestrator::ExecutionMode::kDeterministic;
+  config.engine.run_functional_pass = false;  // as campaigns run
+  const orchestrator::CampaignReport report =
+      orchestrator::build_report(orchestrator::Campaign(config).run());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(report.to_json());
+  }
+  state.counters["anomalies"] = static_cast<double>(report.anomalies.size());
+}
+BENCHMARK(BM_ReportToJson);
 
 void BM_VerbsWritePath(benchmark::State& state) {
   verbs::Network net;

@@ -2,26 +2,28 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <limits>
 
 namespace collie::core {
 namespace {
 
-// cand &= a | b, where a/b may be shorter than cand (missing words are 0).
-void and_or2(std::vector<u64>& cand, const std::vector<u64>& a,
-             const std::vector<u64>* b) {
-  for (std::size_t i = 0; i < cand.size(); ++i) {
-    u64 m = i < a.size() ? a[i] : 0;
-    if (b != nullptr && i < b->size()) m |= (*b)[i];
-    cand[i] &= m;
+// cand &= a | b over n words (b may be null).
+void and_or2(u64* cand, const u64* a, const u64* b, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    cand[i] &= b != nullptr ? a[i] | b[i] : a[i];
   }
 }
 
-bool all_zero(const std::vector<u64>& mask) {
-  for (const u64 w : mask) {
-    if (w != 0) return false;
+bool all_zero(const u64* mask, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (mask[i] != 0) return false;
   }
   return true;
+}
+
+void set_row_bit(u64* row, std::size_t i) {
+  row[i / 64] |= u64{1} << (i % 64);
 }
 
 // How expensive it is to derive a workload's value on this feature.  The
@@ -41,75 +43,89 @@ int feature_cost_rank(int f) {
   }
 }
 
+// Copy every `old_stride`-word row of `rows` into a `stride`-word row.
+void restride(std::vector<u64>& rows, std::size_t old_stride,
+              std::size_t stride) {
+  if (rows.empty()) return;  // feature not indexed (and old_stride may be 0)
+  const std::size_t count = rows.size() / old_stride;
+  std::vector<u64> out(count * stride, 0);
+  for (std::size_t r = 0; r < count; ++r) {
+    std::memcpy(out.data() + r * stride, rows.data() + r * old_stride,
+                old_stride * sizeof(u64));
+  }
+  rows = std::move(out);
+}
+
 }  // namespace
 
-MfsIndex::MfsIndex(const MfsIndex& other)
-    : n_(other.n_), matchable_(other.matchable_), active_(other.active_) {
+void MfsIndex::reserve_entries(std::size_t n) {
+  const std::size_t need = (n + 63) / 64;
+  if (need <= stride_) return;
+  const std::size_t stride = std::max(need, 2 * stride_);
+  matchable_.resize(stride, 0);
   for (int f = 0; f < kNumFeatures; ++f) {
-    if (other.cat_[f]) {
-      cat_[f] = std::make_unique<CategoricalIndex>(*other.cat_[f]);
-    }
-    if (other.num_[f]) {
-      num_[f] = std::make_unique<NumericIndex>(*other.num_[f]);
-    }
+    restride(cat_[f].rows, stride_, stride);
+    restride(num_[f].rows, stride_, stride);
   }
+  stride_ = stride;
 }
 
-MfsIndex& MfsIndex::operator=(const MfsIndex& other) {
-  if (this == &other) return *this;
-  MfsIndex copy(other);
-  *this = std::move(copy);
-  return *this;
+// The first row of a newly indexed feature: every earlier entry had no
+// condition on it.
+std::vector<u64> MfsIndex::new_index_rows(std::size_t entry) const {
+  std::vector<u64> rows(stride_, 0);
+  for (std::size_t e = 0; e < entry; ++e) set_row_bit(rows.data(), e);
+  return rows;
 }
 
-void MfsIndex::clear() {
-  n_ = 0;
-  matchable_.clear();
-  active_.clear();
-  for (int f = 0; f < kNumFeatures; ++f) {
-    cat_[f].reset();
-    num_[f].reset();
-  }
+void MfsIndex::activate(int f) {
+  if (std::find(active_.begin(), active_.end(), f) != active_.end()) return;
+  active_.push_back(f);
+  std::sort(active_.begin(), active_.end(), [](int a, int b) {
+    const int ra = feature_cost_rank(a);
+    const int rb = feature_cost_rank(b);
+    return ra != rb ? ra < rb : a < b;
+  });
 }
 
-void MfsIndex::rebuild_regions(NumericIndex& idx) {
-  idx.bounds.clear();
-  for (const NumericIndex::Interval& iv : idx.intervals) {
-    idx.bounds.push_back(iv.lo);
-    idx.bounds.push_back(iv.hi);
+// Row of value `v`, inserting an empty one (kept in value order) if new.
+std::size_t MfsIndex::value_row(CategoricalIndex& idx, int v) const {
+  const auto it = std::lower_bound(idx.values.begin(), idx.values.end(), v);
+  const std::size_t i = static_cast<std::size_t>(it - idx.values.begin());
+  if (it == idx.values.end() || *it != v) {
+    idx.values.insert(it, v);
+    idx.rows.insert(idx.rows.begin() + static_cast<std::ptrdiff_t>(
+                                           (1 + i) * stride_),
+                    stride_, 0);
   }
-  std::sort(idx.bounds.begin(), idx.bounds.end());
-  idx.bounds.erase(std::unique(idx.bounds.begin(), idx.bounds.end()),
-                   idx.bounds.end());
-  idx.region.assign(2 * idx.bounds.size() + 1, {});
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  for (const NumericIndex::Interval& iv : idx.intervals) {
-    if (!(iv.lo <= iv.hi)) continue;  // empty after range intersection
-    for (std::size_t r = 0; r < idx.region.size(); ++r) {
-      bool covered;
-      if (r % 2 == 1) {
-        // Point region: the value bounds[r/2] itself.
-        const double p = idx.bounds[r / 2];
-        covered = iv.lo <= p && p <= iv.hi;
-      } else {
-        // Open gap between the neighbouring endpoints (sentinels +-inf).
-        // Every endpoint is in `bounds`, so covering any interior point is
-        // covering the whole gap: lo must sit at/below the gap's floor and
-        // hi at/above its ceiling.
-        const double prev = r == 0 ? -kInf : idx.bounds[r / 2 - 1];
-        const double next =
-            r / 2 == idx.bounds.size() ? kInf : idx.bounds[r / 2];
-        covered = iv.lo <= prev && iv.hi >= next;
-      }
-      if (covered) set_bit(idx.region[r], iv.entry);
-    }
-  }
+  return 1 + i;
+}
+
+// Position of endpoint `p` in idx.bounds, splitting the gap it lands in
+// into gap / point / gap when it is new.  The three inherit the gap's mask:
+// every stored interval covering the gap covers all of it.
+std::size_t MfsIndex::insert_endpoint(NumericIndex& idx, double p) const {
+  const auto it = std::lower_bound(idx.bounds.begin(), idx.bounds.end(), p);
+  const std::size_t pos = static_cast<std::size_t>(it - idx.bounds.begin());
+  if (it != idx.bounds.end() && *it == p) return pos;
+  idx.bounds.insert(it, p);
+  const std::size_t gap_row = 1 + 2 * pos;
+  idx.rows.insert(idx.rows.begin() +
+                      static_cast<std::ptrdiff_t>((gap_row + 1) * stride_),
+                  2 * stride_, 0);
+  const u64* gap = idx.rows.data() + gap_row * stride_;
+  std::memcpy(idx.rows.data() + (gap_row + 1) * stride_, gap,
+              stride_ * sizeof(u64));
+  std::memcpy(idx.rows.data() + (gap_row + 2) * stride_, gap,
+              stride_ * sizeof(u64));
+  return pos;
 }
 
 void MfsIndex::add(const Mfs& mfs) {
   const std::size_t entry = n_;
   n_ += 1;
-  if (!mfs.conditions.empty()) set_bit(matchable_, entry);
+  reserve_entries(n_);
+  if (!mfs.conditions.empty()) set_row_bit(matchable_.data(), entry);
 
   // Conjoin this entry's conditions per (feature, kind): intersection of
   // allowed sets, intersection of tolerance-adjusted ranges.  contains()
@@ -153,73 +169,73 @@ void MfsIndex::add(const Mfs& mfs) {
     }
   }
 
-  auto activate = [this](int f) {
-    if (std::find(active_.begin(), active_.end(), f) == active_.end()) {
-      active_.push_back(f);
-      std::sort(active_.begin(), active_.end(), [](int a, int b) {
-        const int ra = feature_cost_rank(a);
-        const int rb = feature_cost_rank(b);
-        return ra != rb ? ra < rb : a < b;
-      });
-    }
-  };
-
   for (int f = 0; f < kNumFeatures; ++f) {
+    CategoricalIndex& cat = cat_[f];
     const CatAgg& ca = cat_agg[static_cast<std::size_t>(f)];
     if (ca.present) {
-      if (!cat_[f]) {
-        cat_[f] = std::make_unique<CategoricalIndex>();
-        // Every earlier entry had no categorical condition on f.
-        for (std::size_t e = 0; e < entry; ++e) {
-          set_bit(cat_[f]->unconditioned, e);
-        }
+      if (cat.rows.empty()) {
+        cat.rows = new_index_rows(entry);
         activate(f);
       }
       for (const int v : ca.allowed) {
-        set_bit(cat_[f]->by_value[v], entry);
+        const std::size_t row = value_row(cat, v);
+        set_row_bit(cat.rows.data() + row * stride_, entry);
       }
-    } else if (cat_[f]) {
-      set_bit(cat_[f]->unconditioned, entry);
+    } else if (!cat.rows.empty()) {
+      set_row_bit(cat.rows.data(), entry);
     }
 
+    NumericIndex& num = num_[f];
     const NumAgg& na = num_agg[static_cast<std::size_t>(f)];
     if (na.present) {
-      if (!num_[f]) {
-        num_[f] = std::make_unique<NumericIndex>();
-        for (std::size_t e = 0; e < entry; ++e) {
-          set_bit(num_[f]->unconditioned, e);
-        }
+      if (num.rows.empty()) {
+        num.rows = new_index_rows(entry);
+        num.rows.resize(2 * stride_, 0);  // region 0: the whole line
         activate(f);
       }
-      num_[f]->intervals.push_back({na.lo, na.hi, entry});
-      rebuild_regions(*num_[f]);
-    } else if (num_[f]) {
-      set_bit(num_[f]->unconditioned, entry);
+      // An empty range (lo > hi after intersection, or NaN) matches no
+      // value: the entry stays out of row 0 and out of every region.
+      if (na.lo <= na.hi) {
+        const std::size_t lo = insert_endpoint(num, na.lo);
+        const std::size_t hi = insert_endpoint(num, na.hi);
+        for (std::size_t r = 2 * lo + 1; r <= 2 * hi + 1; ++r) {
+          set_row_bit(num.rows.data() + (1 + r) * stride_, entry);
+        }
+      }
+    } else if (!num.rows.empty()) {
+      set_row_bit(num.rows.data(), entry);
     }
   }
 }
 
-int MfsIndex::scan_first(std::vector<u64>& cand, const SearchSpace& space,
+int MfsIndex::scan_first(u64* cand, const SearchSpace& space,
                          const Workload& w) const {
+  const std::size_t nw = words();
   for (const int f : active_) {
-    if (all_zero(cand)) return -1;
+    if (all_zero(cand, nw)) return -1;
     const Feature feature = static_cast<Feature>(f);
-    if (cat_[f]) {
+    const CategoricalIndex& cat = cat_[f];
+    if (!cat.rows.empty()) {
       const int v = space.categorical_value(w, feature);
-      const auto it = cat_[f]->by_value.find(v);
-      and_or2(cand, cat_[f]->unconditioned,
-              it != cat_[f]->by_value.end() ? &it->second : nullptr);
+      const auto it = std::lower_bound(cat.values.begin(), cat.values.end(), v);
+      const u64* row =
+          it != cat.values.end() && *it == v
+              ? cat.rows.data() +
+                    (1 + static_cast<std::size_t>(it - cat.values.begin())) *
+                        stride_
+              : nullptr;
+      and_or2(cand, cat.rows.data(), row, nw);
     }
-    if (num_[f]) {
+    const NumericIndex& num = num_[f];
+    if (!num.rows.empty()) {
       const double v = space.numeric_value(w, feature);
-      const auto& bounds = num_[f]->bounds;
-      const auto it = std::lower_bound(bounds.begin(), bounds.end(), v);
-      std::size_t r = 2 * static_cast<std::size_t>(it - bounds.begin());
-      if (it != bounds.end() && *it == v) r += 1;  // exact endpoint hit
-      and_or2(cand, num_[f]->unconditioned, &num_[f]->region[r]);
+      const auto it = std::lower_bound(num.bounds.begin(), num.bounds.end(), v);
+      std::size_t r = 2 * static_cast<std::size_t>(it - num.bounds.begin());
+      if (it != num.bounds.end() && *it == v) r += 1;  // exact endpoint hit
+      and_or2(cand, num.rows.data(), num.rows.data() + (1 + r) * stride_, nw);
     }
   }
-  for (std::size_t word = 0; word < cand.size(); ++word) {
+  for (std::size_t word = 0; word < nw; ++word) {
     if (cand[word] != 0) {
       return static_cast<int>(word * 64 +
                               static_cast<std::size_t>(
@@ -235,27 +251,21 @@ int MfsIndex::first_match(const SearchSpace& space, const Workload& w) const {
   // nothing once warm.  thread_local because pool snapshots are queried
   // concurrently from campaign workers.
   thread_local std::vector<u64> cand;
-  cand.assign(words(), 0);
-  for (std::size_t i = 0; i < matchable_.size() && i < cand.size(); ++i) {
-    cand[i] = matchable_[i];
-  }
-  return scan_first(cand, space, w);
+  cand.assign(matchable_.begin(),
+              matchable_.begin() + static_cast<std::ptrdiff_t>(words()));
+  return scan_first(cand.data(), space, w);
 }
 
 int MfsIndex::first_match(const SearchSpace& space, const Workload& w,
                           const std::vector<u64>& filter) const {
   if (n_ == 0) return -1;
   thread_local std::vector<u64> cand;
-  cand.assign(words(), 0);
-  for (std::size_t i = 0; i < matchable_.size() && i < cand.size(); ++i) {
-    cand[i] = matchable_[i];
-    if (i < filter.size()) {
-      cand[i] &= filter[i];
-    } else {
-      cand[i] = 0;
-    }
+  cand.assign(matchable_.begin(),
+              matchable_.begin() + static_cast<std::ptrdiff_t>(words()));
+  for (std::size_t i = 0; i < cand.size(); ++i) {
+    cand[i] &= i < filter.size() ? filter[i] : 0;
   }
-  return scan_first(cand, space, w);
+  return scan_first(cand.data(), space, w);
 }
 
 }  // namespace collie::core

@@ -20,14 +20,28 @@
 //   * multiple conditions on one feature conjoin (allowed-set intersection /
 //     range intersection).
 //
+// Storage is flat.  Every mask is a row of stride_ words, and each feature
+// keeps its rows back to back in one word array: row 0 holds the entries
+// with no condition on the feature (they match any value), the following
+// rows hold one sorted value (categorical, values kept in a sorted flat
+// array) or one region of the numeric line.  The stride doubles when the
+// entry count outgrows it, so copying an index is a handful of flat
+// allocations, however many regions it holds.
+//
+// Numeric regions are maintained incrementally.  The sorted endpoints cut
+// the line into alternating open gaps and single points; a new endpoint
+// lands in one gap, which splits into gap / point / gap, each inheriting
+// the gap's mask (every stored interval covering the gap covers its parts).
+// The new entry's bit is then set on the regions from its lo point to its
+// hi point.  An add therefore touches only the rows its own conditions
+// reach, plus one row shift per new endpoint.
+//
 // The index is insertion-ordered and append-only: add() never invalidates
 // earlier answers.  It is NOT internally synchronized — the concurrent pool
 // publishes immutable snapshots instead (see orchestrator/mfs_pool.h).
 #pragma once
 
 #include <array>
-#include <map>
-#include <memory>
 #include <vector>
 
 #include "core/mfs.h"
@@ -36,14 +50,6 @@ namespace collie::core {
 
 class MfsIndex {
  public:
-  MfsIndex() = default;
-  MfsIndex(const MfsIndex& other);
-  MfsIndex& operator=(const MfsIndex& other);
-  MfsIndex(MfsIndex&&) noexcept = default;
-  MfsIndex& operator=(MfsIndex&&) noexcept = default;
-
-  void clear();
-
   // Register the next entry (its position is the current size()).
   void add(const Mfs& mfs);
 
@@ -66,41 +72,39 @@ class MfsIndex {
   }
 
  private:
-  // Entries with a categorical condition on one feature.
+  // Entries with a categorical condition on one feature.  Empty rows mean
+  // the feature has no categorical index.
   struct CategoricalIndex {
-    // Entries with no (categorical) condition on this feature: satisfied for
-    // every value.
-    std::vector<u64> unconditioned;
-    // value -> conditioned entries whose allowed set contains it.
-    std::map<int, std::vector<u64>> by_value;
+    std::vector<int> values;  // sorted allowed values seen so far
+    // Row 0: unconditioned entries; row 1 + i: entries allowing values[i].
+    std::vector<u64> rows;
   };
 
   // Entries with a numeric condition on one feature, as an interval-stabbing
-  // table over the tolerance-adjusted bounds.
+  // table over the tolerance-adjusted bounds.  Empty rows mean no index.
   struct NumericIndex {
-    std::vector<u64> unconditioned;
-    struct Interval {
-      double lo = 0.0;  // condition lo - 1e-9 (the contains() expression)
-      double hi = 0.0;  // condition hi + 1e-9
-      std::size_t entry = 0;
-    };
-    std::vector<Interval> intervals;
     // Sorted unique interval endpoints; region r covers, alternating, the
     // open gap below bounds[r/2] (even r) or the point bounds[r/2] (odd r).
     std::vector<double> bounds;
-    std::vector<std::vector<u64>> region;  // 2*bounds.size()+1 masks
+    // Row 0: unconditioned entries; row 1 + r: region r (2*bounds+1 of them).
+    std::vector<u64> rows;
   };
 
   std::size_t words() const { return (n_ + 63) / 64; }
-  int scan_first(std::vector<u64>& cand, const SearchSpace& space,
-                 const Workload& w) const;
-  static void rebuild_regions(NumericIndex& idx);
+  // Grow the row stride (doubling) so every row holds `n` entry bits.
+  void reserve_entries(std::size_t n);
+  std::vector<u64> new_index_rows(std::size_t entry) const;
+  void activate(int f);
+  std::size_t value_row(CategoricalIndex& idx, int v) const;
+  std::size_t insert_endpoint(NumericIndex& idx, double p) const;
+  int scan_first(u64* cand, const SearchSpace& space, const Workload& w) const;
 
   std::size_t n_ = 0;
-  std::vector<u64> matchable_;  // entries with >= 1 condition
-  std::array<std::unique_ptr<CategoricalIndex>, kNumFeatures> cat_;
-  std::array<std::unique_ptr<NumericIndex>, kNumFeatures> num_;
-  // Features with any index structure, in first-appearance order.
+  std::size_t stride_ = 0;      // words per row
+  std::vector<u64> matchable_;  // one row: entries with >= 1 condition
+  std::array<CategoricalIndex, kNumFeatures> cat_;
+  std::array<NumericIndex, kNumFeatures> num_;
+  // Features with any index structure, cheapest to evaluate first.
   std::vector<int> active_;
 };
 

@@ -1,12 +1,36 @@
 #include "core/report.h"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
-#include <iomanip>
 #include <sstream>
 
 namespace collie::core {
+namespace {
+
+// Appends `s` to `out` with JSON string escapes applied.
+void append_escaped(std::string& out, std::string_view s) {
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        out += c;
+    }
+  }
+}
+
+}  // namespace
 
 void JsonWriter::maybe_comma() {
   if (!needs_comma_.empty() && needs_comma_.back()) {
@@ -52,21 +76,25 @@ JsonWriter& JsonWriter::end_array() {
   return *this;
 }
 
-JsonWriter& JsonWriter::key(const std::string& k) {
+JsonWriter& JsonWriter::key(std::string_view k) {
   maybe_comma();
-  out_ += "\"" + escape(k) + "\":";
+  out_ += '"';
+  append_escaped(out_, k);
+  out_ += "\":";
   if (!needs_comma_.empty()) needs_comma_.back() = false;
   return *this;
 }
 
-JsonWriter& JsonWriter::value(const std::string& v) {
+JsonWriter& JsonWriter::value(std::string_view v) {
   maybe_comma();
-  out_ += "\"" + escape(v) + "\"";
+  out_ += '"';
+  append_escaped(out_, v);
+  out_ += '"';
   return *this;
 }
 
 JsonWriter& JsonWriter::value(const char* v) {
-  return value(std::string(v));
+  return value(std::string_view(v));
 }
 
 JsonWriter& JsonWriter::value(double v) {
@@ -79,20 +107,26 @@ JsonWriter& JsonWriter::value(double v) {
   // bounds must reload bit-exact: the default 6-significant-digit printing
   // silently moved warm-start region boundaries (1048576 became 1.04858e+06
   // = 1048580), so workloads at a region's edge were re-probed or masked.
-  std::string s;
+  // to_chars(general, p) is specified to print what printf("%.*g", p)
+  // does; persistence_test pins the bytes against a stream-based oracle.
+  char buf[32];
+  char* end = buf;
   for (int precision = 6; precision <= 17; ++precision) {
-    std::ostringstream os;
-    os << std::setprecision(precision) << v;
-    s = os.str();
-    if (std::strtod(s.c_str(), nullptr) == v) break;
+    end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                        precision)
+              .ptr;
+    double back = 0.0;
+    std::from_chars(buf, end, back);
+    if (back == v) break;
   }
-  out_ += s;
+  out_.append(buf, end);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(i64 v) {
   maybe_comma();
-  out_ += std::to_string(v);
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
   return *this;
 }
 
@@ -108,27 +142,10 @@ JsonWriter& JsonWriter::raw_value(const std::string& json_text) {
   return *this;
 }
 
-std::string JsonWriter::escape(const std::string& s) {
+std::string JsonWriter::escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
+  append_escaped(out, s);
   return out;
 }
 

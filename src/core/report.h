@@ -7,6 +7,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/search.h"
@@ -21,8 +22,8 @@ class JsonWriter {
   JsonWriter& end_object();
   JsonWriter& begin_array(const std::string& key = "");
   JsonWriter& end_array();
-  JsonWriter& key(const std::string& k);
-  JsonWriter& value(const std::string& v);
+  JsonWriter& key(std::string_view k);
+  JsonWriter& value(std::string_view v);
   JsonWriter& value(const char* v);
   JsonWriter& value(double v);
   JsonWriter& value(i64 v);
@@ -41,7 +42,7 @@ class JsonWriter {
   }
 
   std::string str() const { return out_; }
-  static std::string escape(const std::string& s);
+  static std::string escape(std::string_view s);
 
  private:
   void maybe_comma();

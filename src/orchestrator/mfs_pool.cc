@@ -130,9 +130,9 @@ bool ConcurrentMfsPool::covers_snapshot(const Snapshot* snap,
     return false;
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
-  const Entry& e = snap->entries[static_cast<std::size_t>(idx)];
-  const bool is_warm = e.origin_worker == kWarmStartOrigin;
-  const bool is_cross = !is_warm && e.origin_worker != requester;
+  const int origin = snap->origins[static_cast<std::size_t>(idx)];
+  const bool is_warm = origin == kWarmStartOrigin;
+  const bool is_cross = !is_warm && origin != requester;
   if (is_cross) cross_hits_.fetch_add(1, std::memory_order_relaxed);
   if (is_warm) warm_hits_.fetch_add(1, std::memory_order_relaxed);
   if (tel_ != nullptr) {
@@ -267,6 +267,31 @@ bool ConcurrentMfsPool::covers_preloaded(const std::string& scope,
   return covers_preloaded_snapshot(snap, space, w, 0);
 }
 
+std::unique_ptr<ConcurrentMfsPool::Snapshot> ConcurrentMfsPool::successor(
+    const ScopeHandle& h) {
+  const Snapshot* old = h.snap.load(std::memory_order_relaxed);
+  auto next = old != nullptr ? std::make_unique<Snapshot>(*old)
+                             : std::make_unique<Snapshot>();
+  next->epoch += 1;
+  return next;
+}
+
+void ConcurrentMfsPool::append(ScopeHandle& h, Snapshot& next, core::Mfs mfs,
+                               int origin) {
+  const std::size_t at = next.origins.size();
+  const int sym = static_cast<int>(mfs.symptom);
+  mfs.index = static_cast<int>(at);
+  next.index.add(mfs);
+  if (origin == kWarmStartOrigin) {
+    core::MfsIndex::set_bit(next.warm_mask, at);
+    next.warm_entries += 1;
+  }
+  next.origins.push_back(origin);
+  core::MfsIndex::set_bit(h.symptom_mask[sym], at);
+  h.by_symptom[sym].push_back(static_cast<u32>(at));
+  h.entries.push_back(std::move(mfs));
+}
+
 int ConcurrentMfsPool::insert(const std::string& scope,
                               const core::SearchSpace& space, core::Mfs mfs,
                               int origin_worker, bool* duplicate_out) {
@@ -289,24 +314,14 @@ int ConcurrentMfsPool::insert(const std::string& scope,
   if (old != nullptr) {
     const int sym = static_cast<int>(mfs.symptom);
     bool duplicate =
-        old->index.first_match(space, mfs.witness, old->symptom_mask[sym]) >=
-        0;
+        old->index.first_match(space, mfs.witness, h->symptom_mask[sym]) >= 0;
     if (!duplicate) {
-      if (!mfs.conditions.empty()) {
-        for (const u32 pos : old->by_symptom[sym]) {
-          if (mfs.matches(space, old->entries[pos].mfs.witness)) {
-            duplicate = true;
-            break;
-          }
-        }
-      } else {
-        for (const u32 pos : old->by_symptom[sym]) {
-          const Entry& e = old->entries[pos];
-          if (e.mfs.conditions.empty() && e.mfs.witness == mfs.witness) {
-            duplicate = true;
-            break;
-          }
-        }
+      for (const u32 pos : h->by_symptom[sym]) {
+        const core::Mfs& e = h->entries[pos];
+        duplicate = mfs.conditions.empty()
+                        ? e.conditions.empty() && e.witness == mfs.witness
+                        : mfs.matches(space, e.witness);
+        if (duplicate) break;
       }
     }
     if (duplicate) {
@@ -319,21 +334,13 @@ int ConcurrentMfsPool::insert(const std::string& scope,
     }
   }
 
-  // Successor snapshot: entries + index extended, epoch bumped, published
+  // Successor snapshot: origins + index extended, epoch bumped, published
   // atomically.  A reader still on `old` keeps a consistent (if slightly
   // stale) view; it can only under-skip, exactly like losing the race
   // under the former lock-based scan.
-  auto next = old != nullptr ? std::make_unique<Snapshot>(*old)
-                             : std::make_unique<Snapshot>();
-  next->epoch += 1;
-  const int index = static_cast<int>(next->entries.size());
-  const int sym = static_cast<int>(mfs.symptom);
-  mfs.index = index;
-  next->index.add(mfs);
-  core::MfsIndex::set_bit(next->symptom_mask[sym],
-                          static_cast<std::size_t>(index));
-  next->by_symptom[sym].push_back(static_cast<u32>(index));
-  next->entries.push_back(Entry{std::move(mfs), origin_worker});
+  std::unique_ptr<Snapshot> next = successor(*h);
+  const int index = static_cast<int>(next->origins.size());
+  append(*h, *next, std::move(mfs), origin_worker);
   publish(*h, std::move(next));
   if (tel_ != nullptr) {
     const obs::PoolIds& ids = tel_->pool_ids();
@@ -353,21 +360,10 @@ void ConcurrentMfsPool::load_scope(const std::string& scope,
   std::lock_guard<std::mutex> lock(mu_);
   std::shared_ptr<ScopeHandle>& h = scopes_[scope];
   if (!h) h = std::make_shared<ScopeHandle>();
-  const Snapshot* old = h->snap.load(std::memory_order_relaxed);
-  auto next = old != nullptr ? std::make_unique<Snapshot>(*old)
-                             : std::make_unique<Snapshot>();
-  next->epoch += 1;
+  std::unique_ptr<Snapshot> next = successor(*h);
   const i64 loaded = static_cast<i64>(entries.size());
   for (core::Mfs& mfs : entries) {
-    const std::size_t at = next->entries.size();
-    const int sym = static_cast<int>(mfs.symptom);
-    mfs.index = static_cast<int>(at);
-    next->index.add(mfs);
-    core::MfsIndex::set_bit(next->warm_mask, at);
-    core::MfsIndex::set_bit(next->symptom_mask[sym], at);
-    next->by_symptom[sym].push_back(static_cast<u32>(at));
-    next->warm_entries += 1;
-    next->entries.push_back(Entry{std::move(mfs), kWarmStartOrigin});
+    append(*h, *next, std::move(mfs), kWarmStartOrigin);
   }
   publish(*h, std::move(next));
   if (tel_ != nullptr) {
@@ -384,23 +380,10 @@ void ConcurrentMfsPool::load_entries(const std::string& scope,
   std::lock_guard<std::mutex> lock(mu_);
   std::shared_ptr<ScopeHandle>& h = scopes_[scope];
   if (!h) h = std::make_shared<ScopeHandle>();
-  const Snapshot* old = h->snap.load(std::memory_order_relaxed);
-  auto next = old != nullptr ? std::make_unique<Snapshot>(*old)
-                             : std::make_unique<Snapshot>();
-  next->epoch += 1;
+  std::unique_ptr<Snapshot> next = successor(*h);
   const i64 loaded = static_cast<i64>(entries.size());
   for (PoolEntry& entry : entries) {
-    const std::size_t at = next->entries.size();
-    const int sym = static_cast<int>(entry.mfs.symptom);
-    entry.mfs.index = static_cast<int>(at);
-    next->index.add(entry.mfs);
-    if (entry.origin == kWarmStartOrigin) {
-      core::MfsIndex::set_bit(next->warm_mask, at);
-      next->warm_entries += 1;
-    }
-    core::MfsIndex::set_bit(next->symptom_mask[sym], at);
-    next->by_symptom[sym].push_back(static_cast<u32>(at));
-    next->entries.push_back(Entry{std::move(entry.mfs), entry.origin});
+    append(*h, *next, std::move(entry.mfs), entry.origin);
   }
   publish(*h, std::move(next));
   if (tel_ != nullptr) {
@@ -416,11 +399,8 @@ std::map<std::string, std::vector<core::Mfs>> ConcurrentMfsPool::export_scopes()
   std::lock_guard<std::mutex> lock(mu_);
   std::map<std::string, std::vector<core::Mfs>> out;
   for (const auto& [scope, h] : scopes_) {
-    const Snapshot* snap = h->snap.load(std::memory_order_relaxed);
-    if (snap == nullptr) continue;
-    std::vector<core::Mfs>& dst = out[scope];
-    dst.reserve(snap->entries.size());
-    for (const Entry& e : snap->entries) dst.push_back(e.mfs);
+    if (h->snap.load(std::memory_order_relaxed) == nullptr) continue;
+    out[scope] = h->entries;
   }
   return out;
 }
@@ -430,12 +410,13 @@ std::vector<PoolEntry> ConcurrentMfsPool::export_entries(
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = scopes_.find(scope);
   if (it == scopes_.end()) return {};
-  const Snapshot* snap = it->second->snap.load(std::memory_order_relaxed);
+  const ScopeHandle& h = *it->second;
+  const Snapshot* snap = h.snap.load(std::memory_order_relaxed);
   if (snap == nullptr) return {};
   std::vector<PoolEntry> out;
-  out.reserve(snap->entries.size());
-  for (const Entry& e : snap->entries) {
-    out.push_back(PoolEntry{e.mfs, e.origin_worker});
+  out.reserve(h.entries.size());
+  for (std::size_t i = 0; i < h.entries.size(); ++i) {
+    out.push_back(PoolEntry{h.entries[i], snap->origins[i]});
   }
   return out;
 }
@@ -443,22 +424,15 @@ std::vector<PoolEntry> ConcurrentMfsPool::export_entries(
 std::size_t ConcurrentMfsPool::size(const std::string& scope) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = scopes_.find(scope);
-  if (it == scopes_.end()) return 0;
-  const Snapshot* snap = it->second->snap.load(std::memory_order_relaxed);
-  return snap == nullptr ? 0 : snap->entries.size();
+  return it == scopes_.end() ? 0 : it->second->entries.size();
 }
 
 std::vector<core::Mfs> ConcurrentMfsPool::snapshot(
     const std::string& scope) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = scopes_.find(scope);
-  if (it == scopes_.end()) return {};
-  const Snapshot* snap = it->second->snap.load(std::memory_order_relaxed);
-  if (snap == nullptr) return {};
-  std::vector<core::Mfs> out;
-  out.reserve(snap->entries.size());
-  for (const Entry& e : snap->entries) out.push_back(e.mfs);
-  return out;
+  return it == scopes_.end() ? std::vector<core::Mfs>{}
+                             : it->second->entries;
 }
 
 std::vector<std::string> ConcurrentMfsPool::scopes() const {
@@ -501,7 +475,7 @@ PoolStats ConcurrentMfsPool::stats() const {
   for (const auto& [scope, h] : scopes_) {
     const Snapshot* snap = h->snap.load(std::memory_order_relaxed);
     if (snap == nullptr) continue;
-    s.entries += static_cast<i64>(snap->entries.size());
+    s.entries += static_cast<i64>(h->entries.size());
     s.warm_entries += snap->warm_entries;
   }
   s.hits = hits_.load(std::memory_order_relaxed);

@@ -16,17 +16,22 @@
 // surfaces as the benefit of sharing.
 //
 // Concurrency: each scope publishes an immutable, epoch-versioned snapshot
-// (entries in insertion order + a core::MfsIndex over them) through one
-// atomic pointer.  The covers()/covers_preloaded() fast path loads the
-// pointer and queries the index — no lock acquisition of any kind, readers
-// never wait on writers or on each other (not even on a shared_ptr control
-// block).  Writers (insert/load_scope) serialize on a mutex and publish the
-// successor snapshot (epoch + 1) with a seq_cst store.
+// (per-entry origins in insertion order + a core::MfsIndex over the entries
+// + the warm-start mask) through one atomic pointer.  The Mfs payloads are
+// not in the snapshot: they live once in the scope's handle, writer-owned
+// and read only under the pool mutex (duplicate check, exports).  So an
+// insert copies origins and the flat index, never a witness or condition
+// list, and allocates the same however many entries the scope holds.  The
+// covers()/covers_preloaded() fast path loads the pointer and queries the
+// index — no lock acquisition of any kind, readers never wait on writers or
+// on each other (not even on a shared_ptr control block).  Writers
+// (insert/load_scope) serialize on a mutex and publish the successor
+// snapshot (epoch + 1) with a seq_cst store.
 //
 // Reclamation (the keep_epochs policy): superseded snapshots are NOT
 // retained until pool destruction — corpus-scale stores fed by long
 // campaigns would otherwise grow quadratically in inserted MFSes (every
-// insert copies the whole entry set, and every copy used to stay live).
+// insert copies the index, and every copy used to stay live).
 // Instead each View owns a hazard slot: before using a snapshot it
 // announces the raw pointer (seq_cst store) and re-checks that the pointer
 // is still published; a writer retires snapshots older than the newest
@@ -221,27 +226,18 @@ class ConcurrentMfsPool {
   const MfsPoolOptions& options() const { return opts_; }
 
  private:
-  struct Entry {
-    core::Mfs mfs;
-    int origin_worker = -1;
-  };
-
   static constexpr int kNumSymptoms = 3;  // core::Symptom enumerator count
 
-  // Immutable once published.
+  // Immutable once published.  Holds only what the lock-free readers need:
+  // each entry's origin (hit attribution), the index and the warm-start
+  // mask.  The Mfs payloads stay in the ScopeHandle, so publishing a
+  // successor copies no witness patterns or condition lists.
   struct Snapshot {
     u64 epoch = 0;
-    std::vector<Entry> entries;
+    std::vector<int> origins;  // per entry, insertion order
     core::MfsIndex index;
     std::vector<u64> warm_mask;  // bits of kWarmStartOrigin entries
     i64 warm_entries = 0;
-    // Per-symptom entry bitmask + positions: the duplicate-insert check
-    // answers "does an existing same-symptom region cover this witness?"
-    // through the index (masked first_match) instead of re-scanning every
-    // entry, and restricts the reverse-direction probe to same-symptom
-    // entries only.
-    std::array<std::vector<u64>, kNumSymptoms> symptom_mask;
-    std::array<std::vector<u32>, kNumSymptoms> by_symptom;
   };
 
   // One view's hazard slot: the snapshot it is currently reading, or null
@@ -262,12 +258,28 @@ class ConcurrentMfsPool {
     // returned theirs to.
     std::vector<std::unique_ptr<ReaderSlot>> slots;
     std::vector<ReaderSlot*> free_slots;
+    // Writer-owned state, read and written only under mu_.  `entries` are
+    // the published entries' payloads in insertion order (the snapshot's
+    // index positions).  Per-symptom entry bitmask + positions: the
+    // duplicate-insert check answers "does an existing same-symptom region
+    // cover this witness?" through the index (masked first_match) instead
+    // of re-scanning every entry, and restricts the reverse-direction probe
+    // to same-symptom entries only.
+    std::vector<core::Mfs> entries;
+    std::array<std::vector<u64>, kNumSymptoms> symptom_mask;
+    std::array<std::vector<u32>, kNumSymptoms> by_symptom;
   };
 
   // Find-or-create + hazard-slot acquisition for a view, under mu_.
   std::shared_ptr<ScopeHandle> bind(const std::string& scope,
                                     ReaderSlot** slot);
   void release_slot(ScopeHandle& h, ReaderSlot* slot);
+  // A copy of `h`'s published snapshot (or an empty one) with the epoch
+  // bumped, ready for append() + publish().  Caller must hold mu_.
+  std::unique_ptr<Snapshot> successor(const ScopeHandle& h);
+  // Register one entry: payload into `h`, origin + index bits into `next`.
+  // Caller must hold mu_.
+  void append(ScopeHandle& h, Snapshot& next, core::Mfs mfs, int origin);
   // Publish `next` as `h`'s current snapshot and reclaim retired history.
   // Caller must hold mu_.
   const Snapshot* publish(ScopeHandle& h, std::unique_ptr<Snapshot> next);

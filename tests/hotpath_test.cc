@@ -1,5 +1,5 @@
 // Evaluation hot path: zero steady-state allocations and scratch-reuse
-// correctness.
+// correctness, plus the pool-insert work counter.
 //
 // The compiled evaluate() overload promises that once an EvalScratch is
 // warm, probing allocates nothing — the property the campaign's probe
@@ -22,6 +22,7 @@
 #include "core/space.h"
 #include "nic/dcqcn.h"
 #include "obs/telemetry.h"
+#include "orchestrator/mfs_pool.h"
 #include "sim/perf_model.h"
 #include "sim/subsystem.h"
 #include "workload/engine.h"
@@ -200,6 +201,63 @@ TEST(HotPathAllocation, IndexedCoversAllocatesNothingOnceWarm) {
     }
   });
   EXPECT_EQ(allocs, 0);
+}
+
+// A shared-pool insert costs O(new entry), not O(entries stored): with
+// every MFS of one shape, the insert into a scope of 256 entries allocates
+// exactly what the insert into a scope of 16 does.  Only amortized growth
+// (the payload vector, the snapshot history, the index's row stride) may
+// add to a single insert, so each side takes the minimum over eight
+// consecutive inserts.
+TEST(HotPathAllocation, PoolInsertAllocationsIndependentOfScopeSize) {
+  const core::SearchSpace space(subsystem('F'));
+  constexpr int kWindow = 8;
+  constexpr int kLast = 256 + kWindow;
+  // One categorical and three numeric conditions, each numeric one a fresh
+  // point range: every insert adds two endpoints per numeric feature.
+  std::vector<core::Mfs> mfses;
+  for (int i = 0; i < kLast; ++i) {
+    core::Mfs m;
+    m.symptom = core::Symptom::kPauseFrames;
+    m.witness = clean_write();
+    m.witness.num_qps = 1000 + i;
+    core::FeatureCondition qp;
+    qp.feature = core::Feature::kQpType;
+    qp.categorical = true;
+    qp.allowed = {static_cast<int>(QpType::kRC)};
+    m.conditions.push_back(qp);
+    for (const core::Feature f :
+         {core::Feature::kNumQps, core::Feature::kMrSize,
+          core::Feature::kCcAlphaG}) {
+      core::FeatureCondition c;
+      c.feature = f;
+      c.categorical = false;
+      c.lo = 1000.0 + i;
+      c.hi = 1000.5 + i;
+      m.conditions.push_back(c);
+    }
+    mfses.push_back(std::move(m));
+  }
+  orchestrator::ConcurrentMfsPool pool;
+  // Inserts mfses[first, last); returns the fewest allocations one took.
+  auto insert_range = [&](int first, int last) {
+    long least = -1;
+    for (int i = first; i < last; ++i) {
+      const long allocs = count_allocations([&] {
+        (void)pool.insert("F", space,
+                          std::move(mfses[static_cast<std::size_t>(i)]), 0);
+      });
+      if (least < 0 || allocs < least) least = allocs;
+    }
+    return least;
+  };
+  (void)insert_range(0, 16);
+  const long at16 = insert_range(16, 16 + kWindow);
+  (void)insert_range(16 + kWindow, 256);
+  const long at256 = insert_range(256, kLast);
+  EXPECT_GT(at16, 0);  // the counter sees the successor snapshot
+  EXPECT_EQ(at256, at16);
+  EXPECT_EQ(pool.size("F"), static_cast<std::size_t>(kLast));
 }
 
 TEST(HotPathAllocation, DriverProbeWithTelemetryOnAllocatesNothing) {

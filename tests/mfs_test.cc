@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "core/mfs.h"
 #include "core/mfs_index.h"
@@ -168,8 +170,9 @@ TEST_F(MfsTest, ConditionContains) {
 // The per-feature index must answer exactly like the linear scan, entry
 // position included (first-cover semantics drive hit provenance in the
 // concurrent pool).  Fuzz adversarial condition sets: empty allowed lists,
-// one-sided and infinite ranges, duplicate conditions on one feature,
-// condition-free entries, and tolerance-boundary values.
+// one-sided and infinite ranges, duplicate conditions on one feature
+// (including disjoint ranges that intersect to nothing), one-ulp-wide
+// ranges, condition-free entries, and tolerance-boundary values.
 
 Mfs fuzz_mfs(const SearchSpace& space, Rng& rng) {
   Mfs m;
@@ -193,8 +196,9 @@ Mfs fuzz_mfs(const SearchSpace& space, Rng& rng) {
         c.allowed.push_back(c.allowed.front());
       }
     } else {
+      constexpr double kInf = std::numeric_limits<double>::infinity();
       const double v = std::max(1.0, space.numeric_value(m.witness, f));
-      switch (rng.uniform_int(0, 3)) {
+      switch (rng.uniform_int(0, 5)) {
         case 0:
           c.lo = v / 4.0;
           c.hi = v * 4.0;
@@ -205,9 +209,27 @@ Mfs fuzz_mfs(const SearchSpace& space, Rng& rng) {
         case 2:
           c.hi = v;
           break;
-        default:  // exact point (tolerance boundary)
+        case 3:  // exact point (tolerance boundary), or one ulp wide
           c.lo = v;
-          c.hi = v;
+          c.hi = rng.bernoulli(0.5) ? v : std::nextafter(v, kInf);
+          break;
+        case 4: {  // two disjoint ranges: empty after intersection
+          c.lo = v * 2.0;
+          c.hi = v * 4.0;
+          FeatureCondition below = c;
+          below.lo = v / 4.0;
+          below.hi = v;
+          m.conditions.push_back(std::move(below));
+          break;
+        }
+        default:  // explicit infinite side
+          if (rng.bernoulli(0.5)) {
+            c.lo = -kInf;
+            c.hi = v;
+          } else {
+            c.lo = v;
+            c.hi = kInf;
+          }
           break;
       }
     }
@@ -224,35 +246,150 @@ int linear_first_match(const std::vector<Mfs>& set, const SearchSpace& space,
   return -1;
 }
 
+// Queries that land exactly on each tolerance-adjusted endpoint of `m`'s
+// conditions on the double-valued features (the workload field holds the
+// feature value itself, so any double is reachable) and on its one-ulp
+// neighbours, with every other feature taken from `base`.
+std::vector<Workload> endpoint_queries(const Mfs& m, const Workload& base) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<Workload> out;
+  for (const FeatureCondition& c : m.conditions) {
+    if (c.categorical) continue;
+    double Workload::*field = nullptr;
+    if (c.feature == Feature::kCcRateAi) field = &Workload::dcqcn_rate_ai_mbps;
+    if (c.feature == Feature::kCcAlphaG) field = &Workload::dcqcn_g;
+    if (field == nullptr) continue;
+    for (const double e : {c.lo - 1e-9, c.hi + 1e-9}) {
+      for (const double x :
+           {std::nextafter(e, -kInf), e, std::nextafter(e, kInf)}) {
+        Workload w = base;
+        w.*field = x;
+        out.push_back(std::move(w));
+      }
+    }
+  }
+  return out;
+}
+
+// Every query answered by `index` exactly like the linear scan over `set`,
+// both unfiltered and restricted to the later half of the entries (so the
+// high words answer even when an early entry would match first); returns
+// how many unfiltered queries hit.
+int expect_scan_answers(const MfsIndex& index, const std::vector<Mfs>& set,
+                        const SearchSpace& space,
+                        const std::vector<Workload>& queries,
+                        const std::string& where) {
+  const std::size_t half = set.size() / 2;
+  std::vector<u64> later;
+  for (std::size_t i = half; i < set.size(); ++i) MfsIndex::set_bit(later, i);
+  int hits = 0;
+  for (const Workload& w : queries) {
+    const int expect = linear_first_match(set, space, w);
+    EXPECT_EQ(index.first_match(space, w), expect) << where;
+    if (expect >= 0) hits += 1;
+    int expect_later = -1;
+    for (std::size_t i = half; i < set.size(); ++i) {
+      if (set[i].matches(space, w)) {
+        expect_later = static_cast<int>(i);
+        break;
+      }
+    }
+    EXPECT_EQ(index.first_match(space, w, later), expect_later) << where;
+  }
+  return hits;
+}
+
 TEST_F(MfsTest, IndexMatchesLinearScanOnFuzzedSets) {
-  for (const u64 seed : {u64{1}, u64{2}, u64{3}, u64{4}}) {
-    Rng rng(seed);
+  // Seed 5 grows to 160 entries: the masks cross the 64- and 128-entry word
+  // boundaries and the row stride grows twice under live regions.
+  for (const auto& [seed, rounds] :
+       {std::pair{1, 40}, std::pair{2, 40}, std::pair{3, 40},
+        std::pair{4, 40}, std::pair{5, 160}}) {
+    Rng rng(static_cast<u64>(seed));
     MfsIndex index;
     std::vector<Mfs> set;
     LocalMfsStore store;
-    for (int round = 0; round < 40; ++round) {
+    std::vector<Workload> endpoints;  // every stored endpoint so far
+    int endpoint_hits = 0;
+    for (int round = 0; round < rounds; ++round) {
+      const std::string where =
+          "seed " + std::to_string(seed) + " round " + std::to_string(round);
       // Interleave inserts with queries so every intermediate index state
       // is exercised, not just the final one.
       Mfs m = fuzz_mfs(space_, rng);
       index.add(m);
       store.insert(space_, m);
       set.push_back(std::move(m));
+      const Mfs& added = set.back();
+      const Workload& other =
+          set[static_cast<std::size_t>(rng.uniform_int(
+                  0, static_cast<i64>(set.size()) - 1))]
+              .witness;
+      for (const Workload& base : {added.witness, other}) {
+        for (Workload& w : endpoint_queries(added, base)) {
+          endpoints.push_back(std::move(w));
+        }
+      }
+      std::vector<Workload> queries;
       for (int q = 0; q < 25; ++q) {
-        Workload w = rng.bernoulli(0.5)
-                         ? space_.random_point(rng)
-                         : space_.mutate(set.back().witness, rng);
-        const int expect = linear_first_match(set, space_, w);
-        EXPECT_EQ(index.first_match(space_, w), expect)
-            << "seed " << seed << " round " << round;
-        EXPECT_EQ(store.covers(space_, w), expect >= 0);
+        queries.push_back(rng.bernoulli(0.5)
+                              ? space_.random_point(rng)
+                              : space_.mutate(added.witness, rng));
+      }
+      expect_scan_answers(index, set, space_, queries, where);
+      for (const Workload& w : queries) {
+        EXPECT_EQ(store.covers(space_, w),
+                  linear_first_match(set, space_, w) >= 0);
       }
       // Probe the witnesses themselves: dense hit coverage.
-      for (const Mfs& m2 : set) {
-        const int expect = linear_first_match(set, space_, m2.witness);
-        EXPECT_EQ(index.first_match(space_, m2.witness), expect);
+      std::vector<Workload> witnesses;
+      for (const Mfs& m2 : set) witnesses.push_back(m2.witness);
+      expect_scan_answers(index, set, space_, witnesses, where);
+      // Endpoints stored earlier see every later split of their gaps.
+      if (round % 16 == 15 || round + 1 == rounds) {
+        endpoint_hits +=
+            expect_scan_answers(index, set, space_, endpoints, where);
       }
     }
+    EXPECT_GT(endpoint_hits, 0) << "seed " << seed;
   }
+}
+
+// An index copy is independent: growing the copy (past a word boundary, so
+// its stride grows too) leaves the original's answers untouched.
+TEST_F(MfsTest, IndexCopyIsUnaffectedByAddsToTheCopy) {
+  Rng rng(6);
+  MfsIndex index;
+  std::vector<Mfs> set;
+  std::vector<Workload> queries;
+  for (int i = 0; i < 70; ++i) {
+    Mfs m = fuzz_mfs(space_, rng);
+    index.add(m);
+    queries.push_back(m.witness);
+    for (Workload& w : endpoint_queries(m, m.witness)) {
+      queries.push_back(std::move(w));
+    }
+    set.push_back(std::move(m));
+  }
+  for (int q = 0; q < 300; ++q) queries.push_back(space_.random_point(rng));
+  std::vector<int> before;
+  for (const Workload& w : queries) {
+    before.push_back(index.first_match(space_, w));
+  }
+
+  MfsIndex copy = index;
+  std::vector<Mfs> copy_set = set;
+  for (int i = 0; i < 100; ++i) {
+    Mfs m = fuzz_mfs(space_, rng);
+    copy.add(m);
+    queries.push_back(m.witness);
+    copy_set.push_back(std::move(m));
+  }
+  for (std::size_t q = 0; q < before.size(); ++q) {
+    EXPECT_EQ(index.first_match(space_, queries[q]), before[q]) << q;
+  }
+  EXPECT_GT(expect_scan_answers(index, set, space_, queries, "original"), 0);
+  expect_scan_answers(copy, copy_set, space_, queries, "copy");
 }
 
 TEST_F(MfsTest, IndexHonoursToleranceBoundsExactly) {

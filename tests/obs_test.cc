@@ -121,7 +121,8 @@ TEST(Histogram, SumOfBucketsEqualsCount) {
     expected_sum += v;
     reg.observe(0, h, v);
   }
-  const HistogramData& data = reg.snapshot().histograms.at("lat");
+  // Copy out: snapshot() returns a temporary that dies at the semicolon.
+  const HistogramData data = reg.snapshot().histograms.at("lat");
   EXPECT_EQ(data.count, static_cast<u64>(n));
   EXPECT_EQ(data.sum, expected_sum);
   u64 bucket_total = 0;

@@ -8,8 +8,12 @@
 //     this honest).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdlib>
+#include <iomanip>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -191,6 +195,74 @@ TEST(JsonReaderTest, DoublesRoundTripBitExact) {
   JsonWriter compact;
   compact.value(1234.5);
   EXPECT_EQ(compact.str(), "1234.5");
+}
+
+// The writer's former double formatting, kept here only as the oracle: the
+// shortest of precisions 6..17 whose stream spelling strtod reads back.
+std::string stream_double_oracle(double v) {
+  if (!std::isfinite(v)) return "null";
+  std::string s;
+  for (int precision = 6; precision <= 17; ++precision) {
+    std::ostringstream os;
+    os << std::setprecision(precision) << v;
+    s = os.str();
+    if (std::strtod(s.c_str(), nullptr) == v) break;
+  }
+  return s;
+}
+
+// Report and checkpoint bytes must not move with the formatter: every
+// double the writer prints must be spelled exactly as the stream oracle
+// spells it.  The inputs cover the spellings' edge cases: random bit
+// patterns (every exponent, non-finite included), subnormals, signed zero,
+// integers up to 2^53, powers of two and their one-ulp neighbours, and the
+// 1048576 that motivated the precision loop.
+TEST(JsonReaderTest, DoublesMatchStreamOracleByteForByte) {
+  Rng rng(1729);
+  std::vector<double> values = {0.0, -0.0, 1048576.0, 1e-9, 0.1, 5e15,
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::lowest()};
+  for (int i = 0; i < 30000; ++i) {
+    values.push_back(std::bit_cast<double>(rng.next_u64()));
+  }
+  for (int i = 0; i < 10000; ++i) {
+    // Subnormals: a zero exponent field, random mantissa and sign.
+    values.push_back(
+        std::bit_cast<double>(rng.next_u64() & 0x800fffffffffffffULL));
+  }
+  for (int i = 0; i < 20000; ++i) {
+    const u64 bits = 1 + static_cast<u64>(rng.uniform_int(0, 52));
+    const double n = static_cast<double>(rng.next_u64() >> (64 - bits));
+    values.push_back(n);
+    values.push_back(-n);
+  }
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (const double x : {p, -p}) {
+      values.push_back(x);
+      values.push_back(std::nextafter(x, 0.0));
+      values.push_back(std::nextafter(x, std::copysign(kInf, x)));
+    }
+  }
+  for (int i = 0; i < 10000; ++i) {
+    values.push_back(rng.uniform(-1e9, 1e9));
+    values.push_back(rng.uniform(0.0, 1.0));
+  }
+  ASSERT_GE(values.size(), 100000u);
+  int mismatches = 0;
+  for (const double v : values) {
+    JsonWriter json;
+    json.value(v);
+    const std::string want = stream_double_oracle(v);
+    if (json.str() != want && ++mismatches <= 10) {
+      ADD_FAILURE() << std::hexfloat << v << ": writer " << json.str()
+                    << ", oracle " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 // ---- Typed round trips ------------------------------------------------------

@@ -27,12 +27,6 @@
 //                                         null handle; exit non-zero when
 //                                         every one of 3 attempts shows >2%
 //                                         probe-path overhead
-//   bench_micro --check-backend-overhead  also measure the engine probe with
-//                                         the SimBackend devirtualized vs
-//                                         dispatched through the virtual
-//                                         Backend seam; exit non-zero when
-//                                         every one of 3 attempts shows >2%
-//                                         dispatch overhead
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -239,40 +233,6 @@ void BM_ProbeMetricsOn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProbeMetricsOn);
-
-// Backend-seam dispatch pair: the same engine probe with the SimBackend
-// call devirtualized (the default — a direct call on the final class) vs
-// forced through the virtual Backend interface.  The seam's contract is
-// that virtual dispatch costs <2% of a probe even un-devirtualized;
-// --check-backend-overhead gates it.
-void BM_BackendDispatchDirect(benchmark::State& state) {
-  workload::EngineOptions eopts;
-  eopts.run_functional_pass = false;
-  workload::Engine engine(sim::subsystem('F'), eopts);
-  sim::EvalScratch scratch;
-  workload::Measurement out;
-  const Workload w = bulk_workload();
-  Rng rng(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(w, rng, scratch, out));
-  }
-}
-BENCHMARK(BM_BackendDispatchDirect);
-
-void BM_BackendDispatchVirtual(benchmark::State& state) {
-  workload::EngineOptions eopts;
-  eopts.run_functional_pass = false;
-  eopts.devirtualize_sim = false;
-  workload::Engine engine(sim::subsystem('F'), eopts);
-  sim::EvalScratch scratch;
-  workload::Measurement out;
-  const Workload w = bulk_workload();
-  Rng rng(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(w, rng, scratch, out));
-  }
-}
-BENCHMARK(BM_BackendDispatchVirtual);
 
 void BM_SpaceRandomPoint(benchmark::State& state) {
   core::SearchSpace space(sim::subsystem('F'));
@@ -642,36 +602,6 @@ MetricsPair measure_metrics_pair() {
   return pair;
 }
 
-// One attempt at the backend-dispatch pair: engine probes/sec with the
-// SimBackend call devirtualized vs forced through the virtual seam.
-struct BackendPair {
-  double direct_per_sec = 0.0;
-  double virtual_per_sec = 0.0;
-  double overhead_pct() const {
-    return direct_per_sec <= 0.0
-               ? 0.0
-               : (direct_per_sec - virtual_per_sec) / direct_per_sec * 100.0;
-  }
-};
-
-BackendPair measure_backend_pair() {
-  BackendPair pair;
-  const Workload w = bulk_workload();
-  for (const bool devirtualize : {true, false}) {
-    workload::EngineOptions eopts;
-    eopts.run_functional_pass = false;
-    eopts.devirtualize_sim = devirtualize;
-    workload::Engine engine(sim::subsystem('F'), eopts);
-    sim::EvalScratch scratch;
-    workload::Measurement out;
-    Rng rng(1);
-    const double per_sec = ops_per_second(
-        [&] { benchmark::DoNotOptimize(engine.run(w, rng, scratch, out)); });
-    (devirtualize ? pair.direct_per_sec : pair.virtual_per_sec) = per_sec;
-  }
-  return pair;
-}
-
 int run_trajectory_mode(const CliArgs& args) {
   std::string path = args.get("json", "");
   if (path.empty() || path == "true") path = benchjson::kDefaultPath;
@@ -716,42 +646,6 @@ int run_trajectory_mode(const CliArgs& args) {
     }
   }
 
-  // Backend-seam dispatch cost (the workload::Backend refactor's <2%
-  // contract).  Same shape as the telemetry gate: trajectory metrics
-  // always, best-of-3 gating only under --check-backend-overhead.
-  const bool check_backend = args.has("check-backend-overhead");
-  {
-    BackendPair pair = measure_backend_pair();
-    micro["probe_backend_direct_per_sec"] = pair.direct_per_sec;
-    micro["probe_backend_virtual_per_sec"] = pair.virtual_per_sec;
-    micro["probe_backend_dispatch_overhead_pct"] = pair.overhead_pct();
-    if (check_backend) {
-      constexpr double kMaxOverheadPct = 2.0;
-      constexpr int kAttempts = 3;
-      int attempt = 1;
-      for (; attempt <= kAttempts && pair.overhead_pct() > kMaxOverheadPct;
-           ++attempt) {
-        std::printf("backend-overhead attempt %d/%d: %.2f%% (limit %.0f%%)"
-                    "%s\n",
-                    attempt, kAttempts, pair.overhead_pct(), kMaxOverheadPct,
-                    attempt < kAttempts ? ", retrying" : "");
-        if (attempt == kAttempts) {
-          std::fprintf(stderr,
-                       "backend dispatch overhead exceeded %.0f%% on every "
-                       "attempt\n",
-                       kMaxOverheadPct);
-          return 1;
-        }
-        pair = measure_backend_pair();
-        micro["probe_backend_direct_per_sec"] = pair.direct_per_sec;
-        micro["probe_backend_virtual_per_sec"] = pair.virtual_per_sec;
-        micro["probe_backend_dispatch_overhead_pct"] = pair.overhead_pct();
-      }
-      std::printf("backend dispatch overhead %.2f%% (limit %.0f%%): ok\n",
-                  pair.overhead_pct(), kMaxOverheadPct);
-    }
-  }
-
   std::printf("hot-path micro metrics:\n");
   for (const auto& [metric, value] : micro) {
     std::printf("  %-36s %14.4g\n", metric.c_str(), value);
@@ -790,8 +684,7 @@ int run_trajectory_mode(const CliArgs& args) {
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   if (args.has("json") || args.has("check-baseline") ||
-      args.has("check-metrics-overhead") ||
-      args.has("check-backend-overhead")) {
+      args.has("check-metrics-overhead")) {
     return run_trajectory_mode(args);
   }
   benchmark::Initialize(&argc, argv);

@@ -1,0 +1,53 @@
+# Journal replay failure legs of the campaign CLI (byte identity of a
+# replay is pinned in-process by Backend.JournalRecordReplay* and by CI's
+# journal equivalence smoke):
+#   * a recording that crashed mid-run runs out on replay: exit 3, and
+#     stderr names the cell and "ran out";
+#   * a replay under flags that change which probes reach the backend
+#     (--functional) diverges: exit 3, "different workload";
+#   * a replay whose --seed contradicts the journal is rejected: exit 2;
+#   * a --fleet journal (no probe records) is rejected up front: exit 2.
+#
+#   cmake -DEXE=<campaign binary> -DWORK=<scratch dir> -P check_campaign_replay.cmake
+file(REMOVE_RECURSE "${WORK}")
+file(MAKE_DIRECTORY "${WORK}")
+set(flags --sys B --hours 1 --workers 2 --exec deterministic --share cell
+          --json)
+
+# run(<exit> <stdout var> <stderr var> args...)
+function(run want out err)
+  execute_process(COMMAND "${EXE}" ${ARGN}
+                  WORKING_DIRECTORY "${WORK}"
+                  OUTPUT_VARIABLE o ERROR_VARIABLE e RESULT_VARIABLE rc)
+  if(NOT rc EQUAL want)
+    message(FATAL_ERROR "campaign ${ARGN}: exit ${rc}, want ${want}\n${e}")
+  endif()
+  string(STRIP "${o}" o)
+  string(REGEX REPLACE "^.*\n" "" last "${o}")
+  set(${out} "${last}" PARENT_SCOPE)
+  set(${err} "${e}" PARENT_SCOPE)
+endfunction()
+
+run(0 ignored ignored ${flags} --journal rec.journal)
+
+run(137 ignored ignored ${flags} --journal crash.journal
+    --crash-after-probes 5)
+run(3 ignored err ${flags} --replay crash.journal)
+if(NOT err MATCHES "cell B/Diag#0: .*ran out after 5 recorded probes")
+  message(FATAL_ERROR "run-out replay does not name the cell:\n${err}")
+endif()
+
+run(3 ignored err ${flags} --functional --replay rec.journal)
+if(NOT err MATCHES "cell B/Diag#0: .*different workload")
+  message(FATAL_ERROR "diverged replay does not name the cell:\n${err}")
+endif()
+
+run(2 ignored err ${flags} --seed 2 --replay rec.journal)
+
+# A --fleet journal carries cell results but no probe records.
+run(0 ignored ignored ${flags} --fleet 2 --journal fleet.journal)
+run(2 ignored err ${flags} --replay fleet.journal)
+if(NOT err MATCHES "holds no probe records")
+  message(FATAL_ERROR "probe-less journal not rejected up front:\n${err}")
+endif()
+file(REMOVE_RECURSE "${WORK}")

@@ -30,7 +30,6 @@
 #include "orchestrator/journal.h"
 #include "orchestrator/scheduler.h"
 #include "sim/subsystem.h"
-#include "workload/backend_trace.h"
 
 using namespace collie;
 using namespace collie::orchestrator;
@@ -48,7 +47,8 @@ constexpr char kUsage[] = R"(usage: campaign [flags]
   $ ./campaign --sys BF --hours 8,2 --schedule lpt   # mixed budgets, LPT
   $ ./campaign --sys B --checkpoint today.json       # persist the pool
   $ ./campaign --sys B --warm-start today.json       # skip known regions
-  $ ./campaign --sys BF --replay sched.json          # record, then replay
+  $ ./campaign --sys BF --share cell --journal j1    # record a campaign
+  $ ./campaign --sys BF --share cell --replay j1     # re-run it offline
 
 Flags:
   --sys <ids>        subsystem letters, e.g. "BF" or "all" (default all)
@@ -78,17 +78,13 @@ Flags:
                      (zero probes inside already-explained regions) and
                      its completed cells are skipped outright
   --checkpoint <f>   write pool scopes + completed cells after the run
-  --replay <f>       if <f> exists, execute exactly its recorded steal
-                     schedule (bit-for-bit at any --workers count under
-                     --share cell); otherwise run normally and record
-                     this run's schedule to <f>
-  --backend <b>      sim | record:FILE | trace:FILE (default sim).
-                     record: runs on the simulator and writes every probe
-                     to FILE as a collie-trace-v2 document (schema in
-                     README.md); trace: replays FILE offline — zero
-                     simulator evaluations, byte-identical report.
-                     Record/replay needs deterministic cell trajectories
-                     (--exec deterministic or --share cell)
+  --replay <f>       re-run the campaign recorded in journal <f> offline:
+                     its journaled schedule is re-dispatched (at any
+                     --workers count) and every probe is answered from
+                     its probe records — zero simulator evaluations, a
+                     byte-identical report.  Pass the recording's flags;
+                     a cell whose recording diverges or runs out fails
+                     the replay with exit code 3
   --functional       run the engine's functional verbs pass too (slower)
   --json             print the report as JSON instead of tables
   --trace-csv        print the merged fleet trace as CSV and exit
@@ -126,7 +122,9 @@ Flags:
                      cell-done records to <f> as the campaign runs
                      (collie-journal-v2, schema in README.md).  Needs
                      deterministic cell trajectories (--exec
-                     deterministic or --share cell), like trace record
+                     deterministic or --share cell); --replay <f> re-runs
+                     the recording offline.  Under --fleet it holds no
+                     probe records, so it resumes but cannot be replayed
   --resume           continue a crashed --journal campaign: completed
                      cells restore verbatim from their journaled
                      results, half-finished cells replay their journaled
@@ -209,6 +207,42 @@ bool parse_worker_at(const std::string& arg, int* worker, std::string* rest) {
   return true;
 }
 
+// Parse a recovered journal for --resume or --replay (`flag`) and check it
+// against this invocation: the journaled identity wins over defaults, but
+// contradicting flags would silently continue a different campaign.
+// Returns 0, or the exit code after printing why.
+int load_journal(const char* flag, const std::string& path,
+                 const JournalRecovery& rec, const std::string& share,
+                 const std::string& strategy, u64 seed, JournalResume* out) {
+  if (rec.payloads.empty()) {
+    std::fprintf(stderr, "%s: journal '%s' holds no records\n", flag,
+                 path.c_str());
+    return 2;
+  }
+  try {
+    *out = parse_journal(rec.payloads);
+  } catch (const core::JsonError& e) {
+    std::fprintf(stderr, "bad journal '%s': %s\n", path.c_str(), e.what());
+    return 2;
+  }
+  if (!out->has_begin) {
+    std::fprintf(stderr, "%s: journal '%s' has no begin record\n", flag,
+                 path.c_str());
+    return 2;
+  }
+  if (out->share != share || out->strategy != strategy || out->seed != seed) {
+    std::fprintf(stderr,
+                 "%s: journal was recorded with --share %s --strategy %s "
+                 "--seed %llu, this invocation asks for --share %s "
+                 "--strategy %s --seed %llu\n",
+                 flag, out->share.c_str(), out->strategy.c_str(),
+                 static_cast<unsigned long long>(out->seed), share.c_str(),
+                 strategy.c_str(), static_cast<unsigned long long>(seed));
+    return 2;
+  }
+  return 0;
+}
+
 }  // namespace
 
 int run(int argc, char** argv) {
@@ -223,8 +257,8 @@ int run(int argc, char** argv) {
       "modes",        "strategy",     "workers",
       "seeds",        "keep-epochs",  "hours",
       "schedule",     "seed",         "share",
-      "exec",         "functional",   "backend",
-      "warm-start",   "replay",       "checkpoint",
+      "exec",         "functional",   "warm-start",
+      "replay",       "checkpoint",
       "metrics-out",  "metrics-interval",
       "stats",        "trace-csv",    "json",
       "fleet",        "heartbeat-ms", "heartbeat-timeout-ms",
@@ -400,52 +434,6 @@ int run(int argc, char** argv) {
   }
   if (fleet_n > 0) config.workers = static_cast<int>(fleet_n);
 
-  // --backend: execution substrate selector.  Record mode shares one
-  // recorder across every cell and writes the trace after the run; replay
-  // mode parses the trace up front so a garbled file fails before any
-  // search work starts.
-  const std::string backend_arg = args.get("backend", "sim");
-  std::shared_ptr<workload::TraceRecorder> recorder;
-  std::string trace_out_path;
-  const char* backend_desc = "sim";
-  if (backend_arg == "sim") {
-    // Default: each engine builds its own SimBackend.
-  } else if (backend_arg.rfind("record:", 0) == 0) {
-    trace_out_path = backend_arg.substr(7);
-    if (trace_out_path.empty()) {
-      std::fprintf(stderr, "--backend record: needs a file path\n");
-      return 2;
-    }
-    recorder = std::make_shared<workload::TraceRecorder>();
-    config.backend_factory =
-        std::make_shared<workload::RecordBackendFactory>(recorder);
-    backend_desc = "record";
-  } else if (backend_arg.rfind("trace:", 0) == 0) {
-    const std::string trace_path = backend_arg.substr(6);
-    std::string text;
-    if (!read_file(trace_path, &text)) {
-      std::fprintf(stderr, "cannot read trace '%s'\n", trace_path.c_str());
-      return 2;
-    }
-    try {
-      auto file = std::make_shared<workload::TraceFile>(
-          workload::TraceFile::from_json(text));
-      config.backend_factory =
-          std::make_shared<workload::ReplayBackendFactory>(std::move(file));
-    } catch (const core::JsonError& e) {
-      std::fprintf(stderr, "bad trace '%s': %s\n", trace_path.c_str(),
-                   e.what());
-      return 2;
-    }
-    backend_desc = "replay";
-  } else {
-    std::fprintf(stderr,
-                 "unknown backend '%s' (valid: sim, record:FILE, "
-                 "trace:FILE)\n",
-                 backend_arg.c_str());
-    return 2;
-  }
-
   const std::string warm_path = args.get("warm-start", "");
   if (!warm_path.empty()) {
     std::string text;
@@ -481,24 +469,6 @@ int run(int argc, char** argv) {
     config.warm_start = std::move(*rec.checkpoint);
   }
 
-  // --replay <f>: an existing file is a recorded schedule to re-execute; a
-  // missing one means "record this run's schedule there".
-  const std::string replay_path = args.get("replay", "");
-  bool replaying = false;
-  if (!replay_path.empty()) {
-    std::string text;
-    if (read_file(replay_path, &text)) {
-      try {
-        config.replay = schedule_from_json(text);
-        replaying = true;
-      } catch (const core::JsonError& e) {
-        std::fprintf(stderr, "bad schedule '%s': %s\n", replay_path.c_str(),
-                     e.what());
-        return 2;
-      }
-    }
-  }
-
   // --journal / --resume: the durability layer.  A fresh journaling run
   // streams records as it executes; a resumed one parses the recovered
   // journal up front, re-executes the journaled schedule, and splices each
@@ -508,6 +478,48 @@ int run(int argc, char** argv) {
   const i64 journal_every = args.get_int("journal-every", 64);
   const i64 crash_after = args.get_int("crash-after-probes", 0);
   const i64 crash_at_byte = args.get_int("crash-at-journal-byte", 0);
+
+  // --replay <journal>: an offline re-run.  The journal's schedule is
+  // re-dispatched and every probe is served from its probe records; the
+  // file is only read (a torn tail is left in place).
+  const std::string replay_path = args.get("replay", "");
+  const bool replaying = !replay_path.empty();
+  JournalResume recording;
+  if (replaying) {
+    if (!journal_path.empty() || resume_flag || fleet_n > 0) {
+      std::fprintf(stderr,
+                   "--replay re-runs its journal offline; it cannot be "
+                   "combined with --journal, --resume or --fleet\n");
+      return 2;
+    }
+    const JournalRecovery rec = recover_journal(replay_path, /*repair=*/false);
+    if (!rec.error.empty() || !rec.existed) {
+      std::fprintf(stderr, "cannot read journal '%s'%s%s\n",
+                   replay_path.c_str(), rec.error.empty() ? "" : ": ",
+                   rec.error.c_str());
+      return 2;
+    }
+    if (rec.torn) {
+      std::printf("journal %s: torn past byte %llu/%llu, replaying the "
+                  "valid prefix\n",
+                  replay_path.c_str(),
+                  static_cast<unsigned long long>(rec.valid_bytes),
+                  static_cast<unsigned long long>(rec.total_bytes));
+    }
+    const int rc = load_journal("--replay", replay_path, rec, share, strategy,
+                                config.campaign_seed, &recording);
+    if (rc != 0) return rc;
+    if (recording.probes == 0) {
+      std::fprintf(stderr,
+                   "--replay: journal '%s' holds no probe records (--fleet "
+                   "journals record only cell results)\n",
+                   replay_path.c_str());
+      return 2;
+    }
+    config.replay = recording.schedule;
+    config.backend_factory = journal_replay_factory(recording);
+  }
+
   if (journal_path.empty() &&
       (resume_flag || crash_after > 0 || crash_at_byte > 0)) {
     std::fprintf(stderr,
@@ -519,12 +531,7 @@ int run(int argc, char** argv) {
     std::fprintf(stderr, "--journal-every must be >= 1\n");
     return 2;
   }
-  if (resume_flag && replaying) {
-    std::fprintf(stderr,
-                 "--resume re-executes the journaled schedule; it cannot be "
-                 "combined with --replay\n");
-    return 2;
-  }
+
   std::unique_ptr<CampaignJournal> journal;
   JournalResume resume_state;
   if (!journal_path.empty()) {
@@ -543,41 +550,14 @@ int run(int argc, char** argv) {
                   rec.torn_path.c_str());
     }
     if (resume_flag) {
-      if (rec.payloads.empty()) {
-        std::fprintf(stderr,
-                     "--resume: journal '%s' holds no records to resume "
-                     "from\n",
-                     journal_path.c_str());
-        return 2;
-      }
-      try {
-        resume_state = parse_journal(rec.payloads);
-      } catch (const core::JsonError& e) {
-        std::fprintf(stderr, "bad journal '%s': %s\n", journal_path.c_str(),
-                     e.what());
-        return 2;
-      }
-      if (!resume_state.has_begin) {
-        std::fprintf(stderr,
-                     "--resume: journal '%s' has no begin record\n",
-                     journal_path.c_str());
-        return 2;
-      }
-      // The journaled identity wins over defaults, but contradicting flags
-      // would silently resume a different campaign — reject them.
-      if (resume_state.share != share ||
-          resume_state.strategy != strategy ||
-          resume_state.seed != config.campaign_seed) {
-        std::fprintf(stderr,
-                     "--resume: journal was recorded with --share %s "
-                     "--strategy %s --seed %llu, this invocation asks for "
-                     "--share %s --strategy %s --seed %llu\n",
-                     resume_state.share.c_str(),
-                     resume_state.strategy.c_str(),
-                     static_cast<unsigned long long>(resume_state.seed),
-                     share.c_str(), strategy.c_str(),
-                     static_cast<unsigned long long>(config.campaign_seed));
-        return 2;
+      const int rc = load_journal("--resume", journal_path, rec, share,
+                                  strategy, config.campaign_seed,
+                                  &resume_state);
+      if (rc != 0) return rc;
+      // Completed cells are restored from their cell_done records and never
+      // re-probed: keep only the in-flight cells' splice prefixes.
+      for (const auto& done : resume_state.completed) {
+        resume_state.recorded.erase(done.first);
       }
       config.replay = resume_state.schedule;
       config.resume = &resume_state;
@@ -602,8 +582,7 @@ int run(int argc, char** argv) {
       // here (the fleet path journals through the coordinator instead, and
       // re-runs in-flight cells from scratch on resume).
       config.backend_factory = std::make_shared<SpliceBackendFactory>(
-          config.backend_factory, resume_flag ? &resume_state : nullptr,
-          journal.get());
+          nullptr, resume_flag ? &resume_state : nullptr, journal.get());
     }
   }
 
@@ -624,8 +603,8 @@ int run(int argc, char** argv) {
     config.telemetry = telemetry.get();
   }
 
-  // Config validation (trace determinism, warm-start share mismatch) throws
-  // from the constructor: reject loudly instead of crashing.
+  // Config validation (journal determinism, warm-start share mismatch)
+  // throws from the constructor: reject loudly instead of crashing.
   std::unique_ptr<Campaign> campaign_ptr;
   try {
     campaign_ptr = std::make_unique<Campaign>(config);
@@ -640,7 +619,8 @@ int run(int argc, char** argv) {
               to_string(config.share),
               fleet_n > 0 ? "fleet" : to_string(config.execution),
               replaying ? "replayed" : to_string(config.schedule),
-              backend_desc, config.warm_start ? ", warm-started" : "");
+              replaying ? "journal-replay" : "sim",
+              config.warm_start ? ", warm-started" : "");
 
   // Periodic snapshot thread: rewrites the metrics file every interval so
   // a long campaign can be watched live (`metrics_inspect` on the file).
@@ -699,35 +679,16 @@ int run(int argc, char** argv) {
   sampling_done.store(true, std::memory_order_relaxed);
   if (sampler.joinable()) sampler.join();
 
-  if (!replay_path.empty() && !replaying) {
-    std::vector<std::string> labels;
-    std::vector<double> budgets;
-    for (const CampaignCell& cell : campaign.plan()) {
-      labels.push_back(cell.label());
-      budgets.push_back(cell.budget_seconds);
+  if (replaying) {
+    // execute_cell turns a diverged or exhausted recording into a failed
+    // cell; for a replay that is the whole verdict, so fail the process.
+    for (const CellResult& cr : result.cells) {
+      if (!cr.failed()) continue;
+      std::fprintf(stderr, "replay of journal '%s' failed: cell %s: %s\n",
+                   replay_path.c_str(), cr.cell.label().c_str(),
+                   cr.error.c_str());
+      return 3;
     }
-    if (!write_file(replay_path,
-                    schedule_to_json(result.schedule, labels, budgets))) {
-      std::fprintf(stderr, "cannot record schedule to '%s'\n",
-                   replay_path.c_str());
-      return 2;
-    }
-    std::printf("recorded steal schedule to %s\n", replay_path.c_str());
-  }
-
-  if (recorder) {
-    if (!write_file(trace_out_path, recorder->to_json())) {
-      std::fprintf(stderr, "cannot write trace to '%s'\n",
-                   trace_out_path.c_str());
-      return 2;
-    }
-    const workload::TraceFile trace = recorder->file();
-    std::size_t probes = 0;
-    for (const auto& [context, sequence] : trace.contexts) {
-      probes += sequence.size();
-    }
-    std::printf("recorded %zu probes across %zu contexts to %s\n", probes,
-                trace.contexts.size(), trace_out_path.c_str());
   }
 
   const std::string checkpoint_path = args.get("checkpoint", "");

@@ -50,8 +50,8 @@ Mfs mfs_from_json(const JsonValue& v);
 void counter_sample_to_json(const sim::CounterSample& s, JsonWriter* json);
 sim::CounterSample counter_sample_from_json(const JsonValue& v);
 
-// A full engine Measurement, every field, byte-identical round trip (the
-// trace backend's payload).  Doubles round-trip bit-exactly through
+// A full engine Measurement, every field, byte-identical round trip (a
+// journal probe record's payload).  Doubles round-trip bit-exactly through
 // JsonWriter's shortest-decimal rendering.
 void measurement_to_json(const workload::Measurement& m, JsonWriter* json);
 workload::Measurement measurement_from_json(const JsonValue& v);

@@ -86,17 +86,17 @@ Campaign::Campaign(CampaignConfig config) : config_(std::move(config)) {
       throw std::invalid_argument("budget cycle entries must be positive");
     }
   }
-  // Trace record/replay needs per-cell probe sequences that do not depend
-  // on thread scheduling.  Threaded execution with subsystem-scoped sharing
-  // is the one combination where they do (which MFS a cell sees depends on
-  // insert timing), so a recorded trace would fail to replay — reject it up
-  // front instead of at the first diverged probe.
+  // Journal record, resume and replay need per-cell probe sequences that
+  // do not depend on thread scheduling.  Threaded execution with
+  // subsystem-scoped sharing is the one combination where they do (which
+  // MFS a cell sees depends on insert timing), so a journal would fail to
+  // replay — reject it up front instead of at the first diverged probe.
   if (config_.backend_factory != nullptr &&
       config_.backend_factory->kind() == workload::BackendKind::kTrace &&
       config_.execution == ExecutionMode::kThreads &&
       config_.share == ShareScope::kSubsystem) {
     throw std::invalid_argument(
-        "trace record/replay and journal resume need deterministic cell "
+        "journal record, resume and replay need deterministic cell "
         "trajectories: use --exec deterministic or --share cell");
   }
 }

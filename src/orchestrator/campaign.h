@@ -119,10 +119,12 @@ struct CampaignConfig {
   // Warm start: pre-seed the pool with these scopes and skip cells whose
   // labels the checkpoint records as completed.
   std::optional<CampaignCheckpoint> warm_start;
-  // Replay: execute exactly this recorded schedule.  Logical workers come
-  // from the schedule; `workers` only caps physical threads, so a replayed
-  // campaign is bit-for-bit identical at any worker count (under
-  // ShareScope::kCell, where cell trajectories are schedule-independent).
+  // Replay: execute exactly this recorded schedule (a journal's begin
+  // record carries it; --resume and --replay re-dispatch it).  Logical
+  // workers come from the schedule; `workers` only caps physical threads,
+  // so a replayed campaign is bit-for-bit identical at any worker count
+  // (under ShareScope::kCell, where cell trajectories are
+  // schedule-independent).
   std::optional<Schedule> replay;
   // Optional telemetry sink (not owned; must outlive run()).  The campaign
   // registers per-logical-worker instruments, attaches the pool, and hands
@@ -133,11 +135,12 @@ struct CampaignConfig {
   obs::Telemetry* telemetry = nullptr;
   // Execution backend for every cell's engine (workload/backend.h).  Null =
   // the built-in simulator.  The campaign passes each cell's label as the
-  // backend context, so recorded traces keep per-cell probe sequences
-  // apart.  Trace record/replay requires schedule-independent cell
-  // trajectories: the constructor rejects a trace factory combined with
-  // threaded execution under subsystem-scoped sharing (where what a cell
-  // sees depends on insert timing).
+  // backend context, so journal probe records keep per-cell probe sequences
+  // apart.  Journaled record/resume/replay requires schedule-independent
+  // cell trajectories: the constructor rejects a kTrace factory (the
+  // journal's splice backend) combined with threaded execution under
+  // subsystem-scoped sharing (where what a cell sees depends on insert
+  // timing).
   std::shared_ptr<workload::BackendFactory> backend_factory;
   // Snapshot retention policy for the shared pool (keep_epochs).  Purely a
   // memory knob: reports are bit-identical across policies (pinned by
@@ -177,7 +180,7 @@ struct CellResult {
   // report must not count it as covered search time.
   std::string error;
   // Substrate that produced this cell's measurements ("sim", "mock"; a
-  // replayed sim trace reports "sim" — attribution follows the substrate,
+  // replayed sim journal reports "sim" — attribution follows the substrate,
   // not the transport, so record and replay reports stay byte-identical).
   std::string backend = "sim";
 
@@ -187,8 +190,8 @@ struct CellResult {
 struct CampaignResult {
   std::vector<CellResult> cells;  // in plan() order
   PoolStats pool;
-  // The realized cell -> logical-worker schedule; serialize with
-  // schedule_to_json to record a run for --replay.
+  // The realized cell -> logical-worker schedule (journaled in the begin
+  // record as a schedule_to_json document).
   Schedule schedule;
   // Every pool scope's final contents, for checkpointing (make_checkpoint),
   // plus the sharing policy the scope keys were formed under.

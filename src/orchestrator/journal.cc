@@ -3,6 +3,8 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <stdexcept>
@@ -56,7 +58,40 @@ PoolEntry pool_entry_from_json(const JsonValue& v) {
   return e;
 }
 
+std::string hex_u64(u64 v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return std::string(buf);
+}
+
+u64 u64_from_hex(const std::string& s) {
+  if (s.size() != 16 ||
+      s.find_first_not_of("0123456789abcdef") != std::string::npos) {
+    throw JsonError("malformed rng state word \"" + s + "\"");
+  }
+  return static_cast<u64>(std::strtoull(s.c_str(), nullptr, 16));
+}
+
 }  // namespace
+
+void rng_state_to_json(const RngState& st, JsonWriter* json) {
+  json->begin_object();
+  json->begin_array("s");
+  for (const u64 w : st.s) json->value(hex_u64(w));
+  json->end_array();
+  json->end_object();
+}
+
+RngState rng_state_from_json(const JsonValue& v) {
+  RngState st;
+  const auto& words = v.at("s").items();
+  if (words.size() != 4) throw JsonError("rng state needs 4 words");
+  for (std::size_t i = 0; i < 4; ++i) {
+    st.s[i] = u64_from_hex(words[i].as_string());
+  }
+  return st;
+}
 
 // ---- JournalWriter --------------------------------------------------------
 
@@ -256,7 +291,7 @@ void CampaignJournal::probe(const std::string& context, const Workload& w,
   json.key("measurement");
   core::measurement_to_json(m, &json);
   json.key("rng_after");
-  workload::rng_state_to_json(rng_after, &json);
+  rng_state_to_json(rng_after, &json);
   json.end_object();
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -372,11 +407,11 @@ JournalResume parse_journal(const std::vector<std::string>& payloads) {
         r.schedule = schedule_from_json(doc.at("schedule").as_string());
       } else if (kind == "probe") {
         const std::string& ctx = doc.at("context").as_string();
-        workload::TraceProbe p;
+        TraceProbe p;
         p.workload = core::workload_from_json(doc.at("workload"));
         p.measurement = core::measurement_from_json(doc.at("measurement"));
-        p.rng_after = workload::rng_state_from_json(doc.at("rng_after"));
-        r.partial[ctx].push_back(std::move(p));
+        p.rng_after = rng_state_from_json(doc.at("rng_after"));
+        r.recorded[ctx].push_back(std::move(p));
         ++r.probes;
       } else if (kind == "driver_state") {
         r.driver_state[doc.at("context").as_string()] = text;
@@ -414,8 +449,8 @@ JournalResume parse_journal(const std::vector<std::string>& payloads) {
     rc.delta = m.pool_delta;
     if (r.completed.count(label) == 0) r.completion_order.push_back(label);
     r.completed[label] = std::move(rc);
-    // Anything journaled mid-cell is superseded by the cell_done document.
-    r.partial.erase(label);
+    // Streamed extractions are superseded by the cell_done document; the
+    // cell's probe records stay (they are what --replay serves).
     r.partial_inserts.erase(label);
   }
   return r;
@@ -454,9 +489,9 @@ namespace {
 class SpliceBackend final : public workload::Backend {
  public:
   SpliceBackend(std::unique_ptr<workload::Backend> inner,
-                const std::vector<workload::TraceProbe>* prefix,
-                std::string context, CampaignJournal* journal,
-                std::atomic<i64>* replayed, std::atomic<i64>* live)
+                const std::vector<TraceProbe>* prefix, std::string context,
+                CampaignJournal* journal, std::atomic<i64>* replayed,
+                std::atomic<i64>* live)
       : inner_(std::move(inner)),
         prefix_(prefix),
         context_(std::move(context)),
@@ -472,12 +507,12 @@ class SpliceBackend final : public workload::Backend {
   void measure(const Workload& w, Rng& rng, sim::EvalScratch& scratch,
                workload::Measurement& out) override {
     if (prefix_ != nullptr && cursor_ < prefix_->size()) {
-      const workload::TraceProbe& p = (*prefix_)[cursor_];
+      const TraceProbe& p = (*prefix_)[cursor_];
       if (!(p.workload == w)) {
         throw std::runtime_error(
             "journal context \"" + context_ + "\" probe " +
             std::to_string(cursor_) +
-            " was recorded for a different workload — resume diverged "
+            " was recorded for a different workload — replay diverged "
             "(journal recorded against different flags?)");
       }
       out = p.measurement;
@@ -493,7 +528,7 @@ class SpliceBackend final : public workload::Backend {
 
  private:
   std::unique_ptr<workload::Backend> inner_;
-  const std::vector<workload::TraceProbe>* prefix_;  // null = no prefix
+  const std::vector<TraceProbe>* prefix_;  // null = no prefix
   std::string context_;
   CampaignJournal* journal_;
   std::atomic<i64>* replayed_;
@@ -501,14 +536,61 @@ class SpliceBackend final : public workload::Backend {
   std::size_t cursor_ = 0;
 };
 
+// The live tail of an offline replay: there is none.  Reaching it means the
+// cell asked for more probes than its recording holds.
+class RecordingEndBackend final : public workload::Backend {
+ public:
+  RecordingEndBackend(const std::string& substrate, std::string context,
+                      std::size_t recorded)
+      : substrate_(substrate),
+        context_(std::move(context)),
+        recorded_(recorded) {}
+
+  workload::BackendKind kind() const override {
+    return workload::BackendKind::kTrace;
+  }
+  const std::string& substrate() const override { return substrate_; }
+  void measure(const Workload&, Rng&, sim::EvalScratch&,
+               workload::Measurement&) override {
+    throw std::runtime_error("journal context \"" + context_ +
+                             "\" ran out after " + std::to_string(recorded_) +
+                             " recorded probes — replay diverged");
+  }
+
+ private:
+  const std::string& substrate_;
+  std::string context_;
+  std::size_t recorded_;
+};
+
+class RecordingEndFactory final : public workload::BackendFactory {
+ public:
+  explicit RecordingEndFactory(const JournalResume& recording)
+      : recording_(recording) {}
+
+  workload::BackendKind kind() const override {
+    return workload::BackendKind::kTrace;
+  }
+  const std::string& substrate() const override { return recording_.backend; }
+  std::unique_ptr<workload::Backend> create(
+      const sim::Subsystem&, const workload::EngineOptions&,
+      const std::string& context) override {
+    const auto it = recording_.recorded.find(context);
+    return std::make_unique<RecordingEndBackend>(
+        recording_.backend, context,
+        it != recording_.recorded.end() ? it->second.size() : 0);
+  }
+
+ private:
+  const JournalResume& recording_;
+};
+
 }  // namespace
 
 SpliceBackendFactory::SpliceBackendFactory(
     std::shared_ptr<workload::BackendFactory> inner,
     const JournalResume* resume, CampaignJournal* journal)
-    : inner_(std::move(inner)), journal_(journal) {
-  if (resume != nullptr) partial_ = resume->partial;
-}
+    : inner_(std::move(inner)), resume_(resume), journal_(journal) {}
 
 const std::string& SpliceBackendFactory::substrate() const {
   static const std::string kSim = "sim";
@@ -521,11 +603,19 @@ std::unique_ptr<workload::Backend> SpliceBackendFactory::create(
   std::unique_ptr<workload::Backend> inner =
       inner_ != nullptr ? inner_->create(sys, opts, context)
                         : std::make_unique<workload::SimBackend>(sys, opts);
-  const auto it = partial_.find(context);
-  const std::vector<workload::TraceProbe>* prefix =
-      it != partial_.end() ? &it->second : nullptr;
+  const std::vector<TraceProbe>* prefix = nullptr;
+  if (resume_ != nullptr) {
+    const auto it = resume_->recorded.find(context);
+    if (it != resume_->recorded.end()) prefix = &it->second;
+  }
   return std::make_unique<SpliceBackend>(std::move(inner), prefix, context,
                                          journal_, &replayed_, &live_);
+}
+
+std::shared_ptr<workload::BackendFactory> journal_replay_factory(
+    const JournalResume& recording) {
+  return std::make_shared<SpliceBackendFactory>(
+      std::make_shared<RecordingEndFactory>(recording), &recording, nullptr);
 }
 
 // ---- JournalingStore ------------------------------------------------------

@@ -12,11 +12,10 @@
 // Payloads are strict-JSON documents in two vocabularies:
 //   * journal-native records, tagged by a "record" key — "begin" (config +
 //     realized schedule), "probe" (one executed probe: workload,
-//     measurement, post-probe RNG state — exactly a trace-backend
-//     TraceProbe), "driver_state" (serialized search-driver progress, for
-//     observability), "mfs_batch" (one streamed extraction with its scope),
-//     "event" (fleet lease grants / revokes / re-queues), "resume" (a
-//     session boundary marker);
+//     measurement, post-probe RNG state — a TraceProbe), "driver_state"
+//     (serialized search-driver progress, for observability), "mfs_batch"
+//     (one streamed extraction with its scope), "event" (fleet lease
+//     grants / revokes / re-queues), "resume" (a session boundary marker);
 //   * verbatim fleet wire messages, tagged by a "type" key — a completed
 //     cell is journaled as the exact PR 9 cell_done document (full
 //     CellResult + every insert + the cell's pool-stats delta), so the
@@ -30,11 +29,15 @@
 // because of the journal's one structural invariant: ANY frame prefix is a
 // resumable state.  Probes lost past the last valid frame are simply
 // re-executed live — the splice backend replays the journaled prefix of
-// each cell (restoring measurements and RNG state exactly as the trace
-// backend does), then switches to the real substrate mid-cell.  The resumed
-// campaign's report is byte-identical to the uninterrupted run's, with zero
-// probes re-spent inside journaled regions (pinned by tests at 1/2/4
-// workers).
+// each cell (restoring measurements and RNG state), then switches to the
+// real substrate mid-cell.  The resumed campaign's report is byte-identical
+// to the uninterrupted run's, with zero probes re-spent inside journaled
+// regions (pinned by tests at 1/2/4 workers).
+//
+// The same probe records make a journal a replayable recording: `campaign
+// --replay` re-dispatches the begin record's schedule and answers every
+// probe from the journal (journal_replay_factory), with no live substrate
+// at all.
 #pragma once
 
 #include <atomic>
@@ -46,12 +49,32 @@
 #include <vector>
 
 #include "orchestrator/campaign.h"
-#include "workload/backend_trace.h"
+#include "workload/backend.h"
+
+namespace collie::core {
+class JsonWriter;
+class JsonValue;
+}  // namespace collie::core
 
 namespace collie::orchestrator {
 
 inline constexpr char kJournalMagic[] = "collie-journal-v2\n";
 inline constexpr std::size_t kJournalMagicSize = 18;
+
+// One journaled probe of one context: the workload that was measured, the
+// Measurement it produced, and the Rng state the substrate left behind.
+// Replaying a probe restores that state, which keeps the *search*
+// identical: the same generator feeds measurement jitter and SA decisions.
+struct TraceProbe {
+  Workload workload;
+  workload::Measurement measurement;
+  RngState rng_after;
+};
+
+// Hex RngState <-> JSON ({"s":[four 16-digit lowercase hex words]}), the
+// encoding of a probe record's rng_after.
+void rng_state_to_json(const RngState& st, core::JsonWriter* json);
+RngState rng_state_from_json(const core::JsonValue& v);
 
 // ---- Framed append-only writer --------------------------------------------
 
@@ -123,7 +146,8 @@ class CampaignJournal {
                   i64 crash_after_probes = 0, u64 crash_at_byte = 0);
 
   // Campaign start: config identity + the realized schedule (embedded as a
-  // schedule_to_json document, so resume re-executes the exact assignment).
+  // schedule_to_json document, so resume and replay re-execute the exact
+  // assignment).
   void begin(const std::string& share, const std::string& strategy, u64 seed,
              int workers, const std::string& backend,
              const std::string& schedule_json);
@@ -188,13 +212,17 @@ struct JournalResume {
   std::string backend;   // substrate
   u64 seed = 0;
   int workers = 0;
-  Schedule schedule;  // the realized schedule, for --replay-style re-dispatch
+  Schedule schedule;  // the realized schedule, re-dispatched on resume/replay
   // Labels of completed cells in journal (completion) order — the order
   // their inserts must be folded back into the pool.
   std::vector<std::string> completion_order;
   std::map<std::string, RestoredCell> completed;
-  // Journaled probes of cells that did NOT complete: the splice prefix.
-  std::map<std::string, std::vector<workload::TraceProbe>> partial;
+  // Every journaled probe by context, in execution order.  A resumed
+  // session journals only the probes it runs live, so records concatenate
+  // across sessions: a completed cell's sequence is its whole trajectory
+  // (what --replay serves), an incomplete cell's is its splice prefix.
+  // `campaign --resume` erases completed cells' sequences after parsing.
+  std::map<std::string, std::vector<TraceProbe>> recorded;
   // Streamed extractions of cells that did not complete (checkpoint
   // salvage only — resume re-inserts them by replaying the probes, so the
   // campaign never loads these).  May contain duplicates after a crash
@@ -223,22 +251,24 @@ CampaignCheckpoint journal_to_checkpoint(const JournalResume& resume);
 
 // ---- Mid-cell splice backend ----------------------------------------------
 
-// The resume substrate: each cell replays its journaled probe prefix
-// exactly as a TraceBackend would (recorded measurement out, recorded RNG
-// state restored, zero simulator evaluations, workload equality enforced),
-// then splices onto the live inner backend and journals every new probe.
-// Cells with no journaled prefix run live from probe 0 — a fresh journaling
-// campaign is the empty-prefix special case of resume.
+// The journal's substrate: each cell replays its journaled probes as a
+// cursor walk (recorded measurement out, recorded RNG state restored, zero
+// simulator evaluations, workload equality enforced — a different workload
+// at the cursor throws), then splices onto the live inner backend and
+// journals every new probe.  Cells with no journaled probes run live from
+// probe 0 — a fresh journaling campaign is the empty-prefix special case of
+// resume, and an offline replay is the no-live-tail one.
 //
 // kind() reports kTrace so Campaign's determinism gate applies: threaded
-// execution under subsystem-scoped sharing is rejected, exactly as for
-// trace record/replay (journal resume needs schedule-independent cell
-// trajectories for its byte-identity guarantee).
+// execution under subsystem-scoped sharing is rejected (record, resume and
+// replay need schedule-independent cell trajectories for their
+// byte-identity guarantees).
 class SpliceBackendFactory final : public workload::BackendFactory {
  public:
   // `inner` = the real substrate factory (null = the built-in simulator).
-  // `resume` may be null (fresh journaling run).  `journal` must outlive
-  // the factory and every backend it creates.
+  // `resume` may be null (fresh journaling run); `journal` may be null (no
+  // live probe is journaled).  Both must outlive the factory and every
+  // backend it creates.
   SpliceBackendFactory(std::shared_ptr<workload::BackendFactory> inner,
                        const JournalResume* resume, CampaignJournal* journal);
 
@@ -257,11 +287,20 @@ class SpliceBackendFactory final : public workload::BackendFactory {
 
  private:
   std::shared_ptr<workload::BackendFactory> inner_;
-  std::map<std::string, std::vector<workload::TraceProbe>> partial_;
+  const JournalResume* resume_;
   CampaignJournal* journal_;
   std::atomic<i64> replayed_{0};
   std::atomic<i64> live_{0};
 };
+
+// The offline substrate of `campaign --replay`: a SpliceBackendFactory over
+// `recording` with no live tail.  Every probe is answered from the cell's
+// journaled probe records; a probe past the end of them throws, so a
+// replay makes zero simulator evaluations by construction.  Reports
+// attribute the recording's substrate.  `recording` must outlive the
+// factory.
+std::shared_ptr<workload::BackendFactory> journal_replay_factory(
+    const JournalResume& recording);
 
 // ---- MfsStore wrapper that journals every insert --------------------------
 

@@ -6,8 +6,8 @@
 // schedule (thread t drains queues t, t+T, ...), and because every cell's
 // RNG stream is split off the campaign seed by cell index, the results are
 // a function of the schedule alone, not of the thread count.  That is what
-// makes `--replay` bit-for-bit: record the schedule once, re-execute it at
-// any worker count.
+// makes journal `--resume` and `--replay` bit-for-bit: the journal's begin
+// record carries the schedule, re-executed at any worker count.
 //
 // Two policies build schedules:
 //   * round-robin — cell i -> worker i mod W, the seed behaviour; exact for
@@ -20,9 +20,9 @@
 //     makespan stays within 4/3 of optimal instead of degrading to the
 //     worst per-worker sum round-robin can produce.
 //
-// Schedules serialize to JSON (with cell labels for validation) so a replay
-// can detect grid drift: a schedule recorded against a different plan is
-// rejected, never silently misapplied.
+// Schedules serialize to JSON (with cell labels for validation; the journal
+// embeds the document) so a replay can detect grid drift: a schedule
+// recorded against a different plan is rejected, never silently misapplied.
 #pragma once
 
 #include <string>

@@ -7,15 +7,16 @@
 // program no matter what executes it) and delegates the *performance* pass —
 // (Workload, Rng, scratch) -> Measurement — to its backend.  The simulator
 // backend is the default and owns the scenario compilation the hot path
-// depends on; a trace backend replays recorded measurements offline; a mock
-// backend returns scripted measurements for orchestrator tests.  A future
+// depends on; the journal's splice backend (orchestrator/journal.h) serves
+// journaled measurements on resume and offline replay; a mock backend
+// returns scripted measurements for orchestrator tests.  A future
 // hardware backend slots in here without touching the search stack.
 //
 // Determinism contract: one Rng feeds both measurement jitter and search
 // decisions, so a backend must leave the Rng in exactly the state its
 // recording substrate did.  SimBackend advances it through sim::evaluate;
-// TraceBackend restores the recorded post-probe state; MockBackend leaves it
-// untouched (and must be replayed against MockBackend only).
+// the splice backend restores the journaled post-probe state; MockBackend
+// leaves it untouched (and must be replayed against MockBackend only).
 #pragma once
 
 #include <memory>
@@ -30,7 +31,7 @@ namespace collie::workload {
 
 enum class BackendKind {
   kSim,    // the performance model (default)
-  kTrace,  // recorded-trace record/replay
+  kTrace,  // journaled probes: record, resume and replay
   kMock,   // scripted measurements for tests
 };
 
@@ -43,9 +44,9 @@ class Backend {
   virtual BackendKind kind() const = 0;
 
   // The substrate that produced (or produces) this backend's measurements:
-  // "sim" for the simulator and for traces recorded from it, "mock" for
+  // "sim" for the simulator and for journals recorded from it, "mock" for
   // scripted ones.  Reports attribute results to the substrate, never the
-  // transport — a replayed sim trace must be byte-identical to its
+  // transport — a replayed sim journal must be byte-identical to its
   // recording, including attribution.
   virtual const std::string& substrate() const = 0;
 
@@ -61,8 +62,8 @@ class Backend {
 // Creates one Backend per Engine.  The engine options carry a non-owning
 // factory pointer (the campaign owns the factory for the whole run and
 // builds one engine per cell); `context` names the engine's probe stream —
-// the campaign passes the cell label — so recorded traces keep per-cell
-// probe sequences apart.
+// the campaign passes the cell label — so journal probe records keep
+// per-cell probe sequences apart.
 class BackendFactory {
  public:
   virtual ~BackendFactory() = default;

@@ -8,9 +8,7 @@
 // Measurement are warm.
 //
 // The class is final and measure() is final so the engine's stored
-// SimBackend* dispatches directly (no virtual call on the hot path); the
-// bench_micro BM_BackendDispatch pair gates the cost of forcing the virtual
-// path instead.
+// SimBackend* dispatches directly (no virtual call on the hot path).
 #pragma once
 
 #include <string>
@@ -18,6 +16,12 @@
 #include "workload/backend.h"
 
 namespace collie::workload {
+
+// The measure loop's per-attempt step: copy one evaluation into `m`, then
+// apply the stability rule (the four goodput samples within 20% of their
+// maximum).  An unstable attempt bumps remeasure_count and charges the
+// 10 s re-measurement.  Returns m.stable.
+bool apply_result(const sim::SimResult& r, Measurement& m);
 
 class SimBackend final : public Backend {
  public:
@@ -32,7 +36,6 @@ class SimBackend final : public Backend {
 
  private:
   sim::Subsystem sys_;
-  bool use_compiled_;
   obs::ProbeTelemetry telemetry_;
   sim::SimConfig sim_;
   sim::CompiledScenario compiled_;

@@ -92,7 +92,7 @@ Engine::Engine(const sim::Subsystem& sys, EngineOptions opts)
   } else {
     backend_ = std::make_unique<SimBackend>(sys_, opts_);
   }
-  if (opts_.devirtualize_sim && backend_->kind() == BackendKind::kSim) {
+  if (backend_->kind() == BackendKind::kSim) {
     sim_ = static_cast<SimBackend*>(backend_.get());
   }
   if (opts_.telemetry.enabled()) {
@@ -302,7 +302,7 @@ const Measurement& Engine::run(const Workload& w, Rng& rng,
 
   // The performance pass runs on the backend.  The sim fast path is a
   // direct call on the final class (sim_ is non-null exactly when the
-  // backend is SimBackend and devirtualization is on).
+  // backend is SimBackend).
   if (sim_ != nullptr) {
     sim_->measure(w, rng, scratch, m);
   } else {

@@ -18,10 +18,10 @@
 //      iteration (§6), with a stability check and re-measurement.
 //
 // The performance pass is delegated to an execution Backend
-// (workload/backend.h): the simulator by default, recorded traces or
-// scripted mocks when the engine options carry a factory.  The sim path is
-// devirtualized (direct call on the final SimBackend) so the seam costs the
-// hot path nothing.
+// (workload/backend.h): the simulator by default, journaled probes or
+// scripted mocks when the engine options carry a factory.  The built-in
+// simulator is called directly (on the final SimBackend), so the seam costs
+// the hot path nothing.
 #pragma once
 
 #include <memory>
@@ -79,10 +79,6 @@ struct EngineOptions {
   int functional_max_qps = 8;
   int functional_max_mrs = 8;
   bool run_functional_pass = true;
-  // Evaluate through the scenario compiled once at engine construction (the
-  // hot path).  False forces the uncompiled per-call path — kept so the
-  // trajectory-pinning tests can compare the two bit-for-bit.
-  bool use_compiled = true;
   // Hot-path telemetry handle (worker-sharded).  Default-constructed =
   // metrics off; every instrumentation point is then one pointer test.
   obs::ProbeTelemetry telemetry;
@@ -93,14 +89,10 @@ struct EngineOptions {
   // Execution backend.  Null = the built-in simulator backend.  Not owned:
   // the factory must outlive every engine built from these options (the
   // campaign owns one factory for the whole run and builds one engine per
-  // cell).  `backend_context` names this engine's probe stream in recorded
-  // traces — the campaign passes the cell label.
+  // cell).  `backend_context` names this engine's probe stream in journal
+  // probe records — the campaign passes the cell label.
   BackendFactory* backend_factory = nullptr;
   std::string backend_context;
-  // Dispatch the simulator backend through a direct call on the final class
-  // (the default).  False forces the virtual call — only bench_micro's
-  // BM_BackendDispatch pair uses it, to gate the seam's dispatch cost.
-  bool devirtualize_sim = true;
 };
 
 class Engine {
@@ -136,8 +128,8 @@ class Engine {
   sim::Subsystem sys_;
   EngineOptions opts_;
   std::unique_ptr<Backend> backend_;
-  // Devirtualized fast path: non-null iff the backend is the (final)
-  // SimBackend and devirtualization is on.
+  // Direct-call fast path: non-null iff the backend is the (final)
+  // SimBackend.
   SimBackend* sim_ = nullptr;
   // "engine.backend.<kind>" probe counter, registered at construction so
   // the per-probe bump never touches the registration mutex.  Only valid

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 
@@ -7,9 +8,9 @@
 #include "obs/telemetry.h"
 #include "orchestrator/campaign.h"
 #include "orchestrator/campaign_report.h"
+#include "orchestrator/journal.h"
 #include "workload/backend_mock.h"
 #include "workload/backend_sim.h"
-#include "workload/backend_trace.h"
 #include "workload/engine.h"
 
 namespace collie::workload {
@@ -118,7 +119,7 @@ TEST(Backend, SimBackendIsTheDefault) {
 
 // A small deterministic campaign template every backend test shares: one
 // subsystem-B cell, cell-scoped pool, deterministic execution — the shape
-// trace record/replay requires.
+// journal record/replay requires.
 orchestrator::CampaignConfig small_campaign() {
   orchestrator::CampaignConfig config;
   config.subsystems = {'B'};
@@ -130,81 +131,161 @@ orchestrator::CampaignConfig small_campaign() {
   return config;
 }
 
-TEST(Backend, RecordReplayCampaignReportsAreByteIdentical) {
-  // Leg 0: the plain simulator.
-  const std::string sim_report =
-      orchestrator::build_report(
-          orchestrator::Campaign(small_campaign()).run())
-          .to_json();
-
-  // Leg 1: record.  Same trajectory as the plain simulator, same report.
-  auto recorder = std::make_shared<TraceRecorder>();
-  orchestrator::CampaignConfig record = small_campaign();
-  record.backend_factory = std::make_shared<RecordBackendFactory>(recorder);
-  const orchestrator::CampaignResult record_result =
-      orchestrator::Campaign(record).run();
-  const std::string record_report =
-      orchestrator::build_report(record_result).to_json();
-  EXPECT_EQ(record_report, sim_report);
-  EXPECT_EQ(record_result.backend, "sim");
-
-  // Leg 2: replay through the serialized trace, telemetry on so the
-  // zero-evaluation claim is observable.  The report must still match byte
-  // for byte — substrate attribution, not transport.
-  auto trace = std::make_shared<const TraceFile>(
-      TraceFile::from_json(recorder->to_json()));
-  obs::Telemetry telemetry;
-  orchestrator::CampaignConfig replay = small_campaign();
-  replay.backend_factory = std::make_shared<ReplayBackendFactory>(trace);
-  replay.telemetry = &telemetry;
-  const orchestrator::CampaignResult replay_result =
-      orchestrator::Campaign(replay).run();
-  EXPECT_EQ(orchestrator::build_report(replay_result).to_json(), sim_report);
-
-  // Not a single simulator evaluation ran on the replay leg, and every
-  // probe went through the trace backend.
-  const obs::Snapshot snap = telemetry.snapshot();
-  ASSERT_TRUE(snap.histograms.count("engine.eval_ns"));
-  EXPECT_EQ(snap.histograms.at("engine.eval_ns").count, 0u);
-  i64 experiments = 0;
-  for (const orchestrator::CellResult& cr : replay_result.cells) {
-    experiments += cr.result.experiments;
-  }
-  EXPECT_GT(experiments, 0);
-  ASSERT_TRUE(snap.counters.count("engine.backend.trace"));
-  EXPECT_EQ(snap.counters.at("engine.backend.trace"), experiments);
+std::string journal_tmp(const std::string& name) {
+  const std::string path = ::testing::TempDir() + "collie_engine_" + name;
+  std::remove(path.c_str());
+  std::remove((path + ".torn").c_str());
+  return path;
 }
 
-TEST(Backend, ReplayDivergenceFailsLoudly) {
-  // Record two probes through one engine.
-  auto recorder = std::make_shared<TraceRecorder>();
-  RecordBackendFactory factory(recorder);
-  EngineOptions opts;
-  opts.run_functional_pass = false;
-  opts.backend_factory = &factory;
-  opts.backend_context = "cell";
-  const sim::Subsystem& sys = sim::subsystem('F');
+// A journaling campaign, wired the way `campaign --journal [--resume]`
+// wires it.  `crash_after_probes` > 0 _exit(137)s mid-run.
+std::string run_journaled(orchestrator::CampaignConfig config,
+                          const std::string& path,
+                          const orchestrator::JournalResume* resume,
+                          i64 crash_after_probes = 0) {
+  orchestrator::CampaignJournal journal(path, /*journal_every=*/4,
+                                        crash_after_probes);
+  config.journal = &journal;
+  config.resume = resume;
+  if (resume != nullptr) config.replay = resume->schedule;
+  config.backend_factory = std::make_shared<orchestrator::SpliceBackendFactory>(
+      nullptr, resume, &journal);
+  return orchestrator::build_report(orchestrator::Campaign(config).run())
+      .to_json();
+}
+
+orchestrator::JournalResume parse_journal_file(const std::string& path) {
+  return orchestrator::parse_journal(
+      orchestrator::recover_journal(path, /*repair=*/false).payloads);
+}
+
+struct Replayed {
+  std::string report;
+  u64 eval_count = 0;
+  i64 trace_probes = 0;
+  i64 experiments = 0;
+};
+
+// Replay a recording the way `campaign --replay` wires it, telemetry on so
+// the zero-evaluation claim is observable.
+Replayed replay_journal(orchestrator::CampaignConfig config,
+                        const orchestrator::JournalResume& recording) {
+  obs::Telemetry telemetry;
+  config.replay = recording.schedule;
+  config.backend_factory = orchestrator::journal_replay_factory(recording);
+  config.telemetry = &telemetry;
+  const orchestrator::CampaignResult result =
+      orchestrator::Campaign(config).run();
+  Replayed out;
+  out.report = orchestrator::build_report(result).to_json();
+  const obs::Snapshot snap = telemetry.snapshot();
+  // The histogram must be registered: a missing one would read as zero
+  // evaluations.
+  EXPECT_EQ(snap.histograms.count("engine.eval_ns"), 1u);
+  if (snap.histograms.count("engine.eval_ns") != 0) {
+    out.eval_count = snap.histograms.at("engine.eval_ns").count;
+  }
+  if (snap.counters.count("engine.backend.trace") != 0) {
+    out.trace_probes = snap.counters.at("engine.backend.trace");
+  }
+  for (const orchestrator::CellResult& cr : result.cells) {
+    EXPECT_FALSE(cr.failed()) << cr.cell.label() << ": " << cr.error;
+    out.experiments += cr.result.experiments;
+  }
+  return out;
+}
+
+TEST(Backend, JournalRecordReplayReportsAreByteIdentical) {
+  // Leg 0: the plain simulator.
+  orchestrator::CampaignConfig config = small_campaign();
+  config.seeds_per_cell = 2;
+  const std::string sim_report =
+      orchestrator::build_report(orchestrator::Campaign(config).run())
+          .to_json();
+
+  // Leg 1: record.  Journaling is pure observation: same report.
+  const std::string path = journal_tmp("record.journal");
+  EXPECT_EQ(run_journaled(config, path, nullptr), sim_report);
+  const orchestrator::JournalResume recording = parse_journal_file(path);
+  EXPECT_EQ(recording.backend, "sim");
+
+  // Leg 2: replay offline at 1 and 2 workers.  The report matches byte for
+  // byte — substrate attribution, not transport — not a single simulator
+  // evaluation ran, and every probe went through the journal.
+  for (const int workers : {1, 2}) {
+    orchestrator::CampaignConfig replay = config;
+    replay.workers = workers;
+    const Replayed r = replay_journal(replay, recording);
+    EXPECT_EQ(r.report, sim_report) << workers << " workers";
+    EXPECT_EQ(r.eval_count, 0u) << workers << " workers";
+    EXPECT_GT(r.experiments, 0);
+    EXPECT_EQ(r.trace_probes, r.experiments) << workers << " workers";
+  }
+  std::remove(path.c_str());
+}
+
+// Probe records concatenate across sessions: a journal that crashed and
+// was resumed holds every cell's whole trajectory, so it replays to the
+// uninterrupted report too.
+TEST(Backend, CrashedThenResumedJournalReplaysByteIdentically) {
+  orchestrator::CampaignConfig config = small_campaign();
+  config.seeds_per_cell = 2;
+  const std::string sim_report =
+      orchestrator::build_report(orchestrator::Campaign(config).run())
+          .to_json();
+
+  const std::string path = journal_tmp("crash.journal");
+  EXPECT_EXIT((void)run_journaled(config, path, nullptr,
+                                  /*crash_after_probes=*/17),
+              ::testing::ExitedWithCode(137), "");
+  const orchestrator::JournalResume crashed = parse_journal_file(path);
+  ASSERT_TRUE(crashed.has_begin);
+  ASSERT_EQ(crashed.probes, 17);
+  EXPECT_EQ(run_journaled(config, path, &crashed), sim_report);
+
+  const orchestrator::JournalResume recording = parse_journal_file(path);
+  EXPECT_EQ(recording.sessions, 2);
+  const Replayed r = replay_journal(config, recording);
+  EXPECT_EQ(r.report, sim_report);
+  EXPECT_EQ(r.eval_count, 0u);
+  EXPECT_EQ(r.trace_probes, r.experiments);
+  std::remove(path.c_str());
+}
+
+// Two probes recorded through one engine under context "cell".
+orchestrator::JournalResume record_two_probes(const std::string& path,
+                                              Rng& rng) {
   {
-    Engine engine(sys, opts);
-    Rng rng(3);
+    orchestrator::CampaignJournal journal(path, /*journal_every=*/1);
+    orchestrator::SpliceBackendFactory factory(nullptr, nullptr, &journal);
+    EngineOptions opts;
+    opts.run_functional_pass = false;
+    opts.backend_factory = &factory;
+    opts.backend_context = "cell";
+    Engine engine(sim::subsystem('F'), opts);
     engine.run(simple_write(), rng);
     engine.run(catalog::anomaly(1).concrete, rng);
   }
-  auto trace =
-      std::make_shared<const TraceFile>(recorder->file());
+  return parse_journal_file(path);
+}
 
-  // A missing context fails at engine construction.
-  ReplayBackendFactory replay(trace);
-  EngineOptions bad_ctx = opts;
-  bad_ctx.backend_factory = &replay;
-  bad_ctx.backend_context = "other-cell";
-  EXPECT_THROW(Engine(sys, bad_ctx), std::runtime_error);
+TEST(Backend, ReplayDivergenceFailsLoudly) {
+  const std::string path = journal_tmp("diverge.journal");
+  Rng record_rng(3);
+  const orchestrator::JournalResume recording =
+      record_two_probes(path, record_rng);
+  ASSERT_EQ(recording.recorded.at("cell").size(), 2u);
+  const auto replay = orchestrator::journal_replay_factory(recording);
+  EngineOptions opts;
+  opts.run_functional_pass = false;
+  opts.backend_factory = replay.get();
+  opts.backend_context = "cell";
+  const sim::Subsystem& sys = sim::subsystem('F');
 
   // A different workload at the cursor fails at that probe.
-  EngineOptions replay_opts = opts;
-  replay_opts.backend_factory = &replay;
   {
-    Engine engine(sys, replay_opts);
+    Engine engine(sys, opts);
     Rng rng(3);
     Workload other = simple_write();
     other.num_qps = 99;
@@ -212,40 +293,44 @@ TEST(Backend, ReplayDivergenceFailsLoudly) {
   }
   // Running past the recorded sequence fails too.
   {
-    Engine engine(sys, replay_opts);
+    Engine engine(sys, opts);
     Rng rng(3);
     engine.run(simple_write(), rng);
     engine.run(catalog::anomaly(1).concrete, rng);
     EXPECT_THROW(engine.run(simple_write(), rng), std::runtime_error);
   }
+  // A context the journal never recorded runs out at its first probe.
+  {
+    EngineOptions other_ctx = opts;
+    other_ctx.backend_context = "other-cell";
+    Engine engine(sys, other_ctx);
+    Rng rng(3);
+    EXPECT_THROW(engine.run(simple_write(), rng), std::runtime_error);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Backend, ReplayRestoresTheRecordedRngStream) {
   // The same generator feeds measurement jitter and search decisions, so a
   // replayed probe must leave the Rng exactly where the recording left it.
-  auto recorder = std::make_shared<TraceRecorder>();
-  RecordBackendFactory factory(recorder);
+  const std::string path = journal_tmp("rng.journal");
+  Rng record_rng(17);
+  const orchestrator::JournalResume recording =
+      record_two_probes(path, record_rng);
+
+  const auto replay = orchestrator::journal_replay_factory(recording);
   EngineOptions opts;
   opts.run_functional_pass = false;
-  opts.backend_factory = &factory;
-  const sim::Subsystem& sys = sim::subsystem('F');
-  Rng record_rng(17);
-  {
-    Engine engine(sys, opts);
-    engine.run(simple_write(), record_rng);
-  }
-  const RngState after_record = record_rng.state();
-
-  auto trace = std::make_shared<const TraceFile>(recorder->file());
-  ReplayBackendFactory replay_factory(trace);
-  EngineOptions replay_opts = opts;
-  replay_opts.backend_factory = &replay_factory;
-  Engine engine(sys, replay_opts);
+  opts.backend_factory = replay.get();
+  opts.backend_context = "cell";
+  Engine engine(sim::subsystem('F'), opts);
   Rng replay_rng(17);
   engine.run(simple_write(), replay_rng);
-  EXPECT_EQ(replay_rng.state(), after_record);
+  engine.run(catalog::anomaly(1).concrete, replay_rng);
+  EXPECT_EQ(replay_rng.state(), record_rng.state());
   // And the next draws agree.
   EXPECT_EQ(record_rng.next_u64(), replay_rng.next_u64());
+  std::remove(path.c_str());
 }
 
 TEST(Backend, MockBackendDrivesACampaign) {

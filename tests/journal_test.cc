@@ -29,7 +29,6 @@
 #include "orchestrator/journal.h"
 #include "orchestrator/scheduler.h"
 #include "sim/subsystem.h"
-#include "workload/backend_trace.h"
 
 namespace collie::orchestrator {
 namespace {
@@ -329,9 +328,10 @@ TEST(JournalFrames, RandomByteFlipsNeverMisbehave) {
 // ---- record vocabulary / parse_journal --------------------------------------
 
 // A realistic record stream written through CampaignJournal, then parsed
-// back: one completed cell (probes superseded by its cell_done), one
-// partial cell (probes + streamed extractions survive as the splice
-// prefix), plus driver_state, events, and a session boundary.
+// back: one completed cell (its probes kept as its recorded trajectory,
+// its streamed extractions superseded by its cell_done), one partial cell
+// (probes + streamed extractions survive as the splice prefix), plus
+// driver_state, events, and a session boundary.
 TEST(CampaignJournalRecords, ParseJournalReconstructsResumableState) {
   const std::string path = tmp_path("records.journal");
   const core::SearchSpace space(sim::subsystem('B'));
@@ -343,14 +343,14 @@ TEST(CampaignJournalRecords, ParseJournalReconstructsResumableState) {
   const std::string sched_json = schedule_to_json(
       sched, {"B/Diag#0", "B/Diag#1"}, {3600.0, 3600.0});
 
-  std::vector<workload::TraceProbe> done_probes(3);
-  std::vector<workload::TraceProbe> partial_probes(2);
+  std::vector<TraceProbe> done_probes(3);
+  std::vector<TraceProbe> partial_probes(2);
   core::Mfs partial_mfs;
   {
     CampaignJournal journal(path, /*journal_every=*/1);
     journal.begin("cell", "sa", /*seed=*/17, /*workers=*/1, "sim",
                   sched_json);
-    for (workload::TraceProbe& p : done_probes) {
+    for (TraceProbe& p : done_probes) {
       p.workload = space.random_point(rng);
       p.measurement.stable = true;
       p.rng_after = rng.state();
@@ -362,7 +362,7 @@ TEST(CampaignJournalRecords, ParseJournalReconstructsResumableState) {
     journal.driver_state("B/Diag#0", dp.to_json());
     journal.event("lease", "B/Diag#0", /*worker=*/0, /*lease=*/1);
 
-    // The completed cell: its cell_done supersedes the probes above.
+    // The completed cell: its cell_done document carries the result.
     CellResult done;
     done.cell.subsystem = 'B';
     done.worker = 0;
@@ -375,7 +375,7 @@ TEST(CampaignJournalRecords, ParseJournalReconstructsResumableState) {
     journal.cell_done(done, {PoolEntry{partial_mfs, 0}}, delta, /*lease=*/1);
 
     // The partial cell: probes and streamed extractions, no cell_done.
-    for (workload::TraceProbe& p : partial_probes) {
+    for (TraceProbe& p : partial_probes) {
       p.workload = space.random_point(rng);
       p.rng_after = rng.state();
       journal.probe("B/Diag#1", p.workload, p.measurement, p.rng_after);
@@ -407,22 +407,26 @@ TEST(CampaignJournalRecords, ParseJournalReconstructsResumableState) {
   EXPECT_EQ(r.probes, 5);
   EXPECT_EQ(r.sessions, 2);
 
-  // The completed cell is restored verbatim; its probes are gone.
+  // The completed cell is restored verbatim.
   ASSERT_EQ(r.completion_order, std::vector<std::string>{"B/Diag#0"});
   const RestoredCell& rc = r.completed.at("B/Diag#0");
   EXPECT_EQ(rc.result.result.experiments, 3);
   EXPECT_DOUBLE_EQ(rc.result.result.elapsed_seconds, 120.0);
   ASSERT_EQ(rc.inserts.size(), 1u);
   EXPECT_EQ(rc.delta.hits, 2);
-  EXPECT_EQ(r.partial.count("B/Diag#0"), 0u);
 
-  // The partial cell's probes are the splice prefix, bit-exact.
-  ASSERT_EQ(r.partial.count("B/Diag#1"), 1u);
-  const std::vector<workload::TraceProbe>& prefix = r.partial.at("B/Diag#1");
-  ASSERT_EQ(prefix.size(), partial_probes.size());
-  for (std::size_t i = 0; i < prefix.size(); ++i) {
-    EXPECT_EQ(prefix[i].workload, partial_probes[i].workload);
-    EXPECT_EQ(prefix[i].rng_after, partial_probes[i].rng_after);
+  // Both cells' probes are recorded bit-exact; the partial cell's are its
+  // splice prefix.
+  ASSERT_EQ(r.recorded.size(), 2u);
+  for (const auto& [context, want] :
+       {std::pair{"B/Diag#0", &done_probes},
+        std::pair{"B/Diag#1", &partial_probes}}) {
+    const std::vector<TraceProbe>& got = r.recorded.at(context);
+    ASSERT_EQ(got.size(), want->size()) << context;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].workload, (*want)[i].workload) << context;
+      EXPECT_EQ(got[i].rng_after, (*want)[i].rng_after) << context;
+    }
   }
   ASSERT_EQ(r.partial_inserts.count("B/Diag#1"), 1u);
   EXPECT_EQ(r.partial_inserts.at("B/Diag#1").entries.size(), 3u);

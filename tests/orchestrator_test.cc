@@ -1490,7 +1490,12 @@ TEST(CampaignJournalTest, JournalingNeverPerturbsTheReport) {
   EXPECT_TRUE(resume.has_begin);
   EXPECT_EQ(resume.share, "cell");
   EXPECT_EQ(resume.completed.size(), run.result.cells.size());
-  EXPECT_TRUE(resume.partial.empty());  // cell_done supersedes every probe
+  // Every probe stays recorded under its cell: the journal is a recording.
+  for (const CellResult& cr : run.result.cells) {
+    const auto it = resume.recorded.find(cr.cell.label());
+    ASSERT_NE(it, resume.recorded.end()) << cr.cell.label();
+    EXPECT_EQ(static_cast<i64>(it->second.size()), cr.result.experiments);
+  }
   EXPECT_EQ(resume.probes, run.live);
   std::remove(path.c_str());
 }
@@ -1532,9 +1537,9 @@ TEST(CampaignJournalTest, ResumeFromEverySampledRecordPrefixIsByteIdentical) {
       (void)label;
       restored += rc.result.result.experiments;
     }
-    i64 journaled_prefix = 0;
-    for (const auto& [ctx, probes] : resume.partial) {
-      (void)ctx;
+    i64 journaled_prefix = 0;  // recorded probes of incomplete cells
+    for (const auto& [ctx, probes] : resume.recorded) {
+      if (resume.completed.count(ctx) != 0) continue;
       journaled_prefix += static_cast<i64>(probes.size());
     }
 
@@ -1629,7 +1634,9 @@ TEST(CampaignJournalTest, RestoredCellsShortCircuitWithZeroReplay) {
   const JournalResume resume =
       parse_journal(recover_journal(cut_path, true).payloads);
   ASSERT_EQ(resume.completed.size(), 1u);
-  EXPECT_TRUE(resume.partial.empty());  // cut is a clean cell boundary
+  // The cut is a clean cell boundary: only the completed cell has probes.
+  ASSERT_EQ(resume.recorded.size(), 1u);
+  EXPECT_EQ(resume.recorded.count(resume.completion_order.front()), 1u);
 
   const JournaledRun resumed = run_journaled(config, cut_path, &resume);
   EXPECT_EQ(resumed.report_json, full.report_json);
@@ -1664,7 +1671,7 @@ TEST(CampaignJournalTest, SubsystemShareDeterministicResumeIsByteIdentical) {
   std::remove((cut_path + ".torn").c_str());
 }
 
-// Guard rails: the splice backend is a trace-kind substrate, so threaded
+// Guard rails: the splice backend is a kTrace substrate, so threaded
 // execution under subsystem sharing is rejected (resume's byte-identity
 // needs schedule-independent trajectories), and a journal recorded against
 // a different plan fails loudly instead of resuming wrong.

@@ -1,7 +1,7 @@
 // The persistence layer's contract, fuzzed:
 //   * serialize -> parse -> serialize is byte-identical for workloads, MFS
-//     conditions, full MFS entries, pool-scope checkpoints, schedules and
-//     campaign reports;
+//     conditions, full MFS entries, pool-scope checkpoints, schedules,
+//     campaign reports and journal probe records;
 //   * parse rejects truncated and garbled documents with JsonError — never
 //     UB (every prefix of a valid checkpoint must throw, targeted garbles
 //     must throw, random garbles must throw-or-parse, ASan/UBSan CI keeps
@@ -10,9 +10,11 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <iomanip>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,12 +26,12 @@
 #include "orchestrator/campaign.h"
 #include "orchestrator/campaign_report.h"
 #include "orchestrator/checkpoint.h"
+#include "orchestrator/journal.h"
 #include "orchestrator/mfs_pool.h"
 #include "orchestrator/scheduler.h"
 #include "net/fabric.h"
 #include "nic/dcqcn.h"
 #include "sim/subsystem.h"
-#include "workload/backend_trace.h"
 
 namespace collie {
 namespace {
@@ -554,117 +556,146 @@ TEST(PersistenceRoundTrip, CampaignReportJsonIsByteIdentical) {
   }
 }
 
-// ---- execution traces (collie-trace-v2) ------------------------------------
+// ---- journal probe records -------------------------------------------------
 
-// A real two-context trace recorded through the engine's record backend —
-// actual simulator measurements (epochs included), actual post-probe RNG
-// states — so the round trip exercises every field the replay leg depends
-// on, not a synthetic subset.
-workload::TraceFile recorded_trace() {
-  auto recorder = std::make_shared<workload::TraceRecorder>();
-  workload::RecordBackendFactory factory(recorder);
-  Rng rng(41);
-  for (const char sys_id : {'B', 'F'}) {
-    const sim::Subsystem& sys = sim::subsystem(sys_id);
-    workload::EngineOptions opts;
-    opts.run_functional_pass = false;
-    opts.sim.keep_epochs = true;
-    opts.backend_factory = &factory;
-    opts.backend_context = std::string(1, sys_id) + "/Diag#0";
-    workload::Engine engine(sys, opts);
-    core::SearchSpace space(sys);
-    sim::EvalScratch scratch;
-    workload::Measurement m;
-    for (int i = 0; i < 4; ++i) {
-      engine.run(space.random_point(rng), rng, scratch, m);
+// A real two-context journal recorded through the splice backend — actual
+// simulator measurements (epochs included), actual post-probe RNG states —
+// so the round trip exercises every field the replay leg depends on, not a
+// synthetic subset.  `probes` holds what was recorded, in journal order.
+struct RecordedJournal {
+  std::vector<std::string> payloads;  // one probe record per frame
+  std::vector<std::pair<std::string, orchestrator::TraceProbe>> probes;
+};
+
+std::string journal_path(const std::string& name) {
+  const std::string path =
+      ::testing::TempDir() + "collie_persistence_" + name;
+  std::remove(path.c_str());
+  std::remove((path + ".torn").c_str());
+  return path;
+}
+
+RecordedJournal recorded_journal() {
+  RecordedJournal out;
+  const std::string path = journal_path("probes.journal");
+  {
+    orchestrator::CampaignJournal journal(path, /*journal_every=*/1);
+    orchestrator::SpliceBackendFactory factory(nullptr, nullptr, &journal);
+    Rng rng(41);
+    for (const char sys_id : {'B', 'F'}) {
+      const sim::Subsystem& sys = sim::subsystem(sys_id);
+      workload::EngineOptions opts;
+      opts.run_functional_pass = false;
+      opts.sim.keep_epochs = true;
+      opts.backend_factory = &factory;
+      opts.backend_context = std::string(1, sys_id) + "/Diag#0";
+      workload::Engine engine(sys, opts);
+      core::SearchSpace space(sys);
+      sim::EvalScratch scratch;
+      for (int i = 0; i < 4; ++i) {
+        orchestrator::TraceProbe p;
+        p.workload = space.random_point(rng);
+        engine.run(p.workload, rng, scratch, p.measurement);
+        p.rng_after = rng.state();
+        out.probes.emplace_back(opts.backend_context, std::move(p));
+      }
     }
   }
-  return recorder->file();
+  const orchestrator::JournalRecovery rec =
+      orchestrator::recover_journal(path, /*repair=*/false);
+  EXPECT_FALSE(rec.torn);
+  out.payloads = rec.payloads;
+  std::remove(path.c_str());
+  return out;
+}
+
+// Frame `payload` with a valid CRC and recover it, so the frame check
+// accepts it and parse_journal alone must judge the JSON inside.
+orchestrator::JournalResume parse_reframed(const std::string& payload) {
+  const std::string path = journal_path("reframed.journal");
+  {
+    orchestrator::JournalWriter writer(path);
+    writer.append(payload);
+  }
+  const orchestrator::JournalRecovery rec =
+      orchestrator::recover_journal(path, /*repair=*/false);
+  std::remove(path.c_str());
+  EXPECT_FALSE(rec.torn);
+  EXPECT_EQ(rec.payloads.size(), 1u);
+  return orchestrator::parse_journal(rec.payloads);
 }
 
 TEST(PersistenceRoundTrip, MeasurementJsonIsByteIdentical) {
-  const workload::TraceFile trace = recorded_trace();
+  const orchestrator::JournalResume parsed =
+      orchestrator::parse_journal(recorded_journal().payloads);
   int checked = 0;
-  for (const auto& [context, probes] : trace.contexts) {
-    for (const workload::TraceProbe& p : probes) {
+  for (const auto& [context, probes] : parsed.recorded) {
+    for (const orchestrator::TraceProbe& p : probes) {
       JsonWriter json;
       core::measurement_to_json(p.measurement, &json);
       const std::string doc = json.str();
-      const workload::Measurement parsed =
+      const workload::Measurement reparsed =
           core::measurement_from_json(JsonValue::parse(doc));
       JsonWriter again;
-      core::measurement_to_json(parsed, &again);
+      core::measurement_to_json(reparsed, &again);
       EXPECT_EQ(again.str(), doc) << context;
-      EXPECT_EQ(parsed.samples.size(), p.measurement.samples.size());
-      EXPECT_EQ(parsed.epochs.size(), p.measurement.epochs.size());
-      EXPECT_EQ(parsed.stable, p.measurement.stable);
+      EXPECT_EQ(reparsed.samples.size(), p.measurement.samples.size());
+      EXPECT_EQ(reparsed.epochs.size(), p.measurement.epochs.size());
+      EXPECT_EQ(reparsed.stable, p.measurement.stable);
       ++checked;
     }
   }
   EXPECT_EQ(checked, 8);
 }
 
-TEST(PersistenceRoundTrip, TraceFileJsonIsByteIdentical) {
-  const workload::TraceFile trace = recorded_trace();
-  ASSERT_EQ(trace.contexts.size(), 2u);
-  const std::string doc = trace.to_json();
-
-  const workload::TraceFile parsed = workload::TraceFile::from_json(doc);
-  EXPECT_EQ(parsed.to_json(), doc);
-  EXPECT_EQ(parsed.substrate, "sim");
-  ASSERT_EQ(parsed.contexts.size(), 2u);
-  for (const auto& [context, probes] : trace.contexts) {
-    const auto& reparsed = parsed.contexts.at(context);
-    ASSERT_EQ(reparsed.size(), probes.size()) << context;
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-      // The replay leg's correctness hangs on these two: workload equality
-      // gates the cursor walk, the RNG state restores the search stream.
-      EXPECT_EQ(reparsed[i].workload, probes[i].workload);
-      EXPECT_EQ(reparsed[i].rng_after, probes[i].rng_after);
-    }
+TEST(PersistenceRoundTrip, JournalProbeRecordsRoundTrip) {
+  const RecordedJournal recorded = recorded_journal();
+  ASSERT_EQ(recorded.payloads.size(), 8u);
+  const orchestrator::JournalResume parsed =
+      orchestrator::parse_journal(recorded.payloads);
+  EXPECT_EQ(parsed.probes, 8);
+  ASSERT_EQ(parsed.recorded.size(), 2u);
+  std::map<std::string, std::size_t> cursor;
+  for (const auto& [context, probe] : recorded.probes) {
+    const orchestrator::TraceProbe& back =
+        parsed.recorded.at(context).at(cursor[context]++);
+    // The replay leg's correctness hangs on these two: workload equality
+    // gates the cursor walk, the RNG state restores the search stream.
+    EXPECT_EQ(back.workload, probe.workload) << context;
+    EXPECT_EQ(back.rng_after, probe.rng_after) << context;
+    JsonWriter want;
+    JsonWriter got;
+    core::measurement_to_json(probe.measurement, &want);
+    core::measurement_to_json(back.measurement, &got);
+    EXPECT_EQ(got.str(), want.str()) << context;
   }
 
-  // Truncations are rejected with JsonError at every prefix, never UB.
+  // Truncated records are rejected with JsonError at every prefix, never
+  // UB, even inside a frame whose CRC holds.
+  const std::string& doc = recorded.payloads.front();
   for (std::size_t n = 0; n < doc.size(); n += 17) {
-    EXPECT_THROW(workload::TraceFile::from_json(doc.substr(0, n)), JsonError);
+    EXPECT_THROW(parse_reframed(doc.substr(0, n)), JsonError);
   }
-  EXPECT_THROW(workload::TraceFile::from_json(doc + "]"), JsonError);
+  EXPECT_THROW(parse_reframed(doc + "]"), JsonError);
 }
 
-TEST(PersistenceRoundTrip, TraceRejectsTargetedGarbles) {
-  workload::TraceFile trace = recorded_trace();
-  // Single-context document so the duplicate-context splice below is easy.
-  trace.contexts.erase("B/Diag#0");
-  const std::string doc = trace.to_json();
+TEST(PersistenceRoundTrip, JournalProbeRecordRejectsTargetedGarbles) {
+  const std::string doc = recorded_journal().payloads.front();
+  ASSERT_NO_THROW(parse_reframed(doc));
 
-  // Unknown schema.
-  {
-    std::string g = doc;
-    g.replace(g.find("collie-trace-v2"), 15, "collie-trace-v9");
-    EXPECT_THROW(workload::TraceFile::from_json(g), JsonError);
-  }
-  // Duplicate context: splice the lone context object in twice.
-  {
-    const std::size_t pos = doc.find("{\"context\":");
-    ASSERT_NE(pos, std::string::npos);
-    const std::string elem = doc.substr(pos, doc.size() - 2 - pos);
-    const std::string g =
-        doc.substr(0, pos) + elem + "," + elem + "]}";
-    EXPECT_THROW(workload::TraceFile::from_json(g), JsonError);
-  }
   // Malformed RNG state: non-hex character, truncated word, missing key.
   {
     const std::size_t pos = doc.find("\"rng_after\":{\"s\":[\"");
     ASSERT_NE(pos, std::string::npos);
     std::string g = doc;
     g[pos + 19] = 'Z';
-    EXPECT_THROW(workload::TraceFile::from_json(g), JsonError);
+    EXPECT_THROW(parse_reframed(g), JsonError);
     g = doc;
     g.erase(pos + 19, 1);  // 15-char word
-    EXPECT_THROW(workload::TraceFile::from_json(g), JsonError);
+    EXPECT_THROW(parse_reframed(g), JsonError);
     g = doc;
     g.replace(pos + 13, 3, "\"t\"");  // the "s" key renamed away
-    EXPECT_THROW(workload::TraceFile::from_json(g), JsonError);
+    EXPECT_THROW(parse_reframed(g), JsonError);
   }
   // Counter-sample arity mismatch: drop the first perf sample value.
   {
@@ -673,7 +704,7 @@ TEST(PersistenceRoundTrip, TraceRejectsTargetedGarbles) {
     const std::size_t comma = doc.find(',', pos);
     std::string g = doc;
     g.erase(pos + 8, comma - (pos + 8) + 1);
-    EXPECT_THROW(workload::TraceFile::from_json(g), JsonError);
+    EXPECT_THROW(parse_reframed(g), JsonError);
   }
   // Unknown bottleneck name in the measurement.
   {
@@ -681,37 +712,12 @@ TEST(PersistenceRoundTrip, TraceRejectsTargetedGarbles) {
     ASSERT_NE(pos, std::string::npos);
     std::string g = doc;
     g[pos + 12] = 'Z';
-    EXPECT_THROW(workload::TraceFile::from_json(g), JsonError);
+    EXPECT_THROW(parse_reframed(g), JsonError);
   }
 }
 
-// A trace recorded under the previous format (collie-trace-v1: RNG states
-// carry the Box-Muller spare, measurements come from the v1 model) is
-// rejected at the schema check, before any probe is parsed, and the error
-// names the schema.  Replaying it would diverge at the first probe.
-TEST(PersistenceRoundTrip, PreviousTraceSchemaIsRejectedUpFront) {
-  workload::TraceFile trace = recorded_trace();
-  std::string v1 = trace.to_json();
-  v1.replace(v1.find("collie-trace-v2"), 15, "collie-trace-v1");
-  for (std::size_t pos = v1.find("\"rng_after\":{\"s\":[");
-       pos != std::string::npos;
-       pos = v1.find("\"rng_after\":{\"s\":[", pos + 1)) {
-    v1.insert(v1.find(']', pos) + 1, ",\"has_spare\":false,\"spare\":0");
-  }
-  try {
-    (void)workload::TraceFile::from_json(v1);
-    ADD_FAILURE() << "a collie-trace-v1 document parsed";
-  } catch (const JsonError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("collie-trace-v1"), std::string::npos) << what;
-    EXPECT_NE(what.find("collie-trace-v2"), std::string::npos) << what;
-  }
-}
-
-TEST(PersistenceRoundTrip, TraceRandomGarblesNeverMisbehave) {
-  workload::TraceFile trace = recorded_trace();
-  trace.contexts.erase("B/Diag#0");
-  const std::string doc = trace.to_json();
+TEST(PersistenceRoundTrip, JournalProbeRecordRandomGarblesNeverMisbehave) {
+  const std::string doc = recorded_journal().payloads.front();
   Rng rng(47);
   for (int trial = 0; trial < 200; ++trial) {
     std::string garbled = doc;
@@ -719,7 +725,7 @@ TEST(PersistenceRoundTrip, TraceRandomGarblesNeverMisbehave) {
         rng.uniform_int(0, static_cast<i64>(doc.size()) - 1));
     garbled[pos] = static_cast<char>(rng.uniform_int(1, 127));
     try {
-      (void)workload::TraceFile::from_json(garbled);
+      (void)parse_reframed(garbled);
     } catch (const JsonError&) {
       // Rejection is fine; UB is not (ASan/UBSan CI keeps this honest).
     }

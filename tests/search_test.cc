@@ -2,6 +2,7 @@
 
 #include "core/search.h"
 #include "sim/subsystem.h"
+#include "workload/backend_sim.h"
 
 namespace collie::core {
 namespace {
@@ -136,15 +137,60 @@ TEST_F(SearchTest, PerfModeRunsAndGuides) {
   EXPECT_GT(r.experiments, 20);
 }
 
+// The reference for the compiled hot path: SimBackend's measure loop
+// (evaluate, then apply_result's stability rule, one re-measurement) over
+// the per-call sim::evaluate, which rebuilds the scenario on every probe.
+class UncompiledBackend final : public workload::Backend {
+ public:
+  UncompiledBackend(const sim::Subsystem& sys, const sim::SimConfig& cfg)
+      : sys_(sys), cfg_(cfg) {}
+
+  // Not kSim: the engine's direct call is reserved for SimBackend itself.
+  workload::BackendKind kind() const override {
+    return workload::BackendKind::kMock;
+  }
+  const std::string& substrate() const override { return substrate_; }
+  void measure(const Workload& w, Rng& rng, sim::EvalScratch&,
+               workload::Measurement& m) override {
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      if (workload::apply_result(sim::evaluate(sys_, w, rng, cfg_), m)) break;
+    }
+  }
+
+ private:
+  sim::Subsystem sys_;
+  sim::SimConfig cfg_;
+  std::string substrate_ = "sim";
+};
+
+class UncompiledBackendFactory final : public workload::BackendFactory {
+ public:
+  workload::BackendKind kind() const override {
+    return workload::BackendKind::kMock;
+  }
+  const std::string& substrate() const override { return substrate_; }
+  std::unique_ptr<workload::Backend> create(
+      const sim::Subsystem& sys, const workload::EngineOptions& opts,
+      const std::string&) override {
+    return std::make_unique<UncompiledBackend>(sys, opts.sim);
+  }
+
+ private:
+  std::string substrate_ = "sim";
+};
+
 // Seed-trajectory pin for the evaluation hot path: the same search driven
-// through the compiled-scenario engine and the uncompiled per-call engine
-// must be indistinguishable — experiment for experiment, trace value for
-// trace value, witness for witness.  This is the search-level half of the
-// bit-exactness contract (the golden rows are the single-probe half).
+// through the compiled-scenario engine and the uncompiled per-call
+// reference must be indistinguishable — experiment for experiment, trace
+// value for trace value, witness for witness.  This is the search-level
+// half of the bit-exactness contract (the golden rows are the single-probe
+// half).
 TEST_F(SearchTest, CompiledEngineReproducesUncompiledTrajectoriesExactly) {
+  UncompiledBackendFactory reference;
   workload::EngineOptions uncompiled_opts = fast_engine_opts();
-  uncompiled_opts.use_compiled = false;
+  uncompiled_opts.backend_factory = &reference;
   const workload::Engine uncompiled(sim::subsystem('F'), uncompiled_opts);
+  ASSERT_EQ(uncompiled.backend().kind(), workload::BackendKind::kMock);
   SearchDriver uncompiled_driver(uncompiled, space_);
 
   SaConfig cfg;

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -58,11 +59,22 @@ struct EcnParams {
   // and the DCQCN co-simulation both end here).
   static double cnps_at_mark_probability(double p, double pkts_per_s,
                                          double flows, double cnp_interval_s) {
+    return cnps_at_mark_probability(p, pkts_per_s,
+                                    cnp_pace_cap(flows, cnp_interval_s));
+  }
+  // The same formula with the pacing cap already taken: the cap depends
+  // only on (flows, cnp_interval_s), so a caller that evaluates the
+  // formula per step computes it once.
+  static double cnps_at_mark_probability(double p, double pkts_per_s,
+                                         double pace_cap) {
     if (p <= 0.0 || pkts_per_s <= 0.0) return 0.0;
-    const double pace_cap = cnp_interval_s > 0.0
-                                ? std::max(flows, 1.0) / cnp_interval_s
-                                : p * pkts_per_s;
     return std::min(p * pkts_per_s, pace_cap);
+  }
+  // At most one CNP per flow per `cnp_interval_s`; no cap (infinity)
+  // when pacing is off.  min(x, inf) is x for every x, NaN included.
+  static double cnp_pace_cap(double flows, double cnp_interval_s) {
+    return cnp_interval_s > 0.0 ? std::max(flows, 1.0) / cnp_interval_s
+                                : std::numeric_limits<double>::infinity();
   }
   // Highest occupancy the queue can actually reach under PFC.
   double occupancy_ceiling_bytes() const {

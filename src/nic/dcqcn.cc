@@ -1,50 +1,14 @@
 #include "nic/dcqcn.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
 
 #include "nic/pfc.h"
 
 namespace collie::nic {
-
-DcqcnRateLimiter::DcqcnRateLimiter(const DcqcnParams& params,
-                                   double line_rate_bps,
-                                   double initial_rate_bps)
-    : params_(params),
-      line_rate_(std::max(line_rate_bps, params.min_rate_bps)),
-      rate_(std::clamp(initial_rate_bps, params.min_rate_bps, line_rate_)),
-      target_(rate_) {
-  params_.g = std::clamp(params_.g, 1e-6, 1.0);
-  params_.update_interval_s = std::max(params_.update_interval_s, 1e-9);
-  params_.rate_ai_bps = std::max(params_.rate_ai_bps, 0.0);
-  params_.min_rate_bps = std::min(params_.min_rate_bps, line_rate_);
-}
-
-void DcqcnRateLimiter::update_period(bool marked) {
-  const double g = params_.g;
-  if (marked) {
-    // Cut: the congestion estimate rises, the target remembers the pre-cut
-    // rate, and the rate drops by alpha/2 (at most once per period — the
-    // reaction point's rate-reduction window).
-    alpha_ = (1.0 - g) * alpha_ + g;
-    target_ = rate_;
-    rate_ = std::max(params_.min_rate_bps, rate_ * (1.0 - alpha_ / 2.0));
-    recovery_rounds_ = 0;
-    return;
-  }
-  // CNP-free period: estimate decays, rate recovers toward the target.
-  alpha_ *= (1.0 - g);
-  if (recovery_rounds_ < params_.fast_recovery_rounds) {
-    ++recovery_rounds_;
-  } else {
-    target_ = std::min(line_rate_, target_ + params_.rate_ai_bps);
-  }
-  // Both fast recovery and additive increase halve the gap to the target;
-  // target >= rate holds throughout (the cut set target to the pre-cut
-  // rate), so recovery is monotone.
-  rate_ = std::min(line_rate_, 0.5 * (target_ + rate_));
-}
 
 double DcqcnRateLimiter::step(double dt, double cnp_rate) {
   double remaining = std::max(dt, 0.0);
@@ -70,6 +34,117 @@ bool cc_passes_through(double offered_bps, double capacity_bps,
          offered_bps <= capacity_bps * 1.001;
 }
 
+namespace {
+
+// DcqcnRateLimiter::step's update-period clock, cut ahead of the
+// co-simulation.  How each fixed step splits into slices, and which slices
+// close an update period, depends only on (dt, interval), never on the
+// queue or the rate.  Run inside the solver's loop, its
+// interval - period_acc -> min -> += chain would be the loop-carried
+// critical path of every step.  The clock fills a fixed buffer of events
+// with exactly the float operations step() runs, and the solver reads
+// them back.
+//
+// The clock's whole future is a function of period_acc at a step start.
+// Once a step start repeats one seen earlier in the same fill (bit for
+// bit; Brent's power-of-two checkpoints keep the search O(1) per step),
+// the events since that step form a cycle, and the buffer replays them
+// instead of recomputing them.  At the catalog's 55 us interval the clock
+// cycles after a 3-step prefix with period 11.  Intervals that never
+// cycle (17.5 us, 1 ms) refill the buffer each time it drains.
+class UpdateClock {
+ public:
+  struct Event {
+    double slice;      // the part of the step this event advances
+    int plain_steps;   // at a step start: how many plain steps (a single
+                       // slice, no period boundary) follow in the buffer
+    bool ends_period;  // an update period completes at its end
+    bool ends_step;    // the step completes at its end
+  };
+
+  UpdateClock(double dt, double interval) : dt_(dt), interval_(interval) {}
+  UpdateClock(const UpdateClock&) = delete;
+  UpdateClock& operator=(const UpdateClock&) = delete;
+
+  // The plain steps ahead of a step start, at most `limit` of them; 0
+  // means the next step crosses a period boundary.
+  int plain_steps(int limit) {
+    if (next_ == end_) [[unlikely]] wrap();
+    return std::min(next_->plain_steps, limit);
+  }
+  // The events of `n` plain steps (n <= plain_steps()), one per step.
+  const Event* take_plain(int n) {
+    const Event* first = next_;
+    next_ += n;
+    return first;
+  }
+  const Event& next() {
+    if (next_ == end_) [[unlikely]] wrap();
+    return *next_++;
+  }
+
+ private:
+  static constexpr int kEvents = 64;
+
+  void wrap() {
+    if (cycle_ != nullptr) {
+      next_ = cycle_;
+    } else {
+      refill();
+    }
+  }
+
+  [[gnu::noinline]] void refill() {
+    int n = 0;
+    int steps = 0;
+    int checkpoint_step = 0;  // Brent: steps 0, 1, 2, 4, 8, ...
+    int checkpoint = -1;      // event index of the checkpointed step start
+    u64 checkpoint_acc = 0;
+    while (n < kEvents) {
+      if (!(remaining_ > 0.0)) {  // a step starts here
+        const u64 acc = std::bit_cast<u64>(period_acc_);
+        if (checkpoint >= 0 && acc == checkpoint_acc) {
+          cycle_ = events_ + checkpoint;
+          break;
+        }
+        if (steps == checkpoint_step) {
+          checkpoint = n;
+          checkpoint_acc = acc;
+          checkpoint_step = std::max(1, 2 * steps);
+        }
+        ++steps;
+        remaining_ = dt_;
+      }
+      const double slice = std::min(remaining_, interval_ - period_acc_);
+      period_acc_ += slice;
+      remaining_ -= slice;
+      const bool ends_period = period_acc_ >= interval_ - 1e-15;
+      if (ends_period) period_acc_ = 0.0;
+      events_[n++] = Event{slice, 0, ends_period, !(remaining_ > 0.0)};
+    }
+    // Counted from the back; only the values at step starts are read.
+    int plain = 0;
+    for (int k = n - 1; k >= 0; --k) {
+      Event& ev = events_[k];
+      plain = ev.ends_step && !ev.ends_period ? plain + 1 : 0;
+      ev.plain_steps = plain;
+    }
+    next_ = events_;
+    end_ = events_ + n;
+  }
+
+  const double dt_;
+  const double interval_;
+  double period_acc_ = 0.0;  // time into the current update period
+  double remaining_ = 0.0;   // time left in the step being cut
+  Event events_[kEvents]{};
+  const Event* next_ = events_;
+  const Event* end_ = events_;
+  const Event* cycle_ = nullptr;  // where the replay restarts, once known
+};
+
+}  // namespace
+
 CcSteadyState solve_cc_steady_state(double offered_bps, double capacity_bps,
                                     double line_rate_bps, double flows,
                                     const net::EcnParams& ecn,
@@ -86,13 +161,27 @@ CcSteadyState solve_cc_steady_state(double offered_bps, double capacity_bps,
   const double dt = 10e-6;
   const int total_steps = 24000;           // 240ms of simulated time
   const int warmup_steps = total_steps / 2;
+  const int samples = total_steps - warmup_steps;
   const double queue_ceiling = ecn.occupancy_ceiling_bytes();
-  // DcqcnRateLimiter::step's update-period slicing, fused into this loop so
-  // everything derived from the rate is recomputed only when a period ends
-  // and moves it.  tests/dcqcn_property_test.cc keeps the limiter-driven
-  // loop as the reference this one must match bit for bit.
-  const double interval = limiter.params().update_interval_s;
-  double period_acc = 0.0;  // time into the current update period
+  // This loop computes what the limiter-driven loop in
+  // tests/dcqcn_property_test.cc computes, bit for bit: the same float
+  // operations in the same order.  It only leaves out work that cannot
+  // change a bit (DESIGN.md, "The co-simulation's cost").
+  //
+  // The marking curve is net::EcnParams::mark_probability with its span
+  // hoisted; cc_passes_through() above guarantees the curve is armed with
+  // pmax > 0.  The CNP pacing cap is taken once, too.
+  const double kmin = ecn.kmin_bytes;
+  const double kmax = ecn.kmax_bytes;
+  const double pmax = ecn.pmax;
+  const double span = std::max(kmax - kmin, 1.0);
+  const double pace_cap =
+      net::EcnParams::cnp_pace_cap(flows, params.cnp_interval_s);
+  // An empty queue that cannot mark stays empty and unmarked while the
+  // rate does not outrun the drain: no CNPs, nothing to add to the sums.
+  const bool empty_queue_is_quiet =
+      queue_ceiling >= 0.0 && ecn.mark_probability(0.0) == 0.0;
+  UpdateClock clock(dt, limiter.params().update_interval_s);
   double cnp_acc = 0.0;     // fractional CNPs accumulated this period
   double admitted = 0.0;    // min(rate, offer): what enters the queue
   double queue_step = 0.0;  // queue growth per step at that rate
@@ -107,39 +196,65 @@ CcSteadyState solve_cc_steady_state(double offered_bps, double capacity_bps,
   double sum_rate = 0.0;
   double sum_mark = 0.0;
   double sum_queue = 0.0;
-  int samples = 0;
-  for (int i = 0; i < total_steps; ++i) {
+  // One step's queue update and marking.  Returns the CNP rate; below
+  // Kmin that is 0 without evaluating the curve.  A zero mark adds
+  // nothing to the non-negative sum_mark, so it is not added.
+  const auto fill_queue = [&](auto averaging) {
     queue = std::clamp(queue + queue_step, 0.0, queue_ceiling);
-    const double mark = ecn.mark_probability(queue);
-    const double cnp_rate =
-        std::max(net::EcnParams::cnps_at_mark_probability(
-                     mark, pps, flows, params.cnp_interval_s),
-                 0.0);
-    double remaining = dt;
-    while (remaining > 0.0) {
-      const double slice = std::min(remaining, interval - period_acc);
-      period_acc += slice;
-      cnp_acc += cnp_rate * slice;
-      remaining -= slice;
-      if (period_acc >= interval - 1e-15) {
-        limiter.update_period(/*marked=*/cnp_acc >= 1.0);
-        period_acc = 0.0;
-        cnp_acc = 0.0;
-        rate_changed();
+    if constexpr (averaging) sum_queue += queue;
+    if (queue < kmin) return 0.0;
+    const double mark = queue >= kmax ? 1.0 : pmax * (queue - kmin) / span;
+    if constexpr (averaging) sum_mark += mark;
+    return std::max(
+        net::EcnParams::cnps_at_mark_probability(mark, pps, pace_cap), 0.0);
+  };
+  // Warm-up, then the averaging window: one loop body, two phases.
+  const auto run = [&](int steps, auto averaging) {
+    int i = 0;
+    while (i < steps) {
+      // Plain steps first: the rate, and all that derives from it, is
+      // fixed until the next boundary.
+      if (const int plain = clock.plain_steps(steps - i); plain > 0) {
+        const UpdateClock::Event* ev = clock.take_plain(plain);
+        i += plain;
+        if (empty_queue_is_quiet && queue == 0.0 && queue_step <= 0.0) {
+          // The queue, its mark and the CNP rate stay 0: cnp_acc + 0.0
+          // == cnp_acc, and likewise for the sums but sum_rate.
+          if constexpr (averaging) {
+            for (int k = 0; k < plain; ++k) sum_rate += admitted;
+          }
+        } else {
+          for (int k = 0; k < plain; ++k) {
+            const double cnp_rate = fill_queue(averaging);
+            cnp_acc += cnp_rate * ev[k].slice;
+            if constexpr (averaging) sum_rate += admitted;
+          }
+        }
+        if (i == steps) break;
       }
+      // Then the step that crosses the next period boundary (or, where
+      // the buffer cut a run short, one more plain step).
+      const double cnp_rate = fill_queue(averaging);
+      for (;;) {
+        const UpdateClock::Event& ev = clock.next();
+        cnp_acc += cnp_rate * ev.slice;
+        if (ev.ends_period) {
+          limiter.update_period(/*marked=*/cnp_acc >= 1.0);
+          cnp_acc = 0.0;
+          rate_changed();
+        }
+        if (ev.ends_step) break;
+      }
+      if constexpr (averaging) sum_rate += admitted;
+      ++i;
     }
-    if (i >= warmup_steps) {
-      sum_rate += admitted;
-      sum_mark += mark;
-      sum_queue += queue;
-      ++samples;
-    }
-  }
-  out.rate_bps = samples > 0 ? sum_rate / samples : offered_bps;
-  out.rate_bps = std::min(out.rate_bps, offered_bps);
+  };
+  run(warmup_steps, std::false_type{});
+  run(samples, std::true_type{});
+  out.rate_bps = std::min(sum_rate / samples, offered_bps);
   out.alpha = limiter.alpha();
-  out.mark_probability = samples > 0 ? sum_mark / samples : 0.0;
-  out.queue_bytes = samples > 0 ? sum_queue / samples : 0.0;
+  out.mark_probability = sum_mark / samples;
+  out.queue_bytes = sum_queue / samples;
   out.throttled = out.rate_bps < offered_bps * 0.999;
   return out;
 }

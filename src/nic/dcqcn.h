@@ -23,6 +23,7 @@
 //     PFC storms where ECN should have reacted.
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -73,7 +74,7 @@ class DcqcnRateLimiter {
   // The DCQCN update rule for one completed update period: a period that
   // saw at least one CNP (`marked`) cuts the rate, a CNP-free one recovers
   // it.  step() calls it at every period boundary; solve_cc_steady_state
-  // drives it directly from its own fused period clock.
+  // drives it directly from its precomputed period clock.
   void update_period(bool marked);
 
   double rate_bps() const { return rate_; }
@@ -93,6 +94,48 @@ class DcqcnRateLimiter {
   double cnp_acc_ = 0.0;       // fractional CNPs accumulated this period
   int recovery_rounds_ = 0;
 };
+
+// The constructor and the update rule are inline: the co-simulation runs
+// them in its hot loop, and inlined, the limiter's state stays in registers
+// across a period boundary instead of round-tripping through memory
+// around a call.
+inline DcqcnRateLimiter::DcqcnRateLimiter(const DcqcnParams& params,
+                                          double line_rate_bps,
+                                          double initial_rate_bps)
+    : params_(params),
+      line_rate_(std::max(line_rate_bps, params.min_rate_bps)),
+      rate_(std::clamp(initial_rate_bps, params.min_rate_bps, line_rate_)),
+      target_(rate_) {
+  params_.g = std::clamp(params_.g, 1e-6, 1.0);
+  params_.update_interval_s = std::max(params_.update_interval_s, 1e-9);
+  params_.rate_ai_bps = std::max(params_.rate_ai_bps, 0.0);
+  params_.min_rate_bps = std::min(params_.min_rate_bps, line_rate_);
+}
+
+inline void DcqcnRateLimiter::update_period(bool marked) {
+  const double g = params_.g;
+  if (marked) {
+    // Cut: the congestion estimate rises, the target remembers the pre-cut
+    // rate, and the rate drops by alpha/2 (at most once per period — the
+    // reaction point's rate-reduction window).
+    alpha_ = (1.0 - g) * alpha_ + g;
+    target_ = rate_;
+    rate_ = std::max(params_.min_rate_bps, rate_ * (1.0 - alpha_ / 2.0));
+    recovery_rounds_ = 0;
+    return;
+  }
+  // CNP-free period: estimate decays, rate recovers toward the target.
+  alpha_ *= (1.0 - g);
+  if (recovery_rounds_ < params_.fast_recovery_rounds) {
+    ++recovery_rounds_;
+  } else {
+    target_ = std::min(line_rate_, target_ + params_.rate_ai_bps);
+  }
+  // Both fast recovery and additive increase halve the gap to the target;
+  // target >= rate holds throughout (the cut set target to the pre-cut
+  // rate), so recovery is monotone.
+  rate_ = std::min(line_rate_, 0.5 * (target_ + rate_));
+}
 
 // Converged operating point of one congested path under DCQCN/ECN.
 struct CcSteadyState {

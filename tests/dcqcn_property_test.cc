@@ -1,12 +1,16 @@
 // Property tests for the DCQCN rate limiter and the ECN co-simulation:
 // randomized parameter/threshold sweeps pinning the invariants the
-// performance model's CC fixed point relies on, and a fuzz test holding the
-// fused co-simulation loop to the limiter-driven reference bit for bit.
+// performance model's CC fixed point relies on, and fuzzed and edge-case
+// inputs holding the co-simulation kernel to the limiter-driven reference
+// bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -201,14 +205,14 @@ TEST_P(DcqcnProperty, CrippledTuningUndershootsHealthyTuning) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DcqcnProperty,
                          ::testing::Values(1, 2, 3, 4, 5));
 
-// ---- Fused loop vs the limiter-driven reference ----------------------------
+// ---- The solver kernel vs the limiter-driven reference ---------------------
 
 // The co-simulation as it was first written: every step recomputes the
 // admitted rate and packet rate, asks the fabric API for the CNP rate, and
-// advances a DcqcnRateLimiter through step().  solve_cc_steady_state fuses
-// this loop (period clock inlined, rate-derived values cached between
-// update periods, one marking-curve evaluation per step); this copy is the
-// oracle it must reproduce bit for bit.
+// advances a DcqcnRateLimiter through step().  solve_cc_steady_state
+// computes the same steps (period clock precomputed, rate-derived values
+// cached between update periods, empty-queue and below-Kmin work skipped);
+// this copy is the oracle it must reproduce bit for bit.
 CcSteadyState reference_cc_steady_state(double offered_bps,
                                         double capacity_bps,
                                         double line_rate_bps, double flows,
@@ -264,7 +268,7 @@ T pick(Rng& rng, const std::vector<T>& options) {
 
 // One fuzzed solver input.  Most draws sit in the campaign's range (the
 // catalog thresholds, 8-4096 QPs' worth of flows, 1-2x oversubscription);
-// the rest cover the edges the fused loop must not special-case: no CNP
+// the rest cover the edges the kernel must not special-case: no CNP
 // pacing, update periods shorter than, equal to and longer than the step,
 // g outside [1e-6, 1], no fast recovery, runt packets, fewer than one flow,
 // and marking curves that are mistuned, inverted or disarmed.
@@ -337,38 +341,115 @@ bool same_bits(double a, double b) {
   return std::bit_cast<u64>(a) == std::bit_cast<u64>(b);
 }
 
+// Solves `in` both ways.  `mismatch` is empty when every output matches
+// bit for bit, else it shows both results side by side.
+struct Comparison {
+  CcSteadyState ref;
+  std::string mismatch;
+};
+
+Comparison compare_to_reference(const SolverInput& in) {
+  const CcSteadyState ref = reference_cc_steady_state(
+      in.offered, in.capacity, in.line, in.flows, in.ecn, in.prm,
+      in.pkt_bytes);
+  const CcSteadyState got = solve_cc_steady_state(
+      in.offered, in.capacity, in.line, in.flows, in.ecn, in.prm,
+      in.pkt_bytes);
+  if (same_bits(ref.rate_bps, got.rate_bps) &&
+      same_bits(ref.alpha, got.alpha) &&
+      same_bits(ref.mark_probability, got.mark_probability) &&
+      same_bits(ref.queue_bytes, got.queue_bytes) &&
+      ref.throttled == got.throttled) {
+    return {ref, ""};
+  }
+  std::ostringstream os;
+  os << std::hexfloat << "rate " << ref.rate_bps << " vs " << got.rate_bps
+     << ", alpha " << ref.alpha << " vs " << got.alpha << ", mark "
+     << ref.mark_probability << " vs " << got.mark_probability << ", queue "
+     << ref.queue_bytes << " vs " << got.queue_bytes;
+  return {ref, os.str()};
+}
+
 TEST(DcqcnProperty, FusedLoopMatchesReferenceBitForBit) {
   Rng rng(0xdc9c);
   constexpr int kInputs = 4096;
   int mismatches = 0;
   int throttled = 0;
   for (int n = 0; n < kInputs; ++n) {
-    const SolverInput in = random_solver_input(rng);
-    const CcSteadyState ref = reference_cc_steady_state(
-        in.offered, in.capacity, in.line, in.flows, in.ecn, in.prm,
-        in.pkt_bytes);
-    const CcSteadyState got = solve_cc_steady_state(
-        in.offered, in.capacity, in.line, in.flows, in.ecn, in.prm,
-        in.pkt_bytes);
-    const bool same = same_bits(ref.rate_bps, got.rate_bps) &&
-                      same_bits(ref.alpha, got.alpha) &&
-                      same_bits(ref.mark_probability, got.mark_probability) &&
-                      same_bits(ref.queue_bytes, got.queue_bytes) &&
-                      ref.throttled == got.throttled;
-    if (!same) {
+    const Comparison c = compare_to_reference(random_solver_input(rng));
+    if (!c.mismatch.empty()) {
       ++mismatches;
-      ADD_FAILURE() << "input " << n << ": rate " << ref.rate_bps << " vs "
-                    << got.rate_bps << ", alpha " << ref.alpha << " vs "
-                    << got.alpha << ", mark " << ref.mark_probability
-                    << " vs " << got.mark_probability << ", queue "
-                    << ref.queue_bytes << " vs " << got.queue_bytes;
+      ADD_FAILURE() << "input " << n << ": " << c.mismatch;
       if (mismatches >= 5) break;
     }
-    if (ref.throttled) ++throttled;
+    if (c.ref.throttled) ++throttled;
   }
   EXPECT_EQ(mismatches, 0);
   // The sweep is not vacuous: most inputs co-simulate and throttle.
   EXPECT_GT(throttled, kInputs / 2);
+}
+
+// Inputs the fuzz draws rarely or never, each on the boundary of one of
+// the solver's shortcuts: a curve that marks an empty queue (which must
+// disable the empty-queue skip), PFC ceilings at both ends, update
+// intervals that end exactly at a step, never cycle, or end several
+// times in one step, offers just past the congestion test, and a limiter
+// that cuts below the drain and leaves the queue empty.
+TEST(DcqcnProperty, FusedLoopMatchesReferenceOnEdgeInputs) {
+  SolverInput base;  // the fanin4 shape under the catalog thresholds
+  base.line = gbps(200);
+  base.capacity = gbps(50);
+  base.offered = gbps(190);
+  base.flows = 8;
+  base.pkt_bytes = 4178;
+  base.ecn = cc_scenario("dcqcn").materialize_ecn(2.0 * MiB);
+  base.prm.enabled = true;
+  const double cap = base.ecn.queue_cap_bytes;
+
+  std::vector<std::pair<std::string, SolverInput>> cases;
+  const auto add = [&](std::string name, auto edit) {
+    SolverInput in = base;
+    edit(in);
+    cases.emplace_back(std::move(name), in);
+  };
+  add("catalog dcqcn", [](SolverInput&) {});
+  add("Kmin = Kmax = 0 marks an empty queue", [](SolverInput& in) {
+    in.ecn.kmin_bytes = 0.0;
+    in.ecn.kmax_bytes = 0.0;
+  });
+  add("Kmin = 0 < Kmax", [&](SolverInput& in) {
+    in.ecn.kmin_bytes = 0.0;
+    in.ecn.kmax_bytes = 0.2 * cap;
+  });
+  add("xoff = 0", [](SolverInput& in) { in.ecn.xoff_bytes = 0.0; });
+  add("xoff = queue cap", [&](SolverInput& in) { in.ecn.xoff_bytes = cap; });
+  for (const double interval : {10e-6, 17.5e-6, 1e-3, 3e-6, 1e-9}) {
+    add("update interval " + std::to_string(interval),
+        [&](SolverInput& in) { in.prm.update_interval_s = interval; });
+  }
+  add("offer one ulp above 1.001 x capacity", [](SolverInput& in) {
+    in.offered = std::nextafter(in.capacity * 1.001, HUGE_VAL);
+  });
+  add("offer 1.0011 x capacity",
+      [](SolverInput& in) { in.offered = in.capacity * 1.0011; });
+  add("crippled limiter idles the queue", [](SolverInput& in) {
+    in.prm.g = 1.0;
+    in.prm.rate_ai_bps = mbps(1);
+  });
+
+  for (const auto& [name, in] : cases) {
+    ASSERT_FALSE(cc_passes_through(in.offered, in.capacity, in.ecn, in.prm))
+        << name << " must co-simulate";
+    EXPECT_EQ(compare_to_reference(in).mismatch, "") << name;
+  }
+  // The crippled limiter really leaves most of the path idle and the queue
+  // mostly empty, so the empty-queue skip runs.
+  const SolverInput& in = cases.back().second;
+  const CcSteadyState crippled = solve_cc_steady_state(
+      in.offered, in.capacity, in.line, in.flows, in.ecn, in.prm,
+      in.pkt_bytes);
+  EXPECT_LT(crippled.rate_bps, 0.85 * in.capacity);
+  EXPECT_LT(crippled.queue_bytes, in.ecn.kmin_bytes);
 }
 
 // The catalog contract the campaign axis relies on.

@@ -61,17 +61,24 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   return operator new(size, align);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+// Every replacement operator delete frees through one out-of-line
+// function.  Inlined into a caller, a bare std::free would pair with that
+// caller's operator new, which GCC reports as a mismatched deallocation.
+namespace {
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace collie::sim {

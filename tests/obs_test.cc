@@ -101,7 +101,9 @@ TEST(Histogram, BucketPropertyHolds) {
     ASSERT_LT(b, kHistogramBuckets);
     EXPECT_EQ(b, std::bit_width(v));
     EXPECT_LE(v, histogram_bucket_upper(b));
-    if (b > 0) EXPECT_GT(v, histogram_bucket_upper(b - 1));
+    if (b > 0) {
+      EXPECT_GT(v, histogram_bucket_upper(b - 1));
+    }
   }
   EXPECT_EQ(histogram_bucket(0), 0);
   EXPECT_EQ(histogram_bucket(1), 1);

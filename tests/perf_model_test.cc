@@ -633,8 +633,8 @@ TEST(PerfModelGolden, CcArmedButWorkloadOffStillMatchesGoldens) {
 // catalog "dcqcn" scenario on the congested fabrics, bit for bit, plus the
 // two CC columns.  `crippled` runs the Noisy Neighbor tuning (R_AI = 1 Mbps,
 // g = 1).  The rows were captured from the limiter-driven reference loop
-// (tests/dcqcn_property_test.cc); the fused loop and the scratch memo must
-// reproduce them.
+// (tests/dcqcn_property_test.cc); the solver kernel and the scratch memo
+// must reproduce them.
 struct CcGoldenRow {
   GoldenRow row;
   bool crippled;

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/cli.h"
@@ -123,7 +124,10 @@ int main(int argc, char** argv) {
       for (int k = m; k < m + 5 && k < static_cast<int>(minutes); ++k) {
         c += s.anomalies_per_min[static_cast<std::size_t>(k)];
       }
-      return c ? "*" + std::to_string(c) : "";
+      if (c == 0) return std::string();
+      std::string marked(1, '*');
+      marked += std::to_string(c);
+      return marked;
     };
     t.add_row({std::to_string(m),
                fmt_double(series[0].value_per_min[idx] / max_per[0], 3),

@@ -10,8 +10,9 @@
 // the SteadySolve pair isolates the model-build/solve/metrics stage whose
 // per-probe cost the compiled path eliminates (the full evaluation adds
 // the sampled-epoch jitter rollout on the one-key counter stream).
-// BM_CcSteadyState isolates the DCQCN co-simulation, the layer that
-// dominates DCQCN-armed campaigns.
+// BM_PerfModelEvaluateVerdict is the verdict-only evaluation an MFS
+// necessity probe runs.  BM_CcSteadyState isolates the DCQCN
+// co-simulation, the layer that dominates DCQCN-armed campaigns.
 //
 // Beyond the google-benchmark registry, this binary has a perf-trajectory
 // mode:
@@ -212,6 +213,23 @@ void BM_PerfModelEvaluateAnomalous(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PerfModelEvaluateAnomalous)->Arg(1)->Arg(4)->Arg(9)->Arg(13);
+
+// The same witnesses evaluated verdict-only under the monitor's default
+// pause rule: what an MFS necessity probe costs.
+void BM_PerfModelEvaluateVerdict(benchmark::State& state) {
+  const sim::Subsystem& sys = sim::subsystem('F');
+  const sim::CompiledScenario compiled(sys);
+  sim::EvalScratch scratch;
+  const Workload w =
+      catalog::anomaly(static_cast<int>(state.range(0))).concrete;
+  const sim::PauseRule rule;
+  Rng rng(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sim::evaluate(compiled, w, rng, scratch, {}, &rule));
+  }
+}
+BENCHMARK(BM_PerfModelEvaluateVerdict)->Arg(1)->Arg(4)->Arg(9)->Arg(13);
 
 void BM_PerfModelEvaluateUncompiled(benchmark::State& state) {
   const sim::Subsystem& sys = sim::subsystem('F');
@@ -586,8 +604,25 @@ benchjson::Section measure_micro_section() {
       out["steady_solves_per_sec"] / out["steady_solves_per_sec_uncompiled"];
 
   // Informational layer rows (times, not *_per_sec rates, so the baseline
-  // gate never reads them): one DCQCN co-simulation, no memo, on the
-  // fanin4 input and averaged over the campaign-shaped mix.
+  // gate never reads them): one verdict-only evaluation averaged over the
+  // BM_PerfModelEvaluateVerdict witnesses; one DCQCN co-simulation, no
+  // memo, on the fanin4 input and averaged over the campaign-shaped mix.
+  {
+    const sim::CompiledScenario compiled(sys);
+    sim::EvalScratch scratch;
+    const sim::PauseRule rule;
+    std::vector<Workload> witnesses;
+    for (const int id : {1, 4, 9, 13}) {
+      witnesses.push_back(catalog::anomaly(id).concrete);
+    }
+    Rng rng(1);
+    std::size_t next = 0;
+    out["evaluate_verdict_us"] = 1e6 / ops_per_second([&] {
+      benchmark::DoNotOptimize(
+          sim::evaluate(compiled, witnesses[next], rng, scratch, {}, &rule));
+      next = (next + 1) % witnesses.size();
+    });
+  }
   {
     const CcSolveInput in = fanin4_cc_input();
     out["cc_steady_state_us"] =

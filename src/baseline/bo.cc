@@ -69,7 +69,8 @@ Verdict measure(const workload::Engine& engine,
   if (use_mfs) {
     auto probe = [&](const Workload& candidate) -> Symptom {
       const workload::Measurement& pm =
-          engine.run(candidate, rng, state.scratch, state.probe_out);
+          engine.run(candidate, rng, state.scratch, state.probe_out,
+                     &monitor.config().pause);
       state.elapsed += pm.cost_seconds;
       state.result.experiments += 1;
       TracePoint ptp;

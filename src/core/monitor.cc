@@ -23,10 +23,8 @@ Verdict AnomalyMonitor::judge(const workload::Measurement& m) const {
   // Under scenario fabrics part of the pause is plain congestion the fabric
   // itself explains; only pause beyond that share (plus a small jitter
   // margin on it) indicts the subsystem.
-  const double pause_allowance =
-      config_.pause_threshold +
-      m.fabric_pause_ratio * (1.0 + config_.fabric_headroom);
-  if (m.pause_duration_ratio > pause_allowance) {
+  if (m.pause_duration_ratio >
+      config_.pause.allowance(m.fabric_pause_ratio)) {
     v.symptom = Symptom::kPauseFrames;
   } else if (m.wire_utilization < config_.util_threshold &&
              m.pps_utilization < config_.util_threshold) {

@@ -2,7 +2,8 @@
 // paper's two precisely-defined anomaly conditions:
 //
 //   1. PFC pause frames while the network is not congested: pause duration
-//      ratio above 0.1% (the small allowance absorbs setup-time blips).
+//      ratio above 0.1% (the small allowance absorbs setup-time blips) plus
+//      what the scenario fabric explains (sim::PauseRule).
 //   2. Throughput not bottlenecked by either RNIC spec bound: both the wire
 //      bits/s utilization and the packets/s utilization more than 20% below
 //      their caps.
@@ -17,16 +18,10 @@ enum class Symptom { kNone, kPauseFrames, kLowThroughput };
 const char* to_string(Symptom s);
 
 struct MonitorConfig {
-  double pause_threshold = 0.001;  // 0.1% pause duration ratio
-  double util_threshold = 0.8;     // within 20% of a spec bound is healthy
-  // Scenario fabrics produce *expected* congestion pause (slow ports, ToR
-  // fan-in).  Pause is anomalous only beyond the fabric-explained share
-  // plus this relative margin on it (jitter allowance).  The margin must
-  // stay small: a heavily congested fabric explains most of the duty cycle,
-  // and a generous multiplier would mask the subsystem stall riding on top.
-  // The paper's trivial pair has zero fabric pause, so the seed behaviour
-  // is unchanged there.
-  double fabric_headroom = 0.02;
+  // Condition 1.  Shared with the model: a verdict-only evaluation under
+  // this rule (Engine::run's verdict_only) yields the same verdict.
+  sim::PauseRule pause;
+  double util_threshold = 0.8;  // within 20% of a spec bound is healthy
 };
 
 struct Verdict {

@@ -175,9 +175,10 @@ Verdict SearchDriver::step(const Workload& w, Rng& rng, RunState& state,
         return symptom;
       }
       // Necessity probes write into probe_meas_, not meas_: the step's own
-      // measurement is still live across the extraction.
-      const workload::Measurement& pm =
-          engine_.run(candidate, rng, scratch_, probe_meas_);
+      // measurement is still live across the extraction.  They read only
+      // the verdict, so they ask the engine for nothing more.
+      const workload::Measurement& pm = engine_.run(
+          candidate, rng, scratch_, probe_meas_, &monitor_.config().pause);
       state.elapsed += pm.cost_seconds;
       state.result.experiments += 1;
       bump(tel_, &obs::ProbeIds::experiments);

@@ -613,10 +613,9 @@ struct EvalScratch::Impl {
   RateArray offered_rate{};
   RateArray rate{};
   std::vector<double> demand;
-  // Per-port pause bookkeeping (the accounting net::Fabric does, without
+  // Per-port pause seconds (the accounting net::Fabric does, without
   // re-copying the FabricSpec per probe).
   std::vector<double> pause_s;
-  std::vector<double> total_s;
   SimResult result;
   CcSolveMemo cc_memo;
 };
@@ -636,7 +635,8 @@ struct EvalCore {
                           std::vector<Resource>& resources);
   static const SimResult& run(const CompiledScenario& cs, const Workload& w,
                               Rng& rng, EvalScratch& scratch,
-                              const SimConfig& cfg);
+                              const SimConfig& cfg,
+                              const PauseRule* verdict_only);
 
   static topo::DmaPath path(const CompiledScenario& cs, int host,
                             const topo::MemPlacement& mem) {
@@ -976,12 +976,16 @@ double experiment_cost_seconds(const Workload& w) {
 
 const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
                                Rng& rng, EvalScratch& scratch,
-                               const SimConfig& cfg) {
+                               const SimConfig& cfg,
+                               const PauseRule* verdict_only) {
   assert(w.valid());
   const Subsystem& sys = cs.sys_;
   EvalScratch::Impl& s = *scratch.impl_;
   SimResult& out = s.result;
   reset_result(out);
+  // The verdict-only shortcut (perf_model.h); the full epoch series is the
+  // full evaluation by definition.
+  const PauseRule* verdict = cfg.keep_epochs ? nullptr : verdict_only;
 
   // One model build serves both solver passes: the uncompiled path built two
   // bit-identical models, one per pass.
@@ -1163,11 +1167,12 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
     }
   }
 
+  // The human-readable note is diagnostics only; no verdict reads it.
   if (binding >= 0) {
     const Resource& b = resources[static_cast<std::size_t>(binding)];
     if (b.utilization(flows, rate) > 0.999 && b.tag != Bottleneck::kNone) {
       out.dominant = b.tag;
-      assign_name(out.bottleneck_note, b.kind, b.host);
+      if (verdict == nullptr) assign_name(out.bottleneck_note, b.kind, b.host);
     }
   }
   // Steady receive-WQE misses dominate when nothing else binds but
@@ -1176,7 +1181,7 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
     for (const Flow& f : flows) {
       if (f.steady_loss > 0.05) {
         out.dominant = Bottleneck::kRwqeSteadyMiss;
-        out.bottleneck_note.assign("rwqe_steady_miss");
+        if (verdict == nullptr) out.bottleneck_note.assign("rwqe_steady_miss");
         break;
       }
     }
@@ -1186,7 +1191,7 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
   // resource under capacity, so the binding check above cannot see it.
   if (cc_leaves_capacity_idle) {
     out.dominant = Bottleneck::kCcThrottled;
-    out.bottleneck_note.assign("dcqcn_rate_limiter");
+    if (verdict == nullptr) out.bottleneck_note.assign("dcqcn_rate_limiter");
   }
 
   // ---- Epoch rollout ----
@@ -1201,15 +1206,22 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
   for (int h = 0; h < 2; ++h) {
     if (rx_stalled[h] && arrival_bps[h] > 0.0) any_stalled = true;
   }
+  // The headline pause_duration_ratio keeps the seed's accounting (worst
+  // port per epoch, averaged over post-warmup epochs); scratch-owned
+  // per-port accumulators track each port (the arithmetic
+  // net::Fabric::record_pause performs).  Every port's observed time is the
+  // whole post-warmup window, summed here in the order the rollout visits
+  // its epochs.
   double pause_accum = 0.0;
   double pause_time = 0.0;
-  // Per-port pause bookkeeping across the whole fabric.  The headline
-  // pause_duration_ratio keeps the seed's accounting (worst port per epoch,
-  // averaged over post-warmup epochs); scratch-owned per-port accumulators
-  // track each port (the arithmetic net::Fabric::record_pause performs).
+  for (int e = std::max(cfg.warmup_epochs, 0); e < cfg.epochs; ++e) {
+    pause_time += cfg.epoch_dt;
+  }
   const int num_ports = sys.fabric.num_ports();
   s.pause_s.assign(static_cast<std::size_t>(num_ports), 0.0);
-  s.total_s.assign(static_cast<std::size_t>(num_ports), 0.0);
+  // Verdict-only: pause above this is decided (see the rollout).
+  const double allowance =
+      verdict != nullptr ? verdict->allowance(out.fabric_pause_ratio) : 0.0;
 
   // Pre-compute steady counter values (per second).
   CounterSample base;
@@ -1238,10 +1250,12 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
       tracker += rate[i] * f.tracker_stall_pkts + f.tracker_pressure * 1e6;
     }
     // Diagnostic counters expose *smooth* load signals — they move before
-    // end-to-end performance does (the property §5.1/§7.2 builds on).
+    // end-to-end performance does (the property §5.1/§7.2 builds on).  A
+    // verdict reads none of them.
     double pcie_bp = 0.0;
     double engine_excess = 0.0;
-    for (std::size_t ri = 0; ri < resources.size(); ++ri) {
+    for (std::size_t ri = 0; verdict == nullptr && ri < resources.size();
+         ++ri) {
       const Resource& r = resources[ri];
       const double u = r.utilization(flows, rate);
       if (r.kind == ResKind::kPcieRd || r.kind == ResKind::kPcieWr) {
@@ -1279,7 +1293,9 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
   // only what is read: the four sampled epochs' counters, the pause duty of
   // post-warmup epochs in which a receiver is stalled, and — for
   // keep_epochs callers only — the full series, whose sampled epochs carry
-  // exactly the values the samples carry.
+  // exactly the values the samples carry.  A verdict-only rollout reads
+  // less: the sampled epochs' perf counters, and pause only until it is
+  // decided.
   const CounterStream jitter(rng.next_u64());
   const auto normal_jitter = [&jitter](int epoch, int slot, double sigma) {
     const u64 index = static_cast<u64>(epoch) * kJitterSlots +
@@ -1305,25 +1321,33 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
     out.epochs.reserve(static_cast<std::size_t>(cfg.epochs));
   }
 
+  // Verdict-only: set once pause_accum / pause_time exceeds the allowance.
+  // Rounded addition of the remaining non-negative terms cannot lower the
+  // sum, nor division by the same positive pause_time the quotient, so the
+  // full ratio would exceed it too; the rollout then visits only the
+  // sampled epochs that are left.
+  bool pause_decided = false;
   const int first_epoch =
       cfg.keep_epochs ? 0 : std::max(cfg.warmup_epochs, 0);
   for (int e = first_epoch; e < cfg.epochs; ++e) {
     const bool warm = e < cfg.warmup_epochs;
     const bool sampled =
         next_sample < num_samples && sample_epoch[next_sample] == e;
+    if (pause_decided && !sampled) continue;
     const bool counters_read = sampled || cfg.keep_epochs;
+    const bool pause_read = any_stalled && !pause_decided;
     const double ramp =
         warm ? (e + 1.0) / (cfg.warmup_epochs + 1.0) : 1.0;
     // The sender jitter scales the perf counters and the stalled arrivals
     // alike; an epoch that reads neither never draws it.
-    const double jit = counters_read || any_stalled
+    const double jit = counters_read || pause_read
                            ? normal_jitter(e, kSenderSlot, cfg.jitter)
                            : 1.0;
 
     double worst_pause = 0.0;
     double host_duty[2] = {0.0, 0.0};
     double occupancy = 0.0;
-    for (int h = 0; h < 2; ++h) {
+    for (int h = 0; pause_read && h < 2; ++h) {
       if (!rx_stalled[h] || arrival_bps[h] <= 0.0) continue;
       const double arrive = arrival_bps[h] * ramp * jit;
       // Drain capacity does not scale with the sender's ramp.
@@ -1347,15 +1371,15 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
         worst_pause =
             std::max(worst_pause, 0.0004 * uniform_draw(e, kBlipSlot + 1));
       }
-    } else {
+    } else if (!pause_decided) {
       pause_accum += worst_pause * cfg.epoch_dt;
-      pause_time += cfg.epoch_dt;
       // Every fan-in sender mirrors host A's port by symmetry.
       for (int p = 0; p < num_ports; ++p) {
         s.pause_s[static_cast<std::size_t>(p)] +=
             cfg.epoch_dt * host_duty[p == 1 ? 1 : 0];
-        s.total_s[static_cast<std::size_t>(p)] += cfg.epoch_dt;
       }
+      pause_decided = verdict != nullptr && worst_pause > 0.0 &&
+                      pause_accum / pause_time > allowance;
     }
     if (!counters_read) continue;
 
@@ -1364,13 +1388,13 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
       c.perf[static_cast<std::size_t>(i)] =
           base.perf[static_cast<std::size_t>(i)] * ramp * jit;
     }
-    for (int i = 0; i < kNumDiagCounters; ++i) {
+    for (int i = 0; verdict == nullptr && i < kNumDiagCounters; ++i) {
       if (i == static_cast<int>(DiagCounter::kRxBufferOccupancy)) continue;
       c.diag[static_cast<std::size_t>(i)] =
           base.diag[static_cast<std::size_t>(i)] * ramp *
           normal_jitter(e, kDiagSlot + i, cfg.jitter * 2.0);
     }
-    c.set(DiagCounter::kRxBufferOccupancy, occupancy);
+    if (verdict == nullptr) c.set(DiagCounter::kRxBufferOccupancy, occupancy);
     for (; next_sample < num_samples && sample_epoch[next_sample] == e;
          ++next_sample) {
       out.samples.push_back(c);
@@ -1383,25 +1407,25 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
   out.pause_duration_ratio = pause_time > 0 ? pause_accum / pause_time : 0.0;
   out.port_pause_ratio.resize(static_cast<std::size_t>(num_ports));
   for (int p = 0; p < num_ports; ++p) {
-    const double t = s.total_s[static_cast<std::size_t>(p)];
     out.port_pause_ratio[static_cast<std::size_t>(p)] =
-        t > 0.0 ? s.pause_s[static_cast<std::size_t>(p)] / t : 0.0;
+        pause_time > 0.0 ? s.pause_s[static_cast<std::size_t>(p)] / pause_time
+                         : 0.0;
   }
-  out.counters = CounterSample::average(out.samples);
+  if (verdict == nullptr) out.counters = CounterSample::average(out.samples);
   return out;
 }
 
 SimResult evaluate(const Subsystem& sys, const Workload& w, Rng& rng,
-                   const SimConfig& cfg) {
+                   const SimConfig& cfg, const PauseRule* verdict_only) {
   const CompiledScenario compiled(sys);
   EvalScratch scratch;
-  return EvalCore::run(compiled, w, rng, scratch, cfg);
+  return EvalCore::run(compiled, w, rng, scratch, cfg, verdict_only);
 }
 
 const SimResult& evaluate(const CompiledScenario& scenario, const Workload& w,
-                          Rng& rng, EvalScratch& scratch,
-                          const SimConfig& cfg) {
-  return EvalCore::run(scenario, w, rng, scratch, cfg);
+                          Rng& rng, EvalScratch& scratch, const SimConfig& cfg,
+                          const PauseRule* verdict_only) {
+  return EvalCore::run(scenario, w, rng, scratch, cfg, verdict_only);
 }
 
 }  // namespace collie::sim

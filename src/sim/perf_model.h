@@ -68,6 +68,27 @@ struct SimConfig {
 };
 
 
+// The anomaly monitor's pause condition (§5.2): a measured pause duration
+// ratio is anomalous above allowance(fabric_pause_ratio).  Scenario fabrics
+// produce *expected* congestion pause (slow ports, ToR fan-in), so pause
+// counts only beyond the fabric-explained share plus a relative margin on
+// it (jitter allowance).  The margin must stay small: a heavily congested
+// fabric explains most of the duty cycle, and a generous multiplier would
+// mask the subsystem stall riding on top.  The paper's trivial pair has
+// zero fabric pause, so there the allowance is the bare threshold.
+//
+// core::MonitorConfig holds one; the monitor judges with it and a
+// verdict-only evaluation stops integrating pause with it, so the formula
+// exists exactly once.
+struct PauseRule {
+  double threshold = 0.001;  // 0.1% pause duration ratio absorbs setup blips
+  double fabric_headroom = 0.02;
+
+  double allowance(double fabric_pause_ratio) const {
+    return threshold + fabric_pause_ratio * (1.0 + fabric_headroom);
+  }
+};
+
 struct EpochSample {
   double t = 0.0;
   CounterSample counters;
@@ -109,14 +130,16 @@ struct SimResult {
 
   // The four counter fetches, at post-warmup epochs spread evenly over the
   // run (4, 10, 16, 23 by default), and their average.  Empty / zero when
-  // the config has no post-warmup epoch.
+  // the config has no post-warmup epoch.  A verdict-only evaluation (see
+  // evaluate() below) fills only the perf counters of each sample and
+  // leaves the diagnostic counters and the average zero.
   std::vector<CounterSample> samples;
   CounterSample counters;
   // Full series, only with SimConfig::keep_epochs.
   std::vector<EpochSample> epochs;
 
   Bottleneck dominant = Bottleneck::kNone;
-  std::string bottleneck_note;
+  std::string bottleneck_note;  // empty in a verdict-only evaluation
 };
 
 // ---- Evaluation hot path --------------------------------------------------
@@ -196,17 +219,35 @@ class EvalScratch {
   std::unique_ptr<Impl> impl_;
 };
 
+// Verdict-only evaluation.  A non-null `verdict_only` asks for just what
+// the monitor's verdict under that rule reads (MFS necessity probes ask
+// nothing else), and the model skips the rest:
+//   * the diagnostic counters, their per-resource base loop, the sample
+//     average and the bottleneck note stay zero / empty; the samples keep
+//     their perf counters, which the stability check reads;
+//   * pause integration stops once pause_accum / T exceeds
+//     verdict_only->allowance(fabric_pause_ratio), T being the full
+//     post-warmup window.  Every later epoch adds a non-negative term, so
+//     the full ratio could only be larger: pause_duration_ratio (and
+//     port_pause_ratio) is then a lower bound that is still above the
+//     allowance, and exact whenever the full ratio is at or below it.
+// Everything else — rates, utilizations, fabric_pause_ratio, the CC
+// ratios, dominant and the Rng draw — is bit-identical to the full
+// evaluation.  SimConfig::keep_epochs turns the shortcut off.
+
 // The uncompiled path: compiles the scenario and allocates fresh scratch on
 // every call.  Kept (and exercised by tests) as the reference semantics of
 // the hot path below.
 SimResult evaluate(const Subsystem& sys, const Workload& w, Rng& rng,
-                   const SimConfig& cfg = {});
+                   const SimConfig& cfg = {},
+                   const PauseRule* verdict_only = nullptr);
 
 // The hot path: zero heap allocations once `scratch` is warm.  Returns a
 // reference into `scratch`, valid until the next evaluate() with it.
 const SimResult& evaluate(const CompiledScenario& scenario, const Workload& w,
                           Rng& rng, EvalScratch& scratch,
-                          const SimConfig& cfg = {});
+                          const SimConfig& cfg = {},
+                          const PauseRule* verdict_only = nullptr);
 
 // Duration one such experiment would take on real hardware: 20-60 s, mostly
 // a function of how many QPs and MRs must be set up (§5, §6).  The search

@@ -303,6 +303,23 @@ TEST(HotPathAllocation, DriverProbeWithTelemetryOnAllocatesNothing) {
     });
     EXPECT_EQ(allocs, 0) << w.describe();
   }
+  // MFS necessity probes: a verdict-only run into their own reused
+  // Measurement, then the judgement.
+  const core::AnomalyMonitor monitor;
+  workload::Measurement probe;
+  EvalScratch scratch;
+  for (const Workload& w : ws) {
+    (void)engine.run(w, rng, scratch, probe, &monitor.config().pause);
+  }
+  for (const Workload& w : ws) {
+    const long allocs = count_allocations([&] {
+      for (int i = 0; i < 20; ++i) {
+        (void)monitor.judge(
+            engine.run(w, rng, scratch, probe, &monitor.config().pause));
+      }
+    });
+    EXPECT_EQ(allocs, 0) << "verdict-only " << w.describe();
+  }
   // The instrumentation actually fired (this is not a vacuous pin).
   const obs::Snapshot snap = telemetry.snapshot();
   EXPECT_GE(snap.counters.at("probe.experiments"),

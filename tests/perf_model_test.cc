@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <string>
 
+#include "core/monitor.h"
 #include "sim/perf_model.h"
 #include "sim/subsystem.h"
 #include "workload/backend_sim.h"
@@ -711,6 +712,133 @@ TEST(PerfModelGolden, DcqcnThrottledScenariosMatchGoldenRowsBitForBit) {
     if (r.cc_suppressed_ratio > 0.0) ++throttled;
   }
   EXPECT_EQ(throttled, 16);
+}
+
+// ---- Verdict-only evaluation ----------------------------------------------
+
+// A verdict-only measurement (what an MFS necessity probe asks for) judges
+// exactly as the full measurement does, from the same Rng draws: every
+// golden row, CC off and DCQCN, seeds 1-64, at the default jitter and at a
+// noisy one that makes some probes re-measure, under three pause rules.
+// Its pause ratio is the full one bit for bit at or below the allowance,
+// and still above the allowance otherwise; both branches must occur.
+TEST(PerfModelVerdictOnly, JudgesExactlyAsTheFullMeasurement) {
+  std::vector<std::pair<Subsystem, Workload>> rows;
+  for (const GoldenRow& row : kGoldenRows) {
+    rows.emplace_back(
+        with_fabric(subsystem(row.sys), net::fabric_scenario(row.fabric)),
+        golden_workload(row.workload));
+  }
+  for (const CcGoldenRow& row : kCcGoldenRows) {
+    rows.emplace_back(with_cc(with_fabric(subsystem(row.row.sys),
+                                          net::fabric_scenario(row.row.fabric)),
+                              nic::cc_scenario("dcqcn")),
+                      cc_golden_workload(row));
+  }
+  ASSERT_EQ(rows.size(), 46u);
+  core::MonitorConfig strict;
+  strict.pause.threshold = 0.0;
+  strict.pause.fabric_headroom = 0.0;
+  core::MonitorConfig loose;
+  loose.pause.threshold = 0.2;
+  loose.pause.fabric_headroom = 0.5;
+  const core::AnomalyMonitor monitors[] = {
+      core::AnomalyMonitor{}, core::AnomalyMonitor(strict),
+      core::AnomalyMonitor(loose)};
+
+  int decided_early = 0;
+  int full_window = 0;
+  int remeasured = 0;
+  EvalScratch scratch;
+  workload::Measurement full;
+  workload::Measurement lean;
+  for (const double jitter : {0.015, 0.08}) {
+    workload::EngineOptions opts;
+    opts.run_functional_pass = false;
+    opts.sim.jitter = jitter;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const workload::Engine engine(rows[i].first, opts);
+      const Workload& w = rows[i].second;
+      for (u64 seed = 1; seed <= 64; ++seed) {
+        Rng full_rng(seed);
+        engine.run(w, full_rng, scratch, full);
+        ASSERT_FALSE(full.verdict_only.has_value());
+        remeasured += full.remeasure_count > 0 ? 1 : 0;
+        for (const core::AnomalyMonitor& monitor : monitors) {
+          const PauseRule& rule = monitor.config().pause;
+          Rng rng(seed);
+          engine.run(w, rng, scratch, lean, &rule);
+          const std::string tag = "row " + std::to_string(i) + " jitter " +
+                                  std::to_string(jitter) + " seed " +
+                                  std::to_string(seed) + " threshold " +
+                                  std::to_string(rule.threshold);
+          ASSERT_TRUE(lean.verdict_only.has_value()) << tag;
+          EXPECT_EQ(monitor.judge(lean).symptom, monitor.judge(full).symptom)
+              << tag;
+          EXPECT_EQ(rng.state(), full_rng.state()) << tag;
+          EXPECT_EQ(lean.cost_seconds, full.cost_seconds) << tag;
+          EXPECT_EQ(lean.remeasure_count, full.remeasure_count) << tag;
+          EXPECT_EQ(lean.stable, full.stable) << tag;
+          EXPECT_EQ(lean.wire_utilization, full.wire_utilization) << tag;
+          EXPECT_EQ(lean.pps_utilization, full.pps_utilization) << tag;
+          EXPECT_EQ(lean.fabric_pause_ratio, full.fabric_pause_ratio) << tag;
+          EXPECT_EQ(lean.dominant, full.dominant) << tag;
+
+          const double allowance = rule.allowance(full.fabric_pause_ratio);
+          if (full.pause_duration_ratio <= allowance) {
+            EXPECT_EQ(lean.pause_duration_ratio, full.pause_duration_ratio)
+                << tag;
+            if (full.pause_duration_ratio > 0.0) ++full_window;
+          } else {
+            EXPECT_GT(lean.pause_duration_ratio, allowance) << tag;
+            EXPECT_LE(lean.pause_duration_ratio, full.pause_duration_ratio)
+                << tag;
+            if (lean.pause_duration_ratio < full.pause_duration_ratio) {
+              ++decided_early;
+            }
+          }
+
+          // What a verdict-only Measurement holds: the perf samples the
+          // stability check reads, zero diagnostics, an empty note.
+          ASSERT_EQ(lean.samples.size(), full.samples.size()) << tag;
+          for (std::size_t k = 0; k < lean.samples.size(); ++k) {
+            EXPECT_EQ(lean.samples[k].perf, full.samples[k].perf) << tag;
+            EXPECT_EQ(lean.samples[k].diag, CounterSample{}.diag) << tag;
+          }
+          EXPECT_EQ(lean.average.perf, CounterSample{}.perf) << tag;
+          EXPECT_EQ(lean.average.diag, CounterSample{}.diag) << tag;
+          EXPECT_TRUE(lean.bottleneck_note.empty()) << tag;
+        }
+      }
+    }
+  }
+  EXPECT_GT(decided_early, 0);
+  EXPECT_GT(full_window, 0);
+  EXPECT_GT(remeasured, 0);
+}
+
+// The full epoch series is a full evaluation: keep_epochs turns the
+// verdict-only shortcut off, so the request changes no output.
+TEST(PerfModelVerdictOnly, KeepEpochsTurnsTheShortcutOff) {
+  SimConfig cfg;
+  cfg.keep_epochs = true;
+  const PauseRule strict{0.0, 0.0};
+  int stalled = 0;
+  for (const GoldenRow& row : kGoldenRows) {
+    const Subsystem sys = with_fabric(subsystem(row.sys),
+                                      net::fabric_scenario(row.fabric));
+    const Workload w = golden_workload(row.workload);
+    Rng rng_full(7);
+    Rng rng_lean(7);
+    const SimResult full = evaluate(sys, w, rng_full, cfg);
+    const SimResult lean = evaluate(sys, w, rng_lean, cfg, &strict);
+    EXPECT_EQ(row_source(current_row(row, lean)), row_source(row));
+    EXPECT_EQ(lean.bottleneck_note, full.bottleneck_note);
+    EXPECT_EQ(lean.counters.diag, full.counters.diag);
+    EXPECT_EQ(lean.epochs.size(), full.epochs.size());
+    if (full.pause_duration_ratio > 0.0) ++stalled;
+  }
+  EXPECT_GT(stalled, 0);
 }
 
 // ---- Fan-in demand aggregation edge cases ---------------------------------

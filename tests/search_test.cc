@@ -140,6 +140,9 @@ TEST_F(SearchTest, PerfModeRunsAndGuides) {
 // The reference for the compiled hot path: SimBackend's measure loop
 // (evaluate, then apply_result's stability rule, one re-measurement) over
 // the per-call sim::evaluate, which rebuilds the scenario on every probe.
+// It ignores verdict-only requests and measures every MFS necessity probe
+// in full, so matching trajectories also pin verdict-only ≡ full at the
+// search level.
 class UncompiledBackend final : public workload::Backend {
  public:
   UncompiledBackend(const sim::Subsystem& sys, const sim::SimConfig& cfg)

@@ -1,8 +1,8 @@
-# CLI help smoke: `EXE --help` exits 0, prints "usage: NAME" first, and
-# names every flag that the CLI's reject_unknown({...}) list in SOURCE
-# accepts, so a flag cannot ship undocumented.
+# CLI help smoke: `EXE --help` exits 0 and prints "usage: NAME" first.
+# Flag coverage is structural: --help renders the CLI's flag table, the
+# same table that decides which flags the CLI accepts.
 #
-#   cmake -DEXE=<binary> -DNAME=<cli> -DSOURCE=<cli .cpp> -P check_cli_help.cmake
+#   cmake -DEXE=<binary> -DNAME=<cli> -P check_cli_help.cmake
 execute_process(COMMAND "${EXE}" --help
                 OUTPUT_VARIABLE out
                 RESULT_VARIABLE rc)
@@ -11,23 +11,4 @@ if(NOT rc EQUAL 0)
 endif()
 if(NOT out MATCHES "^usage: ${NAME}")
   message(FATAL_ERROR "${NAME} --help does not start with 'usage: ${NAME}'")
-endif()
-
-file(READ "${SOURCE}" source)
-string(REGEX MATCH "reject_unknown\\(\\{[^}]*\\}" accepted "${source}")
-string(REGEX MATCHALL "\"[a-z0-9-]+\"" flags "${accepted}")
-if(NOT flags)
-  message(FATAL_ERROR "no reject_unknown({...}) flag list in ${SOURCE}")
-endif()
-set(missing "")
-foreach(quoted IN LISTS flags)
-  string(REPLACE "\"" "" flag "${quoted}")
-  # Whole-flag match: --journal must not pass on --journal-every alone.
-  if(NOT out MATCHES "--${flag}([^a-z0-9-]|$)")
-    list(APPEND missing "--${flag}")
-  endif()
-endforeach()
-if(missing)
-  list(JOIN missing " " missing)
-  message(FATAL_ERROR "${NAME} --help omits accepted flag(s): ${missing}")
 endif()

@@ -5,10 +5,9 @@
 // covering MFS, the simulator's dominant bottleneck for its witness, and
 // the catalog's Table-2-style label.
 //
-// Run with --help for the modes (kUsage below).
+// Run with --help for the modes and flags (kFlags below).
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
@@ -28,37 +27,38 @@ using namespace collie;
 
 namespace {
 
-constexpr char kUsage[] = R"(usage: kb_server MODE
+constexpr char kHeader[] = R"(usage: kb_server MODE
 
   kb_server --build corpus.json ck1.json ck2.json ...
-      Merge + compact checkpoints into a collie-kb-v1 corpus.
-  kb_server --corpus corpus.json
-      Serve: one JSON query per stdin line, one JSON answer per stdout
-      line.  Query:  {"scope": "B", "workload": {...}}
-      Answer: {"covered": true, "scope": "B", "entry": 3,
-               "anomaly_id": 7, "dominant": "...", "label": "...",
-               "mfs": {...}}   (just {"covered": false} on a miss)
+  kb_server --corpus corpus.json                  # serve stdin queries
   kb_server --corpus corpus.json --queries q.jsonl
-      Batch mode: answer every line of the file, then print a
-      queries/sec summary to stderr.
   kb_server --corpus corpus.json --emit-queries q.jsonl
-      Write a batch file exercising the corpus: every witness of a
-      conditioned entry (guaranteed hits) plus unknown-scope probes
-      (guaranteed clean misses) — the CI kb-smoke job round-trips this.
   kb_server --corpus corpus.json --self-check
-      Every conditioned entry's witness must hit its own scope.
-  kb_server --help
-      Print this reference and exit.
+
+  Query:  {"scope": "B", "workload": {...}}
+  Answer: {"covered": true, "scope": "B", "entry": 3, "anomaly_id": 7,
+           "dominant": "...", "label": "...", "mfs": {...}}
+          (just {"covered": false} on a miss)
 )";
 
-bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream os;
-  os << in.rdbuf();
-  *out = os.str();
-  return true;
-}
+constexpr CliFlag kFlags[] = {
+    {"build", "<out>", nullptr,
+     "merge + compact the checkpoints named as positional arguments into a "
+     "collie-kb-v1 corpus"},
+    {"corpus", "<f>", nullptr,
+     "load a corpus; alone, serve one JSON query per stdin line with one "
+     "JSON answer per stdout line"},
+    {"queries", "<f>", nullptr,
+     "batch mode: answer every line of the file, then print a queries/sec "
+     "summary to stderr"},
+    {"emit-queries", "<f>", nullptr,
+     "write a batch file exercising the corpus: every witness of a "
+     "conditioned entry (guaranteed hits) plus unknown-scope probes "
+     "(guaranteed clean misses); the CI kb-smoke job round-trips this"},
+    {"self-check", nullptr, nullptr,
+     "every conditioned entry's witness must hit its own scope"},
+    {"help", nullptr, nullptr, "print this reference and exit"},
+};
 
 // Atomic emission (temp + fsync + rename): a crash mid-build must never
 // leave a torn corpus where a valid one stood.
@@ -112,7 +112,7 @@ int build_mode(const std::string& out_path,
   std::size_t added = 0;
   for (const std::string& path : checkpoints) {
     std::string text;
-    if (!read_file(path, &text)) {
+    if (!durable_io::read_file(path, &text)) {
       std::fprintf(stderr, "cannot read checkpoint '%s'\n", path.c_str());
       return 2;
     }
@@ -142,19 +142,18 @@ int build_mode(const std::string& out_path,
 }  // namespace
 
 int run(int argc, char** argv) {
-  CliArgs args(argc, argv, {"self-check", "help"});
+  CliArgs args(argc, argv, kFlags);
   if (args.has("help")) {
-    std::fputs(kUsage, stdout);
+    std::fputs(cli_usage(kHeader, kFlags).c_str(), stdout);
     return 0;
   }
-  args.reject_unknown({"build", "corpus", "self-check", "emit-queries",
-                       "queries"});
+  args.reject_unknown();
 
   if (args.has("build")) {
     return build_mode(args.get("build"), args.positional());
   }
 
-  const std::string corpus_path = args.get("corpus", "");
+  const std::string corpus_path = args.get("corpus");
   if (corpus_path.empty()) {
     std::fprintf(stderr,
                  "usage: kb_server --build OUT CK... | --corpus FILE "
@@ -162,7 +161,7 @@ int run(int argc, char** argv) {
     return 2;
   }
   std::string text;
-  if (!read_file(corpus_path, &text)) {
+  if (!durable_io::read_file(corpus_path, &text)) {
     std::fprintf(stderr, "cannot read corpus '%s'\n", corpus_path.c_str());
     return 2;
   }
@@ -179,7 +178,7 @@ int run(int argc, char** argv) {
   std::fprintf(stderr, "kb: %zu entries in %zu scopes\n", knowledge.size(),
                knowledge.scopes().size());
 
-  if (args.get_bool("self-check", false)) {
+  if (args.get_bool("self-check")) {
     // Every conditioned entry's witness is inside its own region, so it
     // must hit (bare entries match nothing by design and are skipped).
     std::size_t checked = 0;
@@ -233,7 +232,7 @@ int run(int argc, char** argv) {
   if (args.has("queries")) {
     const std::string path = args.get("queries");
     std::string qtext;
-    if (!read_file(path, &qtext)) {
+    if (!durable_io::read_file(path, &qtext)) {
       std::fprintf(stderr, "cannot read queries '%s'\n", path.c_str());
       return 2;
     }

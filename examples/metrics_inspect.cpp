@@ -8,10 +8,9 @@
 // Exit status is non-zero on a missing/garbled document, which is what the
 // CI bench-smoke job uses to gate the snapshot schema.
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
+#include "common/durable_io.h"
 #include "common/units.h"
 #include "core/json_reader.h"
 #include "obs/telemetry.h"
@@ -23,16 +22,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "usage: metrics_inspect <metrics.json>\n");
     return 2;
   }
-  std::ifstream in(argv[1], std::ios::binary);
-  if (!in) {
+  std::string text;
+  if (!durable_io::read_file(argv[1], &text)) {
     std::fprintf(stderr, "cannot read '%s'\n", argv[1]);
     return 2;
   }
-  std::ostringstream os;
-  os << in.rdbuf();
 
   try {
-    const core::JsonValue doc = core::JsonValue::parse(os.str());
+    const core::JsonValue doc = core::JsonValue::parse(text);
     const std::string& schema = doc.at("schema").as_string();
     if (schema != "collie-metrics-v1") {
       std::fprintf(stderr, "unexpected schema '%s'\n", schema.c_str());

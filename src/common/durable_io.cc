@@ -8,6 +8,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 
 namespace collie::durable_io {
 namespace {
@@ -91,6 +93,15 @@ bool atomic_write(const std::string& path, const std::string& content,
     ::fsync(dfd);
     ::close(dfd);
   }
+  return true;
+}
+
+bool read_file(const std::string& path, std::string* out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  std::ostringstream os;
+  os << in.rdbuf();
+  *out = os.str();
   return true;
 }
 

@@ -33,4 +33,7 @@ inline u32 crc32(const std::string& s, u32 seed = 0) {
 bool atomic_write(const std::string& path, const std::string& content,
                   std::string* error = nullptr);
 
+// The whole file at `path` into *out; false when it cannot be opened.
+bool read_file(const std::string& path, std::string* out);
+
 }  // namespace collie::durable_io

@@ -59,27 +59,46 @@ Snapshot snapshot_from_json(const std::string& text) {
   return Snapshot::from_json(core::JsonValue::parse(text));
 }
 
-void spans_to_json(const Telemetry& telemetry, int max_per_worker,
-                   core::JsonWriter* json) {
+std::string metrics_document(double interval_seconds,
+                             const std::vector<Snapshot>& snapshots,
+                             const Telemetry& telemetry,
+                             const std::string* report_json) {
+  // Newest spans exported per worker ring: enough to see what each worker
+  // was doing when the document was written, small enough that the file
+  // stays readable (the rings themselves hold 256 slots each).
+  constexpr int kSpansPerWorker = 64;
   // Torn records (concurrent writer) can hold arbitrary u64 words; clamp
   // ages and durations into the exact-integer range a strict JSON reader
   // accepts so one garbage slot never poisons the whole document.
   constexpr u64 kMaxExact = (u64{1} << 53) - 1;
+  core::JsonWriter json;
+  json.begin_object();
+  json.field("schema", "collie-metrics-v1");
+  json.field("interval_seconds", interval_seconds);
+  json.begin_array("snapshots");
+  for (const Snapshot& snap : snapshots) snap.to_json(&json);
+  json.end_array();
   const u64 now = now_ticks();
-  json->begin_array("spans");
+  json.begin_array("spans");
   for (int w = 0; w < telemetry.workers(); ++w) {
-    for (const SpanRecord& rec : telemetry.ring(w).recent(max_per_worker)) {
+    for (const SpanRecord& rec : telemetry.ring(w).recent(kSpansPerWorker)) {
       const u64 age = now > rec.start_ticks ? now - rec.start_ticks : 0;
-      json->begin_object();
-      json->field("worker", w);
-      json->field("stage", to_string(rec.stage));
-      json->field("age_ns", static_cast<i64>(std::min(age, kMaxExact)));
-      json->field("duration_ns",
-                  static_cast<i64>(std::min(rec.duration_ticks, kMaxExact)));
-      json->end_object();
+      json.begin_object();
+      json.field("worker", w);
+      json.field("stage", to_string(rec.stage));
+      json.field("age_ns", static_cast<i64>(std::min(age, kMaxExact)));
+      json.field("duration_ns",
+                 static_cast<i64>(std::min(rec.duration_ticks, kMaxExact)));
+      json.end_object();
     }
   }
-  json->end_array();
+  json.end_array();
+  if (report_json != nullptr) {
+    json.key("report");
+    json.raw_value(*report_json);
+  }
+  json.end_object();
+  return json.str();
 }
 
 namespace {

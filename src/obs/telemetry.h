@@ -146,16 +146,20 @@ class ProbeTelemetry {
 std::string snapshot_to_json(const Snapshot& snap);
 Snapshot snapshot_from_json(const std::string& text);
 
-// The span rings ("flight recorder") as a JSON array member: per worker, up
-// to `max_per_worker` newest-first records of {worker, stage, age_ns,
-// duration_ns}.  Ages are relative to one now_ticks() taken at entry —
-// absolute tick values never leave the process, both because they are
-// meaningless across runs and because ns-since-boot can exceed the 2^53
-// integer range strict JSON readers accept.  Torn records (the rings are
-// read concurrently with writers) are best-effort diagnostics, same as
-// SpanRing::recent.  Writes into an open object of `json`.
-void spans_to_json(const Telemetry& telemetry, int max_per_worker,
-                   core::JsonWriter* json);
+// The collie-metrics-v1 document (schema in README.md): `snapshots` in
+// capture order, the span rings ("flight recorder"), then, once the
+// campaign is done, the report with metrics embedded (`report_json`, null
+// while it runs).  The span array holds, per worker, the newest records of
+// {worker, stage, age_ns, duration_ns}.  Ages are relative to one
+// now_ticks() taken at entry: absolute tick values never leave the process,
+// both because they are meaningless across runs and because
+// ns-since-boot can exceed the 2^53 integer range strict JSON readers
+// accept.  Torn records (the rings are read concurrently with writers) are
+// best-effort diagnostics, same as SpanRing::recent.
+std::string metrics_document(double interval_seconds,
+                             const std::vector<Snapshot>& snapshots,
+                             const Telemetry& telemetry,
+                             const std::string* report_json);
 
 // Human-readable roll-up via common/table: counter totals, histogram
 // p50/p90/p99/mean, and per-worker busy-time utilization (computed from

@@ -67,7 +67,48 @@ sim::Subsystem CampaignCell::materialize() const {
                       nic::cc_scenario(cc));
 }
 
+namespace {
+
+// The first entry that repeats an earlier one, or null.  Compares in place:
+// a grid holds a handful of entries, and building labels would allocate on
+// every campaign's setup path.
+template <typename T>
+const T* first_duplicate(const std::vector<T>& entries) {
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (entries[j] == entries[i]) return &entries[i];
+    }
+  }
+  return nullptr;
+}
+
+// A repeated grid entry plans cells with the same label, which the
+// journal, checkpoints and the report all use as the cell's identity.  Out
+// of line, so the constructor (campaign setup, an end-to-end benchmark
+// metric) carries none of the error-message code.
+[[gnu::noinline]] void reject_duplicate_entries(const CampaignConfig& config) {
+  const auto reject = [](const char* what, const std::string& entry) {
+    throw std::invalid_argument(std::string("duplicate ") + what + " '" +
+                                entry + "' in the campaign grid");
+  };
+  if (const char* sys = first_duplicate(config.subsystems)) {
+    reject("subsystem", std::string(1, *sys));
+  }
+  if (const std::string* fabric = first_duplicate(config.fabrics)) {
+    reject("fabric scenario", *fabric);
+  }
+  if (const std::string* cc = first_duplicate(config.ccs)) {
+    reject("cc scenario", *cc);
+  }
+  if (const core::GuidanceMode* mode = first_duplicate(config.modes)) {
+    reject("mode", core::to_string(*mode));
+  }
+}
+
+}  // namespace
+
 Campaign::Campaign(CampaignConfig config) : config_(std::move(config)) {
+  reject_duplicate_entries(config_);
   if (config_.subsystems.empty()) {
     config_.subsystems = sim::all_subsystem_ids();
   }

@@ -14,9 +14,7 @@
 // performs zero experiments — the two-stage smoke CI pins exactly that.
 #pragma once
 
-#include <cstddef>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,33 +40,13 @@ struct CampaignCheckpoint {
   bool completed(const std::string& label) const;
 
   // JSON round trip: to_json(from_json(to_json(x))) is byte-identical.
-  // from_json throws core::JsonError on truncated/garbled documents.
+  // from_json throws core::JsonError on truncated/garbled documents, naming
+  // the byte offset where parsing stopped.  There is no lenient load:
+  // checkpoints are written atomically, and a crashed campaign's knowledge
+  // is salvaged from its journal (journal_to_checkpoint).
   std::string to_json() const;
   static CampaignCheckpoint from_json(const std::string& text);
 };
-
-// Outcome of loading a possibly-torn checkpoint file.  A strict parse
-// fills `checkpoint` and sets `strict`; on a corrupt or truncated document
-// the recovery scans the writer's compact layout instead, loading every
-// record that still parses, and reports where the damage starts — so
-// `--warm-start` can fail with "byte offset N, last valid record X" and
-// `--warm-start-lenient` can load the salvaged prefix.
-struct CheckpointRecovery {
-  // The parsed document (strict), or every record of the valid prefix
-  // (lenient; possibly empty).
-  std::optional<CampaignCheckpoint> checkpoint;
-  bool strict = false;
-  // One past the last byte of the last successfully loaded record (strict:
-  // the document size).
-  std::size_t error_offset = 0;
-  std::string error;       // the strict parser's complaint ("" when strict)
-  std::string last_valid;  // description of the last loaded record
-  i64 entries_loaded = 0;  // MFS entries recovered
-};
-
-// Strict-parse `text`; on any core::JsonError fall back to a valid-prefix
-// scan.  Never throws: corruption is reported, not raised.
-CheckpointRecovery recover_checkpoint(const std::string& text);
 
 // Snapshot a finished campaign: its exported pool scopes plus every cell
 // that completed (failed cells stay un-checkpointed so a re-run retries

@@ -3,11 +3,15 @@
 // the Figure 4/5 harnesses.
 #include <cstdio>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "baseline/bo.h"
 #include "catalog/anomalies.h"
 #include "common/cli.h"
 #include "core/search.h"
+#include "sim/subsystem.h"
 
 using namespace collie;
 
@@ -54,13 +58,31 @@ void report(const char* name, const core::SearchResult& r,
   std::fflush(stdout);
 }
 
+constexpr CliFlag kFlags[] = {
+    {"sys", "<id>", "F", "subsystem letter"},
+    {"minutes", "<m>", "600", "simulated search budget per strategy"},
+    {"seed", "<s>", "1", "rng seed shared by every strategy"},
+    {"dump", nullptr, nullptr, "print every found MFS with its witness"},
+    {"help", nullptr, nullptr, "print this reference and exit"},
+};
+
 }  // namespace
 
-int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
-  const double minutes = args.get_double("minutes", 600);
-  const u64 seed = static_cast<u64>(args.get_int("seed", 1));
-  const char sys_id = args.get("sys", "F")[0];
+int run(int argc, char** argv) {
+  CliArgs args(argc, argv, kFlags);
+  if (args.has("help")) {
+    std::fputs(cli_usage("usage: search_probe [flags]\n", kFlags).c_str(),
+               stdout);
+    return 0;
+  }
+  // A typo ("--minute 360") must not silently run the default budget.
+  args.reject_unknown();
+  const double minutes = args.get_double("minutes");
+  const u64 seed = static_cast<u64>(args.get_int("seed"));
+  std::vector<std::string> letters;
+  for (const char c : sim::all_subsystem_ids()) letters.emplace_back(1, c);
+  const char sys_id = args.get_choice("sys", letters)[0];
+  const bool dump = args.get_bool("dump");
 
   const sim::Subsystem& sys = sim::subsystem(sys_id);
   const std::string chip = sys.nicm.chip;
@@ -74,28 +96,28 @@ int main(int argc, char** argv) {
 
   {
     Rng rng(seed);
-    report("random", driver.run_random(budget, rng), space, chip, args.get_bool("dump", false));
+    report("random", driver.run_random(budget, rng), space, chip, dump);
   }
   {
     Rng rng(seed);
     core::SaConfig cfg;
     cfg.mode = core::GuidanceMode::kDiag;
     report("collie(diag)", driver.run_simulated_annealing(cfg, budget, rng),
-           space, chip, args.get_bool("dump", false));
+           space, chip, dump);
   }
   {
     Rng rng(seed);
     core::SaConfig cfg;
     cfg.mode = core::GuidanceMode::kPerf;
     report("collie(perf)", driver.run_simulated_annealing(cfg, budget, rng),
-           space, chip, args.get_bool("dump", false));
+           space, chip, dump);
   }
   {
     Rng rng(seed);
     core::SaConfig cfg;
     cfg.use_mfs = false;
     report("sa-no-mfs(diag)",
-           driver.run_simulated_annealing(cfg, budget, rng), space, chip, args.get_bool("dump", false));
+           driver.run_simulated_annealing(cfg, budget, rng), space, chip, dump);
   }
   {
     Rng rng(seed);
@@ -104,7 +126,16 @@ int main(int argc, char** argv) {
            baseline::run_bayesian_optimization(engine, space,
                                                core::AnomalyMonitor{}, cfg,
                                                budget, rng),
-           space, chip, args.get_bool("dump", false));
+           space, chip, dump);
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 }

@@ -451,6 +451,80 @@ TEST(Cli, RejectUnknownCatchesTypos) {
   EXPECT_NO_THROW(good.reject_unknown({"workers", "json"}));
 }
 
+// A flag table drives boolean registration, unknown-flag rejection and
+// the one-argument getters' defaults.
+constexpr CliFlag kTestFlags[] = {
+    {"workers", "<n>", "4", "fleet size"},
+    {"mode", "<m>", "diag", "diag | perf"},
+    {"list", "<l>", "a,b", "comma list"},
+    {"path", "<f>", nullptr, "an output file"},
+    {"stats", nullptr, nullptr, "print the telemetry table"},
+};
+
+TEST(Cli, TableSuppliesDefaultsAndBooleans) {
+  const char* argv[] = {"prog", "--stats", "report.json", "--workers", "8"};
+  CliArgs args(5, argv, kTestFlags);
+  EXPECT_NO_THROW(args.reject_unknown());
+  EXPECT_TRUE(args.get_bool("stats"));
+  ASSERT_EQ(args.positional().size(), 1u);
+  EXPECT_EQ(args.get_int("workers"), 8);
+  EXPECT_EQ(args.get("mode"), "diag");
+  EXPECT_EQ(args.get("path"), "");
+  EXPECT_EQ(args.get_choice("mode", {"diag", "perf"}), "diag");
+  EXPECT_EQ(args.get_choices("list", {"a", "b", "c"}, false),
+            (std::vector<std::string>{"a", "b"}));
+  // A getter of a name the table does not list is a programming error.
+  EXPECT_THROW((void)args.get("worker"), std::logic_error);
+  EXPECT_THROW((void)args.get_bool("json"), std::logic_error);
+
+  const char* typo[] = {"prog", "--worker", "4"};
+  EXPECT_THROW(CliArgs(3, typo, kTestFlags).reject_unknown(),
+               std::invalid_argument);
+}
+
+TEST(Cli, ChoiceErrorsNameEveryValidValue) {
+  const char* argv[] = {"prog", "--mode", "fast", "--list", "all"};
+  CliArgs args(5, argv, kTestFlags);
+  try {
+    (void)args.get_choice("mode", {"diag", "perf"});
+    FAIL() << "--mode fast accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "--mode: unknown value \"fast\" (valid: diag, perf)");
+  }
+  EXPECT_EQ(args.get_choices("list", {"a", "b", "c"}, true),
+            (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_THROW((void)args.get_choices("list", {"a", "b"}, false),
+               std::invalid_argument);
+}
+
+TEST(Cli, UsageRendersEveryRowWithItsDefault) {
+  const std::string usage = cli_usage("usage: prog\n", kTestFlags);
+  EXPECT_EQ(usage.rfind("usage: prog\n\nFlags:\n", 0), 0u) << usage;
+  EXPECT_NE(usage.find("  --workers <n>      fleet size (default 4)\n"),
+            std::string::npos)
+      << usage;
+  EXPECT_NE(usage.find("  --stats            print the telemetry table\n"),
+            std::string::npos)
+      << usage;
+  for (const CliFlag& flag : kTestFlags) {
+    EXPECT_NE(usage.find(std::string("--") + flag.name), std::string::npos);
+  }
+  // Long help wraps into the help column, never past 78 characters.
+  const CliFlag wide[] = {
+      {"a-rather-long-flag-name", "<value>", "7",
+       "word word word word word word word word word word word word word "
+       "word word word word word word word word word word word word"}};
+  const std::string wrapped = cli_usage("usage: prog\n", wide);
+  for (const std::string& line : split(wrapped, '\n')) {
+    EXPECT_LE(line.size(), 78u) << line;
+  }
+  EXPECT_NE(wrapped.find("\n  --a-rather-long-flag-name <value>\n" +
+                         std::string(21, ' ') + "word"),
+            std::string::npos)
+      << wrapped;
+}
+
 // Restores the global threshold on scope exit so a failing assertion can't
 // leak a kDebug level into later tests.
 struct ScopedLogLevel {

@@ -666,6 +666,31 @@ TEST(CampaignTest, FailedCellDoesNotCountAsCovered) {
   const CampaignResult threaded = Campaign(config).run();
   ASSERT_EQ(threaded.cells.size(), 2u);
   EXPECT_TRUE(threaded.cells[1].failed());
+
+  // An unknown id fails its cell, but a repeated grid entry is rejected up
+  // front: its cells would share a label ("B/Diag#0" twice), and the
+  // journal, checkpoints and report key cells by label.
+  const auto rejects_duplicate = [](CampaignConfig dup, const char* what) {
+    try {
+      Campaign{std::move(dup)};
+      ADD_FAILURE() << "duplicate " << what << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  };
+  CampaignConfig dup = config;
+  dup.subsystems = {'B', 'F', 'B'};
+  rejects_duplicate(dup, "'B'");
+  dup = config;
+  dup.fabrics = {"pair", "pair"};
+  rejects_duplicate(dup, "'pair'");
+  dup = config;
+  dup.ccs = {"off", "dcqcn", "dcqcn"};
+  rejects_duplicate(dup, "'dcqcn'");
+  dup = config;
+  dup.modes = {core::GuidanceMode::kDiag, core::GuidanceMode::kDiag};
+  rejects_duplicate(dup, "mode");
 }
 
 // The CC acceptance: a campaign over (subsystem x fabric x cc x mode x

@@ -434,6 +434,15 @@ TEST(PersistenceRoundTrip, CheckpointRejectsWrongVersionAndBadEnums) {
   EXPECT_THROW(orchestrator::CampaignCheckpoint::from_json(
                    R"({"version":2,"scopes":{},"completed_cells":[]})"),
                JsonError);
+  // Garbage is a strict parse error, never a partial load: there is no
+  // lenient checkpoint salvage (the journal salvages crashed campaigns).
+  for (const std::string& garbage :
+       {std::string(), std::string("not json at all"),
+        std::string(200, '{')}) {
+    EXPECT_THROW(orchestrator::CampaignCheckpoint::from_json(garbage),
+                 JsonError)
+        << garbage;
+  }
   // The share scope is recorded and validated: scope keys are meaningless
   // under a different sharing policy.
   EXPECT_THROW(
@@ -729,124 +738,6 @@ TEST(PersistenceRoundTrip, JournalProbeRecordRandomGarblesNeverMisbehave) {
     } catch (const JsonError&) {
       // Rejection is fine; UB is not (ASan/UBSan CI keeps this honest).
     }
-  }
-}
-
-// ---- checkpoint recovery (torn files) ---------------------------------------
-
-// A checkpoint with several scopes and completed cells — the document the
-// torn-file recovery scans.
-orchestrator::CampaignCheckpoint recovery_checkpoint() {
-  const core::SearchSpace space(sim::subsystem('F'));
-  Rng rng(53);
-  orchestrator::ConcurrentMfsPool pool;
-  for (int i = 0; i < 9; ++i) {
-    const std::string scope = i % 3 == 0 ? "B" : (i % 3 == 1 ? "F" : "F@x");
-    pool.insert(scope, space, random_mfs(space, rng), i % 2);
-  }
-  orchestrator::CampaignCheckpoint ck;
-  ck.share = "cell";
-  ck.scopes = pool.export_scopes();
-  ck.completed_cells = {"B/Diag#0", "F/Diag#0", "F@x/Diag#1"};
-  return ck;
-}
-
-TEST(CheckpointRecoveryTest, StrictParseReportsTheWholeDocument) {
-  const orchestrator::CampaignCheckpoint ck = recovery_checkpoint();
-  const std::string doc = ck.to_json();
-  const orchestrator::CheckpointRecovery rec =
-      orchestrator::recover_checkpoint(doc);
-  EXPECT_TRUE(rec.strict);
-  EXPECT_TRUE(rec.error.empty());
-  EXPECT_EQ(rec.error_offset, doc.size());
-  EXPECT_EQ(rec.entries_loaded, 9);
-  ASSERT_TRUE(rec.checkpoint.has_value());
-  EXPECT_EQ(rec.checkpoint->to_json(), doc);
-}
-
-// Every truncation loads a byte-identical prefix of the original records —
-// never a mangled MFS, never a throw.  This is what --warm-start-lenient
-// hands to the pool.
-TEST(CheckpointRecoveryTest, TruncationSweepLoadsByteIdenticalPrefixes) {
-  const orchestrator::CampaignCheckpoint ck = recovery_checkpoint();
-  const std::string doc = ck.to_json();
-  for (std::size_t n = 0; n < doc.size(); n += 7) {
-    const orchestrator::CheckpointRecovery rec =
-        orchestrator::recover_checkpoint(doc.substr(0, n));
-    EXPECT_FALSE(rec.strict) << "prefix of length " << n << " parsed strict";
-    EXPECT_FALSE(rec.error.empty());
-    EXPECT_LE(rec.error_offset, n);
-    ASSERT_TRUE(rec.checkpoint.has_value());
-    i64 loaded = 0;
-    for (const auto& [scope, entries] : rec.checkpoint->scopes) {
-      const auto& orig = ck.scopes.at(scope);
-      ASSERT_LE(entries.size(), orig.size()) << scope;
-      for (std::size_t i = 0; i < entries.size(); ++i) {
-        EXPECT_EQ(mfs_json(entries[i]), mfs_json(orig[i]))
-            << scope << " entry " << i << " at prefix " << n;
-      }
-      loaded += static_cast<i64>(entries.size());
-    }
-    EXPECT_EQ(rec.entries_loaded, loaded);
-    // Completed cells load only once every scope survived intact, and are
-    // always a prefix of the original list.
-    ASSERT_LE(rec.checkpoint->completed_cells.size(),
-              ck.completed_cells.size());
-    for (std::size_t i = 0; i < rec.checkpoint->completed_cells.size(); ++i) {
-      EXPECT_EQ(rec.checkpoint->completed_cells[i], ck.completed_cells[i]);
-    }
-  }
-}
-
-// Targeted cuts pin the diagnostic contract --warm-start prints: the byte
-// offset and a description of the last record that survived.
-TEST(CheckpointRecoveryTest, TargetedCutsReportOffsetAndLastValidRecord) {
-  const orchestrator::CampaignCheckpoint ck = recovery_checkpoint();
-  const std::string doc = ck.to_json();
-
-  // Cut inside the last scope's last MFS: some entries load, last_valid
-  // names a scope entry, and no completed cell is trusted.
-  {
-    const std::size_t last_mfs = doc.rfind("{\"index\":");
-    ASSERT_NE(last_mfs, std::string::npos);
-    const orchestrator::CheckpointRecovery rec =
-        orchestrator::recover_checkpoint(doc.substr(0, last_mfs + 10));
-    EXPECT_FALSE(rec.strict);
-    EXPECT_GT(rec.entries_loaded, 0);
-    EXPECT_NE(rec.last_valid.find("mfs #"), std::string::npos)
-        << rec.last_valid;
-    EXPECT_TRUE(rec.checkpoint->completed_cells.empty());
-  }
-  // Cut inside the completed_cells list, scopes intact: every MFS loads,
-  // last_valid names the last surviving cell label.
-  {
-    const std::size_t cells = doc.find("\"completed_cells\":[");
-    ASSERT_NE(cells, std::string::npos);
-    const std::size_t second = doc.find(',', cells);
-    ASSERT_NE(second, std::string::npos);
-    const orchestrator::CheckpointRecovery rec =
-        orchestrator::recover_checkpoint(doc.substr(0, second));
-    EXPECT_FALSE(rec.strict);
-    EXPECT_EQ(rec.entries_loaded, 9);
-    ASSERT_EQ(rec.checkpoint->completed_cells.size(), 1u);
-    EXPECT_EQ(rec.checkpoint->completed_cells[0], ck.completed_cells[0]);
-    EXPECT_NE(rec.last_valid.find("completed cell"), std::string::npos)
-        << rec.last_valid;
-  }
-}
-
-TEST(CheckpointRecoveryTest, GarbageIsReportedNotThrown) {
-  const std::vector<std::string> garbage = {
-      "", "not json at all", "{\"version\":9,\"scopes\":{}}",
-      std::string(200, '{')};
-  for (const std::string& doc : garbage) {
-    const orchestrator::CheckpointRecovery rec =
-        orchestrator::recover_checkpoint(doc);
-    EXPECT_FALSE(rec.strict);
-    EXPECT_FALSE(rec.error.empty());
-    ASSERT_TRUE(rec.checkpoint.has_value());
-    EXPECT_TRUE(rec.checkpoint->scopes.empty());
-    EXPECT_EQ(rec.entries_loaded, 0);
   }
 }
 

@@ -15,8 +15,7 @@ Coordinator::Coordinator(orchestrator::CampaignConfig config,
                          Transport* transport, FleetOptions opts)
     : config_(orchestrator::Campaign(std::move(config)).config()),
       transport_(transport),
-      opts_(opts),
-      pool_(config_.pool) {
+      opts_(opts) {
   pool_.set_telemetry(config_.telemetry);
   cells_ = orchestrator::Campaign(config_).plan();
   runnable_ = orchestrator::runnable_cells(config_, cells_);

@@ -102,7 +102,7 @@ void FleetWorker::run_lease(const Message& lease) {
   // knows for this scope (warm-start entries keep their warm origin, a dead
   // worker's streamed extractions keep its worker origin — so this cell's
   // hits attribute exactly as they would have in-process).
-  orchestrator::ConcurrentMfsPool pool(config_.pool);
+  orchestrator::ConcurrentMfsPool pool;
   pool.set_telemetry(config_.telemetry);
   pool.load_entries(lease.scope, lease.preload);
   orchestrator::ConcurrentMfsPool::View view = pool.view(lease.scope, id_);

@@ -3,15 +3,14 @@
 //
 // The corpus is sharded by canonical (subsystem, fabric, cc) scope; each
 // shard is an immutable snapshot (entries + a core::MfsIndex over them +
-// the shard's own SearchSpace) published behind one atomic pointer — the
-// same publication discipline as the orchestrator's ConcurrentMfsPool, so
+// the shard's own SearchSpace) published behind one atomic pointer, so
 // queries are lock-free and never wait on a merge.  Merges (rare: nightly
 // corpus refreshes) serialize on a mutex, rebuild only the touched shards,
 // and publish a successor directory; superseded directories/shards are
 // retained until the KnowledgeBase is destroyed, which is the right
-// trade-off here — merges are O(days), not O(inserts) as in the pool, so
-// retention is bounded by the merge count and hazard-slot reclamation
-// would buy nothing.
+// trade-off here — merges are O(days), not O(inserts) as in the
+// orchestrator's ConcurrentMfsPool, so retention is bounded by the merge
+// count and reference counting would buy nothing.
 //
 // A hit returns the covering MFS plus the mechanism join computed at
 // corpus build time: dominant bottleneck, catalog anomaly id, and the

@@ -40,7 +40,6 @@ Telemetry::Telemetry(TelemetryOptions opts)
   pool_.duplicate_inserts = registry_.counter("pool.duplicate_inserts");
   pool_.epoch_publishes = registry_.counter("pool.epoch_publishes");
   pool_.entries = registry_.gauge("pool.entries");
-  pool_.retained_snapshots = registry_.gauge("pool.retained_snapshots");
   fleet_.leases = registry_.counter("fleet.leases");
   fleet_.requeues = registry_.counter("fleet.requeues");
   fleet_.heartbeat_misses = registry_.counter("fleet.heartbeat_misses");

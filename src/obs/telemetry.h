@@ -53,7 +53,6 @@ struct PoolIds {
   CounterId duplicate_inserts;  // insert dropped as same-region duplicate
   CounterId epoch_publishes;    // snapshot epochs published
   GaugeId entries;              // live entries across scopes
-  GaugeId retained_snapshots;   // superseded snapshots retained for readers
 };
 
 struct FleetIds {

@@ -120,8 +120,12 @@ Campaign::Campaign(CampaignConfig config) : config_(std::move(config)) {
   for (const std::string& cc : config_.ccs) {
     nic::cc_scenario(cc);  // throws on an unknown scenario name
   }
-  if (config_.workers < 1) config_.workers = 1;
-  if (config_.seeds_per_cell < 1) config_.seeds_per_cell = 1;
+  if (config_.workers < 1) {
+    throw std::invalid_argument("a campaign needs at least one worker");
+  }
+  if (config_.seeds_per_cell < 1) {
+    throw std::invalid_argument("a campaign needs at least one seed per cell");
+  }
   for (const double seconds : config_.budget_cycle_seconds) {
     if (seconds <= 0.0) {
       throw std::invalid_argument("budget cycle entries must be positive");
@@ -494,7 +498,7 @@ CampaignResult Campaign::run() {
     }
   }
 
-  ConcurrentMfsPool pool(config_.pool);
+  ConcurrentMfsPool pool;
   pool.set_telemetry(config_.telemetry);
   if (config_.warm_start) {
     for (const auto& [scope, entries] : config_.warm_start->scopes) {

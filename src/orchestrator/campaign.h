@@ -142,9 +142,9 @@ struct CampaignConfig {
   // subsystem-scoped sharing (where what a cell sees depends on insert
   // timing).
   std::shared_ptr<workload::BackendFactory> backend_factory;
-  // Snapshot retention policy for the shared pool (keep_epochs).  Purely a
-  // memory knob: reports are bit-identical across policies (pinned by
-  // orchestrator tests).
+  // Empty: the pool has no settings.  Kept only because the campaign
+  // benchmark constructs its pool from it; drop both with the next change
+  // to the benchmark.
   MfsPoolOptions pool;
   // Durable journal sink (not owned; must outlive run()).  When set, the
   // campaign streams begin/probe/mfs_batch/cell_done records as it runs;
@@ -256,6 +256,10 @@ Schedule plan_schedule(const CampaignConfig& config,
 
 class Campaign {
  public:
+  // Fills the empty grid axes with their defaults (full catalog, pair
+  // fabric, cc off).  Throws std::invalid_argument on a config it cannot
+  // run as given: an unknown scenario, a duplicate grid entry, workers < 1
+  // or seeds_per_cell < 1, among others.
   explicit Campaign(CampaignConfig config);
 
   const CampaignConfig& config() const { return config_; }

@@ -122,6 +122,16 @@ constexpr const char* kFleetOnly[] = {"heartbeat-ms", "heartbeat-timeout-ms",
                                       "steal-after-ms", "kill-worker",
                                       "slow-worker"};
 
+// An integer flag that must lie in [lo, INT32_MAX], narrowed to int.
+int get_int_in(const CliArgs& args, const std::string& flag, i64 lo) {
+  const i64 v = args.get_int(flag);
+  if (v < lo || v > INT32_MAX) {
+    throw std::invalid_argument("--" + flag + " must be in [" +
+                                std::to_string(lo) + ", 2^31)");
+  }
+  return static_cast<int>(v);
+}
+
 // "k@thing" fault-injection selectors (--kill-worker 1@B/Diag#0,
 // --slow-worker 0@500).  Split at the FIRST '@' only: cell labels may
 // themselves contain '@' ("B@hetero/Diag#0").  Worker k must exist among
@@ -160,6 +170,9 @@ CampaignInvocation parse(const CliArgs& args) {
 
   CampaignConfig& config = inv.config;
   const std::string sys = args.get("sys");
+  if (sys.empty()) {
+    throw std::invalid_argument("--sys needs at least one subsystem letter");
+  }
   if (sys != "all") {
     std::vector<std::string> letters;
     for (const char c : sim::all_subsystem_ids()) letters.emplace_back(1, c);
@@ -182,8 +195,8 @@ CampaignInvocation parse(const CliArgs& args) {
   config.strategy = args.get_choice("strategy", {"sa", "random"}) == "random"
                         ? Strategy::kRandom
                         : Strategy::kSimulatedAnnealing;
-  config.workers = static_cast<int>(args.get_int("workers"));
-  config.seeds_per_cell = static_cast<int>(args.get_int("seeds"));
+  config.workers = get_int_in(args, "workers", 1);
+  config.seeds_per_cell = get_int_in(args, "seeds", 1);
   // --hours is a single budget or a comma list cycled over plan cells.
   std::vector<double> hours;
   for (const std::string& h : split(args.get("hours"), ',')) {
@@ -218,9 +231,7 @@ CampaignInvocation parse(const CliArgs& args) {
 
   // --fleet: a coordinator + worker fleet over the in-process transport.
   // Its size is the campaign's worker count (and the telemetry shards').
-  const i64 fleet_n = args.get_int("fleet");
-  if (fleet_n < 0) throw std::invalid_argument("--fleet must be >= 0");
-  inv.fleet = static_cast<int>(fleet_n);
+  inv.fleet = get_int_in(args, "fleet", 0);
   for (const char* flag : kFleetOnly) {
     if (inv.fleet == 0 && args.has(flag)) {
       throw std::invalid_argument(std::string("--") + flag +
@@ -258,7 +269,6 @@ CampaignInvocation parse(const CliArgs& args) {
   // --journal / --resume / --replay: the durability layer.
   inv.journal_path = args.get("journal");
   inv.resume = args.get_bool("resume");
-  const i64 journal_every = args.get_int("journal-every");
   inv.crash_after_probes = args.get_int("crash-after-probes");
   const i64 crash_at_byte = args.get_int("crash-at-journal-byte");
   inv.crash_at_journal_byte = static_cast<u64>(crash_at_byte);
@@ -275,13 +285,10 @@ CampaignInvocation parse(const CliArgs& args) {
         "--resume/--crash-after-probes/--crash-at-journal-byte need "
         "--journal FILE");
   }
-  if (journal_every < 1 || journal_every > INT32_MAX) {
-    throw std::invalid_argument("--journal-every must be in [1, 2^31)");
-  }
   if (inv.crash_after_probes < 0 || crash_at_byte < 0) {
     throw std::invalid_argument("crash injection offsets must be >= 0");
   }
-  inv.journal_every = static_cast<int>(journal_every);
+  inv.journal_every = get_int_in(args, "journal-every", 1);
 
   inv.metrics_path = args.get("metrics-out");
   inv.metrics_interval = args.get_double("metrics-interval");

@@ -1,86 +1,26 @@
 #include "orchestrator/mfs_pool.h"
 
-#include <algorithm>
-
 namespace collie::orchestrator {
 
 // ---- View -----------------------------------------------------------------
 
-const ConcurrentMfsPool::ScopeHandle* ConcurrentMfsPool::View::handle() {
-  if (!handle_) handle_ = pool_->bind(scope_, &slot_);
-  return handle_.get();
-}
-
-ConcurrentMfsPool::View::~View() { release(); }
-
-ConcurrentMfsPool::View::View(View&& other) noexcept
-    : pool_(other.pool_),
-      scope_(std::move(other.scope_)),
-      worker_(other.worker_),
-      handle_(std::move(other.handle_)),
-      slot_(other.slot_),
-      hits_(other.hits_),
-      cross_hits_(other.cross_hits_),
-      warm_hits_(other.warm_hits_),
-      dup_inserts_(other.dup_inserts_) {
-  other.slot_ = nullptr;
-  other.handle_.reset();
-}
-
-ConcurrentMfsPool::View& ConcurrentMfsPool::View::operator=(
-    View&& other) noexcept {
-  if (this == &other) return *this;
-  release();
-  pool_ = other.pool_;
-  scope_ = std::move(other.scope_);
-  worker_ = other.worker_;
-  handle_ = std::move(other.handle_);
-  slot_ = other.slot_;
-  hits_ = other.hits_;
-  cross_hits_ = other.cross_hits_;
-  warm_hits_ = other.warm_hits_;
-  dup_inserts_ = other.dup_inserts_;
-  other.slot_ = nullptr;
-  other.handle_.reset();
-  return *this;
-}
-
-void ConcurrentMfsPool::View::release() {
-  if (slot_ != nullptr && handle_) pool_->release_slot(*handle_, slot_);
-  slot_ = nullptr;
-  handle_.reset();
-}
-
-// Hazard announce-and-validate.  The slot store and the re-check load are
-// seq_cst so they order against a writer's publish store + slot scan in the
-// single total order; see DESIGN.md ("Epoch reclamation") for why a reader
-// that breaks out of this loop can never have its snapshot freed under it.
-const ConcurrentMfsPool::Snapshot* ConcurrentMfsPool::View::begin_read() {
-  const ScopeHandle* h = handle();
-  const Snapshot* s = h->snap.load(std::memory_order_acquire);
-  while (s != nullptr) {
-    slot_->protect.store(s, std::memory_order_seq_cst);
-    const Snapshot* cur = h->snap.load(std::memory_order_seq_cst);
-    if (cur == s) break;
-    // Superseded between load and announce: the stale pointer was never
-    // dereferenced (and may already be freed) — retry on the new one.
-    s = cur;
+const ConcurrentMfsPool::Snapshot* ConcurrentMfsPool::View::current() {
+  if (handle_ == nullptr ||
+      handle_->epoch.load(std::memory_order_acquire) != seen_epoch_) {
+    std::lock_guard<std::mutex> lock(pool_->mu_);
+    if (handle_ == nullptr) handle_ = &pool_->scopes_[scope_];
+    snap_ = handle_->snap;
+    seen_epoch_ = snap_ == nullptr ? 0 : snap_->epoch;
   }
-  return s;
-}
-
-void ConcurrentMfsPool::View::end_read() {
-  slot_->protect.store(nullptr, std::memory_order_seq_cst);
+  return snap_.get();
 }
 
 bool ConcurrentMfsPool::View::covers(const core::SearchSpace& space,
                                      const Workload& w) {
-  const Snapshot* snap = begin_read();
   bool cross = false;
   bool warm = false;
-  const bool hit = pool_->covers_snapshot(snap, space, w, worker_, &cross,
-                                          &warm);
-  end_read();
+  const bool hit = pool_->covers_snapshot(current(), space, w, worker_,
+                                          &cross, &warm);
   if (!hit) return false;
   hits_ += 1;
   if (cross) cross_hits_ += 1;
@@ -90,9 +30,8 @@ bool ConcurrentMfsPool::View::covers(const core::SearchSpace& space,
 
 bool ConcurrentMfsPool::View::covers_preloaded(const core::SearchSpace& space,
                                                const Workload& w) {
-  const Snapshot* snap = begin_read();
-  const bool hit = pool_->covers_preloaded_snapshot(snap, space, w, worker_);
-  end_read();
+  const bool hit =
+      pool_->covers_preloaded_snapshot(current(), space, w, worker_);
   if (!hit) return false;
   hits_ += 1;
   warm_hits_ += 1;
@@ -168,78 +107,11 @@ bool ConcurrentMfsPool::covers_preloaded_snapshot(const Snapshot* snap,
 
 // ---- Scope handles --------------------------------------------------------
 
-std::shared_ptr<ConcurrentMfsPool::ScopeHandle> ConcurrentMfsPool::bind(
-    const std::string& scope, ReaderSlot** slot) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::shared_ptr<ScopeHandle>& h = scopes_[scope];
-  if (!h) h = std::make_shared<ScopeHandle>();
-  if (!h->free_slots.empty()) {
-    *slot = h->free_slots.back();
-    h->free_slots.pop_back();
-  } else {
-    h->slots.push_back(std::make_unique<ReaderSlot>());
-    *slot = h->slots.back().get();
-  }
-  return h;
-}
-
-void ConcurrentMfsPool::release_slot(ScopeHandle& h, ReaderSlot* slot) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // The owning view is quiescent (slots are released only from the view
-  // destructor, never mid-read); mu_ orders this store against scans.
-  slot->protect.store(nullptr, std::memory_order_relaxed);
-  h.free_slots.push_back(slot);
-}
-
-const ConcurrentMfsPool::Snapshot* ConcurrentMfsPool::publish(
-    ScopeHandle& h, std::unique_ptr<Snapshot> next) {
-  const Snapshot* published = next.get();
-  const bool superseding = !h.history.empty();
-  h.history.push_back(std::move(next));
-  // seq_cst (not just release): orders against readers' announce/re-check
-  // so the reclaim scan below cannot miss an in-flight announcement.
-  h.snap.store(published, std::memory_order_seq_cst);
-  if (superseding) retained_ += 1;
-  reclaim(h);
-  return published;
-}
-
-void ConcurrentMfsPool::reclaim(ScopeHandle& h) {
-  // Keep the published snapshot plus the newest keep_epochs superseded ones.
-  const std::size_t keep =
-      1 + static_cast<std::size_t>(std::max(0, opts_.keep_epochs));
-  if (h.history.size() <= keep) return;
-  // Snapshots announced by in-flight readers; typically none or one.
-  std::vector<const Snapshot*> announced;
-  for (const std::unique_ptr<ReaderSlot>& slot : h.slots) {
-    const Snapshot* p = slot->protect.load(std::memory_order_seq_cst);
-    if (p != nullptr) announced.push_back(p);
-  }
-  const std::size_t retire = h.history.size() - keep;
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < retire; ++i) {
-    std::unique_ptr<const Snapshot>& s = h.history[i];
-    if (std::find(announced.begin(), announced.end(), s.get()) !=
-        announced.end()) {
-      // Grace period: a reader still holds it; retry on the next write.
-      h.history[w++] = std::move(s);
-    } else {
-      s.reset();
-      retained_ -= 1;
-    }
-  }
-  for (std::size_t i = retire; i < h.history.size(); ++i) {
-    if (w != i) h.history[w] = std::move(h.history[i]);
-    ++w;
-  }
-  h.history.resize(w);
-}
-
-void ConcurrentMfsPool::update_retained_gauge() {
-  if (tel_ != nullptr) {
-    tel_->registry().gauge_set(0, tel_->pool_ids().retained_snapshots,
-                               retained_);
-  }
+void ConcurrentMfsPool::publish(ScopeHandle& h,
+                                std::shared_ptr<const Snapshot> next) {
+  const u64 epoch = next->epoch;
+  h.snap = std::move(next);
+  h.epoch.store(epoch, std::memory_order_release);
 }
 
 // ---- Pool-level API -------------------------------------------------------
@@ -251,8 +123,7 @@ bool ConcurrentMfsPool::covers(const std::string& scope,
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = scopes_.find(scope);
   const Snapshot* snap =
-      it == scopes_.end() ? nullptr
-                          : it->second->snap.load(std::memory_order_relaxed);
+      it == scopes_.end() ? nullptr : it->second.snap.get();
   return covers_snapshot(snap, space, w, requester, cross, warm);
 }
 
@@ -262,16 +133,14 @@ bool ConcurrentMfsPool::covers_preloaded(const std::string& scope,
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = scopes_.find(scope);
   const Snapshot* snap =
-      it == scopes_.end() ? nullptr
-                          : it->second->snap.load(std::memory_order_relaxed);
+      it == scopes_.end() ? nullptr : it->second.snap.get();
   return covers_preloaded_snapshot(snap, space, w, 0);
 }
 
-std::unique_ptr<ConcurrentMfsPool::Snapshot> ConcurrentMfsPool::successor(
+std::shared_ptr<ConcurrentMfsPool::Snapshot> ConcurrentMfsPool::successor(
     const ScopeHandle& h) {
-  const Snapshot* old = h.snap.load(std::memory_order_relaxed);
-  auto next = old != nullptr ? std::make_unique<Snapshot>(*old)
-                             : std::make_unique<Snapshot>();
+  auto next = h.snap != nullptr ? std::make_shared<Snapshot>(*h.snap)
+                                : std::make_shared<Snapshot>();
   next->epoch += 1;
   return next;
 }
@@ -297,9 +166,8 @@ int ConcurrentMfsPool::insert(const std::string& scope,
                               int origin_worker, bool* duplicate_out) {
   if (duplicate_out != nullptr) *duplicate_out = false;
   std::lock_guard<std::mutex> lock(mu_);
-  std::shared_ptr<ScopeHandle>& h = scopes_[scope];
-  if (!h) h = std::make_shared<ScopeHandle>();
-  const Snapshot* old = h->snap.load(std::memory_order_relaxed);
+  ScopeHandle& h = scopes_[scope];
+  const Snapshot* old = h.snap.get();
 
   // Two workers can race past their covers() checks and extract overlapping
   // MFSes for the same region.  Keep both — each is a valid explanation and
@@ -314,10 +182,10 @@ int ConcurrentMfsPool::insert(const std::string& scope,
   if (old != nullptr) {
     const int sym = static_cast<int>(mfs.symptom);
     bool duplicate =
-        old->index.first_match(space, mfs.witness, h->symptom_mask[sym]) >= 0;
+        old->index.first_match(space, mfs.witness, h.symptom_mask[sym]) >= 0;
     if (!duplicate) {
-      for (const u32 pos : h->by_symptom[sym]) {
-        const core::Mfs& e = h->entries[pos];
+      for (const u32 pos : h.by_symptom[sym]) {
+        const core::Mfs& e = h.entries[pos];
         duplicate = mfs.conditions.empty()
                         ? e.conditions.empty() && e.witness == mfs.witness
                         : mfs.matches(space, e.witness);
@@ -334,14 +202,14 @@ int ConcurrentMfsPool::insert(const std::string& scope,
     }
   }
 
-  // Successor snapshot: origins + index extended, epoch bumped, published
-  // atomically.  A reader still on `old` keeps a consistent (if slightly
-  // stale) view; it can only under-skip, exactly like losing the race
-  // under the former lock-based scan.
-  std::unique_ptr<Snapshot> next = successor(*h);
+  // Successor snapshot: origins + index extended, epoch bumped, then
+  // published.  A view still holding `old` keeps a consistent (if slightly
+  // stale) snapshot until its next read sees the new epoch; it can only
+  // under-skip, exactly like losing the race under a lock-based scan.
+  std::shared_ptr<Snapshot> next = successor(h);
   const int index = static_cast<int>(next->origins.size());
-  append(*h, *next, std::move(mfs), origin_worker);
-  publish(*h, std::move(next));
+  append(h, *next, std::move(mfs), origin_worker);
+  publish(h, std::move(next));
   if (tel_ != nullptr) {
     const obs::PoolIds& ids = tel_->pool_ids();
     obs::Registry& reg = tel_->registry();
@@ -351,47 +219,42 @@ int ConcurrentMfsPool::insert(const std::string& scope,
     // Gauges accumulate on shard 0 (writes are serialized under mu_).
     reg.gauge_add(0, ids.entries, 1);
   }
-  update_retained_gauge();
   return index;
 }
 
 void ConcurrentMfsPool::load_scope(const std::string& scope,
                                    std::vector<core::Mfs> entries) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::shared_ptr<ScopeHandle>& h = scopes_[scope];
-  if (!h) h = std::make_shared<ScopeHandle>();
-  std::unique_ptr<Snapshot> next = successor(*h);
+  ScopeHandle& h = scopes_[scope];
+  std::shared_ptr<Snapshot> next = successor(h);
   const i64 loaded = static_cast<i64>(entries.size());
   for (core::Mfs& mfs : entries) {
-    append(*h, *next, std::move(mfs), kWarmStartOrigin);
+    append(h, *next, std::move(mfs), kWarmStartOrigin);
   }
-  publish(*h, std::move(next));
+  publish(h, std::move(next));
   if (tel_ != nullptr) {
     const obs::PoolIds& ids = tel_->pool_ids();
     tel_->registry().add(0, ids.epoch_publishes);
     tel_->registry().gauge_add(0, ids.entries, loaded);
   }
-  update_retained_gauge();
 }
 
 void ConcurrentMfsPool::load_entries(const std::string& scope,
                                      std::vector<PoolEntry> entries) {
   if (entries.empty()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  std::shared_ptr<ScopeHandle>& h = scopes_[scope];
-  if (!h) h = std::make_shared<ScopeHandle>();
-  std::unique_ptr<Snapshot> next = successor(*h);
+  ScopeHandle& h = scopes_[scope];
+  std::shared_ptr<Snapshot> next = successor(h);
   const i64 loaded = static_cast<i64>(entries.size());
   for (PoolEntry& entry : entries) {
-    append(*h, *next, std::move(entry.mfs), entry.origin);
+    append(h, *next, std::move(entry.mfs), entry.origin);
   }
-  publish(*h, std::move(next));
+  publish(h, std::move(next));
   if (tel_ != nullptr) {
     const obs::PoolIds& ids = tel_->pool_ids();
     tel_->registry().add(0, ids.epoch_publishes);
     tel_->registry().gauge_add(0, ids.entries, loaded);
   }
-  update_retained_gauge();
 }
 
 std::map<std::string, std::vector<core::Mfs>> ConcurrentMfsPool::export_scopes()
@@ -399,8 +262,8 @@ std::map<std::string, std::vector<core::Mfs>> ConcurrentMfsPool::export_scopes()
   std::lock_guard<std::mutex> lock(mu_);
   std::map<std::string, std::vector<core::Mfs>> out;
   for (const auto& [scope, h] : scopes_) {
-    if (h->snap.load(std::memory_order_relaxed) == nullptr) continue;
-    out[scope] = h->entries;
+    if (h.snap == nullptr) continue;
+    out[scope] = h.entries;
   }
   return out;
 }
@@ -410,8 +273,8 @@ std::vector<PoolEntry> ConcurrentMfsPool::export_entries(
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = scopes_.find(scope);
   if (it == scopes_.end()) return {};
-  const ScopeHandle& h = *it->second;
-  const Snapshot* snap = h.snap.load(std::memory_order_relaxed);
+  const ScopeHandle& h = it->second;
+  const Snapshot* snap = h.snap.get();
   if (snap == nullptr) return {};
   std::vector<PoolEntry> out;
   out.reserve(h.entries.size());
@@ -424,7 +287,7 @@ std::vector<PoolEntry> ConcurrentMfsPool::export_entries(
 std::size_t ConcurrentMfsPool::size(const std::string& scope) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = scopes_.find(scope);
-  return it == scopes_.end() ? 0 : it->second->entries.size();
+  return it == scopes_.end() ? 0 : it->second.entries.size();
 }
 
 std::vector<core::Mfs> ConcurrentMfsPool::snapshot(
@@ -432,7 +295,7 @@ std::vector<core::Mfs> ConcurrentMfsPool::snapshot(
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = scopes_.find(scope);
   return it == scopes_.end() ? std::vector<core::Mfs>{}
-                             : it->second->entries;
+                             : it->second.entries;
 }
 
 std::vector<std::string> ConcurrentMfsPool::scopes() const {
@@ -442,7 +305,7 @@ std::vector<std::string> ConcurrentMfsPool::scopes() const {
   for (const auto& [scope, h] : scopes_) {
     // A view resolving its handle creates the map slot before any entry
     // exists; an empty scope is not a populated scope.
-    if (h->snap.load(std::memory_order_relaxed) != nullptr) {
+    if (h.snap != nullptr) {
       out.push_back(scope);
     }
   }
@@ -452,31 +315,17 @@ std::vector<std::string> ConcurrentMfsPool::scopes() const {
 u64 ConcurrentMfsPool::epoch(const std::string& scope) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = scopes_.find(scope);
-  if (it == scopes_.end()) return 0;
-  const Snapshot* snap = it->second->snap.load(std::memory_order_relaxed);
-  return snap == nullptr ? 0 : snap->epoch;
-}
-
-i64 ConcurrentMfsPool::retained_snapshots() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return retained_;
-}
-
-i64 ConcurrentMfsPool::retained_snapshots(const std::string& scope) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = scopes_.find(scope);
-  if (it == scopes_.end() || it->second->history.empty()) return 0;
-  return static_cast<i64>(it->second->history.size()) - 1;
+  return it == scopes_.end() ? 0
+                             : it->second.epoch.load(std::memory_order_relaxed);
 }
 
 PoolStats ConcurrentMfsPool::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   PoolStats s;
   for (const auto& [scope, h] : scopes_) {
-    const Snapshot* snap = h->snap.load(std::memory_order_relaxed);
-    if (snap == nullptr) continue;
-    s.entries += static_cast<i64>(h->entries.size());
-    s.warm_entries += snap->warm_entries;
+    if (h.snap == nullptr) continue;
+    s.entries += static_cast<i64>(h.entries.size());
+    s.warm_entries += h.snap->warm_entries;
   }
   s.hits = hits_.load(std::memory_order_relaxed);
   s.cross_worker_hits = cross_hits_.load(std::memory_order_relaxed);

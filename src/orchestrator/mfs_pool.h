@@ -17,36 +17,27 @@
 //
 // Concurrency: each scope publishes an immutable, epoch-versioned snapshot
 // (per-entry origins in insertion order + a core::MfsIndex over the entries
-// + the warm-start mask) through one atomic pointer.  The Mfs payloads are
-// not in the snapshot: they live once in the scope's handle, writer-owned
-// and read only under the pool mutex (duplicate check, exports).  So an
-// insert copies origins and the flat index, never a witness or condition
-// list, and allocates the same however many entries the scope holds.  The
-// covers()/covers_preloaded() fast path loads the pointer and queries the
-// index — no lock acquisition of any kind, readers never wait on writers or
-// on each other (not even on a shared_ptr control block).  Writers
-// (insert/load_scope) serialize on a mutex and publish the successor
-// snapshot (epoch + 1) with a seq_cst store.
+// + the warm-start mask) as a shared_ptr<const Snapshot>, swapped under the
+// pool mutex.  The Mfs payloads are not in the snapshot: they live once in
+// the scope's handle, writer-owned and read only under the pool mutex
+// (duplicate check, exports).  So an insert copies origins and the flat
+// index, never a witness or condition list, and allocates the same however
+// many entries the scope holds.  Writers (insert/load_scope/load_entries)
+// serialize on the mutex, publish the successor snapshot (epoch + 1) and
+// then store the scope's epoch counter with release order.
 //
-// Reclamation (the keep_epochs policy): superseded snapshots are NOT
-// retained until pool destruction — corpus-scale stores fed by long
-// campaigns would otherwise grow quadratically in inserted MFSes (every
-// insert copies the index, and every copy used to stay live).
-// Instead each View owns a hazard slot: before using a snapshot it
-// announces the raw pointer (seq_cst store) and re-checks that the pointer
-// is still published; a writer retires snapshots older than the newest
-// keep_epochs superseded ones, but frees only those no slot announces.
-// A snapshot that is still announced gets a grace period: it stays on the
-// scope's history list and is re-examined on the next write.  Readers
-// therefore never observe a freed snapshot (see DESIGN.md for the ordering
-// argument), retention is bounded by keep_epochs + concurrent readers, and
-// the pool.retained_snapshots gauge returns to that bound instead of
-// climbing monotonically.  The pool-level accessors (size/snapshot/stats/
-// export_scopes/covers) are cold paths and take the writer mutex instead of
-// a slot; only Views are lock-free.  Views must be destroyed before the
-// pool.  First-cover order and hit provenance (cross-worker / warm-start
-// attribution) are exactly the linear scan's: the index returns the lowest
-// insertion position that matches.
+// Each View caches the snapshot it last read together with its epoch.  The
+// covers()/covers_preloaded() fast path is one acquire load of the scope's
+// epoch; only when it has moved (about once per insert per view) does the
+// view take the mutex and copy the published shared_ptr.  Reference
+// counting frees a superseded snapshot when its last holder lets go, so at
+// most one superseded snapshot per live view stays resident.  Coverage a
+// view reports is monotone: it only ever moves to a newer snapshot, and
+// snapshots only grow.  The pool-level accessors (size/snapshot/stats/
+// export_scopes/covers) are cold paths and read under the mutex.  Views
+// must be destroyed before the pool.  First-cover order and hit provenance
+// (cross-worker / warm-start attribution) are exactly the linear scan's:
+// the index returns the lowest insertion position that matches.
 #pragma once
 
 #include <array>
@@ -81,23 +72,17 @@ struct PoolEntry {
   int origin = -1;
 };
 
-struct MfsPoolOptions {
-  // Superseded snapshots retained per scope beyond the published one before
-  // a write retires them (freed as soon as no reader announces them).  0 is
-  // legal: stragglers are still protected by their hazard slots.  Retention
-  // never changes answers — only how long old snapshots stay resident — so
-  // campaign reports are bit-identical across policies.
-  int keep_epochs = 8;
-};
+// The pool has no settings.  The empty struct stays only because the
+// campaign benchmark constructs its pool from CampaignConfig::pool.
+struct MfsPoolOptions {};
 
 class ConcurrentMfsPool {
  private:
   struct Snapshot;
   struct ScopeHandle;
-  struct ReaderSlot;
 
  public:
-  explicit ConcurrentMfsPool(MfsPoolOptions opts = {}) : opts_(opts) {}
+  explicit ConcurrentMfsPool(MfsPoolOptions = {}) {}
   ~ConcurrentMfsPool() = default;
   ConcurrentMfsPool(const ConcurrentMfsPool&) = delete;
   ConcurrentMfsPool& operator=(const ConcurrentMfsPool&) = delete;
@@ -109,17 +94,17 @@ class ConcurrentMfsPool {
 
   // A scoped, worker-bound core::MfsStore handle.  Hit counters are owned by
   // the worker thread driving the view; pool-wide aggregates are atomic on
-  // the pool.  Movable (not copyable: each view owns a hazard slot) so
-  // Campaign can stage views per cell.  The view resolves its scope's handle
-  // and slot once and then reads published snapshots lock-free.  Views must
-  // not outlive the pool.
+  // the pool.  Movable (not copyable: a copy would count its hits twice)
+  // so Campaign can stage views per cell.  The view resolves its scope's handle
+  // once and re-reads the published snapshot only when the scope's epoch
+  // has moved.  Views must not outlive the pool.
   class View final : public core::MfsStore {
    public:
     View(ConcurrentMfsPool* pool, std::string scope, int worker)
         : pool_(pool), scope_(std::move(scope)), worker_(worker) {}
-    ~View() override;
-    View(View&& other) noexcept;
-    View& operator=(View&& other) noexcept;
+    ~View() override = default;
+    View(View&& other) noexcept = default;
+    View& operator=(View&& other) noexcept = default;
     View(const View&) = delete;
     View& operator=(const View&) = delete;
 
@@ -143,21 +128,17 @@ class ConcurrentMfsPool {
     const std::string& scope() const { return scope_; }
 
    private:
-    const ScopeHandle* handle();
-    // Announce-and-validate: returns the current snapshot with this view's
-    // hazard slot protecting it (null when the scope is empty; nothing to
-    // protect then).  Must be paired with end_read().
-    const Snapshot* begin_read();
-    void end_read();
-    void release();
+    // The scope's published snapshot (null while the scope is empty),
+    // re-copied under the pool mutex only when the epoch has moved.
+    const Snapshot* current();
 
     ConcurrentMfsPool* pool_;
     std::string scope_;
     int worker_;
-    // Resolved lazily (one find-or-create under the pool mutex), then every
-    // covers() is a lock-free snapshot load.
-    std::shared_ptr<ScopeHandle> handle_;
-    ReaderSlot* slot_ = nullptr;
+    // Resolved lazily (one find-or-create under the pool mutex).
+    const ScopeHandle* handle_ = nullptr;
+    std::shared_ptr<const Snapshot> snap_;
+    u64 seen_epoch_ = 0;  // snap_'s epoch; 0 = nothing read yet
     i64 hits_ = 0;
     i64 cross_hits_ = 0;
     i64 warm_hits_ = 0;
@@ -171,7 +152,7 @@ class ConcurrentMfsPool {
   // `requester` is the worker asking; when the matching MFS was inserted by
   // a different worker, *cross is set; when it was loaded from a warm-start
   // checkpoint, *warm is set instead (never both).  Cold path: serializes
-  // with writers (use a View for the lock-free path).
+  // with writers (use a View for the cached-snapshot path).
   bool covers(const std::string& scope, const core::SearchSpace& space,
               const Workload& w, int requester, bool* cross,
               bool* warm = nullptr);
@@ -204,9 +185,9 @@ class ConcurrentMfsPool {
   std::vector<PoolEntry> export_entries(const std::string& scope) const;
 
   // Attach a telemetry sink (optional; must outlive the pool's use).  Hit
-  // and miss counters land in the requester's shard on the lock-free read
-  // path; insert/publish counters and the entries/retained gauges update
-  // under the writer mutex.
+  // and miss counters land in the requester's shard on the view read path;
+  // insert/publish counters and the entries gauge update under the writer
+  // mutex.
   void set_telemetry(obs::Telemetry* telemetry) { tel_ = telemetry; }
 
   std::size_t size(const std::string& scope) const;
@@ -215,20 +196,13 @@ class ConcurrentMfsPool {
   PoolStats stats() const;
   // Publication count of a scope's snapshot (0 when the scope does not
   // exist yet).  Every insert/load_scope bumps it; tests use this to pin
-  // the publish-on-write, never-in-place invariant.  Reclamation never
-  // rewinds it: epochs count publications, not retained snapshots.
+  // the publish-on-write, never-in-place invariant.
   u64 epoch(const std::string& scope) const;
-  // Superseded snapshots currently retained (all scopes / one scope).
-  // Bounded by keep_epochs plus the number of concurrently-reading views;
-  // the racing-insert tests pin the bound.
-  i64 retained_snapshots() const;
-  i64 retained_snapshots(const std::string& scope) const;
-  const MfsPoolOptions& options() const { return opts_; }
 
  private:
   static constexpr int kNumSymptoms = 3;  // core::Symptom enumerator count
 
-  // Immutable once published.  Holds only what the lock-free readers need:
+  // Immutable once published.  Holds only what the view readers need:
   // each entry's origin (hit attribution), the index and the warm-start
   // mask.  The Mfs payloads stay in the ScopeHandle, so publishing a
   // successor copies no witness patterns or condition lists.
@@ -240,24 +214,13 @@ class ConcurrentMfsPool {
     i64 warm_entries = 0;
   };
 
-  // One view's hazard slot: the snapshot it is currently reading, or null
-  // when quiescent.  Writers never free an announced snapshot.
-  struct ReaderSlot {
-    std::atomic<const Snapshot*> protect{nullptr};
-  };
-
   struct ScopeHandle {
-    // The published snapshot; readers load-acquire and announce, writers
-    // store-seq_cst under mu_.  Superseded snapshots stay in `history`
-    // (written only under mu_) until reclaimed.
-    std::atomic<const Snapshot*> snap{nullptr};
-    // Oldest-first; back() is the published snapshot.
-    std::vector<std::unique_ptr<const Snapshot>> history;
-    // Every hazard slot ever handed to a view of this scope (stable
-    // addresses; writers scan them all) plus the free list dead views
-    // returned theirs to.
-    std::vector<std::unique_ptr<ReaderSlot>> slots;
-    std::vector<ReaderSlot*> free_slots;
+    // The published snapshot (null until the first write); read and
+    // replaced only under mu_.
+    std::shared_ptr<const Snapshot> snap;
+    // snap->epoch, stored with release order after each publish, so a view
+    // can tell without the mutex whether its cached snapshot is current.
+    std::atomic<u64> epoch{0};
     // Writer-owned state, read and written only under mu_.  `entries` are
     // the published entries' payloads in insertion order (the snapshot's
     // index positions).  Per-symptom entry bitmask + positions: the
@@ -270,21 +233,15 @@ class ConcurrentMfsPool {
     std::array<std::vector<u32>, kNumSymptoms> by_symptom;
   };
 
-  // Find-or-create + hazard-slot acquisition for a view, under mu_.
-  std::shared_ptr<ScopeHandle> bind(const std::string& scope,
-                                    ReaderSlot** slot);
-  void release_slot(ScopeHandle& h, ReaderSlot* slot);
   // A copy of `h`'s published snapshot (or an empty one) with the epoch
   // bumped, ready for append() + publish().  Caller must hold mu_.
-  std::unique_ptr<Snapshot> successor(const ScopeHandle& h);
+  std::shared_ptr<Snapshot> successor(const ScopeHandle& h);
   // Register one entry: payload into `h`, origin + index bits into `next`.
   // Caller must hold mu_.
   void append(ScopeHandle& h, Snapshot& next, core::Mfs mfs, int origin);
-  // Publish `next` as `h`'s current snapshot and reclaim retired history.
-  // Caller must hold mu_.
-  const Snapshot* publish(ScopeHandle& h, std::unique_ptr<Snapshot> next);
-  void reclaim(ScopeHandle& h);
-  void update_retained_gauge();
+  // Publish `next` as `h`'s current snapshot, then its epoch.  Caller must
+  // hold mu_.
+  static void publish(ScopeHandle& h, std::shared_ptr<const Snapshot> next);
 
   bool covers_snapshot(const Snapshot* snap, const core::SearchSpace& space,
                        const Workload& w, int requester, bool* cross,
@@ -293,13 +250,12 @@ class ConcurrentMfsPool {
                                  const core::SearchSpace& space,
                                  const Workload& w, int requester);
 
-  // Guards the scope map, serializes writers and the cold accessors; never
-  // taken by a View's covers() fast path.
+  // Guards the scope map and every handle's snapshot, serializes writers
+  // and the cold accessors.  A View takes it only when its scope's epoch
+  // has moved.
   mutable std::mutex mu_;
-  MfsPoolOptions opts_;
-  std::map<std::string, std::shared_ptr<ScopeHandle>> scopes_;
-  // Sum over scopes of (history.size() - 1), maintained under mu_.
-  i64 retained_ = 0;
+  // Handles are never erased, so the addresses views hold stay valid.
+  std::map<std::string, ScopeHandle> scopes_;
   std::atomic<i64> hits_{0};
   std::atomic<i64> cross_hits_{0};
   std::atomic<i64> warm_hits_{0};

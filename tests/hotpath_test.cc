@@ -213,9 +213,8 @@ TEST(HotPathAllocation, IndexedCoversAllocatesNothingOnceWarm) {
 // A shared-pool insert costs O(new entry), not O(entries stored): with
 // every MFS of one shape, the insert into a scope of 256 entries allocates
 // exactly what the insert into a scope of 16 does.  Only amortized growth
-// (the payload vector, the snapshot history, the index's row stride) may
-// add to a single insert, so each side takes the minimum over eight
-// consecutive inserts.
+// (the payload vector, the index's row stride) may add to a single insert,
+// so each side takes the minimum over eight consecutive inserts.
 TEST(HotPathAllocation, PoolInsertAllocationsIndependentOfScopeSize) {
   const core::SearchSpace space(subsystem('F'));
   constexpr int kWindow = 8;

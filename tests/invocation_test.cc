@@ -113,6 +113,38 @@ TEST(CampaignInvocation, UnknownAndRemovedFlagsAreRejected) {
   EXPECT_EQ(rejected({"--fleet", "-1"}).exit_code, 2);
 }
 
+// Grid sizes the parser would otherwise narrow or silently replace: each
+// exits 2 naming its flag instead of running some other grid.
+TEST(CampaignInvocation, OutOfRangeGridSizesAreRejected) {
+  struct Case {
+    std::vector<std::string> args;
+    std::string named;
+  };
+  const std::vector<Case> cases = {
+      {{"--workers", "0"}, "--workers"},
+      {{"--workers", "-3"}, "--workers"},
+      {{"--workers", "4294967297"}, "--workers"},
+      {{"--workers", "2147483648"}, "--workers"},
+      {{"--seeds", "0"}, "--seeds"},
+      {{"--seeds", "4294967297"}, "--seeds"},
+      {{"--fleet", "-1"}, "--fleet"},
+      {{"--fleet", "4294967298"}, "--fleet"},
+      {{"--sys="}, "--sys"},
+      {{"--sys", ""}, "--sys"},
+  };
+  for (const Case& c : cases) {
+    const InvocationError err = rejected(c.args);
+    EXPECT_EQ(err.exit_code, 2) << c.args[0];
+    EXPECT_TRUE(contains(err.message, c.named))
+        << c.args[0] << ": " << err.message;
+  }
+  // The edges of the ranges still parse.
+  EXPECT_EQ(ok({"--workers", "1"}).config.workers, 1);
+  EXPECT_EQ(ok({"--workers", "2147483647"}).config.workers, 2147483647);
+  EXPECT_EQ(ok({"--seeds", "1"}).config.seeds_per_cell, 1);
+  EXPECT_EQ(ok({"--fleet", "0"}).fleet, 0);
+}
+
 // One routine validates every choice flag, and its message names the
 // valid values.
 TEST(CampaignInvocation, UnknownChoiceNamesTheValidValues) {

@@ -136,7 +136,7 @@ TEST(ConcurrentMfsPoolTest, RacingInsertsNeverCorruptCoversAnswers) {
   // under-skip (a reader may hold yesterday's snapshot), but an answer of
   // "covered" must always be justified by the final entry set, and once the
   // writers are done every answer must equal the linear scan.  The TSan CI
-  // job runs this against the lock-free publication path.
+  // job runs this against the mutex-plus-epoch publication path.
   const sim::Subsystem& sys = sim::subsystem('F');
   const core::SearchSpace space(sys);
   ConcurrentMfsPool pool;
@@ -237,124 +237,123 @@ TEST(ConcurrentMfsPoolTest, SnapshotPreservesInsertionOrder) {
   EXPECT_EQ(snap[1].symptom, core::Symptom::kLowThroughput);
 }
 
-// ---- Snapshot reclamation (keep_epochs) -------------------------------------
+// ---- Snapshot publication ---------------------------------------------------
 
-// With no concurrent readers, every write reclaims down to the policy bound:
-// retained superseded snapshots never exceed keep_epochs, and keep_epochs=0
-// frees every superseded snapshot immediately.  Before reclamation existed,
-// retained_snapshots grew one-per-insert without bound.
-TEST(ConcurrentMfsPoolTest, RetainedSnapshotsAreBoundedByKeepEpochs) {
-  const core::SearchSpace space(sim::subsystem('F'));
-  for (const int keep : {0, 3}) {
-    MfsPoolOptions opts;
-    opts.keep_epochs = keep;
-    ConcurrentMfsPool pool(opts);
-    EXPECT_EQ(pool.options().keep_epochs, keep);
-    Rng rng(61);
-    for (int i = 0; i < 20; ++i) {
-      core::Mfs m = cover_all_mfs(core::Symptom::kLowThroughput);
-      m.witness = space.random_point(rng);
-      pool.insert("F", space, std::move(m), 0);
-      EXPECT_LE(pool.retained_snapshots(), keep) << "insert " << i;
-      EXPECT_LE(pool.retained_snapshots("F"), keep) << "insert " << i;
-    }
-    // The window fills and stays full — reclamation never eats the
-    // published snapshot or rewinds the epoch counter.
-    EXPECT_EQ(pool.retained_snapshots(), std::min(keep, 19));
-    EXPECT_EQ(pool.epoch("F"), 20u);
-    EXPECT_EQ(pool.size("F"), 20u);
-    // Retention is a memory policy, not a semantic one: answers equal the
-    // linear scan regardless of keep_epochs.
-    const std::vector<core::Mfs> all = pool.snapshot("F");
-    for (int q = 0; q < 100; ++q) {
-      const Workload w = space.random_point(rng);
-      bool linear = false;
-      for (const core::Mfs& m : all) {
-        if (m.matches(space, w)) {
-          linear = true;
-          break;
-        }
-      }
-      EXPECT_EQ(pool.covers("F", space, w, 0, nullptr), linear);
-    }
-  }
+// An MFS pinning num_qps to one off-grid value: distinct `qps` values give
+// disjoint regions, so each insert adds coverage only its witness shows.
+core::Mfs point_mfs(const core::SearchSpace& space, Rng& rng, int qps) {
+  core::Mfs m;
+  m.symptom = core::Symptom::kLowThroughput;
+  m.witness = space.random_point(rng);
+  m.witness.num_qps = qps;
+  core::FeatureCondition c;
+  c.feature = core::Feature::kNumQps;
+  c.categorical = false;
+  c.lo = qps;
+  c.hi = qps;
+  m.conditions.push_back(c);
+  return m;
 }
 
-// A quiescent view holds no hazard: snapshots superseded while its slot is
-// empty are reclaimed even though the view is still alive, and the view's
-// next read sees the freshly published snapshot.
-TEST(ConcurrentMfsPoolTest, QuiescentViewsDoNotPinSnapshots) {
+// A view that read before N inserts sees all N on its next covers(): the
+// cached snapshot is replaced as soon as the scope's epoch has moved.
+TEST(ConcurrentMfsPoolTest, ViewSeesEveryInsertSinceItsLastRead) {
   const core::SearchSpace space(sim::subsystem('F'));
+  constexpr int kInserts = 8;
   Rng rng(67);
-  MfsPoolOptions opts;
-  opts.keep_epochs = 0;
-  ConcurrentMfsPool pool(opts);
-  ConcurrentMfsPool::View view = pool.view("F", /*worker=*/1);
-  const Workload w = space.random_point(rng);
-  EXPECT_FALSE(view.covers(space, w));  // binds the slot, then quiesces
-  for (int i = 0; i < 8; ++i) {
-    pool.insert("F", space, cover_all_mfs(core::Symptom::kPauseFrames), 0);
-    EXPECT_EQ(pool.retained_snapshots(), 0) << "insert " << i;
+  std::vector<core::Mfs> mfses;
+  for (int i = 0; i < kInserts; ++i) {
+    mfses.push_back(point_mfs(space, rng, 1000 + i));
   }
-  EXPECT_TRUE(view.covers(space, w));
-  EXPECT_EQ(view.size(), 8u);
+  ConcurrentMfsPool pool;
+  ConcurrentMfsPool::View view = pool.view("F", /*worker=*/1);
+  for (const core::Mfs& m : mfses) EXPECT_FALSE(view.covers(space, m.witness));
+  for (const core::Mfs& m : mfses) pool.insert("F", space, m, /*worker=*/0);
+  for (const core::Mfs& m : mfses) EXPECT_TRUE(view.covers(space, m.witness));
+  EXPECT_EQ(view.hits(), kInserts);
+  EXPECT_EQ(view.cross_worker_hits(), kInserts);
+  EXPECT_EQ(view.size(), static_cast<std::size_t>(kInserts));
+  // A second round on the same view, and a warm load seen through
+  // covers_preloaded(), refresh the same way.
+  core::Mfs late = point_mfs(space, rng, 999);
+  EXPECT_FALSE(view.covers(space, late.witness));
+  EXPECT_FALSE(view.covers_preloaded(space, late.witness));
+  pool.load_scope("F", {late});
+  EXPECT_TRUE(view.covers_preloaded(space, late.witness));
+  EXPECT_EQ(view.warm_hits(), 1);
+  EXPECT_EQ(pool.epoch("F"), static_cast<u64>(kInserts) + 1);
 }
 
-// The tentpole acceptance: retained_snapshots stays bounded while readers
-// race writers.  Readers protect at most one snapshot each (their hazard
-// slot), so at any instant retention is at most keep_epochs + live readers —
-// and once the readers quiesce, one more write drains the stragglers back to
-// the policy bound.  The TSan CI job runs this against the hazard-slot
-// protocol (announce / validate / publish / scan are all seq_cst).
-TEST(ConcurrentMfsPoolTest, RacingInsertsKeepRetentionBounded) {
+// Coverage a view reports is monotone while writers insert: once a reader
+// has seen a point covered, the same view never reports it uncovered again
+// (a view only ever moves to a newer snapshot, and snapshots only grow).
+// Once the writers are done, every reader sees every insert.  The TSan CI
+// job runs this against the mutex-plus-epoch publication path.
+TEST(ConcurrentMfsPoolTest, RacingInsertsNeverShrinkAViewsCoverage) {
   const core::SearchSpace space(sim::subsystem('F'));
-  constexpr int kKeepEpochs = 2;
   constexpr int kWriters = 2;
   constexpr int kReaders = 3;
   constexpr int kInsertsPerWriter = 32;
-  MfsPoolOptions opts;
-  opts.keep_epochs = kKeepEpochs;
-  ConcurrentMfsPool pool(opts);
+  // Writer t inserts batches[t]; readers query every batch's witnesses.
+  std::vector<std::vector<core::Mfs>> batches(kWriters);
+  std::vector<Workload> queries;
+  for (int t = 0; t < kWriters; ++t) {
+    Rng rng(400 + static_cast<u64>(t));
+    for (int i = 0; i < kInsertsPerWriter; ++i) {
+      batches[static_cast<std::size_t>(t)].push_back(
+          point_mfs(space, rng, 1000 + t * kInsertsPerWriter + i));
+      queries.push_back(batches[static_cast<std::size_t>(t)].back().witness);
+    }
+  }
+  ConcurrentMfsPool pool;
 
+  std::atomic<int> readers_started{0};
   std::atomic<bool> stop{false};
+  std::atomic<long> shrinks{0};
+  std::atomic<long> stale_after_stop{0};
   std::vector<std::thread> threads;
   threads.reserve(kWriters + kReaders);
   for (int t = 0; t < kWriters; ++t) {
     threads.emplace_back([&, t] {
-      Rng rng(400 + static_cast<u64>(t));
-      for (int i = 0; i < kInsertsPerWriter; ++i) {
-        core::Mfs m = cover_all_mfs(core::Symptom::kLowThroughput);
-        m.witness = space.random_point(rng);
+      // Start once every reader has cached an (empty) snapshot.
+      while (readers_started.load() < kReaders) std::this_thread::yield();
+      for (core::Mfs& m : batches[static_cast<std::size_t>(t)]) {
         pool.insert("F", space, std::move(m), t);
       }
     });
   }
   for (int t = 0; t < kReaders; ++t) {
     threads.emplace_back([&, t] {
-      Rng rng(500 + static_cast<u64>(t));
       ConcurrentMfsPool::View view = pool.view("F", kWriters + t);
-      while (!stop.load(std::memory_order_relaxed)) {
-        (void)view.covers(space, space.random_point(rng));
+      std::vector<bool> seen(queries.size(), false);
+      bool first_pass = true;
+      bool done = false;
+      while (!done) {
+        // Acquire pairs with the release below: the final pass runs after
+        // every insert, so it must find every query covered.
+        done = stop.load(std::memory_order_acquire);
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+          const bool covered = view.covers(space, queries[q]);
+          if (seen[q] && !covered) shrinks.fetch_add(1);
+          if (done && !covered) stale_after_stop.fetch_add(1);
+          seen[q] = seen[q] || covered;
+        }
+        if (first_pass) readers_started.fetch_add(1);
+        first_pass = false;
       }
     });
   }
-  // Poll the gauge while the race runs: never above policy + reader count.
-  for (int probe = 0; probe < 200; ++probe) {
-    EXPECT_LE(pool.retained_snapshots(), kKeepEpochs + kReaders);
-  }
   for (int t = 0; t < kWriters; ++t) threads[static_cast<std::size_t>(t)].join();
-  stop.store(true, std::memory_order_relaxed);
+  stop.store(true, std::memory_order_release);
   for (int t = kWriters; t < kWriters + kReaders; ++t) {
     threads[static_cast<std::size_t>(t)].join();
   }
 
-  EXPECT_LE(pool.retained_snapshots(), kKeepEpochs + kReaders);
-  // Readers are gone; the next write re-examines the grace-period
-  // stragglers and retention returns to the policy bound exactly.
-  pool.insert("F", space, cover_all_mfs(core::Symptom::kPauseFrames), 0);
-  EXPECT_EQ(pool.retained_snapshots(), kKeepEpochs);
-  EXPECT_EQ(pool.size("F"), 1u + kWriters * kInsertsPerWriter);
-  EXPECT_EQ(pool.epoch("F"), 1u + kWriters * kInsertsPerWriter);
+  EXPECT_EQ(shrinks.load(), 0);
+  EXPECT_EQ(stale_after_stop.load(), 0);
+  EXPECT_EQ(pool.size("F"), static_cast<std::size_t>(kWriters) *
+                                kInsertsPerWriter);
+  EXPECT_EQ(pool.epoch("F"), static_cast<u64>(kWriters) * kInsertsPerWriter);
 }
 
 // ---- MFS-overlap criterion --------------------------------------------------
@@ -504,6 +503,24 @@ TEST(CampaignTest, PlanIsDeterministicAndCoversTheGrid) {
   EXPECT_EQ(plan[0].label(), "B/Diag#0");
   EXPECT_EQ(plan[0].scope(ShareScope::kSubsystem), "B");
   EXPECT_EQ(plan[0].scope(ShareScope::kCell), "B/Diag#0");
+}
+
+// A grid size below one is an error, not a request for one worker or one
+// seed: the constructor never silently runs some other grid.
+TEST(CampaignTest, ConstructorRejectsGridSizesBelowOne) {
+  CampaignConfig config;
+  config.subsystems = {'F'};
+  for (const int bad : {0, -1}) {
+    CampaignConfig workers = config;
+    workers.workers = bad;
+    EXPECT_THROW(Campaign{workers}, std::invalid_argument) << bad;
+    CampaignConfig seeds = config;
+    seeds.seeds_per_cell = bad;
+    EXPECT_THROW(Campaign{seeds}, std::invalid_argument) << bad;
+  }
+  config.workers = 1;
+  config.seeds_per_cell = 1;
+  EXPECT_EQ(Campaign(config).plan().size(), 1u);
 }
 
 TEST(CampaignTest, FabricScenariosAreCampaignDimensions) {
@@ -1207,28 +1224,6 @@ TEST(CampaignTest, ReplayIsBitForBitIdenticalAcrossWorkerCounts) {
   rebudgeted.budget_cycle_seconds = {3 * 3600.0, 1 * 3600.0};
   rebudgeted.replay = reloaded;
   EXPECT_THROW(Campaign(rebudgeted).run(), std::invalid_argument);
-}
-
-// The reclamation acceptance, campaign half: keep_epochs is purely a memory
-// knob.  The same campaign run under aggressive reclamation (free every
-// superseded snapshot) and under effectively-infinite retention produces a
-// bit-identical report JSON — reclamation changes when snapshots are freed,
-// never which snapshot a search observes.
-TEST(CampaignTest, ReportJsonIsBitIdenticalAcrossRetentionPolicies) {
-  CampaignConfig config = small_campaign_config();
-  config.modes = {core::GuidanceMode::kDiag, core::GuidanceMode::kPerf};
-  config.workers = 2;
-  config.share = ShareScope::kSubsystem;
-  config.execution = ExecutionMode::kDeterministic;
-
-  config.pool.keep_epochs = 0;  // reclaim everything superseded, immediately
-  const CampaignResult eager = Campaign(config).run();
-  config.pool.keep_epochs = 1 << 20;  // retain effectively everything
-  const CampaignResult hoarder = Campaign(config).run();
-
-  EXPECT_EQ(build_report(eager).to_json(), build_report(hoarder).to_json());
-  EXPECT_EQ(eager.pool.entries, hoarder.pool.entries);
-  EXPECT_EQ(eager.pool.hits, hoarder.pool.hits);
 }
 
 // ---- CampaignReport ---------------------------------------------------------

@@ -6,7 +6,10 @@
 #   * a replay under flags that change which probes reach the backend
 #     (--functional) diverges: exit 3, "different workload";
 #   * a replay whose --seed contradicts the journal is rejected: exit 2;
-#   * a --fleet journal (no probe records) is rejected up front: exit 2.
+#   * a --fleet journal (no probe records) is rejected up front: exit 2;
+#   * a journal of the retired collie-journal-v2 format is refused by both
+#     --replay and --resume before any frame is read: exit 2, stderr names
+#     both versions, the file keeps its bytes and no .torn file appears.
 #
 #   cmake -DEXE=<campaign binary> -DWORK=<scratch dir> -P check_campaign_replay.cmake
 file(REMOVE_RECURSE "${WORK}")
@@ -50,4 +53,24 @@ run(2 ignored err ${flags} --replay fleet.journal)
 if(NOT err MATCHES "holds no probe records")
   message(FATAL_ERROR "probe-less journal not rejected up front:\n${err}")
 endif()
+
+# The v2 magic line, then bytes no v3 build parses (refusal happens on the
+# header alone).
+file(WRITE "${WORK}/v2.journal"
+     "collie-journal-v2\n{\"record\":\"driver_state\"}")
+file(SHA256 "${WORK}/v2.journal" v2_before)
+foreach(mode "--replay;v2.journal" "--journal;v2.journal;--resume")
+  run(2 ignored err ${flags} ${mode})
+  if(NOT err MATCHES "collie-journal-v2" OR NOT err MATCHES "collie-journal-v3")
+    message(FATAL_ERROR "${mode}: v2 journal refusal does not name both "
+                        "versions:\n${err}")
+  endif()
+  file(SHA256 "${WORK}/v2.journal" v2_after)
+  if(NOT v2_after STREQUAL v2_before)
+    message(FATAL_ERROR "${mode} changed the bytes of a v2 journal")
+  endif()
+  if(EXISTS "${WORK}/v2.journal.torn")
+    message(FATAL_ERROR "${mode} quarantined a v2 journal as torn")
+  endif()
+endforeach()
 file(REMOVE_RECURSE "${WORK}")

@@ -5,8 +5,6 @@
 
 #include "baseline/gp.h"
 #include "common/stats.h"
-#include "core/json_reader.h"
-#include "core/serialize.h"
 
 namespace collie::baseline {
 namespace {
@@ -97,41 +95,6 @@ Verdict measure(const workload::Engine& engine,
 
 }  // namespace
 
-std::string BoProgress::to_json() const {
-  core::JsonWriter json;
-  json.begin_object();
-  json.field("phase", phase);
-  json.field("experiments", experiments);
-  json.field("elapsed_seconds", elapsed_seconds);
-  json.begin_array("design");
-  for (const DesignRow& row : design) {
-    json.begin_object();
-    json.key("workload");
-    core::workload_to_json(row.workload, &json);
-    json.key("counters");
-    core::counter_sample_to_json(row.counters, &json);
-    json.end_object();
-  }
-  json.end_array();
-  json.end_object();
-  return json.str();
-}
-
-BoProgress BoProgress::from_json_text(const std::string& text) {
-  const core::JsonValue v = core::JsonValue::parse(text);
-  BoProgress p;
-  p.phase = v.at("phase").as_string();
-  p.experiments = static_cast<int>(v.at("experiments").as_i64());
-  p.elapsed_seconds = v.at("elapsed_seconds").as_double();
-  for (const core::JsonValue& row : v.at("design").items()) {
-    DesignRow r;
-    r.workload = core::workload_from_json(row.at("workload"));
-    r.counters = core::counter_sample_from_json(row.at("counters"));
-    p.design.push_back(std::move(r));
-  }
-  return p;
-}
-
 std::vector<double> encode_workload(const core::SearchSpace& space,
                                     const Workload& w) {
   std::vector<double> x;
@@ -180,8 +143,6 @@ core::SearchResult run_bayesian_optimization(
   std::vector<std::vector<double>> design_xs;
   std::vector<sim::CounterSample> design_cs;
   std::vector<Workload> design_ws;
-  const char* phase = "ranking";
-  int since_progress = 0;
   auto record = [&](const Workload& w, const sim::CounterSample& cs) {
     design_xs.push_back(encode_workload(space, w));
     design_cs.push_back(cs);
@@ -190,19 +151,6 @@ core::SearchResult run_bayesian_optimization(
       design_xs.erase(design_xs.begin());
       design_cs.erase(design_cs.begin());
       design_ws.erase(design_ws.begin());
-    }
-    if (config.progress_hook && config.progress_every > 0 &&
-        ++since_progress >= config.progress_every) {
-      since_progress = 0;
-      BoProgress p;
-      p.phase = phase;
-      p.experiments = state.result.experiments;
-      p.elapsed_seconds = state.elapsed;
-      p.design.reserve(design_ws.size());
-      for (std::size_t i = 0; i < design_ws.size(); ++i) {
-        p.design.push_back(BoProgress::DesignRow{design_ws[i], design_cs[i]});
-      }
-      config.progress_hook(p);
     }
   };
 
@@ -233,7 +181,6 @@ core::SearchResult run_bayesian_optimization(
   for (std::size_t ci = 0; ci < ranked.size() && !state.exhausted(budget);
        ++ci) {
     const int counter = ranked[ci].second;
-    phase = "bo";
     const double deadline =
         state.elapsed + (budget.seconds - state.elapsed) /
                             static_cast<double>(ranked.size() - ci);

@@ -10,32 +10,11 @@
 // space but lands in a wildly different response regime.
 #pragma once
 
-#include <functional>
+#include <vector>
 
 #include "core/search.h"
 
 namespace collie::baseline {
-
-// Serializable mid-run BO state, published through BoConfig::progress_hook
-// every progress_every recorded observations: the sliding-window GP design
-// (workload + full counter sample per row) plus the usual run counters.
-// Like core::DriverProgress this is observability state — resume replays
-// probes and re-derives the design — but it makes a crashed BO run's
-// surrogate inspectable.
-struct BoProgress {
-  std::string phase;  // "ranking" / "bo"
-  int experiments = 0;
-  double elapsed_seconds = 0.0;
-  struct DesignRow {
-    Workload workload;
-    sim::CounterSample counters;
-  };
-  std::vector<DesignRow> design;  // the GP window, oldest first
-
-  // JSON round trip, byte-identical like every persistence document.
-  std::string to_json() const;
-  static BoProgress from_json_text(const std::string& text);
-};
 
 struct BoConfig {
   bool use_mfs = true;
@@ -47,9 +26,6 @@ struct BoConfig {
   int min_design = 4;        // observations required before the GP takes over
   int candidates = 192;      // EI candidate pool per iteration
   int gp_window = 96;        // sliding window on GP observations
-  // Progress publication (observability only; never perturbs the search).
-  std::function<void(const BoProgress&)> progress_hook;
-  int progress_every = 0;  // observations between publications (0 = off)
 };
 
 core::SearchResult run_bayesian_optimization(

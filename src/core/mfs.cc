@@ -7,6 +7,13 @@
 namespace collie::core {
 namespace {
 
+// Probes per side for numeric features ("we just do a few tests on each
+// dimension", §5.2).
+constexpr int kMaxNumericProbes = 2;
+// Cap on probed alternatives for high-cardinality categorical features
+// (memory placements on GPU-rich hosts).
+constexpr int kMaxCategoricalProbes = 3;
+
 bool near(double a, double b) {
   return std::fabs(a - b) <= 1e-9 * std::max(1.0, std::fabs(a) + std::fabs(b));
 }
@@ -90,7 +97,7 @@ std::string Mfs::describe(const SearchSpace& space) const {
 }
 
 Mfs construct_mfs(const SearchSpace& space, const Workload& witness,
-                  Symptom symptom, const ProbeFn& probe, MfsOptions opts) {
+                  Symptom symptom, const ProbeFn& probe) {
   Mfs mfs;
   mfs.symptom = symptom;
   mfs.witness = witness;
@@ -108,16 +115,16 @@ Mfs construct_mfs(const SearchSpace& space, const Workload& witness,
       // stride so extraction stays "a few tests per dimension".
       const int stride =
           std::max(1, static_cast<int>(alternatives.size()) /
-                          std::max(opts.max_categorical_probes, 1));
+                          kMaxCategoricalProbes);
       for (std::size_t ai = 0; ai < alternatives.size(); ++ai) {
         const int alt = alternatives[ai];
         if (alt == current) continue;
         if (static_cast<int>(alternatives.size()) >
-                opts.max_categorical_probes + 1 &&
+                kMaxCategoricalProbes + 1 &&
             static_cast<int>(ai) % stride != 0) {
           continue;
         }
-        if (probes_done >= opts.max_categorical_probes + 1) break;
+        if (probes_done >= kMaxCategoricalProbes + 1) break;
         const Workload probe_w = space.with_categorical(witness, f, alt);
         // A transform that collapses back to the same point tells us
         // nothing; treat it as "still anomalous".
@@ -164,7 +171,7 @@ Mfs construct_mfs(const SearchSpace& space, const Workload& witness,
     double last_ok = current;
     int probes = 0;
     for (double g : below) {
-      if (probes++ >= opts.max_numeric_probes) break;
+      if (probes++ >= kMaxNumericProbes) break;
       const Workload probe_w = space.with_numeric(witness, f, g);
       if (near(space.numeric_value(probe_w, f), current)) continue;
       if (probe(probe_w) == symptom) {
@@ -179,7 +186,7 @@ Mfs construct_mfs(const SearchSpace& space, const Workload& witness,
     last_ok = current;
     probes = 0;
     for (double g : above) {
-      if (probes++ >= opts.max_numeric_probes) break;
+      if (probes++ >= kMaxNumericProbes) break;
       const Workload probe_w = space.with_numeric(witness, f, g);
       if (near(space.numeric_value(probe_w, f), current)) continue;
       if (probe(probe_w) == symptom) {

@@ -61,19 +61,9 @@ bool same_anomaly_region(const SearchSpace& space, const Mfs& a,
 // anomaly.  Returns the observed symptom and charges the experiment cost.
 using ProbeFn = std::function<Symptom(const Workload&)>;
 
-struct MfsOptions {
-  // Probes per side for numeric features ("we just do a few tests on each
-  // dimension", §5.2).
-  int max_numeric_probes = 2;
-  // Cap on probed alternatives for high-cardinality categorical features
-  // (memory placements on GPU-rich hosts).
-  int max_categorical_probes = 3;
-};
-
 // Construct the MFS of `witness`, which exhibited `symptom`.  `probe` runs
 // one experiment; extraction uses it for every necessity test.
 Mfs construct_mfs(const SearchSpace& space, const Workload& witness,
-                  Symptom symptom, const ProbeFn& probe,
-                  MfsOptions opts = {});
+                  Symptom symptom, const ProbeFn& probe);
 
 }  // namespace collie::core

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <charconv>
 #include <cmath>
-#include <sstream>
 
 namespace collie::core {
 namespace {
@@ -175,80 +174,6 @@ void workload_to_json(const Workload& w, JsonWriter* json) {
   for (u64 s : w.pattern) json->value(static_cast<i64>(s));
   json->end_array();
   json->end_object();
-}
-
-std::string search_result_to_json(const SearchSpace& space,
-                                  const SearchResult& result,
-                                  bool include_trace) {
-  JsonWriter json;
-  json.begin_object();
-  json.field("experiments", result.experiments);
-  json.field("elapsed_seconds", result.elapsed_seconds);
-  json.field("mfs_skips", result.mfs_skips);
-  json.begin_array("anomalies");
-  for (const auto& f : result.found) {
-    json.begin_object();
-    json.field("symptom", to_string(f.mfs.symptom));
-    json.field("found_at_seconds", f.found_at_seconds);
-    json.field("experiment_index", f.experiment_index);
-    json.field("mechanism", to_string(f.dominant));
-    json.field("pause_duration_ratio", f.verdict.pause_duration_ratio);
-    json.field("wire_utilization", f.verdict.wire_utilization);
-    json.key("witness");
-    workload_to_json(f.mfs.witness, &json);
-    json.begin_array("conditions");
-    for (const auto& c : f.mfs.conditions) {
-      json.value(c.describe(space));
-    }
-    json.end_array();
-    json.end_object();
-  }
-  json.end_array();
-  if (include_trace) {
-    json.begin_array("trace");
-    for (const auto& tp : result.trace) {
-      json.begin_object();
-      json.field("t", tp.t_seconds);
-      json.field("counter", tp.counter_value);
-      json.field("rx_wqe_cache_miss", tp.rx_wqe_cache_miss);
-      json.field("anomaly", tp.anomaly_found);
-      json.field("mfs_extraction", tp.in_mfs_extraction);
-      json.end_object();
-    }
-    json.end_array();
-  }
-  json.end_object();
-  return json.str();
-}
-
-std::string trace_to_csv(const SearchResult& result) {
-  std::ostringstream os;
-  os << "t_seconds,counter_value,rx_wqe_cache_miss,anomaly_found,"
-        "in_mfs_extraction\n";
-  for (const auto& tp : result.trace) {
-    os << tp.t_seconds << "," << tp.counter_value << ","
-       << tp.rx_wqe_cache_miss << "," << (tp.anomaly_found ? 1 : 0) << ","
-       << (tp.in_mfs_extraction ? 1 : 0) << "\n";
-  }
-  return os.str();
-}
-
-std::string mfs_report(const SearchSpace& space,
-                       const SearchResult& result) {
-  std::ostringstream os;
-  os << "Collie search report: " << result.found.size()
-     << " anomaly region(s), " << result.experiments << " experiments, "
-     << result.elapsed_seconds / 60.0 << " simulated minutes, "
-     << result.mfs_skips << " workloads skipped via MatchMFS\n";
-  for (const auto& f : result.found) {
-    os << "\n"
-       << f.mfs.describe(space) << "\n  found at minute "
-       << f.found_at_seconds / 60.0 << " (experiment #"
-       << f.experiment_index << ")\n  witness: "
-       << f.mfs.witness.describe() << "\n  to avoid: break any one of the "
-       << f.mfs.conditions.size() << " conditions above\n";
-  }
-  return os.str();
 }
 
 }  // namespace collie::core

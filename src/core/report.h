@@ -1,8 +1,7 @@
-// Search result reporting: human-readable MFS reports for developers (the
-// §7.3 consumers) and machine-readable JSON/CSV exports for dashboards.
+// JSON document writer shared by every persistence and report format.
 //
-// The JSON writer is deliberately minimal (objects, arrays, strings,
-// numbers, bools) — enough to serialize search results without an external
+// The writer is deliberately minimal (objects, arrays, strings, numbers,
+// bools) — enough to serialize campaign documents without an external
 // dependency in the offline build environment.
 #pragma once
 
@@ -10,7 +9,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/search.h"
+#include "sim/workload.h"
 
 namespace collie::core {
 
@@ -52,19 +51,5 @@ class JsonWriter {
 
 // One workload as a JSON object (all four search dimensions).
 void workload_to_json(const Workload& w, JsonWriter* json);
-
-// Full search result: experiments, elapsed time, every found anomaly with
-// its MFS conditions and discovery time, and the counter trace.
-std::string search_result_to_json(const SearchSpace& space,
-                                  const SearchResult& result,
-                                  bool include_trace = false);
-
-// The trace as CSV rows (t_seconds, counter_value, rx_wqe_cache_miss,
-// anomaly_found, in_mfs_extraction) — the raw data behind Figure 6.
-std::string trace_to_csv(const SearchResult& result);
-
-// Developer-facing report: for each found anomaly, its symptom, discovery
-// time, witness and necessary conditions (the output §7.3's workflows read).
-std::string mfs_report(const SearchSpace& space, const SearchResult& result);
 
 }  // namespace collie::core

@@ -5,8 +5,6 @@
 
 #include "common/log.h"
 #include "common/stats.h"
-#include "core/json_reader.h"
-#include "core/report.h"
 
 namespace collie::core {
 
@@ -46,36 +44,6 @@ inline void bump(const obs::ProbeTelemetry& tel,
 
 }  // namespace
 
-std::string DriverProgress::to_json() const {
-  JsonWriter json;
-  json.begin_object();
-  json.field("phase", phase);
-  json.field("counter_phase", counter_phase);
-  json.field("temperature", temperature);
-  json.field("experiments", experiments);
-  json.field("elapsed_seconds", elapsed_seconds);
-  json.field("mfs_skips", mfs_skips);
-  json.field("anomalies", anomalies);
-  json.end_object();
-  return json.str();
-}
-
-DriverProgress DriverProgress::from_json(const JsonValue& v) {
-  DriverProgress p;
-  p.phase = v.at("phase").as_string();
-  p.counter_phase = static_cast<int>(v.at("counter_phase").as_i64());
-  p.temperature = v.at("temperature").as_double();
-  p.experiments = static_cast<int>(v.at("experiments").as_i64());
-  p.elapsed_seconds = v.at("elapsed_seconds").as_double();
-  p.mfs_skips = static_cast<int>(v.at("mfs_skips").as_i64());
-  p.anomalies = static_cast<int>(v.at("anomalies").as_i64());
-  return p;
-}
-
-DriverProgress DriverProgress::from_json_text(const std::string& text) {
-  return from_json(JsonValue::parse(text));
-}
-
 SearchDriver::SearchDriver(const workload::Engine& engine,
                            const SearchSpace& space, AnomalyMonitor monitor)
     : engine_(engine), space_(space), monitor_(std::move(monitor)) {}
@@ -92,21 +60,6 @@ Verdict SearchDriver::measure_and_judge(const Workload& w, Rng& rng,
   bump(tel_, &obs::ProbeIds::experiments);
   if (v.anomalous()) bump(tel_, &obs::ProbeIds::anomalies);
   return v;
-}
-
-void SearchDriver::maybe_progress(const RunState& state) {
-  if (!progress_hook_) return;
-  if (++since_progress_ < progress_every_) return;
-  since_progress_ = 0;
-  DriverProgress p;
-  p.phase = phase_;
-  p.counter_phase = counter_phase_;
-  p.temperature = temperature_;
-  p.experiments = state.result.experiments;
-  p.elapsed_seconds = state.elapsed;
-  p.mfs_skips = state.result.mfs_skips;
-  p.anomalies = static_cast<int>(state.result.found.size());
-  progress_hook_(p);
 }
 
 Verdict SearchDriver::step(const Workload& w, Rng& rng, RunState& state,
@@ -130,10 +83,7 @@ Verdict SearchDriver::step(const Workload& w, Rng& rng, RunState& state,
   tp.anomaly_found = false;
   state.result.trace.push_back(tp);
 
-  if (!v.anomalous()) {
-    maybe_progress(state);
-    return v;
-  }
+  if (!v.anomalous()) return v;
   bump(tel_, &obs::ProbeIds::anomalies);
 
   // Already covered by a known anomaly's region?  Then it is not new.
@@ -145,10 +95,7 @@ Verdict SearchDriver::step(const Workload& w, Rng& rng, RunState& state,
     const u64 t_match = tel_.begin();
     const bool covered = state.store->covers(space_, w);
     tel_.end_stage(obs::ProbeStage::kMatchMfs, t_match);
-    if (covered) {
-      maybe_progress(state);
-      return v;
-    }
+    if (covered) return v;
   }
 
   FoundAnomaly found;
@@ -207,7 +154,6 @@ Verdict SearchDriver::step(const Workload& w, Rng& rng, RunState& state,
   // Mark the discovery on the trace.
   state.result.trace.back().anomaly_found = true;
   state.result.found.push_back(std::move(found));
-  maybe_progress(state);
   return v;
 }
 
@@ -220,9 +166,6 @@ SearchResult SearchDriver::run_random(const SearchBudget& budget, Rng& rng,
 SearchResult SearchDriver::run_random(const SearchBudget& budget, Rng& rng,
                                       bool use_mfs, MfsStore& store) {
   RunState state(store);
-  phase_ = "random";
-  counter_phase_ = 0;
-  temperature_ = 0.0;
   int consecutive_skips = 0;
   while (!state.exhausted(budget)) {
     const u64 t_sample = tel_.begin();
@@ -259,9 +202,6 @@ SearchResult SearchDriver::run_simulated_annealing(const SaConfig& config,
                                                    const SearchBudget& budget,
                                                    Rng& rng, MfsStore& store) {
   RunState state(store);
-  phase_ = "ranking";
-  counter_phase_ = 0;
-  temperature_ = 0.0;
 
   // Sampled points (ranking probes, phase starts, restarts) bypass the full
   // MatchMFS skip by design — they double as energy baselines — but never a
@@ -334,8 +274,6 @@ SearchResult SearchDriver::run_simulated_annealing(const SaConfig& config,
                            !space_explained;
        ++ci) {
     const CounterRef counter = schedule[ci];
-    phase_ = "sa";
-    counter_phase_ = static_cast<int>(ci);
     const double remaining = budget.seconds - state.elapsed;
     const double deadline =
         state.elapsed +
@@ -360,7 +298,6 @@ SearchResult SearchDriver::run_simulated_annealing(const SaConfig& config,
     state.result.trace.back().counter_value = e_old;
 
     double temperature = config.t0;
-    temperature_ = temperature;
     int consecutive_skips = 0;
     while (state.elapsed < deadline && !state.exhausted(budget) &&
            !space_explained) {
@@ -422,12 +359,10 @@ SearchResult SearchDriver::run_simulated_annealing(const SaConfig& config,
         }
       }
       temperature *= config.alpha;
-      temperature_ = temperature;
       if (temperature < config.t_min) {
         // Relaxed schedule (§5.1): jump out instead of freezing, so the
         // search keeps exploring for *all* anomalies, not one optimum.
         temperature = config.t0;
-        temperature_ = temperature;
         p_old = space_.random_point(rng);
         if (!state.exhausted(budget) && state.elapsed < deadline) {
           step(p_old, rng, state, config.use_mfs, &cs_old);

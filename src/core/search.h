@@ -11,9 +11,6 @@
 // budget, 10 hours in the paper's Figure 4/5 runs.
 #pragma once
 
-#include <functional>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "core/mfs.h"
@@ -24,8 +21,6 @@
 #include "workload/engine.h"
 
 namespace collie::core {
-
-class JsonValue;  // core/json_reader.h
 
 enum class GuidanceMode {
   kPerf,  // Collie (Perf): general, every RNIC exposes these
@@ -78,28 +73,6 @@ struct SaConfig {
   // Counter ranking: number of random probes used to rank diagnostic
   // counters by coefficient of variation (§7.2).
   int ranking_probes = 10;
-  MfsOptions mfs_options;
-};
-
-// Serializable mid-run driver state, published through the progress hook on
-// a fixed probe cadence (the campaign journal's driver_state records).  It
-// is observability state, not restart state: crash resume reconstructs the
-// driver by replaying the journaled probe stream, which re-derives all of
-// this — the hook exists so an operator (or a test) can see how far a cell
-// had gotten without parsing the probe records.
-struct DriverProgress {
-  std::string phase;      // "random" / "ranking" / "sa"
-  int counter_phase = 0;  // index into the SA counter schedule
-  double temperature = 0.0;
-  int experiments = 0;
-  double elapsed_seconds = 0.0;
-  int mfs_skips = 0;
-  int anomalies = 0;  // found.size() so far
-
-  // JSON round trip, byte-identical like every persistence document.
-  std::string to_json() const;
-  static DriverProgress from_json(const JsonValue& v);
-  static DriverProgress from_json_text(const std::string& text);
 };
 
 class SearchDriver {
@@ -137,17 +110,6 @@ class SearchDriver {
   // bit-identical with it on or off.
   void set_telemetry(obs::ProbeTelemetry telemetry) { tel_ = telemetry; }
 
-  // Publish DriverProgress through `hook` every `every` experiments (the
-  // journal's --journal-every cadence).  Like telemetry, the hook never
-  // touches the RNG, the store, or simulated time, so results are
-  // bit-identical with it set or not (pinned by orchestrator tests).
-  using ProgressHook = std::function<void(const DriverProgress&)>;
-  void set_progress_hook(ProgressHook hook, int every) {
-    progress_hook_ = std::move(hook);
-    progress_every_ = every > 0 ? every : 1;
-    since_progress_ = 0;
-  }
-
  private:
   struct RunState {
     explicit RunState(MfsStore& s) : store(&s) {}
@@ -165,8 +127,6 @@ class SearchDriver {
   // Returns the verdict and the measurement's averaged counters.
   Verdict step(const Workload& w, Rng& rng, RunState& state, bool use_mfs,
                sim::CounterSample* counters_out);
-  // Fire the progress hook when the cadence is due (no-op without a hook).
-  void maybe_progress(const RunState& state);
 
   const workload::Engine& engine_;
   const SearchSpace& space_;
@@ -182,14 +142,6 @@ class SearchDriver {
   mutable sim::EvalScratch scratch_;
   mutable workload::Measurement meas_;
   mutable workload::Measurement probe_meas_;
-
-  // Progress-hook state (observability only; see DriverProgress).
-  ProgressHook progress_hook_;
-  int progress_every_ = 0;
-  int since_progress_ = 0;
-  const char* phase_ = "";
-  int counter_phase_ = 0;
-  double temperature_ = 0.0;
 };
 
 }  // namespace collie::core

@@ -163,6 +163,11 @@ Mfs mfs_from_json(const JsonValue& v) {
   return mfs;
 }
 
+namespace {
+
+// One counter fetch: {"perf": [...], "diag": [...]} with exactly
+// kNumPerfCounters / kNumDiagCounters entries — a document with the wrong
+// arity came from an incompatible build and must fail loudly.
 void counter_sample_to_json(const sim::CounterSample& s, JsonWriter* json) {
   json->begin_object();
   json->begin_array("perf");
@@ -189,8 +194,6 @@ sim::CounterSample counter_sample_from_json(const JsonValue& v) {
   }
   return s;
 }
-
-namespace {
 
 void epoch_to_json(const sim::EpochSample& e, JsonWriter* json) {
   json->begin_object();

@@ -44,12 +44,6 @@ FeatureCondition condition_from_json(const JsonValue& v);
 void mfs_to_json(const Mfs& mfs, JsonWriter* json);
 Mfs mfs_from_json(const JsonValue& v);
 
-// One counter fetch: {"perf": [...], "diag": [...]} with exactly
-// kNumPerfCounters / kNumDiagCounters entries — a document with the wrong
-// arity came from an incompatible build and must fail loudly.
-void counter_sample_to_json(const sim::CounterSample& s, JsonWriter* json);
-sim::CounterSample counter_sample_from_json(const JsonValue& v);
-
 // A full engine Measurement, every field, byte-identical round trip (a
 // journal probe record's payload).  Doubles round-trip bit-exactly through
 // JsonWriter's shortest-decimal rendering.

@@ -147,9 +147,6 @@ void Coordinator::grant(int worker, std::size_t cell_index,
   ws.busy_since = now;
   ws.lease_sent = now;
   count(&FleetStats::leases, &obs::FleetIds::leases);
-  if (config_.journal != nullptr) {
-    config_.journal->event("lease", cell.label(), worker, id);
-  }
   LOG_DEBUG << "fleet: leased cell " << cell.label() << " to worker "
             << worker << " (lease " << id << ")";
 }
@@ -321,12 +318,6 @@ void Coordinator::check_deaths(Clock::time_point now) {
         it->second.revoked = true;
         orphans_.push_back(it->second.cell);
         count(&FleetStats::requeues, &obs::FleetIds::requeues);
-        if (config_.journal != nullptr) {
-          config_.journal->event("revoke", cells_[it->second.cell].label(),
-                                 static_cast<int>(w), ws.lease);
-          config_.journal->event("requeue", cells_[it->second.cell].label(),
-                                 static_cast<int>(w), ws.lease);
-        }
         LOG_WARN << "fleet: re-queued cell "
                  << cells_[it->second.cell].label() << " from dead worker "
                  << w;
@@ -336,13 +327,7 @@ void Coordinator::check_deaths(Clock::time_point now) {
     }
     // Unleased queue entries follow the cell into the orphan list; the
     // worker gets fresh assignments if it ever reconnects.
-    for (const std::size_t i : ws.queue) {
-      orphans_.push_back(i);
-      if (config_.journal != nullptr) {
-        config_.journal->event("requeue", cells_[i].label(),
-                               static_cast<int>(w), 0);
-      }
-    }
+    for (const std::size_t i : ws.queue) orphans_.push_back(i);
     ws.queue.clear();
   }
 }

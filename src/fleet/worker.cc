@@ -143,14 +143,9 @@ void FleetWorker::run_lease(const Message& lease) {
       });
 
   const Rng rng = Rng(config_.campaign_seed).split(lease.cell.stream);
-  // The campaign journal belongs to the coordinator (accepted CellDones,
-  // lease events); a worker writing driver progress into the same journal
-  // would interleave foreign records, so drop the seam before executing.
-  orchestrator::CellExecutionOptions exec_opts =
-      orchestrator::cell_execution_options(config_);
-  exec_opts.journal = nullptr;
   orchestrator::CellResult cr = orchestrator::execute_cell(
-      exec_opts, lease.cell, id_, lease.start_seconds, rng, view, &store);
+      orchestrator::cell_execution_options(config_), lease.cell, id_,
+      lease.start_seconds, rng, view, &store);
   // A kill on a cell that never extracts: die at cell end, before CellDone
   // — the coordinator still sees the lease vanish and re-queues it.
   if (kill_here && store.inserts().empty()) throw Killed{};

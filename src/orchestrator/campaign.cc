@@ -1,6 +1,7 @@
 #include "orchestrator/campaign.h"
 
 #include <algorithm>
+#include <cmath>
 #include <thread>
 
 #include "common/log.h"
@@ -126,9 +127,16 @@ Campaign::Campaign(CampaignConfig config) : config_(std::move(config)) {
   if (config_.seeds_per_cell < 1) {
     throw std::invalid_argument("a campaign needs at least one seed per cell");
   }
+  // A budget the search can exhaust: NaN slips past a `<= 0` test and an
+  // infinite one never runs out.
+  const auto exhaustible = [](double s) { return std::isfinite(s) && s > 0.0; };
+  if (!exhaustible(config_.budget.seconds)) {
+    throw std::invalid_argument("the cell budget must be positive and finite");
+  }
   for (const double seconds : config_.budget_cycle_seconds) {
-    if (seconds <= 0.0) {
-      throw std::invalid_argument("budget cycle entries must be positive");
+    if (!exhaustible(seconds)) {
+      throw std::invalid_argument(
+          "budget cycle entries must be positive and finite");
     }
   }
   // Journal record, resume and replay need per-cell probe sequences that
@@ -185,7 +193,6 @@ CellExecutionOptions cell_execution_options(const CampaignConfig& config) {
   opts.engine = config.engine;
   opts.backend_factory = config.backend_factory.get();
   opts.telemetry = config.telemetry;
-  opts.journal = config.journal;
   return opts;
 }
 
@@ -220,15 +227,6 @@ CellResult execute_cell(const CellExecutionOptions& opts,
     const core::SearchSpace space(sys);
     core::SearchDriver driver(engine, space);
     driver.set_telemetry(obs::ProbeTelemetry(opts.telemetry, worker));
-    if (opts.journal != nullptr) {
-      CampaignJournal* journal = opts.journal;
-      const std::string label = cell.label();
-      driver.set_progress_hook(
-          [journal, label](const core::DriverProgress& p) {
-            journal->driver_state(label, p.to_json());
-          },
-          opts.journal->every());
-    }
     core::SearchBudget budget = opts.budget;
     budget.seconds = cell.budget_seconds;
 

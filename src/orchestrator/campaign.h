@@ -223,9 +223,6 @@ struct CellExecutionOptions {
   workload::EngineOptions engine;
   workload::BackendFactory* backend_factory = nullptr;  // not owned
   obs::Telemetry* telemetry = nullptr;                  // not owned
-  // When set, the cell's driver publishes DriverProgress through the
-  // journal on the journal's cadence (observability only).
-  CampaignJournal* journal = nullptr;  // not owned
 };
 
 CellExecutionOptions cell_execution_options(const CampaignConfig& config);

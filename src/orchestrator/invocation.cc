@@ -99,14 +99,13 @@ constexpr CliFlag kFlags[] = {
      "fault injection: fleet worker k sleeps <us> microseconds per probe, "
      "making it the steal victim"},
     {"journal", "<f>", nullptr,
-     "durable crash journal (collie-journal-v2, schema in README.md), "
+     "durable crash journal (collie-journal-v3, schema in README.md), "
      "streamed as the campaign runs. Needs --exec deterministic or --share "
      "cell. A --fleet journal resumes but cannot be replayed"},
     {"resume", nullptr, nullptr,
      "continue a crashed --journal campaign without re-spending a journaled "
      "probe; the report is byte-identical to the uninterrupted run's"},
-    {"journal-every", "<n>", "64",
-     "probes between journal fsyncs and driver-state records"},
+    {"journal-every", "<n>", "64", "probes between journal fsyncs"},
     {"crash-after-probes", "<n>", "0",
      "deterministic crash injection: sync the journal and _exit(137) after "
      "the <n>-th journaled live probe; 0 never crashes"},
@@ -116,6 +115,9 @@ constexpr CliFlag kFlags[] = {
      "never crashes"},
     {"help", nullptr, nullptr, "print this reference and exit"},
 };
+
+// The largest --hours entry: one simulated year.
+constexpr int kMaxHours = 8760;
 
 // Flags that only steer a --fleet run.
 constexpr const char* kFleetOnly[] = {"heartbeat-ms", "heartbeat-timeout-ms",
@@ -198,12 +200,17 @@ CampaignInvocation parse(const CliArgs& args) {
   config.workers = get_int_in(args, "workers", 1);
   config.seeds_per_cell = get_int_in(args, "seeds", 1);
   // --hours is a single budget or a comma list cycled over plan cells.
+  // Each entry is a finite, positive number of simulated hours, at most one
+  // simulated year (the paper's runs take 10); NaN and inf fail the range
+  // test.
   std::vector<double> hours;
   for (const std::string& h : split(args.get("hours"), ',')) {
     char* end = nullptr;
     const double v = std::strtod(h.c_str(), &end);
-    if (end != h.c_str() + h.size() || v <= 0.0) {
-      throw std::invalid_argument("bad --hours entry '" + h + "'");
+    if (end != h.c_str() + h.size() || !(v > 0.0 && v <= kMaxHours)) {
+      throw std::invalid_argument("bad --hours entry '" + h +
+                                  "' (want hours in (0, " +
+                                  std::to_string(kMaxHours) + "])");
     }
     hours.push_back(v);
   }

@@ -163,9 +163,11 @@ void JournalWriter::sync() {
 
 namespace {
 
-// The magic of the previous format version, whose probe records carry a
-// Box-Muller spare in their RNG state.  Same size as kJournalMagic.
-constexpr char kJournalMagicV1[] = "collie-journal-v1\n";
+// Magics of retired format versions, each the size of kJournalMagic: v1
+// probe records carry a Box-Muller spare in their RNG state, and v2
+// journals carry record kinds this build no longer parses.
+constexpr const char* kRetiredJournalMagics[] = {"collie-journal-v1\n",
+                                                 "collie-journal-v2\n"};
 
 }  // namespace
 
@@ -187,13 +189,17 @@ JournalRecovery recover_journal(const std::string& path, bool repair) {
   }
   r.total_bytes = data.size();
 
-  // A v1 journal is rejected up front and left untouched: resuming it would
-  // diverge mid-replay (the probe records' RNG state encoding differs), and
-  // quarantining it would discard a valid journal.
-  if (data.compare(0, kJournalMagicSize, kJournalMagicV1) == 0) {
-    r.error = "written as collie-journal-v1, this build reads "
-              "collie-journal-v2; start a fresh journal";
-    return r;
+  // A journal of a retired version is rejected up front and left
+  // untouched: resuming it would fail or diverge mid-parse, and quarantining
+  // it would discard a journal that is valid in its own format.
+  for (const char* retired : kRetiredJournalMagics) {
+    if (data.compare(0, kJournalMagicSize, retired) == 0) {
+      r.error = "written as " + std::string(retired, kJournalMagicSize - 1) +
+                ", this build reads " +
+                std::string(kJournalMagic, kJournalMagicSize - 1) +
+                "; start a fresh journal";
+      return r;
+    }
   }
 
   // Magic check.  A damaged header means no frame can be trusted: the valid
@@ -307,19 +313,6 @@ void CampaignJournal::probe(const std::string& context, const Workload& w,
   }
 }
 
-void CampaignJournal::driver_state(const std::string& context,
-                                   const std::string& state_json) {
-  JsonWriter json;
-  json.begin_object();
-  json.field("record", "driver_state");
-  json.field("context", context);
-  json.key("state");
-  json.raw_value(state_json);
-  json.end_object();
-  std::lock_guard<std::mutex> lock(mu_);
-  append_locked(json.str());
-}
-
 void CampaignJournal::mfs_batch(const std::string& context,
                                 const std::string& scope,
                                 const PoolEntry& entry) {
@@ -351,21 +344,6 @@ void CampaignJournal::cell_done(const CellResult& result,
   append_locked(payload);
   writer_.sync();
   since_sync_ = 0;
-}
-
-void CampaignJournal::event(const std::string& what, const std::string& cell,
-                            int worker, u64 lease) {
-  JsonWriter json;
-  json.begin_object();
-  json.field("record", "event");
-  json.field("what", what);
-  json.field("cell", cell);
-  json.field("worker", worker);
-  json.field("lease", static_cast<i64>(lease));
-  json.end_object();
-  std::lock_guard<std::mutex> lock(mu_);
-  append_locked(json.str());
-  writer_.sync();
 }
 
 void CampaignJournal::sync() {
@@ -413,22 +391,11 @@ JournalResume parse_journal(const std::vector<std::string>& payloads) {
         p.rng_after = rng_state_from_json(doc.at("rng_after"));
         r.recorded[ctx].push_back(std::move(p));
         ++r.probes;
-      } else if (kind == "driver_state") {
-        r.driver_state[doc.at("context").as_string()] = text;
       } else if (kind == "mfs_batch") {
         const std::string& ctx = doc.at("context").as_string();
         JournalResume::PartialExtractions& pi = r.partial_inserts[ctx];
         pi.scope = doc.at("scope").as_string();
         pi.entries.push_back(pool_entry_from_json(doc.at("entry")));
-      } else if (kind == "event") {
-        JournalEvent ev;
-        ev.what = doc.at("what").as_string();
-        ev.cell = doc.at("cell").as_string();
-        ev.worker = static_cast<int>(doc.at("worker").as_i64());
-        const i64 lease = doc.at("lease").as_i64();
-        if (lease < 0) throw JsonError("journal event lease is negative");
-        ev.lease = static_cast<u64>(lease);
-        r.events.push_back(std::move(ev));
       } else if (kind == "resume") {
         ++r.sessions;
       } else {

@@ -3,19 +3,18 @@
 // A campaign's value is the anomaly corpus it accumulates, and the paper's
 // deployment runs searches for days — so losing a run to a crash anywhere
 // before the final checkpoint write is unacceptable.  The journal is an
-// append-only file ("collie-journal-v2") the campaign streams into as it
+// append-only file ("collie-journal-v3") the campaign streams into as it
 // runs:
 //
-//   [18-byte magic "collie-journal-v2\n"]
+//   [18-byte magic "collie-journal-v3\n"]
 //   frame*  where frame = [u32 payload_len LE][u32 crc32(payload) LE][payload]
 //
 // Payloads are strict-JSON documents in two vocabularies:
 //   * journal-native records, tagged by a "record" key — "begin" (config +
 //     realized schedule), "probe" (one executed probe: workload,
-//     measurement, post-probe RNG state — a TraceProbe), "driver_state"
-//     (serialized search-driver progress, for observability), "mfs_batch"
-//     (one streamed extraction with its scope), "event" (fleet lease
-//     grants / revokes / re-queues), "resume" (a session boundary marker);
+//     measurement, post-probe RNG state — a TraceProbe), "mfs_batch" (one
+//     streamed extraction with its scope), "resume" (a session boundary
+//     marker);
 //   * verbatim fleet wire messages, tagged by a "type" key — a completed
 //     cell is journaled as the exact PR 9 cell_done document (full
 //     CellResult + every insert + the cell's pool-stats delta), so the
@@ -58,7 +57,7 @@ class JsonValue;
 
 namespace collie::orchestrator {
 
-inline constexpr char kJournalMagic[] = "collie-journal-v2\n";
+inline constexpr char kJournalMagic[] = "collie-journal-v3\n";
 inline constexpr std::size_t kJournalMagicSize = 18;
 
 // One journaled probe of one context: the workload that was measured, the
@@ -116,14 +115,15 @@ struct JournalRecovery {
   u64 total_bytes = 0;    // file size as found
   std::string torn_path;  // where the torn suffix was quarantined (repair)
   std::vector<std::string> payloads;  // valid frames, in order
-  // Non-empty on I/O failure or a collie-journal-v1 journal (checked before
-  // any frame is read; the file is left untouched).  Never set for
-  // corruption.
+  // Non-empty on I/O failure or a journal of a retired format version
+  // (checked before any frame is read; the file is left untouched).  Never
+  // set for corruption.
   std::string error;
 };
 
-// Truncation-scan `path`.  A journal written under the previous format
-// version ("collie-journal-v1") is an error naming both versions.
+// Truncation-scan `path`.  A journal written under a retired format
+// version ("collie-journal-v1" or "-v2") is an error naming that version
+// and this one.
 // Corruption is never an error: a bad magic or a torn frame yields
 // torn=true with the longest valid prefix (valid_bytes=0 when even the
 // magic is damaged).  With `repair`, the torn suffix is written to
@@ -158,9 +158,6 @@ class CampaignJournal {
   // backend never re-records them).
   void probe(const std::string& context, const Workload& w,
              const workload::Measurement& m, const RngState& rng_after);
-  // Serialized driver progress (core::DriverProgress / baseline BoProgress
-  // documents), journaled on the same cadence as the sync.
-  void driver_state(const std::string& context, const std::string& state_json);
   // One streamed extraction, as it lands in the pool.
   void mfs_batch(const std::string& context, const std::string& scope,
                  const PoolEntry& entry);
@@ -169,12 +166,8 @@ class CampaignJournal {
   void cell_done(const CellResult& result,
                  const std::vector<PoolEntry>& inserts, const PoolStats& delta,
                  u64 lease);
-  // Fleet coordinator lease bookkeeping ("lease", "revoke", "requeue").
-  void event(const std::string& what, const std::string& cell, int worker,
-             u64 lease);
 
   void sync();
-  int every() const { return every_; }
   i64 probes() const;
   u64 bytes() const;
 
@@ -196,13 +189,6 @@ struct RestoredCell {
   CellResult result;
   std::vector<PoolEntry> inserts;  // what the cell added to its scope
   PoolStats delta;                 // the cell's hit/duplicate attribution
-};
-
-struct JournalEvent {
-  std::string what;  // "lease" / "revoke" / "requeue"
-  std::string cell;
-  int worker = -1;
-  u64 lease = 0;
 };
 
 struct JournalResume {
@@ -232,9 +218,6 @@ struct JournalResume {
     std::vector<PoolEntry> entries;
   };
   std::map<std::string, PartialExtractions> partial_inserts;
-  // Latest journaled driver_state payload per context (observability).
-  std::map<std::string, std::string> driver_state;
-  std::vector<JournalEvent> events;
   i64 probes = 0;    // probe records seen
   int sessions = 1;  // 1 + number of resume markers
 };

@@ -131,6 +131,13 @@ TEST(CampaignInvocation, OutOfRangeGridSizesAreRejected) {
       {{"--fleet", "4294967298"}, "--fleet"},
       {{"--sys="}, "--sys"},
       {{"--sys", ""}, "--sys"},
+      {{"--hours", "nan"}, "--hours"},
+      {{"--hours", "inf"}, "--hours"},
+      {{"--hours", "-inf"}, "--hours"},
+      {{"--hours", "1e308"}, "--hours"},
+      {{"--hours", "8760.5"}, "--hours"},
+      {{"--hours", "2,nan"}, "--hours"},
+      {{"--hours", "0"}, "--hours"},
   };
   for (const Case& c : cases) {
     const InvocationError err = rejected(c.args);
@@ -143,6 +150,7 @@ TEST(CampaignInvocation, OutOfRangeGridSizesAreRejected) {
   EXPECT_EQ(ok({"--workers", "2147483647"}).config.workers, 2147483647);
   EXPECT_EQ(ok({"--seeds", "1"}).config.seeds_per_cell, 1);
   EXPECT_EQ(ok({"--fleet", "0"}).fleet, 0);
+  EXPECT_EQ(ok({"--hours", "8760"}).config.budget.seconds, 8760 * 3600.0);
 }
 
 // One routine validates every choice flag, and its message names the

@@ -2,15 +2,14 @@
 // tests/persistence_test.cc):
 //   * crc32 matches the IEEE check value and chains incrementally;
 //   * atomic_write publishes whole documents or nothing;
-//   * the collie-journal-v2 frame format round-trips through recovery, and
+//   * the collie-journal-v3 frame format round-trips through recovery, and
 //     recovery is a truncation scan — EVERY byte prefix of a valid journal
 //     recovers without error to a frame prefix of the original (the
 //     structural invariant mid-cell resume is built on), targeted garbles
 //     and random byte flips quarantine the damaged suffix instead of
 //     trusting it, and a repaired journal accepts appends;
 //   * parse_journal reconstructs resumable state from the two record
-//     vocabularies and rejects unknown shapes loudly;
-//   * DriverProgress / BoProgress survive their JSON round trips.
+//     vocabularies and rejects unknown shapes loudly.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -19,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "baseline/bo.h"
 #include "common/durable_io.h"
 #include "common/rng.h"
 #include "core/json_reader.h"
@@ -34,7 +32,6 @@ namespace collie::orchestrator {
 namespace {
 
 using core::JsonError;
-using core::JsonValue;
 
 std::string tmp_path(const std::string& name) {
   const std::string path = ::testing::TempDir() + "collie_journal_test_" + name;
@@ -234,27 +231,34 @@ TEST(JournalFrames, TargetedGarblesQuarantineTheSuffix) {
   std::remove(cut_path.c_str());
 }
 
-// A journal written under the previous format version (collie-journal-v1,
-// whose probe records carry a Box-Muller spare in their RNG state) is
-// refused before any frame is read, with an error naming both versions —
-// never resumed into a mid-replay divergence, never quarantined as torn.
+// A journal written under a retired format version (collie-journal-v1,
+// whose probe records carry a Box-Muller spare in their RNG state, or
+// collie-journal-v2, whose record vocabulary this build no longer parses)
+// is refused before any frame is read, with an error naming both versions —
+// never resumed into a mid-parse failure, never quarantined as torn.
 TEST(JournalFrames, PreviousFormatVersionIsRejectedUpFront) {
-  const std::string path = tmp_path("v1.journal");
-  std::string bytes = build_journal(path);
-  ASSERT_EQ(bytes.substr(0, kJournalMagicSize), "collie-journal-v2\n");
-  bytes[16] = '1';
-  write_file(path, bytes);
+  const std::string path = tmp_path("retired.journal");
+  const std::string built = build_journal(path);
+  ASSERT_EQ(built.substr(0, kJournalMagicSize), "collie-journal-v3\n");
+  for (const char version : {'1', '2'}) {
+    std::string bytes = built;
+    bytes[16] = version;
+    write_file(path, bytes);
 
-  const JournalRecovery r = recover_journal(path, /*repair=*/true);
-  EXPECT_TRUE(r.existed);
-  EXPECT_NE(r.error.find("collie-journal-v1"), std::string::npos) << r.error;
-  EXPECT_NE(r.error.find("collie-journal-v2"), std::string::npos) << r.error;
-  EXPECT_TRUE(r.payloads.empty());
-  EXPECT_FALSE(r.torn);
-  // Untouched: no truncation, no quarantine file.
-  EXPECT_EQ(read_file(path), bytes);
-  std::ifstream torn(path + ".torn");
-  EXPECT_FALSE(torn.good());
+    const JournalRecovery r = recover_journal(path, /*repair=*/true);
+    EXPECT_TRUE(r.existed);
+    EXPECT_NE(r.error.find(std::string("collie-journal-v") + version),
+              std::string::npos)
+        << r.error;
+    EXPECT_NE(r.error.find("collie-journal-v3"), std::string::npos)
+        << r.error;
+    EXPECT_TRUE(r.payloads.empty());
+    EXPECT_FALSE(r.torn);
+    // Untouched: no truncation, no quarantine file.
+    EXPECT_EQ(read_file(path), bytes);
+    std::ifstream torn(path + ".torn");
+    EXPECT_FALSE(torn.good());
+  }
 
   // A crash inside this build's own magic is still a torn journal.
   for (std::size_t n = 1; n < kJournalMagicSize; ++n) {
@@ -330,8 +334,8 @@ TEST(JournalFrames, RandomByteFlipsNeverMisbehave) {
 // A realistic record stream written through CampaignJournal, then parsed
 // back: one completed cell (its probes kept as its recorded trajectory,
 // its streamed extractions superseded by its cell_done), one partial cell
-// (probes + streamed extractions survive as the splice prefix), plus
-// driver_state, events, and a session boundary.
+// (probes + streamed extractions survive as the splice prefix), plus a
+// session boundary.
 TEST(CampaignJournalRecords, ParseJournalReconstructsResumableState) {
   const std::string path = tmp_path("records.journal");
   const core::SearchSpace space(sim::subsystem('B'));
@@ -356,12 +360,6 @@ TEST(CampaignJournalRecords, ParseJournalReconstructsResumableState) {
       p.rng_after = rng.state();
       journal.probe("B/Diag#0", p.workload, p.measurement, p.rng_after);
     }
-    core::DriverProgress dp;
-    dp.phase = "sa";
-    dp.experiments = 3;
-    journal.driver_state("B/Diag#0", dp.to_json());
-    journal.event("lease", "B/Diag#0", /*worker=*/0, /*lease=*/1);
-
     // The completed cell: its cell_done document carries the result.
     CellResult done;
     done.cell.subsystem = 'B';
@@ -430,14 +428,6 @@ TEST(CampaignJournalRecords, ParseJournalReconstructsResumableState) {
   }
   ASSERT_EQ(r.partial_inserts.count("B/Diag#1"), 1u);
   EXPECT_EQ(r.partial_inserts.at("B/Diag#1").entries.size(), 3u);
-  ASSERT_EQ(r.events.size(), 1u);
-  EXPECT_EQ(r.events[0].what, "lease");
-  EXPECT_EQ(r.events[0].lease, 1u);
-  ASSERT_EQ(r.driver_state.count("B/Diag#0"), 1u);
-  EXPECT_EQ(core::DriverProgress::from_json(
-                JsonValue::parse(r.driver_state.at("B/Diag#0")).at("state"))
-                .experiments,
-            3);
 
   // Checkpoint salvage: the completed cell's inserts land under its scope,
   // the partial cell's streamed extractions dedup by MFS index (the
@@ -456,6 +446,15 @@ TEST(CampaignJournalRecords, ParseJournalReconstructsResumableState) {
 TEST(CampaignJournalRecords, ParseRejectsUnknownShapesLoudly) {
   // An unknown journal-native record (a journal from a newer build).
   EXPECT_THROW(parse_journal({R"({"record":"hologram"})"}), JsonError);
+  // Record kinds of collie-journal-v2 that v3 no longer has: a search
+  // driver's progress snapshot and a fleet lease event.
+  EXPECT_THROW(
+      parse_journal({R"({"record":"driver_state","context":"B/Diag#0",)"
+                     R"("state":{"phase":"sa","experiments":3}})"}),
+      JsonError);
+  EXPECT_THROW(parse_journal({R"({"record":"event","what":"lease",)"
+                              R"("cell":"B/Diag#0","worker":0,"lease":1})"}),
+               JsonError);
   // A second begin record (only resume markers may follow a begin).
   const std::string begin =
       R"({"record":"begin","share":"cell","strategy":"sa","seed":1,)"
@@ -469,61 +468,6 @@ TEST(CampaignJournalRecords, ParseRejectsUnknownShapesLoudly) {
       JsonError);
   // Not JSON at all.
   EXPECT_THROW(parse_journal({"not json"}), JsonError);
-}
-
-// ---- progress documents -----------------------------------------------------
-
-TEST(ProgressDocuments, DriverProgressRoundTripsByteIdentically) {
-  core::DriverProgress p;
-  p.phase = "sa";
-  p.counter_phase = 2;
-  p.temperature = 0.375;
-  p.experiments = 41;
-  p.elapsed_seconds = 1234.5;
-  p.mfs_skips = 7;
-  p.anomalies = 3;
-  const std::string doc = p.to_json();
-  const core::DriverProgress back = core::DriverProgress::from_json_text(doc);
-  EXPECT_EQ(back.to_json(), doc);
-  EXPECT_EQ(back.phase, "sa");
-  EXPECT_EQ(back.counter_phase, 2);
-  EXPECT_DOUBLE_EQ(back.temperature, 0.375);
-  EXPECT_EQ(back.experiments, 41);
-  EXPECT_EQ(back.mfs_skips, 7);
-  EXPECT_EQ(back.anomalies, 3);
-  EXPECT_THROW(core::DriverProgress::from_json_text(doc.substr(0, 10)),
-               JsonError);
-}
-
-TEST(ProgressDocuments, BoProgressRoundTripsByteIdentically) {
-  const core::SearchSpace space(sim::subsystem('F'));
-  Rng rng(71);
-  baseline::BoProgress p;
-  p.phase = "bo";
-  p.experiments = 12;
-  p.elapsed_seconds = 900.25;
-  for (int i = 0; i < 3; ++i) {
-    baseline::BoProgress::DesignRow row;
-    row.workload = space.random_point(rng);
-    for (std::size_t c = 0; c < row.counters.perf.size(); ++c) {
-      row.counters.perf[c] = rng.uniform(0.0, 1e9);
-    }
-    for (std::size_t c = 0; c < row.counters.diag.size(); ++c) {
-      row.counters.diag[c] = rng.uniform(0.0, 100.0);
-    }
-    p.design.push_back(std::move(row));
-  }
-  const std::string doc = p.to_json();
-  const baseline::BoProgress back = baseline::BoProgress::from_json_text(doc);
-  EXPECT_EQ(back.to_json(), doc);
-  ASSERT_EQ(back.design.size(), 3u);
-  for (std::size_t i = 0; i < back.design.size(); ++i) {
-    EXPECT_EQ(back.design[i].workload, p.design[i].workload);
-    EXPECT_EQ(back.design[i].counters.perf, p.design[i].counters.perf);
-    EXPECT_EQ(back.design[i].counters.diag, p.design[i].counters.diag);
-  }
-  EXPECT_THROW(baseline::BoProgress::from_json_text(doc.substr(0, 25)),
-               JsonError);
 }
 
 }  // namespace

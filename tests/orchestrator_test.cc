@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -517,6 +519,16 @@ TEST(CampaignTest, ConstructorRejectsGridSizesBelowOne) {
     CampaignConfig seeds = config;
     seeds.seeds_per_cell = bad;
     EXPECT_THROW(Campaign{seeds}, std::invalid_argument) << bad;
+  }
+  // Budgets must be positive and finite, or the search never runs out.
+  for (const double bad : {0.0, -3600.0, std::nan(""),
+                           std::numeric_limits<double>::infinity()}) {
+    CampaignConfig budget = config;
+    budget.budget.seconds = bad;
+    EXPECT_THROW(Campaign{budget}, std::invalid_argument) << bad;
+    CampaignConfig cycle = config;
+    cycle.budget_cycle_seconds = {3600.0, bad};
+    EXPECT_THROW(Campaign{cycle}, std::invalid_argument) << bad;
   }
   config.workers = 1;
   config.seeds_per_cell = 1;

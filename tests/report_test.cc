@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/report.h"
-#include "sim/subsystem.h"
 
 namespace collie::core {
 namespace {
@@ -60,63 +61,6 @@ TEST(Report, WorkloadJsonHasAllDimensions) {
     EXPECT_NE(out.find(key), std::string::npos) << key;
   }
   EXPECT_NE(out.find("65536,128"), std::string::npos);
-}
-
-SearchResult fake_result() {
-  SearchResult r;
-  r.experiments = 42;
-  r.elapsed_seconds = 1234.5;
-  r.mfs_skips = 7;
-  FoundAnomaly f;
-  f.found_at_seconds = 600.0;
-  f.experiment_index = 21;
-  f.dominant = sim::Bottleneck::kRwqeBurstMiss;
-  f.verdict.symptom = Symptom::kPauseFrames;
-  f.verdict.pause_duration_ratio = 0.2;
-  f.mfs.symptom = Symptom::kPauseFrames;
-  f.mfs.witness.pattern = {2048};
-  FeatureCondition c;
-  c.feature = Feature::kWqeBatch;
-  c.categorical = false;
-  c.lo = 64;
-  f.mfs.conditions.push_back(c);
-  r.found.push_back(f);
-  TracePoint tp;
-  tp.t_seconds = 30.0;
-  tp.counter_value = 12345.0;
-  tp.anomaly_found = true;
-  r.trace.push_back(tp);
-  return r;
-}
-
-TEST(Report, SearchResultJson) {
-  SearchSpace space(sim::subsystem('F'));
-  const std::string out =
-      search_result_to_json(space, fake_result(), /*include_trace=*/true);
-  EXPECT_NE(out.find("\"experiments\":42"), std::string::npos);
-  EXPECT_NE(out.find("rwqe_burst_miss"), std::string::npos);
-  EXPECT_NE(out.find("pause frame"), std::string::npos);
-  EXPECT_NE(out.find("wqe_batch >= 64"), std::string::npos);
-  EXPECT_NE(out.find("\"trace\""), std::string::npos);
-  // Balanced braces as a cheap well-formedness check.
-  EXPECT_EQ(std::count(out.begin(), out.end(), '{'),
-            std::count(out.begin(), out.end(), '}'));
-  EXPECT_EQ(std::count(out.begin(), out.end(), '['),
-            std::count(out.begin(), out.end(), ']'));
-}
-
-TEST(Report, TraceCsv) {
-  const std::string csv = trace_to_csv(fake_result());
-  EXPECT_NE(csv.find("t_seconds,counter_value"), std::string::npos);
-  EXPECT_NE(csv.find("30,12345,0,1,0"), std::string::npos);
-}
-
-TEST(Report, MfsReportIsReadable) {
-  SearchSpace space(sim::subsystem('F'));
-  const std::string rep = mfs_report(space, fake_result());
-  EXPECT_NE(rep.find("1 anomaly region"), std::string::npos);
-  EXPECT_NE(rep.find("wqe_batch >= 64"), std::string::npos);
-  EXPECT_NE(rep.find("break any one"), std::string::npos);
 }
 
 TEST(Json, RawValueSplicesWithCommaHandling) {

@@ -27,14 +27,8 @@ inline catalog::Symptom to_catalog(core::Symptom s) {
 // so switch-level mechanisms (ids 101+) attribute correctly.
 inline int identify(const std::string& chip, const core::FoundAnomaly& f,
                     const std::string& fabric = "pair") {
-  int id = catalog::label_by_mechanism(chip, fabric, f.mfs.witness,
-                                       f.dominant, to_catalog(f.mfs.symptom));
-  if (id == 0) {
-    const auto labels =
-        catalog::label(chip, f.mfs.witness, to_catalog(f.mfs.symptom));
-    if (!labels.empty()) id = labels.front();
-  }
-  return id;
+  return catalog::identify(chip, fabric, f.mfs.witness, f.dominant,
+                           to_catalog(f.mfs.symptom));
 }
 
 // Simulated minutes at which the N-th *distinct* anomaly was found;

@@ -778,9 +778,13 @@ int label_by_mechanism(const std::string& chip, const std::string& fabric,
   }
 }
 
-int label_by_mechanism(const std::string& chip, const Workload& w,
-                       sim::Bottleneck dominant, Symptom observed) {
-  return label_by_mechanism(chip, "pair", w, dominant, observed);
+int identify(const std::string& chip, const std::string& fabric,
+             const Workload& witness, sim::Bottleneck dominant,
+             Symptom observed) {
+  const int id = label_by_mechanism(chip, fabric, witness, dominant, observed);
+  if (id != 0) return id;
+  const std::vector<int> labels = label(chip, witness, observed);
+  return labels.empty() ? 0 : labels.front();
 }
 
 std::vector<int> label(const std::string& chip, const Workload& w,

@@ -84,8 +84,14 @@ std::vector<int> label(const std::string& chip, const Workload& w,
 int label_by_mechanism(const std::string& chip, const std::string& fabric,
                        const Workload& w, sim::Bottleneck dominant,
                        Symptom observed);
-// Paper-testbed shorthand: the identical "pair" fabric.
-int label_by_mechanism(const std::string& chip, const Workload& w,
-                       sim::Bottleneck dominant, Symptom observed);
+
+// Ground-truth id of one detected anomaly (0 when it maps to no catalogued
+// one): the mechanism label first — the analogue of vendor confirmation —
+// then the first region label of its witness.  Every consumer that counts
+// distinct anomalies (figure benches, search_probe, the knowledge base)
+// labels through this one function.
+int identify(const std::string& chip, const std::string& fabric,
+             const Workload& witness, sim::Bottleneck dominant,
+             Symptom observed);
 
 }  // namespace collie::catalog

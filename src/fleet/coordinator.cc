@@ -7,100 +7,35 @@
 #include "common/log.h"
 #include "core/json_reader.h"
 #include "orchestrator/journal.h"
-#include "workload/backend.h"
 
 namespace collie::fleet {
 
 Coordinator::Coordinator(orchestrator::CampaignConfig config,
-                         Transport* transport, FleetOptions opts)
+                         FleetOptions opts)
     : config_(orchestrator::Campaign(std::move(config)).config()),
-      transport_(transport),
       opts_(opts) {
-  pool_.set_telemetry(config_.telemetry);
   cells_ = orchestrator::Campaign(config_).plan();
-  runnable_ = orchestrator::runnable_cells(config_, cells_);
-  schedule_ = orchestrator::plan_schedule(config_, cells_, runnable_);
-  workers_.resize(static_cast<std::size_t>(schedule_.workers));
-  for (std::size_t w = 0; w < schedule_.queues.size(); ++w) {
-    for (const std::size_t i : schedule_.queues[w]) {
-      workers_[w].queue.push_back(i);
-    }
-  }
-  results_.resize(cells_.size());
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    if (config_.backend_factory != nullptr) {
-      results_[i].backend = config_.backend_factory->substrate();
-    }
-    if (!runnable_[i]) {
-      results_[i].cell = cells_[i];
-      results_[i].skipped = true;
-    } else {
+  orchestrator::CampaignStart start =
+      orchestrator::start_campaign(config_, cells_, pool_);
+  result_ = std::move(start.result);
+  workers_.resize(static_cast<std::size_t>(result_.workers));
+  for (std::size_t w = 0; w < result_.schedule.queues.size(); ++w) {
+    for (const std::size_t i : result_.schedule.queues[w]) {
       ++target_;
-    }
-  }
-  if (config_.warm_start) {
-    for (const auto& [scope, entries] : config_.warm_start->scopes) {
-      pool_.load_scope(scope, entries);
-    }
-  }
-  if (config_.journal != nullptr && config_.resume == nullptr) {
-    std::vector<std::string> labels;
-    std::vector<double> budgets;
-    labels.reserve(cells_.size());
-    budgets.reserve(cells_.size());
-    for (const orchestrator::CampaignCell& cell : cells_) {
-      labels.push_back(cell.label());
-      budgets.push_back(cell.budget_seconds);
-    }
-    config_.journal->begin(
-        orchestrator::to_string(config_.share),
-        orchestrator::to_string(config_.strategy), config_.campaign_seed,
-        schedule_.workers,
-        config_.backend_factory != nullptr
-            ? config_.backend_factory->substrate()
-            : "sim",
-        orchestrator::schedule_to_json(schedule_, labels, budgets));
-  }
-  if (config_.resume != nullptr) {
-    if (config_.journal != nullptr) config_.journal->resume_marker();
-    // Restore every journaled CellDone exactly once: result, pool inserts
-    // (origin-preserved, completion order), hit-delta attribution and the
-    // owner's virtual timeline — then drop the cell from the queues so it
-    // never re-leases.  Cells that were in flight at the crash simply
-    // re-run from scratch; their streamed extractions were knowledge, not
-    // completion.
-    std::map<std::string, std::size_t> by_label;
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-      by_label[cells_[i].label()] = i;
-    }
-    for (const std::string& label : config_.resume->completion_order) {
-      const auto it = by_label.find(label);
-      if (it == by_label.end()) {
-        throw std::invalid_argument(
-            "journal records completed cell " + label +
-            " which is not in this campaign's plan (journal was recorded "
-            "against a different plan?)");
+      if (!start.restored[i]) {
+        workers_[w].queue.push_back(i);
+        continue;
       }
-      const std::size_t i = it->second;
-      const orchestrator::RestoredCell& rc =
-          config_.resume->completed.at(label);
-      results_[i] = rc.result;
-      results_[i].cell = cells_[i];  // trust our own plan
-      pool_.load_entries(cells_[i].scope(config_.share), rc.inserts);
-      delta_.hits += rc.delta.hits;
-      delta_.cross_worker_hits += rc.delta.cross_worker_hits;
-      delta_.warm_hits += rc.delta.warm_hits;
-      delta_.duplicate_inserts += rc.delta.duplicate_inserts;
-      if (results_[i].worker >= 0 &&
-          results_[i].worker < static_cast<int>(workers_.size())) {
-        workers_[static_cast<std::size_t>(results_[i].worker)].timeline +=
-            rc.result.result.elapsed_seconds;
+      // Restored from the journal: counted as accepted and never leased,
+      // its elapsed time already on its journaled worker's timeline.
+      // Cells in flight at the crash re-run from scratch; their streamed
+      // extractions were knowledge, not completion.
+      const orchestrator::CellResult& cr = result_.cells[i];
+      if (cr.worker >= 0 && cr.worker < result_.workers) {
+        workers_[static_cast<std::size_t>(cr.worker)].timeline +=
+            cr.result.elapsed_seconds;
       }
-      completed_ += 1;
-      for (WorkerState& ws : workers_) {
-        ws.queue.erase(std::remove(ws.queue.begin(), ws.queue.end(), i),
-                       ws.queue.end());
-      }
+      ++completed_;
     }
   }
 }
@@ -122,46 +57,35 @@ void Coordinator::send(int to, Message m) {
 void Coordinator::grant(int worker, std::size_t cell_index,
                         Clock::time_point now) {
   WorkerState& ws = workers_[static_cast<std::size_t>(worker)];
-  const orchestrator::CampaignCell& cell = cells_[cell_index];
   const u64 id = next_lease_++;
   LeaseState ls;
   ls.worker = worker;
   ls.cell = cell_index;
-  ls.scope = cell.scope(config_.share);
+  ls.scope = cells_[cell_index].scope(config_.share);
   ls.start_seconds = ws.timeline;
   leases_[id] = ls;
-
-  Message m;
-  m.type = MsgType::kLeaseCell;
-  m.lease = id;
-  m.cell = cell;
-  m.start_seconds = ls.start_seconds;
-  m.scope = ls.scope;
-  // Everything already known for this scope: warm-start entries plus every
-  // streamed insert — including a dead predecessor's partial extractions.
-  m.preload = pool_.export_entries(ls.scope);
-  send(worker, std::move(m));
-
   ws.busy = true;
   ws.lease = id;
   ws.busy_since = now;
-  ws.lease_sent = now;
+  send_lease(worker, now);
   count(&FleetStats::leases, &obs::FleetIds::leases);
-  LOG_DEBUG << "fleet: leased cell " << cell.label() << " to worker "
-            << worker << " (lease " << id << ")";
+  LOG_DEBUG << "fleet: leased cell " << cells_[cell_index].label()
+            << " to worker " << worker << " (lease " << id << ")";
 }
 
-void Coordinator::retransmit_lease(int worker, Clock::time_point now) {
+void Coordinator::send_lease(int worker, Clock::time_point now) {
   WorkerState& ws = workers_[static_cast<std::size_t>(worker)];
   const auto it = leases_.find(ws.lease);
   if (it == leases_.end()) return;
-  LeaseState& ls = it->second;
+  const LeaseState& ls = it->second;
   Message m;
   m.type = MsgType::kLeaseCell;
   m.lease = ws.lease;
   m.cell = cells_[ls.cell];
   m.start_seconds = ls.start_seconds;
   m.scope = ls.scope;
+  // Everything already known for this scope: warm-start entries plus every
+  // streamed insert — including a dead predecessor's partial extractions.
   m.preload = pool_.export_entries(ls.scope);
   send(worker, std::move(m));
   ws.lease_sent = now;
@@ -231,10 +155,10 @@ void Coordinator::handle(const Message& m, int from, Clock::time_point now) {
         break;
       }
       if (!m.busy && ws.busy &&
-          now - ws.lease_sent >= opts_.lease_retransmit) {
+          now - ws.lease_sent >= kLeaseRetransmit) {
         // The worker thinks it is idle but owes us a cell: the LeaseCell
         // (or its retransmission) was lost.
-        retransmit_lease(from, now);
+        send_lease(from, now);
       }
       break;
     }
@@ -267,19 +191,16 @@ void Coordinator::handle(const Message& m, int from, Clock::time_point now) {
       // carries the complete ordinal-ordered list).
       apply_inserts(ls, 0, m.inserts, /*reconcile=*/true);
       ls.accepted = true;
-      results_[ls.cell] = m.result;
-      results_[ls.cell].cell = cells_[ls.cell];  // trust our own plan
+      orchestrator::CellResult& cr = result_.cells[ls.cell];
+      cr = m.result;
+      cr.cell = cells_[ls.cell];  // trust our own plan
       if (config_.journal != nullptr) {
         // Journal the reconciled copy (plan-side cell identity), synced:
         // once this frame is durable the cell can never be double-counted
         // by a resumed coordinator.
-        config_.journal->cell_done(results_[ls.cell], m.inserts,
-                                   m.pool_delta, m.lease);
+        config_.journal->cell_done(cr, m.inserts, m.pool_delta, m.lease);
       }
-      delta_.hits += m.pool_delta.hits;
-      delta_.cross_worker_hits += m.pool_delta.cross_worker_hits;
-      delta_.warm_hits += m.pool_delta.warm_hits;
-      delta_.duplicate_inserts += m.pool_delta.duplicate_inserts;
+      delta_.add_observations(m.pool_delta);
       completed_ += 1;
       if (ls.worker >= 0 &&
           ls.worker < static_cast<int>(workers_.size())) {
@@ -308,7 +229,7 @@ void Coordinator::check_deaths(Clock::time_point now) {
     ws.alive = false;
     ws.deaths += 1;
     ws.reconnect_at =
-        now + opts_.reconnect_backoff * (i64{1} << std::min(ws.deaths - 1, 10));
+        now + kReconnectBackoff * (i64{1} << std::min(ws.deaths - 1, 10));
     count(&FleetStats::heartbeat_misses, &obs::FleetIds::heartbeat_misses);
     LOG_WARN << "fleet: worker " << w << " missed heartbeats, declared dead"
              << " (death #" << ws.deaths << ")";
@@ -346,7 +267,7 @@ void Coordinator::assign_work(Clock::time_point now) {
       cell_index = ws.queue.front();
       ws.queue.pop_front();
       found = true;
-    } else if (opts_.steal) {
+    } else {
       // Wall-clock imbalance: steal the tail of the deepest queue whose
       // owner has been grinding one cell past the steal gate.
       std::size_t victim = workers_.size();
@@ -372,37 +293,15 @@ void Coordinator::assign_work(Clock::time_point now) {
   }
 }
 
-orchestrator::CampaignCheckpoint Coordinator::checkpoint() const {
-  orchestrator::CampaignCheckpoint ck;
-  ck.share = orchestrator::to_string(config_.share);
-  // Warm-start scopes that belong to no planned cell must survive into the
-  // successor checkpoint even though no fold touches them.
-  if (config_.warm_start) ck.scopes = config_.warm_start->scopes;
-  std::vector<char> accepted(cells_.size(), 0);
-  for (const auto& [id, ls] : leases_) {
-    (void)id;
-    if (ls.accepted) accepted[ls.cell] = 1;
-  }
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    const bool done = !runnable_[i] || accepted[i] != 0;
-    if (!done) continue;
-    const bool failed = runnable_[i] && results_[i].failed();
-    orchestrator::checkpoint_cell(
-        ck, failed ? std::string() : cells_[i].label(),
-        cells_[i].scope(config_.share),
-        pool_.snapshot(cells_[i].scope(config_.share)));
-  }
-  return ck;
-}
-
-orchestrator::CampaignResult Coordinator::run() {
+orchestrator::CampaignResult Coordinator::run(Transport* transport) {
+  transport_ = transport;
   auto last_progress = Clock::now();
   std::size_t last_completed = completed_;
   while (completed_ < target_) {
     int from = 0;
     std::string payload;
     const RecvStatus status =
-        transport_->recv(kCoordinatorId, &from, &payload, opts_.tick);
+        transport_->recv(kCoordinatorId, &from, &payload, kPollTick);
     const auto now = Clock::now();
     if (status == RecvStatus::kClosed) {
       throw std::runtime_error("fleet transport closed mid-campaign");
@@ -436,39 +335,8 @@ orchestrator::CampaignResult Coordinator::run() {
     send(static_cast<int>(w), std::move(bye));
   }
 
-  // Assemble exactly the way Campaign::run does, so a fault-free fleet
-  // report serializes byte-identically.
-  orchestrator::CampaignResult result;
-  result.workers = schedule_.workers;
-  result.schedule = schedule_;
-  result.share = config_.share;
-  if (config_.backend_factory != nullptr) {
-    result.backend = config_.backend_factory->substrate();
-  }
-  result.cells = std::move(results_);
-  std::vector<double> worker_elapsed(
-      static_cast<std::size_t>(schedule_.workers), 0.0);
-  for (const orchestrator::CellResult& cr : result.cells) {
-    result.serial_seconds += cr.result.elapsed_seconds;
-    if (cr.worker >= 0 &&
-        cr.worker < static_cast<int>(worker_elapsed.size())) {
-      worker_elapsed[static_cast<std::size_t>(cr.worker)] +=
-          cr.result.elapsed_seconds;
-    }
-  }
-  for (const double t : worker_elapsed) {
-    if (t > result.makespan_seconds) result.makespan_seconds = t;
-  }
-  // The coordinator pool holds the entries (and warm entries) but never
-  // serves a search; hit and duplicate observations live in the accepted
-  // CellDones' worker-local pool deltas.
-  result.pool = pool_.stats();
-  result.pool.hits += delta_.hits;
-  result.pool.cross_worker_hits += delta_.cross_worker_hits;
-  result.pool.warm_hits += delta_.warm_hits;
-  result.pool.duplicate_inserts += delta_.duplicate_inserts;
-  result.pool_scopes = pool_.export_scopes();
-  return result;
+  orchestrator::finish_campaign(config_, pool_, delta_, result_);
+  return std::move(result_);
 }
 
 }  // namespace collie::fleet

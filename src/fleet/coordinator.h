@@ -1,14 +1,15 @@
 // fleet::Coordinator — the campaign control plane over a Transport.
 //
 // The coordinator owns the cell grid and the shared ConcurrentMfsPool;
-// workers own nothing but the cell they are currently leasing.  It plans
-// the exact schedule the in-process Campaign would (same plan(), same
-// runnable mask, same round-robin/LPT/replay assignment), leases each
-// logical worker's queue to the matching fleet worker in order, applies the
-// MfsBatch extractions workers stream back, and assembles a CampaignResult
-// through the same aggregation the in-process run uses — which is why a
+// workers own nothing but the cell they are currently leasing.  It starts
+// and finishes the campaign through the same orchestrator::start_campaign /
+// finish_campaign steps Campaign::run uses (same plan, runnable mask,
+// schedule, journal begin/resume, pool preload, result assembly), so a
 // fault-free loopback fleet report is byte-identical to the in-process one
-// under cell scopes.
+// under cell scopes by sharing that code.  What is its own: leasing each
+// logical worker's queue to the matching fleet worker in order, applying
+// the MfsBatch extractions workers stream back, heartbeats, re-queue and
+// steal.
 //
 // Fault tolerance:
 //  - Death: a worker that goes silent past heartbeat_timeout is declared
@@ -20,12 +21,13 @@
 //    and discarded — a cell's probes are counted exactly once, from exactly
 //    one accepted CellDone.
 //  - Reconnect: a dead worker that resumes idle heartbeats is re-admitted
-//    after an exponential backoff (reconnect_backoff * 2^deaths).
+//    after an exponential backoff (kReconnectBackoff * 2^(deaths-1)).
 //  - Loss: every message may be dropped, delayed, or duplicated.  Leases
-//    are retransmitted when an idle heartbeat contradicts an outstanding
-//    lease; CellDone is retransmitted by the worker until Acked; MfsBatch
-//    ordinals dedup duplicates and reorder out-of-order arrivals, and the
-//    CellDone's full insert list reconciles any batch that never arrived.
+//    are retransmitted (at most every kLeaseRetransmit) when an idle
+//    heartbeat contradicts an outstanding lease; CellDone is retransmitted
+//    by the worker until Acked; MfsBatch ordinals dedup duplicates and
+//    reorder out-of-order arrivals, and the CellDone's full insert list
+//    reconciles any batch that never arrived.
 //  - Imbalance: an idle worker with nothing queued steals the tail of the
 //    busiest live worker's queue once that worker has been busy on a single
 //    cell past steal_after (wall clock, not simulated time — this is the
@@ -43,22 +45,24 @@
 
 namespace collie::fleet {
 
+// Event-loop poll quantum: the coordinator's recv timeout between timer
+// checks.
+inline constexpr std::chrono::milliseconds kPollTick{5};
+// Re-admission backoff after a worker's k-th death: kReconnectBackoff *
+// 2^(k-1).
+inline constexpr std::chrono::milliseconds kReconnectBackoff{50};
+// Lease retransmit floor when an idle heartbeat contradicts a lease.
+inline constexpr std::chrono::milliseconds kLeaseRetransmit{50};
+
 struct FleetOptions {
   // Worker idle-heartbeat cadence (handed to spawned loopback workers).
   std::chrono::milliseconds heartbeat_interval{20};
   // Silence past this declares a worker dead.
   std::chrono::milliseconds heartbeat_timeout{250};
-  // Re-admission backoff after the k-th death: backoff * 2^(k-1).
-  std::chrono::milliseconds reconnect_backoff{50};
-  // Event-loop poll quantum (recv timeout between timer checks).
-  std::chrono::milliseconds tick{5};
-  // Lease retransmit floor when an idle heartbeat contradicts a lease.
-  std::chrono::milliseconds lease_retransmit{50};
   // Steal gate: the victim must have been busy on one cell at least this
   // long (wall clock).  High enough that fault-free fast runs never steal,
   // keeping them byte-identical to the in-process campaign.
   std::chrono::milliseconds steal_after{1000};
-  bool steal = true;
   // Hard failure when no cell completes for this long (prevents a hung CI
   // job when every worker is dead and none reconnects).
   std::chrono::milliseconds stall_timeout{120000};
@@ -78,22 +82,21 @@ struct FleetStats {
 class Coordinator {
  public:
   // `config` is normalized through Campaign's constructor (same validation
-  // as the in-process path).  `transport` must outlive run().
-  Coordinator(orchestrator::CampaignConfig config, Transport* transport,
-              FleetOptions opts = {});
+  // as the in-process path).  Starts the campaign: plans it, writes the
+  // journal's begin record or resume marker and preloads the pool.
+  explicit Coordinator(orchestrator::CampaignConfig config,
+                       FleetOptions opts = {});
 
-  // Drive the whole campaign over the transport; returns when every
-  // runnable cell has exactly one accepted result.  Sends a shutdown lease
-  // to every worker before returning.  Throws std::runtime_error on stall.
-  orchestrator::CampaignResult run();
+  // Drive the whole campaign over `transport` (one endpoint per logical
+  // worker, outliving run()); returns when every runnable cell has exactly
+  // one accepted result.  Sends a shutdown lease to every worker before
+  // returning.  Call once.  Throws std::runtime_error on stall.
+  orchestrator::CampaignResult run(Transport* transport);
 
-  // Incremental checkpoint of everything accepted so far: one
-  // checkpoint_cell fold per skipped or accepted cell, in plan order.
-  // After run() returns this is byte-identical to make_checkpoint of the
-  // returned result; mid-run it is a valid warm-start for a successor
-  // campaign (cells still in flight simply re-run).
-  orchestrator::CampaignCheckpoint checkpoint() const;
-
+  // The normalized config workers must run cells under.
+  const orchestrator::CampaignConfig& config() const { return config_; }
+  // Logical workers of the realized schedule: the fleet's size.
+  int workers() const { return result_.workers; }
   const FleetStats& stats() const { return stats_; }
 
  private:
@@ -125,7 +128,8 @@ class Coordinator {
 
   void send(int to, Message m);
   void grant(int worker, std::size_t cell_index, Clock::time_point now);
-  void retransmit_lease(int worker, Clock::time_point now);
+  // (Re)send `worker`'s outstanding lease, preloaded from the pool.
+  void send_lease(int worker, Clock::time_point now);
   void handle(const Message& m, int from, Clock::time_point now);
   // `reconcile` marks the CellDone's full insert list: already-applied
   // ordinals are expected there and not counted as duplicates.
@@ -137,22 +141,22 @@ class Coordinator {
   void count(i64 FleetStats::* field, obs::CounterId obs::FleetIds::* id);
 
   orchestrator::CampaignConfig config_;
-  Transport* transport_;
+  Transport* transport_ = nullptr;
   FleetOptions opts_;
   FleetStats stats_;
 
   std::vector<orchestrator::CampaignCell> cells_;
-  std::vector<bool> runnable_;
-  orchestrator::Schedule schedule_;
   orchestrator::ConcurrentMfsPool pool_;
   // Summed hit/duplicate observations from accepted CellDones' worker-local
-  // pools (the coordinator pool never serves a search, so these are the
-  // campaign's only observation sources).
+  // pools (the coordinator pool never serves a search): finish_campaign's
+  // live delta.
   orchestrator::PoolStats delta_;
   std::vector<WorkerState> workers_;
   std::map<u64, LeaseState> leases_;
   std::deque<std::size_t> orphans_;  // re-queued cells, served first
-  std::vector<orchestrator::CellResult> results_;
+  // start_campaign's skeleton (schedule included); accepted CellDones fill
+  // its cells.
+  orchestrator::CampaignResult result_;
   std::size_t completed_ = 0;
   std::size_t target_ = 0;
   u64 next_lease_ = 1;

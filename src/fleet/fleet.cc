@@ -8,24 +8,20 @@ namespace collie::fleet {
 
 FleetRunResult run_loopback_fleet(orchestrator::CampaignConfig config,
                                   FleetRunOptions opts) {
-  // Normalize exactly once (Campaign's constructor validation), then hand
-  // the same normalized config to the coordinator and every worker so both
-  // sides derive identical cell RNG streams and engine options.
-  const orchestrator::CampaignConfig normalized =
-      orchestrator::Campaign(std::move(config)).config();
-  const std::vector<orchestrator::CampaignCell> cells =
-      orchestrator::Campaign(normalized).plan();
-  const orchestrator::Schedule schedule = orchestrator::plan_schedule(
-      normalized, cells, orchestrator::runnable_cells(normalized, cells));
+  // The coordinator normalizes and plans the campaign once; every worker
+  // runs cells under its normalized config, so both sides derive identical
+  // cell RNG streams and engine options, and the fleet has one worker per
+  // logical worker of its schedule.
+  Coordinator coordinator(std::move(config), opts.coordinator);
+  const orchestrator::CampaignConfig& normalized = coordinator.config();
+  const int workers = coordinator.workers();
 
-  LoopbackTransport transport(schedule.workers);
+  LoopbackTransport transport(workers);
   for (const FaultRule& rule : opts.faults) transport.add_fault(rule);
 
-  Coordinator coordinator(normalized, &transport, opts.coordinator);
-
   std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(schedule.workers));
-  for (int w = 0; w < schedule.workers; ++w) {
+  threads.reserve(static_cast<std::size_t>(workers));
+  for (int w = 0; w < workers; ++w) {
     WorkerOptions wopts;
     wopts.heartbeat_interval = opts.coordinator.heartbeat_interval;
     if (w == opts.kill_worker) wopts.kill_at_cell = opts.kill_at_cell;
@@ -39,14 +35,14 @@ FleetRunResult run_loopback_fleet(orchestrator::CampaignConfig config,
   FleetRunResult out;
   std::exception_ptr failure;
   try {
-    out.campaign = coordinator.run();
+    out.campaign = coordinator.run(&transport);
   } catch (...) {
     failure = std::current_exception();
   }
   // Closing every endpoint unblocks any worker still in recv (a killed
   // worker's replacement, a zombie that missed the shutdown lease) so the
   // joins below cannot hang.
-  for (int w = 0; w < schedule.workers; ++w) transport.close(w);
+  for (int w = 0; w < workers; ++w) transport.close(w);
   transport.close(kCoordinatorId);
   for (std::thread& t : threads) t.join();
   if (failure) std::rethrow_exception(failure);

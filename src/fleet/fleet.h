@@ -1,12 +1,14 @@
 // run_loopback_fleet — one-call distributed campaign on the in-process
 // transport.
 //
-// Spawns one FleetWorker thread per logical worker of the campaign's
-// schedule, runs the Coordinator on the calling thread, and tears the
-// transport down so every thread joins.  With no fault injection the
-// returned CampaignResult is byte-identical (report JSON and checkpoint
-// JSON) to Campaign::run() under ShareScope::kCell — the fleet-smoke CI job
-// `cmp`s exactly that.
+// Constructs the Coordinator (which plans the campaign), spawns one
+// FleetWorker thread per logical worker of its schedule, runs the
+// coordinator on the calling thread, and tears the transport down so every
+// thread joins.  With no fault injection the returned CampaignResult is
+// byte-identical (report JSON and checkpoint JSON) to Campaign::run() under
+// ShareScope::kCell: both start and finish the campaign through the same
+// orchestrator steps, and workers run cells through the same execute_cell.
+// ctest campaign_fleet and the fleet-smoke CI job `cmp` exactly that.
 #pragma once
 
 #include <vector>
@@ -44,9 +46,9 @@ struct FleetRunResult {
   i64 delayed = 0;
 };
 
-// Run `config` as a loopback fleet.  The worker count is the schedule's
-// logical worker count (config.workers under round-robin/LPT, the recorded
-// schedule's under replay).  Throws what Coordinator::run throws (stall,
+// Run `config` as a loopback fleet.  The worker count is the coordinator's
+// schedule's logical worker count (config.workers under round-robin/LPT,
+// the recorded schedule's under replay).  Throws what Coordinator::run throws (stall,
 // invalid config).
 FleetRunResult run_loopback_fleet(orchestrator::CampaignConfig config,
                                   FleetRunOptions opts = {});

@@ -88,11 +88,11 @@ void FleetWorker::send(Message m) {
   transport_->send(id_, kCoordinatorId, m.to_json());
 }
 
-void FleetWorker::heartbeat(bool busy, i64 probes) {
+void FleetWorker::heartbeat(u64 lease, i64 probes) {
   Message m;
   m.type = MsgType::kHeartbeat;
-  m.lease = busy ? done_lease_ : 0;
-  m.busy = busy;
+  m.lease = lease;
+  m.busy = lease != 0;
   m.probes = probes;
   send(std::move(m));
 }
@@ -133,12 +133,7 @@ void FleetWorker::run_lease(const Message& lease) {
         const auto now = Clock::now();
         if (now - last_beat >= opts_.heartbeat_interval) {
           last_beat = now;
-          Message m;
-          m.type = MsgType::kHeartbeat;
-          m.lease = lease.lease;
-          m.busy = true;
-          m.probes = consults;
-          send(std::move(m));
+          heartbeat(lease.lease, consults);
         }
       });
 
@@ -157,11 +152,9 @@ void FleetWorker::run_lease(const Message& lease) {
   done.inserts = store.inserts();
   done.pool_delta = pool.stats();
   done_lease_ = lease.lease;
-  done_payload_ = [this, &done] {
-    done.sender = id_;
-    done.seq = ++seq_;
-    return done.to_json();
-  }();
+  done.sender = id_;
+  done.seq = ++seq_;
+  done_payload_ = done.to_json();
   transport_->send(id_, kCoordinatorId, done_payload_);
   done_acked_ = false;
   done_sent_ = Clock::now();
@@ -169,7 +162,7 @@ void FleetWorker::run_lease(const Message& lease) {
 
 void FleetWorker::run() {
   try {
-    heartbeat(false, 0);
+    heartbeat(0, 0);
     for (;;) {
       int from = 0;
       std::string payload;
@@ -178,11 +171,11 @@ void FleetWorker::run() {
       if (status == RecvStatus::kClosed) return;
       const auto now = Clock::now();
       if (status == RecvStatus::kTimeout) {
-        if (!done_acked_ && now - done_sent_ >= opts_.retransmit) {
+        if (!done_acked_ && now - done_sent_ >= kCellDoneRetransmit) {
           transport_->send(id_, kCoordinatorId, done_payload_);
           done_sent_ = now;
         }
-        heartbeat(false, 0);
+        heartbeat(0, 0);
         continue;
       }
       Message m;

@@ -26,11 +26,12 @@
 
 namespace collie::fleet {
 
+// Unacked CellDone retransmit cadence.
+inline constexpr std::chrono::milliseconds kCellDoneRetransmit{50};
+
 struct WorkerOptions {
   // Idle-heartbeat cadence, and the floor between mid-cell heartbeats.
   std::chrono::milliseconds heartbeat_interval{20};
-  // Unacked CellDone retransmit cadence.
-  std::chrono::milliseconds retransmit{50};
   // Fault injection: die silently while running the cell with this label.
   std::string kill_at_cell;
   // Fault injection: wall-clock microseconds added per MatchMFS consult.
@@ -52,7 +53,8 @@ class FleetWorker {
   int id() const { return id_; }
 
  private:
-  void heartbeat(bool busy, i64 probes);
+  // Busy (mid-cell) heartbeat for a lease, idle for lease 0.
+  void heartbeat(u64 lease, i64 probes);
   void send(Message m);
   // Execute a lease end to end (blocking) and stage the CellDone.
   void run_lease(const Message& lease);

@@ -251,16 +251,10 @@ Corpus CorpusBuilder::build(bool evaluate_mechanisms) const {
       Rng rng(kMechanismSeed + i);
       const workload::Measurement m = engine.run(e.mfs.witness, rng);
       e.dominant = m.dominant;
-      int id = catalog::label_by_mechanism(sys.nicm.chip, key.fabric,
-                                           e.mfs.witness, m.dominant,
-                                           to_catalog(e.mfs.symptom));
-      if (id == 0) {
-        const std::vector<int> labels = catalog::label(
-            sys.nicm.chip, e.mfs.witness, to_catalog(e.mfs.symptom));
-        if (!labels.empty()) id = labels.front();
-      }
-      e.anomaly_id = id;
-      e.label = root_cause_text(id);
+      e.anomaly_id = catalog::identify(sys.nicm.chip, key.fabric,
+                                       e.mfs.witness, m.dominant,
+                                       to_catalog(e.mfs.symptom));
+      e.label = root_cause_text(e.anomaly_id);
     }
   }
   return corpus;

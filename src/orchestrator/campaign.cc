@@ -252,36 +252,28 @@ CellResult execute_cell(const CellExecutionOptions& opts,
   return cr;
 }
 
-CellResult Campaign::run_cell(int worker, double start_seconds,
-                              const CampaignCell& cell, Rng rng,
-                              ConcurrentMfsPool& pool) {
+void Campaign::run_cell(int worker, double start_seconds,
+                        const CampaignCell& cell, Rng rng, bool restored,
+                        ConcurrentMfsPool& pool, CellResult& out) {
   obs::Telemetry* tel = config_.telemetry;
-  if (config_.resume != nullptr) {
-    const auto done = config_.resume->completed.find(cell.label());
-    if (done != config_.resume->completed.end()) {
-      // The cell ran to completion before the crash: restore its journaled
-      // result verbatim (the pool already holds its inserts, loaded in
-      // completion order by run()).  Plan-side identity wins over the
-      // recorded copy so timeline aggregation stays structural.
-      CellResult cr = done->second.result;
-      cr.cell = cell;
-      cr.worker = worker;
-      cr.start_seconds = start_seconds;
-      if (tel != nullptr) {
-        tel->registry().add(worker,
-                            cr.failed() ? cells_failed_ : cells_completed_);
-      }
-      return cr;
+  if (restored) {
+    // The cell ran to completion before the crash: start_campaign restored
+    // its journaled result and pool inserts.
+    out.worker = worker;
+    out.start_seconds = start_seconds;
+    if (tel != nullptr) {
+      tel->registry().add(worker,
+                          out.failed() ? cells_failed_ : cells_completed_);
     }
+    return;
   }
   const u64 wall_start = tel != nullptr ? obs::now_ticks() : 0;
   const std::string scope = cell.scope(config_.share);
   ConcurrentMfsPool::View view = pool.view(scope, worker);
-  CellResult cr;
   if (config_.journal != nullptr) {
     JournalingStore store(view, config_.journal, cell.label(), scope, worker);
-    cr = execute_cell(cell_execution_options(config_), cell, worker,
-                      start_seconds, rng, view, &store);
+    out = execute_cell(cell_execution_options(config_), cell, worker,
+                       start_seconds, rng, view, &store);
     PoolStats delta;
     delta.entries = static_cast<i64>(store.inserts().size());
     delta.hits = view.hits();
@@ -290,33 +282,18 @@ CellResult Campaign::run_cell(int worker, double start_seconds,
     delta.duplicate_inserts = view.duplicate_inserts();
     // Lease ids start at 1; in-process campaigns use plan index + 1 (the
     // cell's rng stream index is its plan position).
-    config_.journal->cell_done(cr, store.inserts(), delta, cell.stream + 1);
+    config_.journal->cell_done(out, store.inserts(), delta, cell.stream + 1);
   } else {
-    cr = execute_cell(cell_execution_options(config_), cell, worker,
-                      start_seconds, rng, view);
+    out = execute_cell(cell_execution_options(config_), cell, worker,
+                       start_seconds, rng, view);
   }
   if (tel != nullptr) {
     obs::Registry& reg = tel->registry();
-    reg.add(worker, cr.failed() ? cells_failed_ : cells_completed_);
+    reg.add(worker, out.failed() ? cells_failed_ : cells_completed_);
     if (worker >= 0 && worker < static_cast<int>(worker_ids_.size())) {
       reg.add(worker, worker_ids_[static_cast<std::size_t>(worker)].busy_ns,
               static_cast<i64>(obs::now_ticks() - wall_start));
     }
-  }
-  return cr;
-}
-
-void Campaign::run_queue(int logical_worker,
-                         const std::vector<std::size_t>& queue,
-                         const std::vector<CampaignCell>& cells,
-                         const std::vector<Rng>& streams,
-                         ConcurrentMfsPool& pool,
-                         std::vector<CellResult>& out) {
-  double timeline = 0.0;
-  for (const std::size_t i : queue) {
-    out[i] = run_cell(logical_worker, timeline, cells[i], streams[i], pool);
-    timeline += out[i].result.elapsed_seconds;
-    note_cell_drained(logical_worker);
   }
 }
 
@@ -455,10 +432,122 @@ Schedule plan_schedule(const CampaignConfig& config,
   return schedule;
 }
 
+CampaignStart start_campaign(const CampaignConfig& config,
+                             const std::vector<CampaignCell>& cells,
+                             ConcurrentMfsPool& pool) {
+  const std::vector<bool> runnable = runnable_cells(config, cells);
+  CampaignStart start;
+  CampaignResult& result = start.result;
+  result.schedule = plan_schedule(config, cells, runnable);
+  result.workers = result.schedule.workers;
+  result.share = config.share;
+  if (config.backend_factory != nullptr) {
+    result.backend = config.backend_factory->substrate();
+  }
+  result.cells.resize(cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    // Default attribution (skipped/failed cells never construct an engine).
+    result.cells[i].backend = result.backend;
+    if (!runnable[i]) {
+      result.cells[i].cell = cells[i];
+      result.cells[i].skipped = true;
+    }
+  }
+
+  if (config.journal != nullptr) {
+    if (config.resume != nullptr) {
+      // Append-only across crashes: a resumed session appends a boundary
+      // marker, never a second begin.
+      config.journal->resume_marker();
+    } else {
+      std::vector<std::string> labels;
+      std::vector<double> budgets;
+      labels.reserve(cells.size());
+      budgets.reserve(cells.size());
+      for (const CampaignCell& cell : cells) {
+        labels.push_back(cell.label());
+        budgets.push_back(cell.budget_seconds);
+      }
+      config.journal->begin(to_string(config.share),
+                            to_string(config.strategy), config.campaign_seed,
+                            result.workers, result.backend,
+                            schedule_to_json(result.schedule, labels, budgets));
+    }
+  }
+
+  pool.set_telemetry(config.telemetry);
+  if (config.warm_start) {
+    for (const auto& [scope, entries] : config.warm_start->scopes) {
+      pool.load_scope(scope, entries);
+    }
+  }
+  start.restored.assign(cells.size(), false);
+  if (config.resume != nullptr) {
+    // Refill the pool with every completed cell's inserts, origin-preserved
+    // and folded in completion order — the same order the original run
+    // inserted them, so re-running cells observe identical MFS positions
+    // and hit attribution.  Loaded after warm-start scopes, like live
+    // inserts.  Plan-side cell identity wins over the journaled copy.
+    std::map<std::string, std::size_t> by_label;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      by_label[cells[i].label()] = i;
+    }
+    for (const std::string& label : config.resume->completion_order) {
+      const auto it = by_label.find(label);
+      if (it == by_label.end()) {
+        throw std::invalid_argument(
+            "journal records completed cell " + label +
+            " which is not in this campaign's plan (journal was recorded "
+            "against a different plan?)");
+      }
+      const std::size_t i = it->second;
+      const RestoredCell& rc = config.resume->completed.at(label);
+      pool.load_entries(cells[i].scope(config.share), rc.inserts);
+      if (runnable[i]) {
+        result.cells[i] = rc.result;
+        result.cells[i].cell = cells[i];
+        start.restored[i] = true;
+      }
+    }
+  }
+  return start;
+}
+
+void finish_campaign(const CampaignConfig& config,
+                     const ConcurrentMfsPool& pool,
+                     const PoolStats& live_delta, CampaignResult& result) {
+  std::vector<double> worker_elapsed(static_cast<std::size_t>(result.workers),
+                                     0.0);
+  for (const CellResult& cr : result.cells) {
+    result.serial_seconds += cr.result.elapsed_seconds;
+    if (cr.worker >= 0 && cr.worker < result.workers) {
+      worker_elapsed[static_cast<std::size_t>(cr.worker)] +=
+          cr.result.elapsed_seconds;
+    }
+  }
+  for (const double t : worker_elapsed) {
+    if (t > result.makespan_seconds) result.makespan_seconds = t;
+  }
+  // Entry counts are the pool's contents, restored inserts included.  Hit
+  // counters are live-session counters: restored cells served their hits
+  // before the crash, so their journaled deltas fold back in, and so do
+  // the observations of searches `pool` never served.
+  result.pool = pool.stats();
+  if (config.resume != nullptr) {
+    for (const auto& [label, rc] : config.resume->completed) {
+      result.pool.add_observations(rc.delta);
+    }
+  }
+  result.pool.add_observations(live_delta);
+  result.pool_scopes = pool.export_scopes();
+}
+
 CampaignResult Campaign::run() {
   const std::vector<CampaignCell> cells = plan();
-  const std::vector<bool> runnable = runnable_cells(config_, cells);
-  const Schedule schedule = plan_schedule(config_, cells, runnable);
+  ConcurrentMfsPool pool;
+  CampaignStart start = start_campaign(config_, cells, pool);
+  CampaignResult& result = start.result;
+  const Schedule& schedule = result.schedule;
 
   std::vector<double> budgets;
   budgets.reserve(cells.size());
@@ -472,73 +561,10 @@ CampaignResult Campaign::run() {
   for (const CampaignCell& cell : cells) streams.push_back(root.split(cell.stream));
 
   i64 skipped_cells = 0;
-  for (const bool r : runnable) {
-    if (!r) ++skipped_cells;
+  for (const CellResult& cr : result.cells) {
+    if (cr.skipped) ++skipped_cells;
   }
   setup_telemetry(schedule, skipped_cells);
-
-  if (config_.journal != nullptr) {
-    if (config_.resume != nullptr) {
-      // Append-only across crashes: a resumed session appends a boundary
-      // marker, never a second begin.
-      config_.journal->resume_marker();
-    } else {
-      std::vector<std::string> labels;
-      labels.reserve(cells.size());
-      for (const CampaignCell& cell : cells) labels.push_back(cell.label());
-      config_.journal->begin(
-          to_string(config_.share), to_string(config_.strategy),
-          config_.campaign_seed, schedule.workers,
-          config_.backend_factory != nullptr
-              ? config_.backend_factory->substrate()
-              : "sim",
-          schedule_to_json(schedule, labels, budgets));
-    }
-  }
-
-  ConcurrentMfsPool pool;
-  pool.set_telemetry(config_.telemetry);
-  if (config_.warm_start) {
-    for (const auto& [scope, entries] : config_.warm_start->scopes) {
-      pool.load_scope(scope, entries);
-    }
-  }
-  if (config_.resume != nullptr) {
-    // Refill the pool with every completed cell's inserts, origin-preserved
-    // and folded in completion order — the same order the original run
-    // inserted them, so replaying cells observe identical MFS positions and
-    // hit attribution.  Loaded after warm-start scopes, like live inserts.
-    std::map<std::string, const CampaignCell*> by_label;
-    for (const CampaignCell& cell : cells) by_label[cell.label()] = &cell;
-    for (const std::string& label : config_.resume->completion_order) {
-      const auto it = by_label.find(label);
-      if (it == by_label.end()) {
-        throw std::invalid_argument(
-            "journal records completed cell " + label +
-            " which is not in this campaign's plan (journal was recorded "
-            "against a different plan?)");
-      }
-      pool.load_entries(it->second->scope(config_.share),
-                        config_.resume->completed.at(label).inserts);
-    }
-  }
-
-  CampaignResult result;
-  result.workers = schedule.workers;
-  result.schedule = schedule;
-  result.share = config_.share;
-  if (config_.backend_factory != nullptr) {
-    result.backend = config_.backend_factory->substrate();
-  }
-  result.cells.resize(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    // Default attribution (skipped/failed cells never construct an engine).
-    result.cells[i].backend = result.backend;
-    if (!runnable[i]) {
-      result.cells[i].cell = cells[i];
-      result.cells[i].skipped = true;
-    }
-  }
 
   std::size_t queued = 0;
   for (const auto& queue : schedule.queues) queued += queue.size();
@@ -556,8 +582,8 @@ CampaignResult Campaign::run() {
     const std::vector<int> worker_of = schedule.worker_of(cells.size());
     for (const std::size_t i : dispatch_order(schedule, budgets)) {
       const auto w = static_cast<std::size_t>(worker_of[i]);
-      result.cells[i] = run_cell(static_cast<int>(w), timelines[w], cells[i],
-                                 streams[i], pool);
+      run_cell(static_cast<int>(w), timelines[w], cells[i], streams[i],
+               start.restored[i], pool, result.cells[i]);
       timelines[w] += result.cells[i].result.elapsed_seconds;
       note_cell_drained(static_cast<int>(w));
     }
@@ -569,48 +595,25 @@ CampaignResult Campaign::run() {
     threads.reserve(static_cast<std::size_t>(fleet));
     for (int t = 0; t < fleet; ++t) {
       threads.emplace_back([this, t, fleet, &schedule, &cells, &streams,
-                            &pool, &result] {
-        for (std::size_t w = static_cast<std::size_t>(t);
-             w < schedule.queues.size();
-             w += static_cast<std::size_t>(fleet)) {
-          run_queue(static_cast<int>(w), schedule.queues[w], cells, streams,
-                    pool, result.cells);
+                            &start, &pool, &result] {
+        for (int w = t; w < static_cast<int>(schedule.queues.size());
+             w += fleet) {
+          double timeline = 0.0;
+          for (const std::size_t i :
+               schedule.queues[static_cast<std::size_t>(w)]) {
+            run_cell(w, timeline, cells[i], streams[i], start.restored[i],
+                     pool, result.cells[i]);
+            timeline += result.cells[i].result.elapsed_seconds;
+            note_cell_drained(w);
+          }
         }
       });
     }
     for (std::thread& t : threads) t.join();
   }
 
-  // Aggregate the simulated timelines.
-  std::vector<double> worker_elapsed(
-      static_cast<std::size_t>(schedule.workers), 0.0);
-  for (const CellResult& cr : result.cells) {
-    result.serial_seconds += cr.result.elapsed_seconds;
-    if (cr.worker >= 0) {
-      worker_elapsed[static_cast<std::size_t>(cr.worker)] +=
-          cr.result.elapsed_seconds;
-    }
-  }
-  for (const double t : worker_elapsed) {
-    if (t > result.makespan_seconds) result.makespan_seconds = t;
-  }
-  result.pool = pool.stats();
-  if (config_.resume != nullptr) {
-    // The hit counters are live-session counters; completed cells served
-    // their hits before the crash.  Fold each restored cell's journaled
-    // delta back in so the resumed report's pool line matches the
-    // uninterrupted run's.  Entry counts need no reconciliation: stats()
-    // reads the pool's current contents, which include the restored
-    // inserts.
-    for (const auto& [label, rc] : config_.resume->completed) {
-      result.pool.hits += rc.delta.hits;
-      result.pool.cross_worker_hits += rc.delta.cross_worker_hits;
-      result.pool.warm_hits += rc.delta.warm_hits;
-      result.pool.duplicate_inserts += rc.delta.duplicate_inserts;
-    }
-  }
-  result.pool_scopes = pool.export_scopes();
-  return result;
+  finish_campaign(config_, pool, PoolStats{}, result);
+  return std::move(result);
 }
 
 i64 CampaignResult::total_cross_worker_skips() const {

@@ -251,6 +251,45 @@ Schedule plan_schedule(const CampaignConfig& config,
                        const std::vector<CampaignCell>& cells,
                        const std::vector<bool>& runnable);
 
+// ---- Campaign lifecycle (in-process run + fleet coordinator) ------------
+//
+// Campaign::run and fleet::Coordinator execute cells differently (threads
+// over a shared pool vs leases over a transport) but start and finish a
+// campaign through these two steps, so a fault-free fleet report is the
+// in-process one by construction.
+
+struct CampaignStart {
+  // The result skeleton: the realized schedule and its worker count, the
+  // sharing policy, backend attribution on every cell, the warm-start-
+  // completed cells marked `skipped` (the runnable mask is their
+  // complement) and the resumed cells restored.  Every other slot of
+  // `result.cells` awaits its executed result.
+  CampaignResult result;
+  // restored[i]: plan cell i completed before a crash; its journaled
+  // cell_done result is in result.cells[i] and it never runs again.
+  std::vector<bool> restored;
+};
+
+// Start a campaign over `cells` (Campaign::plan() of the normalized
+// `config`): gate warm-start-completed cells, realize the schedule, write
+// the journal's begin record (or, resuming, its session marker), and
+// preload `pool` with the warm-start scopes and then every journaled
+// completed cell's inserts in completion order.  Throws
+// std::invalid_argument on a stale replay schedule, a warm start under a
+// different sharing policy, or a journal naming a cell outside the plan.
+CampaignStart start_campaign(const CampaignConfig& config,
+                             const std::vector<CampaignCell>& cells,
+                             ConcurrentMfsPool& pool);
+
+// Finish a campaign whose cells are all in `result`: aggregate the
+// simulated timelines, read `pool`'s entries and scopes, and fold in the
+// hit and duplicate observations `pool` did not make itself: the restored
+// cells' journaled deltas plus `live_delta` (the fleet's accepted
+// cell_done deltas; zero in-process, where `pool` served every search).
+void finish_campaign(const CampaignConfig& config,
+                     const ConcurrentMfsPool& pool,
+                     const PoolStats& live_delta, CampaignResult& result);
+
 class Campaign {
  public:
   // Fills the empty grid axes with their defaults (full catalog, pair
@@ -265,21 +304,20 @@ class Campaign {
   // indices and per-cell budgets assigned in list order.
   std::vector<CampaignCell> plan() const;
 
-  // Run the fleet.  The cell -> worker assignment comes from the schedule
-  // policy (round-robin by default, LPT for mixed budgets) or, when
-  // `config.replay` is set, from a recorded schedule — validated against
-  // the plan so a stale recording fails loudly.  Warm-start-completed
-  // cells are skipped before scheduling.
+  // Run the campaign between start_campaign and finish_campaign.  The cell
+  // -> worker assignment comes from the schedule policy (round-robin by
+  // default, LPT for mixed budgets) or, when `config.replay` is set, from a
+  // recorded schedule — validated against the plan so a stale recording
+  // fails loudly.  Warm-start-completed cells are skipped before
+  // scheduling.
   CampaignResult run();
 
  private:
-  CellResult run_cell(int worker, double start_seconds,
-                      const CampaignCell& cell, Rng rng,
-                      ConcurrentMfsPool& pool);
-  void run_queue(int logical_worker, const std::vector<std::size_t>& queue,
-                 const std::vector<CampaignCell>& cells,
-                 const std::vector<Rng>& streams, ConcurrentMfsPool& pool,
-                 std::vector<CellResult>& out);
+  // Run plan cell `cell` into `out`; a `restored` cell keeps the journaled
+  // result start_campaign put there and takes only its dispatch position.
+  void run_cell(int worker, double start_seconds, const CampaignCell& cell,
+                Rng rng, bool restored, ConcurrentMfsPool& pool,
+                CellResult& out);
   // Register campaign-level and per-worker instruments for this schedule
   // (no-op without a telemetry sink).  Must run before worker threads start.
   void setup_telemetry(const Schedule& schedule, i64 skipped_cells);

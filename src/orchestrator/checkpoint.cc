@@ -72,11 +72,4 @@ CampaignCheckpoint make_checkpoint(const CampaignResult& result) {
   return ck;
 }
 
-void checkpoint_cell(CampaignCheckpoint& ckpt, const std::string& label,
-                     const std::string& scope,
-                     std::vector<core::Mfs> entries) {
-  ckpt.scopes[scope] = std::move(entries);
-  if (!label.empty()) ckpt.completed_cells.push_back(label);
-}
-
 }  // namespace collie::orchestrator

@@ -53,16 +53,4 @@ struct CampaignCheckpoint {
 // them).
 CampaignCheckpoint make_checkpoint(const CampaignResult& result);
 
-// Per-cell incremental export: fold one finished cell into a checkpoint
-// under construction.  `entries` replaces the scope's contents wholesale
-// (pool scopes are cumulative, so the latest export of a scope supersedes
-// every earlier one); an empty `label` records the scope without marking
-// any cell completed (failed cells: their extractions are still knowledge).
-// Folding a finished campaign's cells in plan order yields exactly
-// make_checkpoint(result) — the fleet coordinator checkpoints mid-run this
-// way, one fold per accepted CellDone.
-void checkpoint_cell(CampaignCheckpoint& ckpt, const std::string& label,
-                     const std::string& scope,
-                     std::vector<core::Mfs> entries);
-
 }  // namespace collie::orchestrator

@@ -84,13 +84,14 @@ constexpr CliFlag kFlags[] = {
     {"fleet", "<n>", "0",
      "run as a loopback fleet: a coordinator plus <n> worker threads "
      "speaking the fleet protocol (src/fleet/); 0 runs in-process"},
-    {"heartbeat-ms", "<ms>", "20", "fleet worker heartbeat cadence"},
+    {"heartbeat-ms", "<ms>", "20",
+     "fleet worker heartbeat cadence, in [1, 2^31)"},
     {"heartbeat-timeout-ms", "<ms>", "250",
      "silence before the fleet coordinator declares a worker dead and "
-     "re-queues its cell"},
+     "re-queues its cell, in [1, 2^31) and above --heartbeat-ms"},
     {"steal-after-ms", "<ms>", "1000",
      "wall-clock busy time on one cell before an idle fleet worker may steal "
-     "from the victim's queue"},
+     "from the victim's queue, in [0, 2^31)"},
     {"kill-worker", "<k@cell>", nullptr,
      "fault injection: fleet worker k dies while executing the cell with "
      "that label (e.g. \"--kill-worker 1@B/Diag#0\"); the coordinator "
@@ -226,7 +227,11 @@ CampaignInvocation parse(const CliArgs& args) {
   config.schedule = args.get_choice("schedule", {"rr", "lpt"}) == "lpt"
                         ? SchedulePolicy::kLpt
                         : SchedulePolicy::kRoundRobin;
-  config.campaign_seed = static_cast<u64>(args.get_int("seed"));
+  // Journals record the seed as a non-negative integer: a negative one
+  // would record a campaign no --resume or --replay could read back.
+  const i64 seed = args.get_int("seed");
+  if (seed < 0) throw std::invalid_argument("--seed must be non-negative");
+  config.campaign_seed = static_cast<u64>(seed);
   config.share = args.get_choice("share", {"subsystem", "cell"}) == "cell"
                      ? ShareScope::kCell
                      : ShareScope::kSubsystem;
@@ -245,13 +250,22 @@ CampaignInvocation parse(const CliArgs& args) {
                                   " only applies to a --fleet run");
     }
   }
+  // A worker is dead after heartbeat-timeout-ms of silence, so the timeout
+  // must outlast the cadence a live worker beats at.
   fleet::FleetRunOptions& fleet = inv.fleet_options;
+  const int heartbeat_ms = get_int_in(args, "heartbeat-ms", 1);
+  const int timeout_ms = get_int_in(args, "heartbeat-timeout-ms", 1);
+  if (timeout_ms <= heartbeat_ms) {
+    throw std::invalid_argument(
+        "--heartbeat-timeout-ms must exceed --heartbeat-ms (" +
+        std::to_string(timeout_ms) + " <= " + std::to_string(heartbeat_ms) +
+        ")");
+  }
   fleet.coordinator.heartbeat_interval =
-      std::chrono::milliseconds(args.get_int("heartbeat-ms"));
-  fleet.coordinator.heartbeat_timeout =
-      std::chrono::milliseconds(args.get_int("heartbeat-timeout-ms"));
+      std::chrono::milliseconds(heartbeat_ms);
+  fleet.coordinator.heartbeat_timeout = std::chrono::milliseconds(timeout_ms);
   fleet.coordinator.steal_after =
-      std::chrono::milliseconds(args.get_int("steal-after-ms"));
+      std::chrono::milliseconds(get_int_in(args, "steal-after-ms", 0));
   if (args.has("kill-worker")) {
     parse_worker_at(args, "kill-worker", "k@cell-label", inv.fleet,
                     &fleet.kill_worker, &fleet.kill_at_cell);

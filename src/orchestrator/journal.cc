@@ -434,10 +434,10 @@ CampaignCheckpoint journal_to_checkpoint(const JournalResume& resume) {
     ckpt.completed_cells.push_back(label);
   }
   // Partial cells' streamed extractions are knowledge worth keeping even
-  // though the cell never finished — the checkpoint_cell(empty-label)
-  // convention.  A crash during a *resumed* session journals a replayed
-  // insert a second time; the MFS index disambiguates (replay re-inserts at
-  // the same pool position).
+  // though the cell never finished; the cell itself is not completed.  A
+  // crash during a *resumed* session journals a replayed insert a second
+  // time; the MFS index disambiguates (replay re-inserts at the same pool
+  // position).
   for (const auto& [context, pi] : resume.partial_inserts) {
     (void)context;
     std::set<int> seen;

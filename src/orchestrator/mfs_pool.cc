@@ -17,25 +17,49 @@ const ConcurrentMfsPool::Snapshot* ConcurrentMfsPool::View::current() {
 
 bool ConcurrentMfsPool::View::covers(const core::SearchSpace& space,
                                      const Workload& w) {
-  bool cross = false;
-  bool warm = false;
-  const bool hit = pool_->covers_snapshot(current(), space, w, worker_,
-                                          &cross, &warm);
-  if (!hit) return false;
-  hits_ += 1;
-  if (cross) cross_hits_ += 1;
-  if (warm) warm_hits_ += 1;
-  return true;
+  const Snapshot* snap = current();
+  const int idx = snap == nullptr ? -1 : snap->index.first_match(space, w);
+  if (idx < 0) return miss();
+  const int origin = snap->origins[static_cast<std::size_t>(idx)];
+  const bool warm = origin == kWarmStartOrigin;
+  return hit(/*cross=*/!warm && origin != worker_, warm);
 }
 
 bool ConcurrentMfsPool::View::covers_preloaded(const core::SearchSpace& space,
                                                const Workload& w) {
-  const bool hit =
-      pool_->covers_preloaded_snapshot(current(), space, w, worker_);
-  if (!hit) return false;
+  const Snapshot* snap = current();
+  if (snap == nullptr || snap->warm_entries == 0 ||
+      snap->index.first_match(space, w, snap->warm_mask) < 0) {
+    return miss();
+  }
+  return hit(/*cross=*/false, /*warm=*/true);
+}
+
+bool ConcurrentMfsPool::View::hit(bool cross, bool warm) {
   hits_ += 1;
-  warm_hits_ += 1;
+  pool_->hits_.fetch_add(1, std::memory_order_relaxed);
+  if (cross) {
+    cross_hits_ += 1;
+    pool_->cross_hits_.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (warm) {
+    warm_hits_ += 1;
+    pool_->warm_hits_.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (obs::Telemetry* tel = pool_->tel_; tel != nullptr) {
+    const obs::PoolIds& ids = tel->pool_ids();
+    tel->registry().add(worker_, ids.hits);
+    if (cross) tel->registry().add(worker_, ids.cross_hits);
+    if (warm) tel->registry().add(worker_, ids.warm_hits);
+  }
   return true;
+}
+
+bool ConcurrentMfsPool::View::miss() {
+  if (obs::Telemetry* tel = pool_->tel_; tel != nullptr) {
+    tel->registry().add(worker_, tel->pool_ids().misses);
+  }
+  return false;
 }
 
 int ConcurrentMfsPool::View::insert(const core::SearchSpace& space,
@@ -55,56 +79,6 @@ std::vector<core::Mfs> ConcurrentMfsPool::View::snapshot() const {
   return pool_->snapshot(scope_);
 }
 
-// ---- Snapshot queries -----------------------------------------------------
-
-bool ConcurrentMfsPool::covers_snapshot(const Snapshot* snap,
-                                        const core::SearchSpace& space,
-                                        const Workload& w, int requester,
-                                        bool* cross, bool* warm) {
-  const int idx = snap == nullptr ? -1 : snap->index.first_match(space, w);
-  if (idx < 0) {
-    if (tel_ != nullptr) {
-      tel_->registry().add(requester, tel_->pool_ids().misses);
-    }
-    return false;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  const int origin = snap->origins[static_cast<std::size_t>(idx)];
-  const bool is_warm = origin == kWarmStartOrigin;
-  const bool is_cross = !is_warm && origin != requester;
-  if (is_cross) cross_hits_.fetch_add(1, std::memory_order_relaxed);
-  if (is_warm) warm_hits_.fetch_add(1, std::memory_order_relaxed);
-  if (tel_ != nullptr) {
-    const obs::PoolIds& ids = tel_->pool_ids();
-    tel_->registry().add(requester, ids.hits);
-    if (is_cross) tel_->registry().add(requester, ids.cross_hits);
-    if (is_warm) tel_->registry().add(requester, ids.warm_hits);
-  }
-  if (cross != nullptr) *cross = is_cross;
-  if (warm != nullptr) *warm = is_warm;
-  return true;
-}
-
-bool ConcurrentMfsPool::covers_preloaded_snapshot(const Snapshot* snap,
-                                                  const core::SearchSpace& space,
-                                                  const Workload& w,
-                                                  int requester) {
-  if (snap == nullptr || snap->warm_entries == 0 ||
-      snap->index.first_match(space, w, snap->warm_mask) < 0) {
-    if (tel_ != nullptr) {
-      tel_->registry().add(requester, tel_->pool_ids().misses);
-    }
-    return false;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  warm_hits_.fetch_add(1, std::memory_order_relaxed);
-  if (tel_ != nullptr) {
-    tel_->registry().add(requester, tel_->pool_ids().hits);
-    tel_->registry().add(requester, tel_->pool_ids().warm_hits);
-  }
-  return true;
-}
-
 // ---- Scope handles --------------------------------------------------------
 
 void ConcurrentMfsPool::publish(ScopeHandle& h,
@@ -115,27 +89,6 @@ void ConcurrentMfsPool::publish(ScopeHandle& h,
 }
 
 // ---- Pool-level API -------------------------------------------------------
-
-bool ConcurrentMfsPool::covers(const std::string& scope,
-                               const core::SearchSpace& space,
-                               const Workload& w, int requester, bool* cross,
-                               bool* warm) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = scopes_.find(scope);
-  const Snapshot* snap =
-      it == scopes_.end() ? nullptr : it->second.snap.get();
-  return covers_snapshot(snap, space, w, requester, cross, warm);
-}
-
-bool ConcurrentMfsPool::covers_preloaded(const std::string& scope,
-                                         const core::SearchSpace& space,
-                                         const Workload& w) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = scopes_.find(scope);
-  const Snapshot* snap =
-      it == scopes_.end() ? nullptr : it->second.snap.get();
-  return covers_preloaded_snapshot(snap, space, w, 0);
-}
 
 std::shared_ptr<ConcurrentMfsPool::Snapshot> ConcurrentMfsPool::successor(
     const ScopeHandle& h) {
@@ -296,20 +249,6 @@ std::vector<core::Mfs> ConcurrentMfsPool::snapshot(
   const auto it = scopes_.find(scope);
   return it == scopes_.end() ? std::vector<core::Mfs>{}
                              : it->second.entries;
-}
-
-std::vector<std::string> ConcurrentMfsPool::scopes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(scopes_.size());
-  for (const auto& [scope, h] : scopes_) {
-    // A view resolving its handle creates the map slot before any entry
-    // exists; an empty scope is not a populated scope.
-    if (h.snap != nullptr) {
-      out.push_back(scope);
-    }
-  }
-  return out;
 }
 
 u64 ConcurrentMfsPool::epoch(const std::string& scope) const {

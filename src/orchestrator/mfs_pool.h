@@ -33,8 +33,9 @@
 // counting frees a superseded snapshot when its last holder lets go, so at
 // most one superseded snapshot per live view stays resident.  Coverage a
 // view reports is monotone: it only ever moves to a newer snapshot, and
-// snapshots only grow.  The pool-level accessors (size/snapshot/stats/
-// export_scopes/covers) are cold paths and read under the mutex.  Views
+// snapshots only grow.  MatchMFS runs only through views; the pool-level
+// accessors (size/snapshot/stats/export_scopes) are cold paths and read
+// under the mutex.  Views
 // must be destroyed before the pool.  First-cover order and hit provenance
 // (cross-worker / warm-start attribution) are exactly the linear scan's:
 // the index returns the lowest insertion position that matches.
@@ -62,6 +63,15 @@ struct PoolStats {
   i64 cross_worker_hits = 0;  // hits on an MFS inserted by another worker
   i64 warm_hits = 0;          // hits on a loaded (warm-start) entry
   i64 duplicate_inserts = 0;  // inserts whose witness was already covered
+
+  // Fold in hit and duplicate observations another pool made (entry counts
+  // come from a pool's contents and are never summed).
+  void add_observations(const PoolStats& d) {
+    hits += d.hits;
+    cross_worker_hits += d.cross_worker_hits;
+    warm_hits += d.warm_hits;
+    duplicate_inserts += d.duplicate_inserts;
+  }
 };
 
 // An exported pool entry with its origin attribution — the unit the fleet
@@ -131,6 +141,10 @@ class ConcurrentMfsPool {
     // The scope's published snapshot (null while the scope is empty),
     // re-copied under the pool mutex only when the epoch has moved.
     const Snapshot* current();
+    // Count one MatchMFS answer on this view, the pool and the telemetry
+    // shard of this view's worker; each returns the answer.
+    bool hit(bool cross, bool warm);
+    bool miss();
 
     ConcurrentMfsPool* pool_;
     std::string scope_;
@@ -149,18 +163,6 @@ class ConcurrentMfsPool {
     return View(this, std::move(scope), worker);
   }
 
-  // `requester` is the worker asking; when the matching MFS was inserted by
-  // a different worker, *cross is set; when it was loaded from a warm-start
-  // checkpoint, *warm is set instead (never both).  Cold path: serializes
-  // with writers (use a View for the cached-snapshot path).
-  bool covers(const std::string& scope, const core::SearchSpace& space,
-              const Workload& w, int requester, bool* cross,
-              bool* warm = nullptr);
-  // True when a warm-start-loaded entry of `scope` covers `w`.  Counted as
-  // a (warm) hit — this is the MatchMFS path the search drivers use for
-  // sampled points that bypass the full skip.  Cold path (see covers()).
-  bool covers_preloaded(const std::string& scope,
-                        const core::SearchSpace& space, const Workload& w);
   // `*duplicate` (optional) reports whether the insert's witness was
   // already covered by a same-symptom entry (the stats' duplicate-insert
   // criterion) — per-call attribution for callers that track it per view.
@@ -192,7 +194,6 @@ class ConcurrentMfsPool {
 
   std::size_t size(const std::string& scope) const;
   std::vector<core::Mfs> snapshot(const std::string& scope) const;
-  std::vector<std::string> scopes() const;
   PoolStats stats() const;
   // Publication count of a scope's snapshot (0 when the scope does not
   // exist yet).  Every insert/load_scope bumps it; tests use this to pin
@@ -242,13 +243,6 @@ class ConcurrentMfsPool {
   // Publish `next` as `h`'s current snapshot, then its epoch.  Caller must
   // hold mu_.
   static void publish(ScopeHandle& h, std::shared_ptr<const Snapshot> next);
-
-  bool covers_snapshot(const Snapshot* snap, const core::SearchSpace& space,
-                       const Workload& w, int requester, bool* cross,
-                       bool* warm);
-  bool covers_preloaded_snapshot(const Snapshot* snap,
-                                 const core::SearchSpace& space,
-                                 const Workload& w, int requester);
 
   // Guards the scope map and every handle's snapshot, serializes writers
   // and the cold accessors.  A View takes it only when its scope's epoch

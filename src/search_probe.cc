@@ -29,13 +29,8 @@ void report(const char* name, const core::SearchResult& r,
   std::set<int> ids;
   int unlabeled = 0;
   for (const auto& f : r.found) {
-    int id = catalog::label_by_mechanism(chip, f.mfs.witness, f.dominant,
-                                         to_catalog(f.mfs.symptom));
-    if (id == 0) {
-      const auto labels =
-          catalog::label(chip, f.mfs.witness, to_catalog(f.mfs.symptom));
-      if (!labels.empty()) id = labels.front();
-    }
+    const int id = catalog::identify(chip, "pair", f.mfs.witness, f.dominant,
+                                     to_catalog(f.mfs.symptom));
     if (id == 0) {
       ++unlabeled;
     } else {

@@ -68,37 +68,59 @@ TEST(Catalog, MechanismLabelerDistinguishesGpuFromDram) {
   // Same ordering mechanism, different anomaly depending on placement.
   Workload dram = anomaly(9).concrete;
   Workload gpu = anomaly(12).concrete;
-  EXPECT_EQ(label_by_mechanism("CX-6", dram, sim::Bottleneck::kPcieOrdering,
+  EXPECT_EQ(label_by_mechanism("CX-6", "pair", dram,
+                               sim::Bottleneck::kPcieOrdering,
                                Symptom::kPauseFrames),
             9);
-  EXPECT_EQ(label_by_mechanism("CX-6", gpu, sim::Bottleneck::kPcieOrdering,
+  EXPECT_EQ(label_by_mechanism("CX-6", "pair", gpu,
+                               sim::Bottleneck::kPcieOrdering,
                                Symptom::kPauseFrames),
             12);
 }
 
 TEST(Catalog, MechanismLabelerDistinguishesTransport) {
-  EXPECT_EQ(label_by_mechanism("CX-6", anomaly(1).concrete,
+  EXPECT_EQ(label_by_mechanism("CX-6", "pair", anomaly(1).concrete,
                                sim::Bottleneck::kRwqeBurstMiss,
                                Symptom::kPauseFrames),
             1);
-  EXPECT_EQ(label_by_mechanism("CX-6", anomaly(5).concrete,
+  EXPECT_EQ(label_by_mechanism("CX-6", "pair", anomaly(5).concrete,
                                sim::Bottleneck::kRwqeBurstMiss,
                                Symptom::kPauseFrames),
             5);
-  EXPECT_EQ(label_by_mechanism("P2100", anomaly(15).concrete,
+  EXPECT_EQ(label_by_mechanism("P2100", "pair", anomaly(15).concrete,
                                sim::Bottleneck::kRwqeBurstMiss,
                                Symptom::kPauseFrames),
             15);
 }
 
 TEST(Catalog, MechanismLabelerUnknownReturnsZero) {
-  EXPECT_EQ(label_by_mechanism("CX-6", anomaly(1).concrete,
+  EXPECT_EQ(label_by_mechanism("CX-6", "pair", anomaly(1).concrete,
                                sim::Bottleneck::kNone,
                                Symptom::kPauseFrames),
             0);
-  EXPECT_EQ(label_by_mechanism("CX-5", anomaly(7).concrete,
+  EXPECT_EQ(label_by_mechanism("CX-5", "pair", anomaly(7).concrete,
                                sim::Bottleneck::kQpcCacheMiss,
                                Symptom::kLowThroughput),
+            0);
+}
+
+// identify: the mechanism label wins; without one, the first region label
+// of the witness; 0 when neither names a catalogued anomaly.
+TEST(Catalog, IdentifyFallsBackToRegionLabels) {
+  const Workload a15 = anomaly(15).concrete;
+  EXPECT_EQ(identify("P2100", "pair", a15, sim::Bottleneck::kRwqeBurstMiss,
+                     Symptom::kPauseFrames),
+            label_by_mechanism("P2100", "pair", a15,
+                               sim::Bottleneck::kRwqeBurstMiss,
+                               Symptom::kPauseFrames));
+  const std::vector<int> regions = label("P2100", a15, Symptom::kPauseFrames);
+  ASSERT_FALSE(regions.empty());
+  EXPECT_EQ(identify("P2100", "pair", a15, sim::Bottleneck::kNone,
+                     Symptom::kPauseFrames),
+            regions.front());
+  EXPECT_TRUE(label("CX-5", a15, Symptom::kPauseFrames).empty());
+  EXPECT_EQ(identify("CX-5", "pair", a15, sim::Bottleneck::kNone,
+                     Symptom::kPauseFrames),
             0);
 }
 
@@ -120,11 +142,6 @@ TEST(Catalog, MechanismLabelerAttributesFabricCongestionByScenario) {
                                Symptom::kLowThroughput),
             102);
   EXPECT_EQ(label_by_mechanism("CX-6", "pair", w,
-                               sim::Bottleneck::kFabricCongestion,
-                               Symptom::kPauseFrames),
-            0);
-  // The 4-arg shorthand is the pair fabric.
-  EXPECT_EQ(label_by_mechanism("CX-6", w,
                                sim::Bottleneck::kFabricCongestion,
                                Symptom::kPauseFrames),
             0);

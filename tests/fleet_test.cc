@@ -524,21 +524,5 @@ TEST(Fleet, CoordinatorJournalResumesByteIdentically) {
   std::remove(cut_path.c_str());
 }
 
-// checkpoint_cell folds (plan order) reproduce make_checkpoint exactly —
-// the coordinator's incremental mid-run checkpoint is built this way.
-TEST(Checkpoint, PerCellFoldMatchesMakeCheckpoint) {
-  const CampaignResult& result = reference_result();
-  orchestrator::CampaignCheckpoint fold;
-  fold.share = orchestrator::to_string(result.share);
-  for (const CellResult& cr : result.cells) {
-    const std::string scope = cr.cell.scope(result.share);
-    orchestrator::checkpoint_cell(
-        fold,
-        (cr.skipped || !cr.failed()) ? cr.cell.label() : std::string(),
-        scope, result.pool_scopes.at(scope));
-  }
-  EXPECT_EQ(fold.to_json(), orchestrator::make_checkpoint(result).to_json());
-}
-
 }  // namespace
 }  // namespace collie::fleet

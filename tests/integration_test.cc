@@ -30,7 +30,7 @@ std::set<int> distinct_ids(const core::SearchResult& r,
   std::set<int> ids;
   for (const auto& f : r.found) {
     const int id = catalog::label_by_mechanism(
-        chip, f.mfs.witness, f.dominant, to_catalog(f.mfs.symptom));
+        chip, "pair", f.mfs.witness, f.dominant, to_catalog(f.mfs.symptom));
     if (id != 0) ids.insert(id);
   }
   return ids;

@@ -138,12 +138,31 @@ TEST(CampaignInvocation, OutOfRangeGridSizesAreRejected) {
       {{"--hours", "8760.5"}, "--hours"},
       {{"--hours", "2,nan"}, "--hours"},
       {{"--hours", "0"}, "--hours"},
+      {{"--seed", "-1"}, "--seed"},
+      {{"--seed", "-9223372036854775807"}, "--seed"},
+      // Fleet timing: a heartbeat cadence and death timeout in [1, 2^31)
+      // ms, the timeout above the cadence, a steal gate in [0, 2^31) ms.
+      {{"--fleet", "2", "--heartbeat-ms", "0"}, "--heartbeat-ms"},
+      {{"--fleet", "2", "--heartbeat-ms", "-5"}, "--heartbeat-ms"},
+      {{"--fleet", "2", "--heartbeat-ms", "2147483648"}, "--heartbeat-ms"},
+      {{"--fleet", "2", "--heartbeat-timeout-ms", "0"},
+       "--heartbeat-timeout-ms"},
+      {{"--fleet", "2", "--heartbeat-timeout-ms", "-1"},
+       "--heartbeat-timeout-ms"},
+      {{"--fleet", "2", "--heartbeat-timeout-ms", "4294967296"},
+       "--heartbeat-timeout-ms"},
+      {{"--fleet", "2", "--heartbeat-timeout-ms", "20"},
+       "--heartbeat-timeout-ms"},
+      {{"--fleet", "2", "--heartbeat-ms", "300"}, "--heartbeat-timeout-ms"},
+      {{"--fleet", "2", "--steal-after-ms", "-1"}, "--steal-after-ms"},
+      {{"--fleet", "2", "--steal-after-ms", "2147483648"},
+       "--steal-after-ms"},
   };
   for (const Case& c : cases) {
     const InvocationError err = rejected(c.args);
-    EXPECT_EQ(err.exit_code, 2) << c.args[0];
+    EXPECT_EQ(err.exit_code, 2) << c.named;
     EXPECT_TRUE(contains(err.message, c.named))
-        << c.args[0] << ": " << err.message;
+        << c.named << ": " << err.message;
   }
   // The edges of the ranges still parse.
   EXPECT_EQ(ok({"--workers", "1"}).config.workers, 1);
@@ -151,6 +170,23 @@ TEST(CampaignInvocation, OutOfRangeGridSizesAreRejected) {
   EXPECT_EQ(ok({"--seeds", "1"}).config.seeds_per_cell, 1);
   EXPECT_EQ(ok({"--fleet", "0"}).fleet, 0);
   EXPECT_EQ(ok({"--hours", "8760"}).config.budget.seconds, 8760 * 3600.0);
+  EXPECT_EQ(ok({"--seed", "0"}).config.campaign_seed, 0u);
+  EXPECT_EQ(ok({"--seed", "9223372036854775807"}).config.campaign_seed,
+            9223372036854775807u);
+  const fleet::FleetOptions low =
+      ok({"--fleet", "2", "--heartbeat-ms", "1", "--heartbeat-timeout-ms",
+          "2", "--steal-after-ms", "0"})
+          .fleet_options.coordinator;
+  EXPECT_EQ(low.heartbeat_interval.count(), 1);
+  EXPECT_EQ(low.heartbeat_timeout.count(), 2);
+  EXPECT_EQ(low.steal_after.count(), 0);
+  const fleet::FleetOptions high =
+      ok({"--fleet", "2", "--heartbeat-ms", "2147483646",
+          "--heartbeat-timeout-ms", "2147483647", "--steal-after-ms",
+          "2147483647"})
+          .fleet_options.coordinator;
+  EXPECT_EQ(high.heartbeat_timeout.count(), 2147483647);
+  EXPECT_EQ(high.steal_after.count(), 2147483647);
 }
 
 // One routine validates every choice flag, and its message names the

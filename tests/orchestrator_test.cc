@@ -52,10 +52,12 @@ TEST(ConcurrentMfsPoolTest, CoversOnlyWithinScope) {
   const Workload w = space.random_point(rng);
 
   ConcurrentMfsPool pool;
-  EXPECT_FALSE(pool.covers("F", space, w, 0, nullptr));
+  ConcurrentMfsPool::View f = pool.view("F", 0);
+  ConcurrentMfsPool::View b = pool.view("B", 0);
+  EXPECT_FALSE(f.covers(space, w));
   pool.insert("F", space, cover_all_mfs(core::Symptom::kPauseFrames), 0);
-  EXPECT_TRUE(pool.covers("F", space, w, 0, nullptr));
-  EXPECT_FALSE(pool.covers("B", space, w, 0, nullptr));
+  EXPECT_TRUE(f.covers(space, w));
+  EXPECT_FALSE(b.covers(space, w));
   EXPECT_EQ(pool.size("F"), 1u);
   EXPECT_EQ(pool.size("B"), 0u);
 }
@@ -112,13 +114,14 @@ TEST(ConcurrentMfsPoolTest, FirstCoverProvenanceMatchesInsertionOrder) {
               /*origin_worker=*/3);
   pool.insert("F", space, cover_all_mfs(core::Symptom::kPauseFrames),
               /*origin_worker=*/9);
-  bool cross = false;
   // Requester 3 matches its own (first) entry: not a cross-worker hit even
   // though worker 9's overlapping entry would be one.
-  EXPECT_TRUE(pool.covers("F", space, w, /*requester=*/3, &cross));
-  EXPECT_FALSE(cross);
-  EXPECT_TRUE(pool.covers("F", space, w, /*requester=*/9, &cross));
-  EXPECT_TRUE(cross);
+  ConcurrentMfsPool::View three = pool.view("F", 3);
+  ConcurrentMfsPool::View nine = pool.view("F", 9);
+  EXPECT_TRUE(three.covers(space, w));
+  EXPECT_EQ(three.cross_worker_hits(), 0);
+  EXPECT_TRUE(nine.covers(space, w));
+  EXPECT_EQ(nine.cross_worker_hits(), 1);
 }
 
 TEST(ConcurrentMfsPoolTest, EpochAdvancesOnEveryPublication) {
@@ -208,6 +211,7 @@ TEST(ConcurrentMfsPoolTest, RacingInsertsNeverCorruptCoversAnswers) {
   ASSERT_EQ(all.size(), 1u + kWriters * kInsertsPerWriter);
   EXPECT_EQ(pool.epoch("F"), 1u + kWriters * kInsertsPerWriter);
   Rng rng(300);
+  ConcurrentMfsPool::View check = pool.view("F", /*worker=*/99);
   for (int q = 0; q < 400; ++q) {
     const Workload w = q % 3 == 0
                            ? all[static_cast<std::size_t>(q) % all.size()]
@@ -221,8 +225,8 @@ TEST(ConcurrentMfsPoolTest, RacingInsertsNeverCorruptCoversAnswers) {
       }
     }
     bool warm_linear = all[0].matches(space, w);
-    EXPECT_EQ(pool.covers("F", space, w, /*requester=*/99, nullptr), linear);
-    EXPECT_EQ(pool.covers_preloaded("F", space, w), warm_linear);
+    EXPECT_EQ(check.covers(space, w), linear);
+    EXPECT_EQ(check.covers_preloaded(space, w), warm_linear);
   }
 }
 
@@ -855,14 +859,8 @@ std::map<char, std::set<int>> catalog_id_sets(const CampaignResult& result) {
   for (const CellResult& cr : result.cells) {
     const std::string chip = sim::subsystem(cr.cell.subsystem).nicm.chip;
     for (const core::FoundAnomaly& f : cr.result.found) {
-      int id = catalog::label_by_mechanism(chip, cr.cell.fabric,
-                                           f.mfs.witness, f.dominant,
-                                           to_catalog(f.mfs.symptom));
-      if (id == 0) {
-        const auto labels =
-            catalog::label(chip, f.mfs.witness, to_catalog(f.mfs.symptom));
-        if (!labels.empty()) id = labels.front();
-      }
+      const int id = catalog::identify(chip, cr.cell.fabric, f.mfs.witness,
+                                       f.dominant, to_catalog(f.mfs.symptom));
       if (id != 0) out[cr.cell.subsystem].insert(id);
     }
   }

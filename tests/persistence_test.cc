@@ -359,13 +359,15 @@ TEST(PersistenceRoundTrip, CheckpointScopesAreByteIdentical) {
   EXPECT_EQ(reloaded.stats().entries, pool.stats().entries);
   EXPECT_EQ(reloaded.stats().warm_entries, pool.stats().entries);
   Rng probe_rng(23);
-  for (int i = 0; i < 50; ++i) {
-    const Workload w = space.random_point(probe_rng);
-    for (const char* scope : {"F", "B", "F@hetero"}) {
-      EXPECT_EQ(reloaded.covers(scope, space, w, 0, nullptr),
-                pool.covers(scope, space, w, 0, nullptr))
-          << scope;
+  for (const char* scope : {"F", "B", "F@hetero"}) {
+    orchestrator::ConcurrentMfsPool::View original = pool.view(scope, 0);
+    orchestrator::ConcurrentMfsPool::View loaded = reloaded.view(scope, 0);
+    for (int i = 0; i < 50; ++i) {
+      const Workload w = space.random_point(probe_rng);
+      EXPECT_EQ(loaded.covers(space, w), original.covers(space, w)) << scope;
     }
+    // Every reloaded hit is a warm-start hit.
+    EXPECT_EQ(loaded.warm_hits(), loaded.hits()) << scope;
   }
 
   // Truncations of the checkpoint document are rejected, never UB.
@@ -406,14 +408,15 @@ TEST(PersistenceRoundTrip, IndexedCoversMatchesLinearScanWithWarmEntries) {
     const std::vector<core::Mfs> all = pool.snapshot("F");
     ASSERT_EQ(all.size(), 20u);
     const std::size_t n_warm = 10;
+    orchestrator::ConcurrentMfsPool::View view = pool.view("F", /*worker=*/7);
     for (int q = 0; q < 300; ++q) {
       Workload w = q % 4 == 0 ? all[static_cast<std::size_t>(q) % all.size()]
                                     .witness
                               : space.random_point(rng);
-      bool linear = false;
-      for (const core::Mfs& m : all) {
-        if (m.matches(space, w)) {
-          linear = true;
+      std::size_t first = all.size();  // the linear scan's answering entry
+      for (std::size_t i = 0; i < all.size(); ++i) {
+        if (all[i].matches(space, w)) {
+          first = i;
           break;
         }
       }
@@ -424,8 +427,11 @@ TEST(PersistenceRoundTrip, IndexedCoversMatchesLinearScanWithWarmEntries) {
           break;
         }
       }
-      EXPECT_EQ(pool.covers("F", space, w, /*requester=*/7, nullptr), linear);
-      EXPECT_EQ(pool.covers_preloaded("F", space, w), linear_warm);
+      // Provenance: a hit answered by a warm entry counts as a warm hit.
+      const i64 warm_before = view.warm_hits();
+      EXPECT_EQ(view.covers(space, w), first < all.size());
+      EXPECT_EQ(view.warm_hits() - warm_before, first < n_warm ? 1 : 0);
+      EXPECT_EQ(view.covers_preloaded(space, w), linear_warm);
     }
   }
 }

@@ -48,8 +48,8 @@ TEST_P(Table2Test, MechanismLabelerIdentifiesIt) {
   const sim::Subsystem& sys = sim::subsystem(a.primary_subsystem);
   Rng rng(2024);
   const sim::SimResult r = sim::evaluate(sys, a.concrete, rng);
-  const int id = catalog::label_by_mechanism(a.chip, a.concrete, r.dominant,
-                                             a.symptom);
+  const int id = catalog::label_by_mechanism(a.chip, "pair", a.concrete,
+                                             r.dominant, a.symptom);
   EXPECT_EQ(id, a.id) << "dominant=" << to_string(r.dominant);
 }
 

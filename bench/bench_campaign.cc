@@ -42,7 +42,6 @@ CampaignConfig grid_config(double hours, u64 seed) {
   config.modes = {core::GuidanceMode::kDiag, core::GuidanceMode::kPerf};
   config.budget.seconds = hours * 3600.0;
   config.campaign_seed = seed;
-  config.engine.run_functional_pass = false;  // bench the orchestration
   return config;
 }
 
@@ -57,7 +56,7 @@ std::vector<core::SearchResult> run_serial(const CampaignConfig& config,
     const workload::Engine engine(sys, config.engine);
     const core::SearchSpace space(sys);
     core::SearchDriver driver(engine, space);
-    core::SaConfig sa = config.sa;
+    core::SaConfig sa;
     sa.mode = cell.mode;
     Rng rng = root.split(cell.stream);
     results.push_back(driver.run_simulated_annealing(sa, config.budget, rng));
@@ -223,7 +222,6 @@ int main(int argc, char** argv) {
   fabric_config.fabrics = {"pair", "hetero", "fanin4"};
   fabric_config.budget.seconds = hours * 3600.0;
   fabric_config.campaign_seed = seed;
-  fabric_config.engine.run_functional_pass = false;
   fabric_config.workers = 3;
   const CampaignResult fabric_result = Campaign(fabric_config).run();
   const CampaignReport fabric_report = build_report(fabric_result);

@@ -7,7 +7,6 @@
 // at every N.
 #include <cstdio>
 
-#include "baseline/bo.h"
 #include "harness.h"
 #include "common/cli.h"
 #include "common/table.h"
@@ -24,9 +23,7 @@ int main(int argc, char** argv) {
 
   const sim::Subsystem& sys = sim::subsystem(sys_id);
   const std::string chip = sys.nicm.chip;
-  workload::EngineOptions eopts;
-  eopts.run_functional_pass = false;
-  workload::Engine engine(sys, eopts);
+  workload::Engine engine(sys);
   core::SearchSpace space(sys);
   core::SearchDriver driver(engine, space);
   core::SearchBudget budget;
@@ -44,12 +41,8 @@ int main(int argc, char** argv) {
     }
     {
       Rng rng(1000 + static_cast<u64>(s));
-      baseline::BoConfig cfg;
       bo_stats.add(benchharness::time_to_find_series(
-          baseline::run_bayesian_optimization(engine, space,
-                                              core::AnomalyMonitor{}, cfg,
-                                              budget, rng),
-          chip));
+          driver.run_bayesian_optimization(budget, rng), chip));
     }
     {
       Rng rng(1000 + static_cast<u64>(s));

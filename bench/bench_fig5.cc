@@ -25,9 +25,7 @@ int main(int argc, char** argv) {
 
   const sim::Subsystem& sys = sim::subsystem(sys_id);
   const std::string chip = sys.nicm.chip;
-  workload::EngineOptions eopts;
-  eopts.run_functional_pass = false;
-  workload::Engine engine(sys, eopts);
+  workload::Engine engine(sys);
   core::SearchSpace space(sys);
   core::SearchDriver driver(engine, space);
   core::SearchBudget budget;

@@ -70,9 +70,7 @@ int main(int argc, char** argv) {
   const char sys_id = args.get("sys", "F")[0];
 
   const sim::Subsystem& sys = sim::subsystem(sys_id);
-  workload::EngineOptions eopts;
-  eopts.run_functional_pass = false;
-  workload::Engine engine(sys, eopts);
+  workload::Engine engine(sys);
   core::SearchSpace space(sys);
   core::SearchDriver driver(engine, space);
   core::SearchBudget budget;

@@ -469,7 +469,6 @@ void BM_ReportToJson(benchmark::State& state) {
   config.modes = {core::GuidanceMode::kDiag, core::GuidanceMode::kPerf};
   config.budget.seconds = 2 * 3600.0;
   config.execution = orchestrator::ExecutionMode::kDeterministic;
-  config.engine.run_functional_pass = false;  // as campaigns run
   const orchestrator::CampaignReport report =
       orchestrator::build_report(orchestrator::Campaign(config).run());
   for (auto _ : state) {

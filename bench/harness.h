@@ -14,12 +14,6 @@
 
 namespace collie::benchharness {
 
-inline catalog::Symptom to_catalog(core::Symptom s) {
-  return s == core::Symptom::kPauseFrames
-             ? catalog::Symptom::kPauseFrames
-             : catalog::Symptom::kLowThroughput;
-}
-
 // Ground-truth anomaly id of one discovery (0 if it maps to no catalog
 // row).  Mechanism labeling first (the analogue of vendor confirmation),
 // region labeling as fallback.  The figure benches run the paper's
@@ -28,7 +22,7 @@ inline catalog::Symptom to_catalog(core::Symptom s) {
 inline int identify(const std::string& chip, const core::FoundAnomaly& f,
                     const std::string& fabric = "pair") {
   return catalog::identify(chip, fabric, f.mfs.witness, f.dominant,
-                           to_catalog(f.mfs.symptom));
+                           catalog::to_catalog(f.mfs.symptom));
 }
 
 // Simulated minutes at which the N-th *distinct* anomaly was found;

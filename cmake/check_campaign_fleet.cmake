@@ -10,6 +10,11 @@
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
 set(flags --sys BF --seeds 2 --hours 1 --share cell --json)
+# The fault-free and crash/resume legs must not see a worker declared dead:
+# a re-queued cell re-runs from its streamed extractions and legitimately
+# reports differently.  Under a loaded machine a worker can go 250 ms (the
+# default timeout) without a heartbeat, so these legs allow a minute.
+set(patient --heartbeat-timeout-ms 60000)
 
 # run(<exit> <report file> <stderr var> args...): the last stdout line goes
 # to <report file> under WORK.
@@ -38,12 +43,13 @@ function(same a b)
 endfunction()
 
 run(0 ref.json ignored ${flags} --workers 4)
-run(0 fleet.json ignored ${flags} --fleet 4)
+run(0 fleet.json ignored ${flags} --fleet 4 ${patient})
 same(ref.json fleet.json)
 
-run(137 ignored.json ignored ${flags} --fleet 4 --journal f.journal
+run(137 ignored.json ignored ${flags} --fleet 4 ${patient} --journal f.journal
     --crash-at-journal-byte 20000)
-run(0 resumed.json ignored ${flags} --fleet 4 --journal f.journal --resume)
+run(0 resumed.json ignored ${flags} --fleet 4 ${patient} --journal f.journal
+    --resume)
 same(ref.json resumed.json)
 
 # Each bad value exits 2 and names its flag.

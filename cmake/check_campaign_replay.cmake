@@ -3,8 +3,11 @@
 # journal equivalence smoke):
 #   * a recording that crashed mid-run runs out on replay: exit 3, and
 #     stderr names the cell and "ran out";
-#   * a replay under flags that change which probes reach the backend
-#     (--functional) diverges: exit 3, "different workload";
+#   * --functional on a replay only audits the reported witnesses: exit 0,
+#     the recording's report, and the audit line before it (a replay whose
+#     probes diverge fails loudly in-process: Backend.ReplayDivergence*);
+#   * a replay under flags that change the plan is rejected before any
+#     probe: exit 2, "different plan";
 #   * a replay whose --seed contradicts the journal is rejected: exit 2;
 #   * a --fleet journal (no probe records) is rejected up front: exit 2;
 #   * a journal of the retired collie-journal-v2 format is refused by both
@@ -31,7 +34,7 @@ function(run want out err)
   set(${err} "${e}" PARENT_SCOPE)
 endfunction()
 
-run(0 ignored ignored ${flags} --journal rec.journal)
+run(0 recorded ignored ${flags} --journal rec.journal)
 
 run(137 ignored ignored ${flags} --journal crash.journal
     --crash-after-probes 5)
@@ -40,9 +43,22 @@ if(NOT err MATCHES "cell B/Diag#0: .*ran out after 5 recorded probes")
   message(FATAL_ERROR "run-out replay does not name the cell:\n${err}")
 endif()
 
-run(3 ignored err ${flags} --functional --replay rec.journal)
-if(NOT err MATCHES "cell B/Diag#0: .*different workload")
-  message(FATAL_ERROR "diverged replay does not name the cell:\n${err}")
+execute_process(COMMAND "${EXE}" ${flags} --functional --replay rec.journal
+                WORKING_DIRECTORY "${WORK}"
+                OUTPUT_VARIABLE o ERROR_VARIABLE e RESULT_VARIABLE rc)
+string(STRIP "${o}" o)
+string(REGEX REPLACE "^.*\n" "" audited "${o}")
+if(NOT rc EQUAL 0 OR NOT audited STREQUAL recorded)
+  message(FATAL_ERROR "--functional replay: exit ${rc}, or its report differs "
+                      "from the recording's\n${e}")
+endif()
+if(NOT o MATCHES "functional audit: [0-9]+ of [0-9]+ distinct-anomaly")
+  message(FATAL_ERROR "--functional replay printed no audit line:\n${o}")
+endif()
+
+run(2 ignored err ${flags} --modes perf --replay rec.journal)
+if(NOT err MATCHES "different plan")
+  message(FATAL_ERROR "re-planned replay not rejected up front:\n${err}")
 endif()
 
 run(2 ignored err ${flags} --seed 2 --replay rec.journal)

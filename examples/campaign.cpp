@@ -221,6 +221,11 @@ int main(int argc, char** argv) {
     return 0;
   }
   const CampaignReport report = build_report(result);
+  if (inv.functional) {
+    // Before the report, like the fleet summary, so `--json | tail -1`
+    // stays the report.
+    std::printf("%s", audit_witnesses(report).render(report).c_str());
+  }
 
   if (telemetry && !inv.metrics_path.empty()) {
     // Final roll-up: one last snapshot appended to the series, and the

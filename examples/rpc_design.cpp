@@ -39,9 +39,7 @@ int main(int argc, char** argv) {
     const sim::Subsystem& sys = sim::subsystem(sys_id);
     std::printf("=== subsystem %c: %s ===\n", sys_id,
                 sys.nicm.name.c_str());
-    workload::EngineOptions opts;
-    opts.run_functional_pass = false;
-    workload::Engine engine(sys, opts);
+    workload::Engine engine(sys);
     core::SearchSpace space(sys, rpc_space);
     core::SearchDriver driver(engine, space);
     core::SaConfig cfg;

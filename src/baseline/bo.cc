@@ -4,94 +4,25 @@
 #include <cmath>
 
 #include "baseline/gp.h"
-#include "common/stats.h"
 
 namespace collie::baseline {
 namespace {
-
-using core::Mfs;
-using core::Symptom;
-using core::TracePoint;
-using core::Verdict;
 
 double log_scale(double v, double lo, double hi) {
   v = std::clamp(v, lo, hi);
   return (std::log(v) - std::log(lo)) / (std::log(hi) - std::log(lo));
 }
 
-// Shared bookkeeping for measured experiments (mirrors the Collie driver's
-// accounting so Figure 4 compares like with like).
-struct BoState {
-  core::SearchResult result;
-  core::LocalMfsStore mfs_store;
-  // Evaluation buffers reused across every probe of this run.
-  sim::EvalScratch scratch;
-  // One Measurement reused across probes (the engine's in-place overload
-  // keeps its buffer capacities, so steady-state probes allocate nothing
-  // regardless of which backend executes them).
-  workload::Measurement probe_out;
-  double elapsed = 0.0;
-
-  bool exhausted(const core::SearchBudget& b) const {
-    return elapsed >= b.seconds || result.experiments >= b.max_experiments;
-  }
-};
-
-Verdict measure(const workload::Engine& engine,
-                const core::SearchSpace& space,
-                const core::AnomalyMonitor& monitor, const Workload& w,
-                bool use_mfs, Rng& rng, BoState& state,
-                sim::CounterSample* counters_out) {
-  const workload::Measurement& m =
-      engine.run(w, rng, state.scratch, state.probe_out);
-  state.elapsed += m.cost_seconds;
-  state.result.experiments += 1;
-  const Verdict v = monitor.judge(m);
-  if (counters_out != nullptr) *counters_out = m.average;
-
-  TracePoint tp;
-  tp.t_seconds = state.elapsed;
-  tp.rx_wqe_cache_miss = m.average.get(sim::DiagCounter::kRxWqeCacheMiss);
-  tp.counter_value = tp.rx_wqe_cache_miss;
-  state.result.trace.push_back(tp);
-
-  if (!v.anomalous()) return v;
-  if (use_mfs && state.mfs_store.covers(space, w)) return v;
-
-  core::FoundAnomaly found;
-  found.verdict = v;
-  found.found_at_seconds = state.elapsed;
-  found.experiment_index = state.result.experiments;
-  found.dominant = m.dominant;
-  const Symptom symptom = v.symptom;
-  if (use_mfs) {
-    auto probe = [&](const Workload& candidate) -> Symptom {
-      const workload::Measurement& pm =
-          engine.run(candidate, rng, state.scratch, state.probe_out,
-                     &monitor.config().pause);
-      state.elapsed += pm.cost_seconds;
-      state.result.experiments += 1;
-      TracePoint ptp;
-      ptp.t_seconds = state.elapsed;
-      ptp.counter_value = state.result.trace.back().counter_value;
-      ptp.rx_wqe_cache_miss = ptp.counter_value;
-      ptp.in_mfs_extraction = true;
-      state.result.trace.push_back(ptp);
-      return monitor.judge(pm).symptom;
-    };
-    Mfs mfs = core::construct_mfs(space, w, symptom, probe);
-    mfs.index = state.mfs_store.insert(space, mfs);
-    found.mfs = std::move(mfs);
-  } else {
-    Mfs bare;
-    bare.symptom = symptom;
-    bare.witness = w;
-    found.mfs = std::move(bare);
-  }
-  state.result.trace.back().anomaly_found = true;
-  state.result.found.push_back(std::move(found));
-  return v;
-}
+// Budget fraction the ranking probes may spend.  An anomaly found while
+// probing triggers MFS extraction worth dozens of experiments; uncapped,
+// that regularly consumed the whole short-budget run before any guidance.
+constexpr double kRankingBudgetFraction = 0.2;
+// Observations required before the GP takes over.
+constexpr int kMinDesign = 4;
+// EI candidate pool per iteration.
+constexpr int kCandidates = 192;
+// Sliding window on GP observations.
+constexpr int kGpWindow = 96;
 
 }  // namespace
 
@@ -127,11 +58,20 @@ std::vector<double> encode_workload(const core::SearchSpace& space,
   return x;
 }
 
-core::SearchResult run_bayesian_optimization(
-    const workload::Engine& engine, const core::SearchSpace& space,
-    const core::AnomalyMonitor& monitor, const BoConfig& config,
-    const core::SearchBudget& budget, Rng& rng) {
-  BoState state;
+}  // namespace collie::baseline
+
+namespace collie::core {
+
+// Declared in core/search.h next to run_random; defined here so the GP
+// stays in the baseline.  Every experiment is a SearchDriver::step with MFS
+// on, so Figure 4 compares like with like.
+SearchResult SearchDriver::run_bayesian_optimization(const SearchBudget& budget,
+                                                     Rng& rng) {
+  using baseline::encode_workload;
+  using baseline::expected_improvement;
+  using baseline::GaussianProcess;
+  LocalMfsStore store;
+  RunState state(store);
 
   // Every measurement feeds one shared GP design (sliding window): the
   // ranking probes and earlier phases are real observations of all nine
@@ -144,10 +84,10 @@ core::SearchResult run_bayesian_optimization(
   std::vector<sim::CounterSample> design_cs;
   std::vector<Workload> design_ws;
   auto record = [&](const Workload& w, const sim::CounterSample& cs) {
-    design_xs.push_back(encode_workload(space, w));
+    design_xs.push_back(encode_workload(space_, w));
     design_cs.push_back(cs);
     design_ws.push_back(w);
-    if (static_cast<int>(design_xs.size()) > config.gp_window) {
+    if (static_cast<int>(design_xs.size()) > baseline::kGpWindow) {
       design_xs.erase(design_xs.begin());
       design_cs.erase(design_cs.begin());
       design_ws.erase(design_ws.begin());
@@ -159,35 +99,28 @@ core::SearchResult run_bayesian_optimization(
   // budget.
   std::vector<sim::CounterSample> probes;
   const double ranking_deadline =
-      budget.seconds * config.ranking_budget_fraction;
-  for (int i = 0; i < config.ranking_probes && !state.exhausted(budget) &&
+      budget.seconds * baseline::kRankingBudgetFraction;
+  for (int i = 0; i < kRankingProbes && !state.exhausted(budget) &&
                   state.elapsed < ranking_deadline;
        ++i) {
-    const Workload w = space.random_point(rng);
+    const Workload w = space_.random_point(rng);
     sim::CounterSample cs;
-    measure(engine, space, monitor, w, config.use_mfs, rng, state, &cs);
+    step(w, rng, state, /*use_mfs=*/true, &cs);
     record(w, cs);
     probes.push_back(cs);
   }
-  std::vector<std::pair<double, int>> ranked;
-  for (int d = 0; d < sim::kNumDiagCounters; ++d) {
-    RunningStat rs;
-    for (const auto& p : probes) rs.add(p.diag[static_cast<std::size_t>(d)]);
-    ranked.emplace_back(rs.cov(), d);
-  }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
+  const std::vector<int> ranked = rank_diag_counters(probes);
 
   for (std::size_t ci = 0; ci < ranked.size() && !state.exhausted(budget);
        ++ci) {
-    const int counter = ranked[ci].second;
+    const int counter = ranked[ci];
     const double deadline =
         state.elapsed + (budget.seconds - state.elapsed) /
                             static_cast<double>(ranked.size() - ci);
 
     auto observe = [&](const Workload& w) {
       sim::CounterSample cs;
-      measure(engine, space, monitor, w, config.use_mfs, rng, state, &cs);
+      step(w, rng, state, /*use_mfs=*/true, &cs);
       state.result.trace.back().counter_value =
           cs.diag[static_cast<std::size_t>(counter)];
       record(w, cs);
@@ -204,9 +137,9 @@ core::SearchResult run_bayesian_optimization(
 
     // Top up the design with random points only until the GP has enough to
     // fit; phases after the first usually start guided immediately.
-    while (static_cast<int>(design_xs.size()) < config.min_design &&
+    while (static_cast<int>(design_xs.size()) < baseline::kMinDesign &&
            state.elapsed < deadline && !state.exhausted(budget)) {
-      observe(space.random_point(rng));
+      observe(space_.random_point(rng));
     }
 
     GaussianProcess gp;
@@ -215,7 +148,7 @@ core::SearchResult run_bayesian_optimization(
       const std::vector<double> ys = phase_ys();
       Workload next;
       bool guided = false;
-      if (static_cast<int>(design_xs.size()) >= config.min_design &&
+      if (static_cast<int>(design_xs.size()) >= baseline::kMinDesign &&
           gp.fit(design_xs, ys)) {
         // Candidate pool: random exploration plus mutations of the best
         // observed workload; pick the expected-improvement maximizer among
@@ -227,30 +160,28 @@ core::SearchResult run_bayesian_optimization(
         // only produces skips.
         std::size_t best_idx = static_cast<std::size_t>(
             std::max_element(ys.begin(), ys.end()) - ys.begin());
-        if (config.use_mfs) {
-          double best_y = -1e300;
-          std::size_t best_uncovered = design_ws.size();
-          for (std::size_t i = 0; i < design_ws.size(); ++i) {
-            if (ys[i] > best_y && !state.mfs_store.covers(space, design_ws[i])) {
-              best_y = ys[i];
-              best_uncovered = i;
-            }
+        double best_y = -1e300;
+        std::size_t best_uncovered = design_ws.size();
+        for (std::size_t i = 0; i < design_ws.size(); ++i) {
+          if (ys[i] > best_y && !state.store->covers(space_, design_ws[i])) {
+            best_y = ys[i];
+            best_uncovered = i;
           }
-          if (best_uncovered < design_ws.size()) best_idx = best_uncovered;
         }
+        if (best_uncovered < design_ws.size()) best_idx = best_uncovered;
         double best_ei = -1.0;
         bool any_filtered = false;
-        for (int c = 0; c < config.candidates; ++c) {
+        for (int c = 0; c < baseline::kCandidates; ++c) {
           const Workload cand = (c % 2 == 0)
-                                    ? space.random_point(rng)
-                                    : space.mutate(design_ws[best_idx], rng);
-          if (config.use_mfs && state.mfs_store.covers(space, cand)) {
+                                    ? space_.random_point(rng)
+                                    : space_.mutate(design_ws[best_idx], rng);
+          if (state.store->covers(space_, cand)) {
             any_filtered = true;
             continue;
           }
           double mu = 0.0;
           double sigma = 0.0;
-          gp.predict(encode_workload(space, cand), &mu, &sigma);
+          gp.predict(encode_workload(space_, cand), &mu, &sigma);
           const double ei =
               expected_improvement(mu, sigma, gp.best_observed());
           if (ei > best_ei) {
@@ -265,10 +196,9 @@ core::SearchResult run_bayesian_optimization(
         if (any_filtered) state.result.mfs_skips += 1;
       }
       if (!guided) {
-        next = space.random_point(rng);
+        next = space_.random_point(rng);
         // Random fallback skips are free but bounded, like run_random.
-        if (config.use_mfs && consecutive_skips < 10000 &&
-            state.mfs_store.covers(space, next)) {
+        if (consecutive_skips < 10000 && state.store->covers(space_, next)) {
           state.result.mfs_skips += 1;
           ++consecutive_skips;
           continue;
@@ -283,4 +213,4 @@ core::SearchResult run_bayesian_optimization(
   return state.result;
 }
 
-}  // namespace collie::baseline
+}  // namespace collie::core

@@ -704,6 +704,11 @@ const char* to_string(Symptom s) {
   return "?";
 }
 
+Symptom to_catalog(core::Symptom s) {
+  return s == core::Symptom::kPauseFrames ? Symptom::kPauseFrames
+                                          : Symptom::kLowThroughput;
+}
+
 const std::vector<AnomalyInfo>& all_anomalies() {
   static const std::vector<AnomalyInfo> kCatalog = build_catalog();
   return kCatalog;

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/monitor.h"
 #include "sim/perf_model.h"
 #include "sim/workload.h"
 
@@ -24,6 +25,10 @@ namespace collie::catalog {
 enum class Symptom { kPauseFrames, kLowThroughput };
 
 const char* to_string(Symptom s);
+
+// The catalog symptom a detector symptom is labeled under: pause frames
+// stay pause frames, everything else is low throughput.
+Symptom to_catalog(core::Symptom s);
 
 struct AnomalyInfo {
   int id = 0;

@@ -35,6 +35,14 @@ struct CounterRef {
   }
 };
 
+// The annealing schedule (§5.1): start at kT0, cool by kAlpha after every
+// kItersPerTemperature proposals, and jump to a fresh point instead of
+// freezing below kTMin.  kAlpha is deliberately relaxed: keep jumping.
+constexpr double kT0 = 1.0;
+constexpr double kTMin = 0.05;
+constexpr double kAlpha = 0.85;
+constexpr int kItersPerTemperature = 6;
+
 // Guarded increment of one well-known probe counter; a single branch when
 // telemetry is off.
 inline void bump(const obs::ProbeTelemetry& tel,
@@ -157,14 +165,31 @@ Verdict SearchDriver::step(const Workload& w, Rng& rng, RunState& state,
   return v;
 }
 
-SearchResult SearchDriver::run_random(const SearchBudget& budget, Rng& rng,
-                                      bool use_mfs) {
+std::vector<int> SearchDriver::rank_diag_counters(
+    const std::vector<sim::CounterSample>& probes) {
+  std::vector<std::pair<double, int>> ranked;
+  for (int d = 0; d < sim::kNumDiagCounters; ++d) {
+    RunningStat rs;
+    for (const auto& p : probes) {
+      rs.add(p.diag[static_cast<std::size_t>(d)]);
+    }
+    ranked.emplace_back(rs.cov(), d);
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+  std::vector<int> order;
+  order.reserve(ranked.size());
+  for (const auto& entry : ranked) order.push_back(entry.second);
+  return order;
+}
+
+SearchResult SearchDriver::run_random(const SearchBudget& budget, Rng& rng) {
   LocalMfsStore store;
-  return run_random(budget, rng, use_mfs, store);
+  return run_random(budget, rng, store);
 }
 
 SearchResult SearchDriver::run_random(const SearchBudget& budget, Rng& rng,
-                                      bool use_mfs, MfsStore& store) {
+                                      MfsStore& store) {
   RunState state(store);
   int consecutive_skips = 0;
   while (!state.exhausted(budget)) {
@@ -172,8 +197,8 @@ SearchResult SearchDriver::run_random(const SearchBudget& budget, Rng& rng,
     const Workload w = space_.random_point(rng);
     tel_.end_stage(obs::ProbeStage::kSample, t_sample);
     const u64 t_match = tel_.begin();
-    const bool covered = use_mfs && state.store->covers(space_, w);
-    if (use_mfs) tel_.end_stage(obs::ProbeStage::kMatchMfs, t_match);
+    const bool covered = state.store->covers(space_, w);
+    tel_.end_stage(obs::ProbeStage::kMatchMfs, t_match);
     if (covered) {
       state.result.mfs_skips += 1;
       bump(tel_, &obs::ProbeIds::mfs_skips);
@@ -185,7 +210,7 @@ SearchResult SearchDriver::run_random(const SearchBudget& budget, Rng& rng,
       continue;
     }
     consecutive_skips = 0;
-    step(w, rng, state, use_mfs, nullptr);
+    step(w, rng, state, /*use_mfs=*/true, nullptr);
   }
   state.result.elapsed_seconds = state.elapsed;
   return state.result;
@@ -241,26 +266,14 @@ SearchResult SearchDriver::run_simulated_annealing(const SaConfig& config,
     // Rank the diagnostic counters by coefficient of variation over a few
     // random probes (§7.2) and optimize them in decreasing order.
     std::vector<sim::CounterSample> probes;
-    for (int i = 0; i < config.ranking_probes && !state.exhausted(budget);
-         ++i) {
+    for (int i = 0; i < kRankingProbes && !state.exhausted(budget); ++i) {
       Workload w = space_.random_point(rng);
       if (warm_covered(w)) continue;
       sim::CounterSample cs;
       step(w, rng, state, config.use_mfs, &cs);
       probes.push_back(cs);
     }
-    std::vector<std::pair<double, int>> ranked;
-    for (int d = 0; d < sim::kNumDiagCounters; ++d) {
-      RunningStat rs;
-      for (const auto& p : probes) {
-        rs.add(p.diag[static_cast<std::size_t>(d)]);
-      }
-      ranked.emplace_back(rs.cov(), d);
-    }
-    std::sort(ranked.begin(), ranked.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
-    for (const auto& [cov, d] : ranked) {
-      (void)cov;
+    for (const int d : rank_diag_counters(probes)) {
       schedule.push_back({false, d});
     }
   }
@@ -297,12 +310,12 @@ SearchResult SearchDriver::run_simulated_annealing(const SaConfig& config,
     double e_old = counter.value(cs_old);
     state.result.trace.back().counter_value = e_old;
 
-    double temperature = config.t0;
+    double temperature = kT0;
     int consecutive_skips = 0;
     while (state.elapsed < deadline && !state.exhausted(budget) &&
            !space_explained) {
       for (int i = 0;
-           i < config.iters_per_temperature && state.elapsed < deadline &&
+           i < kItersPerTemperature && state.elapsed < deadline &&
            !state.exhausted(budget) && !space_explained;
            ++i) {
         const u64 t_sample = tel_.begin();
@@ -358,11 +371,11 @@ SearchResult SearchDriver::run_simulated_annealing(const SaConfig& config,
           e_old = e_new;
         }
       }
-      temperature *= config.alpha;
-      if (temperature < config.t_min) {
+      temperature *= kAlpha;
+      if (temperature < kTMin) {
         // Relaxed schedule (§5.1): jump out instead of freezing, so the
         // search keeps exploring for *all* anomalies, not one optimum.
-        temperature = config.t0;
+        temperature = kT0;
         p_old = space_.random_point(rng);
         if (!state.exhausted(budget) && state.elapsed < deadline) {
           step(p_old, rng, state, config.use_mfs, &cs_old);

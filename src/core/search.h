@@ -1,5 +1,8 @@
-// Search drivers: Collie's simulated-annealing search (Algorithm 1) and the
-// random-input baseline of §7.2.
+// Search drivers: Collie's simulated-annealing search (Algorithm 1), the
+// random-input baseline of §7.2 and the Bayesian-optimization baseline
+// (baseline/bo.h).  Every probe of every strategy goes through one
+// SearchDriver::step: Engine::run, the monitor's verdict, the trace point,
+// MatchMFS and MFS extraction.
 //
 // Counter guidance (§5.1): performance counters are driven to LOW value
 // regions and diagnostic counters to HIGH value regions.  The energy deltas
@@ -63,16 +66,13 @@ struct SearchBudget {
   int max_experiments = 1 << 30;
 };
 
+// Counter ranking (§7.2): the number of random probes SA and BO spend on
+// ranking the diagnostic counters by coefficient of variation.
+inline constexpr int kRankingProbes = 10;
+
 struct SaConfig {
   GuidanceMode mode = GuidanceMode::kDiag;
   bool use_mfs = true;  // false = the "Collie w/o MFS" ablation
-  double t0 = 1.0;
-  double t_min = 0.05;
-  double alpha = 0.85;  // deliberately relaxed (§5.1): keep jumping
-  int iters_per_temperature = 6;
-  // Counter ranking: number of random probes used to rank diagnostic
-  // counters by coefficient of variation (§7.2).
-  int ranking_probes = 10;
 };
 
 class SearchDriver {
@@ -93,11 +93,16 @@ class SearchDriver {
                                        MfsStore& store);
 
   // Random-input generation over the same search space (black-box fuzzing
-  // baseline; finds only simple-condition anomalies, §7.2).
+  // baseline; finds only simple-condition anomalies, §7.2), with MatchMFS
+  // skips and MFS extraction.
+  SearchResult run_random(const SearchBudget& budget, Rng& rng);
   SearchResult run_random(const SearchBudget& budget, Rng& rng,
-                          bool use_mfs = true);
-  SearchResult run_random(const SearchBudget& budget, Rng& rng, bool use_mfs,
                           MfsStore& store);
+
+  // The Bayesian-optimization baseline (baseline/bo.h, which defines it):
+  // a GP surrogate over the SA driver's ranked diagnostic counters, with
+  // MFS, on a fresh LocalMfsStore.
+  SearchResult run_bayesian_optimization(const SearchBudget& budget, Rng& rng);
 
   // Single-shot: measure one workload and judge it (used by the examples
   // and the §7.3 prevention workflow).
@@ -127,6 +132,11 @@ class SearchDriver {
   // Returns the verdict and the measurement's averaged counters.
   Verdict step(const Workload& w, Rng& rng, RunState& state, bool use_mfs,
                sim::CounterSample* counters_out);
+
+  // Diagnostic-counter indices in decreasing coefficient of variation over
+  // `probes` (§7.2): the phase order of SA (Diag) and BO.
+  static std::vector<int> rank_diag_counters(
+      const std::vector<sim::CounterSample>& probes);
 
   const workload::Engine& engine_;
   const SearchSpace& space_;

@@ -4,8 +4,6 @@
 
 namespace collie::fleet {
 
-namespace {
-
 using core::JsonError;
 using core::JsonValue;
 using core::JsonWriter;
@@ -24,6 +22,8 @@ orchestrator::PoolEntry pool_entry_from_json(const JsonValue& v) {
   e.mfs = core::mfs_from_json(v.at("mfs"));
   return e;
 }
+
+namespace {
 
 void entries_to_json(const std::string& key,
                      const std::vector<orchestrator::PoolEntry>& entries,

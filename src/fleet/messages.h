@@ -86,6 +86,12 @@ struct Message {
   static Message from_json(const std::string& text);
 };
 
+// One pool entry ({"origin", "mfs"}), the shape every MFS crosses the wire
+// and the journal in (mfs_batch frames, cell_done inserts, lease preloads).
+void pool_entry_to_json(const orchestrator::PoolEntry& e,
+                        core::JsonWriter* json);
+orchestrator::PoolEntry pool_entry_from_json(const core::JsonValue& v);
+
 // Serialized CellResult (shared with checkpoint-style documents).
 void cell_to_json(const orchestrator::CampaignCell& cell,
                   core::JsonWriter* json);

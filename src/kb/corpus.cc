@@ -20,11 +20,6 @@ constexpr const char* kSchema = "collie-kb-v1";
 // function of the corpus, never of when it was built.
 constexpr u64 kMechanismSeed = 0xC0111EC011EC7ULL;
 
-catalog::Symptom to_catalog(core::Symptom s) {
-  return s == core::Symptom::kPauseFrames ? catalog::Symptom::kPauseFrames
-                                          : catalog::Symptom::kLowThroughput;
-}
-
 }  // namespace
 
 std::string ScopeKey::canonical() const {
@@ -240,12 +235,10 @@ Corpus CorpusBuilder::build(bool evaluate_mechanisms) const {
 
     if (!evaluate_mechanisms) continue;
 
-    // Mechanism join: re-measure each witness on its own subsystem (no
-    // functional pass, fixed per-entry RNG stream) and label the dominant
-    // bottleneck; region labeling is the fallback, as in evaluation.
-    workload::EngineOptions eopts;
-    eopts.run_functional_pass = false;
-    const workload::Engine engine(sys, eopts);
+    // Mechanism join: re-measure each witness on its own subsystem (fixed
+    // per-entry RNG stream) and label the dominant bottleneck; region
+    // labeling is the fallback, as in evaluation.
+    const workload::Engine engine(sys);
     for (std::size_t i = 0; i < shard.entries.size(); ++i) {
       CorpusEntry& e = shard.entries[i];
       Rng rng(kMechanismSeed + i);
@@ -253,7 +246,7 @@ Corpus CorpusBuilder::build(bool evaluate_mechanisms) const {
       e.dominant = m.dominant;
       e.anomaly_id = catalog::identify(sys.nicm.chip, key.fabric,
                                        e.mfs.witness, m.dominant,
-                                       to_catalog(e.mfs.symptom));
+                                       catalog::to_catalog(e.mfs.symptom));
       e.label = root_cause_text(e.anomaly_id);
     }
   }

@@ -105,9 +105,9 @@ class CorpusBuilder {
   void add_corpus(const Corpus& corpus, const std::string& source);
 
   // Compact and label.  `evaluate_mechanisms` re-runs each deduped
-  // witness through the workload engine (no functional pass, fixed RNG
-  // stream) to fill dominant/anomaly_id/label; false keeps entries
-  // unlabeled (tests that only exercise compaction skip the probes).
+  // witness through the workload engine (fixed RNG stream) to fill
+  // dominant/anomaly_id/label; false keeps entries unlabeled (tests that
+  // only exercise compaction skip the probes).
   Corpus build(bool evaluate_mechanisms = true) const;
 
  private:

@@ -30,7 +30,6 @@ Telemetry::Telemetry(TelemetryOptions opts)
         "_ns");
   }
   engine_.remeasures = registry_.counter("engine.remeasures");
-  engine_.functional_failures = registry_.counter("engine.functional_failures");
   engine_.eval_ns = registry_.histogram("engine.eval_ns");
   pool_.hits = registry_.counter("pool.hits");
   pool_.cross_hits = registry_.counter("pool.cross_hits");

@@ -39,9 +39,8 @@ struct ProbeIds {
 };
 
 struct EngineIds {
-  CounterId remeasures;           // unstable measurements re-run (+10 s)
-  CounterId functional_failures;  // workloads rejected by the verbs pass
-  HistogramId eval_ns;            // one perf-model evaluation, wall ns
+  CounterId remeasures;  // unstable measurements re-run (+10 s)
+  HistogramId eval_ns;   // one perf-model evaluation, wall ns
 };
 
 struct PoolIds {

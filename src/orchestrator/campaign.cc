@@ -189,7 +189,6 @@ CellExecutionOptions cell_execution_options(const CampaignConfig& config) {
   opts.strategy = config.strategy;
   opts.share = config.share;
   opts.budget = config.budget;
-  opts.sa = config.sa;
   opts.engine = config.engine;
   opts.backend_factory = config.backend_factory.get();
   opts.telemetry = config.telemetry;
@@ -231,11 +230,11 @@ CellResult execute_cell(const CellExecutionOptions& opts,
     budget.seconds = cell.budget_seconds;
 
     if (opts.strategy == Strategy::kSimulatedAnnealing) {
-      core::SaConfig sa = opts.sa;
+      core::SaConfig sa;
       sa.mode = cell.mode;
       cr.result = driver.run_simulated_annealing(sa, budget, rng, *store);
     } else {
-      cr.result = driver.run_random(budget, rng, opts.sa.use_mfs, *store);
+      cr.result = driver.run_random(budget, rng, *store);
     }
     cr.cross_worker_skips = view.cross_worker_hits();
     cr.warm_start_skips = view.warm_hits();

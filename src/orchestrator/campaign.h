@@ -157,7 +157,6 @@ struct CampaignConfig {
   // completion order, and reconciles pool stats — partial cells re-run
   // through the splice backend's replayed prefix.
   const JournalResume* resume = nullptr;
-  core::SaConfig sa;          // template; mode is overridden per cell
   workload::EngineOptions engine;
 };
 
@@ -219,7 +218,6 @@ struct CellExecutionOptions {
   Strategy strategy = Strategy::kSimulatedAnnealing;
   ShareScope share = ShareScope::kSubsystem;
   core::SearchBudget budget;  // per-cell seconds overridden by the cell
-  core::SaConfig sa;          // template; mode is overridden per cell
   workload::EngineOptions engine;
   workload::BackendFactory* backend_factory = nullptr;  // not owned
   obs::Telemetry* telemetry = nullptr;                  // not owned

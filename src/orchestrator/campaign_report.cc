@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <tuple>
 
@@ -301,6 +302,42 @@ CampaignReport campaign_report_from_json(const std::string& text) {
     report.anomalies.push_back(std::move(an));
   }
   return report;
+}
+
+WitnessAudit audit_witnesses(const CampaignReport& report) {
+  WitnessAudit audit;
+  audit.audited = static_cast<int>(report.anomalies.size());
+  // One engine per scenario; validate_functional keeps no state between
+  // witnesses.
+  std::map<std::string, std::unique_ptr<workload::Engine>> engines;
+  for (std::size_t i = 0; i < report.anomalies.size(); ++i) {
+    const DedupedAnomaly& d = report.anomalies[i];
+    CampaignCell cell;
+    cell.subsystem = d.subsystem;
+    cell.fabric = d.fabric;
+    cell.cc = d.cc;
+    std::unique_ptr<workload::Engine>& engine =
+        engines[cell.subsystem_label()];
+    if (engine == nullptr) {
+      engine = std::make_unique<workload::Engine>(cell.materialize());
+    }
+    std::string error;
+    if (!engine->validate_functional(d.representative.witness, &error)) {
+      audit.illegal.push_back({i, std::move(error)});
+    }
+  }
+  return audit;
+}
+
+std::string WitnessAudit::render(const CampaignReport& report) const {
+  std::ostringstream os;
+  os << "functional audit: " << legal() << " of " << audited
+     << " distinct-anomaly witnesses are legal verbs programs\n";
+  for (const IllegalWitness& w : illegal) {
+    os << "  illegal: anomaly " << w.anomaly << " (first found in "
+       << report.anomalies[w.anomaly].first_cell << "): " << w.error << "\n";
+  }
+  return os.str();
 }
 
 std::vector<CampaignTracePoint> aggregate_trace(const CampaignResult& result) {

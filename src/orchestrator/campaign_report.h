@@ -95,6 +95,32 @@ CampaignReport build_report(const CampaignResult& result);
 // truncated/garbled documents.
 CampaignReport campaign_report_from_json(const std::string& text);
 
+// A reported witness the functional verbs pass rejects.
+struct IllegalWitness {
+  std::size_t anomaly = 0;  // index into CampaignReport::anomalies
+  std::string error;        // Engine::validate_functional's reason
+};
+
+// The --functional audit (DESIGN.md, "The performance pass and the
+// functional verbs audit"): every distinct anomaly's representative
+// witness, run once through the functional verbs pass.
+struct WitnessAudit {
+  int audited = 0;
+  std::vector<IllegalWitness> illegal;  // in report order
+
+  int legal() const { return audited - static_cast<int>(illegal.size()); }
+  // "functional audit: L of N distinct-anomaly witnesses are legal verbs
+  // programs", then one line per illegal witness naming the anomaly's
+  // first cell and the pass's reason.
+  std::string render(const CampaignReport& report) const;
+};
+
+// Validate each distinct anomaly's representative witness with an engine
+// built for that anomaly's (subsystem, fabric, cc) scenario.  The audit
+// reads the report only: the campaign, its probes and its report are the
+// same with or without it.
+WitnessAudit audit_witnesses(const CampaignReport& report);
+
 // The merged trace, ordered by campaign-timeline seconds (ties broken by
 // worker id).  Kept out of CampaignReport: traces are big and most callers
 // only want the tables.

@@ -68,7 +68,9 @@ constexpr CliFlag kFlags[] = {
      "report. Pass the recording's flags; a cell whose recording diverges "
      "or runs out fails the replay with exit code 3"},
     {"functional", nullptr, nullptr,
-     "run the engine's functional verbs pass too (slower)"},
+     "after the run, audit every distinct anomaly's witness with the "
+     "functional verbs pass and print how many are legal verbs programs, "
+     "before the report; the report itself is unchanged"},
     {"json", nullptr, nullptr, "print the report as JSON instead of tables"},
     {"trace-csv", nullptr, nullptr,
      "print the merged fleet trace as CSV and exit"},
@@ -239,7 +241,6 @@ CampaignInvocation parse(const CliArgs& args) {
       args.get_choice("exec", {"threads", "deterministic"}) == "deterministic"
           ? ExecutionMode::kDeterministic
           : ExecutionMode::kThreads;
-  config.engine.run_functional_pass = args.get_bool("functional");
 
   // --fleet: a coordinator + worker fleet over the in-process transport.
   // Its size is the campaign's worker count (and the telemetry shards').
@@ -319,6 +320,7 @@ CampaignInvocation parse(const CliArgs& args) {
         "--metrics-interval needs --metrics-out FILE");
   }
   inv.stats = args.get_bool("stats");
+  inv.functional = args.get_bool("functional");
   inv.json = args.get_bool("json");
   inv.trace_csv = args.get_bool("trace-csv");
   return inv;

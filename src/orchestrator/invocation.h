@@ -32,6 +32,7 @@ struct CampaignInvocation {
   std::string metrics_path;
   double metrics_interval = 0.0;  // seconds of wall time; 0: final only
   bool stats = false;
+  bool functional = false;  // --functional: audit the reported witnesses
   bool json = false;
   bool trace_csv = false;
 };

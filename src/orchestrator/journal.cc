@@ -12,8 +12,9 @@
 #include "common/durable_io.h"
 #include "core/serialize.h"
 // Layering note: journal.cc (not the header) speaks the fleet wire format so
-// cell_done frames are byte-for-byte the PR 9 protocol documents.  The repo
-// links as one static library, so orchestrator/ -> fleet/ is link-legal; the
+// cell_done frames and mfs_batch entries are byte-for-byte the fleet
+// protocol's documents, through its one pool-entry codec.  The repo links as
+// one static library, so orchestrator/ -> fleet/ is link-legal; the
 // dependency is confined to this translation unit.
 #include "fleet/messages.h"
 #include "workload/backend_sim.h"
@@ -41,21 +42,6 @@ ShareScope share_scope_from_string(const std::string& s) {
   if (s == "cell") return ShareScope::kCell;
   if (s == "subsystem") return ShareScope::kSubsystem;
   throw JsonError("unknown share scope \"" + s + "\" in journal");
-}
-
-void pool_entry_to_json(const PoolEntry& e, JsonWriter* json) {
-  json->begin_object();
-  json->field("origin", e.origin);
-  json->key("mfs");
-  core::mfs_to_json(e.mfs, json);
-  json->end_object();
-}
-
-PoolEntry pool_entry_from_json(const JsonValue& v) {
-  PoolEntry e;
-  e.origin = static_cast<int>(v.at("origin").as_i64());
-  e.mfs = core::mfs_from_json(v.at("mfs"));
-  return e;
 }
 
 std::string hex_u64(u64 v) {
@@ -322,7 +308,7 @@ void CampaignJournal::mfs_batch(const std::string& context,
   json.field("context", context);
   json.field("scope", scope);
   json.key("entry");
-  pool_entry_to_json(entry, &json);
+  fleet::pool_entry_to_json(entry, &json);
   json.end_object();
   std::lock_guard<std::mutex> lock(mu_);
   append_locked(json.str());
@@ -395,7 +381,7 @@ JournalResume parse_journal(const std::vector<std::string>& payloads) {
         const std::string& ctx = doc.at("context").as_string();
         JournalResume::PartialExtractions& pi = r.partial_inserts[ctx];
         pi.scope = doc.at("scope").as_string();
-        pi.entries.push_back(pool_entry_from_json(doc.at("entry")));
+        pi.entries.push_back(fleet::pool_entry_from_json(doc.at("entry")));
       } else if (kind == "resume") {
         ++r.sessions;
       } else {

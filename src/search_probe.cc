@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "baseline/bo.h"
 #include "catalog/anomalies.h"
 #include "common/cli.h"
 #include "core/search.h"
@@ -17,12 +16,6 @@ using namespace collie;
 
 namespace {
 
-catalog::Symptom to_catalog(core::Symptom s) {
-  return s == core::Symptom::kPauseFrames
-             ? catalog::Symptom::kPauseFrames
-             : catalog::Symptom::kLowThroughput;
-}
-
 void report(const char* name, const core::SearchResult& r,
             const core::SearchSpace& space, const std::string& chip,
             bool dump) {
@@ -30,7 +23,7 @@ void report(const char* name, const core::SearchResult& r,
   int unlabeled = 0;
   for (const auto& f : r.found) {
     const int id = catalog::identify(chip, "pair", f.mfs.witness, f.dominant,
-                                     to_catalog(f.mfs.symptom));
+                                     catalog::to_catalog(f.mfs.symptom));
     if (id == 0) {
       ++unlabeled;
     } else {
@@ -81,9 +74,7 @@ int run(int argc, char** argv) {
 
   const sim::Subsystem& sys = sim::subsystem(sys_id);
   const std::string chip = sys.nicm.chip;
-  workload::EngineOptions eopts;
-  eopts.run_functional_pass = false;  // speed: probe only the search logic
-  workload::Engine engine(sys, eopts);
+  workload::Engine engine(sys);
   core::SearchSpace space(sys);
   core::SearchDriver driver(engine, space);
   core::SearchBudget budget;
@@ -116,12 +107,8 @@ int run(int argc, char** argv) {
   }
   {
     Rng rng(seed);
-    baseline::BoConfig cfg;
-    report("bo",
-           baseline::run_bayesian_optimization(engine, space,
-                                               core::AnomalyMonitor{}, cfg,
-                                               budget, rng),
-           space, chip, dump);
+    report("bo", driver.run_bayesian_optimization(budget, rng), space, chip,
+           dump);
   }
   return 0;
 }

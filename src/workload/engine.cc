@@ -115,8 +115,8 @@ bool Engine::validate_functional(const Workload& w, std::string* error) const {
   }
 
   verbs::Network net;
-  const int n_qps = std::min(w.num_qps, opts_.functional_max_qps);
-  const int n_mrs = std::min(w.mrs_per_qp, opts_.functional_max_mrs);
+  const int n_qps = std::min(w.num_qps, kFunctionalMaxQps);
+  const int n_mrs = std::min(w.mrs_per_qp, kFunctionalMaxMrs);
   HostState a;
   HostState b;
   if (!setup_host(a, net, w, n_qps, n_mrs, err)) return false;
@@ -292,22 +292,9 @@ const Measurement& Engine::run(const Workload& w, Rng& rng,
   m.bottleneck_note.clear();
   m.epochs.clear();
 
-  if (opts_.run_functional_pass) {
-    std::string err;
-    if (!validate_functional(w, &err)) {
-      // A workload that cannot even be set up measures as zero traffic.
-      m.stable = true;
-      m.bottleneck_note = "functional: " + err;
-      if (opts_.telemetry.enabled()) {
-        opts_.telemetry.add(opts_.telemetry.engine_ids().functional_failures);
-      }
-      return m;
-    }
-  }
-
-  // The performance pass runs on the backend.  The sim fast path is a
-  // direct call on the final class (sim_ is non-null exactly when the
-  // backend is SimBackend).
+  // The measurement runs on the backend.  The sim fast path is a direct
+  // call on the final class (sim_ is non-null exactly when the backend is
+  // SimBackend).
   if (sim_ != nullptr) {
     sim_->measure(w, rng, scratch, m);
   } else {

@@ -6,22 +6,21 @@
 // strategies, pre-defined message patterns, arbitrary memory/transport
 // settings, bidirectional and loopback traffic.
 //
-// Execution has two halves, mirroring the substitution documented in
-// DESIGN.md:
-//   1. A *functional* pass builds the actual verbs program (MRs, CQs, QPs,
-//      connection setup, batched post_send/post_recv, poll_cq) at a scaled-
-//      down connection count and pushes one full pattern round through the
-//      in-memory fabric, verifying the workload is a legal verbs program and
-//      that every byte lands where it should.
-//   2. The *performance* pass evaluates the full-scale workload on the
-//      subsystem model and samples the hardware counters four times per
-//      iteration (§6), with a stability check and re-measurement.
+// Every probe takes one path: Engine::run hands the full-scale workload to
+// an execution Backend (workload/backend.h), which evaluates it on the
+// subsystem model and samples the hardware counters four times per
+// iteration (§6), with a stability check and re-measurement.  The backend is
+// the simulator by default, journaled probes or scripted mocks when the
+// engine options carry a factory.  The built-in simulator is called directly
+// (on the final SimBackend), so the seam costs the hot path nothing.
 //
-// The performance pass is delegated to an execution Backend
-// (workload/backend.h): the simulator by default, journaled probes or
-// scripted mocks when the engine options carry a factory.  The built-in
-// simulator is called directly (on the final SimBackend), so the seam costs
-// the hot path nothing.
+// validate_functional is the verbs-legality check, kept off the probe path
+// (DESIGN.md, "The performance pass and the functional verbs audit"): it
+// builds the actual verbs program (MRs, CQs, QPs, connection setup, batched
+// post_send/post_recv, poll_cq) at a scaled-down connection count, pushes
+// one full pattern round through the in-memory fabric and verifies that
+// every byte lands where it should.  `campaign --functional` runs it once
+// per reported distinct anomaly's witness.
 #pragma once
 
 #include <memory>
@@ -86,10 +85,10 @@ struct Measurement {
 };
 
 struct EngineOptions {
-  // Cap on QPs/MRs actually instantiated in the functional pass.
-  int functional_max_qps = 8;
-  int functional_max_mrs = 8;
-  bool run_functional_pass = true;
+  // Has no effect: the verbs pass is not part of Engine::run.  Kept only
+  // because the campaign benchmark assigns it; drop it with the next change
+  // to the benchmark.
+  bool run_functional_pass = false;
   // Hot-path telemetry handle (worker-sharded).  Default-constructed =
   // metrics off; every instrumentation point is then one pointer test.
   obs::ProbeTelemetry telemetry;
@@ -105,6 +104,11 @@ struct EngineOptions {
   BackendFactory* backend_factory = nullptr;
   std::string backend_context;
 };
+
+// Connection-count caps of the scaled-down verbs program
+// validate_functional builds.
+inline constexpr int kFunctionalMaxQps = 8;
+inline constexpr int kFunctionalMaxMrs = 8;
 
 class Engine {
  public:
@@ -137,8 +141,10 @@ class Engine {
                          sim::EvalScratch& scratch, Measurement& out,
                          const sim::PauseRule* verdict_only = nullptr) const;
 
-  // The functional pass alone; returns false with a reason if the workload
-  // cannot be expressed as a legal verbs program or data verification fails.
+  // The functional verbs pass (never run by Engine::run): returns false
+  // with a reason if the workload cannot be expressed as a legal verbs
+  // program or data verification fails.  It instantiates at most
+  // kFunctionalMaxQps QPs and kFunctionalMaxMrs MRs per QP.
   bool validate_functional(const Workload& w, std::string* error) const;
 
  private:

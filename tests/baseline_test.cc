@@ -113,10 +113,8 @@ TEST(Bo, EncodingIsNormalized) {
 // extraction consumed every phase deadline before a single EI-selected
 // candidate reached the engine.
 TEST(Bo, DivergesFromRandomAtShortBudgets) {
-  workload::EngineOptions opts;
-  opts.run_functional_pass = false;
   const sim::Subsystem& sys = sim::subsystem('F');
-  workload::Engine engine(sys, opts);
+  workload::Engine engine(sys);
   core::SearchSpace space(sys);
   core::SearchDriver driver(engine, space);
   core::SearchBudget budget;
@@ -126,8 +124,8 @@ TEST(Bo, DivergesFromRandomAtShortBudgets) {
     Rng rng_random(seed);
     const core::SearchResult random = driver.run_random(budget, rng_random);
     Rng rng_bo(seed);
-    const core::SearchResult bo = run_bayesian_optimization(
-        engine, space, core::AnomalyMonitor{}, BoConfig{}, budget, rng_bo);
+    const core::SearchResult bo =
+        driver.run_bayesian_optimization(budget, rng_bo);
 
     // The guided search must consult its surrogate: EI-skipped candidates
     // show up as MatchMFS hits random search cannot produce this way.
@@ -155,10 +153,8 @@ TEST(Bo, DivergesFromRandomAtShortBudgets) {
 // anomalies would show.  DivergesFromRandomAtShortBudgets pins that BO is
 // guided at all.
 TEST(Bo, ParityDiscoveriesPerBudget) {
-  workload::EngineOptions opts;
-  opts.run_functional_pass = false;
   const sim::Subsystem& sys = sim::subsystem('F');
-  workload::Engine engine(sys, opts);
+  workload::Engine engine(sys);
   core::SearchSpace space(sys);
   core::SearchDriver driver(engine, space);
   core::SearchBudget budget;
@@ -170,10 +166,7 @@ TEST(Bo, ParityDiscoveriesPerBudget) {
     Rng rng_random(seed);
     random_found += driver.run_random(budget, rng_random).found.size();
     Rng rng_bo(seed);
-    bo_found += run_bayesian_optimization(engine, space,
-                                          core::AnomalyMonitor{}, BoConfig{},
-                                          budget, rng_bo)
-                    .found.size();
+    bo_found += driver.run_bayesian_optimization(budget, rng_bo).found.size();
   }
   EXPECT_GE(bo_found * 100, random_found * 90)
       << "bo " << bo_found << " vs random " << random_found;
@@ -181,16 +174,13 @@ TEST(Bo, ParityDiscoveriesPerBudget) {
 }
 
 TEST(Bo, RunsWithinBudget) {
-  workload::EngineOptions opts;
-  opts.run_functional_pass = false;
-  workload::Engine engine(sim::subsystem('F'), opts);
+  workload::Engine engine(sim::subsystem('F'));
   core::SearchSpace space(sim::subsystem('F'));
+  core::SearchDriver driver(engine, space);
   core::SearchBudget budget;
   budget.seconds = 45 * 60.0;
-  BoConfig cfg;
   Rng rng(1);
-  const core::SearchResult r = run_bayesian_optimization(
-      engine, space, core::AnomalyMonitor{}, cfg, budget, rng);
+  const core::SearchResult r = driver.run_bayesian_optimization(budget, rng);
   EXPECT_GT(r.experiments, 10);
   EXPECT_GE(r.elapsed_seconds, budget.seconds * 0.9);
 }

@@ -100,13 +100,71 @@ TEST(Engine, AnomalousWorkloadMeasuresAnomalous) {
   EXPECT_EQ(m.dominant, sim::Bottleneck::kRwqeBurstMiss);
 }
 
-TEST(Engine, FunctionalPassCanBeDisabled) {
-  EngineOptions opts;
-  opts.run_functional_pass = false;
-  Engine engine(sim::subsystem('F'), opts);
-  Rng rng(1);
-  const Measurement m = engine.run(simple_write(), rng);
+// Anomaly #9's setting with its MR shrunk to 64 KB: every SGE fits the MR
+// (Workload::valid holds) but the 66,688-byte message does not, so the
+// verbs pass fails it with a remote access error.
+Workload message_larger_than_mr() {
+  Workload w = catalog::anomaly(9).concrete;
+  w.mr_size = 64 * KiB;
+  return w;
+}
+
+// Engine::run measures every workload on the backend, default options
+// included: the verbs pass is a witness audit, not a probe that turns an
+// illegal workload into a zero-traffic "anomaly".
+TEST(Engine, DefaultOptionsMeasureOnTheBackendWhateverTheVerbsPassSays) {
+  const Workload w = message_larger_than_mr();
+  ASSERT_TRUE(w.valid(nullptr));
+  const Engine engine(sim::subsystem('F'));
+  std::string err;
+  ASSERT_FALSE(engine.validate_functional(w, &err));
+  EXPECT_NE(err.find("remote access error"), std::string::npos) << err;
+
+  Rng rng(11);
+  const Measurement m = engine.run(w, rng);
   EXPECT_GT(m.rx_goodput_bps, 0.0);
+  EXPECT_NE(m.dominant, sim::Bottleneck::kNone);
+  EXPECT_EQ(m.samples.size(), 4u);
+}
+
+// The --functional audit: a report of every catalog anomaly's concrete
+// setting (each on its primary subsystem) plus one illegal witness flags
+// exactly the illegal one.
+TEST(WitnessAudit, FlagsAnIllegalWitnessAndPassesEveryCatalogSetting) {
+  orchestrator::CampaignReport report;
+  for (const auto& a : catalog::all_anomalies()) {
+    orchestrator::DedupedAnomaly d;
+    d.subsystem = a.primary_subsystem;
+    d.representative.witness = a.concrete;
+    d.first_cell = std::string(1, a.primary_subsystem) + "/Diag#0";
+    report.anomalies.push_back(d);
+  }
+  orchestrator::DedupedAnomaly bad;
+  bad.subsystem = 'F';
+  bad.fabric = "fanin4";
+  bad.representative.witness = message_larger_than_mr();
+  bad.first_cell = "F@fanin4/Diag#0";
+  report.anomalies.push_back(bad);
+
+  const orchestrator::WitnessAudit audit =
+      orchestrator::audit_witnesses(report);
+  const std::size_t n = catalog::all_anomalies().size();
+  EXPECT_EQ(audit.audited, static_cast<int>(n + 1));
+  ASSERT_EQ(audit.illegal.size(), 1u);
+  EXPECT_EQ(audit.illegal[0].anomaly, n);
+  EXPECT_NE(audit.illegal[0].error.find("remote access error"),
+            std::string::npos);
+  EXPECT_EQ(audit.legal(), static_cast<int>(n));
+
+  const std::string text = audit.render(report);
+  EXPECT_EQ(text.rfind("functional audit: " + std::to_string(n) + " of " +
+                           std::to_string(n + 1) +
+                           " distinct-anomaly witnesses are legal verbs "
+                           "programs\n",
+                       0),
+            0u)
+      << text;
+  EXPECT_NE(text.find("F@fanin4/Diag#0"), std::string::npos) << text;
 }
 
 // ---- execution backends -----------------------------------------------------
@@ -127,7 +185,6 @@ orchestrator::CampaignConfig small_campaign() {
   config.share = orchestrator::ShareScope::kCell;
   config.execution = orchestrator::ExecutionMode::kDeterministic;
   config.budget.seconds = 900.0;
-  config.engine.run_functional_pass = false;
   return config;
 }
 
@@ -260,7 +317,6 @@ orchestrator::JournalResume record_two_probes(const std::string& path,
     orchestrator::CampaignJournal journal(path, /*journal_every=*/1);
     orchestrator::SpliceBackendFactory factory(nullptr, nullptr, &journal);
     EngineOptions opts;
-    opts.run_functional_pass = false;
     opts.backend_factory = &factory;
     opts.backend_context = "cell";
     Engine engine(sim::subsystem('F'), opts);
@@ -278,7 +334,6 @@ TEST(Backend, ReplayDivergenceFailsLoudly) {
   ASSERT_EQ(recording.recorded.at("cell").size(), 2u);
   const auto replay = orchestrator::journal_replay_factory(recording);
   EngineOptions opts;
-  opts.run_functional_pass = false;
   opts.backend_factory = replay.get();
   opts.backend_context = "cell";
   const sim::Subsystem& sys = sim::subsystem('F');
@@ -320,7 +375,6 @@ TEST(Backend, ReplayRestoresTheRecordedRngStream) {
 
   const auto replay = orchestrator::journal_replay_factory(recording);
   EngineOptions opts;
-  opts.run_functional_pass = false;
   opts.backend_factory = replay.get();
   opts.backend_context = "cell";
   Engine engine(sim::subsystem('F'), opts);

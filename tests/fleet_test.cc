@@ -35,12 +35,6 @@ using orchestrator::PoolEntry;
 using orchestrator::ShareScope;
 using std::chrono::milliseconds;
 
-workload::EngineOptions fast_engine_opts() {
-  workload::EngineOptions opts;
-  opts.run_functional_pass = false;
-  return opts;
-}
-
 CampaignConfig small_config() {
   CampaignConfig config;
   config.subsystems = {'B', 'F'};
@@ -50,7 +44,6 @@ CampaignConfig small_config() {
   config.campaign_seed = 17;
   config.share = ShareScope::kCell;
   config.workers = 2;
-  config.engine = fast_engine_opts();
   return config;
 }
 

@@ -272,12 +272,10 @@ TEST(HotPathAllocation, DriverProbeWithTelemetryOnAllocatesNothing) {
   // histograms and span-ring records must all stay on preallocated storage.
   // This also pins the scratch-owned Measurement — the in-place run()
   // overload may not reallocate samples or the note string once warm.
-  // The functional pass builds a real verbs network (allocating by design),
-  // so it is off here, as in the campaign probe loop; the epoch series
-  // stays off too (the SimConfig default).
+  // The epoch series stays off (the SimConfig default), as in the campaign
+  // probe loop.
   obs::Telemetry telemetry;
   workload::EngineOptions eopts;
-  eopts.run_functional_pass = false;
   eopts.telemetry = obs::ProbeTelemetry(&telemetry, 0);
   const Subsystem sys = with_cc(
       with_fabric(subsystem('F'), net::fabric_scenario("fanin4")),

@@ -5,7 +5,6 @@
 
 #include <set>
 
-#include "baseline/bo.h"
 #include "catalog/anomalies.h"
 #include "core/search.h"
 #include "sim/subsystem.h"
@@ -19,31 +18,20 @@ using core::SearchBudget;
 using core::SearchDriver;
 using core::SearchSpace;
 
-catalog::Symptom to_catalog(core::Symptom s) {
-  return s == core::Symptom::kPauseFrames
-             ? catalog::Symptom::kPauseFrames
-             : catalog::Symptom::kLowThroughput;
-}
-
 std::set<int> distinct_ids(const core::SearchResult& r,
                            const std::string& chip) {
   std::set<int> ids;
   for (const auto& f : r.found) {
-    const int id = catalog::label_by_mechanism(
-        chip, "pair", f.mfs.witness, f.dominant, to_catalog(f.mfs.symptom));
+    const int id =
+        catalog::label_by_mechanism(chip, "pair", f.mfs.witness, f.dominant,
+                                    catalog::to_catalog(f.mfs.symptom));
     if (id != 0) ids.insert(id);
   }
   return ids;
 }
 
-workload::EngineOptions fast_opts() {
-  workload::EngineOptions opts;
-  opts.run_functional_pass = false;
-  return opts;
-}
-
 TEST(Integration, CollieDiagFindsMultipleDistinctAnomaliesOnF) {
-  workload::Engine engine(sim::subsystem('F'), fast_opts());
+  workload::Engine engine(sim::subsystem('F'));
   SearchSpace space(sim::subsystem('F'));
   SearchDriver driver(engine, space);
   SaConfig cfg;
@@ -61,7 +49,7 @@ TEST(Integration, CollieDiagFindsMultipleDistinctAnomaliesOnF) {
 }
 
 TEST(Integration, SearchOnHFindsP2100Anomalies) {
-  workload::Engine engine(sim::subsystem('H'), fast_opts());
+  workload::Engine engine(sim::subsystem('H'));
   SearchSpace space(sim::subsystem('H'));
   SearchDriver driver(engine, space);
   SaConfig cfg;
@@ -81,7 +69,7 @@ TEST(Integration, SearchOnHFindsP2100Anomalies) {
 TEST(Integration, HealthySubsystemYieldsNoAnomalies) {
   // Subsystem B (CX-5 100G, healthy Intel platform): random probing should
   // come up clean for the simple-workload band of the space.
-  workload::Engine engine(sim::subsystem('B'), fast_opts());
+  workload::Engine engine(sim::subsystem('B'));
   core::SpaceConfig cfg;
   cfg.max_qps = 64;           // stay out of scalability cliffs
   cfg.max_mrs_per_qp = 4;
@@ -109,7 +97,7 @@ TEST(Integration, Section73RpcPrevention) {
   rpc.qp_types = {QpType::kRC};
   rpc.allow_loopback = false;
   rpc.allow_gpu = false;
-  workload::Engine engine(sim::subsystem('C'), fast_opts());
+  workload::Engine engine(sim::subsystem('C'));
   SearchSpace space(sim::subsystem('C'), rpc);
   SearchDriver driver(engine, space);
   SaConfig cfg;
@@ -130,7 +118,7 @@ TEST(Integration, Section73DmlDebugging) {
   // subsystem.  Matching the application's workload against the MFS found
   // by Collie yields the conditions to break.
   const sim::Subsystem& sys = sim::subsystem('E');
-  workload::Engine engine(sys, fast_opts());
+  workload::Engine engine(sys);
   SearchSpace space(sys);
   SearchDriver driver(engine, space);
   core::AnomalyMonitor monitor;
@@ -169,7 +157,7 @@ TEST(Integration, BoUnderperformsCollieOnEqualBudget) {
   // Figure 4's qualitative claim: with the same budget, BO finds no more
   // anomalies than Collie (Diag).
   const sim::Subsystem& sys = sim::subsystem('F');
-  workload::Engine engine(sys, fast_opts());
+  workload::Engine engine(sys);
   SearchSpace space(sys);
   SearchBudget budget;
   budget.seconds = 4 * 3600.0;
@@ -181,9 +169,7 @@ TEST(Integration, BoUnderperformsCollieOnEqualBudget) {
   const auto collie = driver.run_simulated_annealing(sa, budget, rng_collie);
 
   Rng rng_bo(43);
-  baseline::BoConfig bo;
-  const auto bores = baseline::run_bayesian_optimization(
-      engine, space, core::AnomalyMonitor{}, bo, budget, rng_bo);
+  const auto bores = driver.run_bayesian_optimization(budget, rng_bo);
 
   // Both guided searches make progress; BO does not decisively beat the
   // simulated-annealing search (the paper's finding is that it barely

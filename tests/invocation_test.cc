@@ -48,7 +48,7 @@ TEST(CampaignInvocation, DefaultsComeFromTheFlagTable) {
   EXPECT_EQ(c.campaign_seed, 1u);
   EXPECT_EQ(c.share, ShareScope::kSubsystem);
   EXPECT_EQ(c.execution, ExecutionMode::kThreads);
-  EXPECT_FALSE(c.engine.run_functional_pass);
+  EXPECT_FALSE(inv.functional);
   EXPECT_EQ(inv.fleet, 0);
   EXPECT_EQ(inv.fleet_options.coordinator.heartbeat_interval.count(), 20);
   EXPECT_EQ(inv.fleet_options.coordinator.heartbeat_timeout.count(), 250);
@@ -222,7 +222,7 @@ TEST(CampaignInvocation, BooleansNeverConsumeTheNextToken) {
                                      "--functional", "--stats", "x"});
   EXPECT_TRUE(inv.resume);
   EXPECT_EQ(inv.journal_path, "j");
-  EXPECT_TRUE(inv.config.engine.run_functional_pass);
+  EXPECT_TRUE(inv.functional);
   EXPECT_TRUE(inv.stats);
   EXPECT_FALSE(ok({"--json=no"}).json);
 }

@@ -27,12 +27,6 @@
 namespace collie::orchestrator {
 namespace {
 
-workload::EngineOptions fast_engine_opts() {
-  workload::EngineOptions opts;
-  opts.run_functional_pass = false;  // keep orchestration tests quick
-  return opts;
-}
-
 // An MFS whose single unconstrained numeric condition covers every workload.
 core::Mfs cover_all_mfs(core::Symptom symptom) {
   core::Mfs mfs;
@@ -444,7 +438,7 @@ TEST(MfsOverlapCriterion, PoolAndReportAgree) {
 
 TEST(ParallelEvaluationTest, SharedEngineGivesIdenticalResultsAcrossThreads) {
   const sim::Subsystem& sys = sim::subsystem('F');
-  const workload::Engine engine(sys, fast_engine_opts());
+  const workload::Engine engine(sys);
   const core::SearchSpace space(sys);
 
   const Rng root(11);
@@ -573,7 +567,6 @@ TEST(CampaignTest, ThreeFabricScenarioCampaignRunsWithPerScenarioCoverage) {
   config.modes = {core::GuidanceMode::kDiag};
   config.budget.seconds = 2 * 3600.0;
   config.campaign_seed = 17;
-  config.engine = fast_engine_opts();
   config.workers = 1;
   config.share = ShareScope::kCell;
 
@@ -603,10 +596,10 @@ TEST(CampaignTest, ThreeFabricScenarioCampaignRunsWithPerScenarioCoverage) {
   // Serial (1-worker) equivalence preserved: the pair cell replays a plain
   // SearchDriver run on the unmodified catalog subsystem, stream 0.
   const sim::Subsystem& sys = sim::subsystem('F');
-  const workload::Engine engine(sys, fast_engine_opts());
+  const workload::Engine engine(sys);
   const core::SearchSpace space(sys);
   core::SearchDriver driver(engine, space);
-  core::SaConfig sa = config.sa;
+  core::SaConfig sa;
   sa.mode = core::GuidanceMode::kDiag;
   Rng rng = Rng(config.campaign_seed).split(0);
   const core::SearchResult serial =
@@ -662,7 +655,6 @@ TEST(CampaignTest, FailedCellDoesNotCountAsCovered) {
   config.modes = {core::GuidanceMode::kDiag};
   config.strategy = Strategy::kRandom;
   config.budget.seconds = 600.0;
-  config.engine = fast_engine_opts();
   config.workers = 2;
   config.execution = ExecutionMode::kDeterministic;
 
@@ -738,7 +730,6 @@ TEST(CampaignTest, CcCampaignDiscoversCcParameterAnomalyRegion) {
   config.modes = {core::GuidanceMode::kDiag};
   config.budget.seconds = 2 * 3600.0;
   config.campaign_seed = 17;
-  config.engine = fast_engine_opts();
   config.workers = 1;
   config.execution = ExecutionMode::kDeterministic;
 
@@ -766,7 +757,6 @@ CampaignConfig small_campaign_config() {
   config.modes = {core::GuidanceMode::kDiag};
   config.budget.seconds = 2 * 3600.0;
   config.campaign_seed = 17;
-  config.engine = fast_engine_opts();
   return config;
 }
 
@@ -782,10 +772,10 @@ TEST(CampaignTest, OneWorkerCampaignReproducesSerialDriverExactly) {
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
     const CellResult& cr = result.cells[i];
     const sim::Subsystem& sys = sim::subsystem(cr.cell.subsystem);
-    const workload::Engine engine(sys, fast_engine_opts());
+    const workload::Engine engine(sys);
     const core::SearchSpace space(sys);
     core::SearchDriver driver(engine, space);
-    core::SaConfig sa = config.sa;
+    core::SaConfig sa;
     sa.mode = cr.cell.mode;
     Rng rng = root.split(static_cast<u64>(i));
     const core::SearchResult serial =
@@ -851,16 +841,13 @@ TEST(CampaignTest, DeterministicSharedCampaignIsReproducible) {
 // set" below means this: distinct catalogued anomalies, not raw MFS regions
 // (one true anomaly yields many overlapping regions across runs).
 std::map<char, std::set<int>> catalog_id_sets(const CampaignResult& result) {
-  const auto to_catalog = [](core::Symptom s) {
-    return s == core::Symptom::kPauseFrames ? catalog::Symptom::kPauseFrames
-                                            : catalog::Symptom::kLowThroughput;
-  };
   std::map<char, std::set<int>> out;
   for (const CellResult& cr : result.cells) {
     const std::string chip = sim::subsystem(cr.cell.subsystem).nicm.chip;
     for (const core::FoundAnomaly& f : cr.result.found) {
-      const int id = catalog::identify(chip, cr.cell.fabric, f.mfs.witness,
-                                       f.dominant, to_catalog(f.mfs.symptom));
+      const int id =
+          catalog::identify(chip, cr.cell.fabric, f.mfs.witness, f.dominant,
+                            catalog::to_catalog(f.mfs.symptom));
       if (id != 0) out[cr.cell.subsystem].insert(id);
     }
   }
@@ -882,7 +869,6 @@ TEST(CampaignTest, TwoWorkerSharedPoolLosesNoSerialAnomaly) {
   config.subsystems = {'B', 'F'};
   config.modes = {core::GuidanceMode::kDiag, core::GuidanceMode::kPerf};
   config.budget.seconds = 8 * 3600.0;
-  config.engine = fast_engine_opts();
   config.workers = 2;
   config.execution = ExecutionMode::kDeterministic;
 
@@ -1002,7 +988,6 @@ TEST(CampaignTest, WarmStartSpendsZeroProbesInsideLoadedRegions) {
     config.modes = {core::GuidanceMode::kDiag};
     config.strategy = strategy;
     config.budget.seconds = 2 * 3600.0;
-    config.engine = fast_engine_opts();
     config.workers = 1;
     config.execution = ExecutionMode::kDeterministic;
     CampaignCheckpoint warm;
@@ -1034,7 +1019,6 @@ TEST(CampaignTest, WarmStartedCampaignSkipsYesterdaysRegionsAndCells) {
   config.modes = {core::GuidanceMode::kDiag};
   config.budget.seconds = 6 * 3600.0;
   config.campaign_seed = 17;
-  config.engine = fast_engine_opts();
   config.workers = 1;
   config.share = ShareScope::kSubsystem;
   config.execution = ExecutionMode::kDeterministic;
@@ -1144,7 +1128,6 @@ TEST(CampaignTest, LptBeatsRoundRobinOnMixedBudgetGrid) {
   config.seeds_per_cell = 3;                          // 6 cells
   config.budget_cycle_seconds = {4 * 3600.0, 1 * 3600.0};
   config.campaign_seed = 17;
-  config.engine = fast_engine_opts();
   config.workers = 2;
   config.share = ShareScope::kCell;
   config.execution = ExecutionMode::kDeterministic;
@@ -1184,7 +1167,6 @@ TEST(CampaignTest, ReplayIsBitForBitIdenticalAcrossWorkerCounts) {
   config.seeds_per_cell = 2;                          // 4 cells
   config.budget_cycle_seconds = {2 * 3600.0, 1 * 3600.0};
   config.campaign_seed = 17;
-  config.engine = fast_engine_opts();
   config.workers = 3;
   config.share = ShareScope::kCell;
   config.schedule = SchedulePolicy::kLpt;
@@ -1460,7 +1442,6 @@ CampaignConfig journaled_campaign_config() {
   config.seeds_per_cell = 2;  // 4 cells
   config.budget.seconds = 0.3 * 3600.0;
   config.campaign_seed = 17;
-  config.engine = fast_engine_opts();
   config.workers = 2;
   config.share = ShareScope::kCell;
   config.execution = ExecutionMode::kDeterministic;

@@ -754,7 +754,6 @@ TEST(PerfModelVerdictOnly, JudgesExactlyAsTheFullMeasurement) {
   workload::Measurement lean;
   for (const double jitter : {0.015, 0.08}) {
     workload::EngineOptions opts;
-    opts.run_functional_pass = false;
     opts.sim.jitter = jitter;
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const workload::Engine engine(rows[i].first, opts);

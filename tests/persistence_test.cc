@@ -600,7 +600,6 @@ RecordedJournal recorded_journal() {
     for (const char sys_id : {'B', 'F'}) {
       const sim::Subsystem& sys = sim::subsystem(sys_id);
       workload::EngineOptions opts;
-      opts.run_functional_pass = false;
       opts.sim.keep_epochs = true;
       opts.backend_factory = &factory;
       opts.backend_context = std::string(1, sys_id) + "/Diag#0";

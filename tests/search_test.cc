@@ -7,16 +7,10 @@
 namespace collie::core {
 namespace {
 
-workload::EngineOptions fast_engine_opts() {
-  workload::EngineOptions opts;
-  opts.run_functional_pass = false;  // keep search tests quick
-  return opts;
-}
-
 class SearchTest : public ::testing::Test {
  protected:
   SearchTest()
-      : engine_(sim::subsystem('F'), fast_engine_opts()),
+      : engine_(sim::subsystem('F')),
         space_(sim::subsystem('F')),
         driver_(engine_, space_) {}
 
@@ -75,6 +69,29 @@ TEST_F(SearchTest, SaFindsAnomaliesWithinHours) {
     EXPECT_GE(f.found_at_seconds, prev);
     prev = f.found_at_seconds;
     EXPECT_TRUE(f.verdict.anomalous());
+  }
+}
+
+// With default EngineOptions every probe is measured on the backend, so
+// each discovery carries the mechanism that produced it.  An engine that
+// answered illegal workloads (message larger than the MR) with a
+// zero-traffic measurement reported most of these runs' anomalies with
+// mechanism kNone: 7 of 8 on B and 6 of 8 on F.
+TEST(SearchDefaultEngine, SaAnomaliesAllHaveAMechanism) {
+  for (const char sys_id : {'B', 'F'}) {
+    const workload::Engine engine(sim::subsystem(sys_id));
+    const SearchSpace space(sim::subsystem(sys_id));
+    SearchDriver driver(engine, space);
+    SearchBudget budget;
+    budget.seconds = 2 * 3600.0;
+    Rng rng(1);
+    const SearchResult r =
+        driver.run_simulated_annealing(SaConfig{}, budget, rng);
+    EXPECT_FALSE(r.found.empty()) << sys_id;
+    for (const FoundAnomaly& f : r.found) {
+      EXPECT_NE(f.dominant, sim::Bottleneck::kNone)
+          << sys_id << ": " << f.mfs.witness.describe();
+    }
   }
 }
 
@@ -190,7 +207,7 @@ class UncompiledBackendFactory final : public workload::BackendFactory {
 // half).
 TEST_F(SearchTest, CompiledEngineReproducesUncompiledTrajectoriesExactly) {
   UncompiledBackendFactory reference;
-  workload::EngineOptions uncompiled_opts = fast_engine_opts();
+  workload::EngineOptions uncompiled_opts;
   uncompiled_opts.backend_factory = &reference;
   const workload::Engine uncompiled(sim::subsystem('F'), uncompiled_opts);
   ASSERT_EQ(uncompiled.backend().kind(), workload::BackendKind::kMock);

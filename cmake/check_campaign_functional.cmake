@@ -49,10 +49,7 @@ same(plain.json functional.json)
 audited("${out}")
 
 run(two.json ignored ${flags} --workers 2)
-# A generous heartbeat timeout: a worker falsely declared dead on a loaded
-# machine re-runs its cell and legitimately reports differently.
-run(fleet.json out ${flags} --fleet 2 --heartbeat-timeout-ms 60000
-    --functional)
+run(fleet.json out ${flags} --fleet 2 --functional)
 same(two.json fleet.json)
 audited("${out}")
 file(REMOVE_RECURSE "${WORK}")

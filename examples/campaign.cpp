@@ -4,6 +4,7 @@
 // the rules between them live in orchestrator/invocation.h; this program
 // reads the files an invocation names, runs the campaign and writes its
 // outputs.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -85,12 +86,13 @@ int main(int argc, char** argv) {
                          (rec.error.empty() ? "" : ": " + rec.error));
     }
     if (rec.torn) {
-      std::printf("journal %s: torn past byte %llu/%llu, %s%s\n", path.c_str(),
-                  static_cast<unsigned long long>(rec.valid_bytes),
-                  static_cast<unsigned long long>(rec.total_bytes),
-                  replaying ? "replaying the valid prefix"
-                            : "quarantined suffix to ",
-                  replaying ? "" : rec.torn_path.c_str());
+      std::fprintf(stderr, "journal %s: torn past byte %llu/%llu, %s%s\n",
+                   path.c_str(),
+                   static_cast<unsigned long long>(rec.valid_bytes),
+                   static_cast<unsigned long long>(rec.total_bytes),
+                   replaying ? "replaying the valid prefix"
+                             : "quarantined suffix to ",
+                   replaying ? "" : rec.torn_path.c_str());
     }
     if (replaying || inv.resume) {
       if (auto err = adopt_journal(replaying ? "--replay" : "--resume", path,
@@ -104,11 +106,12 @@ int main(int argc, char** argv) {
                          "remove the file to start over");
     }
     if (inv.resume) {
-      std::printf("resuming journal %s: %zu completed cell(s), %lld "
-                  "journaled probe(s), session %d\n",
-                  path.c_str(), recording.completed.size(),
-                  static_cast<long long>(recording.probes),
-                  recording.sessions + 1);
+      std::fprintf(stderr,
+                   "resuming journal %s: %zu completed cell(s), %lld "
+                   "journaled probe(s), session %d\n",
+                   path.c_str(), recording.completed.size(),
+                   static_cast<long long>(recording.probes),
+                   recording.sessions + 1);
     }
     if (!replaying) {
       journal = std::make_unique<CampaignJournal>(
@@ -140,14 +143,26 @@ int main(int argc, char** argv) {
   } catch (const std::invalid_argument& e) {
     return fail(2, e.what());
   }
-  std::printf("campaign: %zu cells, %d workers, %s scope, %s execution, %s "
-              "schedule, %s backend%s\n",
-              campaign->plan().size(), campaign->config().workers,
-              to_string(config.share),
-              inv.fleet > 0 ? "fleet" : to_string(config.execution),
-              replaying ? "replayed" : to_string(config.schedule),
-              replaying ? "journal-replay" : "sim",
-              config.warm_start ? ", warm-started" : "");
+  const std::vector<CampaignCell> cells = campaign->plan();
+  const std::string& kill_cell = inv.fleet_options.kill_at_cell;
+  if (!kill_cell.empty() &&
+      std::none_of(cells.begin(), cells.end(), [&](const CampaignCell& c) {
+        return c.label() == kill_cell;
+      })) {
+    return fail(2, "--kill-worker: cell '" + kill_cell +
+                       "' is not in the campaign plan");
+  }
+  // Status lines go to stderr: stdout carries only the requested output
+  // (report tables or JSON, the --functional audit, or the trace CSV).
+  std::fprintf(stderr,
+               "campaign: %zu cells, %d workers, %s scope, %s execution, %s "
+               "schedule, %s backend%s\n",
+               cells.size(), campaign->config().workers,
+               to_string(config.share),
+               inv.fleet > 0 ? "fleet" : to_string(config.execution),
+               replaying ? "replayed" : to_string(config.schedule),
+               replaying ? "journal-replay" : "sim",
+               config.warm_start ? ", warm-started" : "");
 
   // Periodic snapshot thread: rewrites the metrics file every interval so
   // a long campaign can be watched live (`metrics_inspect` on the file).
@@ -179,19 +194,20 @@ int main(int argc, char** argv) {
       fleet::FleetRunResult fr =
           fleet::run_loopback_fleet(campaign->config(), inv.fleet_options);
       result = std::move(fr.campaign);
-      // Summary before the report so `--json | tail -1` stays the report.
-      std::printf("fleet: %d workers, %lld leases, %lld re-queues, "
-                  "%lld heartbeat misses, %lld stolen, %lld duplicates\n",
-                  result.workers, static_cast<long long>(fr.stats.leases),
-                  static_cast<long long>(fr.stats.requeues),
-                  static_cast<long long>(fr.stats.heartbeat_misses),
-                  static_cast<long long>(fr.stats.stolen),
-                  static_cast<long long>(fr.stats.duplicates));
+      std::fprintf(stderr,
+                   "fleet: %d workers, %lld leases, %lld re-queues, %lld "
+                   "heartbeat misses, %lld duplicates\n",
+                   result.workers, static_cast<long long>(fr.stats.leases),
+                   static_cast<long long>(fr.stats.requeues),
+                   static_cast<long long>(fr.stats.heartbeat_misses),
+                   static_cast<long long>(fr.stats.duplicates));
     } else {
       result = campaign->run();
     }
   } catch (const std::invalid_argument& e) {
-    failure = {2, e.what()};  // warm-start share mismatch, replay drift
+    // Warm-start share mismatch, replay drift, a kill the stall guard
+    // cannot absorb.
+    failure = {2, e.what()};
   } catch (const std::runtime_error& e) {
     failure = {3, e.what()};  // fleet stall: every worker dead
   }
@@ -213,8 +229,8 @@ int main(int argc, char** argv) {
     if (!write_file(inv.checkpoint_path, make_checkpoint(result).to_json())) {
       return fail(2, "cannot write checkpoint '" + inv.checkpoint_path + "'");
     }
-    std::printf("checkpointed %zu pool scopes to %s\n",
-                result.pool_scopes.size(), inv.checkpoint_path.c_str());
+    std::fprintf(stderr, "checkpointed %zu pool scopes to %s\n",
+                 result.pool_scopes.size(), inv.checkpoint_path.c_str());
   }
   if (inv.trace_csv) {
     std::printf("%s", aggregate_trace_csv(result).c_str());
@@ -222,8 +238,7 @@ int main(int argc, char** argv) {
   }
   const CampaignReport report = build_report(result);
   if (inv.functional) {
-    // Before the report, like the fleet summary, so `--json | tail -1`
-    // stays the report.
+    // Before the report, so `--json | tail -1` stays the report.
     std::printf("%s", audit_witnesses(report).render(report).c_str());
   }
 
@@ -238,8 +253,9 @@ int main(int argc, char** argv) {
                                           *telemetry, &report_json))) {
       return fail(2, "cannot write metrics to '" + inv.metrics_path + "'");
     }
-    std::printf("wrote %zu metrics snapshot%s to %s\n", snapshots.size(),
-                snapshots.size() == 1 ? "" : "s", inv.metrics_path.c_str());
+    std::fprintf(stderr, "wrote %zu metrics snapshot%s to %s\n",
+                 snapshots.size(), snapshots.size() == 1 ? "" : "s",
+                 inv.metrics_path.c_str());
   }
 
   if (inv.json) {

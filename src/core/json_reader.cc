@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 namespace collie::core {
 namespace {
@@ -310,6 +311,16 @@ i64 JsonValue::as_i64() const {
     throw JsonError("number is not an exactly-representable integer");
   }
   return static_cast<i64>(v);
+}
+
+int JsonValue::as_int() const {
+  const i64 v = as_i64();
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    throw JsonError("integer " + std::to_string(v) +
+                    " is outside the int range");
+  }
+  return static_cast<int>(v);
 }
 
 const std::string& JsonValue::as_string() const {

@@ -43,6 +43,9 @@ class JsonValue {
   // Numbers that are not exactly representable integers (non-integral or
   // beyond 2^53 in magnitude) throw rather than silently round.
   i64 as_i64() const;
+  // as_i64 narrowed to int; a value outside the int range throws instead of
+  // wrapping.
+  int as_int() const;
   const std::string& as_string() const;
   const std::vector<JsonValue>& items() const;  // array elements
   // Object members in document order (duplicate keys are preserved;

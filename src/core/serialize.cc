@@ -82,12 +82,12 @@ Workload workload_from_json(const JsonValue& v) {
   Workload w;
   w.qp_type = qp_type_from_string(v.at("qp_type").as_string());
   w.opcode = opcode_from_string(v.at("opcode").as_string());
-  w.num_qps = static_cast<int>(v.at("num_qps").as_i64());
-  w.wqe_batch = static_cast<int>(v.at("wqe_batch").as_i64());
-  w.sge_per_wqe = static_cast<int>(v.at("sge_per_wqe").as_i64());
-  w.send_wq_depth = static_cast<int>(v.at("send_wq_depth").as_i64());
-  w.recv_wq_depth = static_cast<int>(v.at("recv_wq_depth").as_i64());
-  w.mrs_per_qp = static_cast<int>(v.at("mrs_per_qp").as_i64());
+  w.num_qps = v.at("num_qps").as_int();
+  w.wqe_batch = v.at("wqe_batch").as_int();
+  w.sge_per_wqe = v.at("sge_per_wqe").as_int();
+  w.send_wq_depth = v.at("send_wq_depth").as_int();
+  w.recv_wq_depth = v.at("recv_wq_depth").as_int();
+  w.mrs_per_qp = v.at("mrs_per_qp").as_int();
   w.mr_size = static_cast<u64>(v.at("mr_size").as_i64());
   w.mtu = static_cast<u32>(v.at("mtu").as_i64());
   w.bidirectional = v.at("bidirectional").as_bool();
@@ -129,7 +129,7 @@ FeatureCondition condition_from_json(const JsonValue& v) {
   c.categorical = v.at("categorical").as_bool();
   if (c.categorical) {
     for (const JsonValue& a : v.at("allowed").items()) {
-      c.allowed.push_back(static_cast<int>(a.as_i64()));
+      c.allowed.push_back(a.as_int());
     }
   } else {
     c.lo = v.has("lo") ? v.at("lo").as_double()
@@ -154,7 +154,7 @@ void mfs_to_json(const Mfs& mfs, JsonWriter* json) {
 
 Mfs mfs_from_json(const JsonValue& v) {
   Mfs mfs;
-  mfs.index = static_cast<int>(v.at("index").as_i64());
+  mfs.index = v.at("index").as_int();
   mfs.symptom = symptom_from_string(v.at("symptom").as_string());
   mfs.witness = workload_from_json(v.at("witness"));
   for (const JsonValue& c : v.at("conditions").items()) {
@@ -253,7 +253,7 @@ workload::Measurement measurement_from_json(const JsonValue& v) {
   m.pps_utilization = v.at("pps_utilization").as_double();
   m.rx_goodput_bps = v.at("rx_goodput_bps").as_double();
   m.stable = v.at("stable").as_bool();
-  m.remeasure_count = static_cast<int>(v.at("remeasure_count").as_i64());
+  m.remeasure_count = v.at("remeasure_count").as_int();
   m.cost_seconds = v.at("cost_seconds").as_double();
   m.dominant = bottleneck_from_string(v.at("dominant").as_string());
   m.bottleneck_note = v.at("note").as_string();

@@ -2,15 +2,18 @@
 // transport.
 //
 // Constructs the Coordinator (which plans the campaign), spawns one
-// FleetWorker thread per logical worker of its schedule, runs the
-// coordinator on the calling thread, and tears the transport down so every
-// thread joins.  With no fault injection the returned CampaignResult is
-// byte-identical (report JSON and checkpoint JSON) to Campaign::run() under
-// ShareScope::kCell: both start and finish the campaign through the same
-// orchestrator steps, and workers run cells through the same execute_cell.
-// ctest campaign_fleet and the fleet-smoke CI job `cmp` exactly that.
+// executor thread per logical worker of its schedule, runs the coordinator
+// on the calling thread, and tears the transport down so every thread
+// joins.  Under ShareScope::kCell the returned CampaignResult is
+// byte-identical (report JSON and checkpoint JSON) to Campaign::run()'s,
+// with or without faults: both start and finish the campaign through the
+// same orchestrator steps, executors run each cell as its logical worker
+// through the same execute_cell, and faults only move cells between
+// executors.  ctest campaign_fleet and the fleet-smoke CI job `cmp` exactly
+// that.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "fleet/coordinator.h"
@@ -22,18 +25,15 @@ namespace collie::fleet {
 
 struct FleetRunOptions {
   FleetOptions coordinator;
-  // Transport faults armed before any worker starts.
+  // Transport faults armed before any executor starts.
   std::vector<FaultRule> faults;
-  // Fault injection: worker `kill_worker` dies (thread exits without a
-  // CellDone) while executing the cell labelled `kill_at_cell` — right
-  // after streaming its first extraction, or at cell end if it never
-  // extracts.  -1 = nobody dies.
-  int kill_worker = -1;
+  // Fault injection: the first executor to run the plan cell with this
+  // label dies before reporting it, stays down for four heartbeat timeouts
+  // but at most half the stall timeout (so the coordinator declares it dead
+  // and re-queues the cell), then restarts on the same endpoint and
+  // reconnects.  Empty = nobody dies; a label naming no plan cell never
+  // fires (the campaign CLI rejects one).
   std::string kill_at_cell;
-  // Fault injection: worker `slow_worker` sleeps this long per probe (wall
-  // clock), making it the steal victim.  -1 = nobody is slow.
-  int slow_worker = -1;
-  i64 slow_probe_us = 0;
 };
 
 struct FleetRunResult {
@@ -46,10 +46,13 @@ struct FleetRunResult {
   i64 delayed = 0;
 };
 
-// Run `config` as a loopback fleet.  The worker count is the coordinator's
-// schedule's logical worker count (config.workers under round-robin/LPT,
-// the recorded schedule's under replay).  Throws what Coordinator::run throws (stall,
-// invalid config).
+// Run `config` as a loopback fleet.  The executor count is the
+// coordinator's schedule's logical worker count (config.workers under
+// round-robin/LPT, the recorded schedule's under replay).  Throws
+// std::invalid_argument when kill_at_cell is set with a heartbeat timeout
+// of a quarter of the stall timeout or more (the stall guard could fire
+// while the killed executor is down), and what Coordinator::run throws
+// (stall, invalid config).
 FleetRunResult run_loopback_fleet(orchestrator::CampaignConfig config,
                                   FleetRunOptions opts = {});
 

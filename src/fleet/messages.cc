@@ -18,7 +18,7 @@ void pool_entry_to_json(const orchestrator::PoolEntry& e, JsonWriter* json) {
 
 orchestrator::PoolEntry pool_entry_from_json(const JsonValue& v) {
   orchestrator::PoolEntry e;
-  e.origin = static_cast<int>(v.at("origin").as_i64());
+  e.origin = v.at("origin").as_int();
   e.mfs = core::mfs_from_json(v.at("mfs"));
   return e;
 }
@@ -99,7 +99,7 @@ core::FoundAnomaly found_from_json(const JsonValue& v) {
   f.mfs = core::mfs_from_json(v.at("mfs"));
   f.verdict = verdict_from_json(v.at("verdict"));
   f.found_at_seconds = v.at("found_at_seconds").as_double();
-  f.experiment_index = static_cast<int>(v.at("experiment_index").as_i64());
+  f.experiment_index = v.at("experiment_index").as_int();
   f.dominant = core::bottleneck_from_string(v.at("dominant").as_string());
   return f;
 }
@@ -132,8 +132,6 @@ const char* to_string(MsgType t) {
       return "lease_cell";
     case MsgType::kCellDone:
       return "cell_done";
-    case MsgType::kMfsBatch:
-      return "mfs_batch";
     case MsgType::kHeartbeat:
       return "heartbeat";
     case MsgType::kAck:
@@ -144,8 +142,8 @@ const char* to_string(MsgType t) {
 
 MsgType msg_type_from_string(const std::string& s) {
   for (const MsgType t :
-       {MsgType::kLeaseCell, MsgType::kCellDone, MsgType::kMfsBatch,
-        MsgType::kHeartbeat, MsgType::kAck}) {
+       {MsgType::kLeaseCell, MsgType::kCellDone, MsgType::kHeartbeat,
+        MsgType::kAck}) {
     if (s == to_string(t)) return t;
   }
   throw JsonError("unknown fleet message type \"" + s + "\"");
@@ -174,7 +172,7 @@ orchestrator::CampaignCell cell_from_json(const JsonValue& v) {
   cell.fabric = v.at("fabric").as_string();
   cell.cc = v.at("cc").as_string();
   cell.mode = core::guidance_mode_from_string(v.at("mode").as_string());
-  cell.seed_ordinal = static_cast<int>(v.at("seed_ordinal").as_i64());
+  cell.seed_ordinal = v.at("seed_ordinal").as_int();
   const i64 stream = v.at("stream").as_i64();
   if (stream < 0) {
     throw JsonError("cell stream must be non-negative, got " +
@@ -213,7 +211,7 @@ void cell_result_to_json(const orchestrator::CellResult& r, JsonWriter* json) {
 orchestrator::CellResult cell_result_from_json(const JsonValue& v) {
   orchestrator::CellResult r;
   r.cell = cell_from_json(v.at("cell"));
-  r.worker = static_cast<int>(v.at("worker").as_i64());
+  r.worker = v.at("worker").as_int();
   r.start_seconds = v.at("start_seconds").as_double();
   r.cross_worker_skips = v.at("cross_worker_skips").as_i64();
   r.warm_start_skips = v.at("warm_start_skips").as_i64();
@@ -221,8 +219,8 @@ orchestrator::CellResult cell_result_from_json(const JsonValue& v) {
   r.error = v.at("error").as_string();
   r.backend = v.at("backend").as_string();
   r.result.elapsed_seconds = v.at("elapsed_seconds").as_double();
-  r.result.experiments = static_cast<int>(v.at("experiments").as_i64());
-  r.result.mfs_skips = static_cast<int>(v.at("mfs_skips").as_i64());
+  r.result.experiments = v.at("experiments").as_int();
+  r.result.mfs_skips = v.at("mfs_skips").as_int();
   for (const JsonValue& f : v.at("found").items()) {
     r.result.found.push_back(found_from_json(f));
   }
@@ -245,7 +243,7 @@ std::string Message::to_json() const {
       if (!shutdown) {
         json.key("cell");
         cell_to_json(cell, &json);
-        json.field("start_seconds", start_seconds);
+        json.field("worker", worker);
         json.field("scope", scope);
         entries_to_json("preload", preload, &json);
       }
@@ -256,10 +254,6 @@ std::string Message::to_json() const {
       entries_to_json("inserts", inserts, &json);
       json.key("pool_delta");
       pool_stats_to_json(pool_delta, &json);
-      break;
-    case MsgType::kMfsBatch:
-      json.field("first_ordinal", static_cast<i64>(first_ordinal));
-      entries_to_json("inserts", inserts, &json);
       break;
     case MsgType::kHeartbeat:
       json.field("busy", busy);
@@ -276,7 +270,7 @@ Message Message::from_json(const std::string& text) {
   const JsonValue doc = JsonValue::parse(text);
   Message m;
   m.type = msg_type_from_string(doc.at("type").as_string());
-  m.sender = static_cast<int>(doc.at("sender").as_i64());
+  m.sender = doc.at("sender").as_int();
   const i64 seq = doc.at("seq").as_i64();
   const i64 lease = doc.at("lease").as_i64();
   if (seq < 0 || lease < 0) {
@@ -289,7 +283,10 @@ Message Message::from_json(const std::string& text) {
       m.shutdown = doc.at("shutdown").as_bool();
       if (!m.shutdown) {
         m.cell = cell_from_json(doc.at("cell"));
-        m.start_seconds = doc.at("start_seconds").as_double();
+        m.worker = doc.at("worker").as_int();
+        if (m.worker < 0) {
+          throw JsonError("lease_cell worker must be non-negative");
+        }
         m.scope = doc.at("scope").as_string();
         m.preload = entries_from_json(doc.at("preload"));
         if (m.lease == 0) {
@@ -305,18 +302,6 @@ Message Message::from_json(const std::string& text) {
         throw JsonError("cell_done must carry a non-zero lease id");
       }
       break;
-    case MsgType::kMfsBatch: {
-      const i64 first = doc.at("first_ordinal").as_i64();
-      if (first < 0) {
-        throw JsonError("mfs_batch first_ordinal must be non-negative");
-      }
-      m.first_ordinal = static_cast<u64>(first);
-      m.inserts = entries_from_json(doc.at("inserts"));
-      if (m.lease == 0) {
-        throw JsonError("mfs_batch must carry a non-zero lease id");
-      }
-      break;
-    }
     case MsgType::kHeartbeat:
       m.busy = doc.at("busy").as_bool();
       m.probes = doc.at("probes").as_i64();

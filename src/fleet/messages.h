@@ -1,22 +1,22 @@
-// Fleet wire protocol: the five messages the coordinator and workers
+// Fleet wire protocol: the four messages the coordinator and its executors
 // exchange, as strict JSON documents.
 //
 // The payload vocabulary deliberately reuses the persistence layer's
 // serializers (core/serialize.h): MFS entries cross the wire in exactly the
-// PR 4 checkpoint JSON shape, so anything a worker streams back is already
-// in the format the coordinator checkpoints, the knowledge base merges, and
-// a replacement worker preloads.  Like every other document in the repo,
-// parsing is strict — truncation, garble, or an unknown enum name raises
-// core::JsonError, never undefined behaviour (fuzz-pinned by
+// checkpoint JSON shape, so what an executor reports is already in the
+// format the coordinator checkpoints, the knowledge base merges, and a
+// lease preloads.  Like every other document in the repo, parsing is
+// strict — truncation, garble, an out-of-range integer or an unknown enum
+// name raises core::JsonError, never undefined behaviour (fuzz-pinned by
 // tests/fleet_test.cc, same harness as tests/persistence_test.cc).
 //
 // Protocol sketch (state machines in DESIGN.md "Fleet protocol"):
-//   coordinator -> worker:  LeaseCell (cell + start offset + pool preload,
-//                           or shutdown=true), Ack (CellDone accepted)
-//   worker -> coordinator:  MfsBatch (incremental extractions, ordinal-
-//                           numbered per lease), CellDone (full result +
-//                           every insert + local pool-stats delta),
-//                           Heartbeat (liveness + progress)
+//   coordinator -> executor:  LeaseCell (cell + the logical worker it runs
+//                             as + pool preload, or shutdown=true),
+//                             Ack (CellDone accepted)
+//   executor -> coordinator:  CellDone (full result + every insert + local
+//                             pool-stats delta), Heartbeat (liveness +
+//                             progress)
 #pragma once
 
 #include <string>
@@ -27,15 +27,14 @@
 
 namespace collie::fleet {
 
-// The coordinator's transport endpoint id; workers are 0..N-1.
+// The coordinator's transport endpoint id; executors are 0..N-1.
 inline constexpr int kCoordinatorId = -1;
 
 enum class MsgType {
   kLeaseCell,  // coordinator grants a cell under a fresh lease id
-  kCellDone,   // worker reports a finished (or failed) cell
-  kMfsBatch,   // worker streams freshly extracted MFSes mid-cell
-  kHeartbeat,  // worker liveness (idle or mid-cell)
-  kAck,        // coordinator accepted a CellDone; worker may go idle
+  kCellDone,   // executor reports a finished (or failed) cell
+  kHeartbeat,  // executor liveness (idle or mid-cell)
+  kAck,        // coordinator accepted a CellDone; executor may go idle
 };
 
 const char* to_string(MsgType t);
@@ -54,27 +53,23 @@ struct Message {
   u64 lease = 0;
 
   // kLeaseCell
-  bool shutdown = false;  // true: no more work, worker should exit
+  bool shutdown = false;  // true: no more work, executor should exit
   orchestrator::CampaignCell cell;  // valid when !shutdown
-  double start_seconds = 0.0;  // offset on the worker's virtual timeline
-  std::string scope;           // pool scope the cell reads/writes
-  // Pool state the worker preloads before searching: warm-start entries
-  // plus everything already streamed into this scope (in particular, what a
-  // dead worker explained before its lease was revoked).
+  // The schedule's logical worker the cell runs as: its pool-view origin
+  // and its CellResult::worker, whichever executor runs it.
+  int worker = 0;
+  std::string scope;  // pool scope the cell reads/writes
+  // Pool state the executor preloads before searching: warm-start entries
+  // plus every accepted cell's inserts into this scope.
   std::vector<orchestrator::PoolEntry> preload;
-
-  // kMfsBatch / kCellDone: freshly inserted entries, ordinal-numbered from
-  // `first_ordinal` in local insert order.  CellDone carries the complete
-  // list (first_ordinal 0) so the coordinator can reconcile batches a fault
-  // dropped.
-  std::vector<orchestrator::PoolEntry> inserts;
-  u64 first_ordinal = 0;
 
   // kCellDone
   orchestrator::CellResult result;
-  // The worker-local pool's stats after the cell: the coordinator sums the
-  // hit/duplicate fields across accepted CellDones (its own pool never
-  // serves a search, so only workers observe hits).
+  // The cell's inserts in local insert order.
+  std::vector<orchestrator::PoolEntry> inserts;
+  // The executor-local pool's stats after the cell: the coordinator sums
+  // the hit/duplicate fields across accepted CellDones (its own pool never
+  // serves a search, so only executors observe hits).
   orchestrator::PoolStats pool_delta;
 
   // kHeartbeat
@@ -87,7 +82,8 @@ struct Message {
 };
 
 // One pool entry ({"origin", "mfs"}), the shape every MFS crosses the wire
-// and the journal in (mfs_batch frames, cell_done inserts, lease preloads).
+// and the journal in (journal mfs_batch frames, cell_done inserts, lease
+// preloads).
 void pool_entry_to_json(const orchestrator::PoolEntry& e,
                         core::JsonWriter* json);
 orchestrator::PoolEntry pool_entry_from_json(const core::JsonValue& v);

@@ -1,11 +1,11 @@
 // fleet::Transport — the message-passing seam between the coordinator and
-// its workers.
+// its executors.
 //
 // The protocol layer (coordinator.cc / worker.cc) only ever sees opaque
 // string payloads moving between integer endpoints, so swapping the
 // in-process LoopbackTransport for a socket transport changes nothing above
 // this interface.  LoopbackTransport exists so the whole fleet protocol —
-// leases, heartbeats, re-queues, steals — runs inside one ctest/TSan
+// leases, heartbeats, re-queues, reconnects — runs inside one ctest/TSan
 // process, with injectable faults (drop, delay, duplicate) standing in for
 // the network failures a real deployment sees.  Every payload crosses the
 // "wire" as real serialized JSON even in-process: the bytes the fuzz tests

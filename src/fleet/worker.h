@@ -1,23 +1,21 @@
-// FleetWorker: one leased-cell executor.
+// FleetWorker: one fleet executor.
 //
-// A worker owns no campaign state: it waits for LeaseCell messages, runs
-// each leased cell through the exact execute_cell path the in-process
-// campaign uses (same RNG split, same engine options, same MatchMFS store
-// semantics against a worker-local pool preloaded from the lease), streams
-// every fresh MFS extraction back as an ordinal-numbered MfsBatch, and
-// reports the finished cell as a CellDone it retransmits until the
-// coordinator Acks.  Heartbeats flow whenever the worker is idle and from
-// inside the probe loop while a cell runs, so a dead worker is one that
-// went silent — not merely one that is busy.
+// An executor owns no campaign state: it waits for LeaseCell messages and
+// runs each leased cell as the lease's logical worker through the exact
+// execute_cell path the in-process campaign uses (same RNG split, same
+// engine options, same MatchMFS store semantics against an executor-local
+// pool preloaded from the lease), then reports the finished cell and every
+// MFS it inserted as a CellDone it retransmits until the coordinator Acks.
+// Heartbeats flow whenever the executor is idle and from inside the probe
+// loop while a cell runs, so a dead executor is one that went silent — not
+// merely one that is busy.
 //
-// Fault injection (tests / demos only): kill_at_cell makes the worker die
-// silently mid-cell — right after streaming its first MfsBatch when the
-// cell extracts anything, at cell end otherwise — without sending CellDone;
-// slow_probe_us stretches every MatchMFS consult by a wall-clock sleep to
-// emulate a slow host for the coordinator's steal logic.
+// Fault injection (tests / demos only): `dies_on` makes the executor die
+// silently after running a cell, before its CellDone.
 #pragma once
 
 #include <chrono>
+#include <functional>
 #include <string>
 
 #include "fleet/messages.h"
@@ -32,23 +30,21 @@ inline constexpr std::chrono::milliseconds kCellDoneRetransmit{50};
 struct WorkerOptions {
   // Idle-heartbeat cadence, and the floor between mid-cell heartbeats.
   std::chrono::milliseconds heartbeat_interval{20};
-  // Fault injection: die silently while running the cell with this label.
-  std::string kill_at_cell;
-  // Fault injection: wall-clock microseconds added per MatchMFS consult.
-  i64 slow_probe_us = 0;
+  // Fault injection: true for a leased cell this executor dies on.
+  std::function<bool(const orchestrator::CampaignCell&)> dies_on;
 };
 
 class FleetWorker {
  public:
   // `config` is the same campaign config the coordinator plans from (shared
-  // read-only; the worker derives each cell's RNG from config.campaign_seed
-  // and the leased cell's stream index).
+  // read-only; the executor derives each cell's RNG from
+  // config.campaign_seed and the leased cell's stream index).
   FleetWorker(int id, const orchestrator::CampaignConfig& config,
               Transport* transport, WorkerOptions opts = {});
 
-  // Message loop; returns on a shutdown lease, a closed transport, or an
-  // injected kill.
-  void run();
+  // Message loop; returns on a shutdown lease or a closed transport (false)
+  // or an injected death (true).
+  bool run();
 
   int id() const { return id_; }
 
@@ -56,8 +52,9 @@ class FleetWorker {
   // Busy (mid-cell) heartbeat for a lease, idle for lease 0.
   void heartbeat(u64 lease, i64 probes);
   void send(Message m);
-  // Execute a lease end to end (blocking) and stage the CellDone.
-  void run_lease(const Message& lease);
+  // Execute a lease end to end (blocking) and stage the CellDone; false
+  // when the executor dies on it instead (fault injection).
+  bool run_lease(const Message& lease);
 
   int id_;
   const orchestrator::CampaignConfig& config_;

@@ -134,7 +134,7 @@ Corpus Corpus::from_json(const std::string& text) {
       e.mfs = core::mfs_from_json(entry_doc.at("mfs"));
       e.dominant =
           core::bottleneck_from_string(entry_doc.at("dominant").as_string());
-      e.anomaly_id = static_cast<int>(entry_doc.at("anomaly_id").as_i64());
+      e.anomaly_id = entry_doc.at("anomaly_id").as_int();
       e.label = entry_doc.at("label").as_string();
       for (const core::JsonValue& src : entry_doc.at("sources").items()) {
         e.sources.push_back(Provenance{src.at("source").as_string(),

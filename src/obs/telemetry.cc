@@ -42,8 +42,6 @@ Telemetry::Telemetry(TelemetryOptions opts)
   fleet_.leases = registry_.counter("fleet.leases");
   fleet_.requeues = registry_.counter("fleet.requeues");
   fleet_.heartbeat_misses = registry_.counter("fleet.heartbeat_misses");
-  fleet_.stolen = registry_.counter("fleet.stolen");
-  fleet_.batches = registry_.counter("fleet.batches");
   fleet_.duplicates = registry_.counter("fleet.duplicates");
 }
 

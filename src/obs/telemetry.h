@@ -55,11 +55,9 @@ struct PoolIds {
 };
 
 struct FleetIds {
-  CounterId leases;            // cells leased to workers
-  CounterId requeues;          // cells re-queued after a worker death
-  CounterId heartbeat_misses;  // workers declared dead on heartbeat timeout
-  CounterId stolen;            // queued cells stolen from slow workers
-  CounterId batches;           // incremental MfsBatch messages applied
+  CounterId leases;            // cells leased to executors
+  CounterId requeues;          // cells re-queued after an executor death
+  CounterId heartbeat_misses;  // executors declared dead on heartbeat timeout
   CounterId duplicates;        // duplicate protocol messages discarded
 };
 

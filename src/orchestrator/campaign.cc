@@ -251,15 +251,13 @@ CellResult execute_cell(const CellExecutionOptions& opts,
   return cr;
 }
 
-void Campaign::run_cell(int worker, double start_seconds,
-                        const CampaignCell& cell, Rng rng, bool restored,
-                        ConcurrentMfsPool& pool, CellResult& out) {
+void Campaign::run_cell(int worker, const CampaignCell& cell, Rng rng,
+                        bool restored, ConcurrentMfsPool& pool,
+                        CellResult& out) {
   obs::Telemetry* tel = config_.telemetry;
   if (restored) {
     // The cell ran to completion before the crash: start_campaign restored
     // its journaled result and pool inserts.
-    out.worker = worker;
-    out.start_seconds = start_seconds;
     if (tel != nullptr) {
       tel->registry().add(worker,
                           out.failed() ? cells_failed_ : cells_completed_);
@@ -271,8 +269,8 @@ void Campaign::run_cell(int worker, double start_seconds,
   ConcurrentMfsPool::View view = pool.view(scope, worker);
   if (config_.journal != nullptr) {
     JournalingStore store(view, config_.journal, cell.label(), scope, worker);
-    out = execute_cell(cell_execution_options(config_), cell, worker,
-                       start_seconds, rng, view, &store);
+    out = execute_cell(cell_execution_options(config_), cell, worker, 0.0,
+                       rng, view, &store);
     PoolStats delta;
     delta.entries = static_cast<i64>(store.inserts().size());
     delta.hits = view.hits();
@@ -283,8 +281,8 @@ void Campaign::run_cell(int worker, double start_seconds,
     // cell's rng stream index is its plan position).
     config_.journal->cell_done(out, store.inserts(), delta, cell.stream + 1);
   } else {
-    out = execute_cell(cell_execution_options(config_), cell, worker,
-                       start_seconds, rng, view);
+    out = execute_cell(cell_execution_options(config_), cell, worker, 0.0,
+                       rng, view);
   }
   if (tel != nullptr) {
     obs::Registry& reg = tel->registry();
@@ -515,6 +513,17 @@ CampaignStart start_campaign(const CampaignConfig& config,
 void finish_campaign(const CampaignConfig& config,
                      const ConcurrentMfsPool& pool,
                      const PoolStats& live_delta, CampaignResult& result) {
+  // Each logical worker runs its queue back to back on its own simulated
+  // timeline, whichever thread or fleet executor ran the cells.
+  for (std::size_t w = 0; w < result.schedule.queues.size(); ++w) {
+    double timeline = 0.0;
+    for (const std::size_t i : result.schedule.queues[w]) {
+      CellResult& cr = result.cells[i];
+      cr.worker = static_cast<int>(w);
+      cr.start_seconds = timeline;
+      timeline += cr.result.elapsed_seconds;
+    }
+  }
   std::vector<double> worker_elapsed(static_cast<std::size_t>(result.workers),
                                      0.0);
   for (const CellResult& cr : result.cells) {
@@ -573,23 +582,19 @@ CampaignResult Campaign::run() {
       {config_.workers, schedule.workers, static_cast<int>(queued)});
   if (config_.execution == ExecutionMode::kDeterministic || fleet <= 1) {
     // Virtual-time dispatch order on the calling thread with the schedule's
-    // worker attribution and per-worker timelines: the reference semantics
-    // every physical execution converges to.  For round-robin schedules
-    // with uniform budgets this is exactly plan order (the seed behaviour).
-    std::vector<double> timelines(
-        static_cast<std::size_t>(schedule.workers), 0.0);
+    // worker attribution: the reference semantics every physical execution
+    // converges to.  For round-robin schedules with uniform budgets this is
+    // exactly plan order (the seed behaviour).
     const std::vector<int> worker_of = schedule.worker_of(cells.size());
     for (const std::size_t i : dispatch_order(schedule, budgets)) {
-      const auto w = static_cast<std::size_t>(worker_of[i]);
-      run_cell(static_cast<int>(w), timelines[w], cells[i], streams[i],
-               start.restored[i], pool, result.cells[i]);
-      timelines[w] += result.cells[i].result.elapsed_seconds;
-      note_cell_drained(static_cast<int>(w));
+      run_cell(worker_of[i], cells[i], streams[i], start.restored[i], pool,
+               result.cells[i]);
+      note_cell_drained(worker_of[i]);
     }
   } else {
     // One physical thread drains logical queues t, t+fleet, ... — queues
-    // are independent (each owns its timeline), so any fleet size yields
-    // the same per-cell results under cell-scoped pools.
+    // are independent, so any fleet size yields the same per-cell results
+    // under cell-scoped pools.
     std::vector<std::thread> threads;
     threads.reserve(static_cast<std::size_t>(fleet));
     for (int t = 0; t < fleet; ++t) {
@@ -597,12 +602,10 @@ CampaignResult Campaign::run() {
                             &start, &pool, &result] {
         for (int w = t; w < static_cast<int>(schedule.queues.size());
              w += fleet) {
-          double timeline = 0.0;
           for (const std::size_t i :
                schedule.queues[static_cast<std::size_t>(w)]) {
-            run_cell(w, timeline, cells[i], streams[i], start.restored[i],
-                     pool, result.cells[i]);
-            timeline += result.cells[i].result.elapsed_seconds;
+            run_cell(w, cells[i], streams[i], start.restored[i], pool,
+                     result.cells[i]);
             note_cell_drained(w);
           }
         }

@@ -164,7 +164,8 @@ struct CellResult {
   CampaignCell cell;
   core::SearchResult result;
   int worker = -1;
-  // Offset of this cell on its worker's simulated timeline.
+  // Offset of this cell on its worker's simulated timeline (set by
+  // finish_campaign from the worker's queue).
   double start_seconds = 0.0;
   // MatchMFS hits served from MFSes another worker inserted.
   i64 cross_worker_skips = 0;
@@ -225,11 +226,14 @@ struct CellExecutionOptions {
 
 CellExecutionOptions cell_execution_options(const CampaignConfig& config);
 
-// Run one cell end to end: materialize the subsystem, drive the search
-// against `store` (defaults to `view`; the fleet passes a streaming wrapper
-// that forwards to the view), attribute cross-worker / warm-start skips
-// from the view, and catch any std::exception into CellResult::error so a
-// bad cell cannot take its worker down.
+// Run one cell end to end as logical worker `worker`: materialize the
+// subsystem, drive the search against `store` (defaults to `view`; the
+// journal and the fleet executor pass wrappers that forward to the view),
+// attribute cross-worker / warm-start skips from the view, and catch any
+// std::exception into CellResult::error so a bad cell cannot take its
+// worker down.  `start_seconds` is copied into the result as is;
+// finish_campaign overwrites it from the schedule, so the campaign and the
+// fleet pass 0.
 CellResult execute_cell(const CellExecutionOptions& opts,
                         const CampaignCell& cell, int worker,
                         double start_seconds, Rng rng,
@@ -279,8 +283,10 @@ CampaignStart start_campaign(const CampaignConfig& config,
                              const std::vector<CampaignCell>& cells,
                              ConcurrentMfsPool& pool);
 
-// Finish a campaign whose cells are all in `result`: aggregate the
-// simulated timelines, read `pool`'s entries and scopes, and fold in the
+// Finish a campaign whose cells are all in `result`: walk each logical
+// worker's queue to attribute its cells to it and set their start offsets
+// on its simulated timeline (so who executed a cell never shows), aggregate
+// the timelines, read `pool`'s entries and scopes, and fold in the
 // hit and duplicate observations `pool` did not make itself: the restored
 // cells' journaled deltas plus `live_delta` (the fleet's accepted
 // cell_done deltas; zero in-process, where `pool` served every search).
@@ -311,11 +317,10 @@ class Campaign {
   CampaignResult run();
 
  private:
-  // Run plan cell `cell` into `out`; a `restored` cell keeps the journaled
-  // result start_campaign put there and takes only its dispatch position.
-  void run_cell(int worker, double start_seconds, const CampaignCell& cell,
-                Rng rng, bool restored, ConcurrentMfsPool& pool,
-                CellResult& out);
+  // Run plan cell `cell` as logical worker `worker` into `out`; a
+  // `restored` cell keeps the journaled result start_campaign put there.
+  void run_cell(int worker, const CampaignCell& cell, Rng rng, bool restored,
+                ConcurrentMfsPool& pool, CellResult& out);
   // Register campaign-level and per-worker instruments for this schedule
   // (no-op without a telemetry sink).  Must run before worker threads start.
   void setup_telemetry(const Schedule& schedule, i64 skipped_cells);

@@ -249,9 +249,9 @@ CampaignReport campaign_report_from_json(const std::string& text) {
   const core::JsonValue doc = core::JsonValue::parse(text);
   CampaignReport report;
   report.backend = doc.at("backend").as_string();
-  report.workers = static_cast<int>(doc.at("workers").as_i64());
+  report.workers = doc.at("workers").as_int();
   report.total_experiments =
-      static_cast<int>(doc.at("total_experiments").as_i64());
+      doc.at("total_experiments").as_int();
   report.serial_seconds = doc.at("serial_seconds").as_double();
   report.makespan_seconds = doc.at("makespan_seconds").as_double();
   report.speedup = doc.at("speedup").as_double();
@@ -269,14 +269,14 @@ CampaignReport campaign_report_from_json(const std::string& text) {
     cov.subsystem = sys[0];
     cov.fabric = c.at("fabric").as_string();
     cov.cc = c.at("cc").as_string();
-    cov.cells = static_cast<int>(c.at("cells").as_i64());
-    cov.failed_cells = static_cast<int>(c.at("failed_cells").as_i64());
-    cov.skipped_cells = static_cast<int>(c.at("skipped_cells").as_i64());
-    cov.experiments = static_cast<int>(c.at("experiments").as_i64());
-    cov.anomalies_found = static_cast<int>(c.at("anomalies_found").as_i64());
+    cov.cells = c.at("cells").as_int();
+    cov.failed_cells = c.at("failed_cells").as_int();
+    cov.skipped_cells = c.at("skipped_cells").as_int();
+    cov.experiments = c.at("experiments").as_int();
+    cov.anomalies_found = c.at("anomalies_found").as_int();
     cov.distinct_anomalies =
-        static_cast<int>(c.at("distinct_anomalies").as_i64());
-    cov.mfs_skips = static_cast<int>(c.at("mfs_skips").as_i64());
+        c.at("distinct_anomalies").as_int();
+    cov.mfs_skips = c.at("mfs_skips").as_int();
     cov.cross_worker_skips = c.at("cross_worker_skips").as_i64();
     cov.warm_start_skips = c.at("warm_start_skips").as_i64();
     cov.elapsed_seconds = c.at("elapsed_seconds").as_double();
@@ -293,7 +293,7 @@ CampaignReport campaign_report_from_json(const std::string& text) {
     an.dominant = core::bottleneck_from_string(a.at("mechanism").as_string());
     an.first_cell = a.at("first_cell").as_string();
     an.first_found_at = a.at("first_found_at_seconds").as_double();
-    an.occurrences = static_cast<int>(a.at("occurrences").as_i64());
+    an.occurrences = a.at("occurrences").as_int();
     an.representative = core::mfs_from_json(a.at("representative"));
     if (a.at("conditions").as_i64() !=
         static_cast<i64>(an.representative.conditions.size())) {

@@ -84,23 +84,18 @@ constexpr CliFlag kFlags[] = {
      "print the human telemetry table (counters, histogram quantiles, "
      "per-worker utilization) after the report"},
     {"fleet", "<n>", "0",
-     "run as a loopback fleet: a coordinator plus <n> worker threads "
+     "run as a loopback fleet: a coordinator plus <n> executor threads "
      "speaking the fleet protocol (src/fleet/); 0 runs in-process"},
     {"heartbeat-ms", "<ms>", "20",
-     "fleet worker heartbeat cadence, in [1, 2^31)"},
+     "fleet executor heartbeat cadence, in [1, 2^31)"},
     {"heartbeat-timeout-ms", "<ms>", "250",
-     "silence before the fleet coordinator declares a worker dead and "
+     "silence before the fleet coordinator declares an executor dead and "
      "re-queues its cell, in [1, 2^31) and above --heartbeat-ms"},
-    {"steal-after-ms", "<ms>", "1000",
-     "wall-clock busy time on one cell before an idle fleet worker may steal "
-     "from the victim's queue, in [0, 2^31)"},
-    {"kill-worker", "<k@cell>", nullptr,
-     "fault injection: fleet worker k dies while executing the cell with "
-     "that label (e.g. \"--kill-worker 1@B/Diag#0\"); the coordinator "
-     "re-queues the cell and the run still completes"},
-    {"slow-worker", "<k@us>", nullptr,
-     "fault injection: fleet worker k sleeps <us> microseconds per probe, "
-     "making it the steal victim"},
+    {"kill-worker", "<cell>", nullptr,
+     "fault injection: the fleet executor that runs the cell with this label "
+     "(e.g. \"--kill-worker B/Diag#0\") dies before reporting it; the "
+     "coordinator re-queues the cell, the executor restarts, and the report "
+     "is unchanged"},
     {"journal", "<f>", nullptr,
      "durable crash journal (collie-journal-v3, schema in README.md), "
      "streamed as the campaign runs. Needs --exec deterministic or --share "
@@ -124,8 +119,7 @@ constexpr int kMaxHours = 8760;
 
 // Flags that only steer a --fleet run.
 constexpr const char* kFleetOnly[] = {"heartbeat-ms", "heartbeat-timeout-ms",
-                                      "steal-after-ms", "kill-worker",
-                                      "slow-worker"};
+                                      "kill-worker"};
 
 // An integer flag that must lie in [lo, INT32_MAX], narrowed to int.
 int get_int_in(const CliArgs& args, const std::string& flag, i64 lo) {
@@ -135,32 +129,6 @@ int get_int_in(const CliArgs& args, const std::string& flag, i64 lo) {
                                 std::to_string(lo) + ", 2^31)");
   }
   return static_cast<int>(v);
-}
-
-// "k@thing" fault-injection selectors (--kill-worker 1@B/Diag#0,
-// --slow-worker 0@500).  Split at the FIRST '@' only: cell labels may
-// themselves contain '@' ("B@hetero/Diag#0").  Worker k must exist among
-// the fleet's `workers`.
-void parse_worker_at(const CliArgs& args, const std::string& flag,
-                     const char* want, int workers, int* worker,
-                     std::string* rest) {
-  const std::string arg = args.get(flag);
-  const std::size_t at = arg.find('@');
-  char* end = nullptr;
-  const long w = std::strtol(arg.c_str(), &end, 10);
-  if (at == std::string::npos || at == 0 || at + 1 >= arg.size() ||
-      end != arg.c_str() + at || w < 0) {
-    throw std::invalid_argument("bad --" + flag + " '" + arg + "' (want " +
-                                want + ")");
-  }
-  if (w >= workers) {
-    throw std::invalid_argument("--" + flag + " names worker " +
-                                std::to_string(w) + ", but --fleet " +
-                                std::to_string(workers) + " runs workers 0-" +
-                                std::to_string(workers - 1));
-  }
-  *worker = static_cast<int>(w);
-  *rest = arg.substr(at + 1);
 }
 
 // Everything but the errors' exit codes; parse_campaign_invocation maps
@@ -265,23 +233,9 @@ CampaignInvocation parse(const CliArgs& args) {
   fleet.coordinator.heartbeat_interval =
       std::chrono::milliseconds(heartbeat_ms);
   fleet.coordinator.heartbeat_timeout = std::chrono::milliseconds(timeout_ms);
-  fleet.coordinator.steal_after =
-      std::chrono::milliseconds(get_int_in(args, "steal-after-ms", 0));
-  if (args.has("kill-worker")) {
-    parse_worker_at(args, "kill-worker", "k@cell-label", inv.fleet,
-                    &fleet.kill_worker, &fleet.kill_at_cell);
-  }
-  if (args.has("slow-worker")) {
-    std::string us;
-    parse_worker_at(args, "slow-worker", "k@microseconds", inv.fleet,
-                    &fleet.slow_worker, &us);
-    char* end = nullptr;
-    fleet.slow_probe_us = std::strtol(us.c_str(), &end, 10);
-    if (end != us.c_str() + us.size() || fleet.slow_probe_us < 0) {
-      throw std::invalid_argument("bad --slow-worker '" +
-                                  args.get("slow-worker") +
-                                  "' (want k@microseconds)");
-    }
+  fleet.kill_at_cell = args.get("kill-worker");
+  if (args.has("kill-worker") && fleet.kill_at_cell.empty()) {
+    throw std::invalid_argument("--kill-worker needs a cell label");
   }
   if (inv.fleet > 0) config.workers = inv.fleet;
 

@@ -367,7 +367,7 @@ JournalResume parse_journal(const std::vector<std::string>& payloads) {
         const i64 seed = doc.at("seed").as_i64();
         if (seed < 0) throw JsonError("journal seed must be non-negative");
         r.seed = static_cast<u64>(seed);
-        r.workers = static_cast<int>(doc.at("workers").as_i64());
+        r.workers = doc.at("workers").as_int();
         r.schedule = schedule_from_json(doc.at("schedule").as_string());
       } else if (kind == "probe") {
         const std::string& ctx = doc.at("context").as_string();

@@ -289,8 +289,9 @@ std::shared_ptr<workload::BackendFactory> journal_replay_factory(
 
 // Scoped store handed to a journaling cell's driver: forwards everything to
 // the pool view, journals each insert as an mfs_batch record, and keeps the
-// cell's insert list + stats delta for its cell_done frame (the in-process
-// analogue of the fleet worker's StreamingStore).
+// cell's insert list for its cell_done frame.  With a null journal it only
+// collects the insert list (the fleet executor's use: inserts travel to the
+// coordinator in the cell_done message).
 class JournalingStore final : public core::MfsStore {
  public:
   JournalingStore(ConcurrentMfsPool::View& view, CampaignJournal* journal,

@@ -139,7 +139,7 @@ std::string schedule_to_json(const Schedule& schedule,
 Schedule schedule_from_json(const std::string& text) {
   const core::JsonValue doc = core::JsonValue::parse(text);
   Schedule s;
-  s.workers = static_cast<int>(doc.at("workers").as_i64());
+  s.workers = doc.at("workers").as_int();
   if (s.workers < 1) throw core::JsonError("schedule needs >= 1 worker");
   for (const core::JsonValue& queue : doc.at("queues").items()) {
     s.queues.emplace_back();

@@ -53,11 +53,19 @@ bool setup_host(HostState& h, verbs::Network& net, const Workload& w,
     *error = "create_cq failed";
     return false;
   }
+  // One pattern round touches MR 0 and, for SEND receives, the first MR of
+  // each QP.  Only those get storage; every other MR keeps its registration
+  // and length over MR 0's buffer, which no work request reaches through it.
   const int total_mrs = qps * mrs_per_qp;
+  h.buffers.resize(static_cast<std::size_t>(total_mrs));
   for (int i = 0; i < total_mrs; ++i) {
-    h.buffers.emplace_back(w.mr_size, u8{0});
+    std::vector<u8>& buffer = h.buffers[static_cast<std::size_t>(i)];
+    if (i == 0 || (w.opcode == Opcode::kSend && i % mrs_per_qp == 0)) {
+      buffer.assign(w.mr_size, u8{0});
+    }
+    u8* storage = buffer.empty() ? h.buffers[0].data() : buffer.data();
     verbs::Mr* mr = h.ctx->reg_mr(
-        h.pd, h.buffers.back().data(), w.mr_size,
+        h.pd, storage, w.mr_size,
         verbs::kLocalWrite | verbs::kRemoteWrite | verbs::kRemoteRead);
     if (mr == nullptr) {
       *error = "reg_mr failed";

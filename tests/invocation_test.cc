@@ -52,8 +52,7 @@ TEST(CampaignInvocation, DefaultsComeFromTheFlagTable) {
   EXPECT_EQ(inv.fleet, 0);
   EXPECT_EQ(inv.fleet_options.coordinator.heartbeat_interval.count(), 20);
   EXPECT_EQ(inv.fleet_options.coordinator.heartbeat_timeout.count(), 250);
-  EXPECT_EQ(inv.fleet_options.coordinator.steal_after.count(), 1000);
-  EXPECT_EQ(inv.fleet_options.kill_worker, -1);
+  EXPECT_EQ(inv.fleet_options.kill_at_cell, "");
   EXPECT_EQ(inv.journal_every, 64);
   EXPECT_EQ(inv.crash_after_probes, 0);
   EXPECT_EQ(inv.crash_at_journal_byte, 0u);
@@ -99,7 +98,7 @@ TEST(CampaignInvocation, HelpSkipsValidation) {
 
 TEST(CampaignInvocation, UnknownAndRemovedFlagsAreRejected) {
   for (const char* flag : {"--worker", "--keep-epochs", "--warm-start-lenient",
-                           "--backend"}) {
+                           "--backend", "--steal-after-ms", "--slow-worker"}) {
     const InvocationError err = rejected({flag, "1"});
     EXPECT_EQ(err.exit_code, 2);
     EXPECT_TRUE(contains(err.message, std::string("unknown flag ") + flag))
@@ -141,7 +140,7 @@ TEST(CampaignInvocation, OutOfRangeGridSizesAreRejected) {
       {{"--seed", "-1"}, "--seed"},
       {{"--seed", "-9223372036854775807"}, "--seed"},
       // Fleet timing: a heartbeat cadence and death timeout in [1, 2^31)
-      // ms, the timeout above the cadence, a steal gate in [0, 2^31) ms.
+      // ms, the timeout above the cadence.
       {{"--fleet", "2", "--heartbeat-ms", "0"}, "--heartbeat-ms"},
       {{"--fleet", "2", "--heartbeat-ms", "-5"}, "--heartbeat-ms"},
       {{"--fleet", "2", "--heartbeat-ms", "2147483648"}, "--heartbeat-ms"},
@@ -154,9 +153,6 @@ TEST(CampaignInvocation, OutOfRangeGridSizesAreRejected) {
       {{"--fleet", "2", "--heartbeat-timeout-ms", "20"},
        "--heartbeat-timeout-ms"},
       {{"--fleet", "2", "--heartbeat-ms", "300"}, "--heartbeat-timeout-ms"},
-      {{"--fleet", "2", "--steal-after-ms", "-1"}, "--steal-after-ms"},
-      {{"--fleet", "2", "--steal-after-ms", "2147483648"},
-       "--steal-after-ms"},
   };
   for (const Case& c : cases) {
     const InvocationError err = rejected(c.args);
@@ -175,18 +171,15 @@ TEST(CampaignInvocation, OutOfRangeGridSizesAreRejected) {
             9223372036854775807u);
   const fleet::FleetOptions low =
       ok({"--fleet", "2", "--heartbeat-ms", "1", "--heartbeat-timeout-ms",
-          "2", "--steal-after-ms", "0"})
+          "2"})
           .fleet_options.coordinator;
   EXPECT_EQ(low.heartbeat_interval.count(), 1);
   EXPECT_EQ(low.heartbeat_timeout.count(), 2);
-  EXPECT_EQ(low.steal_after.count(), 0);
   const fleet::FleetOptions high =
       ok({"--fleet", "2", "--heartbeat-ms", "2147483646",
-          "--heartbeat-timeout-ms", "2147483647", "--steal-after-ms",
-          "2147483647"})
+          "--heartbeat-timeout-ms", "2147483647"})
           .fleet_options.coordinator;
   EXPECT_EQ(high.heartbeat_timeout.count(), 2147483647);
-  EXPECT_EQ(high.steal_after.count(), 2147483647);
 }
 
 // One routine validates every choice flag, and its message names the
@@ -282,36 +275,23 @@ TEST(CampaignInvocation, MetricsIntervalTakesFractionalSecondsAndAFile) {
 
 TEST(CampaignInvocation, FleetOnlyFlagsNeedAFleet) {
   for (const std::vector<std::string>& args :
-       {std::vector<std::string>{"--kill-worker", "1@B/Diag#0"},
-        std::vector<std::string>{"--slow-worker", "0@500"},
+       {std::vector<std::string>{"--kill-worker", "B/Diag#0"},
         std::vector<std::string>{"--heartbeat-ms", "5"},
-        std::vector<std::string>{"--heartbeat-timeout-ms", "1000"},
-        std::vector<std::string>{"--steal-after-ms", "10"}}) {
+        std::vector<std::string>{"--heartbeat-timeout-ms", "1000"}}) {
     const InvocationError err = rejected(args);
     EXPECT_EQ(err.exit_code, 2) << args[0];
     EXPECT_TRUE(contains(err.message, args[0])) << err.message;
     EXPECT_TRUE(contains(err.message, "--fleet")) << err.message;
   }
-  // Worker k must exist among the fleet's workers.
-  const InvocationError missing =
-      rejected({"--fleet", "2", "--kill-worker", "9@B/Diag#0"});
-  EXPECT_EQ(missing.exit_code, 2);
-  EXPECT_TRUE(contains(missing.message, "worker 9")) << missing.message;
-  EXPECT_EQ(rejected({"--fleet", "2", "--slow-worker", "2@10"}).exit_code, 2);
-  EXPECT_EQ(rejected({"--fleet", "2", "--kill-worker", "B/Diag#0"}).exit_code,
-            2);
-  EXPECT_EQ(rejected({"--fleet", "2", "--slow-worker", "1@fast"}).exit_code,
-            2);
+  // --kill-worker names a cell, not an executor.
+  EXPECT_EQ(rejected({"--fleet", "2", "--kill-worker="}).exit_code, 2);
 
   const CampaignInvocation inv =
-      ok({"--fleet", "2", "--kill-worker", "1@B@hetero/Diag#0",
-          "--slow-worker", "0@500", "--heartbeat-timeout-ms", "1000"});
+      ok({"--fleet", "2", "--kill-worker", "B@hetero/Diag#0",
+          "--heartbeat-timeout-ms", "1000"});
   EXPECT_EQ(inv.fleet, 2);
   EXPECT_EQ(inv.config.workers, 2);  // the fleet size is the worker count
-  EXPECT_EQ(inv.fleet_options.kill_worker, 1);
   EXPECT_EQ(inv.fleet_options.kill_at_cell, "B@hetero/Diag#0");
-  EXPECT_EQ(inv.fleet_options.slow_worker, 0);
-  EXPECT_EQ(inv.fleet_options.slow_probe_us, 500);
   EXPECT_EQ(inv.fleet_options.coordinator.heartbeat_timeout.count(), 1000);
 }
 

@@ -288,6 +288,16 @@ TEST(CorpusPersistenceTest, RejectsTargetedGarbles) {
     g[pos + 12] = '?';
     EXPECT_THROW(Corpus::from_json(g), JsonError);
   }
+  // An anomaly id past the int range throws instead of wrapping.
+  {
+    const std::size_t pos = doc.find("\"anomaly_id\":");
+    ASSERT_NE(pos, std::string::npos);
+    const std::size_t from = pos + 13;
+    const std::size_t end = doc.find_first_not_of("-0123456789", from);
+    std::string g = doc;
+    g.replace(from, end - from, "4294967297");
+    EXPECT_THROW(Corpus::from_json(g), JsonError);
+  }
   // Provenance-free entry: empty the first sources array.
   {
     const std::size_t pos = doc.find("\"sources\":[");

@@ -23,6 +23,7 @@
 #include "core/json_reader.h"
 #include "core/report.h"
 #include "core/serialize.h"
+#include "fleet/messages.h"
 #include "orchestrator/campaign.h"
 #include "orchestrator/campaign_report.h"
 #include "orchestrator/checkpoint.h"
@@ -84,6 +85,18 @@ core::Mfs random_mfs(const core::SearchSpace& space, Rng& rng) {
   return mfs;
 }
 
+// `doc` with the first integer member `key` set to `value`.
+std::string with_int_field(std::string doc, const std::string& key,
+                           const std::string& value) {
+  const std::string tag = "\"" + key + "\":";
+  const std::size_t at = doc.find(tag);
+  EXPECT_NE(at, std::string::npos) << key;
+  if (at == std::string::npos) return doc;
+  const std::size_t from = at + tag.size();
+  const std::size_t to = doc.find_first_not_of("-0123456789", from);
+  return doc.replace(from, to - from, value);
+}
+
 // ---- JsonValue parser -------------------------------------------------------
 
 TEST(JsonReaderTest, ParsesPrimitivesAndContainers) {
@@ -101,6 +114,18 @@ TEST(JsonReaderTest, ParsesPrimitivesAndContainers) {
   EXPECT_THROW(v.at("zzz"), JsonError);
   EXPECT_THROW(v.at("a").as_string(), JsonError);
   EXPECT_THROW(v.at("b").as_i64(), JsonError);  // non-integral
+}
+
+TEST(JsonReaderTest, AsIntRejectsValuesOutsideTheIntRange) {
+  const JsonValue v = JsonValue::parse(
+      R"({"lo":-2147483648,"hi":2147483647,"under":-2147483649,)"
+      R"("over":2147483648,"wrap":4294967294,"half":1.5})");
+  EXPECT_EQ(v.at("lo").as_int(), -2147483647 - 1);
+  EXPECT_EQ(v.at("hi").as_int(), 2147483647);
+  EXPECT_THROW(v.at("under").as_int(), JsonError);
+  EXPECT_THROW(v.at("over").as_int(), JsonError);
+  EXPECT_THROW(v.at("wrap").as_int(), JsonError);  // would wrap to -2
+  EXPECT_THROW(v.at("half").as_int(), JsonError);
 }
 
 TEST(JsonReaderTest, RejectsTruncationAtEveryPrefix) {
@@ -498,6 +523,10 @@ TEST(PersistenceRoundTrip, ScheduleJson) {
   EXPECT_THROW(orchestrator::schedule_from_json(
                    R"({"workers":0,"queues":[]})"),
                JsonError);
+  // 2^32 + 2 workers must not wrap to a two-worker schedule.
+  EXPECT_THROW(orchestrator::schedule_from_json(
+                   R"({"workers":4294967298,"queues":[[],[]]})"),
+               JsonError);
 }
 
 TEST(PersistenceRoundTrip, CampaignReportJsonIsByteIdentical) {
@@ -568,6 +597,17 @@ TEST(PersistenceRoundTrip, CampaignReportJsonIsByteIdentical) {
   for (std::size_t n = 0; n < doc.size(); n += 13) {
     EXPECT_THROW(orchestrator::campaign_report_from_json(doc.substr(0, n)),
                  JsonError);
+  }
+  // Every count is an int: a value past the int range throws instead of
+  // wrapping.
+  for (const char* key :
+       {"workers", "total_experiments", "cells", "failed_cells",
+        "skipped_cells", "experiments", "anomalies_found",
+        "distinct_anomalies", "mfs_skips", "occurrences"}) {
+    EXPECT_THROW(orchestrator::campaign_report_from_json(
+                     with_int_field(doc, key, "4294967296")),
+                 JsonError)
+        << key;
   }
 }
 
@@ -728,6 +768,32 @@ TEST(PersistenceRoundTrip, JournalProbeRecordRejectsTargetedGarbles) {
     g[pos + 12] = 'Z';
     EXPECT_THROW(parse_reframed(g), JsonError);
   }
+}
+
+// Journal int fields reject values outside the int range: a begin record's
+// worker count, and a journaled insert's origin — 4294967294 would
+// otherwise resume as the warm-start origin (-2), its hits counted as
+// warm-start skips.
+TEST(PersistenceRoundTrip, JournalIntFieldsRejectValuesOutsideTheIntRange) {
+  const std::string begin =
+      R"({"record":"begin","share":"cell","strategy":"sa","seed":1,)"
+      R"("workers":1,"backend":"sim","schedule":)"
+      R"("{\"workers\":1,\"queues\":[[]]}"})";
+  ASSERT_NO_THROW(parse_reframed(begin));
+  EXPECT_THROW(parse_reframed(with_int_field(begin, "workers", "4294967297")),
+               JsonError);
+
+  const core::SearchSpace space(sim::subsystem('F'));
+  Rng rng(3);
+  fleet::Message done;
+  done.type = fleet::MsgType::kCellDone;
+  done.lease = 1;
+  done.result.cell.subsystem = 'F';
+  done.inserts.push_back(orchestrator::PoolEntry{random_mfs(space, rng), 0});
+  const std::string doc = done.to_json();
+  ASSERT_NO_THROW(parse_reframed(doc));
+  EXPECT_THROW(parse_reframed(with_int_field(doc, "origin", "4294967294")),
+               JsonError);
 }
 
 TEST(PersistenceRoundTrip, JournalProbeRecordRandomGarblesNeverMisbehave) {

@@ -12,7 +12,10 @@
 #   * a --fleet journal (no probe records) is rejected up front: exit 2;
 #   * a journal of the retired collie-journal-v2 format is refused by both
 #     --replay and --resume before any frame is read: exit 2, stderr names
-#     both versions, the file keeps its bytes and no .torn file appears.
+#     both versions, the file keeps its bytes and no .torn file appears;
+#   * a --journal path that cannot be read, opened or fsynced (a missing
+#     directory, /dev/null, a directory) exits 2 naming the path, never
+#     through an uncaught exception.
 #
 #   cmake -DEXE=<campaign binary> -DWORK=<scratch dir> -P check_campaign_replay.cmake
 file(REMOVE_RECURSE "${WORK}")
@@ -87,6 +90,17 @@ foreach(mode "--replay;v2.journal" "--journal;v2.journal;--resume")
   endif()
   if(EXISTS "${WORK}/v2.journal.torn")
     message(FATAL_ERROR "${mode} quarantined a v2 journal as torn")
+  endif()
+endforeach()
+
+file(MAKE_DIRECTORY "${WORK}/a_directory")
+foreach(path "${WORK}/no_such_dir/x.journal" "/dev/null"
+             "${WORK}/a_directory")
+  run(2 ignored err ${flags} --journal "${path}")
+  string(FIND "${err}" "'${path}'" named)
+  if(err MATCHES "terminate" OR named EQUAL -1)
+    message(FATAL_ERROR "--journal ${path}: no exit-2 message naming the "
+                        "path:\n${err}")
   endif()
 endforeach()
 file(REMOVE_RECURSE "${WORK}")

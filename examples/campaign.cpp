@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <variant>
@@ -114,9 +115,13 @@ int main(int argc, char** argv) {
                    recording.sessions + 1);
     }
     if (!replaying) {
-      journal = std::make_unique<CampaignJournal>(
-          path, inv.journal_every, inv.crash_after_probes,
-          inv.crash_at_journal_byte);
+      try {
+        journal = std::make_unique<CampaignJournal>(
+            path, inv.journal_every, inv.crash_after_probes,
+            inv.crash_at_journal_byte);
+      } catch (const std::runtime_error& e) {
+        return fail(2, e.what());
+      }
       config.journal = journal.get();
       // The fleet journals through its coordinator instead, and re-runs
       // in-flight cells from scratch on resume.

@@ -8,8 +8,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <utility>
 
 namespace collie::durable_io {
 namespace {
@@ -97,11 +96,24 @@ bool atomic_write(const std::string& path, const std::string& content,
 }
 
 bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream os;
-  os << in.rdbuf();
-  *out = os.str();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  std::string data;
+  char buf[1 << 16];
+  for (;;) {
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n == 0) break;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      const int err = errno;
+      ::close(fd);
+      errno = err;
+      return false;
+    }
+    data.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  *out = std::move(data);
   return true;
 }
 

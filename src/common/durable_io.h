@@ -33,7 +33,9 @@ inline u32 crc32(const std::string& s, u32 seed = 0) {
 bool atomic_write(const std::string& path, const std::string& content,
                   std::string* error = nullptr);
 
-// The whole file at `path` into *out; false when it cannot be opened.
+// The whole file at `path` into *out.  False, with errno from the failing
+// call and *out untouched, when it cannot be opened or read (a directory
+// fails with EISDIR).
 bool read_file(const std::string& path, std::string* out);
 
 }  // namespace collie::durable_io

@@ -101,30 +101,6 @@ SearchSpace::SearchSpace(const sim::Subsystem& sys, SpaceConfig config)
                    !config_.cc_alpha_g.empty();
 }
 
-double SearchSpace::log10_size() const {
-  // Product over dimensions; pattern contributes |size_grid|^n.
-  double log10 = 0.0;
-  log10 += std::log10(3.0);                                // QP type
-  log10 += std::log10(3.0);                                // opcode
-  log10 += std::log10(4.0);                                // direction x loop
-  log10 += std::log10(double(placements_.size()));         // local placement
-  log10 += std::log10(double(remote_placements_.size()));  // remote placement
-  log10 += std::log10(double(config_.max_qps));            // #QP
-  log10 += std::log10(double(config_.max_mrs_per_qp));     // #MR
-  log10 += std::log10(11.0);                               // MR sizes
-  log10 += std::log10(8.0);                                // batch
-  log10 += std::log10(double(config_.max_sge));            // SGE
-  log10 += 2.0 * std::log10(7.0);                          // WQ depths
-  log10 += std::log10(double(config_.mtus.size()));        // MTU
-  log10 += pattern_len_ * std::log10(double(config_.size_grid.size()));
-  if (cc_searchable_) {
-    log10 += std::log10(2.0);  // DCQCN on/off
-    log10 += std::log10(double(config_.cc_rate_ai_mbps.size()));
-    log10 += std::log10(double(config_.cc_alpha_g.size()));
-  }
-  return log10;
-}
-
 u64 SearchSpace::random_size(Rng& rng, u64 cap) const {
   std::vector<u64> eligible;
   for (u64 s : config_.size_grid) {

@@ -103,10 +103,6 @@ class SearchSpace {
   // Is the congestion-control dimension live (subsystem armed + allowed)?
   bool cc_searchable() const { return cc_searchable_; }
 
-  // log10 of the approximate number of distinct points (the paper quotes
-  // ~10^36 for the full space).
-  double log10_size() const;
-
   Workload random_point(Rng& rng) const;
 
   // Mutate exactly one search dimension (Algorithm 1 line 4).

@@ -79,73 +79,7 @@ RngState rng_state_from_json(const JsonValue& v) {
   return st;
 }
 
-// ---- JournalWriter --------------------------------------------------------
-
-JournalWriter::JournalWriter(const std::string& path, u64 crash_at_byte)
-    : path_(path), crash_at_byte_(crash_at_byte) {
-  f_ = std::fopen(path.c_str(), "ab");
-  if (f_ == nullptr) {
-    throw std::runtime_error("cannot open journal '" + path +
-                             "': " + std::strerror(errno));
-  }
-  // "a" positions every write at EOF; the current size is the append base.
-  if (std::fseek(f_, 0, SEEK_END) != 0) {
-    std::fclose(f_);
-    f_ = nullptr;
-    throw std::runtime_error("cannot seek journal '" + path + "'");
-  }
-  const long size = std::ftell(f_);
-  bytes_ = size > 0 ? static_cast<u64>(size) : 0;
-  if (bytes_ == 0) {
-    raw_write(kJournalMagic, kJournalMagicSize);
-    sync();
-  }
-}
-
-JournalWriter::~JournalWriter() {
-  if (f_ != nullptr) {
-    std::fflush(f_);
-    std::fclose(f_);
-  }
-}
-
-void JournalWriter::raw_write(const void* data, std::size_t n) {
-  if (crash_at_byte_ > 0 && bytes_ + n >= crash_at_byte_) {
-    // Deterministic crash injection: leave the file exactly crash_at_byte_
-    // bytes long (no fsync — a real crash would not get one either) and die
-    // with the SIGKILL exit code the CI crash harness asserts.
-    const std::size_t keep =
-        bytes_ >= crash_at_byte_
-            ? 0
-            : static_cast<std::size_t>(crash_at_byte_ - bytes_);
-    if (keep > 0) std::fwrite(data, 1, keep, f_);
-    std::fflush(f_);
-    _exit(137);
-  }
-  if (std::fwrite(data, 1, n, f_) != n) {
-    throw std::runtime_error("journal write failed for '" + path_ +
-                             "': " + std::strerror(errno));
-  }
-  bytes_ += n;
-}
-
-void JournalWriter::append(const std::string& payload) {
-  std::string header;
-  header.reserve(8);
-  put_u32le(&header, static_cast<u32>(payload.size()));
-  put_u32le(&header, durable_io::crc32(payload));
-  raw_write(header.data(), header.size());
-  raw_write(payload.data(), payload.size());
-}
-
-void JournalWriter::sync() {
-  if (std::fflush(f_) != 0) {
-    throw std::runtime_error("journal flush failed for '" + path_ + "'");
-  }
-  ::fsync(::fileno(f_));
-}
-
-// ---- Recovery -------------------------------------------------------------
+// ---- Frame codec -----------------------------------------------------------
 
 namespace {
 
@@ -157,29 +91,25 @@ constexpr const char* kRetiredJournalMagics[] = {"collie-journal-v1\n",
 
 }  // namespace
 
-JournalRecovery recover_journal(const std::string& path, bool repair) {
-  JournalRecovery r;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return r;  // no file: a fresh journal, nothing to recover
-  r.existed = true;
+std::string journal_frame(std::string_view payload) {
+  std::string frame;
+  frame.reserve(8 + payload.size());
+  put_u32le(&frame, static_cast<u32>(payload.size()));
+  put_u32le(&frame, durable_io::crc32(payload.data(), payload.size()));
+  frame.append(payload);
+  return frame;
+}
 
-  std::string data;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, n);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    r.error = "cannot read journal '" + path + "'";
-    return r;
-  }
-  r.total_bytes = data.size();
+JournalRecovery scan_journal(std::string_view bytes) {
+  JournalRecovery r;
+  r.total_bytes = bytes.size();
+  const std::string_view header = bytes.substr(0, kJournalMagicSize);
 
   // A journal of a retired version is rejected up front and left
   // untouched: resuming it would fail or diverge mid-parse, and quarantining
   // it would discard a journal that is valid in its own format.
   for (const char* retired : kRetiredJournalMagics) {
-    if (data.compare(0, kJournalMagicSize, retired) == 0) {
+    if (header == retired) {
       r.error = "written as " + std::string(retired, kJournalMagicSize - 1) +
                 ", this build reads " +
                 std::string(kJournalMagic, kJournalMagicSize - 1) +
@@ -190,46 +120,56 @@ JournalRecovery recover_journal(const std::string& path, bool repair) {
 
   // Magic check.  A damaged header means no frame can be trusted: the valid
   // prefix is empty and everything is quarantined.
-  std::size_t off = 0;
-  bool magic_ok = data.size() >= kJournalMagicSize &&
-                  std::memcmp(data.data(), kJournalMagic, kJournalMagicSize)
-                      == 0;
-  if (magic_ok) {
-    off = kJournalMagicSize;
+  if (header == kJournalMagic) {
+    std::size_t off = kJournalMagicSize;
     // Truncation scan: accept frames until the first short header, insane
     // length, short payload, or CRC mismatch.
-    while (off + 8 <= data.size()) {
-      const auto* p = reinterpret_cast<const unsigned char*>(data.data() + off);
+    while (off + 8 <= bytes.size()) {
+      const auto* p =
+          reinterpret_cast<const unsigned char*>(bytes.data() + off);
       const u64 len = get_u32le(p);
-      if (len > data.size() - off - 8) break;  // torn or garbled length
-      const u32 want = get_u32le(p + 4);
-      const u32 got = durable_io::crc32(data.data() + off + 8,
-                                        static_cast<std::size_t>(len));
-      if (want != got) break;
-      r.payloads.emplace_back(data.data() + off + 8,
-                              static_cast<std::size_t>(len));
-      off += 8 + len;
+      if (len > bytes.size() - off - 8) break;  // torn or garbled length
+      const std::string_view payload =
+          bytes.substr(off + 8, static_cast<std::size_t>(len));
+      if (get_u32le(p + 4) !=
+          durable_io::crc32(payload.data(), payload.size())) {
+        break;
+      }
+      r.payloads.emplace_back(payload);
+      off += 8 + payload.size();
     }
     r.valid_bytes = off;
-  } else if (!data.empty()) {
-    r.valid_bytes = 0;
   }
   r.torn = r.valid_bytes < r.total_bytes;
+  return r;
+}
 
-  if (repair && r.torn) {
-    const std::string suffix = data.substr(r.valid_bytes);
-    const std::string torn_path = path + ".torn";
-    std::string werr;
-    if (!durable_io::atomic_write(torn_path, suffix, &werr)) {
-      r.error = "cannot quarantine torn journal suffix: " + werr;
-      return r;
-    }
-    r.torn_path = torn_path;
-    if (::truncate(path.c_str(), static_cast<off_t>(r.valid_bytes)) != 0) {
-      r.error = "cannot truncate journal '" + path +
-                "': " + std::strerror(errno);
-      return r;
-    }
+// ---- Recovery -------------------------------------------------------------
+
+JournalRecovery recover_journal(const std::string& path, bool repair) {
+  std::string data;
+  if (!durable_io::read_file(path, &data)) {
+    JournalRecovery r;
+    if (errno == ENOENT) return r;  // no file: a fresh journal
+    r.existed = true;
+    r.error = "cannot read journal '" + path + "': " + std::strerror(errno);
+    return r;
+  }
+  JournalRecovery r = scan_journal(data);
+  r.existed = true;
+  if (!repair || !r.torn) return r;
+
+  const std::string torn_path = path + ".torn";
+  std::string werr;
+  if (!durable_io::atomic_write(torn_path, data.substr(r.valid_bytes),
+                                &werr)) {
+    r.error = "cannot quarantine torn journal suffix: " + werr;
+    return r;
+  }
+  r.torn_path = torn_path;
+  if (::truncate(path.c_str(), static_cast<off_t>(r.valid_bytes)) != 0) {
+    r.error = "cannot truncate journal '" + path +
+              "': " + std::strerror(errno);
   }
   return r;
 }
@@ -238,12 +178,60 @@ JournalRecovery recover_journal(const std::string& path, bool repair) {
 
 CampaignJournal::CampaignJournal(const std::string& path, int journal_every,
                                  i64 crash_after_probes, u64 crash_at_byte)
-    : writer_(path, crash_at_byte),
+    : path_(path),
+      f_(std::fopen(path.c_str(), "ab")),
+      crash_at_byte_(crash_at_byte),
       every_(journal_every > 0 ? journal_every : 1),
-      crash_after_probes_(crash_after_probes) {}
+      crash_after_probes_(crash_after_probes) {
+  if (f_ == nullptr) {
+    throw std::runtime_error("cannot open journal '" + path +
+                             "': " + std::strerror(errno));
+  }
+  // "a" positions every write at EOF; the current size is the append base.
+  if (std::fseek(f_.get(), 0, SEEK_END) != 0) {
+    throw std::runtime_error("cannot seek journal '" + path + "'");
+  }
+  const long size = std::ftell(f_.get());
+  bytes_ = size > 0 ? static_cast<u64>(size) : 0;
+  if (bytes_ == 0) {
+    write_locked(std::string_view(kJournalMagic, kJournalMagicSize));
+    sync_locked();
+  }
+}
 
-void CampaignJournal::append_locked(const std::string& payload) {
-  writer_.append(payload);
+void CampaignJournal::write_locked(std::string_view data) {
+  if (crash_at_byte_ > 0 && bytes_ + data.size() >= crash_at_byte_) {
+    // Deterministic crash injection: leave the file exactly crash_at_byte_
+    // bytes long (no fsync — a real crash would not get one either) and die
+    // with the SIGKILL exit code the CI crash harness asserts.
+    const std::size_t keep =
+        bytes_ >= crash_at_byte_
+            ? 0
+            : static_cast<std::size_t>(crash_at_byte_ - bytes_);
+    if (keep > 0) std::fwrite(data.data(), 1, keep, f_.get());
+    std::fflush(f_.get());
+    _exit(137);
+  }
+  if (std::fwrite(data.data(), 1, data.size(), f_.get()) != data.size()) {
+    throw std::runtime_error("journal write failed for '" + path_ +
+                             "': " + std::strerror(errno));
+  }
+  bytes_ += data.size();
+}
+
+void CampaignJournal::append_locked(std::string_view payload) {
+  write_locked(journal_frame(payload));
+}
+
+void CampaignJournal::sync_locked() {
+  if (std::fflush(f_.get()) != 0) {
+    throw std::runtime_error("journal flush failed for '" + path_ +
+                             "': " + std::strerror(errno));
+  }
+  if (::fsync(::fileno(f_.get())) != 0) {
+    throw std::runtime_error("journal fsync failed for '" + path_ +
+                             "': " + std::strerror(errno));
+  }
 }
 
 void CampaignJournal::begin(const std::string& share,
@@ -262,13 +250,13 @@ void CampaignJournal::begin(const std::string& share,
   json.end_object();
   std::lock_guard<std::mutex> lock(mu_);
   append_locked(json.str());
-  writer_.sync();
+  sync_locked();
 }
 
 void CampaignJournal::resume_marker() {
   std::lock_guard<std::mutex> lock(mu_);
   append_locked("{\"record\":\"resume\"}");
-  writer_.sync();
+  sync_locked();
 }
 
 void CampaignJournal::probe(const std::string& context, const Workload& w,
@@ -290,11 +278,11 @@ void CampaignJournal::probe(const std::string& context, const Workload& w,
   append_locked(json.str());
   ++probes_;
   if (++since_sync_ >= every_) {
-    writer_.sync();
+    sync_locked();
     since_sync_ = 0;
   }
   if (crash_after_probes_ > 0 && probes_ == crash_after_probes_) {
-    writer_.sync();
+    sync_locked();
     _exit(137);
   }
 }
@@ -312,7 +300,7 @@ void CampaignJournal::mfs_batch(const std::string& context,
   json.end_object();
   std::lock_guard<std::mutex> lock(mu_);
   append_locked(json.str());
-  writer_.sync();
+  sync_locked();
 }
 
 void CampaignJournal::cell_done(const CellResult& result,
@@ -328,13 +316,7 @@ void CampaignJournal::cell_done(const CellResult& result,
   const std::string payload = m.to_json();
   std::lock_guard<std::mutex> lock(mu_);
   append_locked(payload);
-  writer_.sync();
-  since_sync_ = 0;
-}
-
-void CampaignJournal::sync() {
-  std::lock_guard<std::mutex> lock(mu_);
-  writer_.sync();
+  sync_locked();
   since_sync_ = 0;
 }
 
@@ -345,7 +327,7 @@ i64 CampaignJournal::probes() const {
 
 u64 CampaignJournal::bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return writer_.bytes();
+  return bytes_;
 }
 
 // ---- Parsing --------------------------------------------------------------

@@ -45,6 +45,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "orchestrator/campaign.h"
@@ -75,38 +76,7 @@ struct TraceProbe {
 void rng_state_to_json(const RngState& st, core::JsonWriter* json);
 RngState rng_state_from_json(const core::JsonValue& v);
 
-// ---- Framed append-only writer --------------------------------------------
-
-// Low-level frame appender.  Opens `path` in append mode and writes the
-// magic header when the file is new or empty.  Not thread-safe on its own
-// (CampaignJournal serializes).  `crash_at_byte` is the deterministic
-// crash-injection point: the raw write that would extend the file past
-// absolute byte B stops exactly there, flushes, and _exit(137)s — the
-// harness for "kill at any byte offset".
-class JournalWriter {
- public:
-  explicit JournalWriter(const std::string& path, u64 crash_at_byte = 0);
-  ~JournalWriter();
-  JournalWriter(const JournalWriter&) = delete;
-  JournalWriter& operator=(const JournalWriter&) = delete;
-
-  void append(const std::string& payload);
-  // fdatasync-equivalent durability point (fflush + fsync).
-  void sync();
-
-  const std::string& path() const { return path_; }
-  u64 bytes() const { return bytes_; }  // absolute file size written so far
-
- private:
-  void raw_write(const void* data, std::size_t n);
-
-  std::string path_;
-  std::FILE* f_ = nullptr;
-  u64 bytes_ = 0;
-  u64 crash_at_byte_ = 0;
-};
-
-// ---- Recovery -------------------------------------------------------------
+// ---- Frame codec -----------------------------------------------------------
 
 struct JournalRecovery {
   bool existed = false;   // file was present (even if empty/corrupt)
@@ -121,14 +91,24 @@ struct JournalRecovery {
   std::string error;
 };
 
-// Truncation-scan `path`.  A journal written under a retired format
-// version ("collie-journal-v1" or "-v2") is an error naming that version
-// and this one.
-// Corruption is never an error: a bad magic or a torn frame yields
-// torn=true with the longest valid prefix (valid_bytes=0 when even the
-// magic is damaged).  With `repair`, the torn suffix is written to
-// <path>.torn and the journal is truncated to its valid prefix, ready for
-// appending.
+// One frame: [u32 payload_len LE][u32 crc32(payload) LE][payload].  A
+// journal is kJournalMagic followed by frames.
+std::string journal_frame(std::string_view payload);
+
+// Truncation-scan the bytes of a whole journal.  A journal of a retired
+// format version ("collie-journal-v1" or "-v2") is an error naming that
+// version and this one.  Corruption is never an error: a bad magic or a
+// torn frame yields torn=true with the longest valid prefix (valid_bytes=0
+// when even the magic is damaged).  Fills every field but `existed` and
+// `torn_path`; touches no file.
+JournalRecovery scan_journal(std::string_view bytes);
+
+// ---- Recovery -------------------------------------------------------------
+
+// scan_journal over the file at `path`.  A missing file is a fresh journal
+// (existed=false); any other read failure sets `error`.  With `repair`, the
+// torn suffix is written to <path>.torn and the journal is truncated to its
+// valid prefix, ready for appending.
 JournalRecovery recover_journal(const std::string& path, bool repair);
 
 // ---- Campaign-level journal sink ------------------------------------------
@@ -140,8 +120,13 @@ JournalRecovery recover_journal(const std::string& path, bool repair);
 // most the un-synced tail, which recovery discards and resume re-executes.
 class CampaignJournal {
  public:
-  // `crash_after_probes` > 0: sync and _exit(137) after journaling that
-  // many live probes.  `crash_at_byte` > 0: forwarded to the writer.
+  // Opens `path` for appending and writes the magic when the file is new
+  // or empty; throws std::runtime_error naming the path when it cannot be
+  // opened, written or fsynced.  `crash_after_probes` > 0: sync and
+  // _exit(137) after journaling that many live probes.  `crash_at_byte` > 0
+  // is the deterministic crash-injection point: the write that would extend
+  // the file past absolute byte B stops exactly there, flushes, and
+  // _exit(137)s — the harness for "kill at any byte offset".
   CampaignJournal(const std::string& path, int journal_every,
                   i64 crash_after_probes = 0, u64 crash_at_byte = 0);
 
@@ -167,15 +152,24 @@ class CampaignJournal {
                  const std::vector<PoolEntry>& inserts, const PoolStats& delta,
                  u64 lease);
 
-  void sync();
   i64 probes() const;
-  u64 bytes() const;
+  u64 bytes() const;  // absolute file size written so far
 
  private:
-  void append_locked(const std::string& payload);
+  struct FileCloser {
+    void operator()(std::FILE* f) const { std::fclose(f); }
+  };
+
+  void append_locked(std::string_view payload);
+  void write_locked(std::string_view data);
+  // fflush + fsync; throws naming the path and errno.
+  void sync_locked();
 
   mutable std::mutex mu_;
-  JournalWriter writer_;
+  std::string path_;
+  std::unique_ptr<std::FILE, FileCloser> f_;
+  u64 bytes_ = 0;
+  u64 crash_at_byte_ = 0;
   int every_ = 64;
   i64 crash_after_probes_ = 0;
   i64 probes_ = 0;

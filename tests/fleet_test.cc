@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -600,12 +601,12 @@ TEST(Fleet, CoordinatorJournalResumesByteIdentically) {
 
   const std::string cut_path = path + ".cut";
   for (const std::size_t k : {first_done + 1, rec.payloads.size()}) {
-    std::remove(cut_path.c_str());
-    {
-      orchestrator::JournalWriter writer(cut_path);
-      for (std::size_t i = 0; i < k; ++i) writer.append(rec.payloads[i]);
-      writer.sync();
+    std::string cut = orchestrator::kJournalMagic;
+    for (std::size_t i = 0; i < k; ++i) {
+      cut += orchestrator::journal_frame(rec.payloads[i]);
     }
+    std::remove(cut_path.c_str());
+    std::ofstream(cut_path, std::ios::binary) << cut;
     const orchestrator::JournalResume resume = orchestrator::parse_journal(
         orchestrator::recover_journal(cut_path, /*repair=*/true).payloads);
     ASSERT_TRUE(resume.has_begin);

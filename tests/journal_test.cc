@@ -2,12 +2,14 @@
 // tests/persistence_test.cc):
 //   * crc32 matches the IEEE check value and chains incrementally;
 //   * atomic_write publishes whole documents or nothing;
-//   * the collie-journal-v3 frame format round-trips through recovery, and
-//     recovery is a truncation scan — EVERY byte prefix of a valid journal
-//     recovers without error to a frame prefix of the original (the
-//     structural invariant mid-cell resume is built on), targeted garbles
-//     and random byte flips quarantine the damaged suffix instead of
-//     trusting it, and a repaired journal accepts appends;
+//   * the collie-journal-v3 frame codec (journal_frame / scan_journal)
+//     round-trips, and the scan is a truncation scan — EVERY byte prefix of
+//     a valid journal recovers without error to a frame prefix of the
+//     original (the structural invariant mid-cell resume is built on),
+//     targeted garbles and random byte flips quarantine the damaged suffix
+//     instead of trusting it.  The fuzz runs in memory; each property keeps
+//     one leg on disk through recover_journal, where a repaired journal
+//     accepts appends and an unreadable or unsyncable file is an error;
 //   * parse_journal reconstructs resumable state from the two record
 //     vocabularies and rejects unknown shapes loudly.
 #include <gtest/gtest.h>
@@ -102,20 +104,28 @@ std::vector<std::string> sample_payloads() {
   };
 }
 
-std::string build_journal(const std::string& path) {
-  const std::vector<std::string> payloads = sample_payloads();
-  JournalWriter writer(path);
-  for (const std::string& p : payloads) writer.append(p);
-  writer.sync();
-  return read_file(path);
+// The magic plus one frame per sample payload, built in memory.
+std::string build_journal() {
+  std::string bytes = kJournalMagic;
+  for (const std::string& p : sample_payloads()) bytes += journal_frame(p);
+  return bytes;
 }
 
-TEST(JournalFrames, WriterRoundTripsThroughRecovery) {
-  const std::string path = tmp_path("roundtrip.journal");
-  const std::string bytes = build_journal(path);
+TEST(JournalFrames, FramesRoundTripThroughTheScanAndTheFile) {
+  const std::string bytes = build_journal();
   ASSERT_GT(bytes.size(), kJournalMagicSize);
   EXPECT_EQ(bytes.substr(0, kJournalMagicSize), std::string(kJournalMagic));
 
+  const JournalRecovery scanned = scan_journal(bytes);
+  EXPECT_FALSE(scanned.torn);
+  EXPECT_TRUE(scanned.error.empty());
+  EXPECT_EQ(scanned.valid_bytes, bytes.size());
+  EXPECT_EQ(scanned.total_bytes, bytes.size());
+  EXPECT_EQ(scanned.payloads, sample_payloads());
+
+  // The disk leg: recovery of the written bytes is the scan of them.
+  const std::string path = tmp_path("roundtrip.journal");
+  write_file(path, bytes);
   const JournalRecovery r = recover_journal(path, /*repair=*/false);
   EXPECT_TRUE(r.existed);
   EXPECT_FALSE(r.torn);
@@ -126,13 +136,14 @@ TEST(JournalFrames, WriterRoundTripsThroughRecovery) {
 
   // Re-opening an intact journal appends, never rewrites.
   {
-    JournalWriter again(path);
-    again.append("tail");
-    again.sync();
+    CampaignJournal again(path, /*journal_every=*/1);
+    again.resume_marker();
   }
+  EXPECT_EQ(read_file(path),
+            bytes + journal_frame(R"({"record":"resume"})"));
   const JournalRecovery r2 = recover_journal(path, /*repair=*/false);
   ASSERT_EQ(r2.payloads.size(), sample_payloads().size() + 1);
-  EXPECT_EQ(r2.payloads.back(), "tail");
+  EXPECT_EQ(r2.payloads.back(), R"({"record":"resume"})");
 
   // A journal that never existed is a clean fresh start, not an error.
   const JournalRecovery none =
@@ -143,21 +154,47 @@ TEST(JournalFrames, WriterRoundTripsThroughRecovery) {
   std::remove(path.c_str());
 }
 
+// A file that cannot be read is an error, not a fresh journal: a directory
+// fails the read itself, and read_file reports it instead of returning
+// empty content.
+TEST(JournalFrames, UnreadableJournalIsAnErrorNotAFreshStart) {
+  const std::string dir = ::testing::TempDir();
+  std::string content = "untouched";
+  EXPECT_FALSE(durable_io::read_file(dir, &content));
+  EXPECT_EQ(content, "untouched");
+  const JournalRecovery r = recover_journal(dir, /*repair=*/true);
+  EXPECT_TRUE(r.existed);
+  EXPECT_NE(r.error.find("cannot read journal"), std::string::npos)
+      << r.error;
+  EXPECT_TRUE(r.payloads.empty());
+}
+
+// A journal whose fsync fails is refused at construction: /dev/null takes
+// the magic but cannot be synced, so the journal could not be durable.
+TEST(JournalFrames, FailedFsyncThrowsNamingThePath) {
+  try {
+    CampaignJournal journal("/dev/null", 1);
+    FAIL() << "a journal on /dev/null was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'/dev/null'"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("fsync"), std::string::npos)
+        << e.what();
+  }
+}
+
 // The structural invariant resume depends on: EVERY byte prefix of a valid
 // journal recovers — without throwing — to a frame prefix of the original
 // payload sequence, with valid_bytes never past the cut and the recovered
 // frame count monotone in the prefix length.
 TEST(JournalFrames, EveryBytePrefixRecoversToAFramePrefix) {
-  const std::string path = tmp_path("prefix.journal");
-  const std::string bytes = build_journal(path);
+  const std::string bytes = build_journal();
   const std::vector<std::string> full = sample_payloads();
-  const std::string cut_path = tmp_path("prefix-cut.journal");
 
   std::size_t prev_frames = 0;
   for (std::size_t n = 0; n <= bytes.size(); ++n) {
-    write_file(cut_path, bytes.substr(0, n));
-    const JournalRecovery r = recover_journal(cut_path, /*repair=*/false);
-    ASSERT_TRUE(r.existed) << "cut at " << n;
+    const JournalRecovery r =
+        scan_journal(std::string_view(bytes).substr(0, n));
     ASSERT_TRUE(r.error.empty()) << "cut at " << n << ": " << r.error;
     ASSERT_EQ(r.total_bytes, n);
     ASSERT_LE(r.valid_bytes, n) << "cut at " << n;
@@ -171,13 +208,10 @@ TEST(JournalFrames, EveryBytePrefixRecoversToAFramePrefix) {
     prev_frames = r.payloads.size();
   }
   EXPECT_EQ(prev_frames, full.size());
-  std::remove(path.c_str());
-  std::remove(cut_path.c_str());
 }
 
 TEST(JournalFrames, TargetedGarblesQuarantineTheSuffix) {
-  const std::string path = tmp_path("garble.journal");
-  const std::string bytes = build_journal(path);
+  const std::string bytes = build_journal();
   const std::vector<std::string> full = sample_payloads();
   // Frame layout: magic, then frame i at offset(i) with 8-byte header.
   std::vector<std::size_t> frame_off;
@@ -188,12 +222,10 @@ TEST(JournalFrames, TargetedGarblesQuarantineTheSuffix) {
       off += 8 + p.size();
     }
   }
-  const std::string cut_path = tmp_path("garble-cut.journal");
   const auto recover_garbled = [&](std::size_t pos, char flip) {
     std::string g = bytes;
     g[pos] = static_cast<char>(g[pos] ^ flip);
-    write_file(cut_path, g);
-    return recover_journal(cut_path, /*repair=*/false);
+    return scan_journal(g);
   };
 
   // A flipped payload byte in frame 2 fails its CRC: frames 0-1 survive,
@@ -227,8 +259,6 @@ TEST(JournalFrames, TargetedGarblesQuarantineTheSuffix) {
     EXPECT_EQ(r.valid_bytes, 0u);
     EXPECT_TRUE(r.payloads.empty());
   }
-  std::remove(path.c_str());
-  std::remove(cut_path.c_str());
 }
 
 // A journal written under a retired format version (collie-journal-v1,
@@ -237,21 +267,26 @@ TEST(JournalFrames, TargetedGarblesQuarantineTheSuffix) {
 // is refused before any frame is read, with an error naming both versions —
 // never resumed into a mid-parse failure, never quarantined as torn.
 TEST(JournalFrames, PreviousFormatVersionIsRejectedUpFront) {
-  const std::string path = tmp_path("retired.journal");
-  const std::string built = build_journal(path);
+  const std::string built = build_journal();
   ASSERT_EQ(built.substr(0, kJournalMagicSize), "collie-journal-v3\n");
+  const std::string path = tmp_path("retired.journal");
   for (const char version : {'1', '2'}) {
     std::string bytes = built;
     bytes[16] = version;
-    write_file(path, bytes);
+    const JournalRecovery scanned = scan_journal(bytes);
+    EXPECT_NE(scanned.error.find(std::string("collie-journal-v") + version),
+              std::string::npos)
+        << scanned.error;
+    EXPECT_NE(scanned.error.find("collie-journal-v3"), std::string::npos)
+        << scanned.error;
+    EXPECT_TRUE(scanned.payloads.empty());
+    EXPECT_FALSE(scanned.torn);
 
+    // The disk leg: repair leaves the file alone.
+    write_file(path, bytes);
     const JournalRecovery r = recover_journal(path, /*repair=*/true);
     EXPECT_TRUE(r.existed);
-    EXPECT_NE(r.error.find(std::string("collie-journal-v") + version),
-              std::string::npos)
-        << r.error;
-    EXPECT_NE(r.error.find("collie-journal-v3"), std::string::npos)
-        << r.error;
+    EXPECT_EQ(r.error, scanned.error);
     EXPECT_TRUE(r.payloads.empty());
     EXPECT_FALSE(r.torn);
     // Untouched: no truncation, no quarantine file.
@@ -262,8 +297,7 @@ TEST(JournalFrames, PreviousFormatVersionIsRejectedUpFront) {
 
   // A crash inside this build's own magic is still a torn journal.
   for (std::size_t n = 1; n < kJournalMagicSize; ++n) {
-    write_file(path, std::string(kJournalMagic, n));
-    const JournalRecovery cut = recover_journal(path, /*repair=*/false);
+    const JournalRecovery cut = scan_journal(std::string(kJournalMagic, n));
     EXPECT_TRUE(cut.error.empty()) << "cut at " << n << ": " << cut.error;
     EXPECT_TRUE(cut.torn) << "cut at " << n;
   }
@@ -272,7 +306,7 @@ TEST(JournalFrames, PreviousFormatVersionIsRejectedUpFront) {
 
 TEST(JournalFrames, RepairQuarantinesTornSuffixAndAcceptsAppends) {
   const std::string path = tmp_path("repair.journal");
-  const std::string bytes = build_journal(path);
+  const std::string bytes = build_journal();
   // Tear mid-way through the last frame.
   const std::size_t cut = bytes.size() - 3;
   write_file(path, bytes.substr(0, cut));
@@ -288,23 +322,20 @@ TEST(JournalFrames, RepairQuarantinesTornSuffixAndAcceptsAppends) {
   // appending (what a resumed campaign does).
   EXPECT_EQ(read_file(path).size(), r.valid_bytes);
   {
-    JournalWriter writer(path);
-    writer.append("appended-after-repair");
-    writer.sync();
+    CampaignJournal journal(path, /*journal_every=*/1);
+    journal.resume_marker();
   }
   const JournalRecovery r2 = recover_journal(path, /*repair=*/false);
   EXPECT_FALSE(r2.torn);
   ASSERT_EQ(r2.payloads.size(), r.payloads.size() + 1);
-  EXPECT_EQ(r2.payloads.back(), "appended-after-repair");
+  EXPECT_EQ(r2.payloads.back(), R"({"record":"resume"})");
   std::remove(path.c_str());
   std::remove((path + ".torn").c_str());
 }
 
 TEST(JournalFrames, RandomByteFlipsNeverMisbehave) {
-  const std::string path = tmp_path("fuzz.journal");
-  const std::string bytes = build_journal(path);
+  const std::string bytes = build_journal();
   const std::vector<std::string> full = sample_payloads();
-  const std::string cut_path = tmp_path("fuzz-cut.journal");
   Rng rng(53);
   for (int trial = 0; trial < 200; ++trial) {
     std::string g = bytes;
@@ -312,21 +343,18 @@ TEST(JournalFrames, RandomByteFlipsNeverMisbehave) {
         rng.uniform_int(0, static_cast<i64>(bytes.size()) - 1));
     const auto flip = static_cast<char>(rng.uniform_int(1, 255));
     g[pos] = static_cast<char>(g[pos] ^ flip);
-    write_file(cut_path, g);
     // Recovery must never throw and never hallucinate: every recovered
     // frame is byte-identical to the original sequence's — a flip either
     // lands past the scan's stopping point or truncates it, but cannot
     // produce a frame that was never written (CRC collisions aside, and a
     // single-byte flip cannot collide CRC-32).
-    const JournalRecovery r = recover_journal(cut_path, /*repair=*/false);
+    const JournalRecovery r = scan_journal(g);
     ASSERT_TRUE(r.error.empty()) << "trial " << trial;
     ASSERT_LE(r.payloads.size(), full.size()) << "trial " << trial;
     for (std::size_t i = 0; i < r.payloads.size(); ++i) {
       ASSERT_EQ(r.payloads[i], full[i]) << "trial " << trial;
     }
   }
-  std::remove(path.c_str());
-  std::remove(cut_path.c_str());
 }
 
 // ---- record vocabulary / parse_journal --------------------------------------

@@ -1532,12 +1532,10 @@ TEST(CampaignJournalTest, ResumeFromEverySampledRecordPrefixIsByteIdentical) {
   for (std::size_t k = 4; k < frames; k += 7) cuts.push_back(k);
   const std::string cut_path = journal_tmp("prefix-cut.journal");
   for (const std::size_t k : cuts) {
+    std::string cut = kJournalMagic;
+    for (std::size_t i = 0; i < k; ++i) cut += journal_frame(rec.payloads[i]);
     std::remove(cut_path.c_str());
-    {
-      JournalWriter writer(cut_path);
-      for (std::size_t i = 0; i < k; ++i) writer.append(rec.payloads[i]);
-      writer.sync();
-    }
+    spit(cut_path, cut);
     const JournalRecovery cut_rec = recover_journal(cut_path, /*repair=*/true);
     ASSERT_FALSE(cut_rec.torn) << "cut " << k;
     const JournalResume resume = parse_journal(cut_rec.payloads);
@@ -1635,13 +1633,11 @@ TEST(CampaignJournalTest, RestoredCellsShortCircuitWithZeroReplay) {
   ASSERT_GT(first_done, 0u);
 
   const std::string cut_path = journal_tmp("restored-cut.journal");
-  {
-    JournalWriter writer(cut_path);
-    for (std::size_t i = 0; i <= first_done; ++i) {
-      writer.append(rec.payloads[i]);
-    }
-    writer.sync();
+  std::string cut = kJournalMagic;
+  for (std::size_t i = 0; i <= first_done; ++i) {
+    cut += journal_frame(rec.payloads[i]);
   }
+  spit(cut_path, cut);
   const JournalResume resume =
       parse_journal(recover_journal(cut_path, true).payloads);
   ASSERT_EQ(resume.completed.size(), 1u);

@@ -663,17 +663,11 @@ RecordedJournal recorded_journal() {
   return out;
 }
 
-// Frame `payload` with a valid CRC and recover it, so the frame check
-// accepts it and parse_journal alone must judge the JSON inside.
+// Frame `payload` with a valid CRC and scan it in memory, so the frame
+// check accepts it and parse_journal alone must judge the JSON inside.
 orchestrator::JournalResume parse_reframed(const std::string& payload) {
-  const std::string path = journal_path("reframed.journal");
-  {
-    orchestrator::JournalWriter writer(path);
-    writer.append(payload);
-  }
-  const orchestrator::JournalRecovery rec =
-      orchestrator::recover_journal(path, /*repair=*/false);
-  std::remove(path.c_str());
+  const orchestrator::JournalRecovery rec = orchestrator::scan_journal(
+      orchestrator::kJournalMagic + orchestrator::journal_frame(payload));
   EXPECT_FALSE(rec.torn);
   EXPECT_EQ(rec.payloads.size(), 1u);
   return orchestrator::parse_journal(rec.payloads);

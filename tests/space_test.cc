@@ -12,12 +12,6 @@ class SpaceTest : public ::testing::Test {
   SearchSpace space_;
 };
 
-TEST_F(SpaceTest, SizeIsAstronomical) {
-  // The paper quotes ~10^36 for the full space; ours is within a few orders
-  // of magnitude of that.
-  EXPECT_GT(space_.log10_size(), 20.0);
-}
-
 TEST_F(SpaceTest, PatternLengthFollowsNicPipeline) {
   const auto& nic = sim::subsystem('F').nicm;
   EXPECT_EQ(space_.pattern_length(),

@@ -462,13 +462,12 @@ BENCHMARK(BM_PoolInsert)->Arg(16)->Arg(256);
 
 // Rendering the default grid's campaign report (build_report's output) as
 // JSON: every anomaly's representative MFS, witness and double-valued
-// fields.  Deterministic execution, so every run renders the same report.
+// fields.  Every run renders the same report.
 // Informational; no baseline entry.
 void BM_ReportToJson(benchmark::State& state) {
   orchestrator::CampaignConfig config;
   config.modes = {core::GuidanceMode::kDiag, core::GuidanceMode::kPerf};
   config.budget.seconds = 2 * 3600.0;
-  config.execution = orchestrator::ExecutionMode::kDeterministic;
   const orchestrator::CampaignReport report =
       orchestrator::build_report(orchestrator::Campaign(config).run());
   for (auto _ : state) {

@@ -1,9 +1,11 @@
 # Fleet ≡ in-process, as real processes of the campaign CLI at the default
 # fleet timings:
 #   * a fault-free 4-worker loopback fleet prints a report byte-identical
-#     to the in-process campaign under cell scopes;
-#   * so does a fleet whose executor dies on a cell (--kill-worker): the
-#     cell is re-queued and re-run as the same logical worker;
+#     to the in-process campaign under cell scopes, and under the default
+#     subsystem scopes on a diag,perf grid;
+#   * so does a fleet whose executor dies on a cell (--kill-worker), under
+#     either share scope: the cell is re-queued and re-run as the same
+#     logical worker with the same preload;
 #   * a fleet coordinator that crashes at a journal byte exits 137, and
 #     --resume finishes it to the same report;
 #   * a --kill-worker cell outside the plan, a negative --seed and every
@@ -46,11 +48,22 @@ run(0 ref.json ignored ${flags} --workers 4)
 run(0 fleet.json ignored ${flags} --fleet 4)
 same(ref.json fleet.json)
 
-run(0 killed.json err ${flags} --fleet 4 --kill-worker "F/Diag#0")
-same(ref.json killed.json)
-if(NOT err MATCHES "fleet: .* [1-9][0-9]* re-queues")
-  message(FATAL_ERROR "--kill-worker re-queued nothing:\n${err}")
-endif()
+function(killed_leg ref out)
+  run(0 ${out} err ${ARGN} --kill-worker "F/Diag#0")
+  same(${ref} ${out})
+  if(NOT err MATCHES "fleet: .* [1-9][0-9]* re-queues")
+    message(FATAL_ERROR "--kill-worker re-queued nothing:\n${err}")
+  endif()
+endfunction()
+killed_leg(ref.json killed.json ${flags} --fleet 4)
+
+# The default share: each subsystem's cells run in dispatch order, so the
+# fleet sees what the in-process threads see.
+set(shared --sys BF --seeds 2 --modes diag,perf --hours 1 --json)
+run(0 shared-ref.json ignored ${shared} --workers 4)
+run(0 shared-fleet.json ignored ${shared} --fleet 4)
+same(shared-ref.json shared-fleet.json)
+killed_leg(shared-ref.json shared-killed.json ${shared} --fleet 4)
 
 run(137 ignored.json ignored ${flags} --fleet 4 --journal f.journal
     --crash-at-journal-byte 20000)

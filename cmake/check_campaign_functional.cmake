@@ -8,7 +8,7 @@
 #   cmake -DEXE=<campaign binary> -DWORK=<scratch dir> -P check_campaign_functional.cmake
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
-set(flags --sys BF --hours 1 --exec deterministic --share cell --json)
+set(flags --sys BF --hours 1 --share cell --json)
 
 # run(<report file> <stdout var> args...): exit 0 required; the last stdout
 # line goes to <report file> under WORK.

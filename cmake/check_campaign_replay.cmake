@@ -20,8 +20,7 @@
 #   cmake -DEXE=<campaign binary> -DWORK=<scratch dir> -P check_campaign_replay.cmake
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
-set(flags --sys B --hours 1 --workers 2 --exec deterministic --share cell
-          --json)
+set(flags --sys B --hours 1 --workers 2 --share cell --json)
 
 # run(<exit> <stdout var> <stderr var> args...)
 function(run want out err)

@@ -140,8 +140,8 @@ int main(int argc, char** argv) {
     config.telemetry = telemetry.get();
   }
 
-  // Config validation (duplicate grid entries, journal determinism) throws
-  // from the constructor: reject loudly instead of crashing.
+  // Config validation (duplicate grid entries, bad budgets) throws from
+  // the constructor: reject loudly instead of crashing.
   std::unique_ptr<Campaign> campaign;
   try {
     campaign = std::make_unique<Campaign>(config);
@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
                "schedule, %s backend%s\n",
                cells.size(), campaign->config().workers,
                to_string(config.share),
-               inv.fleet > 0 ? "fleet" : to_string(config.execution),
+               inv.fleet > 0 ? "fleet" : "in-process",
                replaying ? "replayed" : to_string(config.schedule),
                replaying ? "journal-replay" : "sim",
                config.warm_start ? ", warm-started" : "");

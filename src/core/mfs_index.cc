@@ -248,8 +248,8 @@ int MfsIndex::scan_first(u64* cand, const SearchSpace& space,
 int MfsIndex::first_match(const SearchSpace& space, const Workload& w) const {
   if (n_ == 0) return -1;
   // Query scratch: reused across calls so the probe hot path allocates
-  // nothing once warm.  thread_local because pool snapshots are queried
-  // concurrently from campaign workers.
+  // nothing once warm.  thread_local because campaign threads query their
+  // scopes' indexes concurrently.
   thread_local std::vector<u64> cand;
   cand.assign(matchable_.begin(),
               matchable_.begin() + static_cast<std::ptrdiff_t>(words()));

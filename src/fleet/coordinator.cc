@@ -18,7 +18,6 @@ Coordinator::Coordinator(orchestrator::CampaignConfig config,
   orchestrator::CampaignStart start =
       orchestrator::start_campaign(config_, cells_, pool_);
   result_ = std::move(start.result);
-  executors_.resize(static_cast<std::size_t>(result_.workers));
   std::vector<double> budgets;
   budgets.reserve(cells_.size());
   for (const orchestrator::CampaignCell& cell : cells_) {
@@ -26,13 +25,29 @@ Coordinator::Coordinator(orchestrator::CampaignConfig config,
   }
   order_ = orchestrator::dispatch_order(result_.schedule, budgets);
   worker_of_ = result_.schedule.worker_of(cells_.size());
+  std::vector<std::size_t> rank_of(cells_.size());
   for (std::size_t rank = 0; rank < order_.size(); ++rank) {
-    // A cell restored from the journal counts as accepted and is never
-    // leased; cells in flight at the crash re-run from scratch.
-    if (start.restored[order_[rank]]) {
-      ++completed_;
-    } else {
-      ready_.insert(rank);
+    rank_of[order_[rank]] = rank;
+  }
+  // Each chain's first cell still to run is ready; the others wait for
+  // their predecessor.  A cell restored from the journal counts as
+  // accepted and is never leased; cells in flight at the crash re-run from
+  // scratch.
+  next_in_chain_.assign(order_.size(), kNoRank);
+  for (const std::vector<std::size_t>& chain :
+       orchestrator::scope_chains(cells_, order_, config_.share)) {
+    std::size_t last = kNoRank;
+    for (const std::size_t cell : chain) {
+      if (start.restored[cell]) {
+        ++completed_;
+        continue;
+      }
+      if (last == kNoRank) {
+        ready_.insert(rank_of[cell]);
+      } else {
+        next_in_chain_[last] = rank_of[cell];
+      }
+      last = rank_of[cell];
     }
   }
 }
@@ -130,6 +145,9 @@ void Coordinator::handle(const Message& m, int from, Clock::time_point now) {
       pool_.load_entries(scope, m.inserts);
       delta_.add_observations(m.pool_delta);
       completed_ += 1;
+      if (next_in_chain_[ls.rank] != kNoRank) {
+        ready_.insert(next_in_chain_[ls.rank]);
+      }
       if (es.lease == m.lease) es.lease = 0;
       LOG_DEBUG << "fleet: accepted cell " << cells_[cell].label()
                 << " from executor " << from << " (" << completed_ << "/"
@@ -184,6 +202,7 @@ void Coordinator::assign_work(Clock::time_point now) {
 
 orchestrator::CampaignResult Coordinator::run(Transport* transport) {
   transport_ = transport;
+  executors_.resize(static_cast<std::size_t>(transport->executors()));
   auto last_progress = Clock::now();
   std::size_t last_completed = completed_;
   while (completed_ < order_.size()) {

@@ -13,9 +13,12 @@
 // runs the cell as that worker (pool-view origin and CellResult::worker),
 // preloaded with the scope's warm-start entries and the inserts of every
 // cell accepted so far.  Inserts reach the coordinator only inside an
-// accepted CellDone.  So a cell's result depends on its cell, RNG stream and
-// preload alone, never on which executor ran it or how often it was leased:
-// under cell scopes a fleet report is the in-process one under any fault.
+// accepted CellDone, and a cell joins the ready list only once its
+// predecessor in its scope chain (orchestrator::scope_chains) is accepted.
+// So every preload is exactly what the single-thread run shows the cell,
+// and a cell's result depends on its cell, RNG stream and preload alone,
+// never on which executor ran it or how often it was leased: under either
+// share scope a fleet report is the in-process one under any fault.
 //
 // Fault tolerance decides only *where* a cell runs:
 //  - Death: an executor that goes silent past heartbeat_timeout is declared
@@ -81,16 +84,19 @@ class Coordinator {
   explicit Coordinator(orchestrator::CampaignConfig config,
                        FleetOptions opts = {});
 
-  // Drive the whole campaign over `transport` (one endpoint per executor,
-  // outliving run()); returns when every runnable cell has exactly one
-  // accepted result.  Sends a shutdown lease to every executor before
-  // returning.  Call once.  Throws std::runtime_error on stall.
+  // Drive the whole campaign over `transport` (its executors() endpoints
+  // are the executors; it outlives run()); returns when every runnable cell
+  // has exactly one accepted result.  Sends a shutdown lease to every
+  // executor before returning.  Call once.  Throws std::runtime_error on
+  // stall.
   orchestrator::CampaignResult run(Transport* transport);
 
   // The normalized config executors must run cells under.
   const orchestrator::CampaignConfig& config() const { return config_; }
-  // Logical workers of the realized schedule: the loopback fleet's size.
+  // Logical workers of the realized schedule.
   int workers() const { return result_.workers; }
+  // Cells still to run: more executors than this never get a lease.
+  std::size_t pending_cells() const { return order_.size() - completed_; }
   const FleetStats& stats() const { return stats_; }
 
  private:
@@ -136,6 +142,10 @@ class Coordinator {
   std::vector<int> worker_of_;
   // Ranks (positions in order_) of the cells waiting for an executor.
   std::set<std::size_t> ready_;
+  // Per rank: the rank of the next cell of its scope chain still to run,
+  // which joins ready_ when this one is accepted; kNoRank ends a chain.
+  static constexpr std::size_t kNoRank = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> next_in_chain_;
   std::vector<ExecutorState> executors_;
   std::map<u64, LeaseState> leases_;
   // start_campaign's skeleton (schedule included); accepted CellDones fill

@@ -49,7 +49,11 @@ FleetRunResult run_loopback_fleet(orchestrator::CampaignConfig config,
   // cell RNG streams and engine options.
   Coordinator coordinator(std::move(config), opts.coordinator);
   const orchestrator::CampaignConfig& normalized = coordinator.config();
-  const int executors = coordinator.workers();
+  // One executor per logical worker, but never more than there are cells
+  // to run: a surplus executor would only heartbeat.
+  const int executors = static_cast<int>(std::min<std::size_t>(
+      static_cast<std::size_t>(coordinator.workers()),
+      coordinator.pending_cells()));
 
   LoopbackTransport transport(executors);
   for (const FaultRule& rule : opts.faults) transport.add_fault(rule);

@@ -2,15 +2,16 @@
 // transport.
 //
 // Constructs the Coordinator (which plans the campaign), spawns one
-// executor thread per logical worker of its schedule, runs the coordinator
-// on the calling thread, and tears the transport down so every thread
-// joins.  Under ShareScope::kCell the returned CampaignResult is
-// byte-identical (report JSON and checkpoint JSON) to Campaign::run()'s,
-// with or without faults: both start and finish the campaign through the
-// same orchestrator steps, executors run each cell as its logical worker
-// through the same execute_cell, and faults only move cells between
-// executors.  ctest campaign_fleet and the fleet-smoke CI job `cmp` exactly
-// that.
+// executor thread per logical worker of its schedule (at most one per cell
+// still to run), runs the coordinator on the calling thread, and tears the
+// transport down so every thread joins.  Under either share scope the
+// returned CampaignResult is byte-identical (report JSON and checkpoint
+// JSON) to Campaign::run()'s, with or without faults: both start and
+// finish the campaign through the same orchestrator steps, both run each
+// scope chain's cells in order, executors run each cell as its logical
+// worker through the same execute_cell, and faults only move cells between
+// executors.  ctest campaign_fleet and the fleet-smoke CI job `cmp`
+// exactly that.
 #pragma once
 
 #include <string>
@@ -48,7 +49,8 @@ struct FleetRunResult {
 
 // Run `config` as a loopback fleet.  The executor count is the
 // coordinator's schedule's logical worker count (config.workers under
-// round-robin/LPT, the recorded schedule's under replay).  Throws
+// round-robin/LPT, the recorded schedule's under replay), capped at the
+// number of cells still to run.  Throws
 // std::invalid_argument when kill_at_cell is set with a heartbeat timeout
 // of a quarter of the stall timeout or more (the stall guard could fire
 // while the killed executor is down), and what Coordinator::run throws

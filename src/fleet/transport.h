@@ -47,6 +47,9 @@ class Transport {
   // Close an endpoint: wakes any blocked recv (which then reports kClosed)
   // and makes future sends to it fail.
   virtual void close(int endpoint) = 0;
+
+  // Executor endpoints: 0 .. executors()-1.
+  virtual int executors() const = 0;
 };
 
 // Matches any endpoint in a FaultRule.
@@ -78,6 +81,9 @@ class LoopbackTransport final : public Transport {
   RecvStatus recv(int self, int* from, std::string* payload,
                   std::chrono::milliseconds timeout) override;
   void close(int endpoint) override;
+  int executors() const override {
+    return static_cast<int>(boxes_.size()) - 1;
+  }
 
   void add_fault(FaultRule rule);
 

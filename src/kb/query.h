@@ -8,9 +8,8 @@
 // corpus refreshes) serialize on a mutex, rebuild only the touched shards,
 // and publish a successor directory; superseded directories/shards are
 // retained until the KnowledgeBase is destroyed, which is the right
-// trade-off here — merges are O(days), not O(inserts) as in the
-// orchestrator's ConcurrentMfsPool, so retention is bounded by the merge
-// count and reference counting would buy nothing.
+// trade-off here — merges are O(days), not O(inserts), so retention is
+// bounded by the merge count and reference counting would buy nothing.
 //
 // A hit returns the covering MFS plus the mechanism join computed at
 // corpus build time: dominant bottleneck, catalog anomaly id, and the

@@ -7,10 +7,12 @@
 // stalled".  One probe produces up to five spans (sample -> MatchMFS ->
 // evaluate -> monitor -> extract), each a 24-byte record written with
 // relaxed atomic stores into a slot preallocated at construction — no
-// locks, no allocation, single writer per ring (the owning worker),
-// concurrent readers tolerated (a reader may see a torn record across
-// fields; it never sees UB, and snapshot consumers treat records as
-// best-effort diagnostics).
+// locks, no allocation, one ring per logical worker, concurrent readers
+// tolerated (a reader may see a torn record across fields; it never sees
+// UB, and snapshot consumers treat records as best-effort diagnostics).
+// Two threads running cells of one logical worker at once (cells of
+// different pool scopes, or logical workers past the ring count) may
+// overwrite each other's records, with the same guarantee.
 #pragma once
 
 #include <atomic>
@@ -51,7 +53,7 @@ class SpanRing {
   int capacity() const { return static_cast<int>(slots_.size()); }
   u64 recorded() const { return head_->load(std::memory_order_relaxed); }
 
-  // Hot path: overwrite the oldest slot.  Single writer per ring.
+  // Hot path: overwrite the oldest slot.
   void record(ProbeStage stage, u64 start_ticks, u64 duration_ticks);
 
   // Newest-first copy of up to max records (reporting path; allocates).

@@ -37,7 +37,6 @@ Telemetry::Telemetry(TelemetryOptions opts)
   pool_.misses = registry_.counter("pool.misses");
   pool_.inserts = registry_.counter("pool.inserts");
   pool_.duplicate_inserts = registry_.counter("pool.duplicate_inserts");
-  pool_.epoch_publishes = registry_.counter("pool.epoch_publishes");
   pool_.entries = registry_.gauge("pool.entries");
   fleet_.leases = registry_.counter("fleet.leases");
   fleet_.requeues = registry_.counter("fleet.requeues");

@@ -50,7 +50,6 @@ struct PoolIds {
   CounterId misses;             // covers() found nothing
   CounterId inserts;            // new MFS entries published
   CounterId duplicate_inserts;  // insert dropped as same-region duplicate
-  CounterId epoch_publishes;    // snapshot epochs published
   GaugeId entries;              // live entries across scopes
 };
 

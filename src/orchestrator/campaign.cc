@@ -1,6 +1,7 @@
 #include "orchestrator/campaign.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <thread>
 
@@ -27,16 +28,6 @@ const char* to_string(ShareScope s) {
       return "cell";
     case ShareScope::kSubsystem:
       return "subsystem";
-  }
-  return "?";
-}
-
-const char* to_string(ExecutionMode m) {
-  switch (m) {
-    case ExecutionMode::kThreads:
-      return "threads";
-    case ExecutionMode::kDeterministic:
-      return "deterministic";
   }
   return "?";
 }
@@ -138,19 +129,6 @@ Campaign::Campaign(CampaignConfig config) : config_(std::move(config)) {
       throw std::invalid_argument(
           "budget cycle entries must be positive and finite");
     }
-  }
-  // Journal record, resume and replay need per-cell probe sequences that
-  // do not depend on thread scheduling.  Threaded execution with
-  // subsystem-scoped sharing is the one combination where they do (which
-  // MFS a cell sees depends on insert timing), so a journal would fail to
-  // replay — reject it up front instead of at the first diverged probe.
-  if (config_.backend_factory != nullptr &&
-      config_.backend_factory->kind() == workload::BackendKind::kTrace &&
-      config_.execution == ExecutionMode::kThreads &&
-      config_.share == ShareScope::kSubsystem) {
-    throw std::invalid_argument(
-        "journal record, resume and replay need deterministic cell "
-        "trajectories: use --exec deterministic or --share cell");
   }
 }
 
@@ -429,6 +407,20 @@ Schedule plan_schedule(const CampaignConfig& config,
   return schedule;
 }
 
+std::vector<std::vector<std::size_t>> scope_chains(
+    const std::vector<CampaignCell>& cells,
+    const std::vector<std::size_t>& order, ShareScope share) {
+  std::vector<std::vector<std::size_t>> chains;
+  std::map<std::string, std::size_t> chain_of;
+  for (const std::size_t i : order) {
+    const auto [it, fresh] =
+        chain_of.emplace(cells[i].scope(share), chains.size());
+    if (fresh) chains.emplace_back();
+    chains[it->second].push_back(i);
+  }
+  return chains;
+}
+
 CampaignStart start_campaign(const CampaignConfig& config,
                              const std::vector<CampaignCell>& cells,
                              ConcurrentMfsPool& pool) {
@@ -574,44 +566,36 @@ CampaignResult Campaign::run() {
   }
   setup_telemetry(schedule, skipped_cells);
 
-  std::size_t queued = 0;
-  for (const auto& queue : schedule.queues) queued += queue.size();
-  // Physical threads: capped by the config and by the number of logical
-  // queues — a recorded 4-worker schedule replays on 1 thread bit-for-bit.
-  const int fleet = std::min<int>(
-      {config_.workers, schedule.workers, static_cast<int>(queued)});
-  if (config_.execution == ExecutionMode::kDeterministic || fleet <= 1) {
-    // Virtual-time dispatch order on the calling thread with the schedule's
-    // worker attribution: the reference semantics every physical execution
-    // converges to.  For round-robin schedules with uniform budgets this is
-    // exactly plan order (the seed behaviour).
-    const std::vector<int> worker_of = schedule.worker_of(cells.size());
-    for (const std::size_t i : dispatch_order(schedule, budgets)) {
-      run_cell(worker_of[i], cells[i], streams[i], start.restored[i], pool,
-               result.cells[i]);
-      note_cell_drained(worker_of[i]);
-    }
+  const std::vector<std::size_t> order = dispatch_order(schedule, budgets);
+  const std::vector<int> worker_of = schedule.worker_of(cells.size());
+  const auto run_one = [&](std::size_t i) {
+    run_cell(worker_of[i], cells[i], streams[i], start.restored[i], pool,
+             result.cells[i]);
+    note_cell_drained(worker_of[i]);
+  };
+  const std::vector<std::vector<std::size_t>> chains =
+      scope_chains(cells, order, config_.share);
+  // Physical threads: capped by the config, by the schedule's logical
+  // workers and by the chains there are to pull.
+  const int threads = std::min<int>(
+      {config_.workers, schedule.workers, static_cast<int>(chains.size())});
+  if (threads <= 1) {
+    // The reference order.  For round-robin schedules with uniform budgets
+    // this is exactly plan order (the seed behaviour).
+    for (const std::size_t i : order) run_one(i);
   } else {
-    // One physical thread drains logical queues t, t+fleet, ... — queues
-    // are independent, so any fleet size yields the same per-cell results
-    // under cell-scoped pools.
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(fleet));
-    for (int t = 0; t < fleet; ++t) {
-      threads.emplace_back([this, t, fleet, &schedule, &cells, &streams,
-                            &start, &pool, &result] {
-        for (int w = t; w < static_cast<int>(schedule.queues.size());
-             w += fleet) {
-          for (const std::size_t i :
-               schedule.queues[static_cast<std::size_t>(w)]) {
-            run_cell(w, cells[i], streams[i], start.restored[i], pool,
-                     result.cells[i]);
-            note_cell_drained(w);
-          }
+    std::atomic<std::size_t> next_chain{0};
+    std::vector<std::thread> pool_threads;
+    pool_threads.reserve(static_cast<std::size_t>(threads));
+    for (int t = 0; t < threads; ++t) {
+      pool_threads.emplace_back([&] {
+        for (std::size_t c = next_chain++; c < chains.size();
+             c = next_chain++) {
+          for (const std::size_t i : chains[c]) run_one(i);
         }
       });
     }
-    for (std::thread& t : threads) t.join();
+    for (std::thread& t : pool_threads) t.join();
   }
 
   finish_campaign(config_, pool, PoolStats{}, result);

@@ -4,22 +4,25 @@
 // one per testbed subsystem.  A Campaign runs that grid as a fleet: the
 // (subsystem x guidance-mode x seed) cells fan out over a configurable
 // number of worker threads, every cell drives its own SearchDriver, and all
-// workers share one ConcurrentMfsPool so an MFS extracted anywhere
-// immediately prunes every other search of the same subsystem.
+// workers share one ConcurrentMfsPool so an MFS extracted by one cell prunes
+// every later search of the same subsystem.
 //
 // Reproducibility: each cell's RNG is split off the campaign seed by cell
 // index (Rng::split), so the stream a cell consumes never depends on which
-// worker runs it or in what order.  Under ShareScope::kCell every pool scope
-// is private to one cell and campaigns are bitwise reproducible — a
-// one-worker campaign replays serial SearchDriver runs exactly.  Under
-// ShareScope::kSubsystem cells of the same subsystem prune each other, so
-// per-cell discovery paths depend on insert timing; the deduped anomaly set
-// the report surfaces is what converges.
+// thread runs it.  The reference semantics is the single-thread run: cells
+// execute in dispatch_order, and cell i sees exactly what the same-scope
+// cells before it extracted.  Concurrency never changes that view, because
+// a pool scope is the unit of concurrency: scope_chains splits the dispatch
+// order into one chain per scope, and each chain runs its cells back to
+// back on one thread.  So under both ShareScope values a campaign's report
+// is the same bytes at any thread count, in the loopback fleet and on
+// replay.  Under ShareScope::kCell every chain is one cell.
 //
 // Time accounting: budgets and elapsed times are simulated testbed seconds
-// (like core/search).  Each worker runs its cells back-to-back on its own
-// simulated timeline; the campaign makespan is the slowest worker's
-// timeline, and speedup is serial-sum / makespan.
+// (like core/search).  Each logical worker runs its schedule queue back to
+// back on its own simulated timeline; the campaign makespan is the slowest
+// worker's timeline, and speedup is serial-sum / makespan.  Threads only
+// bound wall-clock parallelism, at the number of scopes.
 #pragma once
 
 #include <map>
@@ -44,26 +47,20 @@ enum class Strategy {
 };
 
 enum class ShareScope {
-  kCell,       // pool scopes private per cell: bitwise-reproducible
+  kCell,       // pool scopes private per cell: no cell prunes another
   kSubsystem,  // shared across modes/seeds of one subsystem: max pruning
 };
 
+// Nothing reads this any more: every campaign runs the single-thread
+// semantics.  Kept only because the campaign benchmark assigns
+// CampaignConfig::execution; drop both with the next change to the
+// benchmark.
 enum class ExecutionMode {
-  // Real worker threads.  Under ShareScope::kSubsystem, which MFS a cell
-  // sees depends on insert timing, so per-cell trajectories vary run to run
-  // (the deduped report is what converges).  Under kCell scopes the threaded
-  // run is bitwise identical to the deterministic one.
-  kThreads,
-  // Run cells in plan order on the calling thread, with the same worker
-  // attribution, pool scoping and timeline accounting the threaded fleet
-  // uses.  This is the reference semantics: cell i observes the pool state
-  // after cells 0..i-1, independent of any scheduler.
   kDeterministic,
 };
 
 const char* to_string(Strategy s);
 const char* to_string(ShareScope s);
-const char* to_string(ExecutionMode m);
 
 struct CampaignCell {
   char subsystem = 'F';
@@ -106,7 +103,8 @@ struct CampaignConfig {
   int workers = 4;
   u64 campaign_seed = 1;
   ShareScope share = ShareScope::kSubsystem;
-  ExecutionMode execution = ExecutionMode::kThreads;
+  // Read by nothing; see ExecutionMode.
+  ExecutionMode execution = ExecutionMode::kDeterministic;
   core::SearchBudget budget;  // per cell
   // Mixed-budget campaigns: plan cell i gets budget_cycle_seconds[i % size]
   // as its wall budget (empty = every cell gets `budget`).  LPT scheduling
@@ -122,9 +120,7 @@ struct CampaignConfig {
   // Replay: execute exactly this recorded schedule (a journal's begin
   // record carries it; --resume and --replay re-dispatch it).  Logical
   // workers come from the schedule; `workers` only caps physical threads,
-  // so a replayed campaign is bit-for-bit identical at any worker count
-  // (under ShareScope::kCell, where cell trajectories are
-  // schedule-independent).
+  // so a replayed campaign is bit-for-bit identical at any worker count.
   std::optional<Schedule> replay;
   // Optional telemetry sink (not owned; must outlive run()).  The campaign
   // registers per-logical-worker instruments, attaches the pool, and hands
@@ -136,11 +132,7 @@ struct CampaignConfig {
   // Execution backend for every cell's engine (workload/backend.h).  Null =
   // the built-in simulator.  The campaign passes each cell's label as the
   // backend context, so journal probe records keep per-cell probe sequences
-  // apart.  Journaled record/resume/replay requires schedule-independent
-  // cell trajectories: the constructor rejects a kTrace factory (the
-  // journal's splice backend) combined with threaded execution under
-  // subsystem-scoped sharing (where what a cell sees depends on insert
-  // timing).
+  // apart.
   std::shared_ptr<workload::BackendFactory> backend_factory;
   // Empty: the pool has no settings.  Kept only because the campaign
   // benchmark constructs its pool from it; drop both with the next change
@@ -253,12 +245,25 @@ Schedule plan_schedule(const CampaignConfig& config,
                        const std::vector<CampaignCell>& cells,
                        const std::vector<bool>& runnable);
 
+// The unit of concurrency: `order` (a dispatch_order of plan indices)
+// split into one chain per pool scope under `share`.  Each chain lists its
+// scope's cells in `order`'s order; chains are ordered by their first
+// cell.  Cells of different chains never touch a common scope, so any
+// interleaving of chains that keeps each chain's cells back to back shows
+// every cell the pool the single-thread run in `order` shows it.  The
+// in-process threads pull whole chains; the fleet coordinator leases a
+// cell only after its chain predecessor's result is accepted.
+std::vector<std::vector<std::size_t>> scope_chains(
+    const std::vector<CampaignCell>& cells,
+    const std::vector<std::size_t>& order, ShareScope share);
+
 // ---- Campaign lifecycle (in-process run + fleet coordinator) ------------
 //
 // Campaign::run and fleet::Coordinator execute cells differently (threads
 // over a shared pool vs leases over a transport) but start and finish a
-// campaign through these two steps, so a fault-free fleet report is the
-// in-process one by construction.
+// campaign through these two steps and run each scope chain's cells in
+// order, so a fleet report is the in-process one under either share scope
+// and any fault.
 
 struct CampaignStart {
   // The result skeleton: the realized schedule and its worker count, the
@@ -313,7 +318,9 @@ class Campaign {
   // default, LPT for mixed budgets) or, when `config.replay` is set, from a
   // recorded schedule — validated against the plan so a stale recording
   // fails loudly.  Warm-start-completed cells are skipped before
-  // scheduling.
+  // scheduling.  One thread runs the dispatch order; more threads pull
+  // whole scope chains, each cell as its logical worker, to the same
+  // result.
   CampaignResult run();
 
  private:

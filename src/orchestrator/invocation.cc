@@ -1,5 +1,6 @@
 #include "orchestrator/invocation.h"
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
@@ -27,8 +28,8 @@ constexpr char kHeader[] = R"(usage: campaign [flags]
   $ ./campaign --sys BF --hours 8,2 --schedule lpt   # mixed budgets, LPT
   $ ./campaign --sys B --checkpoint today.json       # persist the pool
   $ ./campaign --sys B --warm-start today.json       # skip known regions
-  $ ./campaign --sys BF --share cell --journal j1    # record a campaign
-  $ ./campaign --sys BF --share cell --replay j1     # re-run it offline
+  $ ./campaign --sys BF --journal j1                 # record a campaign
+  $ ./campaign --sys BF --replay j1                  # re-run it offline
 )";
 
 // The campaign CLI's flags: --help, boolean registration, unknown-flag
@@ -44,7 +45,7 @@ constexpr CliFlag kFlags[] = {
      "DCQCN knobs as search dimensions"},
     {"modes", "<list>", "diag", "comma list of diag,perf"},
     {"strategy", "<s>", "sa", "sa | random"},
-    {"workers", "<n>", "4", "fleet size"},
+    {"workers", "<n>", "4", "fleet size, at most 4096"},
     {"seeds", "<n>", "1", "replicas per (subsystem, mode) cell"},
     {"hours", "<h[,h..]>", "10",
      "simulated testbed hours per cell; the default is the paper's Figure "
@@ -55,7 +56,6 @@ constexpr CliFlag kFlags[] = {
      "(virtual-time work stealing)"},
     {"seed", "<s>", "1", "campaign seed; cells get split() streams"},
     {"share", "<scope>", "subsystem", "subsystem | cell"},
-    {"exec", "<mode>", "threads", "threads | deterministic"},
     {"warm-start", "<f>", nullptr,
      "load a checkpoint: its regions pre-seed MatchMFS and its completed "
      "cells are skipped. A damaged checkpoint is an error naming the byte "
@@ -84,8 +84,9 @@ constexpr CliFlag kFlags[] = {
      "print the human telemetry table (counters, histogram quantiles, "
      "per-worker utilization) after the report"},
     {"fleet", "<n>", "0",
-     "run as a loopback fleet: a coordinator plus <n> executor threads "
-     "speaking the fleet protocol (src/fleet/); 0 runs in-process"},
+     "run as a loopback fleet: a coordinator plus up to <n> executor threads "
+     "(at most 4096) speaking the fleet protocol (src/fleet/); 0 runs "
+     "in-process"},
     {"heartbeat-ms", "<ms>", "20",
      "fleet executor heartbeat cadence, in [1, 2^31)"},
     {"heartbeat-timeout-ms", "<ms>", "250",
@@ -98,8 +99,8 @@ constexpr CliFlag kFlags[] = {
      "is unchanged"},
     {"journal", "<f>", nullptr,
      "durable crash journal (collie-journal-v3, schema in README.md), "
-     "streamed as the campaign runs. Needs --exec deterministic or --share "
-     "cell. A --fleet journal resumes but cannot be replayed"},
+     "streamed as the campaign runs. A --fleet journal resumes but cannot "
+     "be replayed"},
     {"resume", nullptr, nullptr,
      "continue a crashed --journal campaign without re-spending a journaled "
      "probe; the report is byte-identical to the uninterrupted run's"},
@@ -117,16 +118,25 @@ constexpr CliFlag kFlags[] = {
 // The largest --hours entry: one simulated year.
 constexpr int kMaxHours = 8760;
 
+// The largest --workers / --fleet value.  A schedule holds one queue and a
+// telemetry sink one shard per logical worker, so an unbounded count is an
+// allocation the size of the number (2^31 queues are about 48 GiB).  The
+// paper runs one testbed per subsystem, eight in all; 4096 leaves room for
+// any grid this CLI plans.
+constexpr int kMaxWorkers = 4096;
+
 // Flags that only steer a --fleet run.
 constexpr const char* kFleetOnly[] = {"heartbeat-ms", "heartbeat-timeout-ms",
                                       "kill-worker"};
 
-// An integer flag that must lie in [lo, INT32_MAX], narrowed to int.
-int get_int_in(const CliArgs& args, const std::string& flag, i64 lo) {
+// An integer flag that must lie in [lo, hi], narrowed to int.
+int get_int_in(const CliArgs& args, const std::string& flag, i64 lo,
+               i64 hi = INT32_MAX) {
   const i64 v = args.get_int(flag);
-  if (v < lo || v > INT32_MAX) {
-    throw std::invalid_argument("--" + flag + " must be in [" +
-                                std::to_string(lo) + ", 2^31)");
+  if (v < lo || v > hi) {
+    throw std::invalid_argument(
+        "--" + flag + " must be in [" + std::to_string(lo) + ", " +
+        (hi == INT32_MAX ? "2^31)" : std::to_string(hi) + "]"));
   }
   return static_cast<int>(v);
 }
@@ -168,7 +178,7 @@ CampaignInvocation parse(const CliArgs& args) {
   config.strategy = args.get_choice("strategy", {"sa", "random"}) == "random"
                         ? Strategy::kRandom
                         : Strategy::kSimulatedAnnealing;
-  config.workers = get_int_in(args, "workers", 1);
+  config.workers = get_int_in(args, "workers", 1, kMaxWorkers);
   config.seeds_per_cell = get_int_in(args, "seeds", 1);
   // --hours is a single budget or a comma list cycled over plan cells.
   // Each entry is a finite, positive number of simulated hours, at most one
@@ -205,14 +215,10 @@ CampaignInvocation parse(const CliArgs& args) {
   config.share = args.get_choice("share", {"subsystem", "cell"}) == "cell"
                      ? ShareScope::kCell
                      : ShareScope::kSubsystem;
-  config.execution =
-      args.get_choice("exec", {"threads", "deterministic"}) == "deterministic"
-          ? ExecutionMode::kDeterministic
-          : ExecutionMode::kThreads;
 
   // --fleet: a coordinator + worker fleet over the in-process transport.
   // Its size is the campaign's worker count (and the telemetry shards').
-  inv.fleet = get_int_in(args, "fleet", 0);
+  inv.fleet = get_int_in(args, "fleet", 0, kMaxWorkers);
   for (const char* flag : kFleetOnly) {
     if (inv.fleet == 0 && args.has(flag)) {
       throw std::invalid_argument(std::string("--") + flag +
@@ -267,9 +273,15 @@ CampaignInvocation parse(const CliArgs& args) {
   inv.journal_every = get_int_in(args, "journal-every", 1);
 
   inv.metrics_path = args.get("metrics-out");
+  // A finite, non-negative number of seconds: the metrics document
+  // records the interval as a number, and NaN and inf have no JSON form.
   inv.metrics_interval = args.get_double("metrics-interval");
-  if (inv.metrics_interval < 0 ||
-      (inv.metrics_interval > 0 && inv.metrics_path.empty())) {
+  if (!std::isfinite(inv.metrics_interval) || inv.metrics_interval < 0) {
+    throw std::invalid_argument("bad --metrics-interval '" +
+                                args.get("metrics-interval") +
+                                "' (want a finite number of seconds >= 0)");
+  }
+  if (inv.metrics_interval > 0 && inv.metrics_path.empty()) {
     throw std::invalid_argument(
         "--metrics-interval needs --metrics-out FILE");
   }

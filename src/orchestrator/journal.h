@@ -236,10 +236,10 @@ CampaignCheckpoint journal_to_checkpoint(const JournalResume& resume);
 // probe 0 — a fresh journaling campaign is the empty-prefix special case of
 // resume, and an offline replay is the no-live-tail one.
 //
-// kind() reports kTrace so Campaign's determinism gate applies: threaded
-// execution under subsystem-scoped sharing is rejected (record, resume and
-// replay need schedule-independent cell trajectories for their
-// byte-identity guarantees).
+// kind() reports kTrace (telemetry counts its probes as
+// engine.backend.trace).  Record, resume and replay need
+// schedule-independent cell trajectories, which every campaign has: threads
+// run whole pool scopes.
 class SpliceBackendFactory final : public workload::BackendFactory {
  public:
   // `inner` = the real substrate factory (null = the built-in simulator).

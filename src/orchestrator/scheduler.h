@@ -3,11 +3,12 @@
 // A Schedule is the realized assignment of plan cells to *logical* workers:
 // per-worker queues of plan indices in execution order.  Logical workers are
 // decoupled from physical threads — any number of OS threads can execute a
-// schedule (thread t drains queues t, t+T, ...), and because every cell's
-// RNG stream is split off the campaign seed by cell index, the results are
-// a function of the schedule alone, not of the thread count.  That is what
-// makes journal `--resume` and `--replay` bit-for-bit: the journal's begin
-// record carries the schedule, re-executed at any worker count.
+// schedule (each runs whole pool scopes of its dispatch_order), and because
+// every cell's RNG stream is split off the campaign seed by cell index, the
+// results are a function of the schedule alone, not of the thread count.
+// That is what makes journal `--resume` and `--replay` bit-for-bit: the
+// journal's begin record carries the schedule, re-executed at any worker
+// count.
 //
 // Two policies build schedules:
 //   * round-robin — cell i -> worker i mod W, the seed behaviour; exact for
@@ -64,7 +65,7 @@ Schedule lpt_schedule(const std::vector<double>& budget_seconds,
 // Global single-thread execution order: virtual-time dispatch over the
 // queues using each cell's budget as its expected duration (ties broken by
 // worker id).  For round-robin with uniform budgets this is exactly plan
-// order, so deterministic execution keeps the seed's semantics.
+// order, so a campaign keeps the seed's semantics.
 std::vector<std::size_t> dispatch_order(
     const Schedule& schedule, const std::vector<double>& budget_seconds);
 

@@ -175,15 +175,13 @@ TEST(Backend, SimBackendIsTheDefault) {
   EXPECT_EQ(engine.backend().substrate(), "sim");
 }
 
-// A small deterministic campaign template every backend test shares: one
-// subsystem-B cell, cell-scoped pool, deterministic execution — the shape
-// journal record/replay requires.
+// A small campaign template every backend test shares: one subsystem-B
+// cell, cell-scoped pool.
 orchestrator::CampaignConfig small_campaign() {
   orchestrator::CampaignConfig config;
   config.subsystems = {'B'};
   config.workers = 2;
   config.share = orchestrator::ShareScope::kCell;
-  config.execution = orchestrator::ExecutionMode::kDeterministic;
   config.budget.seconds = 900.0;
   return config;
 }

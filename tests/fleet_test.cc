@@ -1,11 +1,11 @@
 // Fleet protocol tests: wire-format round trips and fuzzing (same harness
 // as tests/persistence_test.cc), LoopbackTransport semantics, and the
-// acceptance criteria of the distributed campaign — under cell scopes a
-// loopback fleet's report and checkpoint are byte-identical to the
-// in-process campaign's at 1, 2 and 4 workers with no fault, a killed
-// executor, lost/duplicated/delayed messages, a zombie executor and a slow
-// executor.  The TSan CI job runs this binary to pin the protocol
-// data-race-free.
+// acceptance criteria of the distributed campaign — a loopback fleet's
+// report and checkpoint are byte-identical to the in-process campaign's at
+// 1, 2 and 4 workers under both share scopes with no fault, a killed
+// executor and lost/duplicated/delayed messages, and under cell scopes
+// with a zombie and a slow executor.  The TSan CI job runs this binary to
+// pin the protocol data-race-free.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +16,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -398,26 +399,56 @@ class SleepingBackendFactory final : public workload::BackendFactory {
   std::atomic<int> naps_left_;
 };
 
-CampaignConfig config_at(int workers) {
+CampaignConfig config_at(int workers, ShareScope share) {
   CampaignConfig config = small_config();
   config.workers = workers;
+  config.share = share;
   return config;
+}
+
+// Every (share scope, worker count) the fleet ≡ in-process pins cover.
+std::vector<std::pair<ShareScope, int>> share_worker_grid() {
+  std::vector<std::pair<ShareScope, int>> grid;
+  for (const ShareScope share : {ShareScope::kCell, ShareScope::kSubsystem}) {
+    for (const int workers : {1, 2, 4}) grid.emplace_back(share, workers);
+  }
+  return grid;
+}
+
+// "cell share, 2 workers".
+std::string described(ShareScope share, int workers) {
+  return std::string(orchestrator::to_string(share)) + " share, " +
+         std::to_string(workers) + " workers";
 }
 
 // ---- Acceptance: fleet == in-process campaign, byte for byte.
 
 TEST(Fleet, FaultFreeFleetMatchesInProcessCampaignAtAnyWorkerCount) {
-  for (const int workers : {1, 2, 4}) {
-    const CampaignConfig config = config_at(workers);
+  for (const auto& [share, workers] : share_worker_grid()) {
+    const CampaignConfig config = config_at(workers, share);
     const CampaignResult reference = Campaign(config).run();
-    const FleetRunResult fleet =
-        run_loopback_fleet(config, patient_options());
-    expect_same_campaign(fleet, reference,
-                         std::to_string(workers) + " workers");
-    EXPECT_EQ(fleet.stats.requeues, 0);
-    EXPECT_EQ(fleet.stats.heartbeat_misses, 0);
-    EXPECT_EQ(fleet.stats.leases,
-              static_cast<i64>(reference.cells.size()));
+    const FleetRunResult fleet = run_loopback_fleet(config, patient_options());
+    const std::string what = described(share, workers);
+    expect_same_campaign(fleet, reference, what);
+    EXPECT_EQ(fleet.stats.requeues, 0) << what;
+    EXPECT_EQ(fleet.stats.heartbeat_misses, 0) << what;
+    EXPECT_EQ(fleet.stats.leases, static_cast<i64>(reference.cells.size()))
+        << what;
+  }
+}
+
+// A schedule with more logical workers than cells starts one executor per
+// cell; the idle logical workers change nothing in the report.
+TEST(Fleet, MoreWorkersThanCellsMatchesInProcessCampaign) {
+  for (const ShareScope share : {ShareScope::kCell, ShareScope::kSubsystem}) {
+    const CampaignConfig config = config_at(16, share);
+    const CampaignResult reference = Campaign(config).run();
+    ASSERT_EQ(reference.workers, 16);
+    const FleetRunResult fleet = run_loopback_fleet(config, patient_options());
+    const std::string what = described(share, 16);
+    expect_same_campaign(fleet, reference, what);
+    EXPECT_EQ(fleet.stats.leases, static_cast<i64>(reference.cells.size()))
+        << what;
   }
 }
 
@@ -427,8 +458,8 @@ TEST(Fleet, FaultFreeFleetMatchesInProcessCampaignAtAnyWorkerCount) {
 // exactly once, and a stale lease copy is answered from the finished one.
 TEST(Fleet, MessageFaultsDoNotChangeTheReport) {
   for (const char* type : {"lease_cell", "ack", "cell_done"}) {
-    for (const int workers : {1, 2, 4}) {
-      const CampaignConfig config = config_at(workers);
+    for (const auto& [share, workers] : share_worker_grid()) {
+      const CampaignConfig config = config_at(workers, share);
       const CampaignResult reference = Campaign(config).run();
       FleetRunOptions opts = patient_options();
       FaultRule drop;  // the first one vanishes
@@ -450,8 +481,7 @@ TEST(Fleet, MessageFaultsDoNotChangeTheReport) {
       const FleetRunResult fleet = run_loopback_fleet(config, opts);
 
       const std::string what =
-          std::string(type) + " faults, " + std::to_string(workers) +
-          " workers";
+          std::string(type) + " faults, " + described(share, workers);
       expect_same_campaign(fleet, reference, what);
       EXPECT_GT(fleet.dropped, 0) << what;
       EXPECT_GT(fleet.duplicated, 0) << what;
@@ -472,14 +502,14 @@ TEST(Fleet, MessageFaultsDoNotChangeTheReport) {
 // pulls it next (the restarted one at 1 worker) runs it as the same logical
 // worker with the same preload — so the whole report and checkpoint match.
 TEST(Fleet, KilledWorkerCellIsRequeuedWithoutDoubleCounting) {
-  for (const int workers : {1, 2, 4}) {
-    const CampaignConfig config = config_at(workers);
+  for (const auto& [share, workers] : share_worker_grid()) {
+    const CampaignConfig config = config_at(workers, share);
     const CampaignResult reference = Campaign(config).run();
     FleetRunOptions opts = prompt_options();
     opts.kill_at_cell = reference.cells.front().cell.label();
     const FleetRunResult fleet = run_loopback_fleet(config, opts);
 
-    const std::string what = std::to_string(workers) + " workers";
+    const std::string what = described(share, workers);
     expect_same_campaign(fleet, reference, what);
     EXPECT_GE(fleet.stats.heartbeat_misses, 1) << what;
     EXPECT_GE(fleet.stats.requeues, 1) << what;
@@ -505,7 +535,7 @@ TEST(Fleet, KillTheStallGuardCannotAbsorbIsRejected) {
 // reconnects, and the report is the in-process one.
 TEST(Fleet, ZombieExecutorsLateResultIsDiscarded) {
   for (const int workers : {1, 2, 4}) {
-    CampaignConfig config = config_at(workers);
+    CampaignConfig config = config_at(workers, ShareScope::kCell);
     const CampaignResult reference = Campaign(config).run();
     const FleetRunOptions opts = prompt_options();
     config.backend_factory = std::make_shared<SleepingBackendFactory>(
@@ -525,7 +555,7 @@ TEST(Fleet, ZombieExecutorsLateResultIsDiscarded) {
 // Where cells run changes; what they report does not.
 TEST(Fleet, SlowExecutorDoesNotChangeTheReport) {
   for (const int workers : {1, 2, 4}) {
-    CampaignConfig config = config_at(workers);
+    CampaignConfig config = config_at(workers, ShareScope::kCell);
     const CampaignResult reference = Campaign(config).run();
     config.backend_factory = std::make_shared<SleepingBackendFactory>(
         reference.cells.front().cell.label(), milliseconds(5), 1 << 30);

@@ -261,7 +261,7 @@ TEST(HotPathAllocation, PoolInsertAllocationsIndependentOfScopeSize) {
   const long at16 = insert_range(16, 16 + kWindow);
   (void)insert_range(16 + kWindow, 256);
   const long at256 = insert_range(256, kLast);
-  EXPECT_GT(at16, 0);  // the counter sees the successor snapshot
+  EXPECT_GT(at16, 0);  // the counter sees the index's per-condition scratch
   EXPECT_EQ(at256, at16);
   EXPECT_EQ(pool.size("F"), static_cast<std::size_t>(kLast));
 }

@@ -47,7 +47,6 @@ TEST(CampaignInvocation, DefaultsComeFromTheFlagTable) {
   EXPECT_EQ(c.schedule, SchedulePolicy::kRoundRobin);
   EXPECT_EQ(c.campaign_seed, 1u);
   EXPECT_EQ(c.share, ShareScope::kSubsystem);
-  EXPECT_EQ(c.execution, ExecutionMode::kThreads);
   EXPECT_FALSE(inv.functional);
   EXPECT_EQ(inv.fleet, 0);
   EXPECT_EQ(inv.fleet_options.coordinator.heartbeat_interval.count(), 20);
@@ -66,8 +65,8 @@ TEST(CampaignInvocation, MapsFlagsOntoTheConfig) {
   const CampaignInvocation inv =
       ok({"--sys", "BF", "--fabric", "hetero,fanin4", "--cc", "all",
           "--modes", "diag,perf", "--strategy", "random", "--hours", "4,1",
-          "--schedule", "lpt", "--seed", "7", "--share", "cell", "--exec",
-          "deterministic", "--workers", "3", "--json"});
+          "--schedule", "lpt", "--seed", "7", "--share", "cell",
+          "--workers", "3", "--json"});
   const CampaignConfig& c = inv.config;
   EXPECT_EQ(c.subsystems, (std::vector<char>{'B', 'F'}));
   EXPECT_EQ(c.fabrics, (std::vector<std::string>{"hetero", "fanin4"}));
@@ -81,7 +80,6 @@ TEST(CampaignInvocation, MapsFlagsOntoTheConfig) {
   EXPECT_EQ(c.schedule, SchedulePolicy::kLpt);
   EXPECT_EQ(c.campaign_seed, 7u);
   EXPECT_EQ(c.share, ShareScope::kCell);
-  EXPECT_EQ(c.execution, ExecutionMode::kDeterministic);
   EXPECT_EQ(c.workers, 3);
   EXPECT_TRUE(inv.json);
 }
@@ -93,12 +91,13 @@ TEST(CampaignInvocation, HelpSkipsValidation) {
   // Every default is printed from the table.
   EXPECT_TRUE(contains(usage, "--journal-every <n>")) << usage;
   EXPECT_TRUE(contains(usage, "(default 64)")) << usage;
-  EXPECT_TRUE(contains(usage, "(default threads)")) << usage;
+  EXPECT_TRUE(contains(usage, "(default subsystem)")) << usage;
 }
 
 TEST(CampaignInvocation, UnknownAndRemovedFlagsAreRejected) {
-  for (const char* flag : {"--worker", "--keep-epochs", "--warm-start-lenient",
-                           "--backend", "--steal-after-ms", "--slow-worker"}) {
+  for (const char* flag :
+       {"--worker", "--keep-epochs", "--warm-start-lenient", "--backend",
+        "--steal-after-ms", "--slow-worker", "--exec"}) {
     const InvocationError err = rejected({flag, "1"});
     EXPECT_EQ(err.exit_code, 2);
     EXPECT_TRUE(contains(err.message, std::string("unknown flag ") + flag))
@@ -124,10 +123,13 @@ TEST(CampaignInvocation, OutOfRangeGridSizesAreRejected) {
       {{"--workers", "-3"}, "--workers"},
       {{"--workers", "4294967297"}, "--workers"},
       {{"--workers", "2147483648"}, "--workers"},
+      {{"--workers", "4097"}, "--workers"},
+      {{"--workers", "2147483647"}, "--workers"},
       {{"--seeds", "0"}, "--seeds"},
       {{"--seeds", "4294967297"}, "--seeds"},
       {{"--fleet", "-1"}, "--fleet"},
       {{"--fleet", "4294967298"}, "--fleet"},
+      {{"--fleet", "4097"}, "--fleet"},
       {{"--sys="}, "--sys"},
       {{"--sys", ""}, "--sys"},
       {{"--hours", "nan"}, "--hours"},
@@ -162,7 +164,8 @@ TEST(CampaignInvocation, OutOfRangeGridSizesAreRejected) {
   }
   // The edges of the ranges still parse.
   EXPECT_EQ(ok({"--workers", "1"}).config.workers, 1);
-  EXPECT_EQ(ok({"--workers", "2147483647"}).config.workers, 2147483647);
+  EXPECT_EQ(ok({"--workers", "4096"}).config.workers, 4096);
+  EXPECT_EQ(ok({"--fleet", "4096"}).fleet, 4096);
   EXPECT_EQ(ok({"--seeds", "1"}).config.seeds_per_cell, 1);
   EXPECT_EQ(ok({"--fleet", "0"}).fleet, 0);
   EXPECT_EQ(ok({"--hours", "8760"}).config.budget.seconds, 8760 * 3600.0);
@@ -197,7 +200,6 @@ TEST(CampaignInvocation, UnknownChoiceNamesTheValidValues) {
       {{"--strategy", "bo"}, {"--strategy", "sa, random"}},
       {{"--schedule", "fifo"}, {"--schedule", "rr, lpt"}},
       {{"--share", "galaxy"}, {"--share", "subsystem, cell"}},
-      {{"--exec", "fast"}, {"--exec", "threads, deterministic"}},
   };
   for (const Case& c : cases) {
     const InvocationError err = rejected(c.args);
@@ -263,10 +265,21 @@ TEST(CampaignInvocation, MetricsIntervalTakesFractionalSecondsAndAFile) {
   const InvocationError err = rejected({"--metrics-interval", "1"});
   EXPECT_EQ(err.exit_code, 2);
   EXPECT_TRUE(contains(err.message, "--metrics-out")) << err.message;
-  EXPECT_EQ(
-      rejected({"--metrics-out", "m.json", "--metrics-interval", "-1"})
-          .exit_code,
-      2);
+  // A negative or non-finite interval is rejected naming the value, not
+  // the missing file: the metrics document records the interval as a JSON
+  // number, which NaN and inf are not.
+  for (const char* bad : {"-1", "nan", "inf", "-inf"}) {
+    for (const bool with_file : {true, false}) {
+      std::vector<std::string> args = {"--metrics-interval", bad};
+      if (with_file) args.insert(args.end(), {"--metrics-out", "m.json"});
+      const InvocationError e = rejected(args);
+      EXPECT_EQ(e.exit_code, 2) << bad;
+      EXPECT_TRUE(contains(e.message, std::string("'") + bad + "'"))
+          << bad << ": " << e.message;
+      EXPECT_FALSE(contains(e.message, "needs --metrics-out"))
+          << bad << ": " << e.message;
+    }
+  }
   const CampaignInvocation inv =
       ok({"--metrics-out", "m.json", "--metrics-interval", "0.5"});
   EXPECT_EQ(inv.metrics_path, "m.json");

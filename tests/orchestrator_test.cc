@@ -118,112 +118,6 @@ TEST(ConcurrentMfsPoolTest, FirstCoverProvenanceMatchesInsertionOrder) {
   EXPECT_EQ(nine.cross_worker_hits(), 1);
 }
 
-TEST(ConcurrentMfsPoolTest, EpochAdvancesOnEveryPublication) {
-  const core::SearchSpace space(sim::subsystem('F'));
-  ConcurrentMfsPool pool;
-  EXPECT_EQ(pool.epoch("F"), 0u);
-  pool.insert("F", space, cover_all_mfs(core::Symptom::kPauseFrames), 0);
-  EXPECT_EQ(pool.epoch("F"), 1u);
-  pool.insert("F", space, cover_all_mfs(core::Symptom::kPauseFrames), 0);
-  EXPECT_EQ(pool.epoch("F"), 2u);
-  EXPECT_EQ(pool.epoch("B"), 0u);  // scopes version independently
-}
-
-TEST(ConcurrentMfsPoolTest, RacingInsertsNeverCorruptCoversAnswers) {
-  // Readers hammer covers()/covers_preloaded() on published snapshots while
-  // writers insert into the same scope.  Any interleaving is allowed to
-  // under-skip (a reader may hold yesterday's snapshot), but an answer of
-  // "covered" must always be justified by the final entry set, and once the
-  // writers are done every answer must equal the linear scan.  The TSan CI
-  // job runs this against the mutex-plus-epoch publication path.
-  const sim::Subsystem& sys = sim::subsystem('F');
-  const core::SearchSpace space(sys);
-  ConcurrentMfsPool pool;
-  // Pre-load a warm region so covers_preloaded() has racing company too.
-  {
-    Rng rng(41);
-    core::Mfs warm = cover_all_mfs(core::Symptom::kPauseFrames);
-    warm.witness = space.random_point(rng);
-    warm.conditions.clear();
-    core::FeatureCondition c;
-    c.feature = core::Feature::kNumQps;
-    c.categorical = false;
-    c.lo = 1.0;
-    c.hi = 64.0;
-    warm.conditions.push_back(c);
-    pool.load_scope("F", {warm});
-  }
-
-  constexpr int kWriters = 2;
-  constexpr int kReaders = 4;
-  constexpr int kInsertsPerWriter = 24;
-  std::atomic<bool> stop{false};
-  std::atomic<long> covered_answers{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kWriters + kReaders);
-  for (int t = 0; t < kWriters; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(100 + static_cast<u64>(t));
-      for (int i = 0; i < kInsertsPerWriter; ++i) {
-        core::Mfs m;
-        m.symptom = core::Symptom::kLowThroughput;
-        m.witness = space.random_point(rng);
-        core::FeatureCondition c;
-        c.feature = core::Feature::kNumQps;
-        c.categorical = false;
-        const double v =
-            std::max(1.0, space.numeric_value(m.witness,
-                                              core::Feature::kNumQps));
-        c.lo = v / 2.0;
-        c.hi = v * 2.0;
-        m.conditions.push_back(c);
-        pool.insert("F", space, std::move(m), t);
-      }
-    });
-  }
-  for (int t = 0; t < kReaders; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(200 + static_cast<u64>(t));
-      ConcurrentMfsPool::View view = pool.view("F", kWriters + t);
-      while (!stop.load(std::memory_order_relaxed)) {
-        const Workload w = space.random_point(rng);
-        if (view.covers(space, w)) {
-          covered_answers.fetch_add(1, std::memory_order_relaxed);
-        }
-        (void)view.covers_preloaded(space, w);
-      }
-    });
-  }
-  for (int t = 0; t < kWriters; ++t) threads[static_cast<std::size_t>(t)].join();
-  stop.store(true, std::memory_order_relaxed);
-  for (int t = kWriters; t < kWriters + kReaders; ++t) {
-    threads[static_cast<std::size_t>(t)].join();
-  }
-
-  // Final state: indexed answers equal the linear scan, entry for entry.
-  const std::vector<core::Mfs> all = pool.snapshot("F");
-  ASSERT_EQ(all.size(), 1u + kWriters * kInsertsPerWriter);
-  EXPECT_EQ(pool.epoch("F"), 1u + kWriters * kInsertsPerWriter);
-  Rng rng(300);
-  ConcurrentMfsPool::View check = pool.view("F", /*worker=*/99);
-  for (int q = 0; q < 400; ++q) {
-    const Workload w = q % 3 == 0
-                           ? all[static_cast<std::size_t>(q) % all.size()]
-                                 .witness
-                           : space.random_point(rng);
-    bool linear = false;
-    for (const core::Mfs& m : all) {
-      if (m.matches(space, w)) {
-        linear = true;
-        break;
-      }
-    }
-    bool warm_linear = all[0].matches(space, w);
-    EXPECT_EQ(check.covers(space, w), linear);
-    EXPECT_EQ(check.covers_preloaded(space, w), warm_linear);
-  }
-}
-
 TEST(ConcurrentMfsPoolTest, SnapshotPreservesInsertionOrder) {
   const core::SearchSpace space(sim::subsystem('F'));
   ConcurrentMfsPool pool;
@@ -237,7 +131,7 @@ TEST(ConcurrentMfsPoolTest, SnapshotPreservesInsertionOrder) {
   EXPECT_EQ(snap[1].symptom, core::Symptom::kLowThroughput);
 }
 
-// ---- Snapshot publication ---------------------------------------------------
+// ---- View reads -------------------------------------------------------------
 
 // An MFS pinning num_qps to one off-grid value: distinct `qps` values give
 // disjoint regions, so each insert adds coverage only its witness shows.
@@ -255,8 +149,8 @@ core::Mfs point_mfs(const core::SearchSpace& space, Rng& rng, int qps) {
   return m;
 }
 
-// A view that read before N inserts sees all N on its next covers(): the
-// cached snapshot is replaced as soon as the scope's epoch has moved.
+// A view that read before N inserts sees all N on its next covers(): it
+// reads its scope's index directly, with nothing cached.
 TEST(ConcurrentMfsPoolTest, ViewSeesEveryInsertSinceItsLastRead) {
   const core::SearchSpace space(sim::subsystem('F'));
   constexpr int kInserts = 8;
@@ -281,79 +175,6 @@ TEST(ConcurrentMfsPoolTest, ViewSeesEveryInsertSinceItsLastRead) {
   pool.load_scope("F", {late});
   EXPECT_TRUE(view.covers_preloaded(space, late.witness));
   EXPECT_EQ(view.warm_hits(), 1);
-  EXPECT_EQ(pool.epoch("F"), static_cast<u64>(kInserts) + 1);
-}
-
-// Coverage a view reports is monotone while writers insert: once a reader
-// has seen a point covered, the same view never reports it uncovered again
-// (a view only ever moves to a newer snapshot, and snapshots only grow).
-// Once the writers are done, every reader sees every insert.  The TSan CI
-// job runs this against the mutex-plus-epoch publication path.
-TEST(ConcurrentMfsPoolTest, RacingInsertsNeverShrinkAViewsCoverage) {
-  const core::SearchSpace space(sim::subsystem('F'));
-  constexpr int kWriters = 2;
-  constexpr int kReaders = 3;
-  constexpr int kInsertsPerWriter = 32;
-  // Writer t inserts batches[t]; readers query every batch's witnesses.
-  std::vector<std::vector<core::Mfs>> batches(kWriters);
-  std::vector<Workload> queries;
-  for (int t = 0; t < kWriters; ++t) {
-    Rng rng(400 + static_cast<u64>(t));
-    for (int i = 0; i < kInsertsPerWriter; ++i) {
-      batches[static_cast<std::size_t>(t)].push_back(
-          point_mfs(space, rng, 1000 + t * kInsertsPerWriter + i));
-      queries.push_back(batches[static_cast<std::size_t>(t)].back().witness);
-    }
-  }
-  ConcurrentMfsPool pool;
-
-  std::atomic<int> readers_started{0};
-  std::atomic<bool> stop{false};
-  std::atomic<long> shrinks{0};
-  std::atomic<long> stale_after_stop{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kWriters + kReaders);
-  for (int t = 0; t < kWriters; ++t) {
-    threads.emplace_back([&, t] {
-      // Start once every reader has cached an (empty) snapshot.
-      while (readers_started.load() < kReaders) std::this_thread::yield();
-      for (core::Mfs& m : batches[static_cast<std::size_t>(t)]) {
-        pool.insert("F", space, std::move(m), t);
-      }
-    });
-  }
-  for (int t = 0; t < kReaders; ++t) {
-    threads.emplace_back([&, t] {
-      ConcurrentMfsPool::View view = pool.view("F", kWriters + t);
-      std::vector<bool> seen(queries.size(), false);
-      bool first_pass = true;
-      bool done = false;
-      while (!done) {
-        // Acquire pairs with the release below: the final pass runs after
-        // every insert, so it must find every query covered.
-        done = stop.load(std::memory_order_acquire);
-        for (std::size_t q = 0; q < queries.size(); ++q) {
-          const bool covered = view.covers(space, queries[q]);
-          if (seen[q] && !covered) shrinks.fetch_add(1);
-          if (done && !covered) stale_after_stop.fetch_add(1);
-          seen[q] = seen[q] || covered;
-        }
-        if (first_pass) readers_started.fetch_add(1);
-        first_pass = false;
-      }
-    });
-  }
-  for (int t = 0; t < kWriters; ++t) threads[static_cast<std::size_t>(t)].join();
-  stop.store(true, std::memory_order_release);
-  for (int t = kWriters; t < kWriters + kReaders; ++t) {
-    threads[static_cast<std::size_t>(t)].join();
-  }
-
-  EXPECT_EQ(shrinks.load(), 0);
-  EXPECT_EQ(stale_after_stop.load(), 0);
-  EXPECT_EQ(pool.size("F"), static_cast<std::size_t>(kWriters) *
-                                kInsertsPerWriter);
-  EXPECT_EQ(pool.epoch("F"), static_cast<u64>(kWriters) * kInsertsPerWriter);
 }
 
 // ---- MFS-overlap criterion --------------------------------------------------
@@ -656,7 +477,6 @@ TEST(CampaignTest, FailedCellDoesNotCountAsCovered) {
   config.strategy = Strategy::kRandom;
   config.budget.seconds = 600.0;
   config.workers = 2;
-  config.execution = ExecutionMode::kDeterministic;
 
   const CampaignResult result = Campaign(config).run();  // must not throw
   ASSERT_EQ(result.cells.size(), 2u);
@@ -686,11 +506,11 @@ TEST(CampaignTest, FailedCellDoesNotCountAsCovered) {
   EXPECT_NE(report.render().find("failed"), std::string::npos);
   EXPECT_NE(report.to_json().find("\"failed_cells\":1"), std::string::npos);
 
-  // Worker threads survive failing cells too.
-  config.execution = ExecutionMode::kThreads;
-  const CampaignResult threaded = Campaign(config).run();
-  ASSERT_EQ(threaded.cells.size(), 2u);
-  EXPECT_TRUE(threaded.cells[1].failed());
+  // The single-thread run survives failing cells too.
+  config.workers = 1;
+  const CampaignResult single = Campaign(config).run();
+  ASSERT_EQ(single.cells.size(), 2u);
+  EXPECT_TRUE(single.cells[1].failed());
 
   // An unknown id fails its cell, but a repeated grid entry is rejected up
   // front: its cells would share a label ("B/Diag#0" twice), and the
@@ -731,7 +551,6 @@ TEST(CampaignTest, CcCampaignDiscoversCcParameterAnomalyRegion) {
   config.budget.seconds = 2 * 3600.0;
   config.campaign_seed = 17;
   config.workers = 1;
-  config.execution = ExecutionMode::kDeterministic;
 
   const CampaignResult result = Campaign(config).run();
   const CampaignReport report = build_report(result);
@@ -794,27 +613,59 @@ TEST(CampaignTest, OneWorkerCampaignReproducesSerialDriverExactly) {
   }
 }
 
-TEST(CampaignTest, ThreadedKCellCampaignMatchesDeterministicMode) {
-  CampaignConfig config = small_campaign_config();
-  config.workers = 2;
-  config.share = ShareScope::kCell;  // private scopes: schedule-independent
+// The one sharing semantics: threads run whole pool scopes, so a campaign
+// at 2 or 4 workers prints the report and checkpoint of a single-thread
+// replay of its own schedule, under both share scopes and both schedule
+// policies (LPT over mixed budgets).
+TEST(CampaignTest, ThreadsEqualTheSingleThreadReplayOfTheirSchedule) {
+  CampaignConfig config;
+  config.subsystems = {'B', 'F'};
+  config.modes = {core::GuidanceMode::kDiag, core::GuidanceMode::kPerf};
+  config.seeds_per_cell = 3;  // 12 cells in two subsystem scopes
+  config.budget.seconds = 1 * 3600.0;
+  config.campaign_seed = 17;
+  for (const ShareScope share : {ShareScope::kSubsystem, ShareScope::kCell}) {
+    for (const SchedulePolicy policy :
+         {SchedulePolicy::kRoundRobin, SchedulePolicy::kLpt}) {
+      for (const int workers : {2, 4}) {
+        config.share = share;
+        config.schedule = policy;
+        config.budget_cycle_seconds.clear();
+        if (policy == SchedulePolicy::kLpt) {
+          config.budget_cycle_seconds = {2 * 3600.0, 1 * 3600.0, 1800.0};
+        }
+        config.workers = workers;
+        const CampaignResult threaded = Campaign(config).run();
+        CampaignConfig single = config;
+        single.workers = 1;
+        single.replay = threaded.schedule;
+        const CampaignResult replayed = Campaign(single).run();
 
-  config.execution = ExecutionMode::kDeterministic;
-  const CampaignResult reference = Campaign(config).run();
-  config.execution = ExecutionMode::kThreads;
-  const CampaignResult threaded = Campaign(config).run();
-
-  ASSERT_EQ(threaded.cells.size(), reference.cells.size());
-  for (std::size_t i = 0; i < reference.cells.size(); ++i) {
-    EXPECT_EQ(threaded.cells[i].worker, reference.cells[i].worker);
-    EXPECT_EQ(threaded.cells[i].result.experiments,
-              reference.cells[i].result.experiments);
-    EXPECT_EQ(threaded.cells[i].result.found.size(),
-              reference.cells[i].result.found.size());
-    EXPECT_DOUBLE_EQ(threaded.cells[i].result.elapsed_seconds,
-                     reference.cells[i].result.elapsed_seconds);
+        const std::string what = std::string(to_string(share)) + " share, " +
+                                 to_string(policy) + ", " +
+                                 std::to_string(workers) + " workers";
+        EXPECT_EQ(build_report(threaded).to_json(),
+                  build_report(replayed).to_json())
+            << what;
+        EXPECT_EQ(make_checkpoint(threaded).to_json(),
+                  make_checkpoint(replayed).to_json())
+            << what;
+        // Every cell ran as a logical worker, and the timelines add up.
+        double serial_sum = 0.0;
+        for (const CellResult& cr : threaded.cells) {
+          EXPECT_GE(cr.worker, 0) << what;
+          EXPECT_GT(cr.result.experiments, 0) << what;
+          serial_sum += cr.result.elapsed_seconds;
+        }
+        EXPECT_DOUBLE_EQ(threaded.serial_seconds, serial_sum) << what;
+        EXPECT_LT(threaded.makespan_seconds, threaded.serial_seconds) << what;
+        EXPECT_GE(threaded.pool.hits, threaded.pool.cross_worker_hits) << what;
+        EXPECT_EQ(threaded.pool.cross_worker_hits > 0,
+                  share == ShareScope::kSubsystem)
+            << what;
+      }
+    }
   }
-  EXPECT_DOUBLE_EQ(threaded.makespan_seconds, reference.makespan_seconds);
 }
 
 TEST(CampaignTest, DeterministicSharedCampaignIsReproducible) {
@@ -823,7 +674,6 @@ TEST(CampaignTest, DeterministicSharedCampaignIsReproducible) {
   config.modes = {core::GuidanceMode::kDiag, core::GuidanceMode::kPerf};
   config.workers = 2;
   config.share = ShareScope::kSubsystem;
-  config.execution = ExecutionMode::kDeterministic;
 
   const CampaignResult a = Campaign(config).run();
   const CampaignResult b = Campaign(config).run();
@@ -857,7 +707,7 @@ std::map<char, std::set<int>> catalog_id_sets(const CampaignResult& result) {
 // The satellite requirement: on subsystems B and F, a 2-worker campaign with
 // a shared MFS pool loses no anomaly that independent serial runs of the
 // same cells find, and the sharing shows up as cross-worker skips.
-// Deterministic execution makes every run schedule-proof.
+// Threads run whole pool scopes, so every run is schedule-proof.
 // Per-seed equality of the two anomaly sets is not a law: a shared pool
 // prunes regions, so one seed's campaign can miss or add a neighbouring
 // anomaly.  Over campaign seeds 1-12 the sets matched exactly for one seed
@@ -870,7 +720,6 @@ TEST(CampaignTest, TwoWorkerSharedPoolLosesNoSerialAnomaly) {
   config.modes = {core::GuidanceMode::kDiag, core::GuidanceMode::kPerf};
   config.budget.seconds = 8 * 3600.0;
   config.workers = 2;
-  config.execution = ExecutionMode::kDeterministic;
 
   std::map<char, std::set<int>> shared_ids;
   std::map<char, std::set<int>> serial_ids;
@@ -906,29 +755,6 @@ TEST(CampaignTest, TwoWorkerSharedPoolLosesNoSerialAnomaly) {
           << " found only without sharing";
     }
   }
-}
-
-TEST(CampaignTest, ThreadedSharedCampaignRunsAllCellsConsistently) {
-  CampaignConfig config = small_campaign_config();
-  config.subsystems = {'B', 'F'};
-  config.modes = {core::GuidanceMode::kDiag, core::GuidanceMode::kPerf};
-  config.workers = 2;
-  config.share = ShareScope::kSubsystem;
-  config.execution = ExecutionMode::kThreads;
-
-  const CampaignResult result = Campaign(config).run();
-  ASSERT_EQ(result.cells.size(), 4u);
-  double serial_sum = 0.0;
-  for (const CellResult& cr : result.cells) {
-    EXPECT_GE(cr.worker, 0);
-    EXPECT_GT(cr.result.experiments, 0);
-    EXPECT_GE(cr.result.elapsed_seconds, config.budget.seconds);
-    serial_sum += cr.result.elapsed_seconds;
-  }
-  EXPECT_DOUBLE_EQ(result.serial_seconds, serial_sum);
-  EXPECT_LE(result.makespan_seconds, result.serial_seconds);
-  EXPECT_GE(result.pool.hits, result.pool.cross_worker_hits);
-  EXPECT_GE(result.pool.entries, 1);
 }
 
 TEST(CampaignTest, SpeedupAccountsSimulatedMakespan) {
@@ -989,7 +815,6 @@ TEST(CampaignTest, WarmStartSpendsZeroProbesInsideLoadedRegions) {
     config.strategy = strategy;
     config.budget.seconds = 2 * 3600.0;
     config.workers = 1;
-    config.execution = ExecutionMode::kDeterministic;
     CampaignCheckpoint warm;
     warm.scopes["B"] = {cover_all_mfs(core::Symptom::kPauseFrames)};
     config.warm_start = warm;
@@ -1021,7 +846,6 @@ TEST(CampaignTest, WarmStartedCampaignSkipsYesterdaysRegionsAndCells) {
   config.campaign_seed = 17;
   config.workers = 1;
   config.share = ShareScope::kSubsystem;
-  config.execution = ExecutionMode::kDeterministic;
 
   const CampaignResult stage1 = Campaign(config).run();
   ASSERT_EQ(stage1.cells.size(), 1u);
@@ -1119,8 +943,8 @@ TEST(CampaignReportTest, SkippedCellsDoNotInflateCoverage) {
 // ---- Scheduling: LPT, work stealing, replay ---------------------------------
 
 // The satellite requirement: on a pinned mixed-budget grid, LPT beats
-// round-robin makespan, while per-cell results stay bit-identical (cells are
-// schedule-independent under cell scopes).
+// round-robin makespan, while per-cell results stay bit-identical (under
+// cell scopes a cell's trajectory does not depend on its schedule).
 TEST(CampaignTest, LptBeatsRoundRobinOnMixedBudgetGrid) {
   CampaignConfig config;
   config.subsystems = {'B', 'F'};
@@ -1130,7 +954,6 @@ TEST(CampaignTest, LptBeatsRoundRobinOnMixedBudgetGrid) {
   config.campaign_seed = 17;
   config.workers = 2;
   config.share = ShareScope::kCell;
-  config.execution = ExecutionMode::kDeterministic;
 
   config.schedule = SchedulePolicy::kRoundRobin;
   const CampaignResult rr = Campaign(config).run();
@@ -1159,7 +982,7 @@ TEST(CampaignTest, LptBeatsRoundRobinOnMixedBudgetGrid) {
 
 // The determinism satellite: record a steal schedule once, then replay it at
 // 1/2/4 physical workers — the CampaignReport JSON is bit-for-bit identical
-// every time (golden rows), in both execution modes.
+// every time (golden rows).
 TEST(CampaignTest, ReplayIsBitForBitIdenticalAcrossWorkerCounts) {
   CampaignConfig config;
   config.subsystems = {'B', 'F'};
@@ -1170,7 +993,6 @@ TEST(CampaignTest, ReplayIsBitForBitIdenticalAcrossWorkerCounts) {
   config.workers = 3;
   config.share = ShareScope::kCell;
   config.schedule = SchedulePolicy::kLpt;
-  config.execution = ExecutionMode::kDeterministic;
 
   Campaign recorder(config);
   const CampaignResult recorded = recorder.run();
@@ -1189,18 +1011,13 @@ TEST(CampaignTest, ReplayIsBitForBitIdenticalAcrossWorkerCounts) {
       schedule_to_json(recorded.schedule, labels, budgets));
 
   for (const int physical_workers : {1, 2, 4}) {
-    for (const ExecutionMode exec :
-         {ExecutionMode::kDeterministic, ExecutionMode::kThreads}) {
-      CampaignConfig replay_config = config;
-      replay_config.workers = physical_workers;
-      replay_config.execution = exec;
-      replay_config.replay = reloaded;
-      const CampaignResult replayed = Campaign(replay_config).run();
-      EXPECT_EQ(replayed.workers, 3);  // logical workers from the schedule
-      EXPECT_EQ(build_report(replayed).to_json(), golden_json)
-          << "replay diverged at " << physical_workers << " workers, "
-          << to_string(exec);
-    }
+    CampaignConfig replay_config = config;
+    replay_config.workers = physical_workers;
+    replay_config.replay = reloaded;
+    const CampaignResult replayed = Campaign(replay_config).run();
+    EXPECT_EQ(replayed.workers, 3);  // logical workers from the schedule
+    EXPECT_EQ(build_report(replayed).to_json(), golden_json)
+        << "replay diverged at " << physical_workers << " workers";
   }
 
   // A schedule recorded against a different plan is rejected loudly.
@@ -1226,7 +1043,6 @@ TEST(CampaignReportTest, DedupesCollapseRepeatDiscoveries) {
   config.modes = {core::GuidanceMode::kDiag, core::GuidanceMode::kPerf};
   config.workers = 2;
   config.share = ShareScope::kSubsystem;
-  config.execution = ExecutionMode::kDeterministic;
   config.budget.seconds = 4 * 3600.0;
 
   const CampaignResult result = Campaign(config).run();
@@ -1255,7 +1071,6 @@ TEST(CampaignReportTest, RenderAndJsonCarryTheSummary) {
   CampaignConfig config = small_campaign_config();
   config.workers = 2;
   config.budget.seconds = 1 * 3600.0;
-  config.execution = ExecutionMode::kDeterministic;
 
   const CampaignResult result = Campaign(config).run();
   const CampaignReport report = build_report(result);
@@ -1285,7 +1100,6 @@ TEST(CampaignReportTest, AggregateTraceIsMergedAndOrdered) {
   CampaignConfig config = small_campaign_config();
   config.workers = 2;
   config.budget.seconds = 1 * 3600.0;
-  config.execution = ExecutionMode::kDeterministic;
 
   const CampaignResult result = Campaign(config).run();
   const auto trace = aggregate_trace(result);
@@ -1381,7 +1195,6 @@ TEST(CampaignTest, TelemetryDoesNotPerturbTheReport) {
   CampaignConfig config = small_campaign_config();
   config.workers = 2;
   config.share = ShareScope::kSubsystem;
-  config.execution = ExecutionMode::kDeterministic;
 
   const CampaignResult plain = Campaign(config).run();
 
@@ -1444,7 +1257,6 @@ CampaignConfig journaled_campaign_config() {
   config.campaign_seed = 17;
   config.workers = 2;
   config.share = ShareScope::kCell;
-  config.execution = ExecutionMode::kDeterministic;
   return config;
 }
 
@@ -1656,44 +1468,49 @@ TEST(CampaignJournalTest, RestoredCellsShortCircuitWithZeroReplay) {
   std::remove(cut_path.c_str());
 }
 
-// Subsystem-scoped sharing resumes too (deterministic execution): the pool
-// restore in completion order plus stats reconciliation keeps cross-worker
-// attribution byte-identical.
-TEST(CampaignJournalTest, SubsystemShareDeterministicResumeIsByteIdentical) {
+// A journaled threaded campaign under subsystem sharing: two threads run
+// the two subsystem scopes, so the journal interleaves their records, yet
+// the pool restore in completion order keeps each scope's cells in chain
+// order.  The recording equals the plain run, a crash at any byte resumes
+// to the same report, and the journal replays on one thread to it too.
+TEST(CampaignJournalTest, ThreadedSubsystemShareResumesAndReplaysByteIdentically) {
   CampaignConfig config = journaled_campaign_config();
   config.share = ShareScope::kSubsystem;
+  config.workers = 4;
+  const std::string golden = build_report(Campaign(config).run()).to_json();
   const std::string path = journal_tmp("subsys.journal");
   const JournaledRun full = run_journaled(config, path, nullptr);
+  EXPECT_EQ(full.report_json, golden);
 
   const std::string bytes = slurp(path);
   const std::string cut_path = journal_tmp("subsys-cut.journal");
-  spit(cut_path, bytes.substr(0, bytes.size() / 2));
-  const JournalResume resume =
-      parse_journal(recover_journal(cut_path, true).payloads);
-  ASSERT_TRUE(resume.has_begin);
-  const JournaledRun resumed = run_journaled(config, cut_path, &resume);
-  EXPECT_EQ(resumed.report_json, full.report_json);
+  for (const std::size_t cut : {bytes.size() * 3 / 10 + 1, bytes.size() / 2,
+                                bytes.size() * 8 / 10 + 3}) {
+    std::remove(cut_path.c_str());
+    std::remove((cut_path + ".torn").c_str());
+    spit(cut_path, bytes.substr(0, cut));
+    const JournalResume resume =
+        parse_journal(recover_journal(cut_path, true).payloads);
+    ASSERT_TRUE(resume.has_begin) << "cut " << cut;
+    const JournaledRun resumed = run_journaled(config, cut_path, &resume);
+    EXPECT_EQ(resumed.report_json, golden) << "cut " << cut;
+  }
+
+  const JournalResume recording =
+      parse_journal(recover_journal(path, false).payloads);
+  CampaignConfig replay = config;
+  replay.workers = 1;
+  replay.replay = recording.schedule;
+  replay.backend_factory = journal_replay_factory(recording);
+  EXPECT_EQ(build_report(Campaign(replay).run()).to_json(), golden);
   std::remove(path.c_str());
   std::remove(cut_path.c_str());
   std::remove((cut_path + ".torn").c_str());
 }
 
-// Guard rails: the splice backend is a kTrace substrate, so threaded
-// execution under subsystem sharing is rejected (resume's byte-identity
-// needs schedule-independent trajectories), and a journal recorded against
-// a different plan fails loudly instead of resuming wrong.
+// Guard rail: a journal recorded against a different plan fails loudly
+// instead of resuming wrong.
 TEST(CampaignJournalTest, ResumeGuardsRejectUnsoundConfigurations) {
-  const std::string path = journal_tmp("guards.journal");
-  CampaignJournal journal(path, 4);
-  auto splice =
-      std::make_shared<SpliceBackendFactory>(nullptr, nullptr, &journal);
-
-  CampaignConfig threaded = journaled_campaign_config();
-  threaded.share = ShareScope::kSubsystem;
-  threaded.execution = ExecutionMode::kThreads;
-  threaded.backend_factory = splice;
-  EXPECT_THROW(Campaign{threaded}, std::invalid_argument);
-
   // Record a 4-cell journal, then try to resume a 6-cell campaign from it.
   const CampaignConfig config = journaled_campaign_config();
   const std::string rec_path = journal_tmp("guards-rec.journal");
@@ -1705,7 +1522,6 @@ TEST(CampaignJournalTest, ResumeGuardsRejectUnsoundConfigurations) {
   drifted.seeds_per_cell = 3;
   EXPECT_THROW((void)run_journaled(drifted, rec_path, &resume),
                std::invalid_argument);
-  std::remove(path.c_str());
   std::remove(rec_path.c_str());
 }
 

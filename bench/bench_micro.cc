@@ -222,14 +222,32 @@ void BM_PerfModelEvaluateVerdict(benchmark::State& state) {
   sim::EvalScratch scratch;
   const Workload w =
       catalog::anomaly(static_cast<int>(state.range(0))).concrete;
-  const sim::PauseRule rule;
+  const sim::EvalRequest request = sim::EvalRequest::verdict({});
   Rng rng(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        sim::evaluate(compiled, w, rng, scratch, {}, &rule));
+        sim::evaluate(compiled, w, rng, scratch, {}, request));
   }
 }
 BENCHMARK(BM_PerfModelEvaluateVerdict)->Arg(1)->Arg(4)->Arg(9)->Arg(13);
+
+// The same witnesses evaluated as an SA step reads them: the perf counters
+// plus one diagnostic counter.
+void BM_PerfModelEvaluateSaStep(benchmark::State& state) {
+  const sim::Subsystem& sys = sim::subsystem('F');
+  const sim::CompiledScenario compiled(sys);
+  sim::EvalScratch scratch;
+  const Workload w =
+      catalog::anomaly(static_cast<int>(state.range(0))).concrete;
+  const sim::EvalRequest request = sim::EvalRequest::counters(
+      sim::diag_bit(sim::DiagCounter::kRxWqeCacheMiss));
+  Rng rng(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sim::evaluate(compiled, w, rng, scratch, {}, request));
+  }
+}
+BENCHMARK(BM_PerfModelEvaluateSaStep)->Arg(1)->Arg(4)->Arg(9)->Arg(13);
 
 void BM_PerfModelEvaluateUncompiled(benchmark::State& state) {
   const sim::Subsystem& sys = sim::subsystem('F');
@@ -602,24 +620,29 @@ benchjson::Section measure_micro_section() {
       out["steady_solves_per_sec"] / out["steady_solves_per_sec_uncompiled"];
 
   // Informational layer rows (times, not *_per_sec rates, so the baseline
-  // gate never reads them): one verdict-only evaluation averaged over the
+  // gate never reads them): one verdict-only evaluation and one SA-step
+  // evaluation (one requested diagnostic counter), each averaged over the
   // BM_PerfModelEvaluateVerdict witnesses; one DCQCN co-simulation, no
   // memo, on the fanin4 input and averaged over the campaign-shaped mix.
   {
     const sim::CompiledScenario compiled(sys);
     sim::EvalScratch scratch;
-    const sim::PauseRule rule;
     std::vector<Workload> witnesses;
     for (const int id : {1, 4, 9, 13}) {
       witnesses.push_back(catalog::anomaly(id).concrete);
     }
-    Rng rng(1);
-    std::size_t next = 0;
-    out["evaluate_verdict_us"] = 1e6 / ops_per_second([&] {
-      benchmark::DoNotOptimize(
-          sim::evaluate(compiled, witnesses[next], rng, scratch, {}, &rule));
-      next = (next + 1) % witnesses.size();
-    });
+    const auto time_us = [&](const sim::EvalRequest& request) {
+      Rng rng(1);
+      std::size_t next = 0;
+      return 1e6 / ops_per_second([&] {
+        benchmark::DoNotOptimize(sim::evaluate(compiled, witnesses[next], rng,
+                                               scratch, {}, request));
+        next = (next + 1) % witnesses.size();
+      });
+    };
+    out["evaluate_verdict_us"] = time_us(sim::EvalRequest::verdict({}));
+    out["evaluate_sa_step_us"] = time_us(sim::EvalRequest::counters(
+        sim::diag_bit(sim::DiagCounter::kRxWqeCacheMiss)));
   }
   {
     const CcSolveInput in = fanin4_cc_input();

@@ -36,7 +36,7 @@ std::vector<double> encode_workload(const core::SearchSpace& space,
        {core::Feature::kQpType, core::Feature::kOpcode,
         core::Feature::kDirection, core::Feature::kLoopback,
         core::Feature::kPatternMix}) {
-    const auto alts = space.categorical_alternatives(f);
+    const std::vector<int>& alts = space.categorical_alternatives(f);
     const double card = std::max<std::size_t>(alts.size(), 2);
     x.push_back(space.categorical_value(w, f) / (card - 1.0));
   }
@@ -64,7 +64,9 @@ namespace collie::core {
 
 // Declared in core/search.h next to run_random; defined here so the GP
 // stays in the baseline.  Every experiment is a SearchDriver::step with MFS
-// on, so Figure 4 compares like with like.
+// on, so Figure 4 compares like with like.  Each step requests all nine
+// diagnostic counters (step's default): the shared design below keeps
+// every observation's counters, and later phases read other ones.
 SearchResult SearchDriver::run_bayesian_optimization(const SearchBudget& budget,
                                                      Rng& rng) {
   using baseline::encode_workload;

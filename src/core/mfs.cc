@@ -101,6 +101,9 @@ Mfs construct_mfs(const SearchSpace& space, const Workload& witness,
   Mfs mfs;
   mfs.symptom = symptom;
   mfs.witness = witness;
+  // Every probe is the witness with one feature changed, assigned into one
+  // reused workload.
+  Workload probe_w;
 
   for (int fi = 0; fi < kNumFeatures; ++fi) {
     const Feature f = static_cast<Feature>(fi);
@@ -110,7 +113,7 @@ Mfs construct_mfs(const SearchSpace& space, const Workload& witness,
       std::vector<int> allowed{current};
       bool any_breaks = false;
       int probes_done = 0;
-      const auto alternatives = space.categorical_alternatives(f);
+      const std::vector<int>& alternatives = space.categorical_alternatives(f);
       // High-cardinality features (memory placements) are sampled with a
       // stride so extraction stays "a few tests per dimension".
       const int stride =
@@ -125,7 +128,7 @@ Mfs construct_mfs(const SearchSpace& space, const Workload& witness,
           continue;
         }
         if (probes_done >= kMaxCategoricalProbes + 1) break;
-        const Workload probe_w = space.with_categorical(witness, f, alt);
+        space.with_categorical(witness, f, alt, probe_w);
         // A transform that collapses back to the same point tells us
         // nothing; treat it as "still anomalous".
         if (space.categorical_value(probe_w, f) != alt) continue;
@@ -149,19 +152,17 @@ Mfs construct_mfs(const SearchSpace& space, const Workload& witness,
     }
 
     // Numeric feature: probe the discretized value regions downward and
-    // upward from the witness value.
-    const double current = space.numeric_value(witness, f);
-    std::vector<double> grid = space.numeric_grid(f);
+    // upward from the witness value, closest regions first (the grid is
+    // ascending).
+    const std::vector<double>& grid = space.numeric_grid(f);
     if (grid.empty()) continue;
-    std::vector<double> below;
-    std::vector<double> above;
-    for (double g : grid) {
-      if (g < current && !near(g, current)) below.push_back(g);
-      if (g > current && !near(g, current)) above.push_back(g);
-    }
-    // Closest regions first.
-    std::sort(below.begin(), below.end(), std::greater<>());
-    std::sort(above.begin(), above.end());
+    const double current = space.numeric_value(witness, f);
+    const auto below = [current](double g) {
+      return g < current && !near(g, current);
+    };
+    const auto above = [current](double g) {
+      return g > current && !near(g, current);
+    };
 
     double lo = -std::numeric_limits<double>::infinity();
     double hi = std::numeric_limits<double>::infinity();
@@ -170,9 +171,11 @@ Mfs construct_mfs(const SearchSpace& space, const Workload& witness,
 
     double last_ok = current;
     int probes = 0;
-    for (double g : below) {
+    for (auto it = grid.rbegin(); it != grid.rend(); ++it) {
+      const double g = *it;
+      if (!below(g)) continue;
       if (probes++ >= kMaxNumericProbes) break;
-      const Workload probe_w = space.with_numeric(witness, f, g);
+      space.with_numeric(witness, f, g, probe_w);
       if (near(space.numeric_value(probe_w, f), current)) continue;
       if (probe(probe_w) == symptom) {
         last_ok = g;
@@ -185,9 +188,10 @@ Mfs construct_mfs(const SearchSpace& space, const Workload& witness,
 
     last_ok = current;
     probes = 0;
-    for (double g : above) {
+    for (const double g : grid) {
+      if (!above(g)) continue;
       if (probes++ >= kMaxNumericProbes) break;
-      const Workload probe_w = space.with_numeric(witness, f, g);
+      space.with_numeric(witness, f, g, probe_w);
       if (near(space.numeric_value(probe_w, f), current)) continue;
       if (probe(probe_w) == symptom) {
         last_ok = g;

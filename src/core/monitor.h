@@ -19,7 +19,7 @@ const char* to_string(Symptom s);
 
 struct MonitorConfig {
   // Condition 1.  Shared with the model: a verdict-only evaluation under
-  // this rule (Engine::run's verdict_only) yields the same verdict.
+  // this rule (sim::EvalRequest::verdict) yields the same verdict.
   sim::PauseRule pause;
   double util_threshold = 0.8;  // within 20% of a spec bound is healthy
 };

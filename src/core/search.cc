@@ -29,6 +29,10 @@ struct CounterRef {
     return perf ? s.perf[static_cast<std::size_t>(index)]
                 : s.diag[static_cast<std::size_t>(index)];
   }
+  // The diagnostic counters a step of this phase reads.
+  sim::DiagMask reads() const {
+    return perf ? sim::DiagMask{0} : sim::diag_bit(index);
+  }
   const char* name() const {
     return perf ? sim::name(static_cast<sim::PerfCounter>(index))
                 : sim::name(static_cast<sim::DiagCounter>(index));
@@ -71,9 +75,13 @@ Verdict SearchDriver::measure_and_judge(const Workload& w, Rng& rng,
 }
 
 Verdict SearchDriver::step(const Workload& w, Rng& rng, RunState& state,
-                           bool use_mfs, sim::CounterSample* counters_out) {
+                           bool use_mfs, sim::CounterSample* counters_out,
+                           sim::DiagMask reads) {
   const u64 t_eval = tel_.begin();
-  const workload::Measurement& m = engine_.run(w, rng, scratch_, meas_);
+  const workload::Measurement& m = engine_.run(
+      w, rng, scratch_, meas_,
+      sim::EvalRequest::counters(
+          reads | sim::diag_bit(sim::DiagCounter::kRxWqeCacheMiss)));
   tel_.end_stage(obs::ProbeStage::kEvaluate, t_eval);
   state.elapsed += m.cost_seconds;
   state.result.experiments += 1;
@@ -132,8 +140,9 @@ Verdict SearchDriver::step(const Workload& w, Rng& rng, RunState& state,
       // Necessity probes write into probe_meas_, not meas_: the step's own
       // measurement is still live across the extraction.  They read only
       // the verdict, so they ask the engine for nothing more.
-      const workload::Measurement& pm = engine_.run(
-          candidate, rng, scratch_, probe_meas_, &monitor_.config().pause);
+      const workload::Measurement& pm =
+          engine_.run(candidate, rng, scratch_, probe_meas_,
+                      sim::EvalRequest::verdict(monitor_.config().pause));
       state.elapsed += pm.cost_seconds;
       state.result.experiments += 1;
       bump(tel_, &obs::ProbeIds::experiments);
@@ -210,7 +219,7 @@ SearchResult SearchDriver::run_random(const SearchBudget& budget, Rng& rng,
       continue;
     }
     consecutive_skips = 0;
-    step(w, rng, state, /*use_mfs=*/true, nullptr);
+    step(w, rng, state, /*use_mfs=*/true, nullptr, /*reads=*/0);
   }
   state.result.elapsed_seconds = state.elapsed;
   return state.result;
@@ -306,7 +315,8 @@ SearchResult SearchDriver::run_simulated_annealing(const SaConfig& config,
       break;
     }
     sim::CounterSample cs_old;
-    Verdict v = step(p_old, rng, state, config.use_mfs, &cs_old);
+    Verdict v =
+        step(p_old, rng, state, config.use_mfs, &cs_old, counter.reads());
     double e_old = counter.value(cs_old);
     state.result.trace.back().counter_value = e_old;
 
@@ -338,7 +348,8 @@ SearchResult SearchDriver::run_simulated_annealing(const SaConfig& config,
                 break;
               }
               sim::CounterSample cs;
-              v = step(p_old, rng, state, config.use_mfs, &cs);
+              v = step(p_old, rng, state, config.use_mfs, &cs,
+                       counter.reads());
               e_old = counter.value(cs);
               state.result.trace.back().counter_value = e_old;
             }
@@ -347,7 +358,8 @@ SearchResult SearchDriver::run_simulated_annealing(const SaConfig& config,
           consecutive_skips = 0;
         }
         sim::CounterSample cs_new;
-        v = step(p_new, rng, state, config.use_mfs, &cs_new);
+        v = step(p_new, rng, state, config.use_mfs, &cs_new,
+                 counter.reads());
         const double e_new = counter.value(cs_new);
         state.result.trace.back().counter_value = e_new;
 
@@ -358,7 +370,7 @@ SearchResult SearchDriver::run_simulated_annealing(const SaConfig& config,
             break;
           }
           if (state.exhausted(budget)) break;
-          step(p_old, rng, state, config.use_mfs, &cs_old);
+          step(p_old, rng, state, config.use_mfs, &cs_old, counter.reads());
           e_old = counter.value(cs_old);
           state.result.trace.back().counter_value = e_old;
           continue;
@@ -378,7 +390,7 @@ SearchResult SearchDriver::run_simulated_annealing(const SaConfig& config,
         temperature = kT0;
         p_old = space_.random_point(rng);
         if (!state.exhausted(budget) && state.elapsed < deadline) {
-          step(p_old, rng, state, config.use_mfs, &cs_old);
+          step(p_old, rng, state, config.use_mfs, &cs_old, counter.reads());
           e_old = counter.value(cs_old);
           state.result.trace.back().counter_value = e_old;
         }

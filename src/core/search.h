@@ -129,9 +129,13 @@ class SearchDriver {
 
   // Measure with bookkeeping: charges cost, appends trace, detects anomaly,
   // extracts MFS (when enabled) and restarts are left to the caller.
-  // Returns the verdict and the measurement's averaged counters.
+  // Returns the verdict and the measurement's averaged counters, of which
+  // the caller reads the perf counters and the diagnostic counters in
+  // `reads` (the trace's kRxWqeCacheMiss is always added).  MFS necessity
+  // probes read only their verdict.
   Verdict step(const Workload& w, Rng& rng, RunState& state, bool use_mfs,
-               sim::CounterSample* counters_out);
+               sim::CounterSample* counters_out,
+               sim::DiagMask reads = sim::kAllDiagCounters);
 
   // Diagnostic-counter indices in decreasing coefficient of variation over
   // `probes` (§7.2): the phase order of SA (Diag) and BO.

@@ -9,6 +9,100 @@ namespace {
 
 u64 clamp_u64(u64 v, u64 lo, u64 hi) { return std::clamp(v, lo, hi); }
 
+// The categorical alternatives and numeric probe grids SearchSpace
+// precomputes per feature.
+std::vector<int> alternatives_of(const SpaceConfig& config,
+                                 std::size_t num_placements,
+                                 bool cc_searchable, Feature f) {
+  switch (f) {
+    case Feature::kQpType: {
+      std::vector<int> out;
+      for (QpType t : config.qp_types) out.push_back(static_cast<int>(t));
+      return out;
+    }
+    case Feature::kOpcode: {
+      std::vector<int> out;
+      for (Opcode o : config.opcodes) out.push_back(static_cast<int>(o));
+      return out;
+    }
+    case Feature::kDirection: {
+      std::vector<int> out;
+      if (config.allow_unidirectional) out.push_back(0);
+      if (config.allow_bidirectional) out.push_back(1);
+      return out;
+    }
+    case Feature::kLoopback:
+      return config.allow_loopback ? std::vector<int>{0, 1}
+                                    : std::vector<int>{0};
+    case Feature::kLocalMem:
+    case Feature::kRemoteMem: {
+      std::vector<int> out;
+      for (std::size_t i = 0; i < num_placements; ++i) {
+        out.push_back(static_cast<int>(i));
+      }
+      return out;
+    }
+    case Feature::kPatternMix:
+      return {0, 1, 2, 3};
+    case Feature::kDcqcn:
+      return cc_searchable ? std::vector<int>{0, 1} : std::vector<int>{0};
+    default:
+      return {};
+  }
+}
+
+std::vector<double> grid_of(const SpaceConfig& config, bool cc_searchable,
+                            Feature f) {
+  switch (f) {
+    case Feature::kNumQps:
+      return {1, 8, 32, 128, 512, 2048, 8192, 20000};
+    case Feature::kWqeBatch:
+      return {1, 4, 16, 32, 64, 128};
+    case Feature::kSgePerWqe:
+      return {1, 2, 3, 4};
+    case Feature::kSendWqDepth:
+    case Feature::kRecvWqDepth:
+      return {16, 64, 256, 1024};
+    case Feature::kMrsPerQp:
+      return {1, 8, 64, 256, 1024};
+    case Feature::kMrSize:
+      return {4.0 * KiB, 64.0 * KiB, 1.0 * MiB, 4.0 * MiB};
+    case Feature::kMtu:
+      return {256, 512, 1024, 2048, 4096};
+    case Feature::kMsgSize:
+      return {64,       512,      2.0 * KiB,  8.0 * KiB,
+              64.0 * KiB, 256.0 * KiB, 1.0 * MiB};
+    case Feature::kCcRateAi:
+      // Empty on disarmed spaces: MFS extraction must not spend probe
+      // experiments on an inert dimension.
+      return cc_searchable ? config.cc_rate_ai_mbps : std::vector<double>{};
+    case Feature::kCcAlphaG:
+      return cc_searchable ? config.cc_alpha_g : std::vector<double>{};
+    default:
+      return {};
+  }
+}
+
+// A uniformly drawn entry of `v` among those `eligible` admits: one
+// uniform_int over their count picks the k-th, as indexing a filtered copy
+// would.  Null, drawing nothing, when none is eligible.
+template <class T, class Pred>
+const T* draw_eligible(const std::vector<T>& v, Pred eligible, Rng& rng) {
+  const auto n = std::count_if(v.begin(), v.end(), eligible);
+  if (n == 0) return nullptr;
+  i64 k = rng.uniform_int(0, static_cast<i64>(n) - 1);
+  for (const T& x : v) {
+    if (eligible(x) && k-- == 0) return &x;
+  }
+  return nullptr;
+}
+
+Opcode draw_opcode(const std::vector<Opcode>& ops, QpType t, Rng& rng) {
+  const Opcode* o = draw_eligible(
+      ops, [t](Opcode op) { return transport_supports(t, op); }, rng);
+  return o != nullptr ? *o : Opcode::kSend;  // fixup's fallback
+}
+
 int pattern_mix_class(const Workload& w) {
   const PatternStats p = analyze_pattern(w);
   const bool small = p.frac_small_msgs > 0.0;
@@ -99,29 +193,46 @@ SearchSpace::SearchSpace(const sim::Subsystem& sys, SpaceConfig config)
   cc_searchable_ = config_.allow_dcqcn && sys_.cc_armed() &&
                    !config_.cc_rate_ai_mbps.empty() &&
                    !config_.cc_alpha_g.empty();
+  for (const auto& p : placements_) {
+    placement_weights_.push_back(p.kind == topo::MemKind::kDram ? 3.0 : 1.0);
+  }
+  for (const auto& p : remote_placements_) {
+    remote_placement_weights_.push_back(
+        p.kind == topo::MemKind::kDram ? 3.0 : 1.0);
+  }
+  for (int fi = 0; fi < kNumFeatures; ++fi) {
+    const Feature f = static_cast<Feature>(fi);
+    const auto i = static_cast<std::size_t>(fi);
+    if (is_categorical(f)) {
+      alternatives_[i] = alternatives_of(
+          config_, placements_of(f).size(), cc_searchable_, f);
+    } else {
+      grids_[i] = grid_of(config_, cc_searchable_, f);
+      std::sort(grids_[i].begin(), grids_[i].end());
+    }
+  }
 }
 
 u64 SearchSpace::random_size(Rng& rng, u64 cap) const {
-  std::vector<u64> eligible;
-  for (u64 s : config_.size_grid) {
-    if (s <= cap) eligible.push_back(s);
-  }
-  if (eligible.empty()) return cap;
-  return eligible[static_cast<std::size_t>(
-      rng.uniform_int(0, static_cast<i64>(eligible.size()) - 1))];
+  const u64* s = draw_eligible(
+      config_.size_grid, [cap](u64 size) { return size <= cap; }, rng);
+  return s != nullptr ? *s : cap;
 }
 
 Workload SearchSpace::random_point(Rng& rng) const {
-  Workload w;
+  // The defaults with an empty pattern: copying it allocates nothing, so
+  // the pattern sized below is the one allocation.
+  static const Workload kNoPattern = [] {
+    Workload d;
+    d.pattern.clear();
+    return d;
+  }();
+  Workload w = kNoPattern;
+  w.pattern.resize(static_cast<std::size_t>(pattern_len_));
   // Dimension 3: transport.
   w.qp_type = config_.qp_types[static_cast<std::size_t>(
       rng.uniform_int(0, static_cast<i64>(config_.qp_types.size()) - 1))];
-  std::vector<Opcode> ops;
-  for (Opcode o : config_.opcodes) {
-    if (transport_supports(w.qp_type, o)) ops.push_back(o);
-  }
-  w.opcode = ops[static_cast<std::size_t>(
-      rng.uniform_int(0, static_cast<i64>(ops.size()) - 1))];
+  w.opcode = draw_opcode(config_.opcodes, w.qp_type, rng);
   w.num_qps = static_cast<int>(
       rng.log_uniform_int(config_.min_qps, config_.max_qps));
   w.wqe_batch = 1 << rng.uniform_int(0, 7);  // 1..128
@@ -137,25 +248,15 @@ Workload SearchSpace::random_point(Rng& rng) const {
 
   // Dimension 1: host topology.  DRAM placements are weighted above GPU
   // ones: production traffic is mostly host memory.
-  auto pick_placement = [](const std::vector<topo::MemPlacement>& list,
-                           Rng& r) {
-    std::vector<double> weights;
-    for (const auto& p : list) {
-      weights.push_back(p.kind == topo::MemKind::kDram ? 3.0 : 1.0);
-    }
-    return list[r.weighted_index(weights)];
-  };
-  w.local_mem = pick_placement(placements_, rng);
-  w.remote_mem = pick_placement(remote_placements_, rng);
+  w.local_mem = placements_[rng.weighted_index(placement_weights_)];
+  w.remote_mem =
+      remote_placements_[rng.weighted_index(remote_placement_weights_)];
   w.loopback = config_.allow_loopback && rng.bernoulli(0.08);
 
   // Dimension 4: message pattern.
   w.mtu = config_.mtus[static_cast<std::size_t>(
       rng.uniform_int(0, static_cast<i64>(config_.mtus.size()) - 1))];
-  w.pattern.clear();
-  for (int i = 0; i < pattern_len_; ++i) {
-    w.pattern.push_back(random_size(rng, config_.max_mr_size));
-  }
+  for (u64& s : w.pattern) s = random_size(rng, config_.max_mr_size);
   if (config_.allow_bidirectional &&
       (!config_.allow_unidirectional || rng.bernoulli(0.4))) {
     w.bidirectional = true;
@@ -224,15 +325,9 @@ Workload SearchSpace::mutate(const Workload& w, Rng& rng) const {
               rng.uniform_int(0,
                               static_cast<i64>(config_.qp_types.size()) - 1))];
           break;
-        case 1: {
-          std::vector<Opcode> ops;
-          for (Opcode o : config_.opcodes) {
-            if (transport_supports(m.qp_type, o)) ops.push_back(o);
-          }
-          m.opcode = ops[static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<i64>(ops.size()) - 1))];
+        case 1:
+          m.opcode = draw_opcode(config_.opcodes, m.qp_type, rng);
           break;
-        }
         case 2: {
           const double factor = rng.bernoulli(0.5) ? 2.0 : 0.5;
           m.num_qps = std::clamp(
@@ -428,44 +523,6 @@ int SearchSpace::categorical_value(const Workload& w, Feature f) const {
   }
 }
 
-std::vector<int> SearchSpace::categorical_alternatives(Feature f) const {
-  switch (f) {
-    case Feature::kQpType: {
-      std::vector<int> out;
-      for (QpType t : config_.qp_types) out.push_back(static_cast<int>(t));
-      return out;
-    }
-    case Feature::kOpcode: {
-      std::vector<int> out;
-      for (Opcode o : config_.opcodes) out.push_back(static_cast<int>(o));
-      return out;
-    }
-    case Feature::kDirection: {
-      std::vector<int> out;
-      if (config_.allow_unidirectional) out.push_back(0);
-      if (config_.allow_bidirectional) out.push_back(1);
-      return out;
-    }
-    case Feature::kLoopback:
-      return config_.allow_loopback ? std::vector<int>{0, 1}
-                                    : std::vector<int>{0};
-    case Feature::kLocalMem:
-    case Feature::kRemoteMem: {
-      std::vector<int> out;
-      for (std::size_t i = 0; i < placements_of(f).size(); ++i) {
-        out.push_back(static_cast<int>(i));
-      }
-      return out;
-    }
-    case Feature::kPatternMix:
-      return {0, 1, 2, 3};
-    case Feature::kDcqcn:
-      return cc_searchable_ ? std::vector<int>{0, 1} : std::vector<int>{0};
-    default:
-      return {};
-  }
-}
-
 std::string SearchSpace::categorical_name(Feature f, int value) const {
   switch (f) {
     case Feature::kQpType:
@@ -502,40 +559,33 @@ std::string SearchSpace::categorical_name(Feature f, int value) const {
   }
 }
 
-std::vector<double> SearchSpace::numeric_grid(Feature f) const {
-  switch (f) {
-    case Feature::kNumQps:
-      return {1, 8, 32, 128, 512, 2048, 8192, 20000};
-    case Feature::kWqeBatch:
-      return {1, 4, 16, 32, 64, 128};
-    case Feature::kSgePerWqe:
-      return {1, 2, 3, 4};
-    case Feature::kSendWqDepth:
-    case Feature::kRecvWqDepth:
-      return {16, 64, 256, 1024};
-    case Feature::kMrsPerQp:
-      return {1, 8, 64, 256, 1024};
-    case Feature::kMrSize:
-      return {4.0 * KiB, 64.0 * KiB, 1.0 * MiB, 4.0 * MiB};
-    case Feature::kMtu:
-      return {256, 512, 1024, 2048, 4096};
-    case Feature::kMsgSize:
-      return {64,       512,      2.0 * KiB,  8.0 * KiB,
-              64.0 * KiB, 256.0 * KiB, 1.0 * MiB};
-    case Feature::kCcRateAi:
-      // Empty on disarmed spaces: MFS extraction must not spend probe
-      // experiments on an inert dimension.
-      return cc_searchable_ ? config_.cc_rate_ai_mbps : std::vector<double>{};
-    case Feature::kCcAlphaG:
-      return cc_searchable_ ? config_.cc_alpha_g : std::vector<double>{};
-    default:
-      return {};
-  }
-}
-
 Workload SearchSpace::with_categorical(const Workload& w, Feature f,
                                        int value) const {
   Workload m = w;
+  set_categorical(m, f, value);
+  return m;
+}
+
+Workload SearchSpace::with_numeric(const Workload& w, Feature f,
+                                   double value) const {
+  Workload m = w;
+  set_numeric(m, f, value);
+  return m;
+}
+
+void SearchSpace::with_categorical(const Workload& w, Feature f, int value,
+                                  Workload& out) const {
+  out = w;
+  set_categorical(out, f, value);
+}
+
+void SearchSpace::with_numeric(const Workload& w, Feature f, double value,
+                              Workload& out) const {
+  out = w;
+  set_numeric(out, f, value);
+}
+
+void SearchSpace::set_categorical(Workload& m, Feature f, int value) const {
   switch (f) {
     case Feature::kQpType:
       m.qp_type = static_cast<QpType>(value);
@@ -583,12 +633,9 @@ Workload SearchSpace::with_categorical(const Workload& w, Feature f,
       assert(false && "not a categorical feature");
   }
   fixup(m);
-  return m;
 }
 
-Workload SearchSpace::with_numeric(const Workload& w, Feature f,
-                                   double value) const {
-  Workload m = w;
+void SearchSpace::set_numeric(Workload& m, Feature f, double value) const {
   switch (f) {
     case Feature::kNumQps:
       m.num_qps = static_cast<int>(value);
@@ -636,7 +683,6 @@ Workload SearchSpace::with_numeric(const Workload& w, Feature f,
       assert(false && "not a numeric feature");
   }
   fixup(m);
-  return m;
 }
 
 }  // namespace collie::core

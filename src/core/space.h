@@ -14,6 +14,7 @@
 // developers restrict the space to their application's possible workloads).
 #pragma once
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -116,15 +117,26 @@ class SearchSpace {
   // ---- Feature access (shared by MFS and the BO encoder) ----
   double numeric_value(const Workload& w, Feature f) const;
   int categorical_value(const Workload& w, Feature f) const;
-  // All categorical alternatives for a feature (including the current one).
-  std::vector<int> categorical_alternatives(Feature f) const;
+  // All categorical alternatives for a feature (including the current one);
+  // empty for a numeric feature.  Computed once, at construction.
+  const std::vector<int>& categorical_alternatives(Feature f) const {
+    return alternatives_[static_cast<std::size_t>(f)];
+  }
   std::string categorical_name(Feature f, int value) const;
-  // Probe grid for a numeric feature.
-  std::vector<double> numeric_grid(Feature f) const;
+  // Probe grid for a numeric feature, ascending; empty for a categorical
+  // one.  Computed once, at construction.
+  const std::vector<double>& numeric_grid(Feature f) const {
+    return grids_[static_cast<std::size_t>(f)];
+  }
   // Return a copy of `w` with the feature forced to the given value
-  // (rescaling the pattern for kMsgSize / kPatternMix) and fixed up.
+  // (rescaling the pattern for kMsgSize / kPatternMix) and fixed up.  The
+  // `out` overloads assign that copy to `out`, reusing its pattern storage.
   Workload with_categorical(const Workload& w, Feature f, int value) const;
   Workload with_numeric(const Workload& w, Feature f, double value) const;
+  void with_categorical(const Workload& w, Feature f, int value,
+                        Workload& out) const;
+  void with_numeric(const Workload& w, Feature f, double value,
+                    Workload& out) const;
 
   // Placements of host A (kLocalMem) and host B (kRemoteMem).  The lists
   // coincide on identical pairs; heterogeneous fabric scenarios give host B
@@ -141,13 +153,21 @@ class SearchSpace {
   const std::vector<topo::MemPlacement>& placements_of(Feature f) const {
     return f == Feature::kRemoteMem ? remote_placements_ : placements_;
   }
+  // Force the feature on `m` in place, then fix it up.
+  void set_categorical(Workload& m, Feature f, int value) const;
+  void set_numeric(Workload& m, Feature f, double value) const;
 
   sim::Subsystem sys_;
   SpaceConfig config_;
   std::vector<topo::MemPlacement> placements_;
   std::vector<topo::MemPlacement> remote_placements_;
+  // Sampling weights of the two placement lists (DRAM above GPU).
+  std::vector<double> placement_weights_;
+  std::vector<double> remote_placement_weights_;
   int pattern_len_;
   bool cc_searchable_ = false;
+  std::array<std::vector<int>, kNumFeatures> alternatives_;
+  std::array<std::vector<double>, kNumFeatures> grids_;
 };
 
 }  // namespace collie::core

@@ -42,6 +42,17 @@ enum class DiagCounter : int {
 inline constexpr int kNumPerfCounters = static_cast<int>(PerfCounter::kCount);
 inline constexpr int kNumDiagCounters = static_cast<int>(DiagCounter::kCount);
 
+// A set of diagnostic counters, one bit per DiagCounter.
+using DiagMask = u16;
+inline constexpr DiagMask kAllDiagCounters =
+    static_cast<DiagMask>((1u << kNumDiagCounters) - 1);
+constexpr DiagMask diag_bit(DiagCounter c) {
+  return static_cast<DiagMask>(1u << static_cast<int>(c));
+}
+constexpr DiagMask diag_bit(int index) {
+  return static_cast<DiagMask>(1u << index);
+}
+
 const char* name(PerfCounter c);
 const char* name(DiagCounter c);
 

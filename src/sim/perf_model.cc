@@ -79,6 +79,11 @@ constexpr int kCounterSamples = 4;
 // At most four flows exist (see build_model); rates and solver dirty flags
 // live in fixed arrays so the hot path never sizes anything dynamically.
 constexpr std::size_t kMaxFlows = 4;
+// Resources per host: wire out/in, engine, PCIe read/write, the cross-socket
+// pair, the internal bus and its loopback limiter, the ICM fetch engine;
+// plus one sender quirk cap per flow.  The scratch reserves this once, so
+// build_model's references into the table stay valid while it fills them.
+constexpr std::size_t kMaxResources = 2 * 10 + kMaxFlows;
 
 // One traffic flow in the solved system.  At most three exist: the A->B
 // data flow, the mirrored B->A flow (bidirectional workloads) and the
@@ -118,6 +123,7 @@ struct Flow {
 };
 
 using RateArray = std::array<double, kMaxFlows>;
+static_assert(std::is_same_v<RateArray, decltype(SteadySolve::rate)>);
 
 // Resource identity: a kind + host slot instead of a heap-allocated name.
 // The human-readable name (for SimResult::bottleneck_note) is formatted on
@@ -355,10 +361,10 @@ void compute_sender_quirks(const Subsystem& sys, const Workload& w,
   }
 }
 
-Flow make_flow(const Subsystem& sys, const Workload& w,
+// Fills `f`, a default-constructed entry of the flow table.
+void make_flow(Flow& f, const Subsystem& sys, const Workload& w,
                const PatternStats& p, int src, int dst, int initiator,
                double qps, bool loop) {
-  Flow f;
   f.src = src;
   f.dst = dst;
   f.initiator = initiator;
@@ -394,14 +400,19 @@ Flow make_flow(const Subsystem& sys, const Workload& w,
   compute_tracker_effects(sys, w, p, f);
   compute_read_effects(sys, w, f);
   compute_sender_quirks(sys, w, f);
-  return f;
 }
 
 // ---- Solver ---------------------------------------------------------------
 
+// The solver's optimistic start: each flow alone at line-rate-equivalent.
+double start_rate(const Flow& f) {
+  return 1e14 / std::max(f.wire_bytes_per_msg, 1.0);
+}
+
 // Proportionally scale flows until no resource exceeds capacity.  Returns
 // the index of the most-binding resource (or -1 if nothing binds), leaving
-// the solved rates in `rate`.
+// the solved rates in `rate`; sets `*scaled_at_rx_stall` to whether any
+// iteration scaled at an rx_stall resource.
 //
 // `demand` caches per-resource demand between iterations: a scaling step
 // touches only the flows of the binding resource, so the demand of any
@@ -411,12 +422,10 @@ Flow make_flow(const Subsystem& sys, const Workload& w,
 // values either way.
 int solve(const std::vector<Flow>& flows,
           const std::vector<Resource>& resources, bool include_rx_stall,
-          RateArray& rate, std::vector<double>& demand) {
+          RateArray& rate, std::vector<double>& demand,
+          bool* scaled_at_rx_stall = nullptr) {
   const std::size_t nf = flows.size();
-  // Initialize optimistically: each flow alone at line-rate-equivalent.
-  for (std::size_t i = 0; i < nf; ++i) {
-    rate[i] = 1e14 / std::max(flows[i].wire_bytes_per_msg, 1.0);
-  }
+  for (std::size_t i = 0; i < nf; ++i) rate[i] = start_rate(flows[i]);
   demand.assign(resources.size(), 0.0);
   for (std::size_t ri = 0; ri < resources.size(); ++ri) {
     demand[ri] = resources[ri].demand(flows, rate);
@@ -437,6 +446,9 @@ int solve(const std::vector<Flow>& flows,
     if (worst_idx < 0) break;
     binding = worst_idx;
     const Resource& r = resources[static_cast<std::size_t>(worst_idx)];
+    if (r.rx_stall && scaled_at_rx_stall != nullptr) {
+      *scaled_at_rx_stall = true;
+    }
     std::array<bool, kMaxFlows> scaled{};
     for (std::size_t i = 0; i < nf; ++i) {
       if (r.coeff[i] > 0.0) {
@@ -456,6 +468,31 @@ int solve(const std::vector<Flow>& flows,
       if (touched) demand[ri] = r2.demand(flows, rate);
     }
   }
+  return binding;
+}
+
+// The steady solve: the admitted rates of the full system in `rate`, and in
+// `offered_rate` what the senders put on the wire before receive-side
+// stalls throttle them via PFC (sender-side and wire constraints only, the
+// pass that skips the rx_stall resources).  Returns the full pass's binding
+// resource.  The full pass runs first; when it never scaled at an rx_stall
+// resource, every step's first-index maximum was a resource the sender-side
+// pass also sees, so over the same rates and demands that pass would pick
+// the same resource at every step and stop at the same point: its rates are
+// the full pass's, bit for bit, and it need not run.
+int solve_steady(const std::vector<Flow>& flows,
+                 const std::vector<Resource>& resources,
+                 RateArray& offered_rate, RateArray& rate,
+                 std::vector<double>& demand, bool* sender_pass_ran) {
+  bool scaled_at_rx_stall = false;
+  const int binding = solve(flows, resources, /*include_rx_stall=*/true,
+                            rate, demand, &scaled_at_rx_stall);
+  if (scaled_at_rx_stall) {
+    solve(flows, resources, /*include_rx_stall=*/false, offered_rate, demand);
+  } else {
+    offered_rate = rate;
+  }
+  if (sender_pass_ran != nullptr) *sender_pass_ran = scaled_at_rx_stall;
   return binding;
 }
 
@@ -608,6 +645,11 @@ class CcSolveMemo {
 // ---- EvalScratch ----------------------------------------------------------
 
 struct EvalScratch::Impl {
+  Impl() {
+    flows.reserve(kMaxFlows);
+    resources.reserve(kMaxResources);
+  }
+
   std::vector<Flow> flows;
   std::vector<Resource> resources;
   RateArray offered_rate{};
@@ -636,7 +678,8 @@ struct EvalCore {
   static const SimResult& run(const CompiledScenario& cs, const Workload& w,
                               Rng& rng, EvalScratch& scratch,
                               const SimConfig& cfg,
-                              const PauseRule* verdict_only);
+                              const EvalRequest& request);
+  static SteadySolve steady(const CompiledScenario& cs, const Workload& w);
 
   static topo::DmaPath path(const CompiledScenario& cs, int host,
                             const topo::MemPlacement& mem) {
@@ -667,32 +710,37 @@ void EvalCore::build_model(const CompiledScenario& cs, const Workload& w,
   resources.clear();
   const PatternStats p = analyze_pattern(w);
 
+  // Flows and resources are built in place in the scratch's tables, which
+  // hold their bounds (kMaxFlows, kMaxResources) from construction on.
   if (w.loopback) {
     // Anomaly-#13 shape: half the connections send over the wire into host
     // 1; the other half are co-located loopback traffic on host 1.
     const double wire_qps = std::max(1.0, std::floor(w.num_qps / 2.0));
     const double loop_qps = std::max(1.0, w.num_qps - wire_qps);
-    flows.push_back(make_flow(sys, w, p, 0, 1, 0, wire_qps, false));
-    flows.push_back(make_flow(sys, w, p, 1, 1, 1, loop_qps, true));
-  } else if (w.opcode == Opcode::kRead) {
-    // READ: the initiator posts WQEs; data flows from the responder.
-    flows.push_back(make_flow(sys, w, p, 1, 0, 0, w.num_qps, false));
-    if (w.bidirectional) {
-      flows.push_back(make_flow(sys, w, p, 0, 1, 1, w.num_qps, false));
-    }
+    make_flow(flows.emplace_back(), sys, w, p, 0, 1, 0, wire_qps, false);
+    make_flow(flows.emplace_back(), sys, w, p, 1, 1, 1, loop_qps, true);
   } else {
-    flows.push_back(make_flow(sys, w, p, 0, 1, 0, w.num_qps, false));
+    // READ: the initiator posts WQEs; data flows from the responder.
+    const bool read = w.opcode == Opcode::kRead;
+    make_flow(flows.emplace_back(), sys, w, p, read ? 1 : 0, read ? 0 : 1, 0,
+              w.num_qps, false);
     if (w.bidirectional) {
-      flows.push_back(make_flow(sys, w, p, 1, 0, 1, w.num_qps, false));
+      // The mirrored flow, posted by host 1.  Every per-flow coefficient
+      // reads only qps, the opcode and loop flags, the message coefficients
+      // and the workload, never src/dst/initiator or the placements, so the
+      // mirror is the first flow with those swapped, bit for bit.
+      Flow& back = flows.emplace_back(flows.front());
+      std::swap(back.src, back.dst);
+      back.initiator = 1;
+      std::swap(back.src_mem, back.dst_mem);
     }
   }
+  assert(flows.size() <= kMaxFlows);
 
   const nic::NicModel& nicm = sys.nicm;
   const nic::NicQuirks& q = nicm.q;
   const bool scenario_fabric = cs.scenario_fabric_;
   const double fan_in = cs.fan_in_;
-
-  auto add = [&resources](const Resource& r) { resources.push_back(r); };
 
   for (int h = 0; h < 2; ++h) {
     bool tx_here = false;
@@ -707,7 +755,7 @@ void EvalCore::build_model(const CompiledScenario& cs, const Workload& w,
 
     // ---- Wire egress ----
     {
-      Resource r;
+      Resource& r = resources.emplace_back();
       r.kind = ResKind::kWireOut;
       r.host = h;
       r.tag = Bottleneck::kNone;  // wire-limited is the healthy case
@@ -717,7 +765,6 @@ void EvalCore::build_model(const CompiledScenario& cs, const Workload& w,
           r.coeff[i] = agg * flows[i].wire_bytes_per_msg * 8.0;
         }
       }
-      add(r);
     }
 
     // ---- Wire ingress through the switch (scenario fabrics only) ----
@@ -725,7 +772,7 @@ void EvalCore::build_model(const CompiledScenario& cs, const Workload& w,
     // uplink); into host A it is A's own port.  Binding here is fabric
     // congestion: the switch backpressures the senders with PFC.
     if (scenario_fabric && rx_here) {
-      Resource r;
+      Resource& r = resources.emplace_back();
       r.kind = ResKind::kWireIn;
       r.host = h;
       r.tag = Bottleneck::kFabricCongestion;
@@ -737,13 +784,12 @@ void EvalCore::build_model(const CompiledScenario& cs, const Workload& w,
           r.coeff[i] = agg * flows[i].wire_bytes_per_msg * 8.0;
         }
       }
-      add(r);
     }
 
     // ---- Packet engine (shared TX+RX+ACK processing) ----
     {
       const bool duplex = tx_here && rx_here;
-      Resource r;
+      Resource& r = resources.emplace_back();
       r.kind = ResKind::kEngine;
       r.host = h;
       r.capacity = cs.engine_cap_[duplex ? 1 : 0];
@@ -786,12 +832,11 @@ void EvalCore::build_model(const CompiledScenario& cs, const Workload& w,
         }
         r.coeff[i] = agg * c;
       }
-      add(r);
     }
 
     // ---- PCIe read direction (NIC fetches from host memory) ----
     {
-      Resource r;
+      Resource& r = resources.emplace_back();
       r.kind = ResKind::kPcieRd;
       r.host = h;
       r.tag = Bottleneck::kPcieBandwidth;
@@ -810,7 +855,6 @@ void EvalCore::build_model(const CompiledScenario& cs, const Workload& w,
         }
         r.coeff[i] = agg * bytes * 8.0;
       }
-      add(r);
     }
 
     // ---- PCIe write direction (NIC delivers into host memory) ----
@@ -831,7 +875,7 @@ void EvalCore::build_model(const CompiledScenario& cs, const Workload& w,
       load.small_write_rate *= rc_amp;
       const double stall = pcie::ordering_stall_fraction(sys.link, load);
 
-      Resource r;
+      Resource& r = resources.emplace_back();
       r.kind = ResKind::kPcieWr;
       r.host = h;
       r.rx_stall = true;
@@ -857,7 +901,6 @@ void EvalCore::build_model(const CompiledScenario& cs, const Workload& w,
       } else {
         r.tag = Bottleneck::kPcieBandwidth;
       }
-      add(r);
     }
 
     // ---- Cross-socket interconnect ----
@@ -873,14 +916,14 @@ void EvalCore::build_model(const CompiledScenario& cs, const Workload& w,
         const bool bidir_cross = tx_here && rx_here;
         const double quality =
             bidir_cross ? sys.host_of(h).cross_socket_quality : 1.0;
-        Resource in;
+        Resource& in = resources.emplace_back();
         in.kind = ResKind::kXsocketIn;
         in.host = h;
         in.tag = Bottleneck::kHostTopologyPath;
         in.rx_stall = true;
         in.pause_port = h;
         in.capacity = sys.host_of(h).cross_socket_bw_bps * quality;
-        Resource out;
+        Resource& out = resources.emplace_back();
         out.kind = ResKind::kXsocketOut;
         out.host = h;
         out.tag = Bottleneck::kHostTopologyPath;
@@ -894,14 +937,12 @@ void EvalCore::build_model(const CompiledScenario& cs, const Workload& w,
             out.coeff[i] = agg * f.bytes_per_msg * 8.0;
           }
         }
-        add(in);
-        add(out);
       }
     }
 
     // ---- NIC-internal bus (loopback incast, root cause #6) ----
     if (w.loopback && h == 1) {
-      Resource r;
+      Resource& r = resources.emplace_back();
       r.kind = ResKind::kInternalBus;
       r.host = h;
       r.tag = Bottleneck::kNicIncast;
@@ -913,9 +954,8 @@ void EvalCore::build_model(const CompiledScenario& cs, const Workload& w,
           r.coeff[i] = agg * flows[i].bytes_per_msg * 8.0;
         }
       }
-      add(r);
       if (q.loopback_rate_limiter) {
-        Resource lim;
+        Resource& lim = resources.emplace_back();
         lim.kind = ResKind::kLoopbackLimiter;
         lim.host = h;
         lim.tag = Bottleneck::kNone;
@@ -926,13 +966,12 @@ void EvalCore::build_model(const CompiledScenario& cs, const Workload& w,
             lim.coeff[i] = agg * flows[i].bytes_per_msg * 8.0;
           }
         }
-        add(lim);
       }
     }
 
     // ---- ICM fetch engine (QPC/MTT cache-miss service) ----
     {
-      Resource r;
+      Resource& r = resources.emplace_back();
       r.kind = ResKind::kIcmFetch;
       r.host = h;
       r.capacity = cs.icm_fetch_cap_;
@@ -948,21 +987,20 @@ void EvalCore::build_model(const CompiledScenario& cs, const Workload& w,
       }
       r.tag = qpc_total >= mtt_total ? Bottleneck::kQpcCacheMiss
                                      : Bottleneck::kMttCacheMiss;
-      add(r);
     }
   }
 
   // ---- Per-flow sender quirk caps ----
   for (std::size_t i = 0; i < flows.size(); ++i) {
     if (flows[i].sender_cap_msgs < 1e17) {
-      Resource r;
+      Resource& r = resources.emplace_back();
       r.kind = ResKind::kTxQuirk;
       r.tag = Bottleneck::kMtuSchedulerQuirk;
       r.capacity = flows[i].sender_cap_msgs;
       r.coeff[i] = 1.0;
-      add(r);
     }
   }
+  assert(resources.size() <= kMaxResources);
 }
 
 double experiment_cost_seconds(const Workload& w) {
@@ -977,15 +1015,19 @@ double experiment_cost_seconds(const Workload& w) {
 const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
                                Rng& rng, EvalScratch& scratch,
                                const SimConfig& cfg,
-                               const PauseRule* verdict_only) {
+                               const EvalRequest& request) {
   assert(w.valid());
   const Subsystem& sys = cs.sys_;
   EvalScratch::Impl& s = *scratch.impl_;
   SimResult& out = s.result;
   reset_result(out);
-  // The verdict-only shortcut (perf_model.h); the full epoch series is the
+  // The request's shortcuts (perf_model.h); the full epoch series is the
   // full evaluation by definition.
-  const PauseRule* verdict = cfg.keep_epochs ? nullptr : verdict_only;
+  const PauseRule* verdict = cfg.keep_epochs || !request.verdict_only
+                                 ? nullptr
+                                 : &*request.verdict_only;
+  const DiagMask diag_read =
+      cfg.keep_epochs ? kAllDiagCounters : request.diag_read();
 
   // One model build serves both solver passes: the uncompiled path built two
   // bit-identical models, one per pass.
@@ -993,15 +1035,9 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
   const std::vector<Flow>& flows = s.flows;
   const std::vector<Resource>& resources = s.resources;
 
-  // Pass 1: sender-side and wire constraints only -> what the senders put
-  // on the wire before receive-side stalls throttle them via PFC.
-  solve(flows, resources, /*include_rx_stall=*/false, s.offered_rate,
-        s.demand);
+  const int binding = solve_steady(flows, resources, s.offered_rate, s.rate,
+                                   s.demand, nullptr);
   const RateArray& offered_rate = s.offered_rate;
-
-  // Pass 2: the full system.
-  const int binding =
-      solve(flows, resources, /*include_rx_stall=*/true, s.rate, s.demand);
   RateArray& rate = s.rate;
 
   // Scenario fabrics lower the achievable bounds and add fabric-attributed
@@ -1144,9 +1180,9 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
 
   // ---- Pause accounting ----
   // A port pauses only when the senders genuinely offer more than the
-  // receive side can drain: the pass-1 solve (sender/wire constraints only)
-  // admits measurably more than the full solve.  A resource sitting *at*
-  // capacity without overload is balanced, not pausing — this keeps
+  // receive side can drain: the sender-side solve (sender/wire constraints
+  // only) admits measurably more than the full solve.  A resource sitting
+  // *at* capacity without overload is balanced, not pausing — this keeps
   // borderline wire-bound workloads from flickering across the monitor's
   // 0.1% pause threshold.
   bool rx_stalled[2] = {false, false};
@@ -1250,12 +1286,17 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
       tracker += rate[i] * f.tracker_stall_pkts + f.tracker_pressure * 1e6;
     }
     // Diagnostic counters expose *smooth* load signals — they move before
-    // end-to-end performance does (the property §5.1/§7.2 builds on).  A
-    // verdict reads none of them.
+    // end-to-end performance does (the property §5.1/§7.2 builds on).  The
+    // per-resource loop feeds four of them; it runs only if one is read.
+    constexpr DiagMask kResourceCounters =
+        diag_bit(DiagCounter::kPcieInternalBackpressure) |
+        diag_bit(DiagCounter::kPcieOrderingStall) |
+        diag_bit(DiagCounter::kNicIncastEvents) |
+        diag_bit(DiagCounter::kTxPipelineStall);
+    const bool resource_loop = (diag_read & kResourceCounters) != 0;
     double pcie_bp = 0.0;
     double engine_excess = 0.0;
-    for (std::size_t ri = 0; verdict == nullptr && ri < resources.size();
-         ++ri) {
+    for (std::size_t ri = 0; resource_loop && ri < resources.size(); ++ri) {
       const Resource& r = resources[ri];
       const double u = r.utilization(flows, rate);
       if (r.kind == ResKind::kPcieRd || r.kind == ResKind::kPcieWr) {
@@ -1290,11 +1331,11 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
 
   // Every jitter is a pure function of (key, epoch, slot) on a counter
   // stream keyed by ONE draw from the caller's Rng, so the rollout computes
-  // only what is read: the four sampled epochs' counters, the pause duty of
-  // post-warmup epochs in which a receiver is stalled, and — for
-  // keep_epochs callers only — the full series, whose sampled epochs carry
-  // exactly the values the samples carry.  A verdict-only rollout reads
-  // less: the sampled epochs' perf counters, and pause only until it is
+  // only what is read: the four sampled epochs' perf counters and requested
+  // diagnostic counters, the pause duty of post-warmup epochs in which a
+  // receiver is stalled, and — for keep_epochs callers only — the full
+  // series, whose sampled epochs carry exactly the values the samples
+  // carry.  A verdict-only rollout integrates pause only until it is
   // decided.
   const CounterStream jitter(rng.next_u64());
   const auto normal_jitter = [&jitter](int epoch, int slot, double sigma) {
@@ -1325,7 +1366,11 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
   // Rounded addition of the remaining non-negative terms cannot lower the
   // sum, nor division by the same positive pause_time the quotient, so the
   // full ratio would exceed it too; the rollout then visits only the
-  // sampled epochs that are left.
+  // sampled epochs that are left.  With no receiver stalled, a post-warmup
+  // epoch adds +0.0 to pause_accum and to every pause_s[p], which leaves
+  // each exactly as it is, so the rollout visits only the sampled epochs
+  // then too.  Both skips are for the samples-only rollout: the full series
+  // visits every epoch.
   bool pause_decided = false;
   const int first_epoch =
       cfg.keep_epochs ? 0 : std::max(cfg.warmup_epochs, 0);
@@ -1333,7 +1378,9 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
     const bool warm = e < cfg.warmup_epochs;
     const bool sampled =
         next_sample < num_samples && sample_epoch[next_sample] == e;
-    if (pause_decided && !sampled) continue;
+    if (!sampled && !cfg.keep_epochs && (pause_decided || !any_stalled)) {
+      continue;
+    }
     const bool counters_read = sampled || cfg.keep_epochs;
     const bool pause_read = any_stalled && !pause_decided;
     const double ramp =
@@ -1383,24 +1430,43 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
     }
     if (!counters_read) continue;
 
-    CounterSample c;
-    for (int i = 0; i < kNumPerfCounters; ++i) {
-      c.perf[static_cast<std::size_t>(i)] =
-          base.perf[static_cast<std::size_t>(i)] * ramp * jit;
-    }
-    for (int i = 0; verdict == nullptr && i < kNumDiagCounters; ++i) {
-      if (i == static_cast<int>(DiagCounter::kRxBufferOccupancy)) continue;
-      c.diag[static_cast<std::size_t>(i)] =
-          base.diag[static_cast<std::size_t>(i)] * ramp *
-          normal_jitter(e, kDiagSlot + i, cfg.jitter * 2.0);
-    }
-    if (verdict == nullptr) c.set(DiagCounter::kRxBufferOccupancy, occupancy);
-    for (; next_sample < num_samples && sample_epoch[next_sample] == e;
-         ++next_sample) {
-      out.samples.push_back(c);
+    // This epoch's counters, written where they are kept: the perf counters
+    // and the requested diagnostic counters; the rest stay zero.
+    const auto write_counters = [&](CounterSample& c) {
+      for (int i = 0; i < kNumPerfCounters; ++i) {
+        c.perf[static_cast<std::size_t>(i)] =
+            base.perf[static_cast<std::size_t>(i)] * ramp * jit;
+      }
+      for (int i = 0; i < kNumDiagCounters; ++i) {
+        if (i == static_cast<int>(DiagCounter::kRxBufferOccupancy) ||
+            (diag_read & diag_bit(i)) == 0) {
+          continue;
+        }
+        c.diag[static_cast<std::size_t>(i)] =
+            base.diag[static_cast<std::size_t>(i)] * ramp *
+            normal_jitter(e, kDiagSlot + i, cfg.jitter * 2.0);
+      }
+      if ((diag_read & diag_bit(DiagCounter::kRxBufferOccupancy)) != 0) {
+        c.set(DiagCounter::kRxBufferOccupancy, occupancy);
+      }
+    };
+    if (sampled) {
+      write_counters(out.samples.emplace_back());
+      for (++next_sample;
+           next_sample < num_samples && sample_epoch[next_sample] == e;
+           ++next_sample) {
+        out.samples.push_back(out.samples.back());
+      }
     }
     if (cfg.keep_epochs) {
-      out.epochs.push_back(EpochSample{(e + 1) * cfg.epoch_dt, c, worst_pause});
+      EpochSample& es = out.epochs.emplace_back();
+      es.t = (e + 1) * cfg.epoch_dt;
+      if (sampled) {
+        es.counters = out.samples.back();
+      } else {
+        write_counters(es.counters);
+      }
+      es.pause_fraction = worst_pause;
     }
   }
 
@@ -1415,17 +1481,35 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
   return out;
 }
 
+SteadySolve EvalCore::steady(const CompiledScenario& cs, const Workload& w) {
+  EvalScratch scratch;
+  EvalScratch::Impl& s = *scratch.impl_;
+  build_model(cs, w, s.flows, s.resources);
+  SteadySolve out;
+  for (const Flow& f : s.flows) out.start_rate.push_back(start_rate(f));
+  for (const Resource& r : s.resources) {
+    out.constraints.push_back({r.capacity, r.coeff, r.rx_stall});
+  }
+  out.binding = solve_steady(s.flows, s.resources, out.offered_rate, out.rate,
+                             s.demand, &out.sender_pass_ran);
+  return out;
+}
+
+SteadySolve steady_solve(const CompiledScenario& scenario, const Workload& w) {
+  return EvalCore::steady(scenario, w);
+}
+
 SimResult evaluate(const Subsystem& sys, const Workload& w, Rng& rng,
-                   const SimConfig& cfg, const PauseRule* verdict_only) {
+                   const SimConfig& cfg, const EvalRequest& request) {
   const CompiledScenario compiled(sys);
   EvalScratch scratch;
-  return EvalCore::run(compiled, w, rng, scratch, cfg, verdict_only);
+  return EvalCore::run(compiled, w, rng, scratch, cfg, request);
 }
 
 const SimResult& evaluate(const CompiledScenario& scenario, const Workload& w,
                           Rng& rng, EvalScratch& scratch, const SimConfig& cfg,
-                          const PauseRule* verdict_only) {
-  return EvalCore::run(scenario, w, rng, scratch, cfg, verdict_only);
+                          const EvalRequest& request) {
+  return EvalCore::run(scenario, w, rng, scratch, cfg, request);
 }
 
 }  // namespace collie::sim

@@ -18,7 +18,9 @@
 //   * anticipated receive misses -> drops/RNR -> reduced throughput only
 #pragma once
 
+#include <array>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -89,6 +91,27 @@ struct PauseRule {
   }
 };
 
+// What the caller of one evaluation reads; the model computes no more (see
+// evaluate() below).  The default reads everything.  The search driver
+// sets it from the probe's role:
+//   * MFS necessity probes read only the monitor's verdict (verdict_only);
+//   * SA steps read the phase's counter plus kRxWqeCacheMiss, which the
+//     Figure-6 trace keeps; Perf phases and random steps only the latter;
+//   * ranking probes and BO steps read all nine diagnostic counters.
+struct EvalRequest {
+  // Set: only the monitor's verdict under this rule is read.  No
+  // diagnostic counter, sample average or note is computed, whatever
+  // `diag` says, and pause may stop integrating once it is decided.
+  std::optional<PauseRule> verdict_only;
+  // Diagnostic counters read (ignored under verdict_only).
+  DiagMask diag = kAllDiagCounters;
+
+  static EvalRequest verdict(const PauseRule& rule) { return {rule, 0}; }
+  static EvalRequest counters(DiagMask diag) { return {std::nullopt, diag}; }
+  // The diagnostic counters the model draws for this request.
+  DiagMask diag_read() const { return verdict_only ? DiagMask{0} : diag; }
+};
+
 struct EpochSample {
   double t = 0.0;
   CounterSample counters;
@@ -130,9 +153,9 @@ struct SimResult {
 
   // The four counter fetches, at post-warmup epochs spread evenly over the
   // run (4, 10, 16, 23 by default), and their average.  Empty / zero when
-  // the config has no post-warmup epoch.  A verdict-only evaluation (see
-  // evaluate() below) fills only the perf counters of each sample and
-  // leaves the diagnostic counters and the average zero.
+  // the config has no post-warmup epoch.  Diagnostic counters the request
+  // does not read are zero in both (see evaluate() below); a verdict-only
+  // evaluation also leaves the average zero.
   std::vector<CounterSample> samples;
   CounterSample counters;
   // Full series, only with SimConfig::keep_epochs.
@@ -219,35 +242,62 @@ class EvalScratch {
   std::unique_ptr<Impl> impl_;
 };
 
-// Verdict-only evaluation.  A non-null `verdict_only` asks for just what
-// the monitor's verdict under that rule reads (MFS necessity probes ask
-// nothing else), and the model skips the rest:
-//   * the diagnostic counters, their per-resource base loop, the sample
-//     average and the bottleneck note stay zero / empty; the samples keep
-//     their perf counters, which the stability check reads;
-//   * pause integration stops once pause_accum / T exceeds
-//     verdict_only->allowance(fabric_pause_ratio), T being the full
-//     post-warmup window.  Every later epoch adds a non-negative term, so
-//     the full ratio could only be larger: pause_duration_ratio (and
+// The request (EvalRequest).  The model computes only what the request
+// reads, with the same float operations in the same order, so everything
+// it does compute is bit-identical to the full evaluation:
+//   * a diagnostic counter outside request.diag_read() is zero in every
+//     sample and in the average, and draws no jitter (the stream is keyed
+//     per epoch and slot, so no other counter moves).  The per-resource
+//     base loop runs only for the counters that read it;
+//   * under verdict_only the average and the bottleneck note stay zero /
+//     empty, the samples keep their perf counters, which the stability
+//     check reads, and pause integration stops once pause_accum / T
+//     exceeds verdict_only->allowance(fabric_pause_ratio), T being the
+//     full post-warmup window.  Every later epoch adds a non-negative term,
+//     so the full ratio could only be larger: pause_duration_ratio (and
 //     port_pause_ratio) is then a lower bound that is still above the
 //     allowance, and exact whenever the full ratio is at or below it.
-// Everything else — rates, utilizations, fabric_pause_ratio, the CC
-// ratios, dominant and the Rng draw — is bit-identical to the full
-// evaluation.  SimConfig::keep_epochs turns the shortcut off.
+// Everything else — perf counters, rates, utilizations, fabric_pause_ratio,
+// the CC ratios, dominant and the Rng draw — is bit-identical to the full
+// evaluation.  SimConfig::keep_epochs turns every shortcut off.
 
 // The uncompiled path: compiles the scenario and allocates fresh scratch on
 // every call.  Kept (and exercised by tests) as the reference semantics of
 // the hot path below.
 SimResult evaluate(const Subsystem& sys, const Workload& w, Rng& rng,
                    const SimConfig& cfg = {},
-                   const PauseRule* verdict_only = nullptr);
+                   const EvalRequest& request = {});
 
 // The hot path: zero heap allocations once `scratch` is warm.  Returns a
 // reference into `scratch`, valid until the next evaluate() with it.
 const SimResult& evaluate(const CompiledScenario& scenario, const Workload& w,
                           Rng& rng, EvalScratch& scratch,
                           const SimConfig& cfg = {},
-                          const PauseRule* verdict_only = nullptr);
+                          const EvalRequest& request = {});
+
+// The steady-state linear system evaluate() builds for (scenario, w) and the
+// solve it runs on it, for the solver's property tests.  One constraint per
+// resource, sum_f coeff[f] * rate_f <= capacity, in build order; the solver
+// starts every flow at start_rate and scales flows at the most-utilized
+// constraint until none is over capacity.  `rate` is the full system's
+// solution and `binding` its last scaled constraint (-1: none); the
+// sender-side pass, which skips rx_stall constraints, yields
+// `offered_rate` and runs only when the full pass scaled at an rx_stall
+// constraint (sender_pass_ran) — otherwise it equals `rate`.
+struct SteadySolve {
+  struct Constraint {
+    double capacity = 0.0;
+    std::array<double, 4> coeff{};
+    bool rx_stall = false;
+  };
+  std::vector<Constraint> constraints;
+  std::vector<double> start_rate;  // per flow
+  std::array<double, 4> offered_rate{};
+  std::array<double, 4> rate{};
+  int binding = -1;
+  bool sender_pass_ran = false;
+};
+SteadySolve steady_solve(const CompiledScenario& scenario, const Workload& w);
 
 // Duration one such experiment would take on real hardware: 20-60 s, mostly
 // a function of how many QPs and MRs must be set up (§5, §6).  The search

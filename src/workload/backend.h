@@ -52,14 +52,15 @@ class Backend {
 
   // The performance pass: fill `out` for one experiment.  `out` arrives
   // reset by the engine with cost_seconds preset to the cost model's value
-  // and the caller's verdict-only request in out.verdict_only; a backend
-  // may overwrite any field.  A decorator forwards `out` to its inner
-  // backend as is, and with it the request.  The request may be ignored,
-  // but a backend that honours it must leave the monitor's verdict under
-  // that rule and the Rng exactly as a full measurement would (SimBackend
-  // passes it to sim::evaluate).  Implementations must honour the Rng
-  // contract above.  Thread-compatibility matches the engine's: one
-  // (scratch, out) pair per thread.
+  // and the caller's request in out.request; a backend may overwrite any
+  // field.  A decorator forwards `out` to its inner backend as is, and with
+  // it the request.  The request may be ignored, but a backend that honours
+  // it must leave every counter it names, the monitor's verdict (under the
+  // rule of a verdict-only request) and the Rng exactly as a full
+  // measurement would (SimBackend passes it to sim::evaluate).
+  // Implementations must honour the Rng contract above.
+  // Thread-compatibility matches the engine's: one (scratch, out) pair per
+  // thread.
   virtual void measure(const Workload& w, Rng& rng, sim::EvalScratch& scratch,
                        Measurement& out) = 0;
 };

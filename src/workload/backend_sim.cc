@@ -53,14 +53,12 @@ void SimBackend::measure(const Workload& w, Rng& rng,
   // Measure; re-measure once if the four samples disagree (§6: the monitor
   // "first decides whether the traffic is stable").  The compiled scenario
   // reuses the caller's scratch instead of rebuilding per probe; it is
-  // bit-for-bit identical to the uncompiled sim::evaluate.  A verdict-only
-  // request still yields the perf samples the stability check reads.
-  const sim::PauseRule* verdict_only =
-      m.verdict_only ? &*m.verdict_only : nullptr;
+  // bit-for-bit identical to the uncompiled sim::evaluate.  Every request
+  // still yields the perf samples the stability check reads.
   for (int attempt = 0; attempt < 2; ++attempt) {
     const u64 eval_start = telemetry_.begin();
     const sim::SimResult& r =
-        sim::evaluate(compiled_, w, rng, scratch, sim_, verdict_only);
+        sim::evaluate(compiled_, w, rng, scratch, sim_, m.request);
     if (telemetry_.enabled()) {
       telemetry_.observe(telemetry_.engine_ids().eval_ns,
                          obs::now_ticks() - eval_start);

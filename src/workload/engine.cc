@@ -276,15 +276,11 @@ Measurement Engine::run(const Workload& w, Rng& rng,
 
 const Measurement& Engine::run(const Workload& w, Rng& rng,
                                sim::EvalScratch& scratch, Measurement& m,
-                               const sim::PauseRule* verdict_only) const {
+                               const sim::EvalRequest& request) const {
   // Field-wise reset instead of `m = Measurement{}`: keeps the samples and
   // epochs vector capacities and the note string's buffer, which is what
   // makes the reused-Measurement probe path allocation-free.
-  if (verdict_only != nullptr) {
-    m.verdict_only = *verdict_only;
-  } else {
-    m.verdict_only.reset();
-  }
+  m.request = request;
   m.samples.clear();
   m.average = sim::CounterSample{};
   m.pause_duration_ratio = 0.0;

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,14 +43,15 @@ class SimBackend;
 // experiment ("iteration") on the subsystem.
 struct Measurement {
   // The caller's request, set by Engine::run before the backend measures:
-  // when present, only the monitor's verdict under this pause rule will be
-  // read, and a backend may compute no more than that verdict needs.  The
-  // simulator then leaves the diagnostic counters, the average and the note
-  // zero / empty, and its pause_duration_ratio is exact at or below the
-  // rule's allowance and otherwise a lower bound still above it
-  // (sim::evaluate).  A backend may ignore the request; one that serves a
-  // recorded Measurement (a journal replay) returns it as recorded.
-  std::optional<sim::PauseRule> verdict_only;
+  // what the probe's reader will read, and a backend may compute no more.
+  // The simulator leaves the diagnostic counters the request does not name
+  // zero in the samples and the average; a verdict-only request also
+  // leaves the average and the note zero / empty, and its
+  // pause_duration_ratio is exact at or below the rule's allowance and
+  // otherwise a lower bound still above it (sim::evaluate).  A backend may
+  // ignore the request; one that serves a recorded Measurement (a journal
+  // replay) returns it as recorded.
+  sim::EvalRequest request;
 
   // Four once-per-second counter fetches (§6) and their average.
   std::vector<sim::CounterSample> samples;
@@ -131,15 +131,14 @@ class Engine {
   // its samples/epochs capacity and note-string buffer, so a driver that
   // reuses one Measurement across probes allocates nothing in steady state
   // (the returned reference is `out` itself).  The by-value overloads
-  // delegate here.  A non-null `verdict_only` is stored on `out` as the
-  // request for a verdict-only measurement (Measurement::verdict_only):
-  // judging the result with a monitor whose pause rule it is gives the
-  // verdict a full measurement would, from the same Rng draws.  MFS
-  // necessity probes ask this; the search steps, which read counters, never
-  // do.
+  // delegate here.  `request` is stored on `out` (Measurement::request):
+  // every counter it names, and the verdict of a monitor whose pause rule a
+  // verdict-only request carries, equal a full measurement's from the same
+  // Rng draws.  The search driver sets it from the probe's role
+  // (sim::EvalRequest); the default is the full measurement.
   const Measurement& run(const Workload& w, Rng& rng,
                          sim::EvalScratch& scratch, Measurement& out,
-                         const sim::PauseRule* verdict_only = nullptr) const;
+                         const sim::EvalRequest& request = {}) const;
 
   // The functional verbs pass (never run by Engine::run): returns false
   // with a reason if the workload cannot be expressed as a legal verbs

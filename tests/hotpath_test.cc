@@ -143,10 +143,14 @@ TEST(HotPathAllocation, SteadyStateEvaluateAllocatesNothing) {
         (void)evaluate(compiled, w, rng, scratch);
         (void)evaluate(compiled, w, rng, scratch);
       }
+      // The full evaluation and an SA step's (one diagnostic counter).
+      const EvalRequest sa_step =
+          EvalRequest::counters(diag_bit(DiagCounter::kRxWqeCacheMiss));
       for (const Workload& w : ws) {
         const long allocs = count_allocations([&] {
           for (int i = 0; i < 20; ++i) {
             (void)evaluate(compiled, w, rng, scratch);
+            (void)evaluate(compiled, w, rng, scratch, {}, sa_step);
           }
         });
         EXPECT_EQ(allocs, 0)
@@ -165,6 +169,31 @@ TEST(HotPathAllocation, SteadyStateEvaluateAllocatesNothing) {
       });
       EXPECT_EQ(miss_allocs, 0) << sys_id << "@" << fabric;
     }
+  }
+}
+
+// Sampling allocates only the workload it returns: random_point sizes its
+// pattern once and mutate copies one, whatever the placement lists, opcode
+// filter or size grid they draw from (CC-armed spaces draw more).
+TEST(HotPathAllocation, SamplingAllocatesOnlyTheReturnedPattern) {
+  for (const char* cc : {"off", "dcqcn"}) {
+    const Subsystem sys =
+        with_cc(with_fabric(subsystem('F'), net::fabric_scenario("hetero")),
+                nic::cc_scenario(cc));
+    const core::SearchSpace space(sys);
+    Rng rng(3);
+    Workload w = space.random_point(rng);
+    long most_sample = 0;
+    long most_mutate = 0;
+    for (int i = 0; i < 500; ++i) {
+      most_sample = std::max(
+          most_sample,
+          count_allocations([&] { w = space.random_point(rng); }));
+      most_mutate = std::max(
+          most_mutate, count_allocations([&] { w = space.mutate(w, rng); }));
+    }
+    EXPECT_EQ(most_sample, 1) << cc;
+    EXPECT_EQ(most_mutate, 1) << cc;
   }
 }
 
@@ -306,13 +335,15 @@ TEST(HotPathAllocation, DriverProbeWithTelemetryOnAllocatesNothing) {
   workload::Measurement probe;
   EvalScratch scratch;
   for (const Workload& w : ws) {
-    (void)engine.run(w, rng, scratch, probe, &monitor.config().pause);
+    (void)engine.run(w, rng, scratch, probe,
+                     sim::EvalRequest::verdict(monitor.config().pause));
   }
   for (const Workload& w : ws) {
     const long allocs = count_allocations([&] {
       for (int i = 0; i < 20; ++i) {
         (void)monitor.judge(
-            engine.run(w, rng, scratch, probe, &monitor.config().pause));
+            engine.run(w, rng, scratch, probe,
+                       sim::EvalRequest::verdict(monitor.config().pause)));
       }
     });
     EXPECT_EQ(allocs, 0) << "verdict-only " << w.describe();

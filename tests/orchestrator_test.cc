@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -14,7 +15,9 @@
 #include <vector>
 
 #include "catalog/anomalies.h"
+#include "core/json_reader.h"
 #include "core/search.h"
+#include "core/serialize.h"
 #include "obs/telemetry.h"
 #include "orchestrator/campaign.h"
 #include "orchestrator/campaign_report.h"
@@ -23,6 +26,7 @@
 #include "orchestrator/mfs_pool.h"
 #include "orchestrator/scheduler.h"
 #include "sim/subsystem.h"
+#include "workload/backend_sim.h"
 
 namespace collie::orchestrator {
 namespace {
@@ -1270,11 +1274,13 @@ struct JournaledRun {
 // Run `config` journaling into `path` (appending when the file already
 // holds a valid prefix), optionally resuming from parsed journal state —
 // exactly the wiring the campaign CLI does for --journal / --resume.
-JournaledRun run_journaled(CampaignConfig config, const std::string& path,
-                           const JournalResume* resume) {
+JournaledRun run_journaled(
+    CampaignConfig config, const std::string& path,
+    const JournalResume* resume,
+    std::shared_ptr<workload::BackendFactory> inner = nullptr) {
   CampaignJournal journal(path, /*journal_every=*/4);
-  auto splice =
-      std::make_shared<SpliceBackendFactory>(nullptr, resume, &journal);
+  auto splice = std::make_shared<SpliceBackendFactory>(std::move(inner),
+                                                       resume, &journal);
   config.journal = &journal;
   config.resume = resume;
   if (resume != nullptr) config.replay = resume->schedule;
@@ -1321,6 +1327,160 @@ TEST(CampaignJournalTest, JournalingNeverPerturbsTheReport) {
   }
   EXPECT_EQ(resume.probes, run.live);
   std::remove(path.c_str());
+}
+
+// The simulator, logging each probe's request per cell context.
+class RequestLoggingFactory final : public workload::BackendFactory {
+ public:
+  workload::BackendKind kind() const override {
+    return workload::BackendKind::kMock;
+  }
+  const std::string& substrate() const override { return sim_.substrate(); }
+  std::unique_ptr<workload::Backend> create(
+      const sim::Subsystem& sys, const workload::EngineOptions& opts,
+      const std::string& context) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::make_unique<Logging>(sim_.create(sys, opts, context),
+                                     &log_[context]);
+  }
+  const std::vector<sim::EvalRequest>& log(const std::string& context) const {
+    return log_.at(context);
+  }
+
+ private:
+  class Logging final : public workload::Backend {
+   public:
+    Logging(std::unique_ptr<workload::Backend> inner,
+            std::vector<sim::EvalRequest>* log)
+        : inner_(std::move(inner)), log_(log) {}
+    workload::BackendKind kind() const override {
+      return workload::BackendKind::kMock;
+    }
+    const std::string& substrate() const override {
+      return inner_->substrate();
+    }
+    void measure(const Workload& w, Rng& rng, sim::EvalScratch& scratch,
+                 workload::Measurement& out) override {
+      log_->push_back(out.request);
+      inner_->measure(w, rng, scratch, out);
+    }
+
+   private:
+    std::unique_ptr<workload::Backend> inner_;
+    std::vector<sim::EvalRequest>* log_;
+  };
+
+  workload::SimBackendFactory sim_;
+  std::mutex mu_;
+  std::map<std::string, std::vector<sim::EvalRequest>> log_;
+};
+
+// A probe record exactly as CampaignJournal::probe writes it.
+std::string probe_payload(const std::string& context, const Workload& w,
+                          const workload::Measurement& m,
+                          const RngState& rng_after) {
+  core::JsonWriter json;
+  json.begin_object();
+  json.field("record", "probe");
+  json.field("context", context);
+  json.key("workload");
+  core::workload_to_json(w, &json);
+  json.key("measurement");
+  core::measurement_to_json(m, &json);
+  json.key("rng_after");
+  rng_state_to_json(rng_after, &json);
+  json.end_object();
+  return json.str();
+}
+
+// Journals recorded before search steps requested only the counters they
+// read hold every diagnostic counter of every step; a current recording
+// holds zero for the ones a step did not request.  Record a campaign (SA
+// Diag and Perf cells), rewrite every step's unrequested counters to
+// nonzero values in its samples and average, re-frame the journal, and
+// demand that an offline replay of it, and resumes from two cuts of it,
+// print the plain run's report byte for byte.
+TEST(CampaignJournalTest, JournalsHoldingUnrequestedCountersReplayAndResume) {
+  CampaignConfig config = journaled_campaign_config();
+  config.modes = {core::GuidanceMode::kDiag, core::GuidanceMode::kPerf};
+  config.budget.seconds = 2 * 3600.0;  // SA phases past the ranking probes
+  const std::string golden = build_report(Campaign(config).run()).to_json();
+
+  auto requests = std::make_shared<RequestLoggingFactory>();
+  const std::string path = journal_tmp("requests.journal");
+  ASSERT_EQ(run_journaled(config, path, nullptr, requests).report_json,
+            golden);
+  const JournalRecovery rec = recover_journal(path, /*repair=*/false);
+  ASSERT_FALSE(rec.torn);
+
+  std::vector<std::string> payloads;
+  std::map<std::string, std::size_t> cursor;
+  int widened = 0;
+  int phase_steps = 0;  // Diag phase steps: one counter besides the trace's
+  const sim::DiagMask trace_bit =
+      sim::diag_bit(sim::DiagCounter::kRxWqeCacheMiss);
+  for (const std::string& payload : rec.payloads) {
+    const core::JsonValue v = core::JsonValue::parse(payload);
+    const core::JsonValue* record = v.find("record");  // cell_done has none
+    if (record == nullptr || record->as_string() != "probe") {
+      payloads.push_back(payload);
+      continue;
+    }
+    const std::string context = v.at("context").as_string();
+    const Workload w = core::workload_from_json(v.at("workload"));
+    workload::Measurement m =
+        core::measurement_from_json(v.at("measurement"));
+    const RngState rng_after = rng_state_from_json(v.at("rng_after"));
+    ASSERT_EQ(probe_payload(context, w, m, rng_after), payload);
+    const sim::EvalRequest& request =
+        requests->log(context).at(cursor[context]++);
+    if (!request.verdict_only && request.diag != sim::kAllDiagCounters &&
+        (request.diag & ~trace_bit) != 0) {
+      ++phase_steps;
+    }
+    if (!request.verdict_only) {
+      for (int d = 0; d < sim::kNumDiagCounters; ++d) {
+        if ((request.diag & sim::diag_bit(d)) != 0) continue;
+        const double parent_value = 1e6 * (d + 1);
+        for (sim::CounterSample& sample : m.samples) {
+          sample.diag[static_cast<std::size_t>(d)] = parent_value;
+        }
+        m.average.diag[static_cast<std::size_t>(d)] = parent_value;
+        ++widened;
+      }
+    }
+    payloads.push_back(probe_payload(context, w, m, rng_after));
+  }
+  ASSERT_GT(widened, 0);
+  ASSERT_GT(phase_steps, 0);
+  for (const auto& [context, n] : cursor) {
+    EXPECT_EQ(n, requests->log(context).size()) << context;
+  }
+
+  // Offline replay of the whole rewritten journal.
+  const JournalResume recording = parse_journal(payloads);
+  {
+    CampaignConfig replay = config;
+    replay.replay = recording.schedule;
+    replay.backend_factory = journal_replay_factory(recording);
+    EXPECT_EQ(build_report(Campaign(replay).run()).to_json(), golden);
+  }
+
+  // Resume from a third and from two thirds of its records.
+  const std::string cut_path = journal_tmp("requests-cut.journal");
+  for (const std::size_t k : {payloads.size() / 3, 2 * payloads.size() / 3}) {
+    std::string cut = kJournalMagic;
+    for (std::size_t i = 0; i < k; ++i) cut += journal_frame(payloads[i]);
+    std::remove(cut_path.c_str());
+    spit(cut_path, cut);
+    const JournalResume resume =
+        parse_journal(recover_journal(cut_path, /*repair=*/true).payloads);
+    const JournaledRun resumed = run_journaled(config, cut_path, &resume);
+    EXPECT_GT(resumed.replayed, 0) << "cut " << k;
+    EXPECT_EQ(resumed.report_json, golden) << "cut " << k;
+  }
+  std::remove(path.c_str());
+  std::remove(cut_path.c_str());
 }
 
 // The tentpole acceptance, frame-boundary half: cut the journal after

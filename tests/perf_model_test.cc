@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -714,14 +715,96 @@ TEST(PerfModelGolden, DcqcnThrottledScenariosMatchGoldenRowsBitForBit) {
   EXPECT_EQ(throttled, 16);
 }
 
-// ---- Verdict-only evaluation ----------------------------------------------
+// ---- Requests: verdict-only and counter subsets ---------------------------
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<u64>(a) == std::bit_cast<u64>(b);
+}
+
+// The counter requests the search makes, and then some: none, each single
+// counter, each SA phase's pair (the phase counter plus kRxWqeCacheMiss)
+// and all nine.
+std::vector<DiagMask> counter_requests() {
+  std::vector<DiagMask> out{0, kAllDiagCounters};
+  for (int d = 0; d < kNumDiagCounters; ++d) {
+    out.push_back(diag_bit(d));
+    if (d != static_cast<int>(DiagCounter::kRxWqeCacheMiss)) {
+      out.push_back(diag_bit(d) | diag_bit(DiagCounter::kRxWqeCacheMiss));
+    }
+  }
+  return out;
+}
+
+// A counter request's sample: the full sample's perf counters and
+// requested diagnostic counters bit for bit, zero elsewhere.
+void expect_requested_counters(const CounterSample& lean,
+                               const CounterSample& full, DiagMask diag,
+                               const std::string& tag) {
+  for (int i = 0; i < kNumPerfCounters; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    EXPECT_TRUE(same_bits(lean.perf[k], full.perf[k])) << tag << " perf " << i;
+  }
+  for (int d = 0; d < kNumDiagCounters; ++d) {
+    const auto k = static_cast<std::size_t>(d);
+    const double want = (diag & diag_bit(d)) != 0 ? full.diag[k] : 0.0;
+    EXPECT_TRUE(same_bits(lean.diag[k], want)) << tag << " diag " << d;
+  }
+}
+
+// Every field of two model results, bit for bit (doubles by their bits).
+void expect_same_result(const SimResult& a, const SimResult& b,
+                        const std::string& tag) {
+  for (const auto& [x, y] :
+       {std::pair{a.tx_goodput_bps, b.tx_goodput_bps},
+        {a.rx_goodput_bps, b.rx_goodput_bps},
+        {a.tx_wire_bps, b.tx_wire_bps},
+        {a.rx_wire_bps, b.rx_wire_bps},
+        {a.tx_pps, b.tx_pps},
+        {a.rx_pps, b.rx_pps},
+        {a.pause_duration_ratio, b.pause_duration_ratio},
+        {a.fabric_pause_ratio, b.fabric_pause_ratio},
+        {a.cc_suppressed_ratio, b.cc_suppressed_ratio},
+        {a.cc_mark_probability, b.cc_mark_probability},
+        {a.wire_utilization, b.wire_utilization},
+        {a.pps_utilization, b.pps_utilization}}) {
+    EXPECT_TRUE(same_bits(x, y)) << tag << ": " << x << " vs " << y;
+  }
+  ASSERT_EQ(a.port_pause_ratio.size(), b.port_pause_ratio.size()) << tag;
+  for (std::size_t p = 0; p < a.port_pause_ratio.size(); ++p) {
+    EXPECT_TRUE(same_bits(a.port_pause_ratio[p], b.port_pause_ratio[p]))
+        << tag << " port " << p;
+  }
+  ASSERT_EQ(a.samples.size(), b.samples.size()) << tag;
+  for (std::size_t k = 0; k < a.samples.size(); ++k) {
+    expect_requested_counters(a.samples[k], b.samples[k], kAllDiagCounters,
+                              tag + " sample " + std::to_string(k));
+  }
+  expect_requested_counters(a.counters, b.counters, kAllDiagCounters,
+                            tag + " average");
+  ASSERT_EQ(a.epochs.size(), b.epochs.size()) << tag;
+  for (std::size_t e = 0; e < a.epochs.size(); ++e) {
+    const std::string etag = tag + " epoch " + std::to_string(e);
+    EXPECT_TRUE(same_bits(a.epochs[e].t, b.epochs[e].t)) << etag;
+    EXPECT_TRUE(
+        same_bits(a.epochs[e].pause_fraction, b.epochs[e].pause_fraction))
+        << etag;
+    expect_requested_counters(a.epochs[e].counters, b.epochs[e].counters,
+                              kAllDiagCounters, etag);
+  }
+  EXPECT_EQ(a.dominant, b.dominant) << tag;
+  EXPECT_EQ(a.bottleneck_note, b.bottleneck_note) << tag;
+}
 
 // A verdict-only measurement (what an MFS necessity probe asks for) judges
 // exactly as the full measurement does, from the same Rng draws: every
 // golden row, CC off and DCQCN, seeds 1-64, at the default jitter and at a
 // noisy one that makes some probes re-measure, under three pause rules.
 // Its pause ratio is the full one bit for bit at or below the allowance,
-// and still above the allowance otherwise; both branches must occur.
+// and still above the allowance otherwise; both branches must occur.  A
+// counter request (what SA, ranking and BO steps ask for) over the same
+// inputs carries the full measurement's requested counters, perf samples,
+// pause, utilizations, dominant, note and Rng draw bit for bit, and zero
+// for every counter it did not request.
 TEST(PerfModelVerdictOnly, JudgesExactlyAsTheFullMeasurement) {
   std::vector<std::pair<Subsystem, Workload>> rows;
   for (const GoldenRow& row : kGoldenRows) {
@@ -746,9 +829,11 @@ TEST(PerfModelVerdictOnly, JudgesExactlyAsTheFullMeasurement) {
       core::AnomalyMonitor{}, core::AnomalyMonitor(strict),
       core::AnomalyMonitor(loose)};
 
+  const std::vector<DiagMask> requests = counter_requests();
   int decided_early = 0;
   int full_window = 0;
   int remeasured = 0;
+  int counter_checks = 0;
   EvalScratch scratch;
   workload::Measurement full;
   workload::Measurement lean;
@@ -761,17 +846,17 @@ TEST(PerfModelVerdictOnly, JudgesExactlyAsTheFullMeasurement) {
       for (u64 seed = 1; seed <= 64; ++seed) {
         Rng full_rng(seed);
         engine.run(w, full_rng, scratch, full);
-        ASSERT_FALSE(full.verdict_only.has_value());
+        ASSERT_FALSE(full.request.verdict_only.has_value());
         remeasured += full.remeasure_count > 0 ? 1 : 0;
         for (const core::AnomalyMonitor& monitor : monitors) {
           const PauseRule& rule = monitor.config().pause;
           Rng rng(seed);
-          engine.run(w, rng, scratch, lean, &rule);
+          engine.run(w, rng, scratch, lean, EvalRequest::verdict(rule));
           const std::string tag = "row " + std::to_string(i) + " jitter " +
                                   std::to_string(jitter) + " seed " +
                                   std::to_string(seed) + " threshold " +
                                   std::to_string(rule.threshold);
-          ASSERT_TRUE(lean.verdict_only.has_value()) << tag;
+          ASSERT_TRUE(lean.request.verdict_only.has_value()) << tag;
           EXPECT_EQ(monitor.judge(lean).symptom, monitor.judge(full).symptom)
               << tag;
           EXPECT_EQ(rng.state(), full_rng.state()) << tag;
@@ -808,36 +893,78 @@ TEST(PerfModelVerdictOnly, JudgesExactlyAsTheFullMeasurement) {
           EXPECT_EQ(lean.average.diag, CounterSample{}.diag) << tag;
           EXPECT_TRUE(lean.bottleneck_note.empty()) << tag;
         }
+        for (const DiagMask diag : requests) {
+          Rng rng(seed);
+          engine.run(w, rng, scratch, lean, EvalRequest::counters(diag));
+          const std::string tag = "row " + std::to_string(i) + " jitter " +
+                                  std::to_string(jitter) + " seed " +
+                                  std::to_string(seed) + " diag " +
+                                  std::to_string(diag);
+          EXPECT_EQ(rng.state(), full_rng.state()) << tag;
+          ASSERT_EQ(lean.samples.size(), full.samples.size()) << tag;
+          for (std::size_t k = 0; k < lean.samples.size(); ++k) {
+            expect_requested_counters(lean.samples[k], full.samples[k], diag,
+                                      tag + " sample " + std::to_string(k));
+          }
+          expect_requested_counters(lean.average, full.average, diag,
+                                    tag + " average");
+          for (const auto& [x, y] :
+               {std::pair{lean.pause_duration_ratio, full.pause_duration_ratio},
+                {lean.fabric_pause_ratio, full.fabric_pause_ratio},
+                {lean.cc_suppressed_ratio, full.cc_suppressed_ratio},
+                {lean.wire_utilization, full.wire_utilization},
+                {lean.pps_utilization, full.pps_utilization},
+                {lean.rx_goodput_bps, full.rx_goodput_bps},
+                {lean.cost_seconds, full.cost_seconds}}) {
+            EXPECT_TRUE(same_bits(x, y)) << tag << ": " << x << " vs " << y;
+          }
+          EXPECT_EQ(lean.stable, full.stable) << tag;
+          EXPECT_EQ(lean.remeasure_count, full.remeasure_count) << tag;
+          EXPECT_EQ(lean.dominant, full.dominant) << tag;
+          EXPECT_EQ(lean.bottleneck_note, full.bottleneck_note) << tag;
+          ++counter_checks;
+        }
       }
     }
   }
   EXPECT_GT(decided_early, 0);
   EXPECT_GT(full_window, 0);
   EXPECT_GT(remeasured, 0);
+  EXPECT_EQ(counter_checks, 2 * 46 * 64 * 19);
 }
 
-// The full epoch series is a full evaluation: keep_epochs turns the
-// verdict-only shortcut off, so the request changes no output.
+// The full epoch series is a full evaluation: keep_epochs turns every
+// request shortcut off (verdict-only pause, unrequested counters, the
+// unsampled epochs of an unstalled rollout), so no request changes any
+// output, the series included.
 TEST(PerfModelVerdictOnly, KeepEpochsTurnsTheShortcutOff) {
   SimConfig cfg;
   cfg.keep_epochs = true;
   const PauseRule strict{0.0, 0.0};
+  const EvalRequest requests[] = {
+      EvalRequest::verdict(strict), EvalRequest::counters(0),
+      EvalRequest::counters(diag_bit(DiagCounter::kRxWqeCacheMiss)),
+      EvalRequest::counters(kAllDiagCounters)};
   int stalled = 0;
+  int unstalled = 0;
   for (const GoldenRow& row : kGoldenRows) {
     const Subsystem sys = with_fabric(subsystem(row.sys),
                                       net::fabric_scenario(row.fabric));
     const Workload w = golden_workload(row.workload);
     Rng rng_full(7);
-    Rng rng_lean(7);
     const SimResult full = evaluate(sys, w, rng_full, cfg);
-    const SimResult lean = evaluate(sys, w, rng_lean, cfg, &strict);
-    EXPECT_EQ(row_source(current_row(row, lean)), row_source(row));
-    EXPECT_EQ(lean.bottleneck_note, full.bottleneck_note);
-    EXPECT_EQ(lean.counters.diag, full.counters.diag);
-    EXPECT_EQ(lean.epochs.size(), full.epochs.size());
-    if (full.pause_duration_ratio > 0.0) ++stalled;
+    for (const EvalRequest& request : requests) {
+      Rng rng_lean(7);
+      const SimResult lean = evaluate(sys, w, rng_lean, cfg, request);
+      EXPECT_EQ(row_source(current_row(row, lean)), row_source(row));
+      expect_same_result(lean, full,
+                         "diag " + std::to_string(request.diag_read()));
+      EXPECT_EQ(rng_lean.state(), rng_full.state());
+    }
+    ++(full.pause_duration_ratio > 0.0 ? stalled : unstalled);
   }
   EXPECT_GT(stalled, 0);
+  EXPECT_GT(unstalled, 0);
 }
 
 // ---- Fan-in demand aggregation edge cases ---------------------------------

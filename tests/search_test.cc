@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <set>
+
 #include "core/search.h"
 #include "sim/subsystem.h"
+#include "workload/backend_mock.h"
 #include "workload/backend_sim.h"
 
 namespace collie::core {
@@ -260,6 +264,144 @@ TEST_F(SearchTest, MeasureAndJudgeChargesCost) {
   const Verdict v = driver_.measure_and_judge(w, rng, &cost);
   (void)v;
   EXPECT_GE(cost, 20.0);
+}
+
+// ---- What each probe role requests -----------------------------------------
+
+// Every probe's request as the backend saw it, with the averaged counters
+// the scripted measurement returned.
+struct RequestLog {
+  std::vector<sim::EvalRequest> requests;
+  std::vector<sim::CounterSample> averages;
+};
+
+// The driver sets each probe's request from its role: SA steps the phase's
+// counter plus kRxWqeCacheMiss (the trace reads it), Perf phases and random
+// steps kRxWqeCacheMiss only, ranking probes and BO steps all nine, MFS
+// necessity probes the verdict under the monitor's pause rule, and
+// measure_and_judge the full measurement.  A recording mock backend sees
+// each probe's request; the trace has one point per probe, in order, which
+// tells necessity probes from steps.
+TEST(SearchRequests, EachProbeRoleRequestsWhatItReads) {
+  RequestLog log;
+  workload::MockBackendFactory factory(
+      [&log](const Workload& w, workload::Measurement& out) {
+        // Low throughput from 2048 QPs up, so extractions run; diagnostic
+        // counters that vary with the workload, so phases have gradients.
+        const bool slow = w.num_qps >= 2048;
+        workload::script_measurement(out, slow ? 1e9 : 90e9, 0.0,
+                                     slow ? 0.1 : 0.95);
+        for (sim::CounterSample& s : out.samples) {
+          for (int d = 0; d < sim::kNumDiagCounters; ++d) {
+            s.diag[static_cast<std::size_t>(d)] =
+                (d + 1.0) * w.num_qps + 1000.0 * d * w.wqe_batch +
+                w.recv_wq_depth;
+          }
+        }
+        out.average = sim::CounterSample::average(out.samples);
+        log.requests.push_back(out.request);
+        log.averages.push_back(out.average);
+      });
+  workload::EngineOptions opts;
+  opts.backend_factory = &factory;
+  const workload::Engine engine(sim::subsystem('F'), opts);
+  const SearchSpace space(sim::subsystem('F'));
+  const AnomalyMonitor monitor;
+  SearchDriver driver(engine, space, monitor);
+  SearchBudget budget;
+  budget.seconds = 3 * 3600.0;
+  const sim::DiagMask trace_bit =
+      sim::diag_bit(sim::DiagCounter::kRxWqeCacheMiss);
+  const sim::PauseRule& rule = monitor.config().pause;
+
+  // Checks every necessity probe, hands every step's (index, request, probe
+  // index) to `step`, then clears the log.
+  const auto check = [&](const SearchResult& r, const auto& step) {
+    ASSERT_EQ(log.requests.size(), r.trace.size());
+    int steps = 0;
+    int necessity = 0;
+    for (std::size_t i = 0; i < r.trace.size(); ++i) {
+      const sim::EvalRequest& q = log.requests[i];
+      if (r.trace[i].in_mfs_extraction) {
+        ASSERT_TRUE(q.verdict_only.has_value()) << i;
+        EXPECT_EQ(q.verdict_only->threshold, rule.threshold);
+        EXPECT_EQ(q.verdict_only->fabric_headroom, rule.fabric_headroom);
+        EXPECT_EQ(q.diag_read(), 0) << i;
+        ++necessity;
+      } else {
+        EXPECT_FALSE(q.verdict_only.has_value()) << i;
+        step(steps++, q.diag, i);
+      }
+    }
+    EXPECT_GT(steps, 0);
+    EXPECT_GT(necessity, 0);
+    log = {};
+  };
+
+  // SA (Diag): ranking probes read all nine; then each phase's steps read
+  // its counter plus the trace's, and the trace carries the phase counter's
+  // value.  Phases are contiguous and never repeat a counter.
+  {
+    SaConfig cfg;
+    cfg.mode = GuidanceMode::kDiag;
+    Rng rng(5);
+    const SearchResult r = driver.run_simulated_annealing(cfg, budget, rng);
+    std::set<int> phases;
+    int phase = -1;
+    check(r, [&](int k, sim::DiagMask diag, std::size_t i) {
+      if (k < kRankingProbes) {
+        EXPECT_EQ(diag, sim::kAllDiagCounters) << "ranking probe " << k;
+        return;
+      }
+      ASSERT_NE(diag & trace_bit, 0) << i;
+      const sim::DiagMask rest = diag & static_cast<sim::DiagMask>(~trace_bit);
+      ASSERT_LE(std::popcount(static_cast<unsigned>(rest)), 1) << i;
+      const int counter =
+          rest != 0 ? std::countr_zero(static_cast<unsigned>(rest))
+                    : static_cast<int>(sim::DiagCounter::kRxWqeCacheMiss);
+      // (An anomalous step's value lands on its extraction's last point.)
+      const bool extracted =
+          i + 1 < r.trace.size() && r.trace[i + 1].in_mfs_extraction;
+      if (!extracted) {
+        EXPECT_EQ(r.trace[i].counter_value,
+                  log.averages[i].diag[static_cast<std::size_t>(counter)])
+            << i;
+      }
+      if (counter != phase) {
+        EXPECT_TRUE(phases.insert(counter).second) << "phase repeats " << i;
+        phase = counter;
+      }
+    });
+    EXPECT_GE(phases.size(), 2u);
+  }
+  // SA (Perf) and random steps read only the trace's counter.
+  const auto trace_only = [&](int, sim::DiagMask diag, std::size_t i) {
+    EXPECT_EQ(diag, trace_bit) << i;
+  };
+  {
+    SaConfig cfg;
+    cfg.mode = GuidanceMode::kPerf;
+    Rng rng(6);
+    check(driver.run_simulated_annealing(cfg, budget, rng), trace_only);
+  }
+  {
+    Rng rng(7);
+    check(driver.run_random(budget, rng), trace_only);
+  }
+  // BO: ranking probes and every guided step read all nine.
+  {
+    Rng rng(8);
+    check(driver.run_bayesian_optimization(budget, rng),
+          [](int, sim::DiagMask diag, std::size_t i) {
+            EXPECT_EQ(diag, sim::kAllDiagCounters) << i;
+          });
+  }
+  // The single-shot measurement is the full one.
+  Rng rng(9);
+  (void)driver.measure_and_judge(space.random_point(rng), rng);
+  ASSERT_EQ(log.requests.size(), 1u);
+  EXPECT_FALSE(log.requests[0].verdict_only.has_value());
+  EXPECT_EQ(log.requests[0].diag, sim::kAllDiagCounters);
 }
 
 }  // namespace

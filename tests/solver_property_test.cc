@@ -3,10 +3,16 @@
 //   * conservation — delivered goodput never exceeds the wire/line budget;
 //   * monotonicity — growing a working set never *raises* throughput;
 //   * generation consistency — the 100G CX-6 subsystem (D) is a behavioural
-//     subset of the stressed 200G one (F), as the paper reports.
+//     subset of the stressed 200G one (F), as the paper reports;
+//   * the one-pass steady solve equals a two-pass reference bit for bit.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "catalog/anomalies.h"
+#include "core/space.h"
+#include "net/fabric.h"
+#include "nic/dcqcn.h"
 #include "sim/perf_model.h"
 #include "sim/subsystem.h"
 
@@ -159,6 +165,86 @@ TEST(SolverProperty, LowerMtuNeverHelpsOnCx6) {
     EXPECT_GE(g, prev * 0.99) << mtu;
     prev = g;
   }
+}
+
+// ---- The one-pass steady solve ---------------------------------------------
+
+// Test-local reference: one solver pass over the exported linear system,
+// recomputing every constraint's demand at every step (no demand cache).
+int reference_pass(const SteadySolve& sys, bool include_rx_stall,
+                   std::array<double, 4>& rate) {
+  const std::size_t nf = sys.start_rate.size();
+  for (std::size_t i = 0; i < nf; ++i) rate[i] = sys.start_rate[i];
+  int binding = -1;
+  for (int iter = 0; iter < 200; ++iter) {
+    double worst = 1.0 + 1e-9;
+    int worst_idx = -1;
+    for (std::size_t ri = 0; ri < sys.constraints.size(); ++ri) {
+      const SteadySolve::Constraint& c = sys.constraints[ri];
+      if (!include_rx_stall && c.rx_stall) continue;
+      double d = 0.0;
+      for (std::size_t i = 0; i < nf; ++i) d += c.coeff[i] * rate[i];
+      const double u =
+          c.capacity <= 0.0 ? (d > 0.0 ? 1e18 : 0.0) : d / c.capacity;
+      if (u > worst) {
+        worst = u;
+        worst_idx = static_cast<int>(ri);
+      }
+    }
+    if (worst_idx < 0) break;
+    binding = worst_idx;
+    const SteadySolve::Constraint& c =
+        sys.constraints[static_cast<std::size_t>(worst_idx)];
+    for (std::size_t i = 0; i < nf; ++i) {
+      if (c.coeff[i] > 0.0) rate[i] /= worst;
+    }
+  }
+  return binding;
+}
+
+// The model runs the sender-side pass only when the full pass scaled at an
+// rx_stall resource, and otherwise reuses the full pass's rates as the
+// offered ones.  On random workloads over every subsystem x fabric x CC
+// scenario, that must equal running both passes: offered rates, admitted
+// rates and the binding resource, bit for bit.  Both branches must fire.
+TEST(SolverProperty, OnePassSolveEqualsTheTwoPassReference) {
+  int one_pass = 0;
+  int two_pass = 0;
+  u64 seed = 1;
+  for (const char id : all_subsystem_ids()) {
+    for (const std::string& fabric : net::fabric_scenario_names()) {
+      for (const std::string& cc : nic::cc_scenario_names()) {
+        const Subsystem sys = with_cc(
+            with_fabric(subsystem(id), net::fabric_scenario(fabric)),
+            nic::cc_scenario(cc));
+        const CompiledScenario compiled(sys);
+        const core::SearchSpace space(sys);
+        Rng rng(seed++);
+        for (int i = 0; i < 24; ++i) {
+          const Workload w = space.random_point(rng);
+          const SteadySolve s = steady_solve(compiled, w);
+          std::array<double, 4> rate{};
+          std::array<double, 4> offered{};
+          const int binding = reference_pass(s, true, rate);
+          reference_pass(s, false, offered);
+          const std::string tag = std::string(1, id) + "/" + fabric + "/" +
+                                  cc + " " + w.describe();
+          EXPECT_EQ(s.binding, binding) << tag;
+          for (std::size_t f = 0; f < s.start_rate.size(); ++f) {
+            EXPECT_EQ(std::bit_cast<u64>(s.rate[f]),
+                      std::bit_cast<u64>(rate[f]))
+                << tag;
+            EXPECT_EQ(std::bit_cast<u64>(s.offered_rate[f]),
+                      std::bit_cast<u64>(offered[f]))
+                << tag;
+          }
+          ++(s.sender_pass_ran ? two_pass : one_pass);
+        }
+      }
+    }
+  }
+  EXPECT_GT(one_pass, 0);
+  EXPECT_GT(two_pass, 0);
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 // BM_PerfModelEvaluateVerdict is the verdict-only evaluation an MFS
 // necessity probe runs.  BM_CcSteadyState isolates the DCQCN
 // co-simulation, the layer that dominates DCQCN-armed campaigns.
+// BM_BuildReport and BM_ReportToJson time the campaign report's two stages
+// (dedup and JSON rendering) over one fixed campaign result.
 //
 // Beyond the google-benchmark registry, this binary has a perf-trajectory
 // mode:
@@ -478,16 +480,32 @@ void BM_PoolInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_PoolInsert)->Arg(16)->Arg(256);
 
-// Rendering the default grid's campaign report (build_report's output) as
-// JSON: every anomaly's representative MFS, witness and double-valued
-// fields.  Every run renders the same report.
-// Informational; no baseline entry.
-void BM_ReportToJson(benchmark::State& state) {
+// One fixed campaign result: the default grid (every subsystem, the pair
+// fabric, CC off) under both guidance modes for 2 simulated hours per cell.
+orchestrator::CampaignResult report_bench_result() {
   orchestrator::CampaignConfig config;
   config.modes = {core::GuidanceMode::kDiag, core::GuidanceMode::kPerf};
   config.budget.seconds = 2 * 3600.0;
+  return orchestrator::Campaign(config).run();
+}
+
+// Building the report of that result: grouping, dedup of every discovery
+// against its group's representatives, coverage roll-up.  Informational;
+// no baseline entry.
+void BM_BuildReport(benchmark::State& state) {
+  const orchestrator::CampaignResult result = report_bench_result();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(orchestrator::build_report(result));
+  }
+}
+BENCHMARK(BM_BuildReport);
+
+// Rendering that report as JSON: every anomaly's representative MFS,
+// witness and double-valued fields.  Every run renders the same report.
+// Informational; no baseline entry.
+void BM_ReportToJson(benchmark::State& state) {
   const orchestrator::CampaignReport report =
-      orchestrator::build_report(orchestrator::Campaign(config).run());
+      orchestrator::build_report(report_bench_result());
   for (auto _ : state) {
     benchmark::DoNotOptimize(report.to_json());
   }
@@ -654,6 +672,18 @@ benchjson::Section measure_micro_section() {
       benchmark::DoNotOptimize(mix[next].solve());
       next = next + 1 == mix.size() ? 0 : next + 1;
     });
+  }
+
+  {
+    // The report rows (BM_BuildReport, BM_ReportToJson), in ms.
+    const orchestrator::CampaignResult result = report_bench_result();
+    out["report_build_ms"] = 1e3 / ops_per_second([&] {
+      benchmark::DoNotOptimize(orchestrator::build_report(result));
+    });
+    const orchestrator::CampaignReport report =
+        orchestrator::build_report(result);
+    out["report_json_ms"] = 1e3 / ops_per_second(
+        [&] { benchmark::DoNotOptimize(report.to_json()); });
   }
 
   {

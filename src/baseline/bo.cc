@@ -123,7 +123,7 @@ SearchResult SearchDriver::run_bayesian_optimization(const SearchBudget& budget,
     auto observe = [&](const Workload& w) {
       sim::CounterSample cs;
       step(w, rng, state, /*use_mfs=*/true, &cs);
-      state.result.trace.back().counter_value =
+      state.step_trace_point().counter_value =
           cs.diag[static_cast<std::size_t>(counter)];
       record(w, cs);
     };

@@ -14,6 +14,8 @@
 // every output is bit-identical across hosts (-ffp-contract=off pinned).
 #pragma once
 
+#include <bit>
+
 #include "common/units.h"
 
 namespace collie {
@@ -43,12 +45,19 @@ class CounterStream {
 
   // Standard normal.  Bits 0-7 of the word pick the layer, bit 8 the sign,
   // bits 11-63 the position within the layer.
+  //
+  // The sign is applied by moving bit 8 onto the double's sign bit (bit 63)
+  // and XOR-ing it in.  IEEE-754 negation is exactly a sign-bit flip (+0.0
+  // becomes -0.0), so this is `bit 8 ? -x : x` bit for bit, but without a
+  // conditional jump on a random bit, which mispredicts half the time.
   double normal(u64 index) const {
     const u64 b = bits(index);
     const unsigned layer = static_cast<unsigned>(b & 0xff);
     const double x =
         static_cast<double>(b >> 11) * 0x1.0p-53 * zig::kX[layer];
-    if (x < zig::kX[layer + 1]) return (b & 0x100) != 0 ? -x : x;
+    if (x < zig::kX[layer + 1]) {
+      return std::bit_cast<double>(std::bit_cast<u64>(x) ^ ((b & 0x100) << 55));
+    }
     return normal_slow(index, b);
   }
 

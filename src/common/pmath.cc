@@ -75,6 +75,17 @@ double ln(double x) {
 }
 
 double log2(double x) {
+  // A normal power of two, 2^k: reduce() below gives m = 1 and k, and
+  // ln_reduced(1) is +0.0, so the general path returns k + 0.0 = k.  Return
+  // it directly.  The test reads the raw bits: no mantissa bits, and a
+  // biased exponent in [1, 0x7fe] with the sign clear (b >> 52 keeps the
+  // sign bit, so a negative input fails it), which leaves zero, subnormals,
+  // infinities, NaNs and negative inputs on the general path.
+  const std::uint64_t b = std::bit_cast<std::uint64_t>(x);
+  const std::uint64_t biased = b >> 52;
+  if ((b << 12) == 0 && biased - 1 < 0x7fe) {
+    return static_cast<double>(static_cast<int>(biased) - 1023);
+  }
   int k = 0;
   const double m = reduce(x, &k);
   return k + ln_reduced(m) * kLog2E;

@@ -33,14 +33,29 @@ std::string fmt_value(Feature f, double v) {
 
 }  // namespace
 
+FeatureRow feature_row(const SearchSpace& space, const Workload& w) {
+  FeatureRow row;
+  for (int fi = 0; fi < kNumFeatures; ++fi) {
+    const Feature f = static_cast<Feature>(fi);
+    row[static_cast<std::size_t>(fi)] = is_categorical(f)
+                                            ? space.categorical_value(w, f)
+                                            : space.numeric_value(w, f);
+  }
+  return row;
+}
+
+bool FeatureCondition::admits(double v) const {
+  if (categorical) {
+    return std::find(allowed.begin(), allowed.end(), static_cast<int>(v)) !=
+           allowed.end();
+  }
+  return v >= lo - 1e-9 && v <= hi + 1e-9;
+}
+
 bool FeatureCondition::contains(const SearchSpace& space,
                                 const Workload& w) const {
-  if (categorical) {
-    const int v = space.categorical_value(w, feature);
-    return std::find(allowed.begin(), allowed.end(), v) != allowed.end();
-  }
-  const double v = space.numeric_value(w, feature);
-  return v >= lo - 1e-9 && v <= hi + 1e-9;
+  return admits(categorical ? space.categorical_value(w, feature)
+                            : space.numeric_value(w, feature));
 }
 
 std::string FeatureCondition::describe(const SearchSpace& space) const {
@@ -77,13 +92,41 @@ bool Mfs::matches(const SearchSpace& space, const Workload& w) const {
   return !conditions.empty();
 }
 
-bool same_anomaly_region(const SearchSpace& space, const Mfs& a,
-                         const Mfs& b) {
+bool Mfs::matches(const FeatureRow& row) const {
+  for (const auto& c : conditions) {
+    if (!c.contains(row)) return false;
+  }
+  return !conditions.empty();
+}
+
+namespace {
+
+// same_anomaly_region, given whether a covers b's witness and b covers a's
+// (each asked only when needed).
+template <typename ACoversB, typename BCoversA>
+bool same_region(const Mfs& a, const Mfs& b, ACoversB a_covers_b,
+                 BCoversA b_covers_a) {
   if (a.symptom != b.symptom) return false;
-  if (a.matches(space, b.witness)) return true;
-  if (b.matches(space, a.witness)) return true;
+  if (a_covers_b()) return true;
+  if (b_covers_a()) return true;
   return a.conditions.empty() && b.conditions.empty() &&
          a.witness == b.witness;
+}
+
+}  // namespace
+
+bool same_anomaly_region(const SearchSpace& space, const Mfs& a,
+                         const Mfs& b) {
+  return same_region(
+      a, b, [&] { return a.matches(space, b.witness); },
+      [&] { return b.matches(space, a.witness); });
+}
+
+bool same_anomaly_region(const Mfs& a, const FeatureRow& a_row, const Mfs& b,
+                         const FeatureRow& b_row) {
+  return same_region(
+      a, b, [&] { return a.matches(b_row); },
+      [&] { return b.matches(a_row); });
 }
 
 std::string Mfs::describe(const SearchSpace& space) const {

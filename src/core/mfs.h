@@ -14,6 +14,7 @@
 // region becomes a condition.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <limits>
 #include <string>
@@ -25,6 +26,14 @@
 
 namespace collie::core {
 
+// A workload's value of every feature, each derived once: its
+// categorical_value (as a double) for a categorical feature, its
+// numeric_value for a numeric one.  Matching conditions against a row reads
+// the values contains(space, w) would derive, without re-deriving them (the
+// message size runs analyze_pattern) for every condition checked.
+using FeatureRow = std::array<double, kNumFeatures>;
+FeatureRow feature_row(const SearchSpace& space, const Workload& w);
+
 struct FeatureCondition {
   Feature feature = Feature::kQpType;
   bool categorical = true;
@@ -35,7 +44,15 @@ struct FeatureCondition {
   double hi = std::numeric_limits<double>::infinity();
 
   bool contains(const SearchSpace& space, const Workload& w) const;
+  bool contains(const FeatureRow& row) const {
+    return admits(row[static_cast<std::size_t>(feature)]);
+  }
   std::string describe(const SearchSpace& space) const;
+
+ private:
+  // Does the feature's value `v` (a categorical value as a double) satisfy
+  // the condition?
+  bool admits(double v) const;
 };
 
 struct Mfs {
@@ -46,6 +63,8 @@ struct Mfs {
 
   // MatchMFS: does the workload satisfy every necessary condition?
   bool matches(const SearchSpace& space, const Workload& w) const;
+  // MatchMFS against the witness's feature row.
+  bool matches(const FeatureRow& row) const;
   std::string describe(const SearchSpace& space) const;
 };
 
@@ -56,6 +75,10 @@ struct Mfs {
 // runs) never match workloads, so they collapse only on identical witnesses.
 bool same_anomaly_region(const SearchSpace& space, const Mfs& a,
                          const Mfs& b);
+// The same criterion, given each witness's feature row (feature_row of
+// a.witness and b.witness).
+bool same_anomaly_region(const Mfs& a, const FeatureRow& a_row, const Mfs& b,
+                         const FeatureRow& b_row);
 
 // Runs workload experiments to decide whether a candidate still triggers the
 // anomaly.  Returns the observed symptom and charges the experiment cost.

@@ -1,5 +1,6 @@
 #include "core/report.h"
 
+#include <algorithm>
 #include <cassert>
 #include <charconv>
 #include <cmath>
@@ -108,9 +109,23 @@ JsonWriter& JsonWriter::value(double v) {
   // = 1048580), so workloads at a region's edge were re-probed or masked.
   // to_chars(general, p) is specified to print what printf("%.*g", p)
   // does; persistence_test pins the bytes against a stream-based oracle.
+  //
+  // No precision below the shortest round-trip digit count D (what
+  // to_chars prints without a precision) can round-trip, so the search
+  // starts at max(6, D) and prints what a search from 6 prints.  It still
+  // confirms by parsing: next to a power of two the rounding gap below v is
+  // half the one above, so the correctly rounded D-digit decimal can miss
+  // even though some D-digit decimal round-trips, and one more digit is
+  // needed.
   char buf[32];
-  char* end = buf;
-  for (int precision = 6; precision <= 17; ++precision) {
+  char* end =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::scientific)
+          .ptr;
+  int digits = 0;
+  for (const char* c = buf; c != end && *c != 'e'; ++c) {
+    if (*c >= '0' && *c <= '9') ++digits;
+  }
+  for (int precision = std::max(6, digits); precision <= 17; ++precision) {
     end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
                         precision)
               .ptr;

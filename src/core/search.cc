@@ -97,6 +97,7 @@ Verdict SearchDriver::step(const Workload& w, Rng& rng, RunState& state,
       m.average.get(sim::DiagCounter::kRxWqeCacheMiss);
   tp.counter_value = tp.rx_wqe_cache_miss;  // callers may overwrite
   tp.anomaly_found = false;
+  state.step_point = state.result.trace.size();
   state.result.trace.push_back(tp);
 
   if (!v.anomalous()) return v;
@@ -126,7 +127,7 @@ Verdict SearchDriver::step(const Workload& w, Rng& rng, RunState& state,
   if (use_mfs) {
     // ConstructMFS (Algorithm 1 line 15): each necessity probe is a real
     // experiment; the Figure-6 trace shows them as a flat stretch.
-    const double flat = state.result.trace.back().rx_wqe_cache_miss;
+    const double flat = tp.rx_wqe_cache_miss;
     auto probe = [&](const Workload& candidate) -> Symptom {
       // A necessity probe that lands inside a pre-loaded region is already
       // explained: the loaded MFS asserts the anomaly persists there, so
@@ -318,7 +319,7 @@ SearchResult SearchDriver::run_simulated_annealing(const SaConfig& config,
     Verdict v =
         step(p_old, rng, state, config.use_mfs, &cs_old, counter.reads());
     double e_old = counter.value(cs_old);
-    state.result.trace.back().counter_value = e_old;
+    state.step_trace_point().counter_value = e_old;
 
     double temperature = kT0;
     int consecutive_skips = 0;
@@ -351,7 +352,7 @@ SearchResult SearchDriver::run_simulated_annealing(const SaConfig& config,
               v = step(p_old, rng, state, config.use_mfs, &cs,
                        counter.reads());
               e_old = counter.value(cs);
-              state.result.trace.back().counter_value = e_old;
+              state.step_trace_point().counter_value = e_old;
             }
             continue;  // MatchMFS: skip without spending an experiment
           }
@@ -361,7 +362,7 @@ SearchResult SearchDriver::run_simulated_annealing(const SaConfig& config,
         v = step(p_new, rng, state, config.use_mfs, &cs_new,
                  counter.reads());
         const double e_new = counter.value(cs_new);
-        state.result.trace.back().counter_value = e_new;
+        state.step_trace_point().counter_value = e_new;
 
         if (v.anomalous() && config.use_mfs) {
           // Restart from a fresh random point (Algorithm 1 line 17).
@@ -372,7 +373,7 @@ SearchResult SearchDriver::run_simulated_annealing(const SaConfig& config,
           if (state.exhausted(budget)) break;
           step(p_old, rng, state, config.use_mfs, &cs_old, counter.reads());
           e_old = counter.value(cs_old);
-          state.result.trace.back().counter_value = e_old;
+          state.step_trace_point().counter_value = e_old;
           continue;
         }
 
@@ -392,7 +393,7 @@ SearchResult SearchDriver::run_simulated_annealing(const SaConfig& config,
         if (!state.exhausted(budget) && state.elapsed < deadline) {
           step(p_old, rng, state, config.use_mfs, &cs_old, counter.reads());
           e_old = counter.value(cs_old);
-          state.result.trace.back().counter_value = e_old;
+          state.step_trace_point().counter_value = e_old;
         }
       }
     }

@@ -121,6 +121,13 @@ class SearchDriver {
     SearchResult result;
     MfsStore* store;  // MatchMFS backend; never null
     double elapsed = 0.0;
+    // The trace index of the last step()'s own point.  An anomalous step's
+    // extraction appends its necessity probes' points after it, so the
+    // step's point is not trace.back() then.
+    std::size_t step_point = 0;
+    // The last step()'s trace point, where its caller records the value of
+    // the counter it optimizes.
+    TracePoint& step_trace_point() { return result.trace[step_point]; }
     bool exhausted(const SearchBudget& b) const {
       return elapsed >= b.seconds ||
              result.experiments >= b.max_experiments;

@@ -149,7 +149,8 @@ CcSteadyState solve_cc_steady_state(double offered_bps, double capacity_bps,
                                     double line_rate_bps, double flows,
                                     const net::EcnParams& ecn,
                                     const DcqcnParams& params,
-                                    double pkt_bytes) {
+                                    double pkt_bytes,
+                                    CcKernelCounts* counts) {
   CcSteadyState out;
   out.rate_bps = std::max(offered_bps, 0.0);
   if (cc_passes_through(offered_bps, capacity_bps, ecn, params)) return out;
@@ -199,8 +200,12 @@ CcSteadyState solve_cc_steady_state(double offered_bps, double capacity_bps,
   // One step's queue update and marking.  Returns the CNP rate; below
   // Kmin that is 0 without evaluating the curve.  A zero mark adds
   // nothing to the non-negative sum_mark, so it is not added.
-  const auto fill_queue = [&](auto averaging) {
-    queue = std::clamp(queue + queue_step, 0.0, queue_ceiling);
+  const auto fill_queue = [&](auto averaging, auto clamped) {
+    if constexpr (clamped) {
+      queue = std::clamp(queue + queue_step, 0.0, queue_ceiling);
+    } else {
+      queue = queue + queue_step;
+    }
     if constexpr (averaging) sum_queue += queue;
     if (queue < kmin) return 0.0;
     const double mark = queue >= kmax ? 1.0 : pmax * (queue - kmin) / span;
@@ -224,17 +229,46 @@ CcSteadyState solve_cc_steady_state(double offered_bps, double capacity_bps,
             for (int k = 0; k < plain; ++k) sum_rate += admitted;
           }
         } else {
-          for (int k = 0; k < plain; ++k) {
-            const double cnp_rate = fill_queue(averaging);
-            cnp_acc += cnp_rate * ev[k].slice;
-            if constexpr (averaging) sum_rate += admitted;
+          // Within a plain run queue_step is fixed, so the unclamped queue
+          // x_k = x_{k-1} + queue_step is monotone (rounding is monotone):
+          // every x_k lies between the first and the last.  When both lie
+          // in [0, queue_ceiling], no clamp of the run changes a value, and
+          // the run without the clamp (off the queue's loop-carried chain)
+          // computes the same bits.  So run it that way, then check; when
+          // a clamp would have bound, restore the state and rerun the run
+          // clamped.
+          const double queue0 = queue;
+          const double cnp_acc0 = cnp_acc;
+          const double sum_queue0 = sum_queue;
+          const double sum_mark0 = sum_mark;
+          const double sum_rate0 = sum_rate;
+          const auto plain_run = [&](auto clamped) {
+            for (int k = 0; k < plain; ++k) {
+              const double cnp_rate = fill_queue(averaging, clamped);
+              cnp_acc += cnp_rate * ev[k].slice;
+              if constexpr (averaging) sum_rate += admitted;
+            }
+          };
+          plain_run(std::false_type{});
+          const double first = queue0 + queue_step;
+          if (first >= 0.0 && first <= queue_ceiling && queue >= 0.0 &&
+              queue <= queue_ceiling) [[likely]] {
+            if (counts != nullptr) ++counts->unclamped_runs;
+          } else {
+            queue = queue0;
+            cnp_acc = cnp_acc0;
+            sum_queue = sum_queue0;
+            sum_mark = sum_mark0;
+            sum_rate = sum_rate0;
+            plain_run(std::true_type{});
+            if (counts != nullptr) ++counts->clamped_reruns;
           }
         }
         if (i == steps) break;
       }
       // Then the step that crosses the next period boundary (or, where
       // the buffer cut a run short, one more plain step).
-      const double cnp_rate = fill_queue(averaging);
+      const double cnp_rate = fill_queue(averaging, std::true_type{});
       for (;;) {
         const UpdateClock::Event& ev = clock.next();
         cnp_acc += cnp_rate * ev.slice;

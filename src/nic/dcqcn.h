@@ -161,11 +161,19 @@ bool cc_passes_through(double offered_bps, double capacity_bps,
 // the path is uncongested, ECN is disarmed, or the thresholds cannot mark
 // before the queue fills, the offered rate passes through untouched (the
 // PFC-storm regime).
+//
+// `counts`, when given, tallies how the kernel ran its plain runs (the runs
+// of steps between update-period boundaries), for the kernel's tests.
+struct CcKernelCounts {
+  i64 unclamped_runs = 0;  // no queue clamp bound: run without the clamp
+  i64 clamped_reruns = 0;  // a clamp bound: rerun with it
+};
 CcSteadyState solve_cc_steady_state(double offered_bps, double capacity_bps,
                                     double line_rate_bps, double flows,
                                     const net::EcnParams& ecn,
                                     const DcqcnParams& params,
-                                    double pkt_bytes);
+                                    double pkt_bytes,
+                                    CcKernelCounts* counts = nullptr);
 
 // A named point of the congestion-control scenario space, swept as a
 // campaign axis alongside fabric scenarios.  ECN thresholds are fractions

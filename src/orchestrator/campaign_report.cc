@@ -69,18 +69,24 @@ CampaignReport build_report(const CampaignResult& result) {
       group_cell.fabric = fabric;
       group_cell.cc = cc;
       const core::SearchSpace space(group_cell.materialize());
+      // Each witness's feature values are derived once, when its discovery
+      // is visited, instead of once per (representative, discovery) pair.
+      std::vector<core::FeatureRow> rep_rows;  // parallel to rep_indices
       for (const Discovery& d : discoveries) {
+        const core::FeatureRow row =
+            core::feature_row(space, d.found->mfs.witness);
         bool merged = false;
-        for (const std::size_t ri : rep_indices) {
-          DedupedAnomaly& rep = report.anomalies[ri];
-          if (core::same_anomaly_region(space, rep.representative,
-                                        d.found->mfs)) {
+        for (std::size_t k = 0; k < rep_indices.size(); ++k) {
+          DedupedAnomaly& rep = report.anomalies[rep_indices[k]];
+          if (core::same_anomaly_region(rep.representative, rep_rows[k],
+                                        d.found->mfs, row)) {
             rep.occurrences += 1;
             merged = true;
             break;
           }
         }
         if (merged) continue;
+        rep_rows.push_back(row);
         DedupedAnomaly rep;
         rep.subsystem = sys;
         rep.fabric = fabric;

@@ -409,10 +409,19 @@ double start_rate(const Flow& f) {
   return 1e14 / std::max(f.wire_bytes_per_msg, 1.0);
 }
 
-// Proportionally scale flows until no resource exceeds capacity.  Returns
-// the index of the most-binding resource (or -1 if nothing binds), leaving
-// the solved rates in `rate`; sets `*scaled_at_rx_stall` to whether any
-// iteration scaled at an rx_stall resource.
+// The first-index most-utilized resource of a scan, if any is above
+// 1 + 1e-9 (idx -1: none is).
+struct Pick {
+  double worst = 1.0 + 1e-9;
+  int idx = -1;
+};
+
+// Proportionally scale flows until no resource exceeds capacity, starting
+// from `rate`, the matching per-resource `demand`, and `pick`, the pass's
+// first scan over them.  Returns the index of the most-binding resource (or
+// -1 if nothing binds), leaving the solved rates in `rate`; sets
+// `*scaled_at_rx_stall` to whether any iteration scaled at an rx_stall
+// resource.
 //
 // `demand` caches per-resource demand between iterations: a scaling step
 // touches only the flows of the binding resource, so the demand of any
@@ -420,41 +429,45 @@ double start_rate(const Flow& f) {
 // the exact same doubles.  Skipping that recompute (the demand-unchanged
 // early exit) changes no bits; the utilization comparisons see identical
 // values either way.
+//
+// The uniform-scaling stop.  When a step divides EVERY flow's rate by the
+// same finite `worst` (< 1e17) and every capacity is positive
+// (`uniform_stop_armed`), the next scan cannot pick anything: before the
+// step each scanned utilization was at most `worst`, and every demand is a
+// sum of non-negative per-message costs times rates, so after it each
+// utilization is its old value over `worst` up to a few ulps of rounding —
+// at most 1 + ~1e-15, seven orders of magnitude below the 1 + 1e-9
+// threshold.  The loop therefore stops there, with the same rates and
+// binding resource, instead of recomputing the demands and scanning again.
+// A dead (capacity <= 0) resource reads 1e18 whatever the rates are, so a
+// system with one keeps the full loop.
 int solve(const std::vector<Flow>& flows,
           const std::vector<Resource>& resources, bool include_rx_stall,
-          RateArray& rate, std::vector<double>& demand,
-          bool* scaled_at_rx_stall = nullptr) {
+          bool uniform_stop_armed, Pick pick, RateArray& rate, double* demand,
+          bool* scaled_at_rx_stall, int* uniform_stops) {
   const std::size_t nf = flows.size();
-  for (std::size_t i = 0; i < nf; ++i) rate[i] = start_rate(flows[i]);
-  demand.assign(resources.size(), 0.0);
-  for (std::size_t ri = 0; ri < resources.size(); ++ri) {
-    demand[ri] = resources[ri].demand(flows, rate);
-  }
   int binding = -1;
-  for (int iter = 0; iter < 200; ++iter) {
-    double worst = 1.0 + 1e-9;
-    int worst_idx = -1;
-    for (std::size_t ri = 0; ri < resources.size(); ++ri) {
-      const Resource& r = resources[ri];
-      if (!include_rx_stall && r.rx_stall) continue;
-      const double u = r.utilization_of(demand[ri]);
-      if (u > worst) {
-        worst = u;
-        worst_idx = static_cast<int>(ri);
-      }
-    }
-    if (worst_idx < 0) break;
-    binding = worst_idx;
-    const Resource& r = resources[static_cast<std::size_t>(worst_idx)];
+  for (int iter = 0; pick.idx >= 0;) {
+    binding = pick.idx;
+    const Resource& r = resources[static_cast<std::size_t>(pick.idx)];
     if (r.rx_stall && scaled_at_rx_stall != nullptr) {
       *scaled_at_rx_stall = true;
     }
+    const double worst = pick.worst;
     std::array<bool, kMaxFlows> scaled{};
+    bool all_scaled = true;
     for (std::size_t i = 0; i < nf; ++i) {
       if (r.coeff[i] > 0.0) {
         rate[i] /= worst;
         scaled[i] = true;
+      } else {
+        all_scaled = false;
       }
+    }
+    if (++iter == 200) break;
+    if (uniform_stop_armed && all_scaled && worst < 1e17) {
+      if (uniform_stops != nullptr) ++*uniform_stops;
+      break;
     }
     for (std::size_t ri = 0; ri < resources.size(); ++ri) {
       const Resource& r2 = resources[ri];
@@ -467,6 +480,13 @@ int solve(const std::vector<Flow>& flows,
       }
       if (touched) demand[ri] = r2.demand(flows, rate);
     }
+    pick = Pick{};
+    for (std::size_t ri = 0; ri < resources.size(); ++ri) {
+      const Resource& r2 = resources[ri];
+      if (!include_rx_stall && r2.rx_stall) continue;
+      const double u = r2.utilization_of(demand[ri]);
+      if (u > pick.worst) pick = Pick{u, static_cast<int>(ri)};
+    }
   }
   return binding;
 }
@@ -475,24 +495,59 @@ int solve(const std::vector<Flow>& flows,
 // `offered_rate` what the senders put on the wire before receive-side
 // stalls throttle them via PFC (sender-side and wire constraints only, the
 // pass that skips the rx_stall resources).  Returns the full pass's binding
-// resource.  The full pass runs first; when it never scaled at an rx_stall
-// resource, every step's first-index maximum was a resource the sender-side
-// pass also sees, so over the same rates and demands that pass would pick
-// the same resource at every step and stop at the same point: its rates are
-// the full pass's, bit for bit, and it need not run.
+// resource.
+//
+// Both passes start from the same start rates and demands, so they are
+// computed once, and the full pass's first scan also picks the sender-side
+// pass's first resource (the first-index maximum over the non-rx_stall
+// resources).  The full pass runs first; when it never scaled at an
+// rx_stall resource, every step's first-index maximum was a resource the
+// sender-side pass also sees, so over the same rates and demands that pass
+// would pick the same resource at every step and stop at the same point:
+// its rates are the full pass's, bit for bit, and it need not run.
+//
+// `shortcuts`, when given, receives what the shortcuts did (SteadySolve's
+// sender_pass_ran, uniform_stop_armed and uniform_stops).
 int solve_steady(const std::vector<Flow>& flows,
                  const std::vector<Resource>& resources,
                  RateArray& offered_rate, RateArray& rate,
-                 std::vector<double>& demand, bool* sender_pass_ran) {
+                 std::vector<double>& demand, SteadySolve* shortcuts) {
+  const std::size_t nf = flows.size();
+  const std::size_t nr = resources.size();
+  for (std::size_t i = 0; i < nf; ++i) rate[i] = start_rate(flows[i]);
+  const RateArray start = rate;
+  demand.resize(nr);
+  std::array<double, kMaxResources> start_demand{};
+  bool uniform_stop_armed = true;
+  Pick full;
+  Pick sender;
+  for (std::size_t ri = 0; ri < nr; ++ri) {
+    const Resource& r = resources[ri];
+    const double d = r.demand(flows, rate);
+    demand[ri] = d;
+    start_demand[ri] = d;
+    uniform_stop_armed = uniform_stop_armed && r.capacity > 0.0;
+    const double u = r.utilization_of(d);
+    if (u > full.worst) full = Pick{u, static_cast<int>(ri)};
+    if (!r.rx_stall && u > sender.worst) sender = Pick{u, static_cast<int>(ri)};
+  }
+  int* const uniform_stops =
+      shortcuts != nullptr ? &shortcuts->uniform_stops : nullptr;
   bool scaled_at_rx_stall = false;
-  const int binding = solve(flows, resources, /*include_rx_stall=*/true,
-                            rate, demand, &scaled_at_rx_stall);
+  const int binding =
+      solve(flows, resources, /*include_rx_stall=*/true, uniform_stop_armed,
+            full, rate, demand.data(), &scaled_at_rx_stall, uniform_stops);
   if (scaled_at_rx_stall) {
-    solve(flows, resources, /*include_rx_stall=*/false, offered_rate, demand);
+    offered_rate = start;
+    solve(flows, resources, /*include_rx_stall=*/false, uniform_stop_armed,
+          sender, offered_rate, start_demand.data(), nullptr, uniform_stops);
   } else {
     offered_rate = rate;
   }
-  if (sender_pass_ran != nullptr) *sender_pass_ran = scaled_at_rx_stall;
+  if (shortcuts != nullptr) {
+    shortcuts->sender_pass_ran = scaled_at_rx_stall;
+    shortcuts->uniform_stop_armed = uniform_stop_armed;
+  }
   return binding;
 }
 
@@ -1491,7 +1546,7 @@ SteadySolve EvalCore::steady(const CompiledScenario& cs, const Workload& w) {
     out.constraints.push_back({r.capacity, r.coeff, r.rx_stall});
   }
   out.binding = solve_steady(s.flows, s.resources, out.offered_rate, out.rate,
-                             s.demand, &out.sender_pass_ran);
+                             s.demand, &out);
   return out;
 }
 

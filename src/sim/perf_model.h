@@ -283,7 +283,9 @@ const SimResult& evaluate(const CompiledScenario& scenario, const Workload& w,
 // solution and `binding` its last scaled constraint (-1: none); the
 // sender-side pass, which skips rx_stall constraints, yields
 // `offered_rate` and runs only when the full pass scaled at an rx_stall
-// constraint (sender_pass_ran) — otherwise it equals `rate`.
+// constraint (sender_pass_ran) — otherwise it equals `rate`.  A pass stops
+// right after a step that scaled every flow alike (uniform_stops counts
+// them) when every capacity is positive (uniform_stop_armed).
 struct SteadySolve {
   struct Constraint {
     double capacity = 0.0;
@@ -296,6 +298,8 @@ struct SteadySolve {
   std::array<double, 4> rate{};
   int binding = -1;
   bool sender_pass_ran = false;
+  bool uniform_stop_armed = false;
+  int uniform_stops = 0;
 };
 SteadySolve steady_solve(const CompiledScenario& scenario, const Workload& w);
 

@@ -1,6 +1,7 @@
 #include "sim/workload.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "net/wire.h"
@@ -117,27 +118,43 @@ std::string Workload::describe() const {
   return os.str();
 }
 
+// One walk over the pattern: each WQE's SGEs are summed in order (the
+// integer sum message_bytes() returns) and counted in the same loop, and
+// the per-WQE doubles accumulate in WQE order, as a per-WQE message_bytes()
+// loop would.  A power-of-two MTU (every MTU the search space offers)
+// divides by a shift: for unsigned operands that is the same quotient as
+// net::packets_for_message's divide.
 PatternStats analyze_pattern(const Workload& w) {
   PatternStats s;
   const int wqes = w.wqes_per_round();
   if (wqes == 0) return s;
   s.wqes_per_round = wqes;
+  const u64* sge = w.pattern.data();
+  const u64* const pattern_end = sge + w.pattern.size();
+  const u64 mtu = w.mtu;
+  const bool mtu_pow2 = std::has_single_bit(w.mtu);
+  const int mtu_shift = std::countr_zero(w.mtu);
   int small_msgs = 0;
   int large_msgs = 0;
-  for (int i = 0; i < wqes; ++i) {
-    const u64 msg = w.message_bytes(i);
-    s.bytes_per_round += static_cast<double>(msg);
-    s.max_msg_bytes = std::max(s.max_msg_bytes, static_cast<double>(msg));
-    s.pkts_per_round +=
-        static_cast<double>(net::packets_for_message(msg, w.mtu));
-    if (msg <= 1 * KiB) ++small_msgs;
-    if (msg >= 64 * KiB) ++large_msgs;
-  }
   int small_sges = 0;
   int large_sges = 0;
-  for (u64 sge : w.pattern) {
-    if (sge <= 1 * KiB) ++small_sges;
-    if (sge >= 64 * KiB) ++large_sges;
+  for (int i = 0; i < wqes; ++i) {
+    const u64* const wqe_end =
+        pattern_end - sge > w.sge_per_wqe ? sge + w.sge_per_wqe : pattern_end;
+    u64 msg = 0;
+    for (; sge != wqe_end; ++sge) {
+      msg += *sge;
+      if (*sge <= 1 * KiB) ++small_sges;
+      if (*sge >= 64 * KiB) ++large_sges;
+    }
+    s.bytes_per_round += static_cast<double>(msg);
+    s.max_msg_bytes = std::max(s.max_msg_bytes, static_cast<double>(msg));
+    const u64 pkts = !mtu_pow2   ? net::packets_for_message(msg, w.mtu)
+                     : msg == 0 ? 1
+                                : (msg + mtu - 1) >> mtu_shift;
+    s.pkts_per_round += static_cast<double>(pkts);
+    if (msg <= 1 * KiB) ++small_msgs;
+    if (msg >= 64 * KiB) ++large_msgs;
   }
   s.avg_msg_bytes = s.bytes_per_round / s.wqes_per_round;
   s.frac_small_msgs = static_cast<double>(small_msgs) / wqes;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -15,6 +17,8 @@
 #include "common/strings.h"
 #include "common/table.h"
 #include "common/units.h"
+#include "net/wire.h"
+#include "sim/workload.h"
 
 namespace collie {
 namespace {
@@ -183,6 +187,39 @@ TEST(CounterStream, ZigguratTablesSatisfyTheRecurrence) {
   EXPECT_EQ(zig::kF[256], 1.0);
 }
 
+// normal()'s fast path applies the sign by XOR-ing bit 8 into the sign bit.
+// Over 10^6 indices it equals a test-local copy of the branchy fast path
+// (`bit 8 ? -x : x`), bit for bit; slow-path draws (about 1%) are included
+// and must still equal normal() as before, from the unchanged slow path.
+TEST(CounterStream, BranchFreeSignEqualsTheBranchyFastPath) {
+  const CounterStream stream(0x5eed5eedULL);
+  int fast = 0;
+  int slow = 0;
+  int negative = 0;
+  for (u64 index = 0; index < 1000000; ++index) {
+    const u64 b = stream.bits(index);
+    const unsigned layer = static_cast<unsigned>(b & 0xff);
+    const double x =
+        static_cast<double>(b >> 11) * 0x1.0p-53 * zig::kX[layer];
+    const double got = stream.normal(index);
+    if (x < zig::kX[layer + 1]) {
+      const double want = (b & 0x100) != 0 ? -x : x;
+      ASSERT_EQ(std::bit_cast<u64>(got), std::bit_cast<u64>(want)) << index;
+      ++fast;
+    } else {
+      ++slow;
+    }
+    if (std::signbit(got)) ++negative;
+  }
+  EXPECT_GT(slow, 1000);
+  EXPECT_GT(fast, 900000);
+  EXPECT_NEAR(negative, 500000, 5000);
+  // Negation of +0.0 is -0.0: the XOR flips the sign bit of a zero too.
+  EXPECT_EQ(std::bit_cast<u64>(std::bit_cast<double>(
+                std::bit_cast<u64>(0.0) ^ (u64{0x100} << 55))),
+            std::bit_cast<u64>(-0.0));
+}
+
 // ---- Portable math ----------------------------------------------------------
 
 TEST(Pmath, AgreesWithLibmToAFewUlps) {
@@ -237,6 +274,146 @@ TEST(Pmath, ExactWhereTheModelNeedsIt) {
   }
   EXPECT_EQ(pmath::exp(-800.0), 0.0);
   EXPECT_TRUE(std::isinf(pmath::exp(710.0)));
+}
+
+// A test-local copy of pmath::log2's reduction path (reduce, ln_reduced),
+// the oracle for its power-of-two shortcut.
+double reference_log2(double x) {
+  std::uint64_t b = std::bit_cast<std::uint64_t>(x);
+  int adjust = 0;
+  if ((b >> 52) == 0) {
+    b = std::bit_cast<std::uint64_t>(x * 0x1p54);
+    adjust = -54;
+  }
+  const int biased = static_cast<int>(b >> 52);
+  double m = std::bit_cast<double>((b & 0x000fffffffffffffULL) |
+                                   0x3ff0000000000000ULL);
+  int k = biased - 1023 + adjust;
+  if (m >= 0x1.6a09e667f3bcdp+0) {
+    m *= 0.5;
+    ++k;
+  }
+  constexpr double kInvOdd[] = {1.0 / 3,  1.0 / 5,  1.0 / 7,  1.0 / 9,
+                                1.0 / 11, 1.0 / 13, 1.0 / 15, 1.0 / 17,
+                                1.0 / 19, 1.0 / 21, 1.0 / 23};
+  const double s = (m - 1.0) / (m + 1.0);
+  const double z = s * s;
+  double p = kInvOdd[10];
+  for (int i = 9; i >= 0; --i) p = p * z + kInvOdd[i];
+  p = p * z + 1.0;
+  return k + ((2.0 * s) * p) * 0x1.71547652b82fep+0;
+}
+
+// Every normal power of two and its one-ulp neighbours equal the reduction
+// path bit for bit; so do the inputs the shortcut must leave to it:
+// subnormals (powers of two among them), zeros, infinities, NaN and
+// negative numbers (negative powers of two among them).
+TEST(Pmath, Log2PowerOfTwoShortcutEqualsTheReductionPath) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> inputs;
+  for (int k = -1022; k <= 1023; ++k) {
+    const double x = std::ldexp(1.0, k);
+    inputs.push_back(x);
+    inputs.push_back(std::nextafter(x, 0.0));
+    inputs.push_back(std::nextafter(x, kInf));
+    inputs.push_back(-x);
+  }
+  for (int k = -1074; k < -1022; ++k) inputs.push_back(std::ldexp(1.0, k));
+  for (const double x : {0x1.8p-1070, std::numeric_limits<double>::denorm_min(),
+                         std::nextafter(0x1p-1022, 0.0), 0.0, -0.0, kInf,
+                         -kInf, std::numeric_limits<double>::quiet_NaN(),
+                         -3.0, -0.75}) {
+    inputs.push_back(x);
+  }
+  for (const double x : inputs) {
+    EXPECT_EQ(std::bit_cast<u64>(pmath::log2(x)),
+              std::bit_cast<u64>(reference_log2(x)))
+        << std::hexfloat << x;
+  }
+}
+
+// ---- Pattern statistics -------------------------------------------------------
+
+// A test-local copy of analyze_pattern as first written: message_bytes()
+// per WQE, net::packets_for_message's divide per message, and a second
+// walk over the SGEs.  The one-pass version must equal it bit for bit.
+PatternStats reference_analyze_pattern(const Workload& w) {
+  PatternStats s;
+  const int wqes = w.wqes_per_round();
+  if (wqes == 0) return s;
+  s.wqes_per_round = wqes;
+  int small_msgs = 0;
+  int large_msgs = 0;
+  for (int i = 0; i < wqes; ++i) {
+    const u64 msg = w.message_bytes(i);
+    s.bytes_per_round += static_cast<double>(msg);
+    s.max_msg_bytes = std::max(s.max_msg_bytes, static_cast<double>(msg));
+    s.pkts_per_round +=
+        static_cast<double>(net::packets_for_message(msg, w.mtu));
+    if (msg <= 1 * KiB) ++small_msgs;
+    if (msg >= 64 * KiB) ++large_msgs;
+  }
+  int small_sges = 0;
+  int large_sges = 0;
+  for (u64 sge : w.pattern) {
+    if (sge <= 1 * KiB) ++small_sges;
+    if (sge >= 64 * KiB) ++large_sges;
+  }
+  s.avg_msg_bytes = s.bytes_per_round / s.wqes_per_round;
+  s.frac_small_msgs = static_cast<double>(small_msgs) / wqes;
+  s.frac_large_msgs = static_cast<double>(large_msgs) / wqes;
+  s.frac_small_sges =
+      static_cast<double>(small_sges) / static_cast<double>(w.pattern.size());
+  s.frac_large_sges =
+      static_cast<double>(large_sges) / static_cast<double>(w.pattern.size());
+  s.avg_pkts_per_msg = s.pkts_per_round / s.wqes_per_round;
+  return s;
+}
+
+// Random patterns over every MTU the search space offers plus two that are
+// not powers of two, SG lists longer than the pattern, zero-byte SGEs and
+// SGEs past the u32 range; plus the empty pattern.
+TEST(PatternStats, OnePassEqualsTheReference) {
+  Rng rng(29);
+  const u32 mtus[] = {256, 512, 1024, 2048, 4096, 1500, 3000};
+  int zero_sges = 0;
+  int long_lists = 0;
+  for (int n = 0; n < 20000; ++n) {
+    Workload w;
+    w.mtu = mtus[rng.uniform_int(0, 6)];
+    const int len = static_cast<int>(rng.uniform_int(0, 24));
+    w.pattern.clear();
+    for (int i = 0; i < len; ++i) {
+      const int kind = static_cast<int>(rng.uniform_int(0, 9));
+      u64 sge = 0;
+      if (kind == 0) {
+        sge = 0;
+      } else if (kind == 1) {
+        sge = u64{1} << rng.uniform_int(30, 40);
+      } else {
+        sge = static_cast<u64>(rng.log_uniform_int(1, 1 << 20));
+      }
+      if (sge == 0) ++zero_sges;
+      w.pattern.push_back(sge);
+    }
+    w.sge_per_wqe = static_cast<int>(rng.uniform_int(1, 32));
+    if (w.sge_per_wqe > len && len > 0) ++long_lists;
+    const PatternStats got = analyze_pattern(w);
+    const PatternStats want = reference_analyze_pattern(w);
+    const double PatternStats::* fields[] = {
+        &PatternStats::wqes_per_round,  &PatternStats::bytes_per_round,
+        &PatternStats::avg_msg_bytes,   &PatternStats::max_msg_bytes,
+        &PatternStats::pkts_per_round,  &PatternStats::frac_small_msgs,
+        &PatternStats::frac_large_msgs, &PatternStats::frac_small_sges,
+        &PatternStats::frac_large_sges, &PatternStats::avg_pkts_per_msg};
+    for (std::size_t f = 0; f < std::size(fields); ++f) {
+      ASSERT_EQ(std::bit_cast<u64>(got.*fields[f]),
+                std::bit_cast<u64>(want.*fields[f]))
+          << "draw " << n << " field " << f << " mtu " << w.mtu;
+    }
+  }
+  EXPECT_GT(zero_sges, 100);
+  EXPECT_GT(long_lists, 100);
 }
 
 TEST(Rng, BernoulliEdgeCases) {

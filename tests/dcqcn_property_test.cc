@@ -452,6 +452,55 @@ TEST(DcqcnProperty, FusedLoopMatchesReferenceOnEdgeInputs) {
   EXPECT_LT(crippled.queue_bytes, in.ecn.kmin_bytes);
 }
 
+// The kernel runs each plain run (the steps between update-period
+// boundaries) without the queue clamp and reruns it clamped when a clamp
+// would have bound.  Inputs whose clamp binds at both ends, each equal to
+// the reference bit for bit, with both paths counted in each: a limiter
+// that cuts below the drain empties the queue (the clamp at 0), and a
+// shallow curve with 1 ms updates lets a 1.05x offer fill the queue to the
+// PFC XOFF ceiling and hold it there (the clamp at the ceiling).
+TEST(DcqcnProperty, UnclampedPlainRunsFallBackWhereTheClampBinds) {
+  SolverInput drain;
+  drain.line = gbps(200);
+  drain.capacity = gbps(50);
+  drain.offered = gbps(190);
+  drain.flows = 8;
+  drain.pkt_bytes = 4178;
+  drain.ecn = cc_scenario("dcqcn").materialize_ecn(2.0 * MiB);
+  drain.prm.enabled = true;
+  drain.prm.g = 1.0;
+  drain.prm.rate_ai_bps = mbps(1);
+
+  SolverInput fill = drain;
+  fill.offered = 1.05 * fill.capacity;
+  fill.prm = DcqcnParams{};
+  fill.prm.enabled = true;
+  fill.prm.update_interval_s = 1e-3;
+  fill.ecn.kmin_bytes = 0.6 * fill.ecn.queue_cap_bytes;
+  fill.ecn.kmax_bytes = fill.ecn.queue_cap_bytes;
+  fill.ecn.pmax = 0.001;
+
+  for (const bool fills : {false, true}) {
+    const SolverInput& in = fills ? fill : drain;
+    const char* name = fills ? "fill to xoff" : "drain to empty";
+    ASSERT_FALSE(cc_passes_through(in.offered, in.capacity, in.ecn, in.prm))
+        << name;
+    EXPECT_EQ(compare_to_reference(in).mismatch, "") << name;
+    CcKernelCounts counts;
+    const CcSteadyState ss =
+        solve_cc_steady_state(in.offered, in.capacity, in.line, in.flows,
+                              in.ecn, in.prm, in.pkt_bytes, &counts);
+    EXPECT_GT(counts.unclamped_runs, 0) << name;
+    EXPECT_GT(counts.clamped_reruns, 0) << name;
+    if (fills) {
+      EXPECT_GT(ss.queue_bytes, 0.5 * in.ecn.occupancy_ceiling_bytes())
+          << name;
+    } else {
+      EXPECT_LT(ss.queue_bytes, in.ecn.kmin_bytes) << name;
+    }
+  }
+}
+
 // The catalog contract the campaign axis relies on.
 TEST(CcScenario, CatalogAndMaterialize) {
   const auto names = cc_scenario_names();

@@ -148,6 +148,42 @@ TEST_F(SearchTest, TraceMarksMfsExtraction) {
   }
 }
 
+// Every necessity probe's trace point shows the anomalous step's
+// kRxWqeCacheMiss value, flat, in both columns: the step's caller records
+// its phase counter on the step's own point, never on the extraction's
+// last one.
+TEST_F(SearchTest, ExtractionPointsKeepTheFlatCounterValue) {
+  SearchBudget budget;
+  budget.seconds = 3 * 3600.0;
+  const auto check = [](const SearchResult& r) {
+    int extraction_points = 0;
+    double flat = 0.0;
+    for (std::size_t i = 0; i < r.trace.size(); ++i) {
+      const TracePoint& tp = r.trace[i];
+      if (!tp.in_mfs_extraction) {
+        flat = tp.rx_wqe_cache_miss;
+        continue;
+      }
+      ASSERT_GT(i, 0u);
+      EXPECT_EQ(std::bit_cast<u64>(tp.rx_wqe_cache_miss),
+                std::bit_cast<u64>(flat))
+          << i;
+      EXPECT_EQ(std::bit_cast<u64>(tp.counter_value), std::bit_cast<u64>(flat))
+          << i;
+      ++extraction_points;
+    }
+    EXPECT_GT(extraction_points, 0);
+  };
+  for (const GuidanceMode mode : {GuidanceMode::kDiag, GuidanceMode::kPerf}) {
+    SaConfig cfg;
+    cfg.mode = mode;
+    Rng rng(9);
+    check(driver_.run_simulated_annealing(cfg, budget, rng));
+  }
+  Rng rng(10);
+  check(driver_.run_bayesian_optimization(budget, rng));
+}
+
 TEST_F(SearchTest, PerfModeRunsAndGuides) {
   SaConfig cfg;
   cfg.mode = GuidanceMode::kPerf;
@@ -359,14 +395,9 @@ TEST(SearchRequests, EachProbeRoleRequestsWhatItReads) {
       const int counter =
           rest != 0 ? std::countr_zero(static_cast<unsigned>(rest))
                     : static_cast<int>(sim::DiagCounter::kRxWqeCacheMiss);
-      // (An anomalous step's value lands on its extraction's last point.)
-      const bool extracted =
-          i + 1 < r.trace.size() && r.trace[i + 1].in_mfs_extraction;
-      if (!extracted) {
-        EXPECT_EQ(r.trace[i].counter_value,
-                  log.averages[i].diag[static_cast<std::size_t>(counter)])
-            << i;
-      }
+      EXPECT_EQ(r.trace[i].counter_value,
+                log.averages[i].diag[static_cast<std::size_t>(counter)])
+          << i;
       if (counter != phase) {
         EXPECT_TRUE(phases.insert(counter).second) << "phase repeats " << i;
         phase = counter;

@@ -202,14 +202,37 @@ int reference_pass(const SteadySolve& sys, bool include_rx_stall,
   return binding;
 }
 
+// Re-solves `s`'s system with the reference passes and compares offered
+// rates, admitted rates and the binding resource bit for bit.
+void expect_reference_solve(const SteadySolve& s, const std::string& tag) {
+  std::array<double, 4> rate{};
+  std::array<double, 4> offered{};
+  const int binding = reference_pass(s, true, rate);
+  reference_pass(s, false, offered);
+  EXPECT_EQ(s.binding, binding) << tag;
+  for (std::size_t f = 0; f < s.start_rate.size(); ++f) {
+    EXPECT_EQ(std::bit_cast<u64>(s.rate[f]), std::bit_cast<u64>(rate[f]))
+        << tag;
+    EXPECT_EQ(std::bit_cast<u64>(s.offered_rate[f]),
+              std::bit_cast<u64>(offered[f]))
+        << tag;
+  }
+}
+
 // The model runs the sender-side pass only when the full pass scaled at an
 // rx_stall resource, and otherwise reuses the full pass's rates as the
-// offered ones.  On random workloads over every subsystem x fabric x CC
-// scenario, that must equal running both passes: offered rates, admitted
-// rates and the binding resource, bit for bit.  Both branches must fire.
+// offered ones; the sender-side pass starts from the full pass's start
+// rates, demands and first scan; and a pass stops right after a step that
+// scaled every flow alike.  On random workloads over every subsystem x
+// fabric x CC scenario, that must equal running both passes from scratch
+// to the end (reference_pass recomputes every demand and never stops
+// early): offered rates, admitted rates and the binding resource, bit for
+// bit.  Every shortcut must fire.
 TEST(SolverProperty, OnePassSolveEqualsTheTwoPassReference) {
   int one_pass = 0;
   int two_pass = 0;
+  int uniform_stops = 0;
+  int two_pass_uniform_stops = 0;
   u64 seed = 1;
   for (const char id : all_subsystem_ids()) {
     for (const std::string& fabric : net::fabric_scenario_names()) {
@@ -223,28 +246,40 @@ TEST(SolverProperty, OnePassSolveEqualsTheTwoPassReference) {
         for (int i = 0; i < 24; ++i) {
           const Workload w = space.random_point(rng);
           const SteadySolve s = steady_solve(compiled, w);
-          std::array<double, 4> rate{};
-          std::array<double, 4> offered{};
-          const int binding = reference_pass(s, true, rate);
-          reference_pass(s, false, offered);
-          const std::string tag = std::string(1, id) + "/" + fabric + "/" +
-                                  cc + " " + w.describe();
-          EXPECT_EQ(s.binding, binding) << tag;
-          for (std::size_t f = 0; f < s.start_rate.size(); ++f) {
-            EXPECT_EQ(std::bit_cast<u64>(s.rate[f]),
-                      std::bit_cast<u64>(rate[f]))
-                << tag;
-            EXPECT_EQ(std::bit_cast<u64>(s.offered_rate[f]),
-                      std::bit_cast<u64>(offered[f]))
-                << tag;
-          }
+          expect_reference_solve(s, std::string(1, id) + "/" + fabric +
+                                        "/" + cc + " " + w.describe());
           ++(s.sender_pass_ran ? two_pass : one_pass);
+          uniform_stops += s.uniform_stops;
+          if (s.sender_pass_ran) two_pass_uniform_stops += s.uniform_stops;
         }
       }
     }
   }
   EXPECT_GT(one_pass, 0);
   EXPECT_GT(two_pass, 0);
+  EXPECT_GT(uniform_stops, 0);
+  EXPECT_GT(two_pass_uniform_stops, 0);
+}
+
+// A dead receiver port (capacity 0) reads 1e18 whatever the rates are, so
+// the uniform-scaling stop is disarmed and both passes run the full loop,
+// still equal to the reference.
+TEST(SolverProperty, DeadResourceKeepsTheFullLoop) {
+  Subsystem sys = subsystem('F');
+  sys.fabric = net::FabricSpec::heterogeneous_pair(sys.nicm.line_rate_bps, 0.0);
+  const CompiledScenario compiled(sys);
+  const core::SearchSpace space(sys);
+  Rng rng(41);
+  for (int i = 0; i < 64; ++i) {
+    const Workload w = space.random_point(rng);
+    const SteadySolve s = steady_solve(compiled, w);
+    EXPECT_FALSE(s.uniform_stop_armed) << w.describe();
+    EXPECT_EQ(s.uniform_stops, 0) << w.describe();
+    expect_reference_solve(s, "dead port " + w.describe());
+  }
+  // The live pair arms it.
+  const CompiledScenario live(subsystem('F'));
+  EXPECT_TRUE(steady_solve(live, space.random_point(rng)).uniform_stop_armed);
 }
 
 }  // namespace

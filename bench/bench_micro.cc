@@ -25,11 +25,10 @@
 //   bench_micro --check-baseline <file>   also compare *_per_sec metrics
 //                                         against a committed baseline and
 //                                         exit non-zero on a >35% regression
-//   bench_micro --check-metrics-overhead  also measure measure_and_judge
-//                                         with a live obs::Telemetry vs the
-//                                         null handle; exit non-zero when
-//                                         every one of 3 attempts shows >2%
-//                                         probe-path overhead
+//
+// Both also report measure_and_judge with a live obs::Telemetry vs the null
+// handle (probe_metrics_*, ungated).  Telemetry's per-probe work is pinned
+// exactly in hotpath_test (HotPathTelemetry.*), not by wall-clock time.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -307,8 +306,7 @@ BENCHMARK(BM_EngineRunWithFunctionalPass);
 
 // Telemetry overhead pair: the full single-probe driver path
 // (measure_and_judge = engine run + monitor judgement) with a live
-// worker-sharded Telemetry attached vs the default null handle.  The obs
-// contract is <2% probe-path overhead; --check-metrics-overhead gates it.
+// worker-sharded Telemetry attached vs the default null handle.
 void BM_ProbeMetricsOff(benchmark::State& state) {
   workload::Engine engine(sim::subsystem('F'));
   core::SearchSpace space(sim::subsystem('F'));
@@ -768,42 +766,14 @@ int run_trajectory_mode(const CliArgs& args) {
 
   benchjson::Section micro = measure_micro_section();
 
-  // Telemetry overhead (the obs layer's <2% contract).  The pair metrics
-  // feed BENCH_hotpath.json for trajectory plots; they are deliberately NOT
-  // in the committed baseline (the cross-machine regression gate skips
-  // them) — --check-metrics-overhead is their gate, best-of-3 so a single
-  // noisy attempt on a shared runner cannot fail the build.
-  const bool check_overhead = args.has("check-metrics-overhead");
+  // Telemetry's wall-clock cost, for trajectory plots.  Not gated: the
+  // pair's spread on a shared runner exceeds any useful threshold, and
+  // the committed baseline leaves these metrics out.
   {
-    MetricsPair pair = measure_metrics_pair();
+    const MetricsPair pair = measure_metrics_pair();
     micro["probe_metrics_off_per_sec"] = pair.off_per_sec;
     micro["probe_metrics_on_per_sec"] = pair.on_per_sec;
     micro["probe_metrics_overhead_pct"] = pair.overhead_pct();
-    if (check_overhead) {
-      constexpr double kMaxOverheadPct = 2.0;
-      constexpr int kAttempts = 3;
-      int attempt = 1;
-      for (; attempt <= kAttempts && pair.overhead_pct() > kMaxOverheadPct;
-           ++attempt) {
-        std::printf("metrics-overhead attempt %d/%d: %.2f%% (limit %.0f%%)"
-                    "%s\n",
-                    attempt, kAttempts, pair.overhead_pct(), kMaxOverheadPct,
-                    attempt < kAttempts ? ", retrying" : "");
-        if (attempt == kAttempts) {
-          std::fprintf(stderr,
-                       "telemetry overhead exceeded %.0f%% on every "
-                       "attempt\n",
-                       kMaxOverheadPct);
-          return 1;
-        }
-        pair = measure_metrics_pair();
-        micro["probe_metrics_off_per_sec"] = pair.off_per_sec;
-        micro["probe_metrics_on_per_sec"] = pair.on_per_sec;
-        micro["probe_metrics_overhead_pct"] = pair.overhead_pct();
-      }
-      std::printf("metrics overhead %.2f%% (limit %.0f%%): ok\n",
-                  pair.overhead_pct(), kMaxOverheadPct);
-    }
   }
 
   std::printf("hot-path micro metrics:\n");
@@ -843,8 +813,7 @@ int run_trajectory_mode(const CliArgs& args) {
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  if (args.has("json") || args.has("check-baseline") ||
-      args.has("check-metrics-overhead")) {
+  if (args.has("json") || args.has("check-baseline")) {
     return run_trajectory_mode(args);
   }
   benchmark::Initialize(&argc, argv);

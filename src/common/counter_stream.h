@@ -38,11 +38,6 @@ class CounterStream {
     return z ^ (z >> 31);
   }
 
-  // Uniform in [0, 1).
-  double uniform(u64 index) const {
-    return static_cast<double>(bits(index) >> 11) * 0x1.0p-53;
-  }
-
   // Standard normal.  Bits 0-7 of the word pick the layer, bit 8 the sign,
   // bits 11-63 the position within the layer.
   //

@@ -195,23 +195,6 @@ sim::CounterSample counter_sample_from_json(const JsonValue& v) {
   return s;
 }
 
-void epoch_to_json(const sim::EpochSample& e, JsonWriter* json) {
-  json->begin_object();
-  json->field("t", e.t);
-  json->key("counters");
-  counter_sample_to_json(e.counters, json);
-  json->field("pause_fraction", e.pause_fraction);
-  json->end_object();
-}
-
-sim::EpochSample epoch_from_json(const JsonValue& v) {
-  sim::EpochSample e;
-  e.t = v.at("t").as_double();
-  e.counters = counter_sample_from_json(v.at("counters"));
-  e.pause_fraction = v.at("pause_fraction").as_double();
-  return e;
-}
-
 }  // namespace
 
 void measurement_to_json(const workload::Measurement& m, JsonWriter* json) {
@@ -234,9 +217,6 @@ void measurement_to_json(const workload::Measurement& m, JsonWriter* json) {
   json->field("cost_seconds", m.cost_seconds);
   json->field("dominant", sim::to_string(m.dominant));
   json->field("note", m.bottleneck_note);
-  json->begin_array("epochs");
-  for (const sim::EpochSample& e : m.epochs) epoch_to_json(e, json);
-  json->end_array();
   json->end_object();
 }
 
@@ -257,9 +237,6 @@ workload::Measurement measurement_from_json(const JsonValue& v) {
   m.cost_seconds = v.at("cost_seconds").as_double();
   m.dominant = bottleneck_from_string(v.at("dominant").as_string());
   m.bottleneck_note = v.at("note").as_string();
-  for (const JsonValue& e : v.at("epochs").items()) {
-    m.epochs.push_back(epoch_from_json(e));
-  }
   return m;
 }
 

@@ -46,7 +46,9 @@ Mfs mfs_from_json(const JsonValue& v);
 
 // A full engine Measurement, every field, byte-identical round trip (a
 // journal probe record's payload).  Doubles round-trip bit-exactly through
-// JsonWriter's shortest-decimal rendering.
+// JsonWriter's shortest-decimal rendering.  The reader ignores the empty
+// "epochs" array that records written before the per-epoch series was
+// removed still carry.
 void measurement_to_json(const workload::Measurement& m, JsonWriter* json);
 workload::Measurement measurement_from_json(const JsonValue& v);
 

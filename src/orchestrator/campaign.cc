@@ -193,10 +193,6 @@ CellResult execute_cell(const CellExecutionOptions& opts,
   try {
     const sim::Subsystem sys = cell.materialize();
     workload::EngineOptions engine_opts = opts.engine;
-    // Nothing in the campaign reads per-epoch series; skipping them keeps
-    // the probe loop free of per-experiment work and allocations.
-    // Verdicts, traces and RNG streams are unaffected.
-    engine_opts.sim.keep_epochs = false;
     engine_opts.telemetry = obs::ProbeTelemetry(opts.telemetry, worker);
     engine_opts.backend_factory = opts.backend_factory;
     engine_opts.backend_context = cell.label();

@@ -69,8 +69,7 @@ double log2_safe(double v) { return pmath::log2(std::max(v, 1.0)); }
 constexpr int kSenderSlot = 0;  // perf counters and stalled arrivals
 constexpr int kDiagSlot = 1;    // + DiagCounter index (9 slots)
 constexpr int kDrainSlot = 10;  // + receiving host (2 slots)
-constexpr int kBlipSlot = 12;   // warmup blip coin, then its size
-constexpr int kJitterSlots = 16;
+constexpr int kJitterSlots = 16;  // slots 12-15 are reserved
 static_assert(kDiagSlot + kNumDiagCounters <= kDrainSlot);
 
 // Counter fetches per experiment (§6: four once-per-second fetches).
@@ -567,7 +566,6 @@ void reset_result(SimResult& r) {
   r.pps_utilization = 0.0;
   r.counters = CounterSample{};
   r.samples.clear();
-  r.epochs.clear();
   r.dominant = Bottleneck::kNone;
   r.bottleneck_note.clear();
 }
@@ -1058,6 +1056,11 @@ void EvalCore::build_model(const CompiledScenario& cs, const Workload& w,
   assert(resources.size() <= kMaxResources);
 }
 
+int sample_epoch(const SimConfig& cfg, int k) {
+  const int span = cfg.epochs - cfg.warmup_epochs;
+  return cfg.warmup_epochs + (span - 1) * k / (kCounterSamples - 1);
+}
+
 double experiment_cost_seconds(const Workload& w) {
   const double qp_cost =
       25.0 * std::min(1.0, w.num_qps * (w.bidirectional ? 2.0 : 1.0) /
@@ -1076,13 +1079,10 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
   EvalScratch::Impl& s = *scratch.impl_;
   SimResult& out = s.result;
   reset_result(out);
-  // The request's shortcuts (perf_model.h); the full epoch series is the
-  // full evaluation by definition.
-  const PauseRule* verdict = cfg.keep_epochs || !request.verdict_only
-                                 ? nullptr
-                                 : &*request.verdict_only;
-  const DiagMask diag_read =
-      cfg.keep_epochs ? kAllDiagCounters : request.diag_read();
+  // The request's shortcuts (perf_model.h).
+  const PauseRule* verdict =
+      request.verdict_only ? &*request.verdict_only : nullptr;
+  const DiagMask diag_read = request.diag_read();
 
   // One model build serves both solver passes: the uncompiled path built two
   // bit-identical models, one per pass.
@@ -1387,35 +1387,25 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
   // Every jitter is a pure function of (key, epoch, slot) on a counter
   // stream keyed by ONE draw from the caller's Rng, so the rollout computes
   // only what is read: the four sampled epochs' perf counters and requested
-  // diagnostic counters, the pause duty of post-warmup epochs in which a
-  // receiver is stalled, and — for keep_epochs callers only — the full
-  // series, whose sampled epochs carry exactly the values the samples
-  // carry.  A verdict-only rollout integrates pause only until it is
-  // decided.
+  // diagnostic counters, and the pause duty of post-warmup epochs in which
+  // a receiver is stalled.  A verdict-only rollout integrates pause only
+  // until it is decided.  Warmup epochs feed no sample and no pause
+  // average, so the rollout starts after them.
   const CounterStream jitter(rng.next_u64());
   const auto normal_jitter = [&jitter](int epoch, int slot, double sigma) {
     const u64 index = static_cast<u64>(epoch) * kJitterSlots +
                       static_cast<u64>(slot);
     return std::max(0.2, 1.0 + sigma * jitter.normal(index));
   };
-  const auto uniform_draw = [&jitter](int epoch, int slot) {
-    return jitter.uniform(static_cast<u64>(epoch) * kJitterSlots +
-                          static_cast<u64>(slot));
-  };
 
-  // §6: four counter fetches at one-second spacing, i.e. evenly across the
-  // post-warmup epochs (4, 10, 16, 23 for the default 24-epoch run).
-  int sample_epoch[kCounterSamples];
-  const int span = cfg.epochs - cfg.warmup_epochs;
-  const int num_samples = span > 0 ? kCounterSamples : 0;
+  // §6: the four counter fetches' epochs (4, 10, 16, 23 by default).
+  int sampled_epoch[kCounterSamples];
+  const int num_samples =
+      cfg.epochs > cfg.warmup_epochs ? kCounterSamples : 0;
   for (int k = 0; k < num_samples; ++k) {
-    sample_epoch[k] =
-        cfg.warmup_epochs + (span - 1) * k / (kCounterSamples - 1);
+    sampled_epoch[k] = sample_epoch(cfg, k);
   }
   int next_sample = 0;
-  if (cfg.keep_epochs && cfg.epochs > 0) {
-    out.epochs.reserve(static_cast<std::size_t>(cfg.epochs));
-  }
 
   // Verdict-only: set once pause_accum / pause_time exceeds the allowance.
   // Rounded addition of the remaining non-negative terms cannot lower the
@@ -1424,35 +1414,23 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
   // sampled epochs that are left.  With no receiver stalled, a post-warmup
   // epoch adds +0.0 to pause_accum and to every pause_s[p], which leaves
   // each exactly as it is, so the rollout visits only the sampled epochs
-  // then too.  Both skips are for the samples-only rollout: the full series
-  // visits every epoch.
+  // then too.
   bool pause_decided = false;
-  const int first_epoch =
-      cfg.keep_epochs ? 0 : std::max(cfg.warmup_epochs, 0);
-  for (int e = first_epoch; e < cfg.epochs; ++e) {
-    const bool warm = e < cfg.warmup_epochs;
+  for (int e = std::max(cfg.warmup_epochs, 0); e < cfg.epochs; ++e) {
     const bool sampled =
-        next_sample < num_samples && sample_epoch[next_sample] == e;
-    if (!sampled && !cfg.keep_epochs && (pause_decided || !any_stalled)) {
-      continue;
-    }
-    const bool counters_read = sampled || cfg.keep_epochs;
+        next_sample < num_samples && sampled_epoch[next_sample] == e;
     const bool pause_read = any_stalled && !pause_decided;
-    const double ramp =
-        warm ? (e + 1.0) / (cfg.warmup_epochs + 1.0) : 1.0;
+    if (!sampled && !pause_read) continue;
     // The sender jitter scales the perf counters and the stalled arrivals
-    // alike; an epoch that reads neither never draws it.
-    const double jit = counters_read || pause_read
-                           ? normal_jitter(e, kSenderSlot, cfg.jitter)
-                           : 1.0;
+    // alike.
+    const double jit = normal_jitter(e, kSenderSlot, cfg.jitter);
 
     double worst_pause = 0.0;
     double host_duty[2] = {0.0, 0.0};
     double occupancy = 0.0;
     for (int h = 0; pause_read && h < 2; ++h) {
       if (!rx_stalled[h] || arrival_bps[h] <= 0.0) continue;
-      const double arrive = arrival_bps[h] * ramp * jit;
-      // Drain capacity does not scale with the sender's ramp.
+      const double arrive = arrival_bps[h] * jit;
       const double drain =
           drain_bps[h] * normal_jitter(e, kDrainSlot + h, cfg.jitter);
       if (arrive <= drain) continue;
@@ -1465,15 +1443,7 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
                          (pfc_params.xon_fraction + pfc_params.xoff_fraction) *
                          pfc_params.buffer_bytes);
     }
-    if (warm) {
-      // Connection-setup blips: the paper notes a few pause frames can
-      // appear while connections are brought up.  Warmup epochs feed no
-      // sample and no pause average, so only the full series draws them.
-      if (uniform_draw(e, kBlipSlot) < 0.3) {
-        worst_pause =
-            std::max(worst_pause, 0.0004 * uniform_draw(e, kBlipSlot + 1));
-      }
-    } else if (!pause_decided) {
+    if (!pause_decided) {
       pause_accum += worst_pause * cfg.epoch_dt;
       // Every fan-in sender mirrors host A's port by symmetry.
       for (int p = 0; p < num_ports; ++p) {
@@ -1483,45 +1453,31 @@ const SimResult& EvalCore::run(const CompiledScenario& cs, const Workload& w,
       pause_decided = verdict != nullptr && worst_pause > 0.0 &&
                       pause_accum / pause_time > allowance;
     }
-    if (!counters_read) continue;
+    if (!sampled) continue;
 
-    // This epoch's counters, written where they are kept: the perf counters
-    // and the requested diagnostic counters; the rest stay zero.
-    const auto write_counters = [&](CounterSample& c) {
-      for (int i = 0; i < kNumPerfCounters; ++i) {
-        c.perf[static_cast<std::size_t>(i)] =
-            base.perf[static_cast<std::size_t>(i)] * ramp * jit;
-      }
-      for (int i = 0; i < kNumDiagCounters; ++i) {
-        if (i == static_cast<int>(DiagCounter::kRxBufferOccupancy) ||
-            (diag_read & diag_bit(i)) == 0) {
-          continue;
-        }
-        c.diag[static_cast<std::size_t>(i)] =
-            base.diag[static_cast<std::size_t>(i)] * ramp *
-            normal_jitter(e, kDiagSlot + i, cfg.jitter * 2.0);
-      }
-      if ((diag_read & diag_bit(DiagCounter::kRxBufferOccupancy)) != 0) {
-        c.set(DiagCounter::kRxBufferOccupancy, occupancy);
-      }
-    };
-    if (sampled) {
-      write_counters(out.samples.emplace_back());
-      for (++next_sample;
-           next_sample < num_samples && sample_epoch[next_sample] == e;
-           ++next_sample) {
-        out.samples.push_back(out.samples.back());
-      }
+    // This epoch's sample: the perf counters and the requested diagnostic
+    // counters; the rest stay zero.
+    CounterSample& c = out.samples.emplace_back();
+    for (int i = 0; i < kNumPerfCounters; ++i) {
+      c.perf[static_cast<std::size_t>(i)] =
+          base.perf[static_cast<std::size_t>(i)] * jit;
     }
-    if (cfg.keep_epochs) {
-      EpochSample& es = out.epochs.emplace_back();
-      es.t = (e + 1) * cfg.epoch_dt;
-      if (sampled) {
-        es.counters = out.samples.back();
-      } else {
-        write_counters(es.counters);
+    for (int i = 0; i < kNumDiagCounters; ++i) {
+      if (i == static_cast<int>(DiagCounter::kRxBufferOccupancy) ||
+          (diag_read & diag_bit(i)) == 0) {
+        continue;
       }
-      es.pause_fraction = worst_pause;
+      c.diag[static_cast<std::size_t>(i)] =
+          base.diag[static_cast<std::size_t>(i)] *
+          normal_jitter(e, kDiagSlot + i, cfg.jitter * 2.0);
+    }
+    if ((diag_read & diag_bit(DiagCounter::kRxBufferOccupancy)) != 0) {
+      c.set(DiagCounter::kRxBufferOccupancy, occupancy);
+    }
+    for (++next_sample;
+         next_sample < num_samples && sampled_epoch[next_sample] == e;
+         ++next_sample) {
+      out.samples.push_back(out.samples.back());
     }
   }
 

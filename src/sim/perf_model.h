@@ -1,9 +1,9 @@
 // Epoch-based fluid performance model of one RDMA experiment.
 //
 // Given a subsystem and a workload, evaluate() solves a linear resource
-// model for the steady-state message rates, then rolls measurement epochs
-// with warmup ramp, multiplicative jitter and a PFC duty-cycle model to
-// produce the monitor's four counter samples (§6) and the pause ratio.
+// model for the steady-state message rates, then rolls the post-warmup
+// measurement epochs with multiplicative jitter and a PFC duty-cycle model
+// to produce the monitor's four counter samples (§6) and the pause ratio.
 //
 // Randomness: one evaluate() advances the caller's Rng by exactly one
 // next_u64() — the key of a counter-based jitter stream
@@ -62,11 +62,6 @@ struct SimConfig {
   double epoch_dt = 0.25;   // seconds
   int warmup_epochs = 4;
   double jitter = 0.015;    // multiplicative measurement noise (sigma)
-  // Build the full per-epoch series (SimResult::epochs).  The search reads
-  // only the four samples and the aggregates, so the campaign leaves this
-  // off; interactive tools (anomaly_explorer) turn it on.  The series'
-  // sampled epochs carry exactly the values in SimResult::samples.
-  bool keep_epochs = false;
 };
 
 
@@ -112,12 +107,6 @@ struct EvalRequest {
   DiagMask diag_read() const { return verdict_only ? DiagMask{0} : diag; }
 };
 
-struct EpochSample {
-  double t = 0.0;
-  CounterSample counters;
-  double pause_fraction = 0.0;  // worst port within this epoch
-};
-
 struct SimResult {
   // Steady-state primary metrics.  tx is host A's egress direction; for
   // bidirectional workloads both directions are reported symmetrically.
@@ -158,8 +147,6 @@ struct SimResult {
   // evaluation also leaves the average zero.
   std::vector<CounterSample> samples;
   CounterSample counters;
-  // Full series, only with SimConfig::keep_epochs.
-  std::vector<EpochSample> epochs;
 
   Bottleneck dominant = Bottleneck::kNone;
   std::string bottleneck_note;  // empty in a verdict-only evaluation
@@ -259,7 +246,7 @@ class EvalScratch {
 //     allowance, and exact whenever the full ratio is at or below it.
 // Everything else — perf counters, rates, utilizations, fabric_pause_ratio,
 // the CC ratios, dominant and the Rng draw — is bit-identical to the full
-// evaluation.  SimConfig::keep_epochs turns every shortcut off.
+// evaluation.
 
 // The uncompiled path: compiles the scenario and allocates fresh scratch on
 // every call.  Kept (and exercised by tests) as the reference semantics of
@@ -307,5 +294,12 @@ SteadySolve steady_solve(const CompiledScenario& scenario, const Workload& w);
 // a function of how many QPs and MRs must be set up (§5, §6).  The search
 // drivers charge this against their simulated time budget.
 double experiment_cost_seconds(const Workload& w);
+
+// The epoch of counter fetch k (0-3) of SimResult::samples: §6's four
+// fetches at one-second spacing, evenly across the post-warmup epochs (4,
+// 10, 16, 23 for the default 24-epoch run).  The fetch reads that epoch's
+// counters at t = (epoch + 1) * epoch_dt.  Only meaningful when
+// cfg.epochs > cfg.warmup_epochs (otherwise there are no samples).
+int sample_epoch(const SimConfig& cfg, int k);
 
 }  // namespace collie::sim

@@ -29,7 +29,6 @@ bool apply_result(const sim::SimResult& r, Measurement& m) {
   m.rx_goodput_bps = r.rx_goodput_bps;
   m.dominant = r.dominant;
   m.bottleneck_note = r.bottleneck_note;
-  m.epochs = r.epochs;  // empty unless the config keeps the series
 
   // Stability: coefficient of variation of delivered goodput across the
   // four samples.

@@ -277,9 +277,9 @@ Measurement Engine::run(const Workload& w, Rng& rng,
 const Measurement& Engine::run(const Workload& w, Rng& rng,
                                sim::EvalScratch& scratch, Measurement& m,
                                const sim::EvalRequest& request) const {
-  // Field-wise reset instead of `m = Measurement{}`: keeps the samples and
-  // epochs vector capacities and the note string's buffer, which is what
-  // makes the reused-Measurement probe path allocation-free.
+  // Field-wise reset instead of `m = Measurement{}`: keeps the samples
+  // vector's capacity and the note string's buffer, which is what makes the
+  // reused-Measurement probe path allocation-free.
   m.request = request;
   m.samples.clear();
   m.average = sim::CounterSample{};
@@ -294,7 +294,6 @@ const Measurement& Engine::run(const Workload& w, Rng& rng,
   m.cost_seconds = sim::experiment_cost_seconds(w);
   m.dominant = sim::Bottleneck::kNone;
   m.bottleneck_note.clear();
-  m.epochs.clear();
 
   // The measurement runs on the backend.  The sim fast path is a direct
   // call on the final class (sim_ is non-null exactly when the backend is

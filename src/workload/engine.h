@@ -81,7 +81,6 @@ struct Measurement {
   // Ground-truth diagnostics (never consulted by the search).
   sim::Bottleneck dominant = sim::Bottleneck::kNone;
   std::string bottleneck_note;
-  std::vector<sim::EpochSample> epochs;
 };
 
 struct EngineOptions {
@@ -92,9 +91,7 @@ struct EngineOptions {
   // Hot-path telemetry handle (worker-sharded).  Default-constructed =
   // metrics off; every instrumentation point is then one pointer test.
   obs::ProbeTelemetry telemetry;
-  // Model configuration.  sim.keep_epochs copies the full epoch series into
-  // each Measurement (off by default: search drivers read only the four
-  // counter samples and the aggregates; anomaly_explorer turns it on).
+  // Model configuration (epoch count and length, warmup, jitter).
   sim::SimConfig sim;
   // Execution backend.  Null = the built-in simulator backend.  Not owned:
   // the factory must outlive every engine built from these options (the
@@ -128,7 +125,7 @@ class Engine {
   Measurement run(const Workload& w, Rng& rng,
                   sim::EvalScratch& scratch) const;
   // In-place overload: resets and refills the caller's Measurement, keeping
-  // its samples/epochs capacity and note-string buffer, so a driver that
+  // its samples capacity and note-string buffer, so a driver that
   // reuses one Measurement across probes allocates nothing in steady state
   // (the returned reference is `out` itself).  The by-value overloads
   // delegate here.  `request` is stored on `out` (Measurement::request):

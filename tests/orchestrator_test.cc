@@ -1393,13 +1393,25 @@ std::string probe_payload(const std::string& context, const Workload& w,
   return json.str();
 }
 
+// A probe record as builds that kept the per-epoch series wrote it: its
+// measurement object ends in an (always empty) "epochs" array.
+std::string with_empty_epochs(const std::string& probe_record) {
+  const std::size_t at = probe_record.find("},\"rng_after\":");
+  EXPECT_NE(at, std::string::npos);
+  return probe_record.substr(0, at) + ",\"epochs\":[]" +
+         probe_record.substr(at);
+}
+
+// Two kinds of older collie-journal-v3 recordings must still load.
 // Journals recorded before search steps requested only the counters they
 // read hold every diagnostic counter of every step; a current recording
-// holds zero for the ones a step did not request.  Record a campaign (SA
-// Diag and Perf cells), rewrite every step's unrequested counters to
-// nonzero values in its samples and average, re-frame the journal, and
-// demand that an offline replay of it, and resumes from two cuts of it,
-// print the plain run's report byte for byte.
+// holds zero for the ones a step did not request.  Journals recorded while
+// the model could keep a per-epoch series carry "epochs":[] in every probe
+// record.  Record a campaign (SA Diag and Perf cells) and rewrite it twice:
+// every step's unrequested counters set to nonzero values in its samples
+// and average, and every probe record given the empty epochs array.
+// Re-frame each and demand that an offline replay of it, and resumes from
+// two cuts of it, print the plain run's report byte for byte.
 TEST(CampaignJournalTest, JournalsHoldingUnrequestedCountersReplayAndResume) {
   CampaignConfig config = journaled_campaign_config();
   config.modes = {core::GuidanceMode::kDiag, core::GuidanceMode::kPerf};
@@ -1413,7 +1425,8 @@ TEST(CampaignJournalTest, JournalsHoldingUnrequestedCountersReplayAndResume) {
   const JournalRecovery rec = recover_journal(path, /*repair=*/false);
   ASSERT_FALSE(rec.torn);
 
-  std::vector<std::string> payloads;
+  std::vector<std::string> widened_records;
+  std::vector<std::string> with_epochs;
   std::map<std::string, std::size_t> cursor;
   int widened = 0;
   int phase_steps = 0;  // Diag phase steps: one counter besides the trace's
@@ -1423,9 +1436,11 @@ TEST(CampaignJournalTest, JournalsHoldingUnrequestedCountersReplayAndResume) {
     const core::JsonValue v = core::JsonValue::parse(payload);
     const core::JsonValue* record = v.find("record");  // cell_done has none
     if (record == nullptr || record->as_string() != "probe") {
-      payloads.push_back(payload);
+      widened_records.push_back(payload);
+      with_epochs.push_back(payload);
       continue;
     }
+    with_epochs.push_back(with_empty_epochs(payload));
     const std::string context = v.at("context").as_string();
     const Workload w = core::workload_from_json(v.at("workload"));
     workload::Measurement m =
@@ -1449,7 +1464,7 @@ TEST(CampaignJournalTest, JournalsHoldingUnrequestedCountersReplayAndResume) {
         ++widened;
       }
     }
-    payloads.push_back(probe_payload(context, w, m, rng_after));
+    widened_records.push_back(probe_payload(context, w, m, rng_after));
   }
   ASSERT_GT(widened, 0);
   ASSERT_GT(phase_steps, 0);
@@ -1457,27 +1472,31 @@ TEST(CampaignJournalTest, JournalsHoldingUnrequestedCountersReplayAndResume) {
     EXPECT_EQ(n, requests->log(context).size()) << context;
   }
 
-  // Offline replay of the whole rewritten journal.
-  const JournalResume recording = parse_journal(payloads);
-  {
+  const std::string cut_path = journal_tmp("requests-cut.journal");
+  for (const std::vector<std::string>* payloads :
+       {&widened_records, &with_epochs}) {
+    const std::string tag =
+        payloads == &widened_records ? "unrequested counters" : "epochs key";
+    // Offline replay of the whole rewritten journal.
+    const JournalResume recording = parse_journal(*payloads);
     CampaignConfig replay = config;
     replay.replay = recording.schedule;
     replay.backend_factory = journal_replay_factory(recording);
-    EXPECT_EQ(build_report(Campaign(replay).run()).to_json(), golden);
-  }
+    EXPECT_EQ(build_report(Campaign(replay).run()).to_json(), golden) << tag;
 
-  // Resume from a third and from two thirds of its records.
-  const std::string cut_path = journal_tmp("requests-cut.journal");
-  for (const std::size_t k : {payloads.size() / 3, 2 * payloads.size() / 3}) {
-    std::string cut = kJournalMagic;
-    for (std::size_t i = 0; i < k; ++i) cut += journal_frame(payloads[i]);
-    std::remove(cut_path.c_str());
-    spit(cut_path, cut);
-    const JournalResume resume =
-        parse_journal(recover_journal(cut_path, /*repair=*/true).payloads);
-    const JournaledRun resumed = run_journaled(config, cut_path, &resume);
-    EXPECT_GT(resumed.replayed, 0) << "cut " << k;
-    EXPECT_EQ(resumed.report_json, golden) << "cut " << k;
+    // Resume from a third and from two thirds of its records.
+    for (const std::size_t k :
+         {payloads->size() / 3, 2 * payloads->size() / 3}) {
+      std::string cut = kJournalMagic;
+      for (std::size_t i = 0; i < k; ++i) cut += journal_frame((*payloads)[i]);
+      std::remove(cut_path.c_str());
+      spit(cut_path, cut);
+      const JournalResume resume =
+          parse_journal(recover_journal(cut_path, /*repair=*/true).payloads);
+      const JournaledRun resumed = run_journaled(config, cut_path, &resume);
+      EXPECT_GT(resumed.replayed, 0) << tag << " cut " << k;
+      EXPECT_EQ(resumed.report_json, golden) << tag << " cut " << k;
+    }
   }
   std::remove(path.c_str());
   std::remove(cut_path.c_str());

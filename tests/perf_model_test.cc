@@ -58,17 +58,6 @@ TEST(PerfModel, DeterministicGivenSeed) {
   EXPECT_DOUBLE_EQ(a.pause_duration_ratio, b.pause_duration_ratio);
 }
 
-TEST(PerfModel, EpochsCarryWarmupRamp) {
-  Rng rng(3);
-  SimConfig cfg;
-  cfg.keep_epochs = true;
-  const SimResult r = evaluate(subsystem('F'), clean_write(), rng, cfg);
-  ASSERT_EQ(static_cast<int>(r.epochs.size()), cfg.epochs);
-  const double early = r.epochs[0].counters.get(PerfCounter::kTxGoodputBps);
-  const double late = r.epochs.back().counters.get(PerfCounter::kTxGoodputBps);
-  EXPECT_LT(early, 0.7 * late);
-}
-
 TEST(PerfModel, QpcScalabilityCliff) {
   // Root cause #2: sending rate collapses past the QPC cache capacity for
   // small unbatched messages (anomaly #7 family), monotonically in #QPs.
@@ -516,8 +505,8 @@ TEST(PerfModelGolden, CompiledScenarioPathMatchesGoldenRowsBitForBit) {
 // ---- RNG work count ---------------------------------------------------------
 
 // One evaluate() reads exactly one next_u64() from the caller's Rng — the
-// key of its jitter stream — on every golden row, stalled or not, with or
-// without the full epoch series, on both evaluate paths.
+// key of its jitter stream — on every golden row, stalled or not, on both
+// evaluate paths.
 TEST(PerfModelWorkCount, EvaluateAdvancesTheRngByExactlyOneDraw) {
   int stalled = 0;
   int unstalled = 0;
@@ -527,19 +516,15 @@ TEST(PerfModelWorkCount, EvaluateAdvancesTheRngByExactlyOneDraw) {
                                       net::fabric_scenario(row.fabric));
     const CompiledScenario compiled(sys);
     const Workload w = golden_workload(row.workload);
-    for (const bool keep : {false, true}) {
-      SimConfig cfg;
-      cfg.keep_epochs = keep;
-      Rng one_draw(7);
-      (void)one_draw.next_u64();
-      Rng rng(7);
-      const SimResult r = evaluate(sys, w, rng, cfg);
-      EXPECT_EQ(rng.state(), one_draw.state()) << row_source(row);
-      Rng hot(7);
-      (void)evaluate(compiled, w, hot, scratch, cfg);
-      EXPECT_EQ(hot.state(), one_draw.state()) << row_source(row);
-      ++(r.pause_duration_ratio > 0.0 ? stalled : unstalled);
-    }
+    Rng one_draw(7);
+    (void)one_draw.next_u64();
+    Rng rng(7);
+    const SimResult r = evaluate(sys, w, rng);
+    EXPECT_EQ(rng.state(), one_draw.state()) << row_source(row);
+    Rng hot(7);
+    (void)evaluate(compiled, w, hot, scratch);
+    EXPECT_EQ(hot.state(), one_draw.state()) << row_source(row);
+    ++(r.pause_duration_ratio > 0.0 ? stalled : unstalled);
   }
   EXPECT_GT(stalled, 0);
   EXPECT_GT(unstalled, 0);
@@ -572,43 +557,6 @@ TEST(PerfModelWorkCount, SimBackendMeasureDrawsOncePerAttempt) {
   }
   EXPECT_GT(remeasured, 0);
   EXPECT_GT(single, 0);
-}
-
-// The full series is the same rollout, not a second model: building it
-// changes no output, and its sampled epochs (4, 10, 16, 23) carry exactly
-// the four samples.
-TEST(PerfModelGolden, EpochSeriesCarriesTheSamplesAtSampledEpochs) {
-  for (const GoldenRow& row : kGoldenRows) {
-    const Subsystem sys = with_fabric(subsystem(row.sys),
-                                      net::fabric_scenario(row.fabric));
-    const Workload w = golden_workload(row.workload);
-    SimConfig full;
-    full.keep_epochs = true;
-    Rng rng_lean(7);
-    Rng rng_full(7);
-    const SimResult lean = evaluate(sys, w, rng_lean);
-    const SimResult r = evaluate(sys, w, rng_full, full);
-    EXPECT_EQ(row_source(current_row(row, r)), row_source(row));
-    EXPECT_EQ(r.port_pause_ratio, lean.port_pause_ratio) << row_source(row);
-    ASSERT_EQ(r.samples.size(), 4u);
-    ASSERT_EQ(lean.samples.size(), 4u);
-    ASSERT_EQ(r.epochs.size(), 24u);
-    const int sampled[] = {4, 10, 16, 23};
-    for (int k = 0; k < 4; ++k) {
-      const CounterSample& at = r.epochs[static_cast<std::size_t>(sampled[k])]
-                                    .counters;
-      EXPECT_EQ(at.perf, r.samples[static_cast<std::size_t>(k)].perf);
-      EXPECT_EQ(at.diag, r.samples[static_cast<std::size_t>(k)].diag);
-      EXPECT_EQ(lean.samples[static_cast<std::size_t>(k)].perf, at.perf);
-      EXPECT_EQ(lean.samples[static_cast<std::size_t>(k)].diag, at.diag);
-    }
-    // The headline pause ratio is the mean of the post-warmup epochs'.
-    double sum = 0.0;
-    for (int e = 4; e < 24; ++e) {
-      sum += r.epochs[static_cast<std::size_t>(e)].pause_fraction * 0.25;
-    }
-    EXPECT_EQ(sum / 5.0, r.pause_duration_ratio) << row_source(row);
-  }
 }
 
 // Arming the fabric+NIC with a CC scenario changes nothing as long as the
@@ -751,48 +699,21 @@ void expect_requested_counters(const CounterSample& lean,
   }
 }
 
-// Every field of two model results, bit for bit (doubles by their bits).
-void expect_same_result(const SimResult& a, const SimResult& b,
-                        const std::string& tag) {
-  for (const auto& [x, y] :
-       {std::pair{a.tx_goodput_bps, b.tx_goodput_bps},
-        {a.rx_goodput_bps, b.rx_goodput_bps},
-        {a.tx_wire_bps, b.tx_wire_bps},
-        {a.rx_wire_bps, b.rx_wire_bps},
-        {a.tx_pps, b.tx_pps},
-        {a.rx_pps, b.rx_pps},
-        {a.pause_duration_ratio, b.pause_duration_ratio},
-        {a.fabric_pause_ratio, b.fabric_pause_ratio},
-        {a.cc_suppressed_ratio, b.cc_suppressed_ratio},
-        {a.cc_mark_probability, b.cc_mark_probability},
-        {a.wire_utilization, b.wire_utilization},
-        {a.pps_utilization, b.pps_utilization}}) {
-    EXPECT_TRUE(same_bits(x, y)) << tag << ": " << x << " vs " << y;
+// The 46 golden inputs: every CC-off row, then every DCQCN row.
+std::vector<std::pair<Subsystem, Workload>> golden_inputs() {
+  std::vector<std::pair<Subsystem, Workload>> rows;
+  for (const GoldenRow& row : kGoldenRows) {
+    rows.emplace_back(
+        with_fabric(subsystem(row.sys), net::fabric_scenario(row.fabric)),
+        golden_workload(row.workload));
   }
-  ASSERT_EQ(a.port_pause_ratio.size(), b.port_pause_ratio.size()) << tag;
-  for (std::size_t p = 0; p < a.port_pause_ratio.size(); ++p) {
-    EXPECT_TRUE(same_bits(a.port_pause_ratio[p], b.port_pause_ratio[p]))
-        << tag << " port " << p;
+  for (const CcGoldenRow& row : kCcGoldenRows) {
+    rows.emplace_back(with_cc(with_fabric(subsystem(row.row.sys),
+                                          net::fabric_scenario(row.row.fabric)),
+                              nic::cc_scenario("dcqcn")),
+                      cc_golden_workload(row));
   }
-  ASSERT_EQ(a.samples.size(), b.samples.size()) << tag;
-  for (std::size_t k = 0; k < a.samples.size(); ++k) {
-    expect_requested_counters(a.samples[k], b.samples[k], kAllDiagCounters,
-                              tag + " sample " + std::to_string(k));
-  }
-  expect_requested_counters(a.counters, b.counters, kAllDiagCounters,
-                            tag + " average");
-  ASSERT_EQ(a.epochs.size(), b.epochs.size()) << tag;
-  for (std::size_t e = 0; e < a.epochs.size(); ++e) {
-    const std::string etag = tag + " epoch " + std::to_string(e);
-    EXPECT_TRUE(same_bits(a.epochs[e].t, b.epochs[e].t)) << etag;
-    EXPECT_TRUE(
-        same_bits(a.epochs[e].pause_fraction, b.epochs[e].pause_fraction))
-        << etag;
-    expect_requested_counters(a.epochs[e].counters, b.epochs[e].counters,
-                              kAllDiagCounters, etag);
-  }
-  EXPECT_EQ(a.dominant, b.dominant) << tag;
-  EXPECT_EQ(a.bottleneck_note, b.bottleneck_note) << tag;
+  return rows;
 }
 
 // A verdict-only measurement (what an MFS necessity probe asks for) judges
@@ -806,18 +727,7 @@ void expect_same_result(const SimResult& a, const SimResult& b,
 // pause, utilizations, dominant, note and Rng draw bit for bit, and zero
 // for every counter it did not request.
 TEST(PerfModelVerdictOnly, JudgesExactlyAsTheFullMeasurement) {
-  std::vector<std::pair<Subsystem, Workload>> rows;
-  for (const GoldenRow& row : kGoldenRows) {
-    rows.emplace_back(
-        with_fabric(subsystem(row.sys), net::fabric_scenario(row.fabric)),
-        golden_workload(row.workload));
-  }
-  for (const CcGoldenRow& row : kCcGoldenRows) {
-    rows.emplace_back(with_cc(with_fabric(subsystem(row.row.sys),
-                                          net::fabric_scenario(row.row.fabric)),
-                              nic::cc_scenario("dcqcn")),
-                      cc_golden_workload(row));
-  }
+  const std::vector<std::pair<Subsystem, Workload>> rows = golden_inputs();
   ASSERT_EQ(rows.size(), 46u);
   core::MonitorConfig strict;
   strict.pause.threshold = 0.0;
@@ -933,38 +843,47 @@ TEST(PerfModelVerdictOnly, JudgesExactlyAsTheFullMeasurement) {
   EXPECT_EQ(counter_checks, 2 * 46 * 64 * 19);
 }
 
-// The full epoch series is a full evaluation: keep_epochs turns every
-// request shortcut off (verdict-only pause, unrequested counters, the
-// unsampled epochs of an unstalled rollout), so no request changes any
-// output, the series included.
-TEST(PerfModelVerdictOnly, KeepEpochsTurnsTheShortcutOff) {
-  SimConfig cfg;
-  cfg.keep_epochs = true;
-  const PauseRule strict{0.0, 0.0};
-  const EvalRequest requests[] = {
-      EvalRequest::verdict(strict), EvalRequest::counters(0),
-      EvalRequest::counters(diag_bit(DiagCounter::kRxWqeCacheMiss)),
-      EvalRequest::counters(kAllDiagCounters)};
-  int stalled = 0;
-  int unstalled = 0;
-  for (const GoldenRow& row : kGoldenRows) {
-    const Subsystem sys = with_fabric(subsystem(row.sys),
-                                      net::fabric_scenario(row.fabric));
-    const Workload w = golden_workload(row.workload);
-    Rng rng_full(7);
-    const SimResult full = evaluate(sys, w, rng_full, cfg);
-    for (const EvalRequest& request : requests) {
-      Rng rng_lean(7);
-      const SimResult lean = evaluate(sys, w, rng_lean, cfg, request);
-      EXPECT_EQ(row_source(current_row(row, lean)), row_source(row));
-      expect_same_result(lean, full,
-                         "diag " + std::to_string(request.diag_read()));
-      EXPECT_EQ(rng_lean.state(), rng_full.state());
+// The rollout visits only the epochs its outputs read: the four sampled
+// ones, plus the post-warmup epochs in which a receiver is stalled until a
+// verdict-only rollout has decided pause.  This pins what it computes over
+// the 46 golden inputs x the 19 counter requests above x seeds 1-8: one
+// 64-bit FNV-1a digest over the bits of every sample, the average,
+// pause_duration_ratio and port_pause_ratio.  The pinned value is the one
+// the earlier model computed both ways: samples-only, and rolling out all
+// 24 epochs (warmup included) with the unrequested counters zeroed.
+TEST(PerfModelGolden, SampledRolloutDigestIsPinned) {
+  u64 digest = 0xcbf29ce484222325ULL;
+  const auto mix = [&digest](double v) {
+    const u64 bits = std::bit_cast<u64>(v);
+    for (int i = 0; i < 64; i += 8) {
+      digest = (digest ^ ((bits >> i) & 0xff)) * 0x100000001b3ULL;
     }
-    ++(full.pause_duration_ratio > 0.0 ? stalled : unstalled);
+  };
+  const auto mix_sample = [&mix](const CounterSample& c) {
+    for (const double v : c.perf) mix(v);
+    for (const double v : c.diag) mix(v);
+  };
+  const std::vector<DiagMask> requests = counter_requests();
+  ASSERT_EQ(requests.size(), 19u);
+  EvalScratch scratch;
+  int evaluations = 0;
+  for (const auto& [sys, w] : golden_inputs()) {
+    const CompiledScenario compiled(sys);
+    for (const DiagMask diag : requests) {
+      for (u64 seed = 1; seed <= 8; ++seed) {
+        Rng rng(seed);
+        const SimResult& r = evaluate(compiled, w, rng, scratch, {},
+                                      EvalRequest::counters(diag));
+        for (const CounterSample& c : r.samples) mix_sample(c);
+        mix_sample(r.counters);
+        mix(r.pause_duration_ratio);
+        for (const double p : r.port_pause_ratio) mix(p);
+        ++evaluations;
+      }
+    }
   }
-  EXPECT_GT(stalled, 0);
-  EXPECT_GT(unstalled, 0);
+  EXPECT_EQ(evaluations, 46 * 19 * 8);
+  EXPECT_EQ(digest, 0xddf01e66ec1d6e13ULL) << std::hex << "0x" << digest;
 }
 
 // ---- Fan-in demand aggregation edge cases ---------------------------------

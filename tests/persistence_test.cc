@@ -612,9 +612,8 @@ TEST(PersistenceRoundTrip, CampaignReportJsonIsByteIdentical) {
 // ---- journal probe records -------------------------------------------------
 
 // A real two-context journal recorded through the splice backend — actual
-// simulator measurements (epochs included), actual post-probe RNG states —
-// so the round trip exercises every field the replay leg depends on, not a
-// synthetic subset.  `probes` holds what was recorded, in journal order.
+// simulator measurements, actual post-probe RNG states — so the round trip
+// exercises every field the replay leg depends on, not a synthetic subset.  `probes` holds what was recorded, in journal order.
 struct RecordedJournal {
   std::vector<std::string> payloads;  // one probe record per frame
   std::vector<std::pair<std::string, orchestrator::TraceProbe>> probes;
@@ -638,7 +637,6 @@ RecordedJournal recorded_journal() {
     for (const char sys_id : {'B', 'F'}) {
       const sim::Subsystem& sys = sim::subsystem(sys_id);
       workload::EngineOptions opts;
-      opts.sim.keep_epochs = true;
       opts.backend_factory = &factory;
       opts.backend_context = std::string(1, sys_id) + "/Diag#0";
       workload::Engine engine(sys, opts);
@@ -686,7 +684,6 @@ TEST(PersistenceRoundTrip, MeasurementJsonIsByteIdentical) {
       core::measurement_to_json(reparsed, &again);
       EXPECT_EQ(again.str(), doc) << context;
       EXPECT_EQ(reparsed.samples.size(), p.measurement.samples.size());
-      EXPECT_EQ(reparsed.epochs.size(), p.measurement.epochs.size());
       EXPECT_EQ(reparsed.stable, p.measurement.stable);
       ++checked;
     }
